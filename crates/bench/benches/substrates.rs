@@ -49,7 +49,6 @@ fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
     group.throughput(Throughput::Bytes(BUF_SIZE as u64));
     group.bench_function("sha256", |b| b.iter(|| cdstore_crypto::sha256::hash(&data)));
-    group.bench_function("sha1", |b| b.iter(|| cdstore_crypto::sha1::hash(&data)));
     let key = [7u8; 32];
     group.bench_function("aes256_ctr", |b| {
         b.iter(|| {

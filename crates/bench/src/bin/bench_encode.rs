@@ -1,21 +1,20 @@
 //! Perf trajectory for the client-side data path: chunking throughput per
-//! algorithm plus buffered vs streamed encode throughput, with fixed seeds,
-//! written to `BENCH_encode.json` so this and future PRs leave a comparable
-//! curve (companion to `bench_net`'s `BENCH_net.json`).
+//! algorithm plus chunk+encode throughput through the client's pipeline, with
+//! fixed seeds, written to `BENCH_encode.json` so this and future PRs leave a
+//! comparable curve (companion to `bench_net`'s `BENCH_net.json`).
 //!
 //! ```text
 //! cargo run --release -p cdstore_bench --bin bench_encode [-- out_path] [size_mb]
 //! ```
 //!
 //! Defaults: `BENCH_encode.json` in the current directory, 64 MB of seeded
-//! data. Also records the streamed pipeline's peak live pooled buffers — the
-//! bounded-memory evidence: the buffered path holds every chunk and every
-//! share at once (`num_secrets * (n + 1)` buffers), the streamed path holds a
-//! pipeline-depth's worth regardless of input size.
+//! data. Also records the pipeline's peak live pooled buffers — the
+//! bounded-memory evidence: a pipeline-depth's worth regardless of input
+//! size.
 
 use serde::Serialize;
 
-use cdstore_bench::encodebench::{buffered_encode_speed, chunking_speed, streamed_encode_speed};
+use cdstore_bench::encodebench::{chunking_speed, streamed_encode_speed};
 use cdstore_bench::random_secrets;
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_secretsharing::CaontRs;
@@ -34,16 +33,11 @@ struct BenchEncode {
     chunking_fastcdc_mbps: f64,
     /// FastCDC over Rabin — the point of shipping the second cutter.
     fastcdc_over_rabin: f64,
-    /// Chunk + CAONT-RS encode, buffered batch path vs streamed pipeline.
-    buffered_encode_mbps: f64,
+    /// Chunk + CAONT-RS encode through the streamed pipeline.
     streamed_encode_mbps: f64,
-    /// streamed / buffered; ≥ 0.9 means the pipeline costs ≤ 10%.
-    streamed_over_buffered: f64,
-    /// Peak live pooled buffers during the streamed run vs the pipeline's
-    /// structural budget and vs what the buffered path materialises.
+    /// Peak live pooled buffers during the streamed run.
     streamed_peak_live_buffers: usize,
     streamed_num_secrets: u64,
-    buffered_equivalent_buffers: u64,
     streamed_pool_allocations: u64,
     streamed_pool_reuses: u64,
 }
@@ -84,11 +78,6 @@ fn main() {
         "bench_encode:   fixed {fixed:.0} MB/s, rabin {rabin:.0} MB/s, fastcdc {fastcdc:.0} MB/s"
     );
 
-    eprintln!("bench_encode: buffered chunk+encode at {threads} threads...");
-    let buffered = median_of(3, || {
-        buffered_encode_speed(&scheme, ChunkerKind::FastCdc, chunk_config, &data, threads)
-    });
-
     eprintln!("bench_encode: streamed chunk+encode at {threads} threads...");
     let mut last_run = None;
     let streamed = median_of(3, || {
@@ -101,7 +90,7 @@ fn main() {
     let run = last_run.expect("at least one streamed run");
 
     let snapshot = BenchEncode {
-        schema_version: 1,
+        schema_version: 2,
         n,
         k,
         size_mb,
@@ -110,13 +99,9 @@ fn main() {
         chunking_rabin_mbps: rabin,
         chunking_fastcdc_mbps: fastcdc,
         fastcdc_over_rabin: fastcdc / rabin,
-        buffered_encode_mbps: buffered,
         streamed_encode_mbps: streamed,
-        streamed_over_buffered: streamed / buffered,
         streamed_peak_live_buffers: run.pool.peak_outstanding,
         streamed_num_secrets: run.num_secrets,
-        // Buffered path: every secret plus its n shares live at once.
-        buffered_equivalent_buffers: run.num_secrets * (n as u64 + 1),
         streamed_pool_allocations: run.pool.allocations,
         streamed_pool_reuses: run.pool.reuses,
     };
@@ -126,19 +111,14 @@ fn main() {
     println!("{json}");
     eprintln!("bench_encode: wrote {out_path}");
 
-    // The acceptance comparisons only hold with optimisations on.
+    // The acceptance comparison only holds with optimisations on.
     if cfg!(debug_assertions) {
-        eprintln!("bench_encode: debug build — skipping ratio checks");
+        eprintln!("bench_encode: debug build — skipping the ratio check");
         return;
     }
     assert!(
         snapshot.fastcdc_over_rabin >= 2.0,
         "FastCDC must chunk at >= 2x Rabin (got {:.2}x)",
         snapshot.fastcdc_over_rabin
-    );
-    assert!(
-        snapshot.streamed_over_buffered >= 0.9,
-        "streamed path must be within 10% of buffered (got {:.2})",
-        snapshot.streamed_over_buffered
     );
 }

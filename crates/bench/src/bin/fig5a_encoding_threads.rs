@@ -5,7 +5,7 @@
 //! The paper uses 2 GB of random data; the default here is 64 MB to keep the
 //! harness fast — pass a larger size for steadier numbers.
 
-use cdstore_bench::encodebench::{buffered_encode_speed, streamed_encode_speed};
+use cdstore_bench::encodebench::streamed_encode_speed;
 use cdstore_bench::{encoding_speed, random_secrets};
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_secretsharing::{AontRs, CaontRs, CaontRsRivest, SecretSharing};
@@ -47,22 +47,15 @@ fn main() {
     println!("and 54-61% above CAONT-RS-Rivest; speeds increase with threads on both machines.");
 
     // Companion series: the full chunk+encode data path (CAONT-RS, Rabin
-    // chunking) through the buffered batch coder vs the streamed
-    // bounded-memory pipeline — the streamed column should track the
-    // buffered one within ~10%.
+    // chunking) through the client's bounded-memory pipeline.
     let flat = secrets.concat();
     let chunk_config = ChunkerConfig::default();
     println!();
     println!("Chunk+encode data path, CAONT-RS with Rabin chunking, same data:");
-    println!(
-        "{:<10} {:>16} {:>16}",
-        "Threads", "Buffered (MB/s)", "Streamed (MB/s)"
-    );
+    println!("{:<10} {:>16}", "Threads", "Streamed (MB/s)");
     for threads in 1..=4usize {
-        let buffered =
-            buffered_encode_speed(&caont, ChunkerKind::Rabin, chunk_config, &flat, threads);
         let streamed =
             streamed_encode_speed(&caont, ChunkerKind::Rabin, chunk_config, &flat, threads);
-        println!("{threads:<10} {buffered:>16.1} {:>16.1}", streamed.mbps);
+        println!("{threads:<10} {:>16.1}", streamed.mbps);
     }
 }

@@ -33,7 +33,7 @@ fn main() {
     let flat: Vec<u8> = random_secrets(data_mb * 1024 * 1024, 8 * 1024, 3).concat();
     let secrets = random_secrets(data_mb * 1024 * 1024, 8 * 1024, 4);
     let compute_mbps = chunk_and_encode_speed(&scheme, &flat, threads);
-    let decode_mbps = decoding_speed(&scheme, &secrets, threads);
+    let decode_mbps = decoding_speed(&scheme, &secrets);
 
     let logical_mb = 2048.0;
     let per_cloud_unique = vec![logical_mb / k as f64; n];

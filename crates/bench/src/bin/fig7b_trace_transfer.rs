@@ -46,12 +46,10 @@ fn wire_trace_speeds(snapshots: &[Vec<Snapshot>]) -> (f64, f64, f64) {
     (weekly_mbps[0], subsequent_mean, down)
 }
 
-/// Same replay, but end to end through the streaming entry points: each
-/// snapshot's bytes flow through `backup_stream` (Read-driven chunking, the
-/// bounded-memory encode pipeline, batched wire uploads), and the download
-/// streams back out through `restore_stream`. The server re-chunks with its
-/// configured chunker, so dedup still collapses the repeated content across
-/// weeks.
+/// Same replay, but through the `Read`-shaped entry points: each snapshot's
+/// bytes flow through `backup_stream`, so the client re-chunks them with its
+/// configured chunker (dedup still collapses the repeated content across
+/// weeks), and the download streams back out through `restore_stream`.
 fn wire_streamed_trace_speeds(snapshots: &[Vec<Snapshot>]) -> (f64, f64, f64) {
     let (_cluster, store) = wire_store(4, 3);
     let mut weekly_mbps = Vec::with_capacity(snapshots.len());
@@ -94,7 +92,7 @@ fn main() {
     let flat: Vec<u8> = random_secrets(data_mb * 1024 * 1024, 8 * 1024, 5).concat();
     let secrets = random_secrets(data_mb * 1024 * 1024, 8 * 1024, 6);
     let compute_mbps = chunk_and_encode_speed(&scheme, &flat, threads);
-    let decode_mbps = decoding_speed(&scheme, &secrets, threads);
+    let decode_mbps = decoding_speed(&scheme, &secrets);
 
     // Replay a single-user FSL-like stream to get the weekly transfer ratios.
     let workload = FslWorkload::new(FslConfig {
@@ -154,8 +152,10 @@ fn main() {
     );
     println!();
     println!("(* measured end to end over real loopback TCP against 4 cdstore_net servers;");
-    println!("   the Streamed row uses backup_stream/restore_stream — Read-driven chunking and");
-    println!("   the bounded-memory encode pipeline — instead of pre-chunked batch uploads)");
+    println!("   the Streamed row uses backup_stream/restore_stream — the client re-chunks the");
+    println!(
+        "   bytes — where the Loopback row feeds the trace's own chunks to the same pipeline)"
+    );
     println!("Paper: LAN 92.3 / 145.1 / 89.6 MB/s; Cloud 6.9 / 56.2 / 9.5 MB/s.");
     println!(
         "Shape to verify: the first backup uploads faster than unique data (it already contains"

@@ -1,17 +1,16 @@
 //! Measurement helpers for the client-side data path: chunking throughput
-//! per algorithm, and buffered vs streamed encode throughput with the
-//! buffer-reuse counters that serve as a peak-RSS proxy.
+//! per algorithm, and chunk+encode throughput through the client's pipeline
+//! with the buffer-reuse counters that serve as a peak-RSS proxy.
 //!
 //! Used by the `bench_encode` binary (perf trajectory `BENCH_encode.json`)
-//! and by the fig5a/fig7b harnesses for their streamed rows.
+//! and by the fig5a harness for its chunk+encode rows.
 
 use std::io::Read;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cdstore_chunking::{ChunkStream, ChunkerConfig, ChunkerKind};
-use cdstore_core::{encode_stream, ParallelCoder, PipelineConfig};
-use cdstore_crypto::Fingerprint;
+use cdstore_core::{encode_stream, PipelineConfig};
 use cdstore_secretsharing::{BufferPool, PoolStats, SecretSharing};
 
 use crate::MB;
@@ -37,32 +36,6 @@ pub fn chunking_speed(kind: ChunkerKind, config: ChunkerConfig, data: &[u8]) -> 
     data.len() as f64 / MB / elapsed
 }
 
-/// Buffered chunk+encode throughput (MB/s of original data): materialise
-/// every chunk, batch-encode with [`ParallelCoder`], and fingerprint every
-/// share — the same work the buffered `prepare` path performs, so the
-/// streamed/buffered comparison is like for like.
-pub fn buffered_encode_speed(
-    scheme: &(dyn SecretSharing + Sync),
-    kind: ChunkerKind,
-    config: ChunkerConfig,
-    data: &[u8],
-    threads: usize,
-) -> f64 {
-    let chunker = kind.build(config);
-    let start = Instant::now();
-    let chunks = chunker.chunk(data);
-    let secrets: Vec<Vec<u8>> = chunks.into_iter().map(|c| c.data).collect();
-    let coder = ParallelCoder::new(scheme, threads);
-    let share_sets = coder.encode_batch(&secrets).expect("encoding failed");
-    let fingerprints: Vec<Vec<Fingerprint>> = share_sets
-        .iter()
-        .map(|shares| shares.iter().map(|s| Fingerprint::of(s)).collect())
-        .collect();
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(std::hint::black_box(fingerprints).len(), secrets.len());
-    data.len() as f64 / MB / elapsed
-}
-
 /// The result of one streamed encode run: throughput plus the buffer-pool
 /// counters that bound its memory.
 pub struct StreamedEncodeRun {
@@ -71,14 +44,13 @@ pub struct StreamedEncodeRun {
     /// Number of secrets encoded.
     pub num_secrets: u64,
     /// Pool counters; `peak_outstanding` is the peak-RSS proxy (live pooled
-    /// buffers at the worst instant, vs ~`num_secrets * (n + 1)` buffers for
-    /// the buffered path).
+    /// buffers at the worst instant).
     pub pool: PoolStats,
 }
 
 /// Streamed chunk+encode throughput over the staged pipeline, shares
 /// discarded back into the pool at the sink (isolates the encode path from
-/// any store backend, matching what [`buffered_encode_speed`] measures).
+/// any store backend).
 pub fn streamed_encode_speed(
     scheme: &(dyn SecretSharing + Sync),
     kind: ChunkerKind,
@@ -166,17 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_buffered_speeds_are_positive_and_counted() {
+    fn streamed_encode_speed_is_positive_and_counted() {
         let scheme = CaontRs::new(4, 3).unwrap();
         let data = test_data(512 * 1024);
-        let buffered = buffered_encode_speed(
-            &scheme,
-            ChunkerKind::Rabin,
-            ChunkerConfig::default(),
-            &data,
-            2,
-        );
-        assert!(buffered > 0.0);
         let streamed = streamed_encode_speed(
             &scheme,
             ChunkerKind::Rabin,
@@ -188,7 +152,7 @@ mod tests {
         assert!(streamed.num_secrets > 0);
         assert_eq!(streamed.pool.outstanding, 0);
         // The pool bound is structural, so it holds even in debug builds:
-        // far fewer live buffers than the buffered path's one-per-share.
+        // far fewer live buffers than one per share.
         assert!(
             (streamed.pool.peak_outstanding as u64) < streamed.num_secrets * 5,
             "peak {} vs {} secrets",
@@ -208,7 +172,6 @@ mod tests {
         assert!(buf.iter().filter(|&&b| b != 0).count() > 90_000);
     }
 
-    // The performance comparisons themselves (FastCDC vs Rabin, streamed vs
-    // buffered) are only meaningful with optimisations on; `bench_encode`
-    // asserts them in release mode.
+    // The FastCDC-vs-Rabin comparison is only meaningful with optimisations
+    // on; `bench_encode` asserts it in release mode.
 }

@@ -12,6 +12,8 @@
 
 use std::time::Instant;
 
+use cdstore_chunking::{ChunkerConfig, ChunkerKind};
+use cdstore_core::{encode_chunks, PipelineConfig};
 use cdstore_secretsharing::SecretSharing;
 
 pub mod encodebench;
@@ -46,62 +48,63 @@ pub fn random_secrets(total_bytes: usize, avg_chunk: usize, seed: u64) -> Vec<Ve
 }
 
 /// Measures the encoding speed (MB/s of original data) of a scheme over a
-/// batch of secrets using `threads` coding threads.
+/// batch of secrets using `threads` coding threads: the client's encode
+/// pipeline fed pre-chunked, shares returned to the pool at the sink.
 pub fn encoding_speed(
     scheme: &(dyn SecretSharing + Sync),
     secrets: &[Vec<u8>],
     threads: usize,
 ) -> f64 {
-    let coder = cdstore_core::ParallelCoder::new(scheme, threads);
-    let total_bytes: usize = secrets.iter().map(|s| s.len()).sum();
+    let config = PipelineConfig {
+        encode_threads: threads,
+        ..PipelineConfig::default()
+    };
     let start = Instant::now();
-    let shares = coder.encode_batch(secrets).expect("encoding failed");
+    let report = encode_chunks(scheme, secrets, &config, |mut enc, pool| {
+        pool.put_all(&mut enc.shares);
+        Ok(())
+    })
+    .expect("encoding failed");
     let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(shares.len(), secrets.len());
-    total_bytes as f64 / MB / elapsed
+    assert_eq!(report.num_secrets, secrets.len() as u64);
+    report.logical_bytes as f64 / MB / elapsed
 }
 
 /// Measures the decoding speed (MB/s of original data) of a scheme when one
-/// share is missing from every secret.
-pub fn decoding_speed(
-    scheme: &(dyn SecretSharing + Sync),
-    secrets: &[Vec<u8>],
-    threads: usize,
-) -> f64 {
-    let coder = cdstore_core::ParallelCoder::new(scheme, threads);
-    let encoded = coder.encode_batch(secrets).expect("encoding failed");
-    let items: Vec<(Vec<Option<Vec<u8>>>, usize)> = encoded
-        .into_iter()
-        .zip(secrets)
-        .map(|(shares, secret)| {
+/// share is missing from every secret, reconstructing secret by secret on
+/// the calling thread as a restore does.
+pub fn decoding_speed(scheme: &(dyn SecretSharing + Sync), secrets: &[Vec<u8>]) -> f64 {
+    let items: Vec<Vec<Option<Vec<u8>>>> = secrets
+        .iter()
+        .map(|secret| {
+            let shares = scheme.split(secret).expect("encoding failed");
             let mut slots: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
             slots[0] = None;
-            (slots, secret.len())
+            slots
         })
         .collect();
     let total_bytes: usize = secrets.iter().map(|s| s.len()).sum();
     let start = Instant::now();
-    let decoded = coder.decode_batch(&items).expect("decoding failed");
+    for (slots, secret) in items.iter().zip(secrets) {
+        let decoded = scheme
+            .reconstruct(slots, secret.len())
+            .expect("decoding failed");
+        assert_eq!(std::hint::black_box(decoded).len(), secret.len());
+    }
     let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(decoded.len(), secrets.len());
     total_bytes as f64 / MB / elapsed
 }
 
 /// Measures the combined chunking + encoding speed over a flat buffer, as in
-/// the last paragraph of §5.3.
+/// the last paragraph of §5.3: the client's encode pipeline with default
+/// Rabin chunking over the slice.
 pub fn chunk_and_encode_speed(
     scheme: &(dyn SecretSharing + Sync),
     data: &[u8],
     threads: usize,
 ) -> f64 {
-    let chunker = cdstore_chunking::RabinChunker::default();
-    let start = Instant::now();
-    let chunks = cdstore_chunking::Chunker::chunk(&chunker, data);
-    let secrets: Vec<Vec<u8>> = chunks.into_iter().map(|c| c.data).collect();
-    let coder = cdstore_core::ParallelCoder::new(scheme, threads);
-    coder.encode_batch(&secrets).expect("encoding failed");
-    let elapsed = start.elapsed().as_secs_f64();
-    data.len() as f64 / MB / elapsed
+    let (kind, config) = (ChunkerKind::Rabin, ChunkerConfig::default());
+    encodebench::streamed_encode_speed(scheme, kind, config, data, threads).mbps
 }
 
 /// Formats a floating-point MB/s value for table output.
@@ -136,7 +139,7 @@ mod tests {
         let scheme = CaontRs::new(4, 3).unwrap();
         let secrets = random_secrets(512 * 1024, 8192, 2);
         let enc = encoding_speed(&scheme, &secrets, 2);
-        let dec = decoding_speed(&scheme, &secrets, 2);
+        let dec = decoding_speed(&scheme, &secrets);
         assert!(enc > 0.0);
         assert!(dec > 0.0);
         let combined = chunk_and_encode_speed(&scheme, &vec![7u8; 256 * 1024], 2);

@@ -1,15 +1,11 @@
 //! The CDStore client (§4.1–§4.3): chunking, CAONT-RS encoding, intra-user
 //! deduplication, batched uploads, and restores.
 //!
-//! Two data paths share every protocol decision:
-//!
-//! * the buffered path ([`CdStoreClient::prepare`] → [`CdStoreClient::commit`])
-//!   materialises the whole file, and remains available so callers can split
-//!   the CPU and server halves of an upload;
-//! * the streaming path ([`CdStoreClient::upload_stream`] /
-//!   [`CdStoreClient::download_stream`]) pulls from any [`std::io::Read`] and
-//!   pushes to any [`std::io::Write`], keeping peak memory bounded by the
-//!   pipeline depth and the 4 MB per-cloud batches instead of the file size.
+//! Uploads pull from any [`std::io::Read`] ([`CdStoreClient::upload_stream`])
+//! or from a list of pre-cut chunks ([`CdStoreClient::upload_chunks`]) and
+//! restores push to any [`std::io::Write`]
+//! ([`CdStoreClient::download_stream`]); either way peak memory is bounded by
+//! the pipeline depth and the 4 MB per-cloud batches, not the file size.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -22,7 +18,9 @@ use cdstore_secretsharing::{BufferPool, CaontRs, SecretSharing};
 use crate::dedup::DedupStats;
 use crate::error::CdStoreError;
 use crate::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
-use crate::pipeline::{encode_stream, EncodedSecret, PipelineConfig};
+use crate::pipeline::{
+    encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig,
+};
 use crate::retry::{is_transient, RetryPolicy};
 use crate::transport::ServerTransport;
 
@@ -55,29 +53,6 @@ impl UploadReport {
     /// Convenience accessor mirroring §5.4's "logical data".
     pub fn logical_bytes(&self) -> u64 {
         self.dedup.logical_bytes
-    }
-}
-
-/// The output of the CPU half of an upload ([`CdStoreClient::prepare`]):
-/// encoded shares staged per cloud plus the recipe entries, ready to be
-/// committed to the servers with [`CdStoreClient::commit`].
-pub struct PreparedUpload {
-    num_secrets: usize,
-    file_size: u64,
-    dedup: DedupStats,
-    recipes: Vec<Vec<RecipeEntry>>,
-    pending: Vec<Vec<(ShareMetadata, Vec<u8>)>>,
-}
-
-impl PreparedUpload {
-    /// Number of secrets (chunks) the file produced.
-    pub fn num_secrets(&self) -> usize {
-        self.num_secrets
-    }
-
-    /// Logical size of the file in bytes.
-    pub fn file_size(&self) -> u64 {
-        self.file_size
     }
 }
 
@@ -171,9 +146,7 @@ impl CdStoreClient {
     /// Uploads require all `n` clouds so redundancy is not silently degraded.
     ///
     /// Thin wrapper over [`CdStoreClient::upload_stream`] — an in-memory
-    /// slice is just one shape of `Read` source. Callers that need the CPU
-    /// and server halves split (e.g. to encode outside a lock) can still use
-    /// [`CdStoreClient::prepare`] + [`CdStoreClient::commit`].
+    /// slice is just one shape of `Read` source.
     pub fn upload<T: ServerTransport>(
         &self,
         servers: &[T],
@@ -198,20 +171,67 @@ impl CdStoreClient {
         reader: R,
         config: &PipelineConfig,
     ) -> Result<UploadReport, CdStoreError> {
-        self.upload_stream_with_batch(servers, pathname, reader, config, UPLOAD_BATCH_BYTES)
+        self.upload_with(
+            servers,
+            pathname,
+            config,
+            UPLOAD_BATCH_BYTES,
+            |config, committer| {
+                encode_stream(
+                    &self.scheme,
+                    self.chunker.as_ref(),
+                    reader,
+                    config,
+                    |enc, _| committer.absorb(enc),
+                )
+            },
+        )
     }
 
-    /// [`CdStoreClient::upload_stream`] with an explicit per-cloud batch
-    /// size, for tests and benchmarks that want to observe batching.
-    pub fn upload_stream_with_batch<T: ServerTransport, R: Read + Send>(
+    /// Uploads a file already divided into secrets (chunks) — the same
+    /// pipeline as [`CdStoreClient::upload_stream`] with the chunk list as
+    /// its source. Used by the trace-driven experiments, where the datasets
+    /// provide chunk boundaries (§5.2).
+    pub fn upload_chunks<T: ServerTransport>(
         &self,
         servers: &[T],
         pathname: &str,
-        reader: R,
+        chunks: &[Vec<u8>],
+    ) -> Result<UploadReport, CdStoreError> {
+        self.upload_with(
+            servers,
+            pathname,
+            &PipelineConfig::default(),
+            UPLOAD_BATCH_BYTES,
+            |config, committer| {
+                encode_chunks(&self.scheme, chunks, config, |enc, _| committer.absorb(enc))
+            },
+        )
+    }
+
+    /// The one upload body: runs `encode` (an [`encode_stream`] or
+    /// [`encode_chunks`] call sinking into the committer it is handed) and
+    /// settles or abandons what it shipped. `batch_bytes` is the per-cloud
+    /// batch size, [`UPLOAD_BATCH_BYTES`] outside tests.
+    fn upload_with<'a, T: ServerTransport>(
+        &'a self,
+        servers: &'a [T],
+        pathname: &str,
         config: &PipelineConfig,
         batch_bytes: u64,
+        encode: impl FnOnce(
+            &PipelineConfig,
+            &mut StreamCommitter<'a, T>,
+        ) -> Result<EncodeStreamReport, CdStoreError>,
     ) -> Result<UploadReport, CdStoreError> {
-        self.check_server_count(servers)?;
+        // Reject a server slice of the wrong length before any encoding work.
+        if servers.len() != self.n {
+            return Err(CdStoreError::InvalidConfig(format!(
+                "expected {} servers, got {}",
+                self.n,
+                servers.len()
+            )));
+        }
         // Resolve the buffer pool here so the committer can keep recycling
         // batch buffers after the encode pipeline itself has shut down.
         let pool = config
@@ -221,195 +241,9 @@ impl CdStoreClient {
         let mut pipeline_config = config.clone();
         pipeline_config.pool = Some(Arc::clone(&pool));
         let mut committer = StreamCommitter::new(self, servers, pool, batch_bytes.max(1));
-        let streamed = encode_stream(
-            &self.scheme,
-            self.chunker.as_ref(),
-            reader,
-            &pipeline_config,
-            |enc, _| committer.absorb(enc),
-        );
-        let report = match streamed {
-            Ok(_) => committer.finalize(pathname),
-            Err(e) => Err(e),
-        };
+        let report =
+            encode(&pipeline_config, &mut committer).and_then(|_| committer.finalize(pathname));
         report.inspect_err(|_| committer.abandon())
-    }
-
-    /// Uploads a file already divided into secrets (chunks). Used directly by
-    /// the trace-driven experiments, where the datasets provide chunk
-    /// boundaries (§5.2).
-    pub fn upload_chunks<T: ServerTransport>(
-        &self,
-        servers: &[T],
-        pathname: &str,
-        chunks: &[Vec<u8>],
-    ) -> Result<UploadReport, CdStoreError> {
-        self.check_server_count(servers)?;
-        let prepared = self.prepare_chunks(chunks)?;
-        self.commit(servers, pathname, prepared)
-    }
-
-    /// Rejects a server slice of the wrong length before any encoding work.
-    fn check_server_count<T: ServerTransport>(&self, servers: &[T]) -> Result<(), CdStoreError> {
-        if servers.len() != self.n {
-            return Err(CdStoreError::InvalidConfig(format!(
-                "expected {} servers, got {}",
-                self.n,
-                servers.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The CPU half of an upload: chunks the data and runs
-    /// [`CdStoreClient::prepare_chunks`]. Touches no server, so callers
-    /// (e.g. `CdStore`) can run it outside any per-file ordering lock.
-    pub fn prepare(&self, data: &[u8]) -> Result<PreparedUpload, CdStoreError> {
-        let chunks = self.chunker.chunk(data);
-        let chunk_data: Vec<Vec<u8>> = chunks.into_iter().map(|c| c.data).collect();
-        self.prepare_chunks(&chunk_data)
-    }
-
-    /// The CPU half of an upload for pre-chunked data: CAONT-RS encodes
-    /// every secret, fingerprints the shares, builds the per-cloud recipes,
-    /// and stages the candidate shares (first stage of intra-user dedup).
-    pub fn prepare_chunks(&self, chunks: &[Vec<u8>]) -> Result<PreparedUpload, CdStoreError> {
-        let mut dedup = DedupStats::new();
-        let mut recipes: Vec<Vec<RecipeEntry>> = vec![Vec::with_capacity(chunks.len()); self.n];
-        // Per-cloud upload staging: (metadata, share bytes).
-        let mut pending: Vec<Vec<(ShareMetadata, Vec<u8>)>> = vec![Vec::new(); self.n];
-        // Client-local view of what this user has already scheduled in this
-        // upload (first stage of intra-user dedup, before asking the server).
-        let mut scheduled: Vec<std::collections::HashSet<Fingerprint>> =
-            vec![std::collections::HashSet::new(); self.n];
-
-        for (seq, secret) in chunks.iter().enumerate() {
-            dedup.logical_bytes += secret.len() as u64;
-            let shares = self.scheme.split(secret)?;
-            // Fingerprint all n shares in one batch so the multi-lane SHA-256
-            // path can interleave them instead of hashing one at a time.
-            let share_refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
-            let fingerprints = Fingerprint::of_batch(&share_refs);
-            for (cloud, (share, fp)) in shares.into_iter().zip(fingerprints).enumerate() {
-                dedup.logical_share_bytes += share.len() as u64;
-                recipes[cloud].push(RecipeEntry {
-                    share_fingerprint: fp,
-                    secret_size: secret.len() as u32,
-                });
-                if scheduled[cloud].contains(&fp) {
-                    continue;
-                }
-                scheduled[cloud].insert(fp);
-                pending[cloud].push((
-                    ShareMetadata {
-                        fingerprint: fp,
-                        share_size: share.len() as u32,
-                        secret_seq: seq as u64,
-                        secret_size: secret.len() as u32,
-                    },
-                    share,
-                ));
-            }
-        }
-
-        Ok(PreparedUpload {
-            num_secrets: chunks.len(),
-            file_size: chunks.iter().map(|c| c.len() as u64).sum(),
-            dedup,
-            recipes,
-            pending,
-        })
-    }
-
-    /// The server half of an upload: second-stage intra-user dedup queries,
-    /// batched share transfer, and the per-cloud metadata offload. Callers
-    /// serialising writes per file need to hold their ordering lock only
-    /// around this call.
-    pub fn commit<T: ServerTransport>(
-        &self,
-        servers: &[T],
-        pathname: &str,
-        prepared: PreparedUpload,
-    ) -> Result<UploadReport, CdStoreError> {
-        self.check_server_count(servers)?;
-        let PreparedUpload {
-            num_secrets,
-            file_size,
-            mut dedup,
-            mut recipes,
-            mut pending,
-        } = prepared;
-
-        let mut transferred_per_cloud = vec![0u64; self.n];
-        let mut physical_per_cloud = vec![0u64; self.n];
-        let mut batches_per_cloud = vec![0u64; self.n];
-        // Which shares this upload physically sent per cloud: put_file needs
-        // them to settle the reference counts (the per-upload references are
-        // swapped for per-recipe-entry references).
-        let mut uploaded_per_cloud: Vec<Vec<Fingerprint>> = vec![Vec::new(); self.n];
-
-        for (cloud, server) in servers.iter().enumerate() {
-            // Second-stage intra-user dedup query + share transfer, with
-            // bounded retry on transient faults (each retry rolls the failed
-            // attempt's references back and redoes the query).
-            match ship_batch(server, self.user, &self.retry, &mut pending[cloud], None) {
-                Ok(shipment) => {
-                    transferred_per_cloud[cloud] = shipment.transferred;
-                    batches_per_cloud[cloud] =
-                        shipment.transferred.div_ceil(UPLOAD_BATCH_BYTES).max(1);
-                    dedup.transferred_share_bytes += shipment.transferred;
-                    physical_per_cloud[cloud] = shipment.new_bytes;
-                    dedup.physical_share_bytes += shipment.new_bytes;
-                    uploaded_per_cloud[cloud] = shipment.uploaded;
-                }
-                Err(e) => {
-                    // Abandon the upload without leaking: the failing cloud
-                    // holds no references (ship_batch rolled them back), but
-                    // earlier clouds still hold their transient per-upload
-                    // references — drop those so the shares become
-                    // reclaimable.
-                    for done in 0..cloud {
-                        let _ = servers[done].release_uploads(self.user, &uploaded_per_cloud[done]);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-
-        // Offload file metadata: each server gets its own recipe, keyed by its
-        // own share of the encoded pathname.
-        let encoded_paths = self.encode_pathname(pathname)?;
-        for (cloud, server) in servers.iter().enumerate() {
-            let recipe = FileRecipe {
-                file_size,
-                entries: std::mem::take(&mut recipes[cloud]),
-            };
-            if let Err(e) = server.put_file(
-                self.user,
-                &encoded_paths[cloud],
-                &recipe,
-                &uploaded_per_cloud[cloud],
-            ) {
-                // Abandon the upload without leaking: the failing server
-                // rolled its own references back, but the clouds not yet
-                // reached still hold the transient per-upload references
-                // store_shares took — drop those so the shares become
-                // reclaimable. (Clouds already committed keep their recipes;
-                // a retried backup supersedes them.)
-                for later in cloud + 1..self.n {
-                    let _ = servers[later].release_uploads(self.user, &uploaded_per_cloud[later]);
-                }
-                return Err(e);
-            }
-        }
-
-        Ok(UploadReport {
-            num_secrets,
-            dedup,
-            transferred_per_cloud,
-            batches_per_cloud,
-            physical_per_cloud,
-        })
     }
 
     /// Restores a file by contacting any `k` of the `n` servers.
@@ -589,15 +423,15 @@ struct BatchShipment {
 /// scratch — release is a tolerant no-op for shares the attempt never
 /// reached.
 ///
-/// On success the batch is consumed (buffers recycled through `pool` when
-/// given); on a permanent failure the batch is left intact and the failing
+/// On success the batch is consumed and its buffers recycled through
+/// `pool`; on a permanent failure the batch is left intact and the failing
 /// server holds no references from it.
 fn ship_batch<T: ServerTransport>(
     server: &T,
     user: u64,
     retry: &RetryPolicy,
     batch: &mut Vec<(ShareMetadata, Vec<u8>)>,
-    pool: Option<&BufferPool>,
+    pool: &BufferPool,
 ) -> Result<BatchShipment, CdStoreError> {
     if batch.is_empty() {
         return Ok(BatchShipment::default());
@@ -620,10 +454,8 @@ fn ship_batch<T: ServerTransport>(
                 let transferred: u64 = to_upload.iter().map(|(_, d)| d.len() as u64).sum();
                 let uploaded: Vec<Fingerprint> =
                     to_upload.iter().map(|(m, _)| m.fingerprint).collect();
-                if let Some(pool) = pool {
-                    for (_, share) in to_upload {
-                        pool.put(share);
-                    }
+                for (_, share) in to_upload {
+                    pool.put(share);
                 }
                 Ok(BatchShipment {
                     uploaded,
@@ -643,24 +475,20 @@ fn ship_batch<T: ServerTransport>(
     })?;
     // Recycle the remaining (duplicate) share buffers and empty the batch.
     for (_, share) in batch.drain(..) {
-        if let Some(pool) = pool {
-            if !share.is_empty() {
-                pool.put(share);
-            }
+        if !share.is_empty() {
+            pool.put(share);
         }
     }
     Ok(shipment)
 }
 
-/// The store half of a streamed upload: accumulates per-cloud 4 MB batches
-/// of non-duplicate shares as the encode pipeline emits secrets, flushes
-/// each batch through second-stage intra-user dedup + `store_shares`, and
-/// offloads the per-cloud recipes once the stream ends.
-///
-/// Mirrors [`CdStoreClient::commit`]'s protocol exactly — same dedup stages,
-/// same accounting, same rollback obligations — restructured from
-/// cloud-major (whole file to cloud 0, then cloud 1, …) to stream-major
-/// (every cloud fed as secrets arrive).
+/// The store half of an upload: accumulates per-cloud 4 MB batches of
+/// non-duplicate shares as the encode pipeline emits secrets (every cloud
+/// fed as secrets arrive), flushes each batch through second-stage
+/// intra-user dedup + `store_shares`, and offloads the per-cloud recipes
+/// once the input ends. It owns the upload's rollback obligations: shares
+/// sent but not yet settled by `put_file` hold transient per-upload
+/// references, which [`StreamCommitter::abandon`] drops on failure.
 struct StreamCommitter<'a, T: ServerTransport> {
     client: &'a CdStoreClient,
     servers: &'a [T],
@@ -763,7 +591,7 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             self.client.user,
             &self.client.retry,
             &mut batch,
-            Some(&self.pool),
+            &self.pool,
         )?;
         self.transferred_per_cloud[cloud] += shipment.transferred;
         self.dedup.transferred_share_bytes += shipment.transferred;
@@ -793,11 +621,10 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
                 &recipe,
                 &self.uploaded[cloud],
             ) {
-                // Same semantics as the buffered commit: the failing server
-                // rolled its own references back and earlier clouds keep
-                // their committed recipes (a retried backup supersedes
-                // them); only clouds not yet reached still hold transient
-                // per-upload references — drop exactly those.
+                // The failing server rolled its own references back and
+                // earlier clouds keep their committed recipes (a retried
+                // backup supersedes them); only clouds not yet reached still
+                // hold transient per-upload references — drop exactly those.
                 for later in cloud + 1..self.client.n {
                     let _ = self.servers[later]
                         .release_uploads(self.client.user, &self.uploaded[later]);
@@ -811,8 +638,7 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             num_secrets: self.num_secrets,
             dedup: self.dedup,
             transferred_per_cloud: std::mem::take(&mut self.transferred_per_cloud),
-            // A zero-secret upload still costs one (empty) batch per cloud,
-            // matching the buffered path's accounting.
+            // A zero-secret upload still counts one (empty) batch per cloud.
             batches_per_cloud: self.batches_per_cloud.iter().map(|&b| b.max(1)).collect(),
             physical_per_cloud: std::mem::take(&mut self.physical_per_cloud),
         })
@@ -978,6 +804,104 @@ mod tests {
             client.download(&servers, &[true; 4], "/empty").unwrap(),
             Vec::<u8>::new()
         );
+    }
+
+    /// An upload several times larger than the pipeline's buffer budget keeps
+    /// peak live chunk/share buffers bounded by the pipeline depth plus the
+    /// per-cloud batches — never O(file) — whether the chunks are cut off a
+    /// reader or arrive pre-cut, and restores byte-exact.
+    #[test]
+    fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
+        let (n, k) = (4usize, 3usize);
+        let min_chunk = 2048usize;
+        let client = CdStoreClient::with_chunker_kind(
+            1,
+            n,
+            k,
+            ChunkerKind::FastCdc,
+            ChunkerConfig::new(min_chunk, 8192, 16 * 1024),
+        )
+        .unwrap();
+        // A small batch so the per-cloud batches flush many times.
+        let batch_bytes: u64 = 64 * 1024;
+        // Pseudo-random content, so FastCDC cuts variable-size chunks.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<u8> = (0..4 * 1024 * 1024)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        let chunks: Vec<Vec<u8>> = client
+            .chunker()
+            .chunk(&data)
+            .into_iter()
+            .map(|c| c.data)
+            .collect();
+
+        for prechunked in [false, true] {
+            let servers = make_servers(n);
+            let pool = Arc::new(BufferPool::new());
+            let config = PipelineConfig {
+                encode_threads: 2,
+                chunk_queue: 2,
+                encoded_queue: 2,
+                read_buffer: 16 * 1024,
+                pool: Some(Arc::clone(&pool)),
+            };
+            let report = client
+                .upload_with(
+                    &servers,
+                    "/huge",
+                    &config,
+                    batch_bytes,
+                    |config, committer| {
+                        if prechunked {
+                            encode_chunks(&client.scheme, &chunks, config, |enc, _| {
+                                committer.absorb(enc)
+                            })
+                        } else {
+                            encode_stream(
+                                &client.scheme,
+                                client.chunker(),
+                                &data[..],
+                                config,
+                                |enc, _| committer.absorb(enc),
+                            )
+                        }
+                    },
+                )
+                .unwrap();
+            assert_eq!(report.num_secrets, chunks.len());
+            assert!(report.num_secrets > 4 * config.max_live_secrets());
+            assert!(report.batches_per_cloud.iter().all(|&b| b > 10));
+
+            // Buffer-count bound: the pipeline's live secrets, plus what the
+            // per-cloud batches can retain (each batched share is at least
+            // a min-chunk share).
+            let min_share = (client.scheme.total_share_size(min_chunk) / n) as u64;
+            let bound =
+                config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
+            let stats = pool.stats();
+            assert!(
+                (stats.peak_outstanding as u64) <= bound,
+                "prechunked={prechunked}: peak live buffers {} exceeded the bound {bound}",
+                stats.peak_outstanding
+            );
+            assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
+            assert!(
+                stats.reuses > 10 * stats.allocations,
+                "steady state must recycle buffers (allocs={}, reuses={})",
+                stats.allocations,
+                stats.reuses
+            );
+            assert_eq!(
+                client.download(&servers, &[true; 4], "/huge").unwrap(),
+                data
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,20 @@
-//! Multi-threaded encode/decode of secrets (§4.6).
+//! The client's encode pipeline (§4.6): chunk → CAONT-RS encode on a pool
+//! of coding threads → in-order sink.
 //!
 //! The CDStore client parallelises the CPU-intensive CAONT-RS operations at
 //! the secret level: each secret produced by the chunking module is handed to
-//! one of a pool of coding threads. This module provides two shapes of that
-//! parallelism:
+//! one of a pool of coding threads. There is one encode body, fed by a chunk
+//! *source* — anything that fills a pooled buffer with the next chunk:
 //!
-//! * [`ParallelCoder`] — batch-at-once encode/decode of an in-memory slice of
-//!   secrets, used by the buffered APIs and the Figure 5 thread sweeps.
-//! * [`encode_stream`] — a bounded-channel staged pipeline (chunk →
-//!   fingerprint → parallel encode → in-order sink) that pulls chunks
-//!   straight off an [`std::io::Read`] source, so encoding of chunk *i+1*
-//!   overlaps the store RPC for chunk *i* and peak memory is set by
-//!   [`PipelineConfig`] depths rather than file size. Chunk and share
-//!   buffers cycle through a [`BufferPool`], making the steady state
-//!   allocation-free.
+//! * [`encode_stream`] cuts chunks straight off an [`std::io::Read`] with a
+//!   [`ChunkStream`];
+//! * [`encode_chunks`] walks a slice of chunks whose boundaries the caller
+//!   already fixed (the trace-driven experiments of §5.2).
+//!
+//! Either way the stages are connected by bounded queues, so encoding of
+//! chunk *i+1* overlaps the store RPC for chunk *i* and peak memory is set by
+//! [`PipelineConfig`] depths rather than input size. Chunk and share buffers
+//! cycle through a [`BufferPool`], making the steady state allocation-free.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -133,11 +134,58 @@ type SharedChunkReceiver = Arc<Mutex<Receiver<(u64, Vec<u8>)>>>;
 ///
 /// With `encode_threads <= 1` there is no parallelism to exploit, so the
 /// stages run inline on the calling thread (same semantics, no channel or
-/// context-switch cost) — mirroring [`ParallelCoder`]'s single-thread mode.
+/// context-switch cost).
 pub fn encode_stream<R: Read + Send>(
     scheme: &(dyn SecretSharing + Sync),
     chunker: &dyn Chunker,
     reader: R,
+    config: &PipelineConfig,
+    sink: impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
+) -> Result<EncodeStreamReport, CdStoreError> {
+    // The chunker is only borrowed to build the stream; the stream itself
+    // (cutter + reader) moves into the source.
+    let mut chunk_stream =
+        ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
+    encode_from(
+        scheme,
+        move |buf| chunk_stream.next_chunk_into(buf),
+        config,
+        sink,
+    )
+}
+
+/// [`encode_stream`] over chunks whose boundaries are already fixed: each
+/// element of `chunks` becomes one secret, in order, through the same
+/// pipeline with the same bounds and error handling. Chunks may be empty or
+/// of any size; no chunker is involved.
+pub fn encode_chunks(
+    scheme: &(dyn SecretSharing + Sync),
+    chunks: &[Vec<u8>],
+    config: &PipelineConfig,
+    sink: impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
+) -> Result<EncodeStreamReport, CdStoreError> {
+    let mut remaining = chunks.iter();
+    encode_from(
+        scheme,
+        move |buf| match remaining.next() {
+            Some(chunk) => {
+                buf.clear();
+                buf.extend_from_slice(chunk);
+                Ok(true)
+            }
+            None => Ok(false),
+        },
+        config,
+        sink,
+    )
+}
+
+/// The encode body behind [`encode_stream`] and [`encode_chunks`].
+/// `next_chunk` is the chunk source: it overwrites the pooled buffer it is
+/// given with the next chunk and returns `Ok(false)` at end of input.
+fn encode_from(
+    scheme: &(dyn SecretSharing + Sync),
+    mut next_chunk: impl FnMut(&mut Vec<u8>) -> std::io::Result<bool> + Send,
     config: &PipelineConfig,
     mut sink: impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
 ) -> Result<EncodeStreamReport, CdStoreError> {
@@ -146,16 +194,10 @@ pub fn encode_stream<R: Read + Send>(
         .clone()
         .unwrap_or_else(|| Arc::new(BufferPool::new()));
     let threads = config.encode_threads.max(1);
-    let n = scheme.n();
     if threads == 1 {
-        return encode_stream_inline(scheme, chunker, reader, config, &pool, &mut sink);
+        return encode_inline(scheme, next_chunk, &pool, &mut sink);
     }
     let abort = AtomicBool::new(false);
-
-    // The chunker is only borrowed to build the stream; the stream itself
-    // (cutter + reader) moves into the chunker thread.
-    let mut chunk_stream =
-        ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
 
     let (chunk_tx, chunk_rx) = sync_channel::<(u64, Vec<u8>)>(config.chunk_queue.max(1));
     let chunk_rx: SharedChunkReceiver = Arc::new(Mutex::new(chunk_rx));
@@ -187,7 +229,7 @@ pub fn encode_stream<R: Read + Send>(
                         return Ok(());
                     }
                     let mut buf = pool.get();
-                    match chunk_stream.next_chunk_into(&mut buf) {
+                    match next_chunk(&mut buf) {
                         Ok(true) => {
                             if chunk_tx.send((seq, buf)).is_err() {
                                 return Ok(()); // workers gone: abort path
@@ -227,31 +269,8 @@ pub fn encode_stream<R: Read + Send>(
                         pool.put(chunk);
                         continue;
                     }
-                    // A panicking scheme must fail the upload, not the
-                    // process. The crate forbids unsafe code and the closure
-                    // only touches owned data, so unwinding here is benign.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut shares: Vec<Vec<u8>> = (0..n).map(|_| pool.get()).collect();
-                        match scheme.split_into(&chunk, &mut shares) {
-                            Ok(()) => {
-                                let refs: Vec<&[u8]> =
-                                    shares.iter().map(|s| s.as_slice()).collect();
-                                let fingerprints = Fingerprint::of_batch(&refs);
-                                Ok(EncodedSecret {
-                                    seq,
-                                    secret_size: chunk.len() as u32,
-                                    shares,
-                                    fingerprints,
-                                })
-                            }
-                            Err(e) => {
-                                pool.put_all(&mut shares);
-                                Err(e)
-                            }
-                        }
-                    }));
+                    let message = encode_one(scheme, &pool, seq, &chunk);
                     pool.put(chunk);
-                    let message = outcome.unwrap_or_else(|payload| Err(panic_error(payload)));
                     if enc_tx.send(message).is_err() {
                         return; // sink loop gone
                     }
@@ -331,152 +350,72 @@ pub fn encode_stream<R: Read + Send>(
     result.map(|()| report)
 }
 
-/// The single-threaded body of [`encode_stream`]: chunk → encode → sink run
-/// inline with one reused chunk buffer, preserving the threaded path's
+/// The single-threaded mode of [`encode_from`]: chunk → encode → sink run
+/// inline with one reused chunk buffer, preserving the threaded mode's
 /// semantics (in-order delivery, pooled buffers, typed errors) without any
 /// cross-thread handoffs.
-fn encode_stream_inline<R: Read>(
+fn encode_inline(
     scheme: &(dyn SecretSharing + Sync),
-    chunker: &dyn Chunker,
-    reader: R,
-    config: &PipelineConfig,
-    pool: &Arc<BufferPool>,
+    mut next_chunk: impl FnMut(&mut Vec<u8>) -> std::io::Result<bool>,
+    pool: &BufferPool,
     sink: &mut impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
 ) -> Result<EncodeStreamReport, CdStoreError> {
-    let n = scheme.n();
-    let mut chunk_stream =
-        ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
     let mut report = EncodeStreamReport {
         num_secrets: 0,
         logical_bytes: 0,
     };
     let mut chunk = pool.get();
-    loop {
-        match chunk_stream.next_chunk_into(&mut chunk) {
+    let result = loop {
+        match next_chunk(&mut chunk) {
             Ok(true) => {}
-            Ok(false) => {
-                pool.put(chunk);
-                return Ok(report);
-            }
-            Err(e) => {
-                pool.put(chunk);
-                return Err(e.into());
-            }
+            Ok(false) => break Ok(report),
+            Err(e) => break Err(e.into()),
         }
-        // Same unwind shield as the worker threads: a panicking scheme must
-        // fail the upload, not the process.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut shares: Vec<Vec<u8>> = (0..n).map(|_| pool.get()).collect();
-            match scheme.split_into(&chunk, &mut shares) {
-                Ok(()) => {
-                    let refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
-                    let fingerprints = Fingerprint::of_batch(&refs);
-                    Ok((shares, fingerprints))
-                }
-                Err(e) => {
-                    pool.put_all(&mut shares);
-                    Err(e)
-                }
-            }
-        }));
-        let (shares, fingerprints) =
-            match outcome.unwrap_or_else(|payload| Err(panic_error(payload))) {
-                Ok(encoded) => encoded,
-                Err(e) => {
-                    pool.put(chunk);
-                    return Err(e.into());
-                }
-            };
-        let enc = EncodedSecret {
-            seq: report.num_secrets,
-            secret_size: chunk.len() as u32,
-            shares,
-            fingerprints,
+        let enc = match encode_one(scheme, pool, report.num_secrets, &chunk) {
+            Ok(enc) => enc,
+            Err(e) => break Err(e.into()),
         };
         report.logical_bytes += enc.secret_size as u64;
         report.num_secrets += 1;
         if let Err(e) = sink(enc, pool) {
-            pool.put(chunk);
-            return Err(e);
+            break Err(e);
         }
-    }
+    };
+    pool.put(chunk);
+    result
 }
 
-/// A parallel encoder/decoder over a secret sharing scheme.
-pub struct ParallelCoder<'a> {
-    scheme: &'a (dyn SecretSharing + Sync),
-    threads: usize,
-}
-
-impl<'a> ParallelCoder<'a> {
-    /// Creates a coder that uses `threads` worker threads (at least 1).
-    pub fn new(scheme: &'a (dyn SecretSharing + Sync), threads: usize) -> Self {
-        ParallelCoder {
-            scheme,
-            threads: threads.max(1),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Encodes a batch of secrets into per-secret share vectors, preserving
-    /// input order.
-    pub fn encode_batch(&self, secrets: &[Vec<u8>]) -> Result<Vec<Vec<Vec<u8>>>, SharingError> {
-        self.run(secrets, |scheme, secret| scheme.split(secret))
-    }
-
-    /// Decodes a batch of `(share-slots, secret_len)` items, preserving order.
-    pub fn decode_batch(
-        &self,
-        items: &[(Vec<Option<Vec<u8>>>, usize)],
-    ) -> Result<Vec<Vec<u8>>, SharingError> {
-        self.run(items, |scheme, (shares, len)| {
-            scheme.reconstruct(shares, *len)
-        })
-    }
-
-    fn run<I, O, F>(&self, items: &[I], op: F) -> Result<Vec<O>, SharingError>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&dyn SecretSharing, &I) -> Result<O, SharingError> + Sync,
-    {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.threads == 1 {
-            return items.iter().map(|item| op(self.scheme, item)).collect();
-        }
-        let threads = self.threads.min(items.len());
-        let chunk_size = items.len().div_ceil(threads);
-        let results: Vec<Result<Vec<O>, SharingError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for chunk in items.chunks(chunk_size) {
-                let op = &op;
-                let scheme = self.scheme;
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|item| op(scheme, item))
-                        .collect::<Result<Vec<O>, _>>()
-                }));
+/// Encodes one chunk into `n` pooled share buffers and fingerprints them
+/// (all `n` in one batch, so the multi-lane SHA-256 path can interleave
+/// them). A panicking scheme must fail the upload, not the process: the
+/// crate forbids unsafe code and the closure only touches owned data, so
+/// unwinding here is benign and surfaces as [`SharingError::WorkerPanic`].
+fn encode_one(
+    scheme: &(dyn SecretSharing + Sync),
+    pool: &BufferPool,
+    seq: u64,
+    chunk: &[u8],
+) -> Result<EncodedSecret, SharingError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut shares: Vec<Vec<u8>> = (0..scheme.n()).map(|_| pool.get()).collect();
+        match scheme.split_into(chunk, &mut shares) {
+            Ok(()) => {
+                let refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
+                let fingerprints = Fingerprint::of_batch(&refs);
+                Ok(EncodedSecret {
+                    seq,
+                    secret_size: chunk.len() as u32,
+                    shares,
+                    fingerprints,
+                })
             }
-            // A panicking worker must not take the whole process down with
-            // it: surface the panic as a SharingError to the caller instead.
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| Err(panic_error(payload))))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for r in results {
-            out.extend(r?);
+            Err(e) => {
+                pool.put_all(&mut shares);
+                Err(e)
+            }
         }
-        Ok(out)
-    }
+    }))
+    .unwrap_or_else(|payload| Err(panic_error(payload)))
 }
 
 /// Converts a worker thread's panic payload into a [`SharingError`],
@@ -501,83 +440,95 @@ mod tests {
             .collect()
     }
 
+    /// Runs [`encode_chunks`] on `threads` workers and collects every
+    /// secret's shares in sink order, checking the pool drains on success.
+    fn encode_all(
+        scheme: &(dyn SecretSharing + Sync),
+        chunks: &[Vec<u8>],
+        threads: usize,
+    ) -> Result<Vec<Vec<Vec<u8>>>, CdStoreError> {
+        let pool = Arc::new(BufferPool::new());
+        let config = PipelineConfig {
+            encode_threads: threads,
+            ..test_pipeline_config(Arc::clone(&pool))
+        };
+        let mut out = Vec::new();
+        let report = encode_chunks(scheme, chunks, &config, |mut enc, pool| {
+            assert_eq!(enc.seq, out.len() as u64, "sink saw secrets out of order");
+            assert_eq!(enc.secret_size as usize, chunks[out.len()].len());
+            out.push(enc.shares.clone());
+            pool.put_all(&mut enc.shares);
+            Ok(())
+        })?;
+        assert_eq!(report.num_secrets, chunks.len() as u64);
+        assert_eq!(
+            report.logical_bytes,
+            chunks.iter().map(|c| c.len() as u64).sum::<u64>()
+        );
+        assert_eq!(pool.stats().outstanding, 0, "buffers leaked");
+        Ok(out)
+    }
+
     #[test]
     fn parallel_encoding_matches_sequential() {
         let scheme = CaontRs::new(4, 3).unwrap();
         let batch = secrets(37);
-        let sequential = ParallelCoder::new(&scheme, 1).encode_batch(&batch).unwrap();
+        let sequential = encode_all(&scheme, &batch, 1).unwrap();
+        let expected: Vec<Vec<Vec<u8>>> = batch.iter().map(|s| scheme.split(s).unwrap()).collect();
+        assert_eq!(sequential, expected);
         for threads in [2, 3, 4, 8] {
-            let parallel = ParallelCoder::new(&scheme, threads)
-                .encode_batch(&batch)
-                .unwrap();
+            let parallel = encode_all(&scheme, &batch, threads).unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
 
     #[test]
-    fn decode_batch_round_trips() {
-        let scheme = CaontRs::new(4, 3).unwrap();
-        let batch = secrets(20);
-        let coder = ParallelCoder::new(&scheme, 4);
-        let encoded = coder.encode_batch(&batch).unwrap();
-        let items: Vec<(Vec<Option<Vec<u8>>>, usize)> = encoded
-            .into_iter()
-            .zip(&batch)
-            .map(|(shares, secret)| {
-                let mut slots: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-                slots[1] = None; // one cloud missing
-                (slots, secret.len())
-            })
-            .collect();
-        let decoded = coder.decode_batch(&items).unwrap();
-        assert_eq!(decoded, batch);
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 4);
-        assert!(coder.encode_batch(&[]).unwrap().is_empty());
-        assert!(coder.decode_batch(&[]).unwrap().is_empty());
+        for threads in [1, 4] {
+            assert!(encode_all(&scheme, &[], threads).unwrap().is_empty());
+        }
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let batch = secrets(3);
-        let coder = ParallelCoder::new(&scheme, 16);
-        assert_eq!(coder.encode_batch(&batch).unwrap().len(), 3);
-        assert_eq!(coder.threads(), 16);
+        assert_eq!(encode_all(&scheme, &secrets(3), 16).unwrap().len(), 3);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_one() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 0);
-        assert_eq!(coder.threads(), 1);
-        assert_eq!(coder.encode_batch(&secrets(2)).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn errors_propagate_from_workers() {
-        let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 2);
-        // Reconstructing from too few shares must surface the error.
-        let items = vec![(vec![None, None, None, None], 10usize); 4];
-        assert!(coder.decode_batch(&items).is_err());
+        assert_eq!(encode_all(&scheme, &secrets(2), 0).unwrap().len(), 2);
     }
 
     /// A scheme that fails to split any secret whose first byte is the
-    /// poison marker, for exercising partial-failure paths.
-    struct PoisonScheme {
+    /// poison marker — with a typed error, or by panicking — for exercising
+    /// the partial-failure and worker-panic paths.
+    struct FaultyScheme {
         inner: CaontRs,
+        panics: bool,
     }
 
     const POISON: u8 = 0xFF;
 
-    impl SecretSharing for PoisonScheme {
+    fn poison_scheme() -> FaultyScheme {
+        FaultyScheme {
+            inner: CaontRs::new(4, 3).unwrap(),
+            panics: false,
+        }
+    }
+
+    fn panic_scheme() -> FaultyScheme {
+        FaultyScheme {
+            panics: true,
+            ..poison_scheme()
+        }
+    }
+
+    impl SecretSharing for FaultyScheme {
         fn name(&self) -> &'static str {
-            "poison"
+            "faulty"
         }
 
         fn n(&self) -> usize {
@@ -598,6 +549,9 @@ mod tests {
 
         fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
             if secret.first() == Some(&POISON) {
+                if self.panics {
+                    panic!("injected worker panic");
+                }
                 return Err(SharingError::InvalidParameters("poisoned secret".into()));
             }
             self.inner.split(secret)
@@ -614,133 +568,62 @@ mod tests {
 
     #[test]
     fn one_failing_secret_mid_batch_fails_the_whole_batch() {
-        let scheme = PoisonScheme {
-            inner: CaontRs::new(4, 3).unwrap(),
-        };
+        let scheme = poison_scheme();
         let mut batch = secrets(24);
         batch[13][0] = POISON;
         for threads in [1, 2, 4, 8] {
-            let err = ParallelCoder::new(&scheme, threads)
-                .encode_batch(&batch)
-                .expect_err("poisoned batch must not encode");
+            let err =
+                encode_all(&scheme, &batch, threads).expect_err("poisoned batch must not encode");
             assert!(
-                matches!(err, SharingError::InvalidParameters(_)),
+                matches!(
+                    err,
+                    CdStoreError::Sharing(SharingError::InvalidParameters(_))
+                ),
                 "threads={threads}: unexpected error {err:?}"
             );
         }
         // The same batch without the poisoned secret encodes fine, so the
         // failure above really came from the one bad item.
         batch.remove(13);
-        assert!(ParallelCoder::new(&scheme, 4).encode_batch(&batch).is_ok());
-    }
-
-    /// A scheme that panics while splitting any secret whose first byte is
-    /// the marker, for exercising worker-panic recovery.
-    struct PanicScheme {
-        inner: CaontRs,
-    }
-
-    impl SecretSharing for PanicScheme {
-        fn name(&self) -> &'static str {
-            "panic"
-        }
-
-        fn n(&self) -> usize {
-            self.inner.n()
-        }
-
-        fn k(&self) -> usize {
-            self.inner.k()
-        }
-
-        fn confidentiality_degree(&self) -> usize {
-            self.inner.confidentiality_degree()
-        }
-
-        fn total_share_size(&self, secret_len: usize) -> usize {
-            self.inner.total_share_size(secret_len)
-        }
-
-        fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
-            if secret.first() == Some(&POISON) {
-                panic!("injected worker panic");
-            }
-            self.inner.split(secret)
-        }
-
-        fn reconstruct(
-            &self,
-            shares: &[Option<Vec<u8>>],
-            secret_len: usize,
-        ) -> Result<Vec<u8>, SharingError> {
-            self.inner.reconstruct(shares, secret_len)
-        }
+        assert!(encode_all(&scheme, &batch, 4).is_ok());
     }
 
     #[test]
     fn worker_panic_surfaces_as_a_sharing_error() {
-        let scheme = PanicScheme {
-            inner: CaontRs::new(4, 3).unwrap(),
-        };
+        let scheme = panic_scheme();
         let mut batch = secrets(24);
         batch[13][0] = POISON;
-        for threads in [2, 4, 8] {
-            let err = ParallelCoder::new(&scheme, threads)
-                .encode_batch(&batch)
+        for threads in [1, 2, 4, 8] {
+            let err = encode_all(&scheme, &batch, threads)
                 .expect_err("a panicking worker must fail the batch, not the process");
             match err {
-                SharingError::WorkerPanic(msg) => {
+                CdStoreError::Sharing(SharingError::WorkerPanic(msg)) => {
                     assert!(msg.contains("injected worker panic"), "message: {msg}")
                 }
                 other => panic!("threads={threads}: unexpected error {other:?}"),
             }
         }
-        // The same coder still works on a clean batch afterwards.
+        // The same scheme still works on a clean batch afterwards.
         batch.remove(13);
-        assert!(ParallelCoder::new(&scheme, 4).encode_batch(&batch).is_ok());
-    }
-
-    #[test]
-    fn one_failing_item_mid_batch_fails_decode() {
-        let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 3);
-        let batch = secrets(9);
-        let encoded = coder.encode_batch(&batch).unwrap();
-        let mut items: Vec<(Vec<Option<Vec<u8>>>, usize)> = encoded
-            .into_iter()
-            .zip(&batch)
-            .map(|(shares, secret)| (shares.into_iter().map(Some).collect(), secret.len()))
-            .collect();
-        // Drop every share of one mid-batch item: below threshold k.
-        items[5].0.iter_mut().for_each(|slot| *slot = None);
-        assert!(
-            matches!(
-                coder.decode_batch(&items),
-                Err(SharingError::NotEnoughShares { .. })
-            ),
-            "unreconstructable mid-batch item must surface NotEnoughShares"
-        );
+        assert!(encode_all(&scheme, &batch, 4).is_ok());
     }
 
     #[test]
     fn more_threads_than_items_matches_sequential_output() {
         let scheme = CaontRs::new(4, 3).unwrap();
         let batch = secrets(2);
-        let sequential = ParallelCoder::new(&scheme, 1).encode_batch(&batch).unwrap();
-        // 16 threads for 2 secrets: workers are capped at the batch size and
-        // the output must be identical, element for element, to sequential.
-        let parallel = ParallelCoder::new(&scheme, 16)
-            .encode_batch(&batch)
-            .unwrap();
-        assert_eq!(parallel, sequential);
+        // 16 threads for 2 secrets: the idle workers must not disturb the
+        // output, which is identical, element for element, to sequential.
+        assert_eq!(
+            encode_all(&scheme, &batch, 16).unwrap(),
+            encode_all(&scheme, &batch, 1).unwrap()
+        );
     }
 
     #[test]
     fn single_item_batch_encodes_on_many_threads() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 8);
-        let batch = secrets(1);
-        let encoded = coder.encode_batch(&batch).unwrap();
+        let encoded = encode_all(&scheme, &secrets(1), 8).unwrap();
         assert_eq!(encoded.len(), 1);
         assert_eq!(encoded[0].len(), 4);
     }
@@ -880,9 +763,7 @@ mod tests {
 
     #[test]
     fn encode_stream_propagates_scheme_errors_and_returns_buffers() {
-        let scheme = PoisonScheme {
-            inner: CaontRs::new(4, 3).unwrap(),
-        };
+        let scheme = poison_scheme();
         let chunker = ChunkerKind::Fixed.build(small_chunk_config());
         let mut data = stream_data(64 * 1024);
         data[20 * 1024] = POISON; // first byte of some mid-stream chunk
@@ -914,9 +795,7 @@ mod tests {
 
     #[test]
     fn encode_stream_surfaces_worker_panics_as_typed_errors() {
-        let scheme = PanicScheme {
-            inner: CaontRs::new(4, 3).unwrap(),
-        };
+        let scheme = panic_scheme();
         let chunker = ChunkerKind::Fixed.build(small_chunk_config());
         let mut data = stream_data(64 * 1024);
         data[32 * 1024] = POISON;
@@ -1096,9 +975,7 @@ mod tests {
         assert_eq!(pool.stats().outstanding, 0);
 
         // Scheme error mid-stream.
-        let poison = PoisonScheme {
-            inner: CaontRs::new(4, 3).unwrap(),
-        };
+        let poison = poison_scheme();
         let mut data = stream_data(64 * 1024);
         data[20 * 1024] = POISON;
         let pool = Arc::new(BufferPool::new());
@@ -1120,9 +997,7 @@ mod tests {
         assert_eq!(pool.stats().outstanding, 0);
 
         // Encode panic becomes a typed error.
-        let panicky = PanicScheme {
-            inner: CaontRs::new(4, 3).unwrap(),
-        };
+        let panicky = panic_scheme();
         let mut data = stream_data(64 * 1024);
         data[32 * 1024] = POISON;
         let pool = Arc::new(BufferPool::new());

@@ -234,20 +234,11 @@ impl ReedSolomon {
         Ok((inv, inputs))
     }
 
-    /// Reconstructs the `k` data shards from any `k` available shards.
+    /// Reconstructs the `k` data shards from any `k` available shards, over
+    /// borrowed shard slices so callers selecting k-subsets (e.g. the
+    /// CAONT-RS brute-force decoder) never copy share bytes.
     ///
     /// `shards` must have length `n`; missing shards are `None`.
-    pub fn reconstruct_data_shards(
-        &self,
-        shards: &[Option<Vec<u8>>],
-    ) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
-        self.reconstruct_data_shards_borrowed(&borrowed)
-    }
-
-    /// Like [`reconstruct_data_shards`](ReedSolomon::reconstruct_data_shards)
-    /// but over borrowed shard slices, so callers selecting k-subsets (e.g.
-    /// the CAONT-RS brute-force decoder) never copy share bytes.
     pub fn reconstruct_data_shards_borrowed(
         &self,
         shards: &[Option<&[u8]>],
@@ -267,7 +258,9 @@ impl ReedSolomon {
     }
 
     /// Reconstructs the original byte buffer of length `original_len` from
-    /// any `k` available shards.
+    /// any `k` available shards. Kept beside the borrowed form because IDA,
+    /// AONT-RS and SSMS reach it with the owned slots that
+    /// `SecretSharing::reconstruct` hands them.
     pub fn reconstruct_data(
         &self,
         shards: &[Option<Vec<u8>>],
@@ -320,7 +313,8 @@ impl ReedSolomon {
         &self,
         shards: &[Option<Vec<u8>>],
     ) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let data_shards = self.reconstruct_data_shards(shards)?;
+        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
+        let data_shards = self.reconstruct_data_shards_borrowed(&borrowed)?;
         let refs: Vec<&[u8]> = data_shards.iter().map(|s| s.as_slice()).collect();
         self.encode_shards(&refs)
     }
@@ -458,7 +452,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            rs.reconstruct_data_shards(&[None, None]),
+            rs.reconstruct_all_shards(&[None, None]),
             Err(ErasureError::WrongShardCount {
                 expected: 4,
                 actual: 2

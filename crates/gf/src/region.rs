@@ -438,29 +438,11 @@ mod neon {
 }
 
 /// Multiplies a dense `rows x cols` GF(2^8) matrix (row-major in `matrix`) by
-/// `cols` equally sized data fragments, producing `rows` output fragments.
+/// `cols` equally sized data fragments, writing the `rows` output fragments
+/// into caller-provided buffers. Every output is fully overwritten.
 ///
 /// This is the common kernel behind Reed-Solomon encoding and IDA dispersal:
 /// each output fragment `i` is `sum_j matrix[i][j] * inputs[j]`.
-///
-/// Allocates the output fragments; hot paths that own reusable buffers
-/// should call [`matrix_apply_into`] instead.
-///
-/// # Panics
-///
-/// Panics if `matrix.len() != rows * cols`, if `inputs.len() != cols`, or if
-/// the input fragments are not all the same length.
-pub fn matrix_apply(matrix: &[u8], rows: usize, cols: usize, inputs: &[&[u8]]) -> Vec<Vec<u8>> {
-    let frag_len = inputs.first().map_or(0, |f| f.len());
-    let mut outputs = vec![vec![0u8; frag_len]; rows];
-    let mut out_refs: Vec<&mut [u8]> = outputs.iter_mut().map(|o| o.as_mut_slice()).collect();
-    matrix_apply_into(matrix, rows, cols, inputs, &mut out_refs);
-    outputs
-}
-
-/// Like [`matrix_apply`], but writes the `rows` output fragments into
-/// caller-provided buffers — the allocation-free kernel the decode windows of
-/// streamed restores run on. Every output is fully overwritten.
 ///
 /// # Panics
 ///
@@ -615,15 +597,35 @@ mod tests {
         }
     }
 
+    /// Independent reference for [`matrix_apply_into`]: per-byte table
+    /// multiply and XOR ([`mul_scalar_ref`]), no region kernels.
+    fn matrix_apply_reference(matrix: &[u8], rows: usize, inputs: &[&[u8]]) -> Vec<Vec<u8>> {
+        let mut outputs = vec![vec![0u8; inputs[0].len()]; rows];
+        for (row, out) in matrix.chunks(inputs.len()).zip(&mut outputs) {
+            for (&c, input) in row.iter().zip(inputs) {
+                mul_scalar_ref(out, input, c, true);
+            }
+        }
+        outputs
+    }
+
+    /// Runs [`matrix_apply_into`] over dirty output buffers, which it must
+    /// fully overwrite rather than accumulate into.
+    fn apply(matrix: &[u8], rows: usize, inputs: &[&[u8]]) -> Vec<Vec<u8>> {
+        let frag_len = inputs.first().map_or(0, |f| f.len());
+        let mut outputs = vec![vec![0xeeu8; frag_len]; rows];
+        let mut out_refs: Vec<&mut [u8]> = outputs.iter_mut().map(|o| o.as_mut_slice()).collect();
+        matrix_apply_into(matrix, rows, inputs.len(), inputs, &mut out_refs);
+        outputs
+    }
+
     #[test]
     fn matrix_apply_identity() {
         // 2x2 identity matrix maps inputs to themselves.
         let m = [1u8, 0, 0, 1];
         let a = vec![1u8, 2, 3, 4];
         let b = vec![5u8, 6, 7, 8];
-        let out = matrix_apply(&m, 2, 2, &[&a, &b]);
-        assert_eq!(out[0], a);
-        assert_eq!(out[1], b);
+        assert_eq!(apply(&m, 2, &[&a, &b]), vec![a, b]);
     }
 
     #[test]
@@ -632,7 +634,7 @@ mod tests {
         let m = [1u8, 1, 1, 2];
         let a = vec![0x10u8, 0x20];
         let b = vec![0x01u8, 0x80];
-        let out = matrix_apply(&m, 2, 2, &[&a, &b]);
+        let out = apply(&m, 2, &[&a, &b]);
         assert_eq!(out[0], vec![0x11, 0xa0]);
         assert_eq!(
             out[1],
@@ -646,13 +648,12 @@ mod tests {
         let a: Vec<u8> = (0..33).map(|i| (i * 5 + 1) as u8).collect();
         let b: Vec<u8> = (0..33).map(|i| (i * 11 + 2) as u8).collect();
         let c: Vec<u8> = (0..33).map(|i| (i * 17 + 3) as u8).collect();
-        let expected = matrix_apply(&m, 2, 3, &[&a, &b, &c]);
-        // Dirty output buffers must be fully overwritten, not accumulated.
-        let mut o0 = vec![0xffu8; 33];
-        let mut o1 = vec![0xeeu8; 33];
-        matrix_apply_into(&m, 2, 3, &[&a, &b, &c], &mut [&mut o0, &mut o1]);
-        assert_eq!(o0, expected[0]);
-        assert_eq!(o1, expected[1]);
+        // 33 bytes: one vector body plus a scalar tail on every backend.
+        let inputs: [&[u8]; 3] = [&a, &b, &c];
+        assert_eq!(
+            apply(&m, 2, &inputs),
+            matrix_apply_reference(&m, 2, &inputs)
+        );
     }
 
     #[test]
@@ -712,14 +713,10 @@ mod tests {
                 .map(|_| (0..frag_len).map(|_| next()).collect())
                 .collect();
             let refs: Vec<&[u8]> = inputs.iter().map(|f| f.as_slice()).collect();
-            let expected = matrix_apply(&matrix, rows, cols, &refs);
-            let mut outputs: Vec<Vec<u8>> = (0..rows)
-                .map(|_| (0..frag_len).map(|_| next()).collect())
-                .collect();
-            let mut out_refs: Vec<&mut [u8]> =
-                outputs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            matrix_apply_into(&matrix, rows, cols, &refs, &mut out_refs);
-            prop_assert_eq!(outputs, expected);
+            prop_assert_eq!(
+                apply(&matrix, rows, &refs),
+                matrix_apply_reference(&matrix, rows, &refs)
+            );
         }
     }
 }

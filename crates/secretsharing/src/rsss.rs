@@ -64,12 +64,16 @@ impl Rsss {
             pieces.push(random);
         }
         let refs: Vec<&[u8]> = pieces.iter().map(|p| p.as_slice()).collect();
-        Ok(region::matrix_apply(
+        let mut shares = vec![vec![0u8; piece_len]; self.n];
+        let mut share_refs: Vec<&mut [u8]> = shares.iter_mut().map(|s| s.as_mut_slice()).collect();
+        region::matrix_apply_into(
             self.matrix.as_slice(),
             self.n,
             self.k,
             &refs,
-        ))
+            &mut share_refs,
+        );
+        Ok(shares)
     }
 }
 

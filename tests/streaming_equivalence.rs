@@ -1,20 +1,28 @@
-//! The streaming data path is byte-exact equivalent to the buffered one.
+//! Every upload entry lands the same state, and that state is what the
+//! protocol says it should be.
 //!
 //! The chunk-boundary contract (`ChunkCutter` decisions depend only on the
 //! byte stream, never on `Read`-call slicing) plus the deterministic CAONT-RS
-//! encoding mean a streamed backup must produce the same secrets, the same
-//! shares, the same dedup accounting, and the same restored bytes as the
-//! buffered two-phase `prepare`/`commit` path — for every chunking algorithm
-//! and every way the input arrives. These tests pin that equivalence down,
-//! and assert the acceptance property that peak live chunk/share buffers are
-//! bounded by the pipeline depth, not the file size.
+//! encoding mean a backup must produce the same secrets, the same shares,
+//! the same dedup accounting, and the same restored bytes whether the bytes
+//! dribble in through a reader or arrive as a list of pre-cut chunks — for
+//! every chunking algorithm. These tests pin that down against an oracle
+//! computed from the public primitives alone, and check that a failed upload
+//! from either source leaks nothing.
 
+use std::collections::HashSet;
 use std::io::Read;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
-use cdstore_core::{CdStore, CdStoreConfig, CdStoreError, PipelineConfig, UploadReport};
-use cdstore_secretsharing::{BufferPool, SecretSharing};
+use cdstore_core::server::{GcConfig, GcReport};
+use cdstore_core::{
+    CdStore, CdStoreClient, CdStoreConfig, CdStoreError, CdStoreServer, DedupStats, FileRecipe,
+    PipelineConfig, ServerProbe, ServerTransport, ShareMetadata, StoreReceipt,
+};
+use cdstore_crypto::Fingerprint;
+use cdstore_secretsharing::SecretSharing;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -83,6 +91,12 @@ impl Read for FailAfter<'_> {
     }
 }
 
+/// The client's in-memory chunking of `data`, as a pre-cut chunk list.
+fn chunk_list(client: &CdStoreClient, data: &[u8]) -> Vec<Vec<u8>> {
+    let chunks = client.chunker().chunk(data);
+    chunks.into_iter().map(|c| c.data).collect()
+}
+
 fn small_chunks() -> ChunkerConfig {
     ChunkerConfig::new(512, 1024, 4096)
 }
@@ -96,23 +110,39 @@ fn store_with(kind: ChunkerKind) -> CdStore {
     )
 }
 
-/// The buffered reference path: explicit two-phase `prepare` + `commit`,
-/// which materialises the whole file and every share.
-fn buffered_backup(store: &CdStore, user: u64, path: &str, data: &[u8]) -> UploadReport {
-    let client = store.client(user).unwrap();
-    let prepared = client.prepare(data).unwrap();
-    store.with_servers(|servers| client.commit(servers, path, prepared).unwrap())
+/// What the first upload of `chunks` to an empty deployment must report,
+/// computed from the public primitives only: split every chunk, fingerprint
+/// every share, and count each cloud's distinct shares once — those bytes
+/// are what intra-user dedup lets through and, the deployment being empty,
+/// also what inter-user dedup stores.
+fn oracle(client: &CdStoreClient, chunks: &[Vec<u8>]) -> (DedupStats, Vec<u64>) {
+    let n = client.scheme().n();
+    let mut seen: Vec<HashSet<Fingerprint>> = vec![HashSet::new(); n];
+    let mut unique_per_cloud = vec![0u64; n];
+    let mut dedup = DedupStats::new();
+    for chunk in chunks {
+        dedup.logical_bytes += chunk.len() as u64;
+        for (cloud, share) in client.scheme().split(chunk).unwrap().iter().enumerate() {
+            dedup.logical_share_bytes += share.len() as u64;
+            if seen[cloud].insert(Fingerprint::of(share)) {
+                unique_per_cloud[cloud] += share.len() as u64;
+            }
+        }
+    }
+    dedup.transferred_share_bytes = unique_per_cloud.iter().sum();
+    dedup.physical_share_bytes = dedup.transferred_share_bytes;
+    (dedup, unique_per_cloud)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For arbitrary content, chunker, read-slicing, and pipeline read-buffer
-    /// size: the streamed upload produces the same secret count and dedup
-    /// accounting as the buffered two-phase path, and both restore
-    /// byte-exact.
+    /// size: an upload through a dribbling reader and an upload of the
+    /// in-memory chunking as pre-cut chunks both report exactly what the
+    /// oracle computes, and both restore byte-exact.
     #[test]
-    fn streamed_backup_equals_buffered(
+    fn streamed_and_prechunked_backups_equal_the_oracle(
         seed in any::<u64>(),
         kind_index in 0usize..3,
         read_buffer in 1usize..5000,
@@ -121,14 +151,16 @@ proptest! {
         let data = backup_data(seed, 150_000 + (seed % 50_000) as usize);
         let read_cap = 1 + (seed % 7919) as usize;
 
-        // Buffered reference deployment.
-        let buffered_store = store_with(kind);
-        let buffered = buffered_backup(&buffered_store, 1, "/f", &data);
-
-        // Streamed deployment: same content arrives in dribbled reads
-        // through a pipeline with an arbitrary read-buffer size.
+        // Same content arrives in dribbled reads through a pipeline with an
+        // arbitrary read-buffer size.
         let streamed_store = store_with(kind);
         let client = streamed_store.client(1).unwrap();
+        let chunks = chunk_list(&client, &data);
+        let (dedup, unique_per_cloud) = oracle(&client, &chunks);
+        prop_assert!(
+            dedup.transferred_share_bytes < dedup.logical_share_bytes,
+            "the data must contain duplicate chunks for dedup to matter"
+        );
         let config = PipelineConfig {
             read_buffer,
             ..PipelineConfig::default()
@@ -138,15 +170,18 @@ proptest! {
                 .upload_stream(servers, "/f", DribbleReader::new(&data, read_cap), &config)
                 .unwrap()
         });
+        let prechunked_store = store_with(kind);
+        let prechunked = prechunked_store.backup_chunks(1, "/f", &chunks).unwrap();
+        for report in [&streamed, &prechunked] {
+            prop_assert_eq!(report.num_secrets, chunks.len());
+            prop_assert_eq!(report.dedup, dedup);
+            prop_assert_eq!(&report.transferred_per_cloud, &unique_per_cloud);
+            prop_assert_eq!(&report.physical_per_cloud, &unique_per_cloud);
+        }
 
-        prop_assert_eq!(streamed.num_secrets, buffered.num_secrets);
-        prop_assert_eq!(streamed.dedup, buffered.dedup);
-        prop_assert_eq!(&streamed.transferred_per_cloud, &buffered.transferred_per_cloud);
-        prop_assert_eq!(&streamed.physical_per_cloud, &buffered.physical_per_cloud);
-
-        // Both deployments restore the original bytes — buffered wrapper and
-        // explicit streamed writer alike.
-        prop_assert_eq!(buffered_store.restore(1, "/f").unwrap(), data.clone());
+        // Both deployments restore the original bytes — collecting wrapper
+        // and explicit streamed writer alike.
+        prop_assert_eq!(prechunked_store.restore(1, "/f").unwrap(), data.clone());
         let mut restored = Vec::new();
         let written = streamed_store.restore_stream(1, "/f", &mut restored).unwrap();
         prop_assert_eq!(written, data.len() as u64);
@@ -172,75 +207,22 @@ proptest! {
     }
 }
 
-/// Acceptance criterion: a streamed backup of a file several times larger
-/// than the pipeline's buffer budget keeps peak live chunk/share buffers
-/// bounded by the pipeline depth plus the per-cloud batches — never O(file) —
-/// and restores byte-exact.
+/// A pre-chunked source may hand over chunks no chunker would cut — empty,
+/// or far larger than the configured maximum — and they round-trip.
 #[test]
-fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
-    let (n, k) = (4usize, 3usize);
-    let store = CdStore::new(
-        CdStoreConfig::new(n, k)
-            .unwrap()
-            .with_chunker(ChunkerConfig::new(2048, 8192, 16384))
-            .with_chunker_kind(ChunkerKind::FastCdc),
-    );
-    let client = store.client(1).unwrap();
-
-    let pool = Arc::new(BufferPool::new());
-    let config = PipelineConfig {
-        encode_threads: 2,
-        chunk_queue: 4,
-        encoded_queue: 4,
-        read_buffer: 16 * 1024,
-        pool: Some(Arc::clone(&pool)),
-    };
-    let batch_bytes: u64 = 64 * 1024;
-
-    // Byte budget of the pipeline: every pooled buffer holds at most one max
-    // chunk (or one of its shares, which are smaller), plus the n per-cloud
-    // batches. The input is >4x that.
-    let max_chunk = 16 * 1024u64;
-    let budget_bytes =
-        config.max_live_buffers(n) as u64 * max_chunk + n as u64 * (batch_bytes + max_chunk);
-    let data = backup_data(99, 8 * 1024 * 1024);
-    assert!(
-        (data.len() as u64) >= 4 * budget_bytes,
-        "input ({}) must dwarf the buffer budget ({budget_bytes})",
-        data.len()
-    );
-
-    let report = store.with_servers(|servers| {
-        client
-            .upload_stream_with_batch(servers, "/huge", &data[..], &config, batch_bytes)
-            .unwrap()
-    });
-    assert!(report.num_secrets as u64 > 4 * config.max_live_secrets() as u64);
-
-    // Buffer-count bound: the pipeline's live secrets, plus what the
-    // per-cloud batches can retain (each batched share is at least a
-    // min-chunk share).
-    let min_share = client.scheme().total_share_size(2048) as u64 / n as u64;
-    let bound = config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
-    let stats = pool.stats();
-    assert!(
-        (stats.peak_outstanding as u64) <= bound,
-        "peak live buffers {} exceeded the pipeline bound {bound}",
-        stats.peak_outstanding
-    );
-    assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
-    assert!(
-        stats.reuses > 10 * stats.allocations,
-        "steady state must recycle buffers (allocs={}, reuses={})",
-        stats.allocations,
-        stats.reuses
-    );
-
-    // And the restore is byte-exact, streamed out through a Write sink.
-    let mut restored = Vec::new();
-    let written = store.restore_stream(1, "/huge", &mut restored).unwrap();
-    assert_eq!(written, data.len() as u64);
-    assert_eq!(restored, data);
+fn prechunked_backup_takes_empty_and_oversized_chunks() {
+    let store = store_with(ChunkerKind::Rabin);
+    let max_size = small_chunks().max_size;
+    let chunks = vec![
+        backup_data(1, 700),
+        Vec::new(),
+        backup_data(2, 10 * max_size),
+        Vec::new(),
+        backup_data(3, 1),
+    ];
+    let report = store.backup_chunks(1, "/odd", &chunks).unwrap();
+    assert_eq!(report.num_secrets, chunks.len());
+    assert_eq!(store.restore(1, "/odd").unwrap(), chunks.concat());
 }
 
 /// A mid-stream read failure surfaces as `CdStoreError::Io`, releases all
@@ -277,7 +259,98 @@ fn failed_streamed_backup_leaves_no_leaked_state() {
     assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
 }
 
-/// `CdStore::backup` (buffered wrapper) and `CdStore::backup_stream` land
+/// An in-process server whose `store_shares` starts losing its replies once
+/// a budget of successful calls, shared by the whole deployment, is spent:
+/// the server stores the batch and takes its references, the client sees an
+/// error.
+struct LossyServer {
+    inner: CdStoreServer,
+    store_budget: Arc<AtomicU64>,
+}
+
+/// Forwards the listed `ServerTransport` methods to `self.inner` unchanged.
+macro_rules! forward {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
+        fn $name(&self, $($arg: $ty),*) -> $ret {
+            ServerTransport::$name(&self.inner, $($arg),*)
+        }
+    )*};
+}
+
+impl ServerTransport for LossyServer {
+    fn store_shares(
+        &self,
+        user: u64,
+        shares: &[(ShareMetadata, Vec<u8>)],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        let receipt = ServerTransport::store_shares(&self.inner, user, shares)?;
+        let spend = |left: u64| left.checked_sub(1);
+        match self
+            .store_budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, spend)
+        {
+            Ok(_) => Ok(receipt),
+            // Not a transient class, so no retry layer absorbs it.
+            Err(_) => Err(CdStoreError::InconsistentMetadata(
+                "injected: store_shares reply lost".into(),
+            )),
+        }
+    }
+    forward! {
+        cloud_index() -> usize;
+        intra_user_query(user: u64, fps: &[Fingerprint]) -> Result<Vec<bool>, CdStoreError>;
+        put_file(user: u64, path: &[u8], recipe: &FileRecipe, uploaded: &[Fingerprint]) -> Result<(), CdStoreError>;
+        release_uploads(user: u64, fps: &[Fingerprint]) -> Result<(), CdStoreError>;
+        has_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+        get_recipe(user: u64, path: &[u8]) -> Result<FileRecipe, CdStoreError>;
+        delete_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+        fetch_shares(user: u64, fps: &[Fingerprint]) -> Result<Vec<Vec<u8>>, CdStoreError>;
+        flush() -> Result<(), CdStoreError>;
+        gc_with(config: GcConfig) -> Result<GcReport, CdStoreError>;
+        probe() -> Result<ServerProbe, CdStoreError>;
+    }
+}
+
+/// A pre-chunked backup that fails after its first batch was stored — cloud
+/// 0 holds a whole batch, cloud 1 stored one whose reply was lost — releases
+/// all transient upload state: the retry succeeds and restores, and delete +
+/// gc drains every backend.
+#[test]
+fn failed_prechunked_backup_leaves_no_leaked_state() {
+    let store_budget = Arc::new(AtomicU64::new(1));
+    let config = CdStoreConfig::new(4, 3)
+        .unwrap()
+        .with_chunker(small_chunks());
+    let servers = (0..4)
+        .map(|cloud| LossyServer {
+            inner: CdStoreServer::new(cloud),
+            store_budget: Arc::clone(&store_budget),
+        })
+        .collect();
+    let store = CdStore::from_transports(config, servers).unwrap();
+    let data = backup_data(11, 300_000);
+    let chunks = chunk_list(&store.client(1).unwrap(), &data);
+
+    let err = store
+        .backup_chunks(1, "/flaky", &chunks)
+        .expect_err("a lost store_shares reply must fail the backup");
+    assert!(
+        matches!(err, CdStoreError::InconsistentMetadata(_)),
+        "unexpected error {err:?}"
+    );
+    assert_eq!(store_budget.load(Ordering::SeqCst), 0);
+    assert!(store.restore(1, "/flaky").is_err());
+
+    store_budget.store(u64::MAX, Ordering::SeqCst);
+    store.backup_chunks(1, "/flaky", &chunks).unwrap();
+    assert_eq!(store.restore(1, "/flaky").unwrap(), data);
+
+    assert!(store.delete(1, "/flaky").unwrap());
+    store.gc().unwrap();
+    assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
+}
+
+/// `CdStore::backup` (slice wrapper) and `CdStore::backup_stream` land
 /// identical state — a slice really is just one shape of `Read` source.
 #[test]
 fn wrapper_and_streaming_facade_apis_agree() {
