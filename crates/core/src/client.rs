@@ -28,11 +28,19 @@ use crate::transport::ServerTransport;
 /// before being sent over the Internet (§4.1).
 pub const UPLOAD_BATCH_BYTES: u64 = 4 * 1024 * 1024;
 
-/// Number of secrets a streamed restore fetches per window. With the default
-/// 8 KB average chunk size this keeps roughly 8 MB of shares in flight per
-/// chosen cloud — enough to amortise the RPC, bounded regardless of file
-/// size.
+/// Most secrets a restore fetches per window, whatever their size: bounds
+/// the fingerprint list of one `fetch_shares` call when secrets are tiny.
 pub const RESTORE_WINDOW_SECRETS: usize = 1024;
+
+/// Expected share bytes a restore asks one cloud for per window — what bounds
+/// a `fetch_shares` reply (and the memory both ends spend on it) for any
+/// chunker configuration, as [`UPLOAD_BATCH_BYTES`] bounds a `store_shares`
+/// request. With the default 8 KB average chunk size this is about 190
+/// secrets: enough to amortise the round trip, and small enough that the
+/// copies of a reply in flight on both ends do not show in peak memory. A
+/// window always holds at least one secret, so a share larger than this is
+/// still restorable.
+pub const RESTORE_WINDOW_BYTES: u64 = 512 * 1024;
 
 /// The result of one file upload.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,11 +270,14 @@ impl CdStoreClient {
         Ok(out)
     }
 
-    /// Restores a file into any [`Write`] destination, fetching shares in
-    /// bounded windows of [`RESTORE_WINDOW_SECRETS`] secrets per chosen cloud
-    /// — the whole file is never buffered. Over `cdstore_net` each window
-    /// drains through the credit-window `StreamShares` protocol, so the
-    /// server side stays bounded too. Returns the number of bytes written.
+    /// Restores a file into any [`Write`] destination, fetching shares from
+    /// each chosen cloud one bounded window at a time — the whole file is
+    /// never buffered. This is the one place that decides how much a restore
+    /// asks for at once: a window closes at [`RESTORE_WINDOW_SECRETS`] secrets
+    /// or [`RESTORE_WINDOW_BYTES`] of expected share bytes per cloud,
+    /// whichever comes first, and one window is one `fetch_shares` call per
+    /// cloud — in process or, over `cdstore_net`, one request and one reply
+    /// frame. Returns the number of bytes written.
     pub fn download_stream<T: ServerTransport, W: Write + ?Sized>(
         &self,
         servers: &[T],
@@ -332,7 +343,8 @@ impl CdStoreClient {
         let mut written = 0u64;
         let mut window_start = 0usize;
         while window_start < num_secrets {
-            let window_end = (window_start + RESTORE_WINDOW_SECRETS).min(num_secrets);
+            let window_end =
+                window_start + self.restore_window_len(&recipes[0].1.entries[window_start..]);
             let mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)> = Vec::with_capacity(self.k);
             // Indexing, not iterating: the failover arm below reassigns
             // `recipes[slot]`, which an element iterator would hold borrowed.
@@ -399,6 +411,23 @@ impl CdStoreClient {
             window_start = window_end;
         }
         Ok(written)
+    }
+
+    /// How many of the secrets at the head of `entries` the next restore
+    /// window takes: up to [`RESTORE_WINDOW_SECRETS`], stopping before the
+    /// secret whose share would take the window past [`RESTORE_WINDOW_BYTES`]
+    /// — but never before the first.
+    fn restore_window_len(&self, entries: &[RecipeEntry]) -> usize {
+        let mut bytes = 0u64;
+        let mut len = 0;
+        for entry in entries.iter().take(RESTORE_WINDOW_SECRETS) {
+            bytes += self.scheme.share_size(entry.secret_size as usize) as u64;
+            if len > 0 && bytes > RESTORE_WINDOW_BYTES {
+                break;
+            }
+            len += 1;
+        }
+        len
     }
 }
 
@@ -901,6 +930,47 @@ mod tests {
                 client.download(&servers, &[true; 4], "/huge").unwrap(),
                 data
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The restore windows planned over any recipe cover every secret
+        /// once, in order; none exceeds the secret-count cap, none exceeds the
+        /// byte budget unless it is a single secret, and none is cut short.
+        #[test]
+        fn restore_windows_cover_every_secret_once_within_both_bounds(
+            raw in proptest::collection::vec(proptest::any::<u32>(), 0..3000),
+            // Secrets of up to 16 B .. 4 MiB: small scales run into the
+            // secret-count cap, large ones into single-secret windows.
+            scale in 4u32..23,
+            k in 1usize..4,
+        ) {
+            let client = CdStoreClient::new(1, 4, k).unwrap();
+            let share_fingerprint = Fingerprint::of(b"");
+            let entries: Vec<RecipeEntry> = raw
+                .iter()
+                .map(|r| RecipeEntry { share_fingerprint, secret_size: r % (1 << scale) })
+                .collect();
+            let share_bytes = |e: &RecipeEntry| client.scheme.share_size(e.secret_size as usize) as u64;
+            let mut start = 0;
+            while start < entries.len() {
+                let len = client.restore_window_len(&entries[start..]);
+                proptest::prop_assert!((1..=RESTORE_WINDOW_SECRETS).contains(&len));
+                proptest::prop_assert!(start + len <= entries.len());
+                let bytes: u64 = entries[start..start + len].iter().map(share_bytes).sum();
+                proptest::prop_assert!(len == 1 || bytes <= RESTORE_WINDOW_BYTES);
+                if let Some(next) = entries.get(start + len) {
+                    proptest::prop_assert!(
+                        len == RESTORE_WINDOW_SECRETS
+                            || bytes + share_bytes(next) > RESTORE_WINDOW_BYTES,
+                        "window of {} secrets / {} bytes closed early", len, bytes
+                    );
+                }
+                start += len;
+            }
+            proptest::prop_assert_eq!(start, entries.len());
         }
     }
 

@@ -67,7 +67,9 @@ pub mod system;
 pub mod transport;
 pub mod wal;
 
-pub use client::{CdStoreClient, UploadReport, RESTORE_WINDOW_SECRETS, UPLOAD_BATCH_BYTES};
+pub use client::{
+    CdStoreClient, UploadReport, RESTORE_WINDOW_BYTES, RESTORE_WINDOW_SECRETS, UPLOAD_BATCH_BYTES,
+};
 pub use dedup::DedupStats;
 pub use error::CdStoreError;
 pub use metadata::{FileRecipe, RecipeEntry, ShareMetadata};

@@ -124,9 +124,9 @@ pub trait ServerTransport: Send + Sync {
     fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError>;
 
     /// Downloads a batch of shares owned by `user`, identified by the client
-    /// fingerprints recorded in the file recipe. Remote implementations
-    /// stream the shares with windowed backpressure rather than buffering
-    /// the whole restore in one response.
+    /// fingerprints recorded in the file recipe. The whole batch comes back
+    /// in one reply, so the caller bounds it by how much it asks for (see
+    /// [`crate::CdStoreClient::download_stream`]).
     fn fetch_shares(
         &self,
         user: u64,

@@ -37,9 +37,6 @@ pub struct NetClientConfig {
     pub connect_timeout: Duration,
     /// Transport-failure retries per call (reconnect + resend).
     pub retries: u32,
-    /// Credit window for streamed restores: the server keeps at most this
-    /// many un-acknowledged shares in flight.
-    pub stream_window: u32,
 }
 
 impl Default for NetClientConfig {
@@ -49,7 +46,6 @@ impl Default for NetClientConfig {
             request_timeout: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(5),
             retries: 2,
-            stream_window: 32,
         }
     }
 }
@@ -58,10 +54,8 @@ impl Default for NetClientConfig {
 /// shared with its reader thread.
 struct Link {
     stream: Mutex<TcpStream>,
-    /// In-flight requests: req_id → channel to the waiting caller. Stream
-    /// requests stay registered across many responses (removed at
-    /// `StreamEnd`/`Err`); unary requests are removed at their single
-    /// response.
+    /// In-flight requests: req_id → channel to the waiting caller, removed
+    /// at the request's single response.
     pending: Arc<Mutex<HashMap<u64, SyncSender<Response>>>>,
     dead: Arc<AtomicBool>,
 }
@@ -169,14 +163,10 @@ impl NetClient {
     }
 
     /// Registers a waiter and sends one request on `link`.
-    fn send(
-        &self,
-        link: &Link,
-        req: &Request,
-        channel_depth: usize,
-    ) -> Result<(u64, Receiver<Response>), CdStoreError> {
+    fn send(&self, link: &Link, req: &Request) -> Result<(u64, Receiver<Response>), CdStoreError> {
         let req_id = self.next_req_id();
-        let (tx, rx) = std::sync::mpsc::sync_channel(channel_depth);
+        // One response per request: a depth of one never blocks the reader.
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         link.pending.lock().insert(req_id, tx);
         let (msg_type, payload) = encode_request(req_id, req);
         let write_result = {
@@ -191,10 +181,10 @@ impl NetClient {
         Ok((req_id, rx))
     }
 
-    /// One unary RPC with timeout, without retry.
+    /// One RPC with timeout, without retry.
     fn call_once(&self, req: &Request) -> Result<Response, CdStoreError> {
         let link = self.link()?;
-        let (req_id, rx) = self.send(&link, req, 1)?;
+        let (req_id, rx) = self.send(&link, req)?;
         match rx.recv_timeout(self.config.request_timeout) {
             Ok(resp) => Ok(resp),
             Err(RecvTimeoutError::Timeout) => {
@@ -211,7 +201,7 @@ impl NetClient {
         }
     }
 
-    /// One unary RPC with bounded retry on *transport* errors. Server-side
+    /// One RPC with bounded retry on *transport* errors. Server-side
     /// errors come back as decoded [`CdStoreError`]s and are never retried.
     pub fn call(&self, req: &Request) -> Result<Response, CdStoreError> {
         let mut last = None;
@@ -229,101 +219,6 @@ impl NetClient {
         }
         Err(last.unwrap_or_else(|| remote_err("retries exhausted")))
     }
-
-    /// Streamed share download with windowed backpressure: consumes shares
-    /// as the server sends them, granting credit in half-window steps so the
-    /// server never has more than `stream_window` shares un-acknowledged.
-    pub fn fetch_shares_streamed(
-        &self,
-        user: u64,
-        fingerprints: &[Fingerprint],
-    ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-        if fingerprints.is_empty() {
-            return Ok(Vec::new());
-        }
-        let window = self.config.stream_window.max(2);
-        let link = self.link()?;
-        let (req_id, rx) = self.send(
-            &link,
-            &Request::StreamShares {
-                user,
-                fingerprints: fingerprints.to_vec(),
-                window,
-            },
-            // The dispatch channel can hold a full window, so the reader
-            // thread never blocks on a stream that respects its credit.
-            window as usize + 1,
-        )?;
-        let mut shares: Vec<Vec<u8>> = Vec::with_capacity(fingerprints.len());
-        let mut since_credit = 0u32;
-        loop {
-            let resp = match rx.recv_timeout(self.config.request_timeout) {
-                Ok(resp) => resp,
-                Err(RecvTimeoutError::Timeout) => {
-                    link.pending.lock().remove(&req_id);
-                    link.kill();
-                    return Err(remote_err("stream timed out"));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(remote_err("connection lost mid-stream"));
-                }
-            };
-            match resp {
-                Response::StreamShare { seq, data } => {
-                    if seq != shares.len() as u64 {
-                        link.pending.lock().remove(&req_id);
-                        link.kill();
-                        return Err(remote_err(format!(
-                            "stream out of order: got seq {seq}, want {}",
-                            shares.len()
-                        )));
-                    }
-                    shares.push(data);
-                    since_credit += 1;
-                    // Grant in half-window steps: frequent enough that the
-                    // server rarely stalls, coarse enough that credit frames
-                    // stay a negligible fraction of the traffic.
-                    if since_credit >= window / 2 && shares.len() < fingerprints.len() {
-                        let (msg_type, payload) = encode_request(
-                            req_id,
-                            &Request::StreamCredit {
-                                grant: since_credit,
-                            },
-                        );
-                        let mut stream = link.stream.lock();
-                        if let Err(e) = write_frame(&mut *stream, msg_type, &payload) {
-                            drop(stream);
-                            link.pending.lock().remove(&req_id);
-                            link.kill();
-                            return Err(remote_err(format!("send credit: {e}")));
-                        }
-                        since_credit = 0;
-                    }
-                }
-                Response::StreamEnd { count } => {
-                    if count != fingerprints.len() as u64 || shares.len() != fingerprints.len() {
-                        return Err(remote_err(format!(
-                            "stream ended early: {} of {} shares",
-                            shares.len(),
-                            fingerprints.len()
-                        )));
-                    }
-                    return Ok(shares);
-                }
-                Response::Err {
-                    code,
-                    needed,
-                    available,
-                    msg,
-                } => return Err(error_from_wire(code, needed, available, msg)),
-                other => {
-                    link.pending.lock().remove(&req_id);
-                    link.kill();
-                    return Err(remote_err(format!("unexpected stream response: {other:?}")));
-                }
-            }
-        }
-    }
 }
 
 /// Dispatches responses to waiting callers until the stream dies.
@@ -336,24 +231,12 @@ fn reader_loop(stream: TcpStream, pending: &Mutex<HashMap<u64, SyncSender<Respon
                 let Some((req_id, resp)) = decode_response(msg_type, &payload) else {
                     return; // protocol violation: poison the link
                 };
-                // Stream frames keep their waiter registered; everything
-                // else (unary responses, StreamEnd, Err) completes it.
-                let keep = matches!(resp, Response::StreamShare { .. });
-                let mut map = pending.lock();
-                if keep {
-                    if let Some(tx) = map.get(&req_id) {
-                        let tx = tx.clone();
-                        drop(map);
-                        // The channel holds a full credit window, so this
-                        // send only blocks on a peer that overran its
-                        // credit; the block then backpressures TCP itself.
-                        let _ = tx.send(resp);
-                    }
-                } else if let Some(tx) = map.remove(&req_id) {
-                    drop(map);
+                // A response nobody waits for (timed-out caller, or a second
+                // answer to one request) is dropped.
+                let waiter = pending.lock().remove(&req_id);
+                if let Some(tx) = waiter {
                     let _ = tx.send(resp);
                 }
-                // A response nobody waits for (timed-out caller) is dropped.
             }
             Ok(Polled::Idle) => continue, // no read timeout is set; defensive
             Ok(Polled::Closed) | Err(_) => return,
@@ -488,10 +371,16 @@ impl ServerTransport for RemoteServer {
         user: u64,
         fingerprints: &[Fingerprint],
     ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-        // Restores use the chunk-streamed path: bounded memory on both
-        // sides, and the decode pipeline can start before the last share
-        // arrives.
-        self.client.fetch_shares_streamed(user, fingerprints)
+        // One request, one reply frame. The caller bounds the reply by how
+        // much it asks for (`download_stream` plans its windows by bytes);
+        // the server answers a typed error rather than exceed the frame cap.
+        match self.client.call(&Request::FetchShares {
+            user,
+            fingerprints: fingerprints.to_vec(),
+        })? {
+            Response::Shares(shares) if shares.len() == fingerprints.len() => Ok(shares),
+            other => Err(remote_err(format!("bad fetch reply: {other:?}"))),
+        }
     }
 
     fn flush(&self) -> Result<(), CdStoreError> {

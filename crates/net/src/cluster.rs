@@ -158,4 +158,56 @@ mod tests {
         assert_eq!(store.restore(2, "/wire/crash.tar").unwrap(), data);
         assert!(cluster.core(1).unique_shares() > 0);
     }
+
+    /// One request, one response, even with everything on one connection: a
+    /// restore's window fetches and another thread's probes interleave on
+    /// the single pooled link, and each call gets exactly its own reply.
+    #[test]
+    fn a_restore_and_concurrent_probes_share_one_connection() {
+        use cdstore_core::ServerTransport;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let cluster = LoopbackCluster::spawn(4).unwrap();
+        let store = cluster
+            .store(
+                CdStoreConfig::new(4, 3).unwrap(),
+                NetClientConfig {
+                    connections: 1,
+                    ..NetClientConfig::default()
+                },
+            )
+            .unwrap();
+        // A few restore windows' worth of 8 KB-average secrets.
+        let data: Vec<u8> = (0..3_000_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        store.backup(1, "/wire/shared-link.tar", &data).unwrap();
+
+        let restoring = AtomicBool::new(true);
+        let (probing_tx, probing_rx) = std::sync::mpsc::channel();
+        let probes_during_restore = std::thread::scope(|scope| {
+            let prober = scope.spawn(|| {
+                let mut during_restore = 0u32;
+                probing_tx.send(()).unwrap();
+                while restoring.load(Ordering::SeqCst) {
+                    store.with_servers(|servers| {
+                        for server in servers {
+                            let probe = server.probe().expect("probe during a restore");
+                            assert!(probe.unique_shares > 0);
+                        }
+                    });
+                    during_restore += 1;
+                }
+                during_restore
+            });
+            // The restore starts only once the prober is running, and the
+            // prober stops only once the restore is over.
+            probing_rx.recv().unwrap();
+            let restored = store.restore(1, "/wire/shared-link.tar");
+            restoring.store(false, Ordering::SeqCst);
+            assert_eq!(restored.unwrap(), data);
+            prober.join().expect("prober panicked")
+        });
+        assert!(probes_during_restore > 0);
+    }
 }

@@ -24,10 +24,14 @@ use cdstore_storage::journal::crc32;
 
 /// Version byte carried by every frame. Receivers reject frames with a
 /// different version outright (see `docs/protocol.md` for the policy).
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Version 2 retired the v1 share stream (message types 0x0a, 0x0b, 0x88,
+/// 0x89): a v1 peer is refused at its first frame, the `Ping`, not at its
+/// first restore.
+pub const PROTOCOL_VERSION: u8 = 2;
 
-/// Upper bound on `len`. Shares are ≤ a few MB and batches are capped by the
-/// client at [`cdstore_core::client::UPLOAD_BATCH_BYTES`] (4 MB), so a
+/// Upper bound on `len`. Shares are ≤ a few MB, upload batches are capped by
+/// the client at [`cdstore_core::client::UPLOAD_BATCH_BYTES`] (4 MB) and
+/// restore windows at [`cdstore_core::client::RESTORE_WINDOW_BYTES`], so a
 /// well-formed frame is far below this; anything larger is a corrupt or
 /// hostile length word and must not drive allocation.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
@@ -240,6 +244,17 @@ mod tests {
                 unreachable!("a single bit flip cannot pass the CRC");
             }
         }
+    }
+
+    #[test]
+    fn a_frame_of_another_version_is_refused_as_such() {
+        // A well-formed version-1 frame: valid length and checksum, so the
+        // refusal names the version rather than passing for line noise.
+        let mut frame = encode_frame(0x01, &7u64.to_le_bytes());
+        frame[FRAME_HEADER_BYTES] = 1;
+        let crc = crc32(&frame[FRAME_HEADER_BYTES..]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode_frame(&frame), Err(FrameError::Version(1))));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   payload`), reusing the checksum discipline of the metadata journal.
 //! * [`wire`] — primitive value encoding inside payloads.
 //! * [`message`] — request/response messages covering the full server API:
-//!   batched share upload with per-share dedup verdicts, batched and
-//!   chunk-streamed share download with windowed backpressure, recipe
-//!   put/get, delete, gc, flush, and statistics.
+//!   batched share upload with per-share dedup verdicts, batched share
+//!   download (one restore window per request), recipe put/get, delete,
+//!   gc, flush, and statistics — one response frame per request.
 //! * [`server`] — [`NetServer`]: a thread-per-connection listener wrapping
 //!   an `Arc<CdStoreServer>`, with graceful shutdown.
 //! * [`client`] — [`NetClient`]: a pipelining connection pool with timeouts

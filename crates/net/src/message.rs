@@ -71,29 +71,13 @@ pub enum Request {
         /// Encoded pathname share.
         encoded_pathname: Vec<u8>,
     },
-    /// Batched share download (one response frame).
+    /// Batched share download: one window of a restore, answered in one
+    /// response frame (or a typed `Err` if the reply would not fit one).
     FetchShares {
         /// Owning user.
         user: u64,
         /// Client fingerprints from the recipe.
         fingerprints: Vec<Fingerprint>,
-    },
-    /// Chunk-streamed share download: the server answers with a sequence of
-    /// `StreamShare` frames — at most `window` in flight beyond what
-    /// `StreamCredit` has acknowledged — then `StreamEnd`.
-    StreamShares {
-        /// Owning user.
-        user: u64,
-        /// Client fingerprints from the recipe.
-        fingerprints: Vec<Fingerprint>,
-        /// Initial credit: shares the server may send before the first
-        /// `StreamCredit`.
-        window: u32,
-    },
-    /// Flow-control grant for an in-flight stream (same `req_id`).
-    StreamCredit {
-        /// Additional shares the server may send.
-        grant: u32,
     },
     /// Seals open containers.
     Flush,
@@ -106,8 +90,8 @@ pub enum Request {
     Probe,
 }
 
-/// A server → client response. Except for the stream frames, exactly one
-/// response answers each request, carrying the request's id.
+/// A server → client response. Exactly one response answers each request,
+/// carrying the request's id.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Ping answer.
@@ -127,19 +111,6 @@ pub enum Response {
     Recipe(FileRecipe),
     /// Answer to `FetchShares`.
     Shares(Vec<Vec<u8>>),
-    /// One streamed share (`StreamShares` only; followed by more stream
-    /// frames or `StreamEnd`).
-    StreamShare {
-        /// Position of this share in the requested fingerprint order.
-        seq: u64,
-        /// Share bytes.
-        data: Vec<u8>,
-    },
-    /// Terminates a stream.
-    StreamEnd {
-        /// Total shares streamed (must equal the request's fingerprints).
-        count: u64,
-    },
     /// Answer to `Gc`.
     Gc(GcReport),
     /// Answer to `Probe`.
@@ -158,7 +129,8 @@ pub enum Response {
     },
 }
 
-// Request message types (0x01..=0x7f).
+// Request message types (0x01..=0x7f). 0x0a and 0x0b are retired (the v1
+// share stream) and must never be reused.
 const MT_PING: u8 = 0x01;
 const MT_INTRA_QUERY: u8 = 0x02;
 const MT_STORE_SHARES: u8 = 0x03;
@@ -168,13 +140,11 @@ const MT_HAS_FILE: u8 = 0x06;
 const MT_GET_RECIPE: u8 = 0x07;
 const MT_DELETE_FILE: u8 = 0x08;
 const MT_FETCH_SHARES: u8 = 0x09;
-const MT_STREAM_SHARES: u8 = 0x0a;
-const MT_STREAM_CREDIT: u8 = 0x0b;
 const MT_FLUSH: u8 = 0x0c;
 const MT_GC: u8 = 0x0d;
 const MT_PROBE: u8 = 0x0e;
 
-// Response message types (top bit set).
+// Response message types (top bit set). 0x88 and 0x89 are retired likewise.
 const MT_PONG: u8 = 0x81;
 const MT_BOOLS: u8 = 0x82;
 const MT_RECEIPT: u8 = 0x83;
@@ -182,8 +152,6 @@ const MT_UNIT: u8 = 0x84;
 const MT_BOOL: u8 = 0x85;
 const MT_RECIPE: u8 = 0x86;
 const MT_SHARES: u8 = 0x87;
-const MT_STREAM_SHARE: u8 = 0x88;
-const MT_STREAM_END: u8 = 0x89;
 const MT_GC_REPORT: u8 = 0x8a;
 const MT_PROBE_REPORT: u8 = 0x8b;
 const MT_ERR: u8 = 0x8c;
@@ -288,20 +256,6 @@ pub fn encode_request(req_id: u64, req: &Request) -> (u8, Vec<u8>) {
             write_fingerprints(&mut w, fingerprints);
             MT_FETCH_SHARES
         }
-        Request::StreamShares {
-            user,
-            fingerprints,
-            window,
-        } => {
-            w.u64(*user);
-            write_fingerprints(&mut w, fingerprints);
-            w.u32(*window);
-            MT_STREAM_SHARES
-        }
-        Request::StreamCredit { grant } => {
-            w.u32(*grant);
-            MT_STREAM_CREDIT
-        }
         Request::Flush => MT_FLUSH,
         Request::Gc { dead_ratio_bits } => {
             w.u64(*dead_ratio_bits);
@@ -360,12 +314,6 @@ pub fn decode_request(msg_type: u8, payload: &[u8]) -> Option<(u64, Request)> {
             user: r.u64()?,
             fingerprints: read_fingerprints(&mut r)?,
         },
-        MT_STREAM_SHARES => Request::StreamShares {
-            user: r.u64()?,
-            fingerprints: read_fingerprints(&mut r)?,
-            window: r.u32()?,
-        },
-        MT_STREAM_CREDIT => Request::StreamCredit { grant: r.u32()? },
         MT_FLUSH => Request::Flush,
         MT_GC => Request::Gc {
             dead_ratio_bits: r.u64()?,
@@ -439,15 +387,6 @@ pub fn encode_response(req_id: u64, resp: &Response) -> (u8, Vec<u8>) {
                 w.bytes(s);
             }
             MT_SHARES
-        }
-        Response::StreamShare { seq, data } => {
-            w.u64(*seq);
-            w.bytes(data);
-            MT_STREAM_SHARE
-        }
-        Response::StreamEnd { count } => {
-            w.u64(*count);
-            MT_STREAM_END
         }
         Response::Gc(report) => {
             w.u64(report.containers_deleted);
@@ -525,11 +464,6 @@ pub fn decode_response(msg_type: u8, payload: &[u8]) -> Option<(u64, Response)> 
             }
             Response::Shares(shares)
         }
-        MT_STREAM_SHARE => Response::StreamShare {
-            seq: r.u64()?,
-            data: r.bytes()?,
-        },
-        MT_STREAM_END => Response::StreamEnd { count: r.u64()? },
         MT_GC_REPORT => Response::Gc(GcReport {
             containers_deleted: r.u64()?,
             containers_compacted: r.u64()?,
@@ -559,15 +493,14 @@ pub fn decode_response(msg_type: u8, payload: &[u8]) -> Option<(u64, Response)> 
 ///
 /// The structured variants clients branch on (`NotEnoughClouds`,
 /// `FileNotFound`, `MissingShare`, …) survive the crossing exactly; the
-/// server-internal ones (`Sharing`, `Storage`, `Cloud`) arrive as
+/// server-internal ones (`Sharing`, `Storage`) arrive as
 /// [`CdStoreError::Remote`] with the rendered message — their payloads are
-/// meaningless outside the server process.
+/// meaningless outside the server process. Code 4 is retired.
 pub fn error_to_wire(e: &CdStoreError) -> Response {
     let (code, needed, available, msg) = match e {
         CdStoreError::InvalidConfig(m) => (1, 0, 0, m.clone()),
         CdStoreError::Sharing(inner) => (2, 0, 0, inner.to_string()),
         CdStoreError::Storage(inner) => (3, 0, 0, inner.to_string()),
-        CdStoreError::Cloud(inner) => (4, 0, 0, inner.to_string()),
         CdStoreError::NotEnoughClouds { needed, available } => {
             (5, *needed as u64, *available as u64, String::new())
         }
@@ -600,8 +533,8 @@ pub fn error_from_wire(code: u8, needed: u64, available: u64, msg: String) -> Cd
         7 => CdStoreError::MissingShare(msg),
         8 => CdStoreError::IntegrityFailure(msg),
         9 => CdStoreError::InconsistentMetadata(msg),
-        // 2/3/4 (sharing/storage/cloud internals), 10 (already remote),
-        // 11 (server-side I/O), and any future code the client does not know.
+        // 2/3 (sharing/storage internals), 10 (already remote), 11
+        // (server-side I/O), and any code the client does not know.
         _ => CdStoreError::Remote(msg),
     }
 }
@@ -640,12 +573,10 @@ mod tests {
                 },
                 uploaded: vec![fp],
             },
-            Request::StreamShares {
+            Request::FetchShares {
                 user: 9,
                 fingerprints: vec![fp, fp],
-                window: 32,
             },
-            Request::StreamCredit { grant: 16 },
             Request::Gc {
                 dead_ratio_bits: 0.5f64.to_bits(),
             },
@@ -675,11 +606,6 @@ mod tests {
             Response::Unit,
             Response::Bool(true),
             Response::Shares(vec![b"one".to_vec(), b"two".to_vec()]),
-            Response::StreamShare {
-                seq: 4,
-                data: b"streamed".to_vec(),
-            },
-            Response::StreamEnd { count: 5 },
             Response::Gc(GcReport {
                 containers_deleted: 1,
                 containers_compacted: 2,

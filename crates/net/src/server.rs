@@ -4,11 +4,10 @@
 //! protocol: a thread-per-connection accept loop (the server object itself
 //! is `Send + Sync` and internally sharded, so connections run genuinely
 //! concurrently), pipelined request handling (each connection answers
-//! requests in arrival order but the client may keep many in flight), the
-//! credit-windowed share streaming of restores, and graceful shutdown that
-//! joins every connection thread.
+//! requests in arrival order, one response frame each, but the client may
+//! keep many in flight), and graceful shutdown that joins every connection
+//! thread.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,8 +18,9 @@ use std::time::Duration;
 use cdstore_core::server::GcConfig;
 use cdstore_core::transport::ServerTransport;
 use cdstore_core::{CdStoreError, CdStoreServer};
+use cdstore_crypto::Fingerprint;
 
-use crate::frame::{write_frame, FrameError, FrameReader, Polled};
+use crate::frame::{write_frame, FrameError, FrameReader, Polled, MAX_FRAME_BYTES};
 use crate::message::{decode_request, encode_response, error_to_wire, Request, Response};
 
 /// How often a blocked connection read wakes up to check the shutdown flag.
@@ -110,66 +110,37 @@ fn serve_connection(
     server: Arc<CdStoreServer>,
     shutdown: Arc<AtomicBool>,
 ) -> Result<(), FrameError> {
-    // Small frames (queries, credits) must not sit in Nagle buffers behind
+    // Small frames (queries, receipts) must not sit in Nagle buffers behind
     // an RTT: batching is done explicitly at the message layer.
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut reader = FrameReader::new();
     let mut stream = stream;
-    // Requests that arrived while a stream was waiting for credit.
-    let mut queued: VecDeque<(u64, Request)> = VecDeque::new();
     loop {
-        let (req_id, request) = match queued.pop_front() {
-            Some(next) => next,
-            None => match reader.poll(&mut { &stream })? {
-                Polled::Frame(msg_type, payload) => match decode_request(msg_type, &payload) {
-                    Some(decoded) => decoded,
-                    None => {
-                        return Err(FrameError::Corrupt(format!(
-                            "malformed request (type {msg_type:#04x})"
-                        )))
-                    }
-                },
-                Polled::Idle => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                    continue;
+        let (req_id, request) = match reader.poll(&mut { &stream })? {
+            Polled::Frame(msg_type, payload) => match decode_request(msg_type, &payload) {
+                Some(decoded) => decoded,
+                None => {
+                    return Err(FrameError::Corrupt(format!(
+                        "malformed request (type {msg_type:#04x})"
+                    )))
                 }
-                Polled::Closed => return Ok(()),
             },
+            Polled::Idle => {
+                if shutdown.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                continue;
+            }
+            Polled::Closed => return Ok(()),
         };
-        match request {
-            Request::StreamShares {
-                user,
-                fingerprints,
-                window,
-            } => {
-                stream_shares(
-                    &mut stream,
-                    &mut reader,
-                    &mut queued,
-                    &server,
-                    &shutdown,
-                    req_id,
-                    user,
-                    &fingerprints,
-                    window,
-                )?;
-            }
-            // A credit with no stream in flight: stale (its stream already
-            // ended, e.g. after an error response). Ignore.
-            Request::StreamCredit { .. } => {}
-            other => {
-                let response = handle_request(&server, other);
-                let (msg_type, payload) = encode_response(req_id, &response);
-                write_frame(&mut stream, msg_type, &payload)?;
-            }
-        }
+        let response = handle_request(&server, request);
+        let (msg_type, payload) = encode_response(req_id, &response);
+        write_frame(&mut stream, msg_type, &payload)?;
     }
 }
 
-/// Executes one non-streaming request against the server.
+/// Executes one request against the server.
 fn handle_request(server: &Arc<CdStoreServer>, request: Request) -> Response {
     fn or_err(result: Result<Response, CdStoreError>) -> Response {
         result.unwrap_or_else(|e| error_to_wire(&e))
@@ -210,7 +181,7 @@ fn handle_request(server: &Arc<CdStoreServer>, request: Request) -> Response {
             encoded_pathname,
         } => or_err(ServerTransport::delete_file(t, user, &encoded_pathname).map(Response::Bool)),
         Request::FetchShares { user, fingerprints } => {
-            or_err(ServerTransport::fetch_shares(t, user, &fingerprints).map(Response::Shares))
+            or_err(fetch_shares_capped(t, user, &fingerprints).map(Response::Shares))
         }
         Request::Flush => or_err(ServerTransport::flush(t).map(|()| Response::Unit)),
         Request::Gc { dead_ratio_bits } => or_err(
@@ -223,82 +194,32 @@ fn handle_request(server: &Arc<CdStoreServer>, request: Request) -> Response {
             .map(Response::Gc),
         ),
         Request::Probe => or_err(ServerTransport::probe(t).map(Response::Probe)),
-        // Handled by the connection loop, never here.
-        Request::StreamShares { .. } | Request::StreamCredit { .. } => error_to_wire(
-            &CdStoreError::Remote("stream request out of context".into()),
-        ),
     }
 }
 
-/// Streams shares back under the credit window: at most `window` shares may
-/// be un-acknowledged (un-credited) at any time, so a slow client reading at
-/// its own pace bounds the server's send queue — backpressure, not buffering.
-/// Requests arriving on the connection while the stream waits for credit are
-/// queued and answered afterwards.
-#[allow(clippy::too_many_arguments)]
-fn stream_shares(
-    stream: &mut TcpStream,
-    reader: &mut FrameReader,
-    queued: &mut VecDeque<(u64, Request)>,
-    server: &Arc<CdStoreServer>,
-    shutdown: &Arc<AtomicBool>,
-    req_id: u64,
+/// `CdStoreServer::fetch_shares`, except that it stops reading shares as soon
+/// as the `Shares` reply could no longer be framed: how many fingerprints a
+/// peer sends is outside input, and an oversized reply must cost it a typed
+/// error, not this server the memory (or `encode_frame` its assertion).
+fn fetch_shares_capped(
+    server: &CdStoreServer,
     user: u64,
-    fingerprints: &[cdstore_crypto::Fingerprint],
-    window: u32,
-) -> Result<(), FrameError> {
-    let mut credit: u64 = window.max(1) as u64;
-    for (seq, fp) in fingerprints.iter().enumerate() {
-        // Exhausted credit: wait for the client's grant, servicing any
-        // pipelined non-stream requests that arrive in the meantime.
-        while credit == 0 {
-            match reader.poll(&mut { &*stream })? {
-                Polled::Frame(msg_type, payload) => match decode_request(msg_type, &payload) {
-                    Some((credit_req, Request::StreamCredit { grant })) if credit_req == req_id => {
-                        credit += grant as u64;
-                    }
-                    Some(other) => queued.push_back(other),
-                    None => {
-                        return Err(FrameError::Corrupt(format!(
-                            "malformed request (type {msg_type:#04x})"
-                        )))
-                    }
-                },
-                Polled::Idle => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                }
-                Polled::Closed => return Ok(()),
-            }
+    fingerprints: &[Fingerprint],
+) -> Result<Vec<Vec<u8>>, CdStoreError> {
+    // version + type bytes, `req_id`, share count; then a length word a share.
+    let mut frame_bytes = 2 + 8 + 4;
+    let mut shares = Vec::with_capacity(fingerprints.len());
+    for fp in fingerprints {
+        let share = server.fetch_share(user, fp)?;
+        frame_bytes += 4 + share.len();
+        if frame_bytes > MAX_FRAME_BYTES {
+            return Err(CdStoreError::InvalidConfig(
+                "reply exceeds frame cap".into(),
+            ));
         }
-        // One share per frame: the fetch is per-fingerprint so the server
-        // never materialises the whole restore in memory.
-        let share = match ServerTransport::fetch_shares(&**server, user, std::slice::from_ref(fp)) {
-            Ok(mut shares) => shares.remove(0),
-            Err(e) => {
-                let (msg_type, payload) = encode_response(req_id, &error_to_wire(&e));
-                return write_frame(stream, msg_type, &payload).map_err(FrameError::Io);
-            }
-        };
-        let (msg_type, payload) = encode_response(
-            req_id,
-            &Response::StreamShare {
-                seq: seq as u64,
-                data: share,
-            },
-        );
-        write_frame(stream, msg_type, &payload)?;
-        credit -= 1;
+        shares.push(share);
     }
-    let (msg_type, payload) = encode_response(
-        req_id,
-        &Response::StreamEnd {
-            count: fingerprints.len() as u64,
-        },
-    );
-    write_frame(stream, msg_type, &payload)?;
-    Ok(())
+    Ok(shares)
 }
 
 #[cfg(test)]
@@ -306,6 +227,7 @@ mod tests {
     use super::*;
     use crate::frame::PROTOCOL_VERSION;
     use crate::message::encode_request;
+    use cdstore_core::ShareMetadata;
 
     fn connect(server: &NetServer) -> TcpStream {
         TcpStream::connect(server.local_addr()).unwrap()
@@ -362,6 +284,57 @@ mod tests {
         assert!(matches!(resp, Response::Pong { .. }));
         server.shutdown();
         let _ = PROTOCOL_VERSION;
+    }
+
+    /// How many fingerprints a peer puts in one `FetchShares` is its choice;
+    /// a reply that cannot be framed must cost it a typed error — not the
+    /// connection thread a panic — and the connection keeps serving.
+    #[test]
+    fn an_unframeable_fetch_reply_is_a_typed_error_not_a_dead_connection() {
+        let core = Arc::new(CdStoreServer::new(0));
+        let share = vec![0xabu8; 1 << 20];
+        let fingerprint = Fingerprint::of(&share);
+        let meta = ShareMetadata {
+            fingerprint,
+            share_size: share.len() as u32,
+            secret_seq: 0,
+            secret_size: share.len() as u32,
+        };
+        core.store_shares(7, &[(meta, share.clone())]).unwrap();
+        let mut server = NetServer::bind(core, "127.0.0.1:0").unwrap();
+        let mut stream = connect(&server);
+
+        // 65 × 1 MiB of shares is past the 64 MiB frame cap.
+        let too_many = vec![fingerprint; MAX_FRAME_BYTES / share.len() + 1];
+        let (req_id, resp) = roundtrip(
+            &mut stream,
+            5,
+            &Request::FetchShares {
+                user: 7,
+                fingerprints: too_many,
+            },
+        );
+        assert_eq!(req_id, 5);
+        match resp {
+            Response::Err { code: 1, msg, .. } => assert!(msg.contains("frame cap"), "{msg}"),
+            other => panic!("expected a typed InvalidConfig error, got {other:?}"),
+        }
+
+        // The same connection answers the next request...
+        let (req_id, resp) = roundtrip(
+            &mut stream,
+            6,
+            &Request::FetchShares {
+                user: 7,
+                fingerprints: vec![fingerprint; 2],
+            },
+        );
+        assert_eq!(req_id, 6);
+        assert_eq!(resp, Response::Shares(vec![share.clone(), share]));
+        // ...and the server still accepts new ones.
+        let (_, resp) = roundtrip(&mut connect(&server), 1, &Request::Ping);
+        assert!(matches!(resp, Response::Pong { .. }));
+        server.shutdown();
     }
 
     #[test]

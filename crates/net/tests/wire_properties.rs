@@ -5,7 +5,8 @@
 //! * every strict byte-prefix of a frame is *incomplete* (wait for more
 //!   bytes), never mis-parsed;
 //! * single-byte corruption anywhere in a frame is rejected by the length /
-//!   version / CRC checks — it never decodes back to the original message.
+//!   version / CRC checks — it never decodes back to the original message;
+//! * the message types retired with protocol version 1 stay malformed.
 
 use cdstore_core::server::GcReport;
 use cdstore_core::transport::{ServerProbe, ShareVerdict, StoreReceipt};
@@ -28,7 +29,7 @@ fn fps(seeds: &[u64]) -> Vec<Fingerprint> {
 /// material (the shim has no enum strategies; selection-by-discriminant is
 /// equivalent for coverage).
 fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32) -> Request {
-    match variant % 12 {
+    match variant % 10 {
         0 => Request::Ping,
         1 => Request::IntraUserQuery {
             user,
@@ -86,12 +87,6 @@ fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32)
             user,
             fingerprints: fps(seeds),
         },
-        9 => Request::StreamShares {
-            user,
-            fingerprints: fps(seeds),
-            window: small.max(1),
-        },
-        10 => Request::StreamCredit { grant: small },
         _ => Request::Gc {
             dead_ratio_bits: f64::from(small).to_bits(),
         },
@@ -100,7 +95,7 @@ fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32)
 
 /// Same for responses.
 fn build_response(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32) -> Response {
-    match variant % 10 {
+    match variant % 9 {
         0 => Response::Pong { cloud_index: small },
         1 => Response::Bools(seeds.iter().map(|s| s.is_multiple_of(2)).collect()),
         2 => Response::Receipt(StoreReceipt {
@@ -117,18 +112,14 @@ fn build_response(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32
         3 => Response::Unit,
         4 => Response::Bool(user.is_multiple_of(2)),
         5 => Response::Shares(seeds.iter().map(|_| blob.to_vec()).collect()),
-        6 => Response::StreamShare {
-            seq: user,
-            data: blob.to_vec(),
-        },
-        7 => Response::Gc(GcReport {
+        6 => Response::Gc(GcReport {
             containers_deleted: user,
             containers_compacted: u64::from(small),
             shares_rewritten: seeds.len() as u64,
             reclaimed_bytes: user ^ 7,
             rewritten_bytes: user ^ 13,
         }),
-        8 => Response::Probe(ServerProbe::default()),
+        7 => Response::Probe(ServerProbe::default()),
         _ => Response::Err {
             code: variant,
             needed: user,
@@ -140,6 +131,49 @@ fn build_response(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// 0x0a/0x0b/0x88/0x89 carried the v1 share stream. Whatever such a frame
+    /// holds — including byte-exact v1 bodies — it frames fine and then
+    /// decodes as malformed in both directions, which drops the connection.
+    #[test]
+    fn retired_type_codes_decode_as_malformed(
+        req_id in proptest::any::<u64>(),
+        user in proptest::any::<u64>(),
+        seeds in proptest::collection::vec(proptest::any::<u64>(), 0..12),
+        blob in proptest::collection::vec(proptest::any::<u8>(), 0..512),
+        small in 0u32..4096,
+    ) {
+        let v1_stream_shares = {
+            let fetch = Request::FetchShares { user, fingerprints: fps(&seeds) };
+            let mut body = encode_request(req_id, &fetch).1;
+            body.extend_from_slice(&small.to_le_bytes()); // `window: u32`
+            body
+        };
+        let v1_credit = [&req_id.to_le_bytes()[..], &small.to_le_bytes()[..]].concat();
+        let v1_stream_share = {
+            let mut body = [req_id.to_le_bytes(), user.to_le_bytes()].concat(); // `seq: u64`
+            body.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+            body.extend_from_slice(&blob);
+            body
+        };
+        let v1_stream_end = [req_id.to_le_bytes(), user.to_le_bytes()].concat(); // `count: u64`
+        for (msg_type, body) in [
+            (0x0a, &v1_stream_shares),
+            (0x0b, &v1_credit),
+            (0x88, &v1_stream_share),
+            (0x89, &v1_stream_end),
+            (0x0a, &blob),
+            (0x0b, &blob),
+            (0x88, &blob),
+            (0x89, &blob),
+        ] {
+            let frame = encode_frame(msg_type, body);
+            let (mt, payload, _) = decode_frame(&frame).unwrap().unwrap();
+            prop_assert_eq!(mt, msg_type);
+            prop_assert!(decode_request(mt, &payload).is_none());
+            prop_assert!(decode_response(mt, &payload).is_none());
+        }
+    }
 
     #[test]
     fn requests_round_trip_through_frames(

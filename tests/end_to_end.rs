@@ -2,8 +2,9 @@
 //! convergent dispersal, two-stage deduplication, container storage, index
 //! management, failure handling, and repair.
 
-use cdstore_chunking::ChunkerConfig;
+use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_core::{CdStore, CdStoreConfig, CdStoreError};
+use cdstore_net::{LoopbackCluster, NetClientConfig};
 
 fn structured_data(len: usize, seed: u8) -> Vec<u8> {
     (0..len)
@@ -149,6 +150,29 @@ fn custom_chunker_configurations_work_end_to_end() {
         report.num_secrets
     );
     assert_eq!(store.restore(9, "/small-chunks.tar").unwrap(), data);
+}
+
+/// Restore windows are bounded in bytes, not only in secrets: with 1 MiB
+/// chunks one share is most of a window's budget (windows of one secret, the
+/// floor), with 128 KiB chunks a window takes about a dozen. Either way every window
+/// is one `FetchShares` round trip per cloud, and the restore is byte-exact
+/// from the first three clouds and, after an outage, from the other three.
+#[test]
+fn large_chunk_restores_are_byte_exact_over_the_wire() {
+    let data = structured_data(3 * (1 << 20) + 12_345, 7);
+    for chunk_size in [1 << 20, 128 << 10] {
+        let cluster = LoopbackCluster::spawn(4).unwrap();
+        let config = CdStoreConfig::new(4, 3)
+            .unwrap()
+            .with_chunker_kind(ChunkerKind::Fixed)
+            .with_chunker(ChunkerConfig::new(chunk_size, chunk_size, chunk_size));
+        let store = cluster.store(config, NetClientConfig::default()).unwrap();
+        let report = store.backup(3, "/vm/disk.img", &data).unwrap();
+        assert_eq!(report.num_secrets, data.len().div_ceil(chunk_size));
+        assert_eq!(store.restore(3, "/vm/disk.img").unwrap(), data);
+        store.fail_cloud(0);
+        assert_eq!(store.restore(3, "/vm/disk.img").unwrap(), data);
+    }
 }
 
 #[test]
