@@ -1,5 +1,6 @@
 //! Perf trajectory for the low-level encode kernels: GF(2^8) region
-//! primitives and SHA-256, per ISA backend, written to `BENCH_kernels.json`
+//! primitives, SHA-256 and the AES-256 mask generator, per ISA backend,
+//! written to `BENCH_kernels.json`
 //! so this and future PRs leave a comparable curve (companion to
 //! `bench_encode`'s `BENCH_encode.json`).
 //!
@@ -17,9 +18,10 @@ use serde::Serialize;
 
 use cdstore_bench::fmt_speed;
 use cdstore_bench::kernelbench::{
-    gf_kernel_all_backends, sha_batch_speed, sha_single_speed, KernelSpeed,
+    aes_ctr_speed, aes_generator_mask_speed, gf_kernel_all_backends, sha_batch_speed,
+    sha_single_speed, KernelSpeed,
 };
-use cdstore_crypto::sha256;
+use cdstore_crypto::{aes, sha256};
 use cdstore_gf::region;
 
 /// One measured (kernel, backend) row.
@@ -42,6 +44,7 @@ struct BenchKernels {
     /// Backend the production dispatch selected on this host.
     gf_active_backend: &'static str,
     sha_active_backend: &'static str,
+    aes_active_backend: &'static str,
     rows: Vec<KernelRow>,
 }
 
@@ -121,18 +124,40 @@ fn main() {
         }
     }
 
+    // AES-256: bulk CTR under one key, and the CAONT generator mask at the
+    // real secret size (a key expansion per 8 KiB secret).
+    type AesSpeed = fn(aes::Backend, usize, usize) -> f64;
+    let aes_kernels: [(&str, AesSpeed); 2] = [
+        ("aes/ctr", aes_ctr_speed),
+        ("aes/generator_mask", aes_generator_mask_speed),
+    ];
+    for (kernel, speed) in aes_kernels {
+        let speeds: Vec<KernelSpeed> = aes::Backend::available()
+            .into_iter()
+            .map(|backend| KernelSpeed {
+                backend: backend.name(),
+                mbps: speed(backend, region_bytes, reps),
+            })
+            .collect();
+        for s in &speeds {
+            println!("{kernel:<18} {:<7} {}", s.backend, fmt_speed(s.mbps));
+        }
+        rows.extend(rows_from(kernel, &speeds));
+    }
+
     let snapshot = BenchKernels {
         schema_version: 1,
         region_bytes,
         reps,
         gf_active_backend: region::Backend::active().name(),
         sha_active_backend: sha256::Backend::active().name(),
+        aes_active_backend: aes::Backend::active().name(),
         rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("serialise snapshot");
     std::fs::write(out_path, &json).expect("write BENCH_kernels.json");
     println!(
-        "active backends: gf={} sha={}; wrote {out_path}",
-        snapshot.gf_active_backend, snapshot.sha_active_backend
+        "active backends: gf={} sha={} aes={}; wrote {out_path}",
+        snapshot.gf_active_backend, snapshot.sha_active_backend, snapshot.aes_active_backend
     );
 }

@@ -1,5 +1,6 @@
 //! Measurement helpers for the low-level encode kernels: the GF(2^8) region
-//! primitives (`xor_into`, `mul_into`, `mul_acc`) and SHA-256, per backend.
+//! primitives (`xor_into`, `mul_into`, `mul_acc`), SHA-256 and the AES-256
+//! CTR mask generator, per backend.
 //!
 //! Used by the `bench_kernels` binary (perf trajectory `BENCH_kernels.json`).
 //! Every backend reported by [`Backend::available()`] is measured over the
@@ -8,7 +9,7 @@
 
 use std::time::Instant;
 
-use cdstore_crypto::sha256;
+use cdstore_crypto::{aes, ctr, sha256};
 use cdstore_gf::region::Backend;
 
 use crate::MB;
@@ -16,7 +17,7 @@ use crate::MB;
 /// Throughput of one measured kernel on one backend.
 #[derive(Debug, Clone)]
 pub struct KernelSpeed {
-    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`).
+    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `aes-ni`).
     pub backend: &'static str,
     /// Median throughput in MB/s of region bytes processed.
     pub mbps: f64,
@@ -97,6 +98,35 @@ pub fn sha_batch_speed(backend: sha256::Backend, msg_len: usize, lanes: usize, r
         sink ^= digests[0][0];
     });
     std::hint::black_box(sink);
+    mbps
+}
+
+/// Measures AES-256-CTR throughput on one backend: one key expansion, then
+/// `reps` timed keystream passes over a `region_len`-byte buffer, median MB/s.
+pub fn aes_ctr_speed(backend: aes::Backend, region_len: usize, reps: usize) -> f64 {
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x8EBC_6AF0_9C88_C6E3);
+    let cipher = ctr::Aes256Ctr::with_backend(backend, &[0x5a; aes::KEY_SIZE], 0);
+    let mbps = measure(region_len, reps, || cipher.apply_keystream(&mut buf, 0));
+    std::hint::black_box(&buf);
+    mbps
+}
+
+/// Measures the CAONT generator mask on one backend the way the encoder
+/// calls it: `region_len` bytes as consecutive 8 KiB secrets (the average
+/// chunk size), each masked under its own key, so the per-secret key
+/// expansion is part of the rate. `reps` timed passes, median MB/s.
+pub fn aes_generator_mask_speed(backend: aes::Backend, region_len: usize, reps: usize) -> f64 {
+    const SECRET_LEN: usize = 8 * 1024;
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x5899_65CC_7537_4CC3);
+    let mbps = measure(region_len, reps, || {
+        for (i, secret) in buf.chunks_mut(SECRET_LEN).enumerate() {
+            let h = [i as u8; 32];
+            ctr::apply_generator_mask_with(backend, &h, secret);
+        }
+    });
+    std::hint::black_box(&buf);
     mbps
 }
 

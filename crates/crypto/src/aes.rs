@@ -5,6 +5,25 @@
 //! generation only ever runs the forward cipher, so that is all this module
 //! implements; the FIPS 197 and SP 800-38A encrypt vectors are its
 //! correctness check.
+//!
+//! # Kernel dispatch
+//!
+//! The cipher has two implementations: the portable byte-wise rounds below
+//! (per-byte S-box, `xtime` MixColumns), and an x86_64 AES-NI path
+//! (`aesenc`/`aesenclast`) selected once per process by runtime feature
+//! detection (see [`Backend::active`]). Setting `CDSTORE_FORCE_SCALAR` (to
+//! anything but `0`) before first use forces the portable path — the same
+//! override the SHA-256 and GF(2^8) kernels honour. Both run over the one
+//! key schedule [`Aes256::with_backend`] expands: FIPS 197's round keys,
+//! byte for byte, are what `aesenc` takes as its operand.
+//!
+//! The portable cipher is also the reference every backend is compared
+//! against in `tests/aes_differential.rs`. There is deliberately no T-table
+//! variant between the two: no supported host would run it, and its
+//! key-dependent table reads would add a cache-timing channel on a
+//! content-derived key.
+
+use std::sync::OnceLock;
 
 /// AES block size in bytes.
 pub const BLOCK_SIZE: usize = 16;
@@ -45,15 +64,89 @@ const fn xtime(b: u8) -> u8 {
     }
 }
 
-/// An expanded AES-256 key schedule.
+/// An AES round implementation selected by runtime CPU detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// Portable byte-wise rounds; always available, and the reference the
+    /// differential suite compares every other backend against.
+    Scalar,
+    /// x86_64 AES-NI (`aesenc`/`aesenclast`), eight CTR blocks in flight.
+    AesNi,
+}
+
+static ACTIVE: OnceLock<Backend> = OnceLock::new();
+
+impl Backend {
+    /// Every backend runnable on this CPU, scalar first (for the
+    /// differential test suite).
+    pub fn available() -> Vec<Backend> {
+        [Backend::Scalar, Backend::AesNi]
+            .into_iter()
+            .filter(|b| b.detected())
+            .collect()
+    }
+
+    /// The backend [`Aes256::new`] uses, chosen once per process: AES-NI
+    /// where detected, unless `CDSTORE_FORCE_SCALAR` is set at first use.
+    pub fn active() -> Backend {
+        *ACTIVE.get_or_init(|| {
+            let force_scalar = std::env::var_os("CDSTORE_FORCE_SCALAR").is_some_and(|v| v != "0");
+            if force_scalar {
+                Backend::Scalar
+            } else {
+                *Self::available().last().expect("scalar always available")
+            }
+        })
+    }
+
+    /// Human-readable backend name (used by benches and logs).
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Scalar => "scalar",
+            Backend::AesNi => "aes-ni",
+        }
+    }
+
+    /// Whether this CPU can run the backend (std caches the `cpuid` probe,
+    /// so this is two relaxed loads).
+    fn detected(self) -> bool {
+        match self {
+            Backend::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi => is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::AesNi => false,
+        }
+    }
+}
+
+/// An expanded AES-256 key schedule, bound to the backend that runs it.
 #[derive(Clone)]
 pub struct Aes256 {
     round_keys: [[u8; 16]; ROUNDS + 1],
+    /// Invariant (the `unsafe` dispatch below relies on it): `AesNi` only if
+    /// [`Backend::detected`] said so — `with_backend` is the one constructor.
+    backend: Backend,
 }
 
 impl Aes256 {
-    /// Expands a 32-byte key into the full key schedule.
+    /// Expands a 32-byte key for the process-wide [`Backend::active`].
     pub fn new(key: &[u8; KEY_SIZE]) -> Self {
+        Self::with_backend(Backend::active(), key)
+    }
+
+    /// Expands a 32-byte key into the full key schedule, to be run on
+    /// `backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is not in [`Backend::available`] on this CPU.
+    pub fn with_backend(backend: Backend, key: &[u8; KEY_SIZE]) -> Self {
+        assert!(
+            backend.detected(),
+            "AES backend {} is not available on this CPU",
+            backend.name()
+        );
         // 60 32-bit words for AES-256.
         let nk = 8usize;
         let total_words = 4 * (ROUNDS + 1);
@@ -85,11 +178,54 @@ impl Aes256 {
                 rk[c * 4..(c + 1) * 4].copy_from_slice(&w[r * 4 + c]);
             }
         }
-        Aes256 { round_keys }
+        Aes256 {
+            round_keys,
+            backend,
+        }
     }
 
     /// Encrypts a single 16-byte block in place.
+    #[allow(unsafe_code)] // the AesNi variant exists only after feature detection
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `with_backend` asserted `aes` and `sse2` were detected
+            // before storing `AesNi`; the block is exactly 16 bytes by type.
+            Backend::AesNi => unsafe { ni::encrypt_block(&self.round_keys, block) },
+            _ => self.encrypt_block_scalar(block),
+        }
+    }
+
+    /// CTR-mode kernel: `buf[i] ^= keystream[i] ^ fill`, where the keystream
+    /// is the encryption of the big-endian counter blocks `nonce ‖ counter`
+    /// for `counter = start_block, start_block + 1, …` (wrapping in its own
+    /// 64 bits, never carrying into the nonce). `fill = 0` is plain CTR;
+    /// the CAONT generator passes its constant byte so masking a secret is
+    /// one pass over it.
+    #[allow(unsafe_code)] // the AesNi variant exists only after feature detection
+    pub(crate) fn ctr_xor(&self, nonce: u64, start_block: u64, fill: u8, buf: &mut [u8]) {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `with_backend` asserted `aes` and `sse2` were detected
+            // before storing `AesNi`; the kernel takes any `buf` length.
+            Backend::AesNi => unsafe {
+                ni::ctr_xor(&self.round_keys, nonce, start_block, fill, buf)
+            },
+            _ => {
+                let mut counter = start_block;
+                for chunk in buf.chunks_mut(BLOCK_SIZE) {
+                    let mut block = counter_block(nonce, counter);
+                    self.encrypt_block_scalar(&mut block);
+                    for (b, k) in chunk.iter_mut().zip(block.iter()) {
+                        *b ^= k ^ fill;
+                    }
+                    counter = counter.wrapping_add(1);
+                }
+            }
+        }
+    }
+
+    fn encrypt_block_scalar(&self, block: &mut [u8; BLOCK_SIZE]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..ROUNDS {
             sub_bytes(block);
@@ -108,6 +244,15 @@ impl Aes256 {
         self.encrypt_block(&mut out);
         out
     }
+}
+
+/// The CTR counter block: an 8-byte big-endian nonce followed by an 8-byte
+/// big-endian block counter.
+fn counter_block(nonce: u64, counter: u64) -> [u8; BLOCK_SIZE] {
+    let mut block = [0u8; BLOCK_SIZE];
+    block[..8].copy_from_slice(&nonce.to_be_bytes());
+    block[8..].copy_from_slice(&counter.to_be_bytes());
+    block
 }
 
 #[inline]
@@ -158,6 +303,134 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    //! x86_64 AES-NI rounds. One `aesenc` is a full round (ShiftRows,
+    //! SubBytes, MixColumns, AddRoundKey) with a latency of several cycles
+    //! but a throughput of one or two per cycle, so a lone block leaves the
+    //! unit mostly idle. CTR blocks are independent: the kernel keeps
+    //! [`LANES`] of them in flight per round to fill the pipeline.
+
+    use super::{BLOCK_SIZE, ROUNDS};
+    use core::arch::x86_64::*;
+
+    /// Counter blocks encrypted per batch.
+    const LANES: usize = 8;
+
+    type RoundKeys = [[u8; BLOCK_SIZE]; ROUNDS + 1];
+
+    /// # Safety
+    ///
+    /// Caller must ensure the `sse2` feature is available.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn load_keys(round_keys: &RoundKeys) -> [__m128i; ROUNDS + 1] {
+        // SAFETY: each round key is a 16-byte array and `loadu` has no
+        // alignment requirement.
+        round_keys.map(|rk| unsafe { _mm_loadu_si128(rk.as_ptr().cast()) })
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes` and `sse2` features are available.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn encrypt_block(round_keys: &RoundKeys, block: &mut [u8; BLOCK_SIZE]) {
+        let k = load_keys(round_keys);
+        // SAFETY: `block` is a 16-byte array; unaligned load/store.
+        let mut b = _mm_xor_si128(_mm_loadu_si128(block.as_ptr().cast()), k[0]);
+        for rk in &k[1..ROUNDS] {
+            b = _mm_aesenc_si128(b, *rk);
+        }
+        b = _mm_aesenclast_si128(b, k[ROUNDS]);
+        _mm_storeu_si128(block.as_mut_ptr().cast(), b);
+    }
+
+    /// Encrypts the [`LANES`] counter blocks `nonce ‖ counter + i`. `k_last`
+    /// is the final round key, into which the caller may have folded a
+    /// constant (`aesenclast` ends with the round-key XOR).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes` and `sse2` features are available.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn keystream_batch(
+        k: &[__m128i; ROUNDS + 1],
+        k_last: __m128i,
+        nonce_be: i64,
+        counter: u64,
+    ) -> [__m128i; LANES] {
+        // A register's low lane is the block's first eight bytes: storing
+        // the byte-swapped integers little-endian lays both halves out
+        // big-endian. The counter add is a plain u64 add, so it wraps in the
+        // low half of the block and cannot carry into the nonce.
+        let mut b: [__m128i; LANES] = core::array::from_fn(|i| {
+            let ctr_be = counter.wrapping_add(i as u64).swap_bytes() as i64;
+            _mm_xor_si128(_mm_set_epi64x(ctr_be, nonce_be), k[0])
+        });
+        for rk in &k[1..ROUNDS] {
+            for lane in &mut b {
+                *lane = _mm_aesenc_si128(*lane, *rk);
+            }
+        }
+        for lane in &mut b {
+            *lane = _mm_aesenclast_si128(*lane, k_last);
+        }
+        b
+    }
+
+    /// `buf[i] ^= keystream[i] ^ fill` for any `buf` length; see
+    /// [`super::Aes256::ctr_xor`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes` and `sse2` features are available.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn ctr_xor(
+        round_keys: &RoundKeys,
+        nonce: u64,
+        start_block: u64,
+        fill: u8,
+        buf: &mut [u8],
+    ) {
+        const BATCH: usize = LANES * BLOCK_SIZE;
+        let k = load_keys(round_keys);
+        // keystream ^ fill comes for free from the last round.
+        let k_last = _mm_xor_si128(k[ROUNDS], _mm_set1_epi8(fill as i8));
+        let nonce_be = nonce.swap_bytes() as i64;
+        let mut counter = start_block;
+
+        let mut batches = buf.chunks_exact_mut(BATCH);
+        for batch in &mut batches {
+            let ks = keystream_batch(&k, k_last, nonce_be, counter);
+            for (lane, ks) in batch.chunks_exact_mut(BLOCK_SIZE).zip(ks) {
+                // SAFETY: `chunks_exact_mut` yields exactly 16 writable
+                // bytes per lane; unaligned load/store.
+                let p = lane.as_mut_ptr().cast::<__m128i>();
+                _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), ks));
+            }
+            counter = counter.wrapping_add(LANES as u64);
+        }
+
+        // Fewer than LANES blocks left, the last possibly partial: one more
+        // batch into a stack buffer, of which only `tail.len()` bytes are
+        // used.
+        let tail = batches.into_remainder();
+        if !tail.is_empty() {
+            let ks = keystream_batch(&k, k_last, nonce_be, counter);
+            let mut bytes = [0u8; BATCH];
+            for (lane, ks) in bytes.chunks_exact_mut(BLOCK_SIZE).zip(ks) {
+                // SAFETY: as above — 16 writable bytes per lane.
+                _mm_storeu_si128(lane.as_mut_ptr().cast(), ks);
+            }
+            for (b, k) in tail.iter_mut().zip(bytes) {
+                *b ^= k;
+            }
+        }
     }
 }
 

@@ -5,9 +5,11 @@
 //! block `C` with the same size as the secret is encrypted under the hash
 //! key `h`. Implementing `E` as AES-256 in CTR mode makes `G` a single bulk
 //! encryption over the whole secret — the performance advantage of CAONT-RS
-//! over Rivest's word-by-word AONT that §5.3 measures.
+//! over Rivest's word-by-word AONT that §5.3 measures. The pass itself is
+//! [`crate::aes`]'s CTR kernel (eight counter blocks per AES-NI batch where
+//! the CPU has it, the portable byte-wise cipher otherwise).
 
-use crate::aes::{Aes256, BLOCK_SIZE, KEY_SIZE};
+use crate::aes::{Aes256, Backend, KEY_SIZE};
 
 /// AES-256 CTR-mode keystream generator / encryptor.
 ///
@@ -19,28 +21,30 @@ pub struct Aes256Ctr {
 }
 
 impl Aes256Ctr {
-    /// Creates a CTR encryptor from a 32-byte key and an 8-byte nonce.
+    /// Creates a CTR encryptor from a 32-byte key and an 8-byte nonce, on
+    /// the process-wide [`Backend::active`].
     pub fn new(key: &[u8; KEY_SIZE], nonce: u64) -> Self {
+        Self::with_backend(Backend::active(), key, nonce)
+    }
+
+    /// As [`Aes256Ctr::new`], on an explicit backend (differential tests and
+    /// the kernel bench run every available one side by side).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is not in [`Backend::available`] on this CPU.
+    pub fn with_backend(backend: Backend, key: &[u8; KEY_SIZE], nonce: u64) -> Self {
         Aes256Ctr {
-            cipher: Aes256::new(key),
+            cipher: Aes256::with_backend(backend, key),
             nonce,
         }
     }
 
     /// XORs the keystream starting at block `start_block` into `buf`
-    /// (encrypt and decrypt are the same operation).
+    /// (encrypt and decrypt are the same operation). The block counter wraps
+    /// at `u64::MAX` without carrying into the nonce.
     pub fn apply_keystream(&self, buf: &mut [u8], start_block: u64) {
-        let mut counter = start_block;
-        for chunk in buf.chunks_mut(BLOCK_SIZE) {
-            let mut block = [0u8; BLOCK_SIZE];
-            block[..8].copy_from_slice(&self.nonce.to_be_bytes());
-            block[8..].copy_from_slice(&counter.to_be_bytes());
-            self.cipher.encrypt_block(&mut block);
-            for (b, k) in chunk.iter_mut().zip(block.iter()) {
-                *b ^= k;
-            }
-            counter = counter.wrapping_add(1);
-        }
+        self.cipher.ctr_xor(self.nonce, start_block, 0, buf);
     }
 
     /// Encrypts `data`, returning a new buffer.
@@ -64,23 +68,27 @@ pub const CONSTANT_BLOCK_BYTE: u8 = 0x43;
 /// identical secrets always produce identical masks — the property that makes
 /// convergent dispersal deduplicable.
 pub fn generator_mask(h: &[u8; 32], len: usize) -> Vec<u8> {
-    let ctr = Aes256Ctr::new(h, 0);
-    let mut block = vec![CONSTANT_BLOCK_BYTE; len];
-    ctr.apply_keystream(&mut block, 0);
-    block
+    let mut mask = vec![0u8; len];
+    apply_generator_mask(h, &mut mask);
+    mask
 }
 
 /// Applies the mask `G(h)` to `data` in place: `data[i] ^= G(h)[i]`.
 ///
-/// This computes `Y = X ⊕ G(h)` (encoding) or `X = Y ⊕ G(h)` (decoding)
-/// without allocating the mask separately from the keystream pass.
+/// This computes `Y = X ⊕ G(h)` (encoding) or `X = Y ⊕ G(h)` (decoding) in
+/// one pass over `data`: the CTR kernel XORs `keystream ⊕ C` straight into
+/// the buffer, so the mask is never materialised.
 pub fn apply_generator_mask(h: &[u8; 32], data: &mut [u8]) {
-    let ctr = Aes256Ctr::new(h, 0);
-    // data ^= keystream ^ C  ==  data ^= G(h).
-    for b in data.iter_mut() {
-        *b ^= CONSTANT_BLOCK_BYTE;
-    }
-    ctr.apply_keystream(data, 0);
+    apply_generator_mask_with(Backend::active(), h, data);
+}
+
+/// As [`apply_generator_mask`], on an explicit backend.
+///
+/// # Panics
+///
+/// Panics if `backend` is not in [`Backend::available`] on this CPU.
+pub fn apply_generator_mask_with(backend: Backend, h: &[u8; 32], data: &mut [u8]) {
+    Aes256::with_backend(backend, h).ctr_xor(0, 0, CONSTANT_BLOCK_BYTE, data);
 }
 
 #[cfg(test)]

@@ -4,10 +4,13 @@
 //! SHA-256 for the convergent hash key and deduplication fingerprints and
 //! AES-256 for the AONT mask generator. This crate re-implements those
 //! primitives from scratch (verified against the standard FIPS/RFC test
-//! vectors) so the whole reproduction is self-contained.
+//! vectors) so the whole reproduction is self-contained. Each has a portable
+//! implementation and a hardware one (SHA-NI, AES-NI) behind a detect-once
+//! `Backend`; `CDSTORE_FORCE_SCALAR` pins the portable pair.
 //!
 //! * [`sha256`] — incremental hash function.
-//! * [`aes`] — AES-256 forward block cipher (all that CTR mode needs).
+//! * [`aes`] — AES-256 forward block cipher (all that CTR mode needs) and
+//!   its multi-block CTR kernel.
 //! * [`ctr`] — AES-256 in counter mode, used as the OAEP-style mask
 //!   generator `G(h) = E(h, C)` of CAONT-RS.
 //! * [`Fingerprint`] — a 32-byte content fingerprint with hex formatting,
@@ -23,9 +26,11 @@
 //! assert_eq!(fp.as_bytes().len(), 32);
 //! ```
 
-// Unsafe is denied crate-wide and re-allowed only for the SHA-NI module in
-// `sha256`, whose intrinsics carry per-function safety contracts (CPU
-// feature detection before dispatch).
+// Unsafe is denied crate-wide and re-allowed for two modules and the safe
+// functions that dispatch into them: SHA-NI in `sha256` (plus its SSE2 batch
+// lanes) and AES-NI in `aes`. Their intrinsics carry per-function safety
+// contracts: CPU feature detection before dispatch, and the length
+// precondition the caller established.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

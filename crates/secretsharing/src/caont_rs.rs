@@ -117,6 +117,18 @@ impl CaontRs {
 
     /// Inverts [`CaontRs::build_package`], verifying the embedded hash.
     pub fn open_package(&self, package: &[u8], secret_len: usize) -> Result<Vec<u8>, SharingError> {
+        self.open_package_in_place(package.to_vec(), secret_len)
+    }
+
+    /// [`CaontRs::open_package`] on an owned package: `Y` is unmasked where it
+    /// lies and the buffer is returned as the secret, so the decode path
+    /// (whose package is a fresh Reed-Solomon output) copies nothing. On an
+    /// integrity failure the half-opened buffer is dropped, never returned.
+    fn open_package_in_place(
+        &self,
+        mut package: Vec<u8>,
+        secret_len: usize,
+    ) -> Result<Vec<u8>, SharingError> {
         if package.len() < HASH_SIZE || package.len() - HASH_SIZE < secret_len {
             return Err(SharingError::MalformedShare(format!(
                 "CAONT package of {} bytes is too short for a {secret_len}-byte secret",
@@ -124,7 +136,7 @@ impl CaontRs {
             )));
         }
         let padded_len = package.len() - HASH_SIZE;
-        let (y, t) = package.split_at(padded_len);
+        let (y, t) = package.split_at_mut(padded_len);
         // h = t ⊕ H(Y).
         let hy = sha256::hash(y);
         let mut h = [0u8; HASH_SIZE];
@@ -132,15 +144,14 @@ impl CaontRs {
             h[i] = t[i] ^ hy[i];
         }
         // X = Y ⊕ G(h).
-        let mut x = y.to_vec();
-        ctr::apply_generator_mask(&h, &mut x);
+        ctr::apply_generator_mask(&h, y);
         // Integrity: H(X) must equal h.
-        let expected = self.hash_key(&x);
+        let expected = self.hash_key(y);
         if !constant_time_eq(&expected, &h) {
             return Err(SharingError::IntegrityCheckFailed);
         }
-        x.truncate(secret_len);
-        Ok(x)
+        package.truncate(secret_len);
+        Ok(package)
     }
 
     /// Reconstructs the secret by brute-forcing subsets of `k` shares until
@@ -187,7 +198,7 @@ impl CaontRs {
         let (_, share_len) = validate_shares(shares, self.n, self.k)?;
         let package_len = share_len * self.k;
         let package = self.rs.reconstruct_data_borrowed(shares, package_len)?;
-        self.open_package(&package, secret_len)
+        self.open_package_in_place(package, secret_len)
     }
 }
 
@@ -297,6 +308,12 @@ mod tests {
             let secret: Vec<u8> = (0..len as u32).map(|i| (i * 31 % 256) as u8).collect();
             scheme.split_into(&secret, &mut shares).unwrap();
             assert_eq!(shares, scheme.split(&secret).unwrap(), "len {len}");
+            // The decode opens the package in place: same bytes back, from
+            // the systematic shares and through a parity share.
+            for drop in [3, 0] {
+                let received = drop_shares(shares.clone(), &[drop]);
+                assert_eq!(scheme.reconstruct(&received, len).unwrap(), secret);
+            }
         }
         // After the 8192-byte round the buffers retain capacity for reuse.
         assert!(shares[0].capacity() >= scheme.share_size(500));
@@ -391,6 +408,30 @@ mod tests {
                 .unwrap(),
             secret
         );
+    }
+
+    #[test]
+    fn tampered_package_fails_closed() {
+        // A flipped bit anywhere in (Y, t) changes h, so the whole head
+        // unmasks to garbage; the caller must get the error and no bytes.
+        let scheme = CaontRs::new(4, 3).unwrap();
+        let secret: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 256) as u8).collect();
+        let package = scheme.build_package(&secret);
+        for at in [0, 500, package.len() - HASH_SIZE, package.len() - 1] {
+            let mut tampered = package.clone();
+            tampered[at] ^= 0x01;
+            assert_eq!(
+                scheme.open_package(&tampered, secret.len()),
+                Err(SharingError::IntegrityCheckFailed),
+                "flip at {at}"
+            );
+            assert_eq!(
+                scheme.open_package_in_place(tampered, secret.len()),
+                Err(SharingError::IntegrityCheckFailed),
+                "flip at {at}, in place"
+            );
+        }
+        assert_eq!(scheme.open_package(&package, secret.len()).unwrap(), secret);
     }
 
     #[test]
