@@ -1,8 +1,7 @@
-//! Perf trajectory for the low-level encode kernels: GF(2^8) region
-//! primitives, SHA-256 and the AES-256 mask generator, per ISA backend,
-//! written to `BENCH_kernels.json`
-//! so this and future PRs leave a comparable curve (companion to
-//! `bench_encode`'s `BENCH_encode.json`).
+//! Perf trajectory for the low-level kernels: GF(2^8) region primitives,
+//! SHA-256, the AES-256 mask generator and CRC-32, per ISA backend, written
+//! to `BENCH_kernels.json` so this and future PRs leave a comparable curve
+//! (companion to `bench_encode`'s `BENCH_encode.json`).
 //!
 //! ```text
 //! cargo run --release -p cdstore_bench --bin bench_kernels [-- out_path] [region_mb | --smoke]
@@ -18,10 +17,10 @@ use serde::Serialize;
 
 use cdstore_bench::fmt_speed;
 use cdstore_bench::kernelbench::{
-    aes_ctr_speed, aes_generator_mask_speed, gf_kernel_all_backends, sha_batch_speed,
+    aes_ctr_speed, aes_generator_mask_speed, crc32_speed, gf_kernel_all_backends, sha_batch_speed,
     sha_single_speed, KernelSpeed,
 };
-use cdstore_crypto::{aes, sha256};
+use cdstore_crypto::{aes, crc32, sha256};
 use cdstore_gf::region;
 
 /// One measured (kernel, backend) row.
@@ -45,6 +44,7 @@ struct BenchKernels {
     gf_active_backend: &'static str,
     sha_active_backend: &'static str,
     aes_active_backend: &'static str,
+    crc32_active_backend: &'static str,
     rows: Vec<KernelRow>,
 }
 
@@ -145,6 +145,26 @@ fn main() {
         rows.extend(rows_from(kernel, &speeds));
     }
 
+    // CRC-32: one wire frame of shares, and journal-record-sized messages
+    // (where the per-call dispatch and the table path for the tail show).
+    const FRAME_BYTES: usize = 4 << 20;
+    for (kernel, msg_len, region) in [
+        ("crc32/4MiB", FRAME_BYTES, FRAME_BYTES),
+        ("crc32/76B", 76, region_bytes),
+    ] {
+        let speeds: Vec<KernelSpeed> = crc32::Backend::available()
+            .into_iter()
+            .map(|backend| KernelSpeed {
+                backend: backend.name(),
+                mbps: crc32_speed(backend, msg_len, region, reps),
+            })
+            .collect();
+        for s in &speeds {
+            println!("{kernel:<18} {:<9} {}", s.backend, fmt_speed(s.mbps));
+        }
+        rows.extend(rows_from(kernel, &speeds));
+    }
+
     let snapshot = BenchKernels {
         schema_version: 1,
         region_bytes,
@@ -152,12 +172,16 @@ fn main() {
         gf_active_backend: region::Backend::active().name(),
         sha_active_backend: sha256::Backend::active().name(),
         aes_active_backend: aes::Backend::active().name(),
+        crc32_active_backend: crc32::Backend::active().name(),
         rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("serialise snapshot");
     std::fs::write(out_path, &json).expect("write BENCH_kernels.json");
     println!(
-        "active backends: gf={} sha={} aes={}; wrote {out_path}",
-        snapshot.gf_active_backend, snapshot.sha_active_backend, snapshot.aes_active_backend
+        "active backends: gf={} sha={} aes={} crc32={}; wrote {out_path}",
+        snapshot.gf_active_backend,
+        snapshot.sha_active_backend,
+        snapshot.aes_active_backend,
+        snapshot.crc32_active_backend
     );
 }

@@ -1,6 +1,6 @@
 //! Measurement helpers for the low-level encode kernels: the GF(2^8) region
-//! primitives (`xor_into`, `mul_into`, `mul_acc`), SHA-256 and the AES-256
-//! CTR mask generator, per backend.
+//! primitives (`xor_into`, `mul_into`, `mul_acc`), SHA-256, the AES-256 CTR
+//! mask generator and CRC-32, per backend.
 //!
 //! Used by the `bench_kernels` binary (perf trajectory `BENCH_kernels.json`).
 //! Every backend reported by [`Backend::available()`] is measured over the
@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use cdstore_crypto::{aes, ctr, sha256};
+use cdstore_crypto::{aes, crc32, ctr, sha256};
 use cdstore_gf::region::Backend;
 
 use crate::MB;
@@ -17,7 +17,8 @@ use crate::MB;
 /// Throughput of one measured kernel on one backend.
 #[derive(Debug, Clone)]
 pub struct KernelSpeed {
-    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `aes-ni`).
+    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `aes-ni`,
+    /// `pclmulqdq`).
     pub backend: &'static str,
     /// Median throughput in MB/s of region bytes processed.
     pub mbps: f64,
@@ -127,6 +128,23 @@ pub fn aes_generator_mask_speed(backend: aes::Backend, region_len: usize, reps: 
         }
     });
     std::hint::black_box(&buf);
+    mbps
+}
+
+/// Measures CRC-32 on one backend: `region_len` bytes summed as consecutive
+/// `msg_len`-byte messages (a wire frame is megabytes, a journal record 76
+/// bytes — the per-call cost matters for the second). `reps` timed passes,
+/// median MB/s.
+pub fn crc32_speed(backend: crc32::Backend, msg_len: usize, region_len: usize, reps: usize) -> f64 {
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x517C_C1B7_2722_0A95);
+    let mut sink = 0u32;
+    let mbps = measure(region_len, reps, || {
+        for msg in buf.chunks(msg_len) {
+            sink ^= crc32::crc32_with(backend, msg);
+        }
+    });
+    std::hint::black_box(sink);
     mbps
 }
 

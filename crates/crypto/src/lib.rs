@@ -5,14 +5,17 @@
 //! AES-256 for the AONT mask generator. This crate re-implements those
 //! primitives from scratch (verified against the standard FIPS/RFC test
 //! vectors) so the whole reproduction is self-contained. Each has a portable
-//! implementation and a hardware one (SHA-NI, AES-NI) behind a detect-once
-//! `Backend`; `CDSTORE_FORCE_SCALAR` pins the portable pair.
+//! implementation and a hardware one (SHA-NI, AES-NI, PCLMULQDQ) behind a
+//! detect-once `Backend`; `CDSTORE_FORCE_SCALAR` pins the portable ones.
 //!
 //! * [`sha256`] — incremental hash function.
 //! * [`aes`] — AES-256 forward block cipher (all that CTR mode needs) and
 //!   its multi-block CTR kernel.
 //! * [`ctr`] — AES-256 in counter mode, used as the OAEP-style mask
 //!   generator `G(h) = E(h, C)` of CAONT-RS.
+//! * [`crc32`] — the IEEE CRC-32 that frames journal records, index runs
+//!   and wire messages (a checksum, not a cryptographic primitive; it lives
+//!   here because this is where the detect-once kernels live).
 //! * [`Fingerprint`] — a 32-byte content fingerprint with hex formatting,
 //!   the unit of deduplication indexing.
 //!
@@ -26,15 +29,16 @@
 //! assert_eq!(fp.as_bytes().len(), 32);
 //! ```
 
-// Unsafe is denied crate-wide and re-allowed for two modules and the safe
+// Unsafe is denied crate-wide and re-allowed for three modules and the safe
 // functions that dispatch into them: SHA-NI in `sha256` (plus its SSE2 batch
-// lanes) and AES-NI in `aes`. Their intrinsics carry per-function safety
-// contracts: CPU feature detection before dispatch, and the length
-// precondition the caller established.
+// lanes), AES-NI in `aes` and PCLMULQDQ folding in `crc32`. Their intrinsics
+// carry per-function safety contracts: CPU feature detection before
+// dispatch, and the length precondition the caller established.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
+pub mod crc32;
 pub mod ctr;
 pub mod sha256;
 

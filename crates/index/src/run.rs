@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use cdstore_storage::journal::crc32;
+use cdstore_crypto::crc32::crc32;
 use cdstore_storage::{LruCache, StorageBackend, StorageError};
 
 use crate::bloom::BloomFilter;

@@ -10,9 +10,10 @@
 //! times (server-side errors are never retried — they would fail again).
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,8 +23,10 @@ use cdstore_core::{CdStoreError, FileRecipe, ShareMetadata};
 use cdstore_crypto::Fingerprint;
 use parking_lot::Mutex;
 
-use crate::frame::{write_frame, FrameReader, Polled};
-use crate::message::{decode_response, encode_request, error_from_wire, Request, Response};
+use crate::frame::{FrameError, FrameReader, Polled};
+use crate::message::{
+    decode_response, error_from_wire, request_frame, store_shares_frame, Request, Response,
+};
 
 /// Tuning knobs of a [`NetClient`].
 #[derive(Debug, Clone)]
@@ -162,29 +165,19 @@ impl NetClient {
         Ok(link)
     }
 
-    /// Registers a waiter and sends one request on `link`.
-    fn send(&self, link: &Link, req: &Request) -> Result<(u64, Receiver<Response>), CdStoreError> {
-        let req_id = self.next_req_id();
+    /// One RPC with timeout, without retry: registers a waiter, sends the
+    /// sealed frame in one `write_all` under the stream lock, and waits.
+    fn call_once(&self, req_id: u64, frame: &[u8]) -> Result<Response, CdStoreError> {
+        let link = self.link()?;
         // One response per request: a depth of one never blocks the reader.
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         link.pending.lock().insert(req_id, tx);
-        let (msg_type, payload) = encode_request(req_id, req);
-        let write_result = {
-            let mut stream = link.stream.lock();
-            write_frame(&mut *stream, msg_type, &payload)
-        };
+        let write_result = link.stream.lock().write_all(frame);
         if let Err(e) = write_result {
             link.pending.lock().remove(&req_id);
             link.kill();
             return Err(remote_err(format!("send: {e}")));
         }
-        Ok((req_id, rx))
-    }
-
-    /// One RPC with timeout, without retry.
-    fn call_once(&self, req: &Request) -> Result<Response, CdStoreError> {
-        let link = self.link()?;
-        let (req_id, rx) = self.send(&link, req)?;
         match rx.recv_timeout(self.config.request_timeout) {
             Ok(resp) => Ok(resp),
             Err(RecvTimeoutError::Timeout) => {
@@ -202,11 +195,25 @@ impl NetClient {
     }
 
     /// One RPC with bounded retry on *transport* errors. Server-side
-    /// errors come back as decoded [`CdStoreError`]s and are never retried.
+    /// errors come back as decoded [`CdStoreError`]s and are never retried;
+    /// a request too large to frame is [`CdStoreError::InvalidConfig`]
+    /// before anything is sent.
     pub fn call(&self, req: &Request) -> Result<Response, CdStoreError> {
+        self.call_framed(|req_id| request_frame(req_id, req))
+    }
+
+    /// [`NetClient::call`] over the request's sealed frame. The frame is
+    /// encoded once: a retry resends the same bytes — the id cannot collide,
+    /// the failed attempt's link and its waiters are gone.
+    fn call_framed(
+        &self,
+        encode: impl FnOnce(u64) -> Result<Vec<u8>, FrameError>,
+    ) -> Result<Response, CdStoreError> {
+        let req_id = self.next_req_id();
+        let frame = encode(req_id).map_err(|e| CdStoreError::InvalidConfig(e.to_string()))?;
         let mut last = None;
         for _attempt in 0..=self.config.retries {
-            match self.call_once(req) {
+            match self.call_once(req_id, &frame) {
                 Ok(Response::Err {
                     code,
                     needed,
@@ -228,7 +235,7 @@ fn reader_loop(stream: TcpStream, pending: &Mutex<HashMap<u64, SyncSender<Respon
     loop {
         match reader.poll(&mut stream) {
             Ok(Polled::Frame(msg_type, payload)) => {
-                let Some((req_id, resp)) = decode_response(msg_type, &payload) else {
+                let Some((req_id, resp)) = decode_response(msg_type, payload) else {
                     return; // protocol violation: poison the link
                 };
                 // A response nobody waits for (timed-out caller, or a second
@@ -305,10 +312,11 @@ impl ServerTransport for RemoteServer {
         user: u64,
         shares: &[(ShareMetadata, Vec<u8>)],
     ) -> Result<StoreReceipt, CdStoreError> {
-        match self.client.call(&Request::StoreShares {
-            user,
-            shares: shares.to_vec(),
-        })? {
+        // Encoded from the borrowed batch: no owned `Request` in between.
+        match self
+            .client
+            .call_framed(|req_id| store_shares_frame(req_id, user, shares))?
+        {
             Response::Receipt(receipt) if receipt.verdicts.len() == shares.len() => Ok(receipt),
             other => Err(remote_err(format!("bad store reply: {other:?}"))),
         }
@@ -425,5 +433,39 @@ mod tests {
             Err(other) => panic!("expected Remote error, got {other}"),
             Ok(_) => panic!("connected to a dead port"),
         }
+    }
+    /// A request no frame can carry is refused before a byte is written —
+    /// at the parent `encode_frame` asserted while `send` held the stream
+    /// lock — and costs the link nothing.
+    #[test]
+    fn an_unframeable_request_is_a_typed_error_and_the_link_survives() {
+        use crate::frame::MAX_FRAME_BYTES;
+        let cluster = crate::cluster::LoopbackCluster::spawn(1).unwrap();
+        let config = NetClientConfig {
+            connections: 1,
+            ..NetClientConfig::default()
+        };
+        let remote = cluster.transports(config).unwrap().pop().unwrap();
+        let link_before = remote.client.pool[0].link.lock().clone().unwrap();
+
+        let share = |bytes: Vec<u8>| {
+            let meta = ShareMetadata {
+                fingerprint: Fingerprint::of(&bytes[..bytes.len().min(64)]),
+                share_size: bytes.len() as u32,
+                secret_seq: 0,
+                secret_size: bytes.len() as u32,
+            };
+            (meta, bytes)
+        };
+        match remote.store_shares(7, &[share(vec![0xab; MAX_FRAME_BYTES + 1])]) {
+            Err(CdStoreError::InvalidConfig(msg)) => assert!(msg.contains("frame cap"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+
+        let receipt = remote.store_shares(7, &[share(vec![0xcd; 4096])]).unwrap();
+        assert_eq!(receipt.verdicts.len(), 1);
+        let link_after = remote.client.pool[0].link.lock().clone().unwrap();
+        assert!(Arc::ptr_eq(&link_before, &link_after), "link was replaced");
+        assert!(!link_after.dead.load(Ordering::SeqCst));
     }
 }

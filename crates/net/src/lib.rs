@@ -4,7 +4,12 @@
 //! server per cloud *over a network*; this crate makes that boundary real:
 //!
 //! * [`frame`] — the framed codec (`len | crc32 | version | msg_type |
-//!   payload`), reusing the checksum discipline of the metadata journal.
+//!   payload`, the checksum being [`cdstore_crypto::crc32`]). Frames are
+//!   built and taken apart in place: a message is encoded after a blank
+//!   prefix that is sealed afterwards and sent in one write, and the
+//!   receiver reads the socket into a reused buffer, checks the CRC there
+//!   and lends the payload to the decoder — share bytes are copied once
+//!   per side.
 //! * [`wire`] — primitive value encoding inside payloads.
 //! * [`message`] — request/response messages covering the full server API:
 //!   batched share upload with per-share dedup verdicts, batched share

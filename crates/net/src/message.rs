@@ -11,6 +11,7 @@ use cdstore_core::transport::{ServerProbe, ShareVerdict, StoreReceipt};
 use cdstore_core::{CdStoreError, FileRecipe, ShareMetadata};
 use cdstore_crypto::Fingerprint;
 
+use crate::frame::{begin_frame, seal_frame, FrameError};
 use crate::wire::{WireReader, WireWriter};
 
 /// A client → server request.
@@ -189,27 +190,34 @@ fn read_share_metadata(r: &mut WireReader<'_>) -> Option<ShareMetadata> {
     })
 }
 
-/// Encodes one request as `(msg_type, payload)`; the payload leads with the
-/// pipelining envelope (`req_id`).
-pub fn encode_request(req_id: u64, req: &Request) -> (u8, Vec<u8>) {
-    let mut w = WireWriter::new();
+/// Encoded size of a [`ShareMetadata`]: fingerprint, two `u32`s, one `u64`.
+const SHARE_METADATA_BYTES: usize = Fingerprint::SIZE + 4 + 8 + 4;
+
+/// The `StoreShares` body after the envelope, sized exactly before the first
+/// share is copied.
+fn write_store_shares(w: &mut WireWriter, user: u64, shares: &[(ShareMetadata, Vec<u8>)]) -> u8 {
+    let share_bytes: usize = shares.iter().map(|(_, data)| data.len()).sum();
+    w.reserve(8 + 4 + shares.len() * (SHARE_METADATA_BYTES + 4) + share_bytes);
+    w.u64(user);
+    w.u32(shares.len() as u32);
+    for (meta, data) in shares {
+        write_share_metadata(w, meta);
+        w.bytes(data);
+    }
+    MT_STORE_SHARES
+}
+
+/// Writes envelope and body of one request, returning its message type.
+fn write_request(w: &mut WireWriter, req_id: u64, req: &Request) -> u8 {
     w.u64(req_id);
-    let msg_type = match req {
+    match req {
         Request::Ping => MT_PING,
         Request::IntraUserQuery { user, fingerprints } => {
             w.u64(*user);
-            write_fingerprints(&mut w, fingerprints);
+            write_fingerprints(w, fingerprints);
             MT_INTRA_QUERY
         }
-        Request::StoreShares { user, shares } => {
-            w.u64(*user);
-            w.u32(shares.len() as u32);
-            for (meta, data) in shares {
-                write_share_metadata(&mut w, meta);
-                w.bytes(data);
-            }
-            MT_STORE_SHARES
-        }
+        Request::StoreShares { user, shares } => write_store_shares(w, *user, shares),
         Request::PutFile {
             user,
             encoded_pathname,
@@ -219,12 +227,12 @@ pub fn encode_request(req_id: u64, req: &Request) -> (u8, Vec<u8>) {
             w.u64(*user);
             w.bytes(encoded_pathname);
             w.bytes(&recipe.to_bytes());
-            write_fingerprints(&mut w, uploaded);
+            write_fingerprints(w, uploaded);
             MT_PUT_FILE
         }
         Request::ReleaseUploads { user, fingerprints } => {
             w.u64(*user);
-            write_fingerprints(&mut w, fingerprints);
+            write_fingerprints(w, fingerprints);
             MT_RELEASE_UPLOADS
         }
         Request::HasFile {
@@ -253,7 +261,7 @@ pub fn encode_request(req_id: u64, req: &Request) -> (u8, Vec<u8>) {
         }
         Request::FetchShares { user, fingerprints } => {
             w.u64(*user);
-            write_fingerprints(&mut w, fingerprints);
+            write_fingerprints(w, fingerprints);
             MT_FETCH_SHARES
         }
         Request::Flush => MT_FLUSH,
@@ -262,7 +270,46 @@ pub fn encode_request(req_id: u64, req: &Request) -> (u8, Vec<u8>) {
             MT_GC
         }
         Request::Probe => MT_PROBE,
-    };
+    }
+}
+
+/// Runs a message writer over a frame opened in place and seals it.
+fn framed(write: impl FnOnce(&mut WireWriter) -> u8) -> Result<Vec<u8>, FrameError> {
+    let mut w = WireWriter::append_to(begin_frame());
+    let msg_type = write(&mut w);
+    let mut frame = w.finish();
+    seal_frame(&mut frame, msg_type)?;
+    Ok(frame)
+}
+
+/// One request as a sealed frame, ready for `write_all`.
+pub(crate) fn request_frame(req_id: u64, req: &Request) -> Result<Vec<u8>, FrameError> {
+    framed(|w| write_request(w, req_id, req))
+}
+
+/// [`request_frame`] of a [`Request::StoreShares`] straight from the caller's
+/// borrowed batch: the share bytes are copied once, into the frame.
+pub(crate) fn store_shares_frame(
+    req_id: u64,
+    user: u64,
+    shares: &[(ShareMetadata, Vec<u8>)],
+) -> Result<Vec<u8>, FrameError> {
+    framed(|w| {
+        w.u64(req_id);
+        write_store_shares(w, user, shares)
+    })
+}
+
+/// One response as a sealed frame, ready for `write_all`.
+pub(crate) fn response_frame(req_id: u64, resp: &Response) -> Result<Vec<u8>, FrameError> {
+    framed(|w| write_response(w, req_id, resp))
+}
+
+/// Encodes one request as `(msg_type, payload)`; the payload leads with the
+/// pipelining envelope (`req_id`).
+pub fn encode_request(req_id: u64, req: &Request) -> (u8, Vec<u8>) {
+    let mut w = WireWriter::new();
+    let msg_type = write_request(&mut w, req_id, req);
     (msg_type, w.finish())
 }
 
@@ -344,11 +391,10 @@ fn read_server_stats(r: &mut WireReader<'_>) -> Option<ServerStats> {
     })
 }
 
-/// Encodes one response as `(msg_type, payload)`, same envelope as requests.
-pub fn encode_response(req_id: u64, resp: &Response) -> (u8, Vec<u8>) {
-    let mut w = WireWriter::new();
+/// Writes envelope and body of one response, returning its message type.
+fn write_response(w: &mut WireWriter, req_id: u64, resp: &Response) -> u8 {
     w.u64(req_id);
-    let msg_type = match resp {
+    match resp {
         Response::Pong { cloud_index } => {
             w.u32(*cloud_index);
             MT_PONG
@@ -382,6 +428,8 @@ pub fn encode_response(req_id: u64, resp: &Response) -> (u8, Vec<u8>) {
             MT_RECIPE
         }
         Response::Shares(shares) => {
+            let share_bytes: usize = shares.iter().map(Vec::len).sum();
+            w.reserve(4 + shares.len() * 4 + share_bytes);
             w.u32(shares.len() as u32);
             for s in shares {
                 w.bytes(s);
@@ -397,7 +445,7 @@ pub fn encode_response(req_id: u64, resp: &Response) -> (u8, Vec<u8>) {
             MT_GC_REPORT
         }
         Response::Probe(probe) => {
-            write_server_stats(&mut w, &probe.stats);
+            write_server_stats(w, &probe.stats);
             w.u64(probe.backend_bytes);
             w.u64(probe.index_bytes);
             w.u64(probe.unique_shares);
@@ -416,7 +464,13 @@ pub fn encode_response(req_id: u64, resp: &Response) -> (u8, Vec<u8>) {
             w.bytes(msg.as_bytes());
             MT_ERR
         }
-    };
+    }
+}
+
+/// Encodes one response as `(msg_type, payload)`, same envelope as requests.
+pub fn encode_response(req_id: u64, resp: &Response) -> (u8, Vec<u8>) {
+    let mut w = WireWriter::new();
+    let msg_type = write_response(&mut w, req_id, resp);
     (msg_type, w.finish())
 }
 

@@ -8,7 +8,7 @@
 //! keep many in flight), and graceful shutdown that joins every connection
 //! thread.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,8 +20,8 @@ use cdstore_core::transport::ServerTransport;
 use cdstore_core::{CdStoreError, CdStoreServer};
 use cdstore_crypto::Fingerprint;
 
-use crate::frame::{write_frame, FrameError, FrameReader, Polled, MAX_FRAME_BYTES};
-use crate::message::{decode_request, encode_response, error_to_wire, Request, Response};
+use crate::frame::{FrameError, FrameReader, Polled, MAX_FRAME_BYTES};
+use crate::message::{decode_request, error_to_wire, response_frame, Request, Response};
 
 /// How often a blocked connection read wakes up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
@@ -115,10 +115,9 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut reader = FrameReader::new();
-    let mut stream = stream;
     loop {
         let (req_id, request) = match reader.poll(&mut { &stream })? {
-            Polled::Frame(msg_type, payload) => match decode_request(msg_type, &payload) {
+            Polled::Frame(msg_type, payload) => match decode_request(msg_type, payload) {
                 Some(decoded) => decoded,
                 None => {
                     return Err(FrameError::Corrupt(format!(
@@ -135,8 +134,13 @@ fn serve_connection(
             Polled::Closed => return Ok(()),
         };
         let response = handle_request(&server, request);
-        let (msg_type, payload) = encode_response(req_id, &response);
-        write_frame(&mut stream, msg_type, &payload)?;
+        // A reply no frame can carry (a recipe past the cap, say) costs the
+        // peer a typed error, like an oversized `FetchShares` below.
+        let frame = response_frame(req_id, &response).or_else(|e| {
+            let refusal = error_to_wire(&CdStoreError::InvalidConfig(e.to_string()));
+            response_frame(req_id, &refusal)
+        })?;
+        (&stream).write_all(&frame)?;
     }
 }
 
@@ -200,7 +204,7 @@ fn handle_request(server: &Arc<CdStoreServer>, request: Request) -> Response {
 /// `CdStoreServer::fetch_shares`, except that it stops reading shares as soon
 /// as the `Shares` reply could no longer be framed: how many fingerprints a
 /// peer sends is outside input, and an oversized reply must cost it a typed
-/// error, not this server the memory (or `encode_frame` its assertion).
+/// error, not this server the memory.
 fn fetch_shares_capped(
     server: &CdStoreServer,
     user: u64,
@@ -225,8 +229,8 @@ fn fetch_shares_capped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::PROTOCOL_VERSION;
-    use crate::message::encode_request;
+    use crate::frame::encode_frame;
+    use crate::message::request_frame;
     use cdstore_core::ShareMetadata;
 
     fn connect(server: &NetServer) -> TcpStream {
@@ -234,13 +238,14 @@ mod tests {
     }
 
     fn roundtrip(stream: &mut TcpStream, req_id: u64, req: &Request) -> (u64, Response) {
-        let (msg_type, payload) = encode_request(req_id, req);
-        write_frame(stream, msg_type, &payload).unwrap();
+        stream
+            .write_all(&request_frame(req_id, req).unwrap())
+            .unwrap();
         let mut reader = FrameReader::new();
         loop {
             match reader.poll(&mut { &*stream }).unwrap() {
                 Polled::Frame(mt, payload) => {
-                    return crate::message::decode_response(mt, &payload).unwrap()
+                    return crate::message::decode_response(mt, payload).unwrap()
                 }
                 Polled::Idle => continue,
                 Polled::Closed => panic!("server closed the connection"),
@@ -264,10 +269,9 @@ mod tests {
         let core = Arc::new(CdStoreServer::new(0));
         let mut server = NetServer::bind(core, "127.0.0.1:0").unwrap();
         {
-            use std::io::Write;
             let mut bad = connect(&server);
             // Valid frame envelope, unknown message type.
-            write_frame(&mut bad, 0x7f, &[0u8; 8]).unwrap();
+            bad.write_all(&encode_frame(0x7f, &[0u8; 8])).unwrap();
             // The server must close this connection.
             let mut reader = FrameReader::new();
             loop {
@@ -283,7 +287,6 @@ mod tests {
         let (_, resp) = roundtrip(&mut good, 1, &Request::Ping);
         assert!(matches!(resp, Response::Pong { .. }));
         server.shutdown();
-        let _ = PROTOCOL_VERSION;
     }
 
     /// How many fingerprints a peer puts in one `FetchShares` is its choice;
@@ -351,8 +354,7 @@ mod tests {
         match TcpStream::connect(addr) {
             Err(_) => {}
             Ok(mut s) => {
-                let (msg_type, payload) = encode_request(2, &Request::Ping);
-                let _ = write_frame(&mut s, msg_type, &payload);
+                let _ = s.write_all(&request_frame(2, &Request::Ping).unwrap());
                 let mut reader = FrameReader::new();
                 loop {
                     match reader.poll(&mut { &s }) {

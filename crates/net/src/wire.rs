@@ -8,7 +8,9 @@
 
 use cdstore_crypto::Fingerprint;
 
-/// Serialises primitives into a payload buffer.
+/// Serialises primitives onto the end of a buffer: an empty one for a bare
+/// payload, or a frame opened with its prefix left blank, so the payload is
+/// written where it will be sent from.
 #[derive(Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -20,9 +22,21 @@ impl WireWriter {
         WireWriter { buf: Vec::new() }
     }
 
-    /// Consumes the writer, yielding the payload.
+    /// Continues `buf`: everything is appended after what it holds.
+    pub fn append_to(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+
+    /// Consumes the writer, yielding the buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Makes room for `additional` more bytes in one allocation. The bulk
+    /// encoders call this with their exact size, so a batch of shares is
+    /// never moved by a growing buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Appends a `u8`.

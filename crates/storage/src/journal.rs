@@ -40,6 +40,7 @@
 
 use std::sync::Arc;
 
+use cdstore_crypto::crc32::crc32;
 use parking_lot::Mutex;
 
 use crate::backend::{StorageBackend, StorageError};
@@ -55,33 +56,6 @@ pub const SEGMENT_TARGET_BYTES: usize = 256 * 1024;
 
 /// Magic tag opening a framed checkpoint blob.
 const CHECKPOINT_MAGIC: &[u8; 4] = b"CDCK";
-
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice. Self-contained so the
-/// journal needs no external dependency; the polynomial table is built on
-/// first use.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xedb8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
-    });
-    let mut crc = 0xffff_ffffu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xff) as usize];
-    }
-    !crc
-}
 
 /// The key of the checkpoint object for an epoch.
 pub fn checkpoint_key(epoch: u64) -> String {
@@ -392,17 +366,6 @@ mod tests {
     fn new_journal() -> (Journal, Arc<MemoryBackend>) {
         let backend = Arc::new(MemoryBackend::new());
         (Journal::fresh(backend.clone()), backend)
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 test vectors.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414f_a339
-        );
     }
 
     #[test]
