@@ -54,13 +54,15 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Maps a profile name to the per-cloud fault configuration, mirroring the
-/// profiles the chaos suite runs.
+/// profiles the chaos suite runs. Rates are per backend operation, and a
+/// server commits its journal once per request — a backup is a few dozen
+/// large operations per cloud, so the rates are set for that.
 fn profile_config(profile: &str, seed: u64, cloud: usize) -> Result<FaultConfig, String> {
     let base = FaultConfig::clean(seed.wrapping_add(cloud as u64));
     match profile {
-        "degraded" => Ok(base.with_error_rate(0.05).with_torn_write_rate(0.03)),
-        "torn" => Ok(base.with_error_rate(0.01).with_torn_write_rate(0.08)),
-        "outage" => Ok(base.with_error_rate(0.02)),
+        "degraded" => Ok(base.with_error_rate(0.10).with_torn_write_rate(0.06)),
+        "torn" => Ok(base.with_torn_write_rate(0.18)),
+        "outage" => Ok(base.with_error_rate(0.12).with_torn_write_rate(0.08)),
         other => Err(format!(
             "unknown profile {other:?} (expected degraded, torn, or outage)"
         )),
@@ -87,7 +89,7 @@ fn run(args: &Args) -> Result<Vec<Arc<FaultPlan>>, String> {
         .with_retry(RetryPolicy::with_attempts(8));
     let store = CdStore::with_backends(config, backends).map_err(|e| e.to_string())?;
 
-    let (users, weeks, chunks) = if args.smoke { (2, 2, 40) } else { (4, 4, 120) };
+    let (users, weeks, chunks) = if args.smoke { (3, 6, 24) } else { (4, 6, 120) };
     let snapshots: Vec<Vec<Snapshot>> = FslWorkload::new(FslConfig {
         users,
         weeks,
@@ -117,10 +119,11 @@ fn run(args: &Args) -> Result<Vec<Arc<FaultPlan>>, String> {
             store
                 .backup_chunks(snapshot.user, &snapshot.pathname(), &snapshot.materialize())
                 .map_err(|e| format!("backup of {} failed: {e}", snapshot.pathname()))?;
+            // Every backup job ends with a flush, as in the chaos suite.
+            store.flush().map_err(|e| format!("flush failed: {e}"))?;
         }
         eprintln!("chaos_replay: week {week_no} backed up");
     }
-    store.flush().map_err(|e| format!("flush failed: {e}"))?;
 
     for snapshot in snapshots.last().expect("non-empty workload") {
         let restored = store

@@ -11,8 +11,22 @@
 //! races is guaranteed by
 //! [`ShardedShareIndex::add_reference_or_store`], which holds the
 //! fingerprint's stripe lock across the dedup test and the container append.
+//!
+//! # The request is the unit of commit
+//!
+//! Index mutations *stage* their journal records under the mutated key's
+//! stripe lock (`journal_record`); every public mutating entry point —
+//! `store_shares_detailed`, `put_file`, `release_uploads`, `delete_file`,
+//! `gc_with` — *commits* the staging buffer with one backend append before
+//! it returns (`commit_journal`), and garbage collection additionally
+//! before any backend `delete` its records justify. Durable-before-
+//! acknowledged therefore holds per request, at one append (one fsync on a
+//! directory backend) per request instead of one per record. A checkpoint
+//! drains the buffer into the epoch it supersedes, so the buffer is empty
+//! whenever `ckpt_lock` is held for writing.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +54,8 @@ use crate::wal::{MetaRecord, Snapshot};
 const RELOCATION_RETRIES: usize = 3;
 
 /// Floor on the journal records between automatic checkpoints (checked at
-/// the end of `put_file`, `delete_file`, `flush`, and `gc`). A checkpoint
+/// the end of every `store_shares` batch, `put_file`, `release_uploads`,
+/// `delete_file`, `flush`, and `gc`). A checkpoint
 /// costs a full snapshot of the indices, so the effective cadence also
 /// scales with them: the trigger additionally waits for at least a quarter
 /// of the last snapshot's entry count in new records. Write amplification
@@ -220,19 +235,20 @@ pub struct CdStoreServer {
     user_shares: ShardedKvStore,
     containers: ContainerStore,
     /// The durable metadata journal, persisted through the same backend as
-    /// the containers. Every index mutation appends one state-level record
-    /// (under the mutated key's stripe lock, so per-key order is exact)
-    /// before the operation returns to the client.
+    /// the containers. Every index mutation stages one state-level record
+    /// (under the mutated key's stripe lock, so per-key order is exact), and
+    /// the request commits the staged group before it returns to the client.
     journal: Journal,
     /// Excludes index mutations while [`CdStoreServer::checkpoint`] exports
-    /// and commits: without it, a record could land in the journal epoch the
-    /// checkpoint is about to sweep without being captured by its snapshot.
+    /// and commits: without it, a record could be staged into the journal
+    /// epoch the checkpoint is about to sweep without being captured by its
+    /// snapshot.
     /// Mutations take the read side (cheap, fully concurrent with each
     /// other); the checkpoint takes the write side.
     ckpt_lock: RwLock<()>,
-    /// Journal appends that failed (a backend hiccup): the in-memory indices
-    /// are the source of truth and were already updated, so an append
-    /// failure never fails the client operation — it is counted here, and
+    /// Journal commits that failed (a backend hiccup): the in-memory indices
+    /// are the source of truth and were already updated, so a failed group
+    /// append never fails the client operation — it is counted here, and
     /// the next checkpoint trigger fires eagerly to re-baseline durability
     /// from the full in-memory state.
     journal_lapses: AtomicU64,
@@ -426,7 +442,7 @@ impl CdStoreServer {
 
     /// Applies one replayed journal record verbatim (no re-journaling, no
     /// reference bookkeeping: records carry absolute post-states).
-    fn apply_record(&self, record: MetaRecord) {
+    fn apply_record(&self, record: MetaRecord<'static>) {
         match record {
             MetaRecord::ShareUpsert { fp, entry } => self.share_index.insert_entry(&fp, &entry),
             MetaRecord::ShareDelete { fp } => self.share_index.remove_entry(&fp),
@@ -434,7 +450,9 @@ impl CdStoreServer {
             MetaRecord::FileDelete { key } => {
                 self.file_index.remove(&key);
             }
-            MetaRecord::MapPut { key, value } => self.user_shares.put(key, value),
+            MetaRecord::MapPut { key, value } => {
+                self.user_shares.put(key.into_owned(), value.into_owned())
+            }
             MetaRecord::MapDelete { key } => self.user_shares.delete(&key),
         }
     }
@@ -640,19 +658,41 @@ impl CdStoreServer {
         Ok(())
     }
 
-    /// Appends one record to the write-ahead journal. Best-effort by design:
-    /// the in-memory indices were already updated under the same stripe
-    /// lock, so an append failure counts a lapse instead of failing the
-    /// client operation, and the next checkpoint trigger fires eagerly to
+    /// Stages one record in the journal's group buffer (memory only; nothing
+    /// is durable until [`Self::commit_journal`]). Every caller holds the
+    /// mutated key's stripe lock — so the staging order is the apply order —
+    /// and the read side of `ckpt_lock`.
+    fn journal_record(&self, record: &MetaRecord<'_>) {
+        self.journal.stage(|out| record.encode_into(out));
+    }
+
+    /// Makes every record staged so far durable with one backend append.
+    /// Every public mutating entry point calls this before it returns, so a
+    /// mutation is durable before it is acknowledged; because a commit
+    /// writes a *prefix* of the staging order, anything another thread
+    /// derived from a not-yet-committed mutation becomes durable no earlier
+    /// than that mutation.
+    ///
+    /// Best-effort by design: the in-memory indices were already updated, so
+    /// a failed append counts a lapse instead of failing the client
+    /// operation, and the next checkpoint trigger fires eagerly to
     /// re-baseline durability from the full in-memory state. The residual
-    /// window is explicit: if the host crashes after a lapse but before
-    /// that checkpoint lands, the lapsed (acknowledged) mutations are lost
-    /// with the process — the trade accepted for keeping the intricate
+    /// window is explicit: if the host crashes after a lapse but before that
+    /// checkpoint lands, the lapsed group's (acknowledged) mutations are
+    /// lost with the process — the trade accepted for keeping the intricate
     /// multi-step mutation paths free of partial-journal rollback logic.
-    fn journal_record(&self, record: &MetaRecord) {
-        if self.journal.append(&record.encode()).is_err() {
+    fn commit_journal(&self) {
+        let _ = self.commit_journal_strict();
+    }
+
+    /// [`Self::commit_journal`] for the one caller that cannot shrug a lapse
+    /// off: garbage collection, about to *delete* backend objects on the
+    /// strength of the staged records, fails the pass instead.
+    fn commit_journal_strict(&self) -> Result<(), CdStoreError> {
+        self.journal.commit().map_err(|e| {
             self.journal_lapses.fetch_add(1, Ordering::Relaxed);
-        }
+            CdStoreError::Storage(e)
+        })
     }
 
     /// Commits a checkpoint: a full snapshot of the three metadata
@@ -675,6 +715,13 @@ impl CdStoreServer {
     /// copy of the pre-checkpoint mutations, so the flush-then-commit order
     /// is what makes the sweep safe.
     fn checkpoint_locked(&self) -> Result<(), CdStoreError> {
+        // Drain the staging buffer into the epoch about to be superseded:
+        // records staged by requests that have not reached their commit yet
+        // describe states the snapshot below already contains, and must not
+        // land in the new epoch behind it. Nothing can stage while the write
+        // lock is held, so the buffer stays empty until the epoch rolls.
+        self.commit_journal();
+        debug_assert!(!self.journal.has_staged());
         let (blob, entries) = match self.index_mode {
             IndexMode::Memory => {
                 let snapshot = Snapshot {
@@ -846,16 +893,42 @@ impl CdStoreServer {
         user: u64,
         shares: &[(ShareMetadata, Vec<u8>)],
     ) -> Result<StoreReceipt, CdStoreError> {
+        // Server-side fingerprints (never reuse the client's), computed for
+        // the whole batch before any lock is taken.
+        let server_fps: Vec<Fingerprint> = shares
+            .iter()
+            .map(|(_, data)| Fingerprint::tagged(&self.tag, data))
+            .collect();
+        let receipt = {
+            // One checkpoint-lock acquisition and one journal commit for
+            // the batch. The commit also covers a batch that failed part
+            // way: the shares applied before the failure stay applied.
+            let _ckpt = self.ckpt_lock.read();
+            let receipt = self.store_batch(user, shares, &server_fps);
+            self.commit_journal();
+            receipt
+        };
+        // The cadence is checked here too (not only in `put_file`), so one
+        // large file's batches cannot grow the journal without bound.
+        self.maybe_checkpoint();
+        receipt
+    }
+
+    /// The body of [`Self::store_shares_detailed`]: applies and stages the
+    /// batch share by share. The caller holds `ckpt_lock.read()` and commits.
+    fn store_batch(
+        &self,
+        user: u64,
+        shares: &[(ShareMetadata, Vec<u8>)],
+        server_fps: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
         let mut new_bytes = 0u64;
         let mut verdicts = Vec::with_capacity(shares.len());
-        for (meta, data) in shares {
+        for ((meta, data), &server_fp) in shares.iter().zip(server_fps) {
             self.stats.shares_received.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .received_share_bytes
                 .fetch_add(data.len() as u64, Ordering::Relaxed);
-            // Server-side fingerprint: never reuse the client's.
-            let server_fp = Fingerprint::tagged(&self.tag, data);
-            let _ckpt = self.ckpt_lock.read();
             let (_, outcome) = self
                 .share_index
                 .add_reference_or_store_with(
@@ -865,7 +938,7 @@ impl CdStoreServer {
                     |post| {
                         self.journal_record(&MetaRecord::ShareUpsert {
                             fp: server_fp,
-                            entry: post.clone(),
+                            entry: Cow::Borrowed(post),
                         });
                         Ok(())
                     },
@@ -892,23 +965,17 @@ impl CdStoreServer {
                 }
             }
             // Record the user's client-fingerprint → server-fingerprint link.
-            let map_key = Self::user_share_key(user, &meta.fingerprint);
-            let map_value = server_fp.as_bytes().to_vec();
-            infallible(
-                self.user_shares
-                    .put_with(map_key.clone(), map_value.clone(), || {
-                        self.journal_record(&MetaRecord::MapPut {
-                            key: map_key,
-                            value: map_value,
-                        });
-                        Ok(())
-                    }),
-            );
-        }
-        // Re-baseline promptly if any journal append lapsed above: until a
-        // checkpoint lands, the lapsed records exist only in memory.
-        if self.journal_lapses.load(Ordering::Relaxed) > 0 {
-            self.maybe_checkpoint();
+            infallible(self.user_shares.put_with(
+                Self::user_share_key(user, &meta.fingerprint),
+                server_fp.as_bytes().to_vec(),
+                |key, value| {
+                    self.journal_record(&MetaRecord::MapPut {
+                        key: key.into(),
+                        value: value.into(),
+                    });
+                    Ok(())
+                },
+            ));
         }
         Ok(StoreReceipt {
             new_bytes,
@@ -925,29 +992,39 @@ impl CdStoreServer {
         bytes.try_into().ok().map(Fingerprint::from_bytes)
     }
 
-    /// Takes one reference on behalf of `user` for the share the client knows
-    /// by `client_fp`. Fails if the user never uploaded the share (a recipe
-    /// must only reference shares its owner holds).
-    fn add_share_reference(&self, user: u64, client_fp: &Fingerprint) -> Result<(), CdStoreError> {
+    /// Takes `count` references on behalf of `user` for the share the client
+    /// knows by `client_fp`, in one stripe-locked step and one journal
+    /// record. Fails if the user never uploaded the share (a recipe must
+    /// only reference shares its owner holds). `count == 0` performs only
+    /// that check: nothing is mutated or journaled.
+    fn add_share_references(
+        &self,
+        user: u64,
+        client_fp: &Fingerprint,
+        count: u32,
+    ) -> Result<(), CdStoreError> {
+        let missing = || CdStoreError::MissingShare(client_fp.to_hex());
         let server_fp = self
             .resolve_server_fp(user, client_fp)
-            .ok_or_else(|| CdStoreError::MissingShare(client_fp.to_hex()))?;
+            .ok_or_else(missing)?;
         let _ckpt = self.ckpt_lock.read();
-        let added = infallible(self.share_index.add_reference_existing_with(
+        let found = infallible(self.share_index.add_references_existing_with(
             &server_fp,
             user,
+            count,
             |post| {
                 self.journal_record(&MetaRecord::ShareUpsert {
                     fp: server_fp,
-                    entry: post.clone(),
+                    entry: Cow::Borrowed(post),
                 });
                 Ok(())
             },
         ));
-        if !added {
-            return Err(CdStoreError::MissingShare(client_fp.to_hex()));
+        if found {
+            Ok(())
+        } else {
+            Err(missing())
         }
-        Ok(())
     }
 
     /// Drops one of `user`'s references on the share the client knows by
@@ -969,7 +1046,7 @@ impl CdStoreServer {
                         self.journal_record(&match post {
                             Some(entry) => MetaRecord::ShareUpsert {
                                 fp: server_fp,
-                                entry: entry.clone(),
+                                entry: Cow::Borrowed(entry),
                             },
                             None => MetaRecord::ShareDelete { fp: server_fp },
                         });
@@ -985,7 +1062,9 @@ impl CdStoreServer {
             {
                 let _ckpt = self.ckpt_lock.read();
                 infallible(self.user_shares.delete_with(&key, || {
-                    self.journal_record(&MetaRecord::MapDelete { key: key.clone() });
+                    self.journal_record(&MetaRecord::MapDelete {
+                        key: key.as_slice().into(),
+                    });
                     Ok(())
                 }));
             }
@@ -1001,12 +1080,18 @@ impl CdStoreServer {
                 .map(|entry| entry.owned_by(user))
                 .unwrap_or(false)
             {
-                let value = server_fp.as_bytes().to_vec();
                 let _ckpt = self.ckpt_lock.read();
-                infallible(self.user_shares.put_with(key.clone(), value.clone(), || {
-                    self.journal_record(&MetaRecord::MapPut { key, value });
-                    Ok(())
-                }));
+                infallible(self.user_shares.put_with(
+                    key,
+                    server_fp.as_bytes().to_vec(),
+                    |key, value| {
+                        self.journal_record(&MetaRecord::MapPut {
+                            key: key.into(),
+                            value: value.into(),
+                        });
+                        Ok(())
+                    },
+                ));
             }
         }
         if report.total_refs == 0 {
@@ -1033,13 +1118,19 @@ impl CdStoreServer {
     }
 
     /// Stores the file recipe, registers the file in the file index, and
-    /// settles the share reference counts: every recipe entry takes one
+    /// settles the share reference counts: every recipe entry holds one
     /// reference (resolved through the user's ownership mappings), and the
     /// per-upload references [`CdStoreServer::store_shares`] took for the
-    /// shares in `uploaded` are dropped again. The reference count of a share
+    /// shares in `uploaded` are given back. The reference count of a share
     /// therefore equals the number of live recipe entries pointing at it —
-    /// the invariant deletion and garbage collection rely on — while never
-    /// transiently touching zero for a share an upload is still committing.
+    /// the invariant deletion and garbage collection rely on.
+    ///
+    /// Each *distinct* share is settled once, by its net change
+    /// `occurrences in the recipe − occurrences in uploaded` (`uploaded` is
+    /// a multiset: two copies of one chunk in one batch took two upload
+    /// references). A freshly uploaded share nets to zero and is only
+    /// checked, never written or journaled; a share an upload is committing
+    /// is never decremented on the way, so it cannot transiently touch zero.
     ///
     /// If this upload supersedes an older version of the file, the old
     /// version's references and recipe bytes are released; if it loses a
@@ -1052,25 +1143,67 @@ impl CdStoreServer {
         recipe: &FileRecipe,
         uploaded: &[Fingerprint],
     ) -> Result<(), CdStoreError> {
+        let result = self.settle_file(user, encoded_pathname, recipe, uploaded);
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result
+    }
+
+    /// The body of [`Self::put_file`]; stages its journal records, which the
+    /// caller commits whatever the outcome.
+    fn settle_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<(), CdStoreError> {
         let key = FileKey::new(user, encoded_pathname);
-        // 1. One reference per recipe entry. On failure (e.g. the recipe
-        // references a share a concurrent delete just released) roll back
-        // completely — the references taken so far *and* the upload's
-        // transient references — so a failed commit leaks nothing: the
-        // upload's shares go dead and the garbage collector reclaims them.
-        for (taken, entry) in recipe.entries.iter().enumerate() {
-            if let Err(e) = self.add_share_reference(user, &entry.share_fingerprint) {
-                for earlier in &recipe.entries[..taken] {
-                    self.release_share_reference(user, &earlier.share_fingerprint);
+        // 1. The net reference change per distinct share, in order of first
+        // appearance (the journal's record order must not depend on a hash
+        // seed: seeded chaos runs compare backend bytes).
+        let mut net: HashMap<Fingerprint, i64> = HashMap::with_capacity(recipe.entries.len());
+        for entry in &recipe.entries {
+            *net.entry(entry.share_fingerprint).or_default() += 1;
+        }
+        for fp in uploaded {
+            *net.entry(*fp).or_default() -= 1;
+        }
+        let nets: Vec<(Fingerprint, i64)> = (recipe.entries.iter().map(|e| e.share_fingerprint))
+            .chain(uploaded.iter().copied())
+            .filter_map(|fp| net.remove(&fp).map(|n| (fp, n)))
+            .collect();
+        // 2. Apply the non-negative nets (a zero net only verifies that the
+        // user still owns the share). On failure (e.g. the recipe references
+        // a share a concurrent delete just released) roll back completely —
+        // the nets applied so far *and* the upload's transient references —
+        // so a failed commit leaks nothing: the upload's shares go dead and
+        // the garbage collector reclaims them.
+        for (applied, &(fp, net)) in nets.iter().enumerate() {
+            if net < 0 {
+                continue;
+            }
+            if let Err(e) = self.add_share_references(user, &fp, net as u32) {
+                for &(earlier, net) in &nets[..applied] {
+                    for _ in 0..net {
+                        self.release_share_reference(user, &earlier);
+                    }
                 }
-                self.release_uploads(user, uploaded);
+                for fp in uploaded {
+                    self.release_share_reference(user, fp);
+                }
                 return Err(e);
             }
         }
-        // 2. ...then drop the references the upload itself held. (This order
-        // keeps freshly uploaded shares referenced at all times.)
-        self.release_uploads(user, uploaded);
-        // 3. Persist the recipe blob; a backend failure here also rolls the
+        // 3. ...then the negative ones: upload references no recipe entry
+        // took over. (After the adds, so nothing this recipe references can
+        // be released on the way.)
+        for &(fp, net) in &nets {
+            for _ in net..0 {
+                self.release_share_reference(user, &fp);
+            }
+        }
+        // 4. Persist the recipe blob; a backend failure here also rolls the
         // per-entry references back so nothing stays live unreclaimed.
         let recipe_bytes = recipe.to_bytes();
         let recipe_fp = Fingerprint::tagged(b"recipe", key.as_bytes());
@@ -1086,7 +1219,7 @@ impl CdStoreServer {
         self.stats
             .recipe_bytes
             .fetch_add(recipe_bytes.len() as u64, Ordering::Relaxed);
-        // 4. Swap the index entry. The version is allocated before the index
+        // 5. Swap the index entry. The version is allocated before the index
         // stripe lock, so racing re-uploads of the same file may arrive out
         // of order; put_if_newer keeps the highest *on this server*.
         // Cross-server consistency of a file's n recipes is the caller's
@@ -1114,7 +1247,7 @@ impl CdStoreServer {
                 },
             ))
         };
-        let result = match outcome {
+        match outcome {
             FilePutOutcome::Written { displaced: None } => Ok(()),
             FilePutOutcome::Written {
                 displaced: Some(old),
@@ -1128,20 +1261,19 @@ impl CdStoreServer {
                 self.containers.release(&location);
                 Ok(())
             }
-        };
-        self.maybe_checkpoint();
-        result
+        }
     }
 
     /// Drops the transient per-upload references [`CdStoreServer::store_shares`]
-    /// took for the given shares. Called by [`CdStoreServer::put_file`] when a
-    /// commit settles (or rolls back), and by clients abandoning an upload
-    /// whose multi-cloud commit failed part-way — without it the abandoned
-    /// shares would stay referenced, and therefore unreclaimable, forever.
+    /// took for the given shares — for clients abandoning an upload whose
+    /// multi-cloud commit failed part-way (without it the abandoned shares
+    /// would stay referenced, and therefore unreclaimable, forever).
     pub fn release_uploads(&self, user: u64, client_fps: &[Fingerprint]) {
         for client_fp in client_fps {
             self.release_share_reference(user, client_fp);
         }
+        self.commit_journal();
+        self.maybe_checkpoint();
     }
 
     /// Whether the server knows the given file of the given user.
@@ -1188,6 +1320,15 @@ impl CdStoreServer {
     /// collector ([`CdStoreServer::gc`]) to reclaim. Returns whether the
     /// file existed.
     pub fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
+        let result = self.remove_file(user, encoded_pathname);
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result
+    }
+
+    /// The body of [`Self::delete_file`]; stages its journal records, which
+    /// the caller commits whatever the outcome.
+    fn remove_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
         let key = FileKey::new(user, encoded_pathname);
         for _ in 0..RELOCATION_RETRIES {
             // Read the recipe *before* removing the index entry: if the blob
@@ -1228,7 +1369,6 @@ impl CdStoreServer {
                 self.release_share_reference(user, &re.share_fingerprint);
             }
             self.containers.release(&entry.recipe_location());
-            self.maybe_checkpoint();
             return Ok(true);
         }
         Err(CdStoreError::FileNotFound(format!(
@@ -1289,9 +1429,15 @@ impl CdStoreServer {
     /// Seals and persists all open containers (called at the end of a backup
     /// job and before shutting down). A flushed server recovers completely:
     /// every journaled index entry then points at a sealed container, so
-    /// [`CdStoreServer::open`] prunes nothing.
+    /// [`CdStoreServer::open`] prunes nothing. Flush is the durability
+    /// barrier, so a journal lapse still outstanding here is not left to the
+    /// best-effort trigger: the re-baselining checkpoint must land, or the
+    /// flush fails (and the caller retries it).
     pub fn flush(&self) -> Result<(), CdStoreError> {
         self.containers.flush()?;
+        if self.journal_lapses.load(Ordering::Relaxed) > 0 {
+            return self.checkpoint();
+        }
         self.maybe_checkpoint();
         Ok(())
     }
@@ -1335,20 +1481,36 @@ impl CdStoreServer {
     /// once every recipe in it is dead and merely waits otherwise.
     pub fn gc_with(&self, config: GcConfig) -> Result<GcReport, CdStoreError> {
         let _vacuum = self.gc_lock.lock();
-        self.containers.flush_dead()?;
         let mut report = GcReport::default();
-        for (id, usage) in self.containers.sealed_usages() {
+        let result = self.vacuum(config, &mut report);
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result.map(|()| report)
+    }
+
+    /// The body of [`Self::gc_with`] (the caller holds `gc_lock`).
+    ///
+    /// Durability ordering: a container is deleted only on the strength of
+    /// records that are already durable. Every release that moved bytes to
+    /// the ledger's dead column staged its record *first*, so committing
+    /// after the ledger snapshot covers every fully-dead container in it;
+    /// [`Self::compact_container`] commits its own relocations before its
+    /// delete. A failed commit fails the pass rather than deleting anyway.
+    fn vacuum(&self, config: GcConfig, report: &mut GcReport) -> Result<(), CdStoreError> {
+        self.containers.flush_dead()?;
+        let usages = self.containers.sealed_usages();
+        self.commit_journal_strict()?;
+        for (id, usage) in usages {
             if usage.live_bytes == 0 {
                 self.containers.delete_container(id)?;
                 report.containers_deleted += 1;
                 report.reclaimed_bytes += usage.dead_bytes;
             } else if usage.kind == ContainerKind::Share && usage.dead_ratio() >= config.dead_ratio
             {
-                self.compact_container(id, &mut report)?;
+                self.compact_container(id, report)?;
             }
         }
-        self.maybe_checkpoint();
-        Ok(report)
+        Ok(())
     }
 
     /// Rewrites the live shares of one sealed container into fresh
@@ -1356,10 +1518,11 @@ impl CdStoreServer {
     ///
     /// Crash-ordering: the fresh containers are sealed to the backend
     /// *before* any relocation is journaled, and the old container is
-    /// deleted only *after* every relocation — so at every instant each
-    /// share's index location points at a container that is durably on the
-    /// backend, and a crash anywhere in the pass loses nothing (leftover
-    /// copies are dead bytes a later pass reclaims).
+    /// deleted only *after* every relocation is committed to the journal —
+    /// so at every instant each share's durable index location points at a
+    /// container that is durably on the backend, and a crash anywhere in the
+    /// pass loses nothing (leftover copies are dead bytes a later pass
+    /// reclaims).
     fn compact_container(&self, id: u64, report: &mut GcReport) -> Result<(), CdStoreError> {
         let container = self.containers.fetch_container(id)?;
         // 1. Copy every live blob into fresh (open) containers.
@@ -1408,7 +1571,7 @@ impl CdStoreServer {
                 infallible(self.share_index.relocate_with(&fp, old, fresh, |post| {
                     self.journal_record(&MetaRecord::ShareUpsert {
                         fp,
-                        entry: post.clone(),
+                        entry: Cow::Borrowed(post),
                     });
                     Ok(())
                 }))
@@ -1422,6 +1585,10 @@ impl CdStoreServer {
                 self.containers.release(&fresh);
             }
         }
+        // The relocations must be durable before the bytes they moved away
+        // from disappear: replaying a journal without them would resolve
+        // these shares into a container that no longer exists.
+        self.commit_journal_strict()?;
         // Re-read the ledger: releases may have landed while copying.
         let dead = self
             .containers
@@ -2110,5 +2277,332 @@ mod tests {
         assert_eq!(server.backend_bytes(), 0);
         server.flush().unwrap();
         assert!(server.backend_bytes() >= 100_000);
+    }
+
+    // -----------------------------------------------------------------------
+    // The batch is the unit of commit: net-settled `put_file`, the journal
+    // ordering oracle, and the checkpoint cadence on the upload path.
+    // -----------------------------------------------------------------------
+
+    type Folded = (
+        std::collections::BTreeMap<[u8; 32], ShareEntry>,
+        std::collections::BTreeMap<[u8; 32], FileEntry>,
+        std::collections::BTreeMap<Vec<u8>, Vec<u8>>,
+    );
+
+    /// What a recovery would start from: the newest checkpoint's bodies with
+    /// the journal suffix folded over them last-writer-wins per key — *no*
+    /// verification pass, no recount, so an ordering bug cannot hide.
+    fn folded_journal(backend: &dyn StorageBackend) -> Folded {
+        let loaded = Journal::load(backend).unwrap();
+        assert!(!loaded.torn);
+        let mut folded = Folded::default();
+        if let Some(blob) = &loaded.checkpoint {
+            let snapshot = Snapshot::decode(blob).unwrap();
+            folded.0.extend(
+                snapshot
+                    .shares
+                    .into_iter()
+                    .map(|(fp, entry)| (*fp.as_bytes(), entry)),
+            );
+            folded.1.extend(
+                snapshot
+                    .files
+                    .into_iter()
+                    .map(|(key, entry)| (*key.as_bytes(), entry)),
+            );
+            folded.2.extend(snapshot.mappings);
+        }
+        for payload in &loaded.records {
+            match MetaRecord::decode(payload).expect("the server wrote it") {
+                MetaRecord::ShareUpsert { fp, entry } => {
+                    folded.0.insert(*fp.as_bytes(), entry.into_owned());
+                }
+                MetaRecord::ShareDelete { fp } => {
+                    folded.0.remove(fp.as_bytes());
+                }
+                MetaRecord::FileUpsert { key, entry } => {
+                    folded.1.insert(*key.as_bytes(), entry);
+                }
+                MetaRecord::FileDelete { key } => {
+                    folded.1.remove(key.as_bytes());
+                }
+                MetaRecord::MapPut { key, value } => {
+                    folded.2.insert(key.into_owned(), value.into_owned());
+                }
+                MetaRecord::MapDelete { key } => {
+                    folded.2.remove(key.as_ref());
+                }
+            }
+        }
+        folded
+    }
+
+    /// The live server's three structures in the same shape.
+    fn live_state(server: &CdStoreServer) -> Folded {
+        (
+            server
+                .share_index
+                .export()
+                .into_iter()
+                .map(|(fp, entry)| (*fp.as_bytes(), entry))
+                .collect(),
+            server
+                .file_index
+                .export()
+                .into_iter()
+                .map(|(key, entry)| (*key.as_bytes(), entry))
+                .collect(),
+            server.user_shares.export().into_iter().collect(),
+        )
+    }
+
+    fn recipe_of(datas: &[&[u8]]) -> FileRecipe {
+        FileRecipe {
+            file_size: datas.iter().map(|d| d.len() as u64).sum(),
+            entries: datas
+                .iter()
+                .map(|d| crate::metadata::RecipeEntry {
+                    share_fingerprint: Fingerprint::of(d),
+                    secret_size: d.len() as u32 * 3,
+                })
+                .collect(),
+        }
+    }
+
+    /// `user`'s reference count on the share with this content.
+    fn refs(server: &CdStoreServer, user: u64, data: &[u8]) -> u32 {
+        server
+            .share_index
+            .lookup(&Fingerprint::tagged(&server.tag, data))
+            .and_then(|entry| entry.owners.iter().find(|(u, _)| *u == user).map(|o| o.1))
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn put_file_settles_each_distinct_share_by_its_net() {
+        let backend: Arc<MemoryBackend> = Arc::new(MemoryBackend::new());
+        let server = CdStoreServer::with_backend(0, backend.clone());
+        // One batch carrying the same chunk twice takes two upload
+        // references; the recipe names it three times: net +1, three in all.
+        let twice = share(b"chunk the file repeats");
+        let once = share(b"chunk the file holds once");
+        server
+            .store_shares(1, &[twice.clone(), once.clone(), twice.clone()])
+            .unwrap();
+        assert_eq!(refs(&server, 1, &twice.1), 2);
+        let uploaded = [twice.0.fingerprint, once.0.fingerprint, twice.0.fingerprint];
+        let recipe = recipe_of(&[&twice.1, &once.1, &twice.1, &twice.1]);
+        let before = Journal::load(&*backend).unwrap().records.len();
+        server.put_file(1, b"/f", &recipe, &uploaded).unwrap();
+        assert_eq!(refs(&server, 1, &twice.1), 3);
+        assert_eq!(refs(&server, 1, &once.1), 1);
+        // The zero-net share cost nothing: one ShareUpsert (the +1) and the
+        // FileUpsert are all `put_file` journaled.
+        assert_eq!(Journal::load(&*backend).unwrap().records.len(), before + 2);
+        assert_eq!(folded_journal(&*backend), live_state(&server));
+
+        // More upload references than recipe entries: the surplus is given
+        // back (after the adds), and deleting the file frees everything.
+        let spare = share(b"uploaded but not referenced");
+        server
+            .store_shares(1, &[spare.clone(), twice.clone()])
+            .unwrap();
+        let recipe = recipe_of(&[&once.1]);
+        server
+            .put_file(
+                1,
+                b"/g",
+                &recipe,
+                &[spare.0.fingerprint, twice.0.fingerprint],
+            )
+            .unwrap();
+        assert_eq!(refs(&server, 1, &spare.1), 0);
+        assert_eq!(refs(&server, 1, &twice.1), 3);
+        assert_eq!(refs(&server, 1, &once.1), 2);
+        assert!(server.delete_file(1, b"/f").unwrap());
+        assert!(server.delete_file(1, b"/g").unwrap());
+        assert_eq!(server.unique_shares(), 0);
+        assert_eq!(folded_journal(&*backend), live_state(&server));
+    }
+
+    #[test]
+    fn missing_share_rollback_mid_recipe_leaves_every_count_where_it_started() {
+        let backend: Arc<MemoryBackend> = Arc::new(MemoryBackend::new());
+        let server = CdStoreServer::with_backend(0, backend.clone());
+        backup_file(&server, 1, b"/kept", &[b"x".to_vec(), b"y".to_vec()]);
+        backup_file(&server, 2, b"/other", &[b"x".to_vec()]);
+        let started = live_state(&server);
+
+        // The new upload brings z (zero net), leans on x twice (+2) and on y
+        // (+1) — with a share nobody uploaded between them.
+        let z = share(b"z");
+        server.store_shares(1, std::slice::from_ref(&z)).unwrap();
+        let recipe = recipe_of(&[b"x", b"z", b"x", b"never uploaded", b"y"]);
+        assert!(matches!(
+            server.put_file(1, b"/doomed", &recipe, &[z.0.fingerprint]),
+            Err(CdStoreError::MissingShare(_))
+        ));
+        // x's +2 was undone, y was never touched, z's upload reference went
+        // with the rollback: the state is the one before the upload began.
+        assert_eq!(live_state(&server), started);
+        assert_eq!(refs(&server, 1, b"x"), 1);
+        assert!(!server.has_file(1, b"/doomed"));
+        assert_eq!(folded_journal(&*backend), started);
+    }
+
+    #[test]
+    fn journal_order_matches_apply_order_under_racing_mutations() {
+        let backend: Arc<MemoryBackend> = Arc::new(MemoryBackend::new());
+        let server = CdStoreServer::with_backend(0, backend.clone());
+        let threads = 8usize;
+        let rounds = if cfg!(debug_assertions) { 150 } else { 1500 };
+        // A tiny pool, so every file overlaps every other thread's and the
+        // last writer of a key is contended in every round.
+        let pool: Vec<Vec<u8>> = (0..7u32)
+            .map(|i| format!("pooled share {i}").into_bytes())
+            .collect();
+        // A final-state fold only sees a misorder between the *last* two
+        // writers of a key, so the run is cut into rounds: all threads race
+        // one upload/commit/delete each, then everyone stops while the
+        // journal alone — no recount to paper over a misorder — is folded
+        // and compared with the three live structures.
+        let barrier = std::sync::Barrier::new(threads + 1);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let mut busy_rounds = 0;
+        let mut mismatch = None;
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (server, pool, barrier, stop) = (&server, &pool, &barrier, &stop);
+                scope.spawn(move || {
+                    let user = 1 + t as u64 % 2;
+                    for round in 0.. {
+                        barrier.wait();
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        let datas: Vec<&[u8]> = (0..3)
+                            .map(|i| pool[(t * 5 + round * 3 + i * 2) % pool.len()].as_slice())
+                            .collect();
+                        let shares: Vec<_> = datas.iter().map(|d| share(d)).collect();
+                        let fps: Vec<_> = shares.iter().map(|(m, _)| m.fingerprint).collect();
+                        let owned = server.intra_user_query(user, &fps);
+                        let upload: Vec<_> = shares
+                            .iter()
+                            .zip(owned)
+                            .filter(|(_, dup)| !dup)
+                            .map(|(s, _)| s.clone())
+                            .collect();
+                        let uploaded: Vec<_> = upload.iter().map(|(m, _)| m.fingerprint).collect();
+                        // No `unwrap` between the barriers (a dead worker
+                        // would strand the others there). A same-user delete
+                        // on another thread may release a share between the
+                        // query and the commit: the put then fails with
+                        // `MissingShare` and rolls back, which is part of
+                        // the interleaving under test.
+                        let _ = server.store_shares(user, &upload);
+                        let path = format!("/t{t}/r{round}").into_bytes();
+                        let _ = server.put_file(user, &path, &recipe_of(&datas), &uploaded);
+                        if round > 0 {
+                            let old = format!("/t{t}/r{}", round - 1).into_bytes();
+                            let _ = server.delete_file(user, &old);
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+            for round in 0..rounds {
+                barrier.wait();
+                barrier.wait();
+                // Every request has returned, so every record is committed.
+                let (journal, live) = (folded_journal(&*backend), live_state(&server));
+                busy_rounds += usize::from(!live.0.is_empty() && !live.1.is_empty());
+                if journal != live {
+                    mismatch = Some((round, journal, live));
+                    break;
+                }
+                // Re-baseline so each round folds only its own records.
+                if server.checkpoint().is_err() {
+                    break;
+                }
+            }
+            // Release the workers from their start barrier.
+            stop.store(true, Ordering::SeqCst);
+            barrier.wait();
+        });
+        if let Some((round, journal, live)) = mismatch {
+            panic!("round {round}: the journal folds to {journal:?}, the server holds {live:?}");
+        }
+        assert!(busy_rounds > rounds / 2, "the rounds mutated nothing");
+    }
+
+    #[test]
+    fn upload_batches_alone_keep_the_journal_within_the_checkpoint_cadence() {
+        let backend: Arc<MemoryBackend> = Arc::new(MemoryBackend::new());
+        let server = CdStoreServer::with_backend(0, backend.clone());
+        let batch_len = 1000usize;
+        let batch_records = 2 * batch_len as u64; // ShareUpsert + MapPut each
+        let bound = |server: &CdStoreServer| {
+            CHECKPOINT_INTERVAL_RECORDS
+                .max(server.last_snapshot_entries.load(Ordering::Relaxed) / 4)
+        };
+        // 40 000 shares stored and never committed by a `put_file`, a
+        // quarter of them abandoned through `release_uploads`.
+        for batch in 0..40usize {
+            let shares: Vec<_> = (0..batch_len)
+                .map(|i| share(format!("batch {batch} share {i}").as_bytes()))
+                .collect();
+            server.store_shares(1, &shares).unwrap();
+            if batch % 4 == 3 {
+                let fps: Vec<_> = shares.iter().map(|(m, _)| m.fingerprint).collect();
+                server.release_uploads(1, &fps);
+            }
+            let pending = server.journal.records_since_checkpoint();
+            assert!(
+                pending <= bound(&server) + batch_records,
+                "batch {batch}: {pending} records since the last checkpoint"
+            );
+        }
+        let replay_bound = bound(&server) + batch_records;
+        drop(server);
+        let (_, report) = CdStoreServer::open(0, backend).unwrap();
+        assert!(report.used_checkpoint);
+        assert!(
+            report.records_replayed as u64 <= replay_bound,
+            "replayed {} records",
+            report.records_replayed
+        );
+    }
+
+    #[test]
+    fn flush_re_baselines_a_lapsed_journal_or_fails() {
+        use cdstore_storage::{FaultConfig, FaultPlan, FaultyBackend};
+        let plan = Arc::new(FaultPlan::new(FaultConfig::clean(1)));
+        let faulty = Arc::new(FaultyBackend::new(
+            Arc::new(MemoryBackend::new()),
+            plan.clone(),
+        ));
+        let server = CdStoreServer::with_backend(0, faulty.clone());
+        backup_file(&server, 1, b"/durable", &[b"journaled share".to_vec()]);
+        // The backend drops out under one upload: its group commit lapses
+        // (and so does the eager checkpoint), yet the request succeeds.
+        plan.set_outage(true);
+        backup_file(&server, 1, b"/lapsed", &[b"lapsed share".to_vec()]);
+        assert!(server.journal_lapses.load(Ordering::Relaxed) > 0);
+        // While the lapse cannot be repaired, flush refuses to claim
+        // durability; once the backend is back, it re-baselines.
+        assert!(server.flush().is_err());
+        plan.set_outage(false);
+        server.flush().unwrap();
+        assert_eq!(server.journal_lapses.load(Ordering::Relaxed), 0);
+        drop(server);
+        let (revived, report) = CdStoreServer::open(0, faulty.inner()).unwrap();
+        assert!(!report.pruned_anything(), "{report:?}");
+        assert_eq!(
+            revived
+                .fetch_share(1, &Fingerprint::of(b"lapsed share"))
+                .unwrap(),
+            b"lapsed share"
+        );
     }
 }

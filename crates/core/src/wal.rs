@@ -1,6 +1,7 @@
 //! Wire formats of the durable-metadata subsystem: the journal records a
-//! server appends on every index mutation, and the checkpoint snapshot that
-//! periodically supersedes them.
+//! server stages on every index mutation (and commits, as one group, before
+//! the request returns), and the checkpoint snapshot that periodically
+//! supersedes them.
 //!
 //! Records are *state-level*: each carries the absolute post-state of the
 //! mutated entry (or its deletion), never a delta. Replay is therefore
@@ -8,27 +9,34 @@
 //! effect is a no-op — which is what lets recovery replay the journal suffix
 //! on top of a checkpoint without reasoning about exactly where the snapshot
 //! cut through concurrent mutations of *different* keys. (Per-key ordering
-//! is exact: records are appended under the key's stripe lock, in apply
-//! order; see `cdstore_index::sharded`.)
+//! is exact: records are staged under the key's stripe lock, in apply order
+//! — see `cdstore_index::sharded` — and a commit writes a prefix of the
+//! staging order, so the journal never holds a later state of a key without
+//! every earlier one.)
 //!
 //! The framing (length prefix, CRC, torn-tail detection, segments, epochs)
 //! lives one layer down in [`cdstore_storage::journal`]; this module only
 //! defines the payloads.
 
+use std::borrow::Cow;
+
 use cdstore_crypto::Fingerprint;
 use cdstore_index::{FileEntry, FileKey, ShareEntry};
 
 /// One journaled index mutation: the absolute post-state of a single entry
-/// of one of the server's three metadata structures.
+/// of one of the server's three metadata structures. The variable-size
+/// fields are `Cow`s: the server stages records that *borrow* the state it
+/// just wrote (no per-record clone); [`MetaRecord::decode`] returns owned
+/// ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MetaRecord {
+pub enum MetaRecord<'a> {
     /// The share index now holds `entry` for `fp` (insert, reference-count
     /// change, or relocation — the record does not distinguish).
     ShareUpsert {
         /// Server-side share fingerprint.
         fp: Fingerprint,
         /// The entry's full post-state.
-        entry: ShareEntry,
+        entry: Cow<'a, ShareEntry>,
     },
     /// The share's last reference went: the index entry was deleted.
     ShareDelete {
@@ -50,14 +58,14 @@ pub enum MetaRecord {
     /// The user-share ownership map now holds `value` for `key`.
     MapPut {
         /// `(user || client fingerprint)` ownership key.
-        key: Vec<u8>,
+        key: Cow<'a, [u8]>,
         /// The server fingerprint the mapping resolves to.
-        value: Vec<u8>,
+        value: Cow<'a, [u8]>,
     },
     /// The ownership mapping was torn down.
     MapDelete {
         /// `(user || client fingerprint)` ownership key.
-        key: Vec<u8>,
+        key: Cow<'a, [u8]>,
     },
 }
 
@@ -68,64 +76,58 @@ const TAG_FILE_DELETE: u8 = 4;
 const TAG_MAP_PUT: u8 = 5;
 const TAG_MAP_DELETE: u8 = 6;
 
-impl MetaRecord {
-    /// Serialises the record into a journal payload.
-    pub fn encode(&self) -> Vec<u8> {
+impl MetaRecord<'_> {
+    /// Appends the record's journal payload to `out` (the journal frames it
+    /// in place: no per-record buffer).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             MetaRecord::ShareUpsert { fp, entry } => {
-                let body = entry.to_bytes();
-                let mut out = Vec::with_capacity(33 + body.len());
                 out.push(TAG_SHARE_UPSERT);
                 out.extend_from_slice(fp.as_bytes());
-                out.extend_from_slice(&body);
-                out
+                entry.encode_into(out);
             }
             MetaRecord::ShareDelete { fp } => {
-                let mut out = Vec::with_capacity(33);
                 out.push(TAG_SHARE_DELETE);
                 out.extend_from_slice(fp.as_bytes());
-                out
             }
             MetaRecord::FileUpsert { key, entry } => {
-                let body = entry.to_bytes();
-                let mut out = Vec::with_capacity(33 + body.len());
                 out.push(TAG_FILE_UPSERT);
                 out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(&body);
-                out
+                out.extend_from_slice(&entry.to_bytes());
             }
             MetaRecord::FileDelete { key } => {
-                let mut out = Vec::with_capacity(33);
                 out.push(TAG_FILE_DELETE);
                 out.extend_from_slice(key.as_bytes());
-                out
             }
             MetaRecord::MapPut { key, value } => {
-                let mut out = Vec::with_capacity(5 + key.len() + value.len());
                 out.push(TAG_MAP_PUT);
                 out.extend_from_slice(&(key.len() as u32).to_be_bytes());
                 out.extend_from_slice(key);
                 out.extend_from_slice(value);
-                out
             }
             MetaRecord::MapDelete { key } => {
-                let mut out = Vec::with_capacity(1 + key.len());
                 out.push(TAG_MAP_DELETE);
                 out.extend_from_slice(key);
-                out
             }
         }
+    }
+
+    /// Serialises the record into a journal payload of its own.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
     /// Parses a journal payload (`None` for unknown tags or malformed
     /// bodies — recovery skips such records rather than failing, so a
     /// rolled-back binary can still open a newer journal).
-    pub fn decode(bytes: &[u8]) -> Option<MetaRecord> {
+    pub fn decode(bytes: &[u8]) -> Option<MetaRecord<'static>> {
         let (&tag, rest) = bytes.split_first()?;
         match tag {
             TAG_SHARE_UPSERT => {
                 let fp = Fingerprint::from_bytes(rest.get(..32)?.try_into().ok()?);
-                let entry = ShareEntry::from_bytes(rest.get(32..)?)?;
+                let entry = Cow::Owned(ShareEntry::from_bytes(rest.get(32..)?)?);
                 Some(MetaRecord::ShareUpsert { fp, entry })
             }
             TAG_SHARE_DELETE => {
@@ -143,11 +145,13 @@ impl MetaRecord {
             }
             TAG_MAP_PUT => {
                 let klen = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-                let key = rest.get(4..4 + klen)?.to_vec();
-                let value = rest.get(4 + klen..)?.to_vec();
+                let key = rest.get(4..4 + klen)?.to_vec().into();
+                let value = rest.get(4 + klen..)?.to_vec().into();
                 Some(MetaRecord::MapPut { key, value })
             }
-            TAG_MAP_DELETE => Some(MetaRecord::MapDelete { key: rest.to_vec() }),
+            TAG_MAP_DELETE => Some(MetaRecord::MapDelete {
+                key: rest.to_vec().into(),
+            }),
             _ => None,
         }
     }
@@ -321,7 +325,7 @@ mod tests {
         let records = vec![
             MetaRecord::ShareUpsert {
                 fp: fp(1),
-                entry: share_entry(3),
+                entry: Cow::Owned(share_entry(3)),
             },
             MetaRecord::ShareDelete { fp: fp(2) },
             MetaRecord::FileUpsert {
@@ -332,15 +336,20 @@ mod tests {
                 key: FileKey::new(2, b"/b"),
             },
             MetaRecord::MapPut {
-                key: b"owner-key".to_vec(),
-                value: b"server-fp".to_vec(),
+                key: b"owner-key".as_slice().into(),
+                value: b"server-fp".as_slice().into(),
             },
             MetaRecord::MapDelete {
-                key: b"owner-key".to_vec(),
+                key: b"owner-key".as_slice().into(),
             },
         ];
+        let mut group = vec![0xee];
         for record in records {
-            assert_eq!(MetaRecord::decode(&record.encode()), Some(record));
+            assert_eq!(MetaRecord::decode(&record.encode()), Some(record.clone()));
+            // Encoding in place appends exactly the stand-alone payload.
+            let before = group.len();
+            record.encode_into(&mut group);
+            assert_eq!(group[before..], record.encode());
         }
     }
 

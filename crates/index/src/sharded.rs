@@ -295,7 +295,7 @@ impl ShardedShareIndex {
             };
             // Write back through the already-decoded entry: duplicates (the
             // dominant case in dedup-heavy workloads) cost one index read.
-            shard.add_reference_to_entry(fp, &mut entry, user);
+            shard.add_references_to_entry(fp, &mut entry, user, 1);
             observe(&entry)?;
             Ok((entry.location, outcome))
         } else {
@@ -312,27 +312,31 @@ impl ShardedShareIndex {
     /// Adds one reference for `user` to a share that must already be stored.
     /// Returns `false` (and changes nothing) if the fingerprint is unknown.
     pub fn add_reference_existing(&self, fp: &Fingerprint, user: u64) -> bool {
-        infallible(self.add_reference_existing_with(fp, user, |_| Ok(())))
+        infallible(self.add_references_existing_with(fp, user, 1, |_| Ok(())))
     }
 
-    /// [`ShardedShareIndex::add_reference_existing`] with a journaling hook
-    /// that observes the entry's post-state under the stripe lock (only
-    /// invoked when the reference was actually added).
-    pub fn add_reference_existing_with<E>(
+    /// Adds `count` references for `user` to a share that must already be
+    /// stored, in one stripe-locked step, with a journaling hook that
+    /// observes the entry's post-state under the lock. Returns `false` (and
+    /// changes nothing) if the fingerprint is unknown. `count == 0` is the
+    /// pure existence check of the same rule: nothing is written and the hook
+    /// is not invoked.
+    pub fn add_references_existing_with<E>(
         &self,
         fp: &Fingerprint,
         user: u64,
+        count: u32,
         observe: impl FnOnce(&ShareEntry) -> Result<(), E>,
     ) -> Result<bool, E> {
         let mut shard = self.shard(fp).lock();
-        match shard.lookup(fp) {
-            Some(mut entry) => {
-                shard.add_reference_to_entry(fp, &mut entry, user);
-                observe(&entry)?;
-                Ok(true)
-            }
-            None => Ok(false),
+        let Some(mut entry) = shard.lookup(fp) else {
+            return Ok(false);
+        };
+        if count > 0 {
+            shard.add_references_to_entry(fp, &mut entry, user, count);
+            observe(&entry)?;
         }
+        Ok(true)
     }
 
     /// Drops one reference held by `user`, deleting the entry when the last
@@ -671,19 +675,20 @@ impl ShardedKvStore {
 
     /// Inserts or overwrites a key.
     pub fn put(&self, key: Vec<u8>, value: Vec<u8>) {
-        infallible(self.put_with(key, value, || Ok(())));
+        infallible(self.put_with(key, value, |_, _| Ok(())));
     }
 
-    /// [`ShardedKvStore::put`] with a journaling hook that runs under the
-    /// stripe lock, so mutations of one key journal in apply order.
+    /// [`ShardedKvStore::put`] with a journaling hook that observes the pair
+    /// being written under the stripe lock, so mutations of one key journal
+    /// in apply order.
     pub fn put_with<E>(
         &self,
         key: Vec<u8>,
         value: Vec<u8>,
-        observe: impl FnOnce() -> Result<(), E>,
+        observe: impl FnOnce(&[u8], &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut shard = self.shard(&key).lock();
-        observe()?;
+        observe(&key, &value)?;
         shard.put(key, value);
         Ok(())
     }
@@ -818,6 +823,30 @@ mod tests {
         assert!(moved.container_id >= 100 && moved.container_id < 104);
         assert!(index.add_reference_existing(&fp(1), 2));
         assert!(!index.add_reference_existing(&fp(99), 2));
+    }
+
+    #[test]
+    fn counted_references_land_in_one_observed_step() {
+        let index = ShardedShareIndex::new();
+        index
+            .add_reference_or_store::<()>(&fp(1), 1, || Ok(loc(10, 8)))
+            .unwrap();
+        let mut observed = Vec::new();
+        let mut add = |fp: &Fingerprint, user, count| {
+            infallible(index.add_references_existing_with(fp, user, count, |post| {
+                observed.push(post.owners.clone());
+                Ok(())
+            }))
+        };
+        assert!(add(&fp(1), 1, 3));
+        assert!(add(&fp(1), 2, 2));
+        // Zero references is the existence check: nothing written or observed.
+        assert!(add(&fp(1), 3, 0));
+        assert!(!add(&fp(99), 1, 0));
+        assert!(!add(&fp(99), 1, 2));
+        assert_eq!(observed, vec![vec![(1, 4)], vec![(1, 4), (2, 2)]]);
+        assert_eq!(index.lookup(&fp(1)).unwrap().owners, vec![(1, 4), (2, 2)]);
+        assert!(!index.is_stored(&fp(99)));
     }
 
     #[test]

@@ -47,8 +47,10 @@ impl ShareEntry {
         Self::decode(bytes)
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 12 * self.owners.len());
+    /// Appends the serialised entry ([`ShareEntry::to_bytes`]) to `out` —
+    /// the journal encodes records in place through this.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(20 + 12 * self.owners.len());
         out.extend_from_slice(&self.location.container_id.to_be_bytes());
         out.extend_from_slice(&self.location.offset.to_be_bytes());
         out.extend_from_slice(&self.location.size.to_be_bytes());
@@ -57,6 +59,11 @@ impl ShareEntry {
             out.extend_from_slice(&user.to_be_bytes());
             out.extend_from_slice(&count.to_be_bytes());
         }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
     }
 
@@ -218,7 +225,7 @@ impl ShareIndex {
     ) -> ShareAddOutcome {
         match self.lookup(fp) {
             Some(mut entry) => {
-                self.add_reference_to_entry(fp, &mut entry, user);
+                self.add_references_to_entry(fp, &mut entry, user, 1);
                 ShareAddOutcome::Duplicate
             }
             None => {
@@ -229,13 +236,19 @@ impl ShareIndex {
     }
 
     /// Like [`ShareIndex::add_reference`] for a share known to exist, for
-    /// callers that already hold the decoded entry from a lookup: updates the
-    /// entry's owner list in place and writes it back without re-reading the
-    /// store.
-    pub fn add_reference_to_entry(&mut self, fp: &Fingerprint, entry: &mut ShareEntry, user: u64) {
+    /// callers that already hold the decoded entry from a lookup: gives
+    /// `user` `count` more references in the entry's owner list in place and
+    /// writes it back without re-reading the store.
+    pub fn add_references_to_entry(
+        &mut self,
+        fp: &Fingerprint,
+        entry: &mut ShareEntry,
+        user: u64,
+        count: u32,
+    ) {
         match entry.owners.iter_mut().find(|(u, _)| *u == user) {
-            Some((_, count)) => *count += 1,
-            None => entry.owners.push((user, 1)),
+            Some((_, held)) => *held += count,
+            None => entry.owners.push((user, count)),
         }
         self.store.put(fp.as_bytes().to_vec(), entry.encode());
     }
@@ -255,7 +268,7 @@ impl ShareIndex {
     pub fn add_reference_existing(&mut self, fp: &Fingerprint, user: u64) -> bool {
         match self.lookup(fp) {
             Some(mut entry) => {
-                self.add_reference_to_entry(fp, &mut entry, user);
+                self.add_references_to_entry(fp, &mut entry, user, 1);
                 true
             }
             None => false,

@@ -48,6 +48,17 @@ pub trait StorageBackend: Send + Sync {
     /// Writes (or overwrites) an object.
     fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError>;
 
+    /// Writes (or overwrites) an object whose bytes are the concatenation of
+    /// `parts`, in order. The contract is exactly `put(key, parts.concat())`
+    /// — same atomicity, same durability, same resulting object — which is
+    /// also what this default does; backends that can write the parts
+    /// straight to their destination override it to skip the intermediate
+    /// buffer (a sealed container is a small header plus a 4 MB payload that
+    /// already sits in memory).
+    fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
+        self.put(key, &parts.concat())
+    }
+
     /// Reads an object.
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError>;
 
@@ -149,6 +160,12 @@ impl StorageBackend for MemoryBackend {
         Ok(())
     }
 
+    fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
+        // `concat` sizes the one allocation exactly; it becomes the object.
+        self.objects.write().insert(key.to_string(), parts.concat());
+        Ok(())
+    }
+
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
         self.objects
             .read()
@@ -241,11 +258,17 @@ impl DirBackend {
 
 impl StorageBackend for DirBackend {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.put_parts(key, &[data])
+    }
+
+    fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
         let path = self.path_for(key);
         let tmp = path.with_extension("tmp");
         {
             let mut file = fs::File::create(&tmp)?;
-            file.write_all(data)?;
+            for part in parts {
+                file.write_all(part)?;
+            }
             // The temp file's content must be on disk *before* the rename:
             // otherwise a crash can leave the final name pointing at an
             // empty (or partial) container even though the rename itself
@@ -367,6 +390,12 @@ mod tests {
         assert!(!backend.exists("a").unwrap());
         assert!(matches!(backend.get("a"), Err(StorageError::NotFound(_))));
         backend.delete("never-existed").unwrap();
+        // `put_parts` is `put` of the concatenation, overwriting included.
+        backend.put("parts", b"overwritten").unwrap();
+        backend.put_parts("parts", &[b"he", b"", b"llo"]).unwrap();
+        assert_eq!(backend.get("parts").unwrap(), b"hello");
+        assert_eq!(backend.object_size("parts").unwrap(), 5);
+        backend.delete("parts").unwrap();
     }
 
     #[test]

@@ -77,10 +77,13 @@ impl Container {
         self.payload.get(offset as usize..end)
     }
 
-    /// Serialises the container to a flat byte buffer (the object written to
-    /// the cloud backend).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 64 + self.entries.len() * 40);
+    /// The serialised prefix of the container object: magic, identity, the
+    /// entry table, and the payload length — everything
+    /// [`Container::to_bytes`] writes before the payload itself. The store
+    /// seals with `put_parts(key, [header, payload])`, so the 4 MB payload
+    /// is never copied into a second buffer.
+    pub fn header_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(33 + self.entries.len() * 40);
         out.extend_from_slice(b"CDCT");
         out.extend_from_slice(&self.id.to_be_bytes());
         out.extend_from_slice(&self.user.to_be_bytes());
@@ -95,8 +98,14 @@ impl Container {
             out.extend_from_slice(&entry.length.to_be_bytes());
         }
         out.extend_from_slice(&(self.payload.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.payload);
         out
+    }
+
+    /// Serialises the container to a flat byte buffer (the object written to
+    /// the cloud backend): [`Container::header_bytes`] followed by the
+    /// payload.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        [self.header_bytes().as_slice(), &self.payload].concat()
     }
 
     /// Reopens the sealed container as a builder with identical id, user,

@@ -245,6 +245,7 @@ pub struct FaultPlan {
     config: FaultConfig,
     tick: AtomicU64,
     forced_outage: AtomicBool,
+    crash_armed: AtomicBool,
     log: Mutex<Vec<FaultEvent>>,
     dropped: AtomicU64,
 }
@@ -270,6 +271,7 @@ impl FaultPlan {
             config,
             tick: AtomicU64::new(0),
             forced_outage: AtomicBool::new(false),
+            crash_armed: AtomicBool::new(false),
             log: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
         }
@@ -294,6 +296,15 @@ impl FaultPlan {
     /// harness's lever for timed outages and "kill this cloud now" moments.
     pub fn set_outage(&self, outage: bool) {
         self.forced_outage.store(outage, Ordering::SeqCst);
+    }
+
+    /// Arms a one-shot *host crash*: the next `put`/`append` that carries a
+    /// payload lands a seeded strict prefix and fails (logged as a torn
+    /// write), and from that instant the plan rejects every operation as a
+    /// forced outage — the process died mid-write, and what the inner
+    /// backend holds is what a restart will find.
+    pub fn crash_on_next_write(&self) {
+        self.crash_armed.store(true, Ordering::SeqCst);
     }
 
     /// Whether the plan currently rejects every operation: a forced outage,
@@ -400,9 +411,11 @@ impl FaultPlan {
             return Err(Self::injected(key));
         }
         if let Some(tear) = tear {
-            if self.config.torn_write_rate > 0.0
-                && bytes > 0
-                && unit(self.draw(tick, 2)) < self.config.torn_write_rate
+            let crash = bytes > 0 && self.crash_armed.swap(false, Ordering::SeqCst);
+            if crash
+                || (self.config.torn_write_rate > 0.0
+                    && bytes > 0
+                    && unit(self.draw(tick, 2)) < self.config.torn_write_rate)
             {
                 // Land a strict prefix, then fail — the crash shape every
                 // CRC-framed on-backend format must detect and discard.
@@ -417,6 +430,9 @@ impl FaultPlan {
                         requested: bytes as usize,
                     },
                 });
+                if crash {
+                    self.forced_outage.store(true, Ordering::SeqCst);
+                }
                 return Err(Self::injected(key));
             }
         }
@@ -614,6 +630,29 @@ mod tests {
         assert_eq!(backend.get("a").unwrap(), b"1");
         let kinds: Vec<_> = plan.schedule().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&FaultKind::ForcedOutage));
+    }
+
+    #[test]
+    fn an_armed_crash_tears_the_next_write_and_kills_the_backend() {
+        let (backend, plan) = faulty(FaultConfig::clean(13));
+        backend.put("before", b"intact").unwrap();
+        plan.crash_on_next_write();
+        assert_eq!(backend.get("before").unwrap(), b"intact"); // reads pass
+        let payload = vec![0x5au8; 4096];
+        assert!(backend.append("log", &payload).is_err());
+        assert!(plan.outage_active());
+        assert!(backend.get("before").is_err());
+        let schedule = plan.schedule();
+        let FaultKind::TornWrite { written, requested } = schedule[0].kind else {
+            panic!("expected a torn write, got {:?}", schedule[0].kind);
+        };
+        assert_eq!((schedule[0].op, requested), ("append", 4096));
+        assert_eq!(schedule[1].kind, FaultKind::ForcedOutage);
+        // A restart finds the strict prefix and everything written before.
+        let inner = backend.inner();
+        assert_eq!(inner.get("before").unwrap(), b"intact");
+        assert_eq!(inner.get("log").unwrap_or_default(), payload[..written]);
+        assert!(written < requested);
     }
 
     #[test]

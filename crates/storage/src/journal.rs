@@ -3,10 +3,28 @@
 //!
 //! A CDStore server keeps its share index, file index, and ownership
 //! mappings in memory for speed; this module is what makes them survive a
-//! process crash. Every index mutation appends one length-prefixed,
-//! CRC-checksummed record to the journal *before* the operation is
-//! acknowledged, and a periodic checkpoint persists a full snapshot of the
-//! state so recovery replays only the journal suffix written since.
+//! process crash. Every index mutation *stages* one length-prefixed,
+//! CRC-checksummed record, every request *commits* what has been staged
+//! before it is acknowledged, and a periodic checkpoint persists a full
+//! snapshot of the state so recovery replays only the journal suffix written
+//! since.
+//!
+//! # Group commit
+//!
+//! The unit of durability is the request, not the record.
+//! [`Journal::stage`] frames a record into an in-memory staging buffer — the
+//! caller holds the mutated key's lock while it does, so the buffer's order
+//! is the order the mutations were applied in. [`Journal::commit`] takes the
+//! writer lock, swaps the buffer out, and issues **one**
+//! [`StorageBackend::append`] (one segment key, one rotation check, one
+//! fsync on a directory backend) for everything staged so far *by any
+//! thread*. A commit therefore always writes a prefix of the staging order:
+//! a record another thread derived from a not-yet-committed mutation cannot
+//! become durable before that mutation does, and a caller whose records
+//! were swept up by someone else's commit blocks on the writer lock until
+//! that append has landed. The bytes on the backend are the same frames a
+//! record-at-a-time writer would have produced, concatenated — replay cannot
+//! tell the difference.
 //!
 //! # On-backend layout
 //!
@@ -36,7 +54,9 @@
 //! server actually passed through. Segments decode independently: when an
 //! append *error* leaves a partial frame mid-history, the writer rotates to
 //! a fresh segment, so the records acknowledged after the failure still
-//! replay rather than being poisoned by the torn bytes before them.
+//! replay rather than being poisoned by the torn bytes before them. A torn
+//! *group* is the same shape: the records before the tear replay, the rest of
+//! the group is discarded with the tail.
 
 use std::sync::Arc;
 
@@ -50,8 +70,9 @@ pub const CHECKPOINT_PREFIX: &str = "meta-ckpt-";
 /// Key prefix of write-ahead-log segment objects.
 pub const WAL_PREFIX: &str = "meta-wal-";
 
-/// Target size of one WAL segment. Appends that would grow the active
-/// segment past this bound rotate to a fresh segment object first.
+/// Target size of one WAL segment. A commit that finds the active segment at
+/// or past this bound rotates to a fresh segment object first, so a segment
+/// exceeds the target by at most one committed group.
 pub const SEGMENT_TARGET_BYTES: usize = 256 * 1024;
 
 /// Magic tag opening a framed checkpoint blob.
@@ -81,13 +102,18 @@ fn parse_segment_key(key: &str) -> Option<(u64, u64)> {
     Some((parse_hex(epoch)?, parse_hex(segment)?))
 }
 
-/// Frames one record for appending: `len | crc | payload`.
-fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Frames one record in place at the end of `out`: reserves the
+/// `len | crc` header, lets `payload` append the record body, then fills the
+/// header in — no per-record buffer.
+fn frame_record_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    payload(out);
+    let body = header + 8;
+    let len = (out.len() - body) as u32;
+    let crc = crc32(&out[body..]);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..body].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decodes a concatenated stream of framed records. Returns the records that
@@ -166,7 +192,7 @@ struct WriterState {
     segment: u64,
     /// Bytes already appended to the active segment.
     segment_bytes: usize,
-    /// Records appended since the last committed checkpoint (drives the
+    /// Records committed since the last committed checkpoint (drives the
     /// caller's checkpoint cadence).
     records_since_checkpoint: u64,
     /// A freshly constructed journal clears any stale journal state left on
@@ -175,32 +201,52 @@ struct WriterState {
     reset_pending: bool,
 }
 
+/// Records framed but not yet handed to the backend, in apply order.
+#[derive(Default)]
+struct Staging {
+    frames: Vec<u8>,
+    records: u64,
+}
+
 /// The write side of the metadata journal.
 ///
-/// `append` is cheap and safe to call under fine-grained locks (it takes one
-/// internal mutex and performs one backend append); `commit_checkpoint` is
-/// the heavyweight operation that supersedes the journal with a snapshot.
+/// `stage` is memory-only and safe to call under fine-grained locks (it
+/// takes one internal mutex, briefly); `commit` performs the one backend
+/// append that makes everything staged so far durable; `commit_checkpoint`
+/// is the heavyweight operation that supersedes the journal with a snapshot.
 pub struct Journal {
     backend: Arc<dyn StorageBackend>,
+    /// The staging buffer. Never held across backend I/O.
+    staging: Mutex<Staging>,
+    /// The writer lock: held across a commit's swap *and* its append, so
+    /// groups reach the backend in the order they were swapped out.
     state: Mutex<WriterState>,
 }
 
 impl Journal {
+    fn with_state(backend: Arc<dyn StorageBackend>, state: WriterState) -> Self {
+        Journal {
+            backend,
+            staging: Mutex::new(Staging::default()),
+            state: Mutex::new(state),
+        }
+    }
+
     /// A journal for a brand-new server. Any journal state a previous
-    /// incarnation left on the backend is cleared on the first append.
+    /// incarnation left on the backend is cleared on the first commit.
     /// (To *recover* that state instead, use [`Journal::load`] followed by
     /// [`Journal::resume`].)
     pub fn fresh(backend: Arc<dyn StorageBackend>) -> Self {
-        Journal {
+        Self::with_state(
             backend,
-            state: Mutex::new(WriterState {
+            WriterState {
                 epoch: 0,
                 segment: 0,
                 segment_bytes: 0,
                 records_since_checkpoint: 0,
                 reset_pending: true,
-            }),
-        }
+            },
+        )
     }
 
     /// A journal continuing the epoch a [`LoadedJournal`] was recovered
@@ -209,9 +255,9 @@ impl Journal {
     /// the loaded epoch after its last intact record — note that a torn tail
     /// would corrupt such appends, so recovery always checkpoints first.
     pub fn resume(backend: Arc<dyn StorageBackend>, loaded: &LoadedJournal) -> Self {
-        Journal {
+        Self::with_state(
             backend,
-            state: Mutex::new(WriterState {
+            WriterState {
                 epoch: loaded.epoch,
                 // Open a fresh segment rather than appending after a
                 // possibly-torn tail of the last one.
@@ -219,8 +265,8 @@ impl Journal {
                 segment_bytes: 0,
                 records_since_checkpoint: loaded.records.len() as u64,
                 reset_pending: false,
-            }),
-        }
+            },
+        )
     }
 
     /// Reads the newest valid checkpoint and the journal suffix written
@@ -250,7 +296,7 @@ impl Journal {
         // segment only. In the common crash case the tear sits at the end
         // of the highest-numbered segment, so nothing follows it anyway;
         // after a failed append mid-history, the writer rotated to a fresh
-        // segment (see [`Journal::append`]), so the records acknowledged
+        // segment (see [`Journal::commit`]), so the records acknowledged
         // after the failure still replay instead of being poisoned by the
         // partial frame before them.
         let mut segments: Vec<u64> = keys
@@ -294,15 +340,35 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends one record to the write-ahead log. The record is durable (to
-    /// the extent the backend's `append` is) before this returns. On error
-    /// nothing was (reliably) appended; the caller decides whether to fail
-    /// its operation or to count the lapse and re-baseline with a prompt
-    /// checkpoint (the CDStore server does the latter — see its
-    /// `journal_record`).
-    pub fn append(&self, payload: &[u8]) -> Result<(), StorageError> {
-        let framed = frame_record(payload);
+    /// Stages one record: `payload` appends the record body to the staging
+    /// buffer, framed in place. Memory-only and infallible; nothing is
+    /// durable until the next [`Journal::commit`]. Call it while holding the
+    /// lock that serialises mutations of the record's key, so the staging
+    /// order *is* the apply order.
+    pub fn stage(&self, payload: impl FnOnce(&mut Vec<u8>)) {
+        let mut staging = self.staging.lock();
+        frame_record_into(&mut staging.frames, payload);
+        staging.records += 1;
+    }
+
+    /// Whether any staged record awaits a commit.
+    pub fn has_staged(&self) -> bool {
+        self.staging.lock().records > 0
+    }
+
+    /// Makes every record staged so far — by any thread — durable with one
+    /// backend append, and returns once none of them is still in flight: a
+    /// caller whose records another thread's commit already swapped out
+    /// waits here, on the writer lock, for that append to finish. On error
+    /// nothing of the group was (reliably) appended; the caller decides
+    /// whether to fail its operation or to count the lapse and re-baseline
+    /// with a prompt checkpoint (the CDStore server does the latter).
+    pub fn commit(&self) -> Result<(), StorageError> {
         let mut state = self.state.lock();
+        let group = std::mem::take(&mut *self.staging.lock());
+        if group.records == 0 {
+            return Ok(());
+        }
         if state.reset_pending {
             self.sweep(None)?;
             state.reset_pending = false;
@@ -313,23 +379,29 @@ impl Journal {
         }
         if let Err(e) = self
             .backend
-            .append(&segment_key(state.epoch, state.segment), &framed)
+            .append(&segment_key(state.epoch, state.segment), &group.frames)
         {
-            // The failed append may have left a partial frame at the
+            // The failed append may have left a partial group at the
             // segment tail. Never write after it: rotate to a fresh
-            // segment, so replay loses at most this one record instead of
-            // discarding every later (successfully acknowledged) append
+            // segment, so replay loses at most this one group instead of
+            // discarding every later (successfully acknowledged) commit
             // behind the torn bytes.
             state.segment += 1;
             state.segment_bytes = 0;
             return Err(e);
         }
-        state.segment_bytes += framed.len();
-        state.records_since_checkpoint += 1;
+        state.segment_bytes += group.frames.len();
+        state.records_since_checkpoint += group.records;
         Ok(())
     }
 
-    /// Records appended since the last committed checkpoint.
+    /// Stages and commits one record — the one-record group.
+    pub fn append(&self, payload: &[u8]) -> Result<(), StorageError> {
+        self.stage(|out| out.extend_from_slice(payload));
+        self.commit()
+    }
+
+    /// Records committed since the last committed checkpoint.
     pub fn records_since_checkpoint(&self) -> u64 {
         self.state.lock().records_since_checkpoint
     }
@@ -354,7 +426,11 @@ impl Journal {
         state.segment = 0;
         state.segment_bytes = 0;
         state.records_since_checkpoint = 0;
-        self.sweep(Some(next_epoch))
+        // Best-effort: the checkpoint is durable and recovery ignores
+        // superseded epochs, so a failed sweep costs only space, which the
+        // next checkpoint's sweep reclaims.
+        let _ = self.sweep(Some(next_epoch));
+        Ok(())
     }
 }
 
@@ -362,6 +438,8 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
+    use crate::fault::{FaultConfig, FaultPlan, FaultyBackend};
+    use proptest::prelude::*;
 
     fn new_journal() -> (Journal, Arc<MemoryBackend>) {
         let backend = Arc::new(MemoryBackend::new());
@@ -547,7 +625,7 @@ mod tests {
     fn decode_records_handles_every_prefix_without_panicking() {
         let mut stream = Vec::new();
         for i in 0..20u32 {
-            stream.extend_from_slice(&frame_record(&i.to_be_bytes()));
+            frame_record_into(&mut stream, |out| out.extend_from_slice(&i.to_be_bytes()));
         }
         let full = decode_records(&stream).0.len();
         assert_eq!(full, 20);
@@ -557,6 +635,166 @@ mod tests {
             // A prefix is torn exactly when it does not end on a frame
             // boundary (every frame here is 12 bytes).
             assert_eq!(torn, cut % 12 != 0, "cut at {cut}");
+        }
+    }
+
+    fn payloads(n: u32) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| format!("record-{i}-{}", "x".repeat(i as usize % 7)).into_bytes())
+            .collect()
+    }
+
+    /// Stages every payload and commits them as one group.
+    fn commit_group(journal: &Journal, payloads: &[Vec<u8>]) -> Result<(), StorageError> {
+        for payload in payloads {
+            journal.stage(|out| out.extend_from_slice(payload));
+        }
+        journal.commit()
+    }
+
+    #[test]
+    fn a_committed_group_is_byte_identical_to_single_appends() {
+        let records = payloads(200);
+        let (single, single_backend) = new_journal();
+        for record in &records {
+            single.append(record).unwrap();
+        }
+        let (grouped, grouped_backend) = new_journal();
+        commit_group(&grouped, &records).unwrap();
+        assert!(!grouped.has_staged());
+        assert_eq!(grouped.records_since_checkpoint(), 200);
+        // Same records in the same order, and — no rotation intervening —
+        // the same bytes in the same single segment.
+        assert_eq!(Journal::load(&*grouped_backend).unwrap().records, records);
+        assert_eq!(Journal::load(&*single_backend).unwrap().records, records);
+        assert_eq!(grouped_backend.list().unwrap(), vec![segment_key(0, 0)]);
+        assert_eq!(
+            grouped_backend.get(&segment_key(0, 0)).unwrap(),
+            single_backend.get(&segment_key(0, 0)).unwrap()
+        );
+        // An empty commit touches nothing.
+        grouped.commit().unwrap();
+        assert_eq!(grouped.records_since_checkpoint(), 200);
+    }
+
+    /// Frames exactly as the record-at-a-time writer of earlier versions
+    /// laid them down (`len LE | crc32 LE | payload` for `"a"`, `""`,
+    /// `"record-two"`): journals already on disk replay unchanged, and a
+    /// group committed today is the same bytes.
+    const PER_RECORD_FIXTURE: [u8; 35] = [
+        0x01, 0x00, 0x00, 0x00, 0x43, 0xbe, 0xb7, 0xe8, 0x61, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0xbc, 0x3b, 0xd3, 0xb2, 0x72, 0x65, 0x63, 0x6f, 0x72,
+        0x64, 0x2d, 0x74, 0x77, 0x6f,
+    ];
+
+    #[test]
+    fn per_record_and_group_fixtures_decode_to_the_same_records() {
+        let records = vec![b"a".to_vec(), Vec::new(), b"record-two".to_vec()];
+        assert_eq!(
+            decode_records(&PER_RECORD_FIXTURE),
+            (records.clone(), false)
+        );
+        let (journal, backend) = new_journal();
+        commit_group(&journal, &records).unwrap();
+        assert_eq!(backend.get(&segment_key(0, 0)).unwrap(), PER_RECORD_FIXTURE);
+        // A journal the old writer left behind loads and resumes.
+        let old = Arc::new(MemoryBackend::new());
+        old.put(&segment_key(0, 0), &PER_RECORD_FIXTURE).unwrap();
+        let loaded = Journal::load(&*old).unwrap();
+        assert_eq!(loaded.records, records);
+        assert!(!loaded.torn);
+    }
+
+    #[test]
+    fn groups_rotate_segments_between_commits_only() {
+        let (journal, backend) = new_journal();
+        let big = vec![0x11u8; SEGMENT_TARGET_BYTES / 2];
+        // One group of three half-segment records overshoots the target...
+        commit_group(&journal, &[big.clone(), big.clone(), big.clone()]).unwrap();
+        assert_eq!(backend.list().unwrap(), vec![segment_key(0, 0)]);
+        // ...by at most that one group: the next commit rotates first.
+        journal.append(b"next").unwrap();
+        assert_eq!(
+            backend.list().unwrap(),
+            vec![segment_key(0, 0), segment_key(0, 1)]
+        );
+        let loaded = Journal::load(&*backend).unwrap();
+        assert_eq!(loaded.records.len(), 4);
+        assert_eq!(loaded.records[3], b"next");
+    }
+
+    #[test]
+    fn a_failed_group_append_rotates_and_later_groups_still_replay() {
+        let inner = Arc::new(MemoryBackend::new());
+        // Every append tears: a strict prefix lands, then the call fails.
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::clean(7).with_torn_write_rate(1.0),
+        ));
+        let torn = Journal::fresh(Arc::new(FaultyBackend::new(inner.clone(), plan)));
+        let doomed = payloads(50);
+        assert!(commit_group(&torn, &doomed).is_err());
+        assert!(!torn.has_staged(), "a failed group is dropped, not retried");
+        assert_eq!(torn.records_since_checkpoint(), 0);
+        let after_tear = Journal::load(&*inner).unwrap();
+        assert!(after_tear.torn);
+        assert!(after_tear.records.len() < doomed.len());
+        assert_eq!(after_tear.records, doomed[..after_tear.records.len()]);
+
+        // The writer moved past the torn segment: with the backend healthy
+        // again, the next groups land in a fresh segment and replay behind
+        // whatever prefix of the torn group survived.
+        let healthy = Journal::resume(inner.clone(), &after_tear);
+        let later = payloads(20);
+        commit_group(&healthy, &later[..10]).unwrap();
+        commit_group(&healthy, &later[10..]).unwrap();
+        let loaded = Journal::load(&*inner).unwrap();
+        assert!(loaded.torn);
+        assert_eq!(
+            loaded.records[..after_tear.records.len()],
+            after_tear.records
+        );
+        assert_eq!(loaded.records[after_tear.records.len()..], later);
+    }
+
+    #[test]
+    fn the_writer_rotates_past_a_failed_group_append() {
+        let inner = Arc::new(MemoryBackend::new());
+        // Tick 0 is the reset sweep's `list`, tick 1 the first append: fail
+        // exactly that one, then let everything through.
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::clean(11).with_outage(crate::fault::Window::new(1, 2)),
+        ));
+        let journal = Journal::fresh(Arc::new(FaultyBackend::new(inner.clone(), plan)));
+        assert!(commit_group(&journal, &payloads(5)).is_err());
+        commit_group(&journal, &payloads(3)).unwrap();
+        // The failed group cost its segment index; the next group opened a
+        // fresh one instead of appending behind a possibly-partial frame.
+        assert_eq!(inner.list().unwrap(), vec![segment_key(0, 1)]);
+        assert_eq!(Journal::load(&*inner).unwrap().records, payloads(3));
+    }
+
+    proptest! {
+        #[test]
+        fn any_prefix_of_a_group_decodes_to_a_record_prefix(
+            sizes in proptest::collection::vec(0usize..200, 1..40),
+            cut_seed: u64,
+        ) {
+            let records: Vec<Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| vec![i as u8; len])
+                .collect();
+            let (journal, backend) = new_journal();
+            commit_group(&journal, &records).unwrap();
+            let group = backend.get(&segment_key(0, 0)).unwrap();
+            let cut = (cut_seed % (group.len() as u64 + 1)) as usize;
+            let (decoded, torn) = decode_records(&group[..cut]);
+            // Whole records only, in order, and `torn` exactly when the cut
+            // falls inside a frame.
+            prop_assert_eq!(&decoded[..], &records[..decoded.len()]);
+            let boundary: usize = decoded.iter().map(|r| 8 + r.len()).sum();
+            prop_assert_eq!(torn, boundary != cut);
+            prop_assert!(cut - boundary < 8 + records.get(decoded.len()).map_or(1, Vec::len));
         }
     }
 }

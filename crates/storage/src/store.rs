@@ -308,18 +308,23 @@ impl ContainerStore {
             return Ok(());
         }
         let container = builder.seal();
-        let bytes = container.to_bytes();
-        if let Err(e) = self.backend.put(&Self::object_key(id), &bytes) {
+        // Header and payload go to the backend as two parts: the object is
+        // byte-identical to `to_bytes()`, without copying the payload.
+        let header = container.header_bytes();
+        if let Err(e) = self
+            .backend
+            .put_parts(&Self::object_key(id), &[&header, &container.payload])
+        {
             *slot = Some(container.reopen());
             return Err(e);
         }
+        let size = container.payload_size();
         self.stats
             .containers_written
             .fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let size = container.payload_size();
+            .fetch_add((header.len() + size) as u64, Ordering::Relaxed);
         self.cache.lock().put(id, container, size);
         if let Some(usage) = self.ledger.lock().get_mut(&id) {
             usage.sealed = true;

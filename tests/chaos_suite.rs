@@ -10,6 +10,13 @@
 //! recovery. Fault schedules are written to `target/chaos/` so a CI failure
 //! can be replayed locally from the artifact (see `docs/chaos.md`).
 //!
+//! A server commits its journal once per request, so a backup touches its
+//! backend a few dozen times, not thousands: every backend operation is a
+//! large one (a journal group, a container, a checkpoint), and the fault
+//! rates are set per *such* operation. Each rate-driven scenario ends a
+//! backup job with a flush (as the paper's client does), and checks that it
+//! injected at least [`MIN_FAULTS_PER_CLOUD`] faults on every cloud.
+//!
 //! Debug builds (tier-1 `cargo test -q`) run reduced sizes; the CI `chaos`
 //! job runs the full sizes in release mode with `CHAOS_SEED` pinned.
 
@@ -20,8 +27,9 @@ use cdstore_core::{
     CdStore, CdStoreConfig, CdStoreError, CdStoreServer, RetryPolicy, ServerTransport,
 };
 use cdstore_net::{LoopbackCluster, NetClientConfig};
+use cdstore_storage::journal::WAL_PREFIX;
 use cdstore_storage::{
-    FaultConfig, FaultPlan, FaultyBackend, MemoryBackend, StorageBackend, Window,
+    FaultConfig, FaultKind, FaultPlan, FaultyBackend, MemoryBackend, StorageBackend, Window,
 };
 use cdstore_workloads::{FslConfig, FslWorkload, Snapshot, VmConfig, VmWorkload, Workload};
 
@@ -33,6 +41,10 @@ fn chaos_seed() -> u64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xCD5_70FE)
 }
+
+/// Faults a rate-driven scenario must inject on *every* cloud, at either
+/// size, before it may claim to have tested anything.
+const MIN_FAULTS_PER_CLOUD: usize = 3;
 
 /// Whether to run the full-size workloads (release CI) or the reduced
 /// tier-1 sizes (debug).
@@ -104,15 +116,35 @@ fn dump_schedules(scenario: &str, plans: &[Arc<FaultPlan>]) {
     }
 }
 
-/// Replays every snapshot through `store.backup_chunks`, panicking with the
-/// scenario name on any failure.
+/// One backup job: the snapshot goes up through `store.backup_chunks` and
+/// the job ends with a flush, panicking with the scenario name on failure.
+fn backup_job<T: ServerTransport>(store: &CdStore<T>, scenario: &str, snapshot: &Snapshot) {
+    store
+        .backup_chunks(snapshot.user, &snapshot.pathname(), &snapshot.materialize())
+        .unwrap_or_else(|e| panic!("{scenario}: backup failed: {e}"));
+    store
+        .flush()
+        .unwrap_or_else(|e| panic!("{scenario}: flush failed: {e}"));
+}
+
+/// Replays every snapshot as one backup job each.
 fn replay<T: ServerTransport>(store: &CdStore<T>, scenario: &str, snapshots: &[Vec<Snapshot>]) {
-    for week in snapshots {
-        for snapshot in week {
-            store
-                .backup_chunks(snapshot.user, &snapshot.pathname(), &snapshot.materialize())
-                .unwrap_or_else(|e| panic!("{scenario}: backup failed: {e}"));
-        }
+    for snapshot in snapshots.iter().flatten() {
+        backup_job(store, scenario, snapshot);
+    }
+}
+
+/// The self-check of every rate-driven scenario: the run was genuinely
+/// hostile on every cloud.
+fn assert_hostile(scenario: &str, plans: &[Arc<FaultPlan>]) {
+    for (cloud, plan) in plans.iter().enumerate() {
+        let faults = plan.schedule().len();
+        assert!(
+            faults >= MIN_FAULTS_PER_CLOUD,
+            "{scenario}: cloud {cloud} injected {faults} faults in {} backend operations \
+             (< {MIN_FAULTS_PER_CLOUD}) — the scenario tested too little",
+            plan.ticks()
+        );
     }
 }
 
@@ -138,27 +170,19 @@ fn assert_restores<T: ServerTransport>(
 fn trace_replay_survives_degraded_clouds() {
     let seed = chaos_seed();
     let (clouds, plans) = faulty_clouds(4, seed, |c| {
-        c.with_error_rate(0.05).with_torn_write_rate(0.03)
+        c.with_error_rate(0.10).with_torn_write_rate(0.06)
     });
     let config = CdStoreConfig::new(4, 3)
         .unwrap()
-        .with_retry(RetryPolicy::with_attempts(6));
+        .with_retry(RetryPolicy::with_attempts(8));
     let store = CdStore::with_backends(config, as_backends(&clouds)).unwrap();
 
-    let (users, weeks, chunks) = if full_size() { (4, 4, 120) } else { (2, 2, 40) };
+    let (users, weeks, chunks) = if full_size() { (4, 6, 120) } else { (3, 6, 24) };
     let snapshots = fsl_snapshots(users, weeks, chunks);
     replay(&store, "degraded", &snapshots);
-    store.flush().unwrap();
     assert_restores(&store, "degraded", &snapshots);
     dump_schedules("degraded", &plans);
-
-    // The run was genuinely hostile: faults were injected on every cloud.
-    for (cloud, plan) in plans.iter().enumerate() {
-        assert!(
-            !plan.schedule().is_empty(),
-            "cloud {cloud} injected no faults — the scenario tested nothing"
-        );
-    }
+    assert_hostile("degraded", &plans);
     // Dedup survived the chaos: intra-user dedup still removes a duplicate
     // re-upload entirely, and inter-user dedup kept physical below logical.
     let before = store.stats().dedup;
@@ -254,13 +278,15 @@ fn single_cloud_outage_keeps_k_of_n_reads_alive() {
 #[test]
 fn outage_windows_and_failover_during_churn() {
     let seed = chaos_seed().wrapping_add(200);
-    let (clouds, plans) = faulty_clouds(4, seed, |c| c.with_error_rate(0.02));
+    let (clouds, plans) = faulty_clouds(4, seed, |c| {
+        c.with_error_rate(0.12).with_torn_write_rate(0.08)
+    });
     let config = CdStoreConfig::new(4, 3)
         .unwrap()
-        .with_retry(RetryPolicy::with_attempts(6));
+        .with_retry(RetryPolicy::with_attempts(8));
     let store = CdStore::with_backends(config, as_backends(&clouds)).unwrap();
 
-    let (users, weeks, chunks) = if full_size() { (3, 4, 100) } else { (2, 2, 36) };
+    let (users, weeks, chunks) = if full_size() { (3, 6, 100) } else { (3, 5, 24) };
     let snapshots = fsl_snapshots(users, weeks, chunks);
     for (week_no, week) in snapshots.iter().enumerate() {
         if week_no > 0 {
@@ -278,14 +304,12 @@ fn outage_windows_and_failover_during_churn() {
             store.recover_cloud(victim);
         }
         for snapshot in week {
-            store
-                .backup_chunks(snapshot.user, &snapshot.pathname(), &snapshot.materialize())
-                .unwrap_or_else(|e| panic!("windows: backup failed: {e}"));
+            backup_job(&store, "windows", snapshot);
         }
     }
-    store.flush().unwrap();
     assert_restores(&store, "windows", &snapshots);
     dump_schedules("windows", &plans);
+    assert_hostile("windows", &plans);
 }
 
 /// Graceful server restarts injected mid-churn while backends stay flaky:
@@ -294,22 +318,18 @@ fn outage_windows_and_failover_during_churn() {
 #[test]
 fn mid_churn_server_restarts_recover_bounded() {
     let seed = chaos_seed().wrapping_add(300);
-    let (clouds, plans) = faulty_clouds(4, seed, |c| {
-        c.with_error_rate(0.02).with_torn_write_rate(0.02)
-    });
+    let (clouds, plans) = faulty_clouds(4, seed, |c| c.with_torn_write_rate(0.18));
     let config = CdStoreConfig::new(4, 3)
         .unwrap()
-        .with_retry(RetryPolicy::with_attempts(6));
+        .with_retry(RetryPolicy::with_attempts(8));
     let store = CdStore::with_backends(config, as_backends(&clouds)).unwrap();
 
-    let (users, weeks, chunks) = if full_size() { (3, 3, 100) } else { (2, 2, 36) };
+    let (users, weeks, chunks) = if full_size() { (3, 6, 100) } else { (3, 4, 24) };
     let snapshots = fsl_snapshots(users, weeks, chunks);
     let mut restarts = 0usize;
     for (week_no, week) in snapshots.iter().enumerate() {
         for (i, snapshot) in week.iter().enumerate() {
-            store
-                .backup_chunks(snapshot.user, &snapshot.pathname(), &snapshot.materialize())
-                .unwrap_or_else(|e| panic!("restart: backup failed: {e}"));
+            backup_job(&store, "restart", snapshot);
             if i == week.len() / 2 {
                 // Restart a rotating server in the middle of every week.
                 // The restart's own backend traffic sees the same injected
@@ -333,9 +353,9 @@ fn mid_churn_server_restarts_recover_bounded() {
         }
     }
     assert!(restarts >= weeks);
-    store.flush().unwrap();
     assert_restores(&store, "restart", &snapshots);
     dump_schedules("restart", &plans);
+    assert_hostile("restart", &plans);
 }
 
 /// Crash-style recovery under fire: the deployment is dropped wholesale and
@@ -346,17 +366,16 @@ fn mid_churn_server_restarts_recover_bounded() {
 fn crash_reopen_from_faulty_backends() {
     let seed = chaos_seed().wrapping_add(400);
     let (clouds, plans) = faulty_clouds(4, seed, |c| {
-        c.with_error_rate(0.03).with_torn_write_rate(0.05)
+        c.with_error_rate(0.06).with_torn_write_rate(0.10)
     });
     let config = CdStoreConfig::new(4, 3)
         .unwrap()
         .with_retry(RetryPolicy::with_attempts(8));
     let store = CdStore::with_backends(config, as_backends(&clouds)).unwrap();
 
-    let (users, weeks, chunks) = if full_size() { (3, 3, 90) } else { (2, 2, 30) };
+    let (users, weeks, chunks) = if full_size() { (3, 6, 90) } else { (3, 4, 24) };
     let snapshots = fsl_snapshots(users, weeks, chunks);
     replay(&store, "crash", &snapshots);
-    store.flush().unwrap();
     drop(store);
 
     // Reopen from the persisted state, through the clean inner view: the
@@ -374,6 +393,7 @@ fn crash_reopen_from_faulty_backends() {
     assert!(reports.iter().all(|r| r.containers_scanned > 0));
     assert_restores(&reopened, "crash", &snapshots);
     dump_schedules("crash", &plans);
+    assert_hostile("crash", &plans);
 }
 
 /// The same chaos over real TCP, on the VM trace: a networked deployment on
@@ -383,7 +403,7 @@ fn crash_reopen_from_faulty_backends() {
 #[test]
 fn networked_chaos_with_crash_restart() {
     let seed = chaos_seed().wrapping_add(500);
-    let (clouds, plans) = faulty_clouds(4, seed, |c| c.with_error_rate(0.01));
+    let (clouds, plans) = faulty_clouds(4, seed, |c| c.with_torn_write_rate(0.18));
     let cores: Vec<Arc<CdStoreServer>> = clouds
         .iter()
         .enumerate()
@@ -397,23 +417,21 @@ fn networked_chaos_with_crash_restart() {
     let mut cluster = LoopbackCluster::spawn_with_servers(cores).unwrap();
     let config = CdStoreConfig::new(4, 3)
         .unwrap()
-        .with_retry(RetryPolicy::with_attempts(6));
+        .with_retry(RetryPolicy::with_attempts(8));
     let store = cluster.store(config, NetClientConfig::default()).unwrap();
 
-    let (users, weeks, chunks) = if full_size() { (3, 3, 90) } else { (2, 2, 30) };
+    let (users, weeks, chunks) = if full_size() { (3, 8, 90) } else { (3, 6, 24) };
     let snapshots = vm_snapshots(users, weeks, chunks);
     for (week_no, week) in snapshots.iter().enumerate() {
         for snapshot in week {
-            store
-                .backup_chunks(snapshot.user, &snapshot.pathname(), &snapshot.materialize())
-                .unwrap_or_else(|e| panic!("net-chaos: backup failed: {e}"));
+            backup_job(&store, "net-chaos", snapshot);
         }
         // Crash-restart a rotating wire server between weeks: connections
         // drop, the server recovers from backend-only state, and the next
-        // week's traffic reconnects to the same address. Flush first so the
-        // crash tears no buffered shares away (unflushed-tail recovery is
-        // exercised by `crash_reopen_from_faulty_backends`).
-        store.flush().unwrap();
+        // week's traffic reconnects to the same address. Every job ended
+        // with a flush, so the crash tears no buffered shares away
+        // (unflushed-tail recovery is exercised by
+        // `crash_reopen_from_faulty_backends`).
         let victim = week_no % 4;
         config
             .retry
@@ -421,9 +439,87 @@ fn networked_chaos_with_crash_restart() {
             .unwrap_or_else(|e| panic!("net-chaos: restart of {victim} failed: {e}"));
     }
     assert_restores(&store, "net-chaos", &snapshots);
-    // The wire path saw injected faults too.
-    assert!(plans.iter().any(|p| !p.schedule().is_empty()));
     dump_schedules("net-chaos", &plans);
+    // The wire path saw injected faults too.
+    assert_hostile("net-chaos", &plans);
+}
+
+/// A host crash mid-commit: every cloud's server dies while the journal
+/// *group* of an upload batch is being appended, each at its own seeded cut.
+/// After the restart, everything acknowledged restores byte-exactly, and the
+/// upload the crash interrupted is cleanly absent — a prefix of its group
+/// replays, but none of it stays applied — until the client backs it up
+/// again.
+#[test]
+fn a_crash_tearing_a_journal_group_leaves_nothing_half_applied() {
+    let seed = chaos_seed().wrapping_add(700);
+    let (clouds, plans) = faulty_clouds(4, seed, |c| c);
+    let config = CdStoreConfig::new(4, 3).unwrap();
+    let store = CdStore::with_backends(config, as_backends(&clouds)).unwrap();
+
+    // Acknowledged work: every job below returned and flushed.
+    let (users, weeks, chunks) = if full_size() { (3, 3, 90) } else { (2, 2, 24) };
+    let snapshots = fsl_snapshots(users, weeks, chunks);
+    replay(&store, "torn-group", &snapshots);
+    let unique_before: Vec<usize> =
+        store.with_servers(|servers| servers.iter().map(|s| s.unique_shares()).collect());
+
+    // The crash: each cloud's next backend write is the group commit of the
+    // victim's share batch; it lands a strict prefix and the host is gone.
+    // Whatever the doomed process answers after that instant reached nobody,
+    // so the upload's own result is ignored: it was never acknowledged.
+    for plan in &plans {
+        plan.crash_on_next_write();
+    }
+    let size = if full_size() { 600_000 } else { 150_000 };
+    let victim: Vec<u8> = (0..size)
+        .map(|i| ((i / 900) as u8).wrapping_mul(29).wrapping_add(3))
+        .collect();
+    let _ = store.backup(77, "/torn/victim.tar", &victim);
+    drop(store);
+    dump_schedules("torn-group", &plans);
+    for (cloud, plan) in plans.iter().enumerate() {
+        let schedule = plan.schedule();
+        let FaultKind::TornWrite { written, requested } = schedule[0].kind else {
+            panic!(
+                "cloud {cloud}: the crash was not a torn write: {}",
+                schedule[0]
+            );
+        };
+        assert!(
+            schedule[0].op == "append" && schedule[0].key.starts_with(WAL_PREFIX),
+            "cloud {cloud}: the crash missed the journal: {}",
+            schedule[0]
+        );
+        // A group of many records (two per share), torn strictly inside.
+        assert!(requested > 1_000 && written < requested, "{}", schedule[0]);
+    }
+
+    // Restart from the bytes the crash left behind.
+    let inner: Vec<Arc<dyn StorageBackend>> = clouds.iter().map(|b| b.inner()).collect();
+    let (reopened, reports) = CdStore::open(config, inner).unwrap();
+    assert!(
+        reports.iter().any(|r| r.torn_tail),
+        "no recovery saw a torn group: {reports:?}"
+    );
+    assert_restores(&reopened, "torn-group", &snapshots);
+    assert!(reopened.restore(77, "/torn/victim.tar").is_err());
+    reopened.with_servers(|servers| {
+        for (cloud, server) in servers.iter().enumerate() {
+            assert_eq!(
+                server.unique_shares(),
+                unique_before[cloud],
+                "cloud {cloud} kept part of the torn group applied"
+            );
+        }
+    });
+    // Nothing of the interrupted upload lingers as a false duplicate either:
+    // the retried backup ships every share again and restores byte-exactly.
+    let sent_before = reopened.stats().dedup.transferred_share_bytes;
+    reopened.backup(77, "/torn/victim.tar", &victim).unwrap();
+    reopened.flush().unwrap();
+    assert!(reopened.stats().dedup.transferred_share_bytes >= sent_before + victim.len() as u64);
+    assert_eq!(reopened.restore(77, "/torn/victim.tar").unwrap(), victim);
 }
 
 /// Determinism: two runs of the same chaotic workload from the same seed
@@ -434,18 +530,18 @@ fn networked_chaos_with_crash_restart() {
 fn same_seed_chaos_runs_are_identical() {
     let run = |seed: u64| {
         let (clouds, plans) = faulty_clouds(4, seed, |c| {
-            c.with_error_rate(0.04)
-                .with_torn_write_rate(0.03)
-                .with_outage(Window::new(60, 90))
+            c.with_error_rate(0.08)
+                .with_torn_write_rate(0.05)
+                .with_outage(Window::new(30, 34))
         });
         let config = CdStoreConfig::new(4, 3)
             .unwrap()
             .with_retry(RetryPolicy::with_attempts(8));
         let store = CdStore::with_backends(config, as_backends(&clouds)).unwrap();
-        let snapshots = fsl_snapshots(2, 2, if full_size() { 60 } else { 30 });
+        let snapshots = fsl_snapshots(3, 4, if full_size() { 60 } else { 24 });
         replay(&store, "determinism", &snapshots);
-        store.flush().unwrap();
         assert_restores(&store, "determinism", &snapshots);
+        assert_hostile("determinism", &plans);
 
         // Fault schedules plus a full content snapshot of every backend,
         // read through the clean inner view so the snapshot itself neither

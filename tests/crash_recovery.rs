@@ -7,13 +7,16 @@
 //! Sizes are reduced under `debug_assertions` so plain `cargo test` stays
 //! fast; CI additionally runs this suite in release mode at full size.
 
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 use cdstore_core::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
 use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer};
 use cdstore_crypto::Fingerprint;
 use cdstore_storage::journal::{decode_records, WAL_PREFIX};
-use cdstore_storage::{MemoryBackend, StorageBackend};
+use cdstore_storage::{
+    store::parse_container_key, DirBackend, MemoryBackend, StorageBackend, StorageError,
+};
 use proptest::prelude::*;
 
 const N: usize = 4;
@@ -197,7 +200,7 @@ fn dir_backend_state_survives_a_cold_reopen() {
     let _ = std::fs::remove_dir_all(&root);
     let backends: Vec<Arc<dyn StorageBackend>> = (0..N)
         .map(|i| {
-            Arc::new(cdstore_storage::DirBackend::new(root.join(format!("cloud{i}"))).unwrap())
+            Arc::new(DirBackend::new(root.join(format!("cloud{i}"))).unwrap())
                 as Arc<dyn StorageBackend>
         })
         .collect();
@@ -209,7 +212,7 @@ fn dir_backend_state_survives_a_cold_reopen() {
 
     let reopened: Vec<Arc<dyn StorageBackend>> = (0..N)
         .map(|i| {
-            Arc::new(cdstore_storage::DirBackend::new(root.join(format!("cloud{i}"))).unwrap())
+            Arc::new(DirBackend::new(root.join(format!("cloud{i}"))).unwrap())
                 as Arc<dyn StorageBackend>
         })
         .collect();
@@ -223,23 +226,41 @@ fn dir_backend_state_survives_a_cold_reopen() {
 // Torn-write tolerance: replaying any byte-prefix of a valid journal.
 // ---------------------------------------------------------------------------
 
+/// The share batch a client would upload for these payloads (client
+/// fingerprint = plain SHA-256 of the share).
+fn shares_of(datas: &[Vec<u8>]) -> Vec<(ShareMetadata, Vec<u8>)> {
+    datas
+        .iter()
+        .map(|d| {
+            let meta = ShareMetadata {
+                fingerprint: Fingerprint::of(d),
+                share_size: d.len() as u32,
+                secret_seq: 0,
+                secret_size: d.len() as u32 * 3,
+            };
+            (meta, d.clone())
+        })
+        .collect()
+}
+
+/// The recipe naming every share of the batch once, in order.
+fn recipe_of(shares: &[(ShareMetadata, Vec<u8>)]) -> FileRecipe {
+    FileRecipe {
+        file_size: shares.iter().map(|(_, d)| d.len() as u64).sum(),
+        entries: shares
+            .iter()
+            .map(|(m, _)| RecipeEntry {
+                share_fingerprint: m.fingerprint,
+                secret_size: m.secret_size,
+            })
+            .collect(),
+    }
+}
+
 /// Drives the server-side upload protocol directly (intra-user query, store,
 /// put_file), as a client would per cloud.
 fn server_backup(server: &CdStoreServer, user: u64, path: &[u8], datas: &[Vec<u8>]) {
-    let shares: Vec<(ShareMetadata, Vec<u8>)> = datas
-        .iter()
-        .map(|d| {
-            (
-                ShareMetadata {
-                    fingerprint: Fingerprint::of(d),
-                    share_size: d.len() as u32,
-                    secret_seq: 0,
-                    secret_size: d.len() as u32 * 3,
-                },
-                d.clone(),
-            )
-        })
-        .collect();
+    let shares = shares_of(datas);
     let fps: Vec<Fingerprint> = shares.iter().map(|(m, _)| m.fingerprint).collect();
     let already = server.intra_user_query(user, &fps);
     let to_upload: Vec<(ShareMetadata, Vec<u8>)> = shares
@@ -250,17 +271,9 @@ fn server_backup(server: &CdStoreServer, user: u64, path: &[u8], datas: &[Vec<u8
         .collect();
     let uploaded: Vec<Fingerprint> = to_upload.iter().map(|(m, _)| m.fingerprint).collect();
     server.store_shares(user, &to_upload).unwrap();
-    let recipe = FileRecipe {
-        file_size: datas.iter().map(|d| d.len() as u64).sum(),
-        entries: shares
-            .iter()
-            .map(|(m, _)| RecipeEntry {
-                share_fingerprint: m.fingerprint,
-                secret_size: m.secret_size,
-            })
-            .collect(),
-    };
-    server.put_file(user, path, &recipe, &uploaded).unwrap();
+    server
+        .put_file(user, path, &recipe_of(&shares), &uploaded)
+        .unwrap();
 }
 
 /// One surviving file of the torn-prefix workload: owner, server-side
@@ -501,3 +514,225 @@ fn restarting_servers_mid_churn_converges_byte_exact() {
     revived.gc().unwrap();
     assert_eq!(revived.stats().backend_bytes.iter().sum::<u64>(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// The request is the unit of commit: one append per request, durable before
+// any delete it justifies, and the objects it writes unchanged.
+// ---------------------------------------------------------------------------
+
+/// A pass-through backend that counts journal appends and photographs every
+/// object the instant after the first container delete — the state a crash
+/// at that point would leave behind.
+struct ProbeBackend {
+    inner: Arc<dyn StorageBackend>,
+    appends: AtomicUsize,
+    after_first_container_delete: Mutex<Option<Arc<MemoryBackend>>>,
+}
+
+impl ProbeBackend {
+    fn new(inner: Arc<dyn StorageBackend>) -> Arc<Self> {
+        Arc::new(ProbeBackend {
+            inner,
+            appends: AtomicUsize::new(0),
+            after_first_container_delete: Mutex::new(None),
+        })
+    }
+
+    fn appends(&self) -> usize {
+        self.appends.load(Ordering::SeqCst)
+    }
+}
+
+impl StorageBackend for ProbeBackend {
+    fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.inner.put(key, data)
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
+        self.inner.get(key)
+    }
+
+    fn delete(&self, key: &str) -> Result<(), StorageError> {
+        self.inner.delete(key)?;
+        let mut photo = self.after_first_container_delete.lock().unwrap();
+        if photo.is_none() && parse_container_key(key).is_some() {
+            let copy = Arc::new(MemoryBackend::new());
+            for key in self.inner.list()? {
+                copy.put(&key, &self.inner.get(&key)?)?;
+            }
+            *photo = Some(copy);
+        }
+        Ok(())
+    }
+
+    fn exists(&self, key: &str) -> Result<bool, StorageError> {
+        self.inner.exists(key)
+    }
+
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        self.inner.list()
+    }
+
+    fn append(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.appends.fetch_add(1, Ordering::SeqCst);
+        self.inner.append(key, data)
+    }
+
+    fn object_size(&self, key: &str) -> Result<u64, StorageError> {
+        self.inner.object_size(key)
+    }
+}
+
+/// One 1 000-share upload is one journal append, and committing its recipe
+/// at most one more — whatever the backend charges per append (on a
+/// `DirBackend`, an `open + write + fsync`).
+#[test]
+fn a_share_batch_is_one_journal_append_and_its_put_file_at_most_one() {
+    let root = std::env::temp_dir().join(format!("cdstore-group-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let inners: [Arc<dyn StorageBackend>; 2] = [
+        Arc::new(MemoryBackend::new()),
+        Arc::new(DirBackend::new(&root).unwrap()),
+    ];
+    for inner in inners {
+        let probe = ProbeBackend::new(inner.clone());
+        let server = CdStoreServer::with_backend(0, probe.clone());
+        let datas: Vec<Vec<u8>> = (0..1000u32)
+            .map(|i| format!("share {i} of one upload batch").into_bytes())
+            .collect();
+        let shares = shares_of(&datas);
+        server.store_shares(1, &shares).unwrap();
+        assert_eq!(probe.appends(), 1, "one batch, one append");
+        let uploaded: Vec<Fingerprint> = shares.iter().map(|(m, _)| m.fingerprint).collect();
+        let recipe = recipe_of(&shares);
+        server.put_file(1, b"/batch", &recipe, &uploaded).unwrap();
+        assert!(probe.appends() <= 2, "{} appends", probe.appends());
+        server.flush().unwrap();
+        drop(server);
+        // What those two appends made durable is the whole upload.
+        let (revived, report) = CdStoreServer::open(0, inner).unwrap();
+        assert!(!report.pruned_anything(), "{report:?}");
+        assert_eq!(report.records_replayed, 2 * datas.len() + 1);
+        for data in &datas {
+            assert_eq!(
+                &revived.fetch_share(1, &Fingerprint::of(data)).unwrap(),
+                data
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash right after a compaction deleted the container it emptied: the
+/// relocations were committed *before* the delete, so the journal never
+/// resolves a share into a container that is gone.
+#[test]
+fn a_crash_between_gc_relocation_and_container_delete_loses_no_share() {
+    let probe = ProbeBackend::new(Arc::new(MemoryBackend::new()));
+    let server = CdStoreServer::with_backend(0, probe.clone());
+    // One share container, mostly dead, with survivors in the middle: the
+    // pass's only container delete is the one that follows a compaction.
+    let doomed: Vec<Vec<u8>> = (0..40u32).map(|i| vec![i as u8; 20_000]).collect();
+    let kept: Vec<Vec<u8>> = (0..12u32)
+        .map(|i| format!("survivor share {i}").into_bytes())
+        .collect();
+    server_backup(&server, 1, b"/doomed-a", &doomed[..20]);
+    server_backup(&server, 1, b"/kept", &kept);
+    server_backup(&server, 1, b"/doomed-b", &doomed[20..]);
+    server.flush().unwrap();
+    assert!(server.delete_file(1, b"/doomed-a").unwrap());
+    assert!(server.delete_file(1, b"/doomed-b").unwrap());
+    let report = server.gc().unwrap();
+    assert_eq!(
+        (report.containers_compacted, report.containers_deleted),
+        (1, 0)
+    );
+    assert_eq!(report.shares_rewritten, kept.len() as u64);
+
+    // Reopen from the photograph taken just after that delete.
+    let crashed = probe
+        .after_first_container_delete
+        .lock()
+        .unwrap()
+        .take()
+        .expect("the pass deleted a container");
+    let (revived, _) = CdStoreServer::open(0, crashed).unwrap();
+    assert_eq!(
+        revived.get_recipe(1, b"/kept").unwrap().num_secrets(),
+        kept.len()
+    );
+    for data in &kept {
+        assert_eq!(
+            &revived.fetch_share(1, &Fingerprint::of(data)).unwrap(),
+            data
+        );
+    }
+    assert!(revived.get_recipe(1, b"/doomed-a").is_err());
+}
+
+/// The objects a backup leaves on the backend are pinned to the bytes the
+/// record-at-a-time server wrote: sealing through `put_parts` and committing
+/// by the batch change how containers and recipes get there, not what they
+/// are. (The journal is bookkeeping and deliberately not pinned.)
+#[test]
+fn container_and_recipe_objects_are_byte_identical_to_the_pinned_backup() {
+    let backends = new_backends();
+    let store = CdStore::with_backends(config(), as_dyn(&backends)).unwrap();
+    let shared = payload(30_000, 5);
+    for user in 1..=2u64 {
+        for file in 0..2u64 {
+            let mut data = payload(90_000, 10 * user + file);
+            data.extend_from_slice(&shared);
+            store
+                .backup(user, &format!("/u{user}/f{file}"), &data)
+                .unwrap();
+        }
+    }
+    // A re-upload and a delete, so superseded recipes are in the picture.
+    store.backup(1, "/u1/f0", &payload(50_000, 99)).unwrap();
+    assert!(store.delete(2, "/u2/f1").unwrap());
+    store.flush().unwrap();
+
+    let observed: Vec<(u64, String)> = store.with_servers(|servers| {
+        servers
+            .iter()
+            .zip(&backends)
+            .map(|(server, backend)| {
+                let mut objects = Vec::new();
+                for key in backend.list().unwrap() {
+                    if parse_container_key(&key).is_some() {
+                        objects.extend_from_slice(key.as_bytes());
+                        objects.extend_from_slice(&backend.get(&key).unwrap());
+                    }
+                }
+                (server.backend_bytes(), Fingerprint::of(&objects).to_hex())
+            })
+            .collect()
+    });
+    let pinned: [(u64, &str); 4] = PINNED_CONTAINER_OBJECTS;
+    for (cloud, (observed, pinned)) in observed.iter().zip(pinned).enumerate() {
+        assert_eq!((observed.0, observed.1.as_str()), pinned, "cloud {cloud}");
+    }
+}
+
+/// `(backend_bytes(), SHA-256 over key ‖ object of every container, in key
+/// order)` per cloud for the backup above, as produced at the parent of the
+/// group-commit change.
+const PINNED_CONTAINER_OBJECTS: [(u64, &str); 4] = [
+    (
+        167443,
+        "98469f4aad890b1b2c5b13512188af238a7f38a535e55e04afa8ce58b734a8f5",
+    ),
+    (
+        167443,
+        "6780565aa70f05cbddb70432d3696bcc485c9f858485c5e64bba0004bb1fb7b6",
+    ),
+    (
+        167443,
+        "6971f114975a8773266a24d95d765a01effc8206d6113374af5b39b19026ea1b",
+    ),
+    (
+        167443,
+        "280358ace71f9c7acea5438f9f5ca1e7c1651502b7cbc95214ca1e0f26b2d751",
+    ),
+];
