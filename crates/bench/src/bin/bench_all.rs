@@ -1,5 +1,5 @@
-//! Nightly driver: runs every figure-regenerating binary with fixed seeds
-//! and collects one machine-readable `BENCH_figs.json`.
+//! Nightly driver: runs every table- and figure-regenerating binary with
+//! fixed seeds and collects one machine-readable `BENCH_figs.json`.
 //!
 //! The nightly workflow (`.github/workflows/nightly.yml`) invokes this once
 //! per night so the repo accumulates a comparable perf trajectory across
@@ -16,6 +16,9 @@
 //! cargo build --release --bins -p cdstore_bench
 //! target/release/bench_all [--smoke] [--out BENCH_figs.json]
 //! ```
+//!
+//! A full run's `BENCH_figs.json` is committed at the repo root, so a smoke
+//! run writes `BENCH_figs.smoke.json` unless `--out` says otherwise.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -48,11 +51,13 @@ struct BenchAll {
 /// each binary's own defaults, which are already sized for a nightly
 /// budget; smoke runs shrink every knob to a path check.
 const FIGS: &[(&str, &[&str], &[&str])] = &[
+    ("table1_schemes", &[], &[]),
+    ("table2_cloud_speeds", &["4"], &[]),
     ("fig5a_encoding_threads", &["8"], &[]),
     ("fig5b_encoding_n", &["8"], &[]),
     ("fig6_dedup", &["1"], &[]),
     ("fig7a_baseline_transfer", &["8"], &[]),
-    ("fig7b_trace_transfer", &["8"], &[]),
+    ("fig7b_trace_transfer", &["4"], &[]),
     ("fig8_multi_client", &["2", "--wire"], &[]),
     ("fig9_cost", &[], &[]),
     ("fig_recovery", &["500"], &[]),
@@ -78,13 +83,13 @@ fn sibling(name: &str) -> Result<PathBuf, String> {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_figs.json");
+    let mut out_path = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--out" => match it.next() {
-                Some(path) => out_path = path,
+                Some(path) => out_path = Some(path),
                 None => {
                     eprintln!("bench_all: --out needs a value");
                     return ExitCode::FAILURE;
@@ -96,6 +101,14 @@ fn main() -> ExitCode {
             }
         }
     }
+
+    let out_path = out_path.unwrap_or_else(|| {
+        String::from(if smoke {
+            "BENCH_figs.smoke.json"
+        } else {
+            "BENCH_figs.json"
+        })
+    });
 
     // Resolve every binary up front: a missing sibling should fail the
     // night immediately and name the build command, not surface as one

@@ -1,7 +1,7 @@
 //! Figure 5(a): encoding speeds of CAONT-RS, AONT-RS, and CAONT-RS-Rivest
 //! versus the number of coding threads, with (n, k) = (4, 3).
 //!
-//! Run with `cargo run --release -p cdstore-bench --bin fig5a_encoding_threads [data_mb]`.
+//! Run with `cargo run --release -p cdstore_bench --bin fig5a_encoding_threads [data_mb]`.
 //! The paper uses 2 GB of random data; the default here is 64 MB to keep the
 //! harness fast — pass a larger size for steadier numbers.
 

@@ -2,7 +2,7 @@
 //! with `k` the largest integer such that `k/n <= 3/4` and two coding
 //! threads.
 //!
-//! Run with `cargo run --release -p cdstore-bench --bin fig5b_encoding_n [data_mb]`.
+//! Run with `cargo run --release -p cdstore_bench --bin fig5b_encoding_n [data_mb]`.
 
 use cdstore_bench::{chunk_and_encode_speed, encoding_speed, random_secrets};
 use cdstore_secretsharing::{AontRs, CaontRs, CaontRsRivest, SecretSharing};

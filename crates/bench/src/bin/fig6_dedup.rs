@@ -6,7 +6,7 @@
 //! * Figure 6(b): cumulative sizes of logical data, logical shares,
 //!   transferred shares, and physical shares.
 //!
-//! Run with `cargo run --release -p cdstore-bench --bin fig6_dedup [scale]`,
+//! Run with `cargo run --release -p cdstore_bench --bin fig6_dedup [scale]`,
 //! where `scale` multiplies the per-user chunk counts (default 1).
 
 use cdstore_workloads::{weekly_dedup, FslConfig, FslWorkload, VmConfig, VmWorkload, Workload};

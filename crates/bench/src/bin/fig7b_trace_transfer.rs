@@ -1,167 +1,150 @@
 //! Figure 7(b): single-client trace-driven transfer speeds on the FSL-like
 //! workload — upload of the first backup, upload of subsequent backups, and
-//! download — on the LAN and cloud testbeds with (n, k) = (4, 3).
+//! download of the first — with (n, k) = (4, 3).
 //!
-//! The dedup behaviour (how many share bytes actually cross the network) is
-//! taken from replaying the workload through the real two-stage
-//! deduplication bookkeeping; the computation speed is measured on this
-//! machine; the LAN and cloud rows are simulated from the Table 2 profiles.
-//! A third, fully *measured* row replays the same snapshots against four
-//! real `cdstore_net` servers over loopback TCP via `CdStore::backup_chunks`.
+//! Every row is measured end to end on this host: seven weekly snapshots of
+//! one user (`data_mb` MB in the first) replayed against four real
+//! `cdstore_net` servers over loopback TCP. The `Loopback` row feeds the
+//! trace's own chunks to `CdStore::backup_chunks`; the `Streamed` row pushes
+//! the same bytes through `backup_stream`/`restore_stream`, so the client
+//! re-chunks them; the `Cloud` row is the `Loopback` replay with each
+//! server's backend behind its Table 2 link (`Shaping::COMMERCIAL_CLOUDS`)
+//! and the download through servers reopened from those backends.
 //!
-//! Run with `cargo run --release -p cdstore-bench --bin fig7b_trace_transfer [data_mb]`.
+//! Run with `cargo run --release -p cdstore_bench --bin fig7b_trace_transfer [data_mb]`.
 
-use std::time::Instant;
+use cdstore_bench::netbench::{
+    assert_cloud_row_shape, cold_restore, mbps_of, shaped_wire_store, wire_store, WireSingleSpeeds,
+};
+use cdstore_core::CdStore;
+use cdstore_net::RemoteServer;
+use cdstore_storage::Shaping;
+use cdstore_workloads::{FslConfig, FslWorkload, Snapshot, Workload};
 
-use cdstore_bench::netbench::wire_store;
-use cdstore_bench::transfer::{SingleClientModel, DOWNLOAD_BACKEND_PENALTY};
-use cdstore_bench::{chunk_and_encode_speed, decoding_speed, random_secrets, MB};
-use cdstore_secretsharing::CaontRs;
-use cdstore_workloads::{weekly_dedup, FslConfig, FslWorkload, Snapshot, Workload};
-
-/// Replays the single-user weekly snapshots against a live loopback-TCP
-/// deployment and reports measured (first upload, mean subsequent upload,
-/// download-of-first) speeds in MB/s.
-fn wire_trace_speeds(snapshots: &[Vec<Snapshot>]) -> (f64, f64, f64) {
-    let (_cluster, store) = wire_store(4, 3);
-    let mut weekly_mbps = Vec::with_capacity(snapshots.len());
-    for week in snapshots {
-        let snap = &week[0];
-        let chunks = snap.materialize();
-        let logical_mb = snap.logical_bytes() as f64 / MB;
-        let start = Instant::now();
-        store
-            .backup_chunks(snap.user, &snap.pathname(), &chunks)
-            .expect("trace backup");
-        weekly_mbps.push(logical_mb / start.elapsed().as_secs_f64());
-    }
-    let first_snap = &snapshots[0][0];
-    let start = Instant::now();
-    let restored = store
-        .restore(first_snap.user, &first_snap.pathname())
-        .expect("trace restore");
-    let down = restored.len() as f64 / MB / start.elapsed().as_secs_f64();
-    let subsequent_mean =
-        weekly_mbps[1..].iter().sum::<f64>() / (weekly_mbps.len() - 1).max(1) as f64;
-    (weekly_mbps[0], subsequent_mean, down)
-}
-
-/// Same replay, but through the `Read`-shaped entry points: each snapshot's
-/// bytes flow through `backup_stream`, so the client re-chunks them with its
-/// configured chunker (dedup still collapses the repeated content across
-/// weeks), and the download streams back out through `restore_stream`.
-fn wire_streamed_trace_speeds(snapshots: &[Vec<Snapshot>]) -> (f64, f64, f64) {
-    let (_cluster, store) = wire_store(4, 3);
-    let mut weekly_mbps = Vec::with_capacity(snapshots.len());
-    for week in snapshots {
-        let snap = &week[0];
-        let bytes = snap.materialize().concat();
-        let logical_mb = bytes.len() as f64 / MB;
-        let start = Instant::now();
-        store
-            .backup_stream(snap.user, &snap.pathname(), &bytes[..])
-            .expect("streamed trace backup");
-        weekly_mbps.push(logical_mb / start.elapsed().as_secs_f64());
-    }
-    let first_snap = &snapshots[0][0];
-    let mut sink = std::io::sink();
-    let start = Instant::now();
-    let written = store
-        .restore_stream(first_snap.user, &first_snap.pathname(), &mut sink)
-        .expect("streamed trace restore");
-    let down = written as f64 / MB / start.elapsed().as_secs_f64();
-    let subsequent_mean =
-        weekly_mbps[1..].iter().sum::<f64>() / (weekly_mbps.len() - 1).max(1) as f64;
-    (weekly_mbps[0], subsequent_mean, down)
+/// Replays the weekly snapshots and returns (first upload, mean subsequent
+/// upload) in MB/s; each upload ends with the flush that lands its last
+/// containers on the backend. `streamed` selects the `Read`-shaped entry
+/// point over the pre-chunked one.
+fn upload_speeds(
+    store: &CdStore<RemoteServer>,
+    snapshots: &[Vec<Snapshot>],
+    streamed: bool,
+) -> (f64, f64) {
+    let weekly: Vec<f64> = (snapshots.iter().map(|week| &week[0]))
+        .map(|snap| {
+            let chunks = snap.materialize();
+            let flat = if streamed {
+                chunks.concat()
+            } else {
+                Vec::new()
+            };
+            mbps_of(snap.logical_bytes(), || {
+                if streamed {
+                    store.backup_stream(snap.user, &snap.pathname(), &flat[..])
+                } else {
+                    store.backup_chunks(snap.user, &snap.pathname(), &chunks)
+                }
+                .expect("trace backup");
+                store.flush().expect("flush");
+            })
+        })
+        .collect();
+    let subsequent = &weekly[1..];
+    (
+        weekly[0],
+        subsequent.iter().sum::<f64>() / subsequent.len() as f64,
+    )
 }
 
 fn main() {
     let data_mb: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
-        .unwrap_or(64);
+        .unwrap_or(16);
     let (n, k) = (4usize, 3usize);
-    let scheme = CaontRs::new(n, k).unwrap();
-
-    // Measured computation speeds on this machine, using all available cores
-    // as the multi-threaded client would (§4.6).
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(8);
-    let flat: Vec<u8> = random_secrets(data_mb * 1024 * 1024, 8 * 1024, 5).concat();
-    let secrets = random_secrets(data_mb * 1024 * 1024, 8 * 1024, 6);
-    let compute_mbps = chunk_and_encode_speed(&scheme, &flat, threads);
-    let decode_mbps = decoding_speed(&scheme, &secrets);
-
-    // Replay a single-user FSL-like stream to get the weekly transfer ratios.
-    let workload = FslWorkload::new(FslConfig {
+    let links = Shaping::COMMERCIAL_CLOUDS.map(|(_, link)| link);
+    let snapshots = FslWorkload::new(FslConfig {
         users: 1,
         weeks: 7,
-        initial_chunks_per_user: 2000,
+        initial_chunks_per_user: data_mb * 128, // 8 KB mean chunk size
         ..Default::default()
-    });
-    let weekly = weekly_dedup(&workload.snapshots(), n, k);
-    let first = &weekly[0];
-    let subsequent = &weekly[1..];
+    })
+    .snapshots();
+    let first = &snapshots[0][0];
+    let row = |(upload_unique, upload_duplicate), download| WireSingleSpeeds {
+        upload_unique,
+        upload_duplicate,
+        download,
+    };
 
-    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    let loopback = {
+        let (_cluster, store) = wire_store(n, k);
+        let uploads = upload_speeds(&store, &snapshots, false);
+        let download = mbps_of(first.logical_bytes(), || {
+            let restored = store.restore(first.user, &first.pathname());
+            assert_eq!(
+                restored.expect("restore").len() as u64,
+                first.logical_bytes()
+            );
+        });
+        row(uploads, download)
+    };
+    let streamed = {
+        let (_cluster, store) = wire_store(n, k);
+        let uploads = upload_speeds(&store, &snapshots, true);
+        let download = mbps_of(first.logical_bytes(), || {
+            let written = store.restore_stream(first.user, &first.pathname(), &mut std::io::sink());
+            assert_eq!(written.expect("streamed restore"), first.logical_bytes());
+        });
+        row(uploads, download)
+    };
+
+    // The largest object that crosses a link is a 4 MB container: ≈ 0.9 s at
+    // 4.45 MB/s, far below `FaultPlan`'s 5 s cap on one operation's sleep.
+    let (mut cluster, store, plans) = shaped_wire_store(&links, k);
+    let uploads = upload_speeds(&store, &snapshots, false);
+    let restore = cold_restore(&mut cluster, &store, &plans, first.user, &first.pathname());
+    assert_eq!(restore.data.len() as u64, first.logical_bytes());
+    let cloud = row(uploads, restore.mbps);
 
     println!("Figure 7(b): single-client trace-driven transfer speeds (MB/s), FSL-like workload, (n, k) = ({n}, {k})");
-    println!("(measured client compute: chunk+encode {compute_mbps:.1} MB/s, decode {decode_mbps:.1} MB/s)");
+    println!("(7 weekly snapshots, {data_mb} MB in the first, through 4 cdstore_net servers over loopback TCP,");
+    println!(" measured on this host)");
     println!(
         "{:<10} {:>16} {:>18} {:>12}",
         "Testbed", "Upload (first)", "Upload (subsqt)", "Download"
     );
-    for (name, model) in [
-        ("LAN", SingleClientModel::lan(n, k, compute_mbps)),
-        ("Cloud", SingleClientModel::commercial(k, compute_mbps)),
+    for (name, row) in [
+        ("Loopback", loopback),
+        ("Streamed", streamed),
+        ("Cloud", cloud),
     ] {
-        // First backup: some intra-user duplicates exist even in week 1.
-        let logical_first = mb(first.stats.logical_bytes);
-        let per_cloud_first = vec![mb(first.stats.transferred_share_bytes) / n as f64; n];
-        let up_first = model.upload_speed(logical_first, &per_cloud_first);
-
-        // Subsequent backups: average over the remaining weeks.
-        let logical_sub: f64 = subsequent.iter().map(|w| mb(w.stats.logical_bytes)).sum();
-        let transferred_sub: f64 = subsequent
-            .iter()
-            .map(|w| mb(w.stats.transferred_share_bytes))
-            .sum();
-        let per_cloud_sub = vec![transferred_sub / n as f64; n];
-        let up_sub = model.upload_speed(logical_sub, &per_cloud_sub);
-
-        // Download: chunk fragmentation adds extra backend reads on top of
-        // the baseline penalty (§5.5 reports ~10% below the baseline speed).
-        let fragmentation_penalty = 0.10;
-        let down = model.download_speed(logical_first, decode_mbps)
-            * (1.0 + DOWNLOAD_BACKEND_PENALTY)
-            / (1.0 + DOWNLOAD_BACKEND_PENALTY + fragmentation_penalty);
-        println!("{name:<10} {up_first:>16.1} {up_sub:>18.1} {down:>12.1}");
+        println!(
+            "{name:<10} {:>16.1} {:>18.1} {:>12.1}",
+            row.upload_unique, row.upload_duplicate, row.download
+        );
     }
-    // The measured row: the same snapshots replayed over real sockets.
-    let (wire_first, wire_sub, wire_down) = wire_trace_speeds(&workload.snapshots());
-    println!(
-        "{:<10} {:>16.1} {:>18.1} {:>12.1}",
-        "Loopback*", wire_first, wire_sub, wire_down
-    );
-    let (stream_first, stream_sub, stream_down) = wire_streamed_trace_speeds(&workload.snapshots());
-    println!(
-        "{:<10} {:>16.1} {:>18.1} {:>12.1}",
-        "Streamed*", stream_first, stream_sub, stream_down
-    );
     println!();
-    println!("(* measured end to end over real loopback TCP against 4 cdstore_net servers;");
-    println!("   the Streamed row uses backup_stream/restore_stream — the client re-chunks the");
+    println!("Loopback: the trace's own chunks through backup_chunks, server backends in memory.");
+    println!("Streamed: the same bytes through backup_stream/restore_stream (the client re-chunks them).");
     println!(
-        "   bytes — where the Loopback row feeds the trace's own chunks to the same pipeline)"
+        "Cloud: the Loopback replay with each server's backend behind its Table 2 link; download"
+    );
+    println!(
+        "through reopened servers, {:?} backend reads per cloud.",
+        restore.link_ops
     );
     println!("Paper: LAN 92.3 / 145.1 / 89.6 MB/s; Cloud 6.9 / 56.2 / 9.5 MB/s.");
     println!(
-        "Shape to verify: the first backup uploads faster than unique data (it already contains"
+        "Shape to verify: subsequent backups are mostly duplicates and upload several times faster"
+    );
+    println!("than the first. What the measured Cloud row exposes that a flow model hid: a mostly-duplicate");
+    println!(
+        "upload still crosses each link on every request (journal append, recipe container, a due"
     );
     println!(
-        "intra-user duplicates); subsequent backups approach the duplicate-data speed; the trace"
+        "checkpoint), so it stays latency-bound below the paper's 56; and a restore fetches each"
     );
-    println!("download is ~10% below the baseline download because of chunk fragmentation.");
+    println!("window from the first k clouds by index, one after another (ROADMAP item 3).");
+    assert_cloud_row_shape(&loopback, &cloud, &restore.link_ops, &links, k);
 }

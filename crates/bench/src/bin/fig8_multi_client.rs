@@ -9,8 +9,8 @@
 //! deployments run side by side: **in-process** servers (no sockets — the
 //! computation ceiling) and **over-the-wire** servers behind real loopback
 //! TCP via `cdstore_net` (serialization, syscalls, and flow control
-//! included). The LAN flow model of the paper's testbed is printed alongside
-//! for comparison.
+//! included). Neither has a NIC, so where the paper's curves flatten at its
+//! servers' 1 Gb/s links, these flatten at this host's cores.
 //!
 //! Run with
 //! `cargo run --release -p cdstore_bench --bin fig8_multi_client [per_client_mb] [--wire]`.
@@ -19,19 +19,11 @@
 //! configuration: a quick end-to-end proof that concurrent clients saturate
 //! real sockets).
 
-use cdstore_bench::netbench::{aggregate_upload, wire_store};
-use cdstore_bench::transfer::MultiClientModel;
-use cdstore_bench::{chunk_and_encode_speed, random_secrets};
+use cdstore_bench::netbench::{aggregate_upload, wire_aggregate_upload};
 use cdstore_core::{CdStore, CdStoreConfig};
-use cdstore_secretsharing::CaontRs;
 
 fn measure_in_process(clients: usize, per_client: usize, duplicate: bool) -> f64 {
     let store = CdStore::new(CdStoreConfig::new(4, 3).unwrap());
-    aggregate_upload(&store, clients, per_client, duplicate)
-}
-
-fn measure_wire(clients: usize, per_client: usize, duplicate: bool) -> f64 {
-    let (_cluster, store) = wire_store(4, 3);
     aggregate_upload(&store, clients, per_client, duplicate)
 }
 
@@ -58,47 +50,31 @@ fn main() {
             "Clients", "Wire (uniq)", "Wire (dup)"
         );
         for clients in 1..=8usize {
-            let uniq = measure_wire(clients, per_client, false);
-            let dup = measure_wire(clients, per_client, true);
+            let uniq = wire_aggregate_upload(clients, per_client, false);
+            let dup = wire_aggregate_upload(clients, per_client, true);
             println!("{clients:<10} {uniq:>15.1} {dup:>15.1}");
             assert!(uniq > 0.0 && dup > 0.0, "wire deployment moved no data");
         }
         return;
     }
 
-    let scheme = CaontRs::new(n, k).unwrap();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(8);
-    let flat: Vec<u8> = random_secrets(16 * 1024 * 1024, 8 * 1024, 8).concat();
-    let compute_mbps = chunk_and_encode_speed(&scheme, &flat, threads);
-    let model = MultiClientModel::lan(n, k, compute_mbps);
-    let model_per_client_mb = 2048.0;
-
     println!("Figure 8: aggregate upload speeds (MB/s) vs number of clients, (n, k) = ({n}, {k})");
-    println!("(per-client chunk+encode speed: {compute_mbps:.1} MB/s; measured columns drive");
-    println!(" {per_client_mb} MB per client through live servers, in-process vs loopback TCP)");
+    println!("({per_client_mb} MB per client through live servers, in-process vs loopback TCP, measured on");
     println!(
-        "{:<8} {:>14} {:>13} {:>12} {:>11} {:>17} {:>16}",
-        "Clients",
-        "InProc (uniq)",
-        "InProc (dup)",
-        "Wire (uniq)",
-        "Wire (dup)",
-        "LAN model (uniq)",
-        "LAN model (dup)"
+        " this host with {} core(s))",
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    );
+    println!(
+        "{:<8} {:>14} {:>13} {:>12} {:>11}",
+        "Clients", "InProc (uniq)", "InProc (dup)", "Wire (uniq)", "Wire (dup)"
     );
     for clients in 1..=8usize {
         let inproc_uniq = measure_in_process(clients, per_client, false);
         let inproc_dup = measure_in_process(clients, per_client, true);
-        let wire_uniq = measure_wire(clients, per_client, false);
-        let wire_dup = measure_wire(clients, per_client, true);
-        let model_uniq = model.aggregate_unique_upload(clients, model_per_client_mb);
-        let model_dup = model.aggregate_duplicate_upload(clients, model_per_client_mb);
+        let wire_uniq = wire_aggregate_upload(clients, per_client, false);
+        let wire_dup = wire_aggregate_upload(clients, per_client, true);
         println!(
-            "{clients:<8} {inproc_uniq:>14.1} {inproc_dup:>13.1} {wire_uniq:>12.1} \
-             {wire_dup:>11.1} {model_uniq:>17.1} {model_dup:>16.1}"
+            "{clients:<8} {inproc_uniq:>14.1} {inproc_dup:>13.1} {wire_uniq:>12.1} {wire_dup:>11.1}"
         );
     }
     println!();

@@ -6,7 +6,7 @@
 //! * Figure 9(b): savings versus the deduplication ratio (1–50x) at a fixed
 //!   16 TB weekly backup size.
 //!
-//! Run with `cargo run --release -p cdstore-bench --bin fig9_cost`.
+//! Run with `cargo run --release -p cdstore_bench --bin fig9_cost`.
 
 use cdstore_cost::{CostModel, Scenario, TB};
 

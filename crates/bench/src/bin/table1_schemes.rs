@@ -1,7 +1,7 @@
 //! Table 1: comparison of secret sharing algorithms — confidentiality degree
 //! and storage blowup, analytic and measured on real splits.
 //!
-//! Run with `cargo run --release -p cdstore-bench --bin table1_schemes`.
+//! Run with `cargo run --release -p cdstore_bench --bin table1_schemes`.
 
 use cdstore_secretsharing::{build_scheme, SchemeKind};
 

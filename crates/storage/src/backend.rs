@@ -123,7 +123,7 @@ fn range_of(data: &[u8], key: &str, offset: u64, len: usize) -> Result<Vec<u8>, 
         .ok_or_else(|| StorageError::Corrupt(key.to_string()))
 }
 
-/// An in-memory backend for tests, benchmarks, and the cloud simulator.
+/// An in-memory backend for tests and benchmarks.
 #[derive(Default)]
 pub struct MemoryBackend {
     objects: RwLock<BTreeMap<String, Vec<u8>>>,

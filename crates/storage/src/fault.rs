@@ -14,12 +14,12 @@
 //!   any inner backend: transient typed-`Io` failures, torn `put`s/`append`s
 //!   (a byte-prefix lands, then the call fails — exactly the crash shape the
 //!   journal/run/container formats must detect), full-outage windows,
-//!   slow-then-recover windows, and per-operation latency/bandwidth shaping
-//!   (driven by the Table 2 cloud profiles via
-//!   `cdstore_cloudsim::CloudProfile::shaping`).
-//!
-//! `cdstore_cloudsim::SimCloud` routes its WAN transfers through the same
-//! plan type, so the simulator and the chaos harness cannot drift apart.
+//!   slow-then-recover windows, and per-operation latency/bandwidth shaping.
+//! * [`Shaping`] — the workspace's one link model: a latency and two
+//!   bandwidths, slept out per operation. The paper's Table 2 clouds are its
+//!   constants ([`Shaping::COMMERCIAL_CLOUDS`]); the transfer figures put
+//!   real servers behind them, so the chaos harness and the figures cannot
+//!   drift apart.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,9 +30,8 @@ use parking_lot::Mutex;
 
 use crate::backend::{StorageBackend, StorageError};
 
-/// Bandwidth/latency shaping applied to every operation, mirroring the
-/// fields of `cdstore_cloudsim::CloudProfile` (that crate sits above this
-/// one, so the conversion lives there as `CloudProfile::shaping`).
+/// Bandwidth/latency shaping applied to every operation: the link between a
+/// CDStore server and its cloud's storage, as seen from the client's site.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Shaping {
     /// Per-request round-trip latency in milliseconds.
@@ -44,6 +43,44 @@ pub struct Shaping {
 }
 
 impl Shaping {
+    /// Amazon S3 (Singapore), Table 2 of the paper: mean MB/s moving 2 GB of
+    /// unique data in 4 MB units from Hong Kong, September 2014.
+    pub const AMAZON: Shaping = Shaping {
+        latency_ms: 35.0,
+        upload_mbps: 5.87,
+        download_mbps: 4.45,
+    };
+
+    /// Google Cloud Storage (Singapore), Table 2.
+    pub const GOOGLE: Shaping = Shaping {
+        latency_ms: 35.0,
+        upload_mbps: 4.99,
+        download_mbps: 4.45,
+    };
+
+    /// Microsoft Azure (Hong Kong), Table 2.
+    pub const AZURE: Shaping = Shaping {
+        latency_ms: 5.0,
+        upload_mbps: 19.59,
+        download_mbps: 13.78,
+    };
+
+    /// Rackspace (Hong Kong), Table 2.
+    pub const RACKSPACE: Shaping = Shaping {
+        latency_ms: 5.0,
+        upload_mbps: 19.42,
+        download_mbps: 12.93,
+    };
+
+    /// The four commercial clouds of the paper's cloud testbed by name, in
+    /// the order the shares are labelled (cloud 0..3).
+    pub const COMMERCIAL_CLOUDS: [(&'static str, Shaping); 4] = [
+        ("Amazon", Shaping::AMAZON),
+        ("Google", Shaping::GOOGLE),
+        ("Azure", Shaping::AZURE),
+        ("Rackspace", Shaping::RACKSPACE),
+    ];
+
     /// Simulated seconds one operation of `bytes` payload takes.
     fn delay_seconds(&self, bytes: u64, write: bool) -> f64 {
         let mbps = if write {
@@ -101,7 +138,7 @@ pub struct FaultConfig {
     /// of its payload and then fails — the torn-write crash shape.
     pub torn_write_rate: f64,
     /// Latency/bandwidth shaping applied to every operation (none by
-    /// default). Use `CloudProfile::shaping` for the paper's Table 2 clouds.
+    /// default); [`Shaping::COMMERCIAL_CLOUDS`] holds the paper's Table 2.
     pub shaping: Option<Shaping>,
     /// Divide every injected delay by this factor, so tests can run Table 2
     /// bandwidths in compressed time (e.g. `1000.0` → milliseconds become
@@ -275,11 +312,6 @@ impl FaultPlan {
             log: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// A clean pass-through plan (useful as the default inside `SimCloud`).
-    pub fn clean(seed: u64) -> Self {
-        Self::new(FaultConfig::clean(seed))
     }
 
     /// The plan's configuration.
@@ -707,6 +739,51 @@ mod tests {
         let start = std::time::Instant::now();
         slowed.put("s", &[0u8; 16]).unwrap(); // tick 1: outside the window
         assert!(start.elapsed() < slow_elapsed);
+    }
+
+    #[test]
+    fn table2_values_are_embedded() {
+        let [amazon, google, azure, rackspace] = Shaping::COMMERCIAL_CLOUDS;
+        assert_eq!(amazon, ("Amazon", Shaping::AMAZON));
+        assert_eq!(google, ("Google", Shaping::GOOGLE));
+        assert_eq!(azure, ("Azure", Shaping::AZURE));
+        assert_eq!(rackspace, ("Rackspace", Shaping::RACKSPACE));
+        let mbps = |s: Shaping| (s.upload_mbps, s.download_mbps);
+        assert_eq!(mbps(Shaping::AMAZON), (5.87, 4.45));
+        assert_eq!(mbps(Shaping::GOOGLE), (4.99, 4.45));
+        assert_eq!(mbps(Shaping::AZURE), (19.59, 13.78));
+        assert_eq!(mbps(Shaping::RACKSPACE), (19.42, 12.93));
+    }
+
+    /// The accuracy `table2_cloud_speeds` and the figures' `Cloud` rows rest
+    /// on: a shaped operation takes its configured delay — never less, and
+    /// (a sleep only overshoots) not much more.
+    #[test]
+    fn shaped_transfers_take_their_configured_time() {
+        let link = Shaping {
+            latency_ms: 2.0,
+            upload_mbps: 25.0,
+            download_mbps: 20.0,
+        };
+        let (backend, _) = faulty(FaultConfig::clean(1).with_shaping(link));
+        let unit = vec![0x5au8; 1 << 20];
+        let expected = |write| Duration::from_secs_f64(4.0 * link.delay_seconds(1 << 20, write));
+
+        let start = std::time::Instant::now();
+        for i in 0..4 {
+            backend.put(&format!("unit-{i}"), &unit).unwrap();
+        }
+        let upload = start.elapsed();
+        let start = std::time::Instant::now();
+        for i in 0..4 {
+            assert_eq!(backend.get(&format!("unit-{i}")).unwrap().len(), unit.len());
+        }
+        let download = start.elapsed();
+
+        for (took, want) in [(upload, expected(true)), (download, expected(false))] {
+            assert!(took >= want, "took {took:?}, configured {want:?}");
+            assert!(took <= want.mul_f64(1.5), "took {took:?} for {want:?}");
+        }
     }
 
     #[test]

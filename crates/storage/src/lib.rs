@@ -15,8 +15,8 @@
 //!   log plus periodic checkpoints, persisted through the same backend, from
 //!   which a server rebuilds its in-memory indices after a crash.
 //! * [`fault`] — deterministic fault injection: a seeded, replayable
-//!   [`FaultPlan`] and the [`FaultyBackend`] decorator the chaos harness and
-//!   the cloud simulator share.
+//!   [`FaultPlan`], the [`FaultyBackend`] decorator, and [`Shaping`] — the
+//!   one link model the chaos harness and the transfer figures share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

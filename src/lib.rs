@@ -10,9 +10,9 @@
 //! * [`chunking`] — fixed-size and Rabin content-defined chunking
 //! * [`erasure`] — systematic Reed-Solomon coding over GF(2^8)
 //! * [`secretsharing`] — AONT-RS, CAONT-RS, SSSS, RSSS, IDA, SSMS
+//! * [`storage`] — container store, cache, storage backends, and the seeded
+//!   fault/link-shaping layer (`FaultyBackend`, `Shaping`)
 //! * [`index`] — bloom-filtered LSM key-value store and dedup indices
-//! * [`storage`] — container store, cache, and storage backends
-//! * [`cloudsim`] — simulated clouds with bandwidth/latency profiles
 //! * [`cost`] — the §5.6 monetary cost model (Figure 9)
 //! * [`workloads`] — FSL/VM backup workload generators
 //! * [`core`] — client/server pipeline tying everything together
@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub use cdstore_chunking as chunking;
-pub use cdstore_cloudsim as cloudsim;
 pub use cdstore_core as core;
 pub use cdstore_cost as cost;
 pub use cdstore_crypto as crypto;
