@@ -21,24 +21,12 @@ use crate::{random_secrets, MB};
 
 fn connect(cluster: LoopbackCluster, k: usize) -> (LoopbackCluster, CdStore<RemoteServer>) {
     let n = cluster.addrs().len();
-    let client = NetClientConfig::default();
     let store = cluster
         .store(
             CdStoreConfig::new(n, k).expect("valid (n, k)"),
-            client.clone(),
+            NetClientConfig::default(),
         )
         .expect("connect to loopback servers");
-    // A `NetClient` connects a pool slot on first use (round-robin) and a
-    // server's accept loop polls every 50 ms: left alone, the first timed
-    // backup waits ~200 ms for four accept ticks — all of a small run's
-    // time. A session pays that once, so touch every slot before timing.
-    store.with_servers(|servers| {
-        for server in servers {
-            for _ in 0..client.connections {
-                server.probe().expect("open a pooled connection");
-            }
-        }
-    });
     (cluster, store)
 }
 

@@ -650,9 +650,10 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
                 &recipe,
                 &self.uploaded[cloud],
             ) {
-                // The failing server rolled its own references back and
-                // earlier clouds keep their committed recipes (a retried
-                // backup supersedes them); only clouds not yet reached still
+                // A server that answered with an error rolled its own
+                // references back; one whose reply was lost may instead hold
+                // the committed recipe, like the earlier clouds — a retried
+                // backup supersedes those. Only clouds not yet reached still
                 // hold transient per-upload references — drop exactly those.
                 for later in cloud + 1..self.client.n {
                     let _ = self.servers[later]

@@ -7,7 +7,8 @@
 //! Prints `LISTENING <addr>` on stdout once the listener is up (the e2e
 //! harness parses this to learn OS-assigned ports), then serves until stdin
 //! reaches EOF — so a child process dies with its parent instead of
-//! lingering as an orphan.
+//! lingering as an orphan — after draining its connections and sealing its
+//! open containers, so the next start loses nothing.
 
 use std::io::Read;
 use std::process::exit;
@@ -73,7 +74,8 @@ fn main() {
         None => CdStoreServer::new(cloud),
     };
 
-    let mut net = match NetServer::bind(Arc::new(server), addr.as_str()) {
+    let server = Arc::new(server);
+    let mut net = match NetServer::bind(Arc::clone(&server), addr.as_str()) {
         Ok(net) => net,
         Err(e) => {
             eprintln!("cdstore-serve: cannot bind {addr}: {e}");
@@ -92,4 +94,10 @@ fn main() {
     let mut stdin = std::io::stdin();
     while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
     net.shutdown();
+    // No request is in flight any more: seal what they left open, or the
+    // next start's recovery prunes it as if this had been a crash.
+    if let Err(e) = server.flush() {
+        eprintln!("cdstore-serve: flush on shutdown failed: {e}");
+        exit(1);
+    }
 }

@@ -5,9 +5,15 @@
 //! responses to waiting callers by request id, so any number of client
 //! threads can keep requests in flight on the same connection — pipelining,
 //! not one-request-per-round-trip. Failures are contained per call: a
-//! timeout or connection loss kills the affected link, the next call
-//! reconnects, and transport-level errors are retried a bounded number of
-//! times (server-side errors are never retried — they would fail again).
+//! timeout or connection loss kills the link and the next call reconnects.
+//!
+//! **A request is put on the wire at most once per call.** Once its bytes may
+//! have left, a transport failure says nothing about whether the server
+//! applied it, and `PutFile`, `StoreShares` and `ReleaseUploads` move
+//! reference counts: applied twice they lose or leak shares. The call fails
+//! with [`CdStoreError::Remote`] at once; whether to try again is
+//! [`cdstore_core::retry`]'s decision, made by callers that first roll back
+//! (`ship_batch` releases and re-queries, the façade replays the operation).
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -33,13 +39,10 @@ use crate::message::{
 pub struct NetClientConfig {
     /// Pooled connections per server (each pipelines independently).
     pub connections: usize,
-    /// Per-request timeout; expiry kills the link and (within the retry
-    /// budget) reconnects.
+    /// Per-request timeout; expiry fails the call and kills the link.
     pub request_timeout: Duration,
     /// TCP connect timeout.
     pub connect_timeout: Duration,
-    /// Transport-failure retries per call (reconnect + resend).
-    pub retries: u32,
 }
 
 impl Default for NetClientConfig {
@@ -48,7 +51,6 @@ impl Default for NetClientConfig {
             connections: 2,
             request_timeout: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(5),
-            retries: 2,
         }
     }
 }
@@ -129,7 +131,8 @@ impl NetClient {
     }
 
     /// Returns a live link from the pool (round-robin), reconnecting the
-    /// slot if its link is absent or dead.
+    /// slot if its link is absent or dead — before anything is sent, so a
+    /// reconnect is never a resend.
     fn link(&self) -> Result<Arc<Link>, CdStoreError> {
         let slot = &self.pool[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.pool.len()];
         let mut guard = slot.link.lock();
@@ -165,20 +168,41 @@ impl NetClient {
         Ok(link)
     }
 
-    /// One RPC with timeout, without retry: registers a waiter, sends the
-    /// sealed frame in one `write_all` under the stream lock, and waits.
-    fn call_once(&self, req_id: u64, frame: &[u8]) -> Result<Response, CdStoreError> {
+    /// One RPC: the request goes out once and the call waits for its one
+    /// response. A server-side error comes back as the decoded
+    /// [`CdStoreError`], a transport failure as [`CdStoreError::Remote`]; a
+    /// request too large to frame is [`CdStoreError::InvalidConfig`] before
+    /// anything is sent.
+    pub fn call(&self, req: &Request) -> Result<Response, CdStoreError> {
+        self.call_framed(|req_id| request_frame(req_id, req))
+    }
+
+    /// [`NetClient::call`] over the request's sealed frame: registers a
+    /// waiter, sends the frame in one `write_all` under the stream lock, and
+    /// waits out the timeout.
+    fn call_framed(
+        &self,
+        encode: impl FnOnce(u64) -> Result<Vec<u8>, FrameError>,
+    ) -> Result<Response, CdStoreError> {
+        let req_id = self.next_req_id();
+        let frame = encode(req_id).map_err(|e| CdStoreError::InvalidConfig(e.to_string()))?;
         let link = self.link()?;
         // One response per request: a depth of one never blocks the reader.
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         link.pending.lock().insert(req_id, tx);
-        let write_result = link.stream.lock().write_all(frame);
+        let write_result = link.stream.lock().write_all(&frame);
         if let Err(e) = write_result {
             link.pending.lock().remove(&req_id);
             link.kill();
             return Err(remote_err(format!("send: {e}")));
         }
         match rx.recv_timeout(self.config.request_timeout) {
+            Ok(Response::Err {
+                code,
+                needed,
+                available,
+                msg,
+            }) => Err(error_from_wire(code, needed, available, msg)),
             Ok(resp) => Ok(resp),
             Err(RecvTimeoutError::Timeout) => {
                 link.pending.lock().remove(&req_id);
@@ -193,60 +217,20 @@ impl NetClient {
             }
         }
     }
-
-    /// One RPC with bounded retry on *transport* errors. Server-side
-    /// errors come back as decoded [`CdStoreError`]s and are never retried;
-    /// a request too large to frame is [`CdStoreError::InvalidConfig`]
-    /// before anything is sent.
-    pub fn call(&self, req: &Request) -> Result<Response, CdStoreError> {
-        self.call_framed(|req_id| request_frame(req_id, req))
-    }
-
-    /// [`NetClient::call`] over the request's sealed frame. The frame is
-    /// encoded once: a retry resends the same bytes — the id cannot collide,
-    /// the failed attempt's link and its waiters are gone.
-    fn call_framed(
-        &self,
-        encode: impl FnOnce(u64) -> Result<Vec<u8>, FrameError>,
-    ) -> Result<Response, CdStoreError> {
-        let req_id = self.next_req_id();
-        let frame = encode(req_id).map_err(|e| CdStoreError::InvalidConfig(e.to_string()))?;
-        let mut last = None;
-        for _attempt in 0..=self.config.retries {
-            match self.call_once(req_id, &frame) {
-                Ok(Response::Err {
-                    code,
-                    needed,
-                    available,
-                    msg,
-                }) => return Err(error_from_wire(code, needed, available, msg)),
-                Ok(resp) => return Ok(resp),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| remote_err("retries exhausted")))
-    }
 }
 
 /// Dispatches responses to waiting callers until the stream dies.
-fn reader_loop(stream: TcpStream, pending: &Mutex<HashMap<u64, SyncSender<Response>>>) {
+fn reader_loop(mut stream: TcpStream, pending: &Mutex<HashMap<u64, SyncSender<Response>>>) {
     let mut reader = FrameReader::new();
-    let mut stream = stream;
-    loop {
-        match reader.poll(&mut stream) {
-            Ok(Polled::Frame(msg_type, payload)) => {
-                let Some((req_id, resp)) = decode_response(msg_type, payload) else {
-                    return; // protocol violation: poison the link
-                };
-                // A response nobody waits for (timed-out caller, or a second
-                // answer to one request) is dropped.
-                let waiter = pending.lock().remove(&req_id);
-                if let Some(tx) = waiter {
-                    let _ = tx.send(resp);
-                }
-            }
-            Ok(Polled::Idle) => continue, // no read timeout is set; defensive
-            Ok(Polled::Closed) | Err(_) => return,
+    while let Ok(Polled::Frame(msg_type, payload)) = reader.poll(&mut stream) {
+        let Some((req_id, resp)) = decode_response(msg_type, payload) else {
+            return; // protocol violation: poison the link
+        };
+        // A response nobody waits for (timed-out caller, or a second
+        // answer to one request) is dropped.
+        let waiter = pending.lock().remove(&req_id);
+        if let Some(tx) = waiter {
+            let _ = tx.send(resp);
         }
     }
 }
@@ -425,7 +409,6 @@ mod tests {
         };
         let config = NetClientConfig {
             connect_timeout: Duration::from_millis(500),
-            retries: 0,
             ..NetClientConfig::default()
         };
         match RemoteServer::connect(addr, config) {
@@ -434,6 +417,50 @@ mod tests {
             Ok(_) => panic!("connected to a dead port"),
         }
     }
+
+    /// Shutdown and restart wait on events, never on a clock or a retry:
+    /// eight connections blocked in `read` do not hold a shutdown up, each
+    /// hears of it, the freed address binds again at once (`restart` makes
+    /// one attempt) and every slot's next call reconnects before it sends.
+    #[test]
+    fn restarts_under_idle_connections_neither_wait_nor_retry() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let mut cluster = crate::cluster::LoopbackCluster::spawn(1).unwrap();
+            let config = NetClientConfig {
+                connections: 8,
+                ..NetClientConfig::default()
+            };
+            let remote = cluster.transports(config).unwrap().pop().unwrap();
+            let slots = &remote.client.pool;
+            for round in 0..200 {
+                // One call a slot: each replaces the link the last restart
+                // killed, and none fails.
+                for _ in slots {
+                    remote.probe().unwrap();
+                }
+                let links: Vec<_> = (slots.iter())
+                    .map(|s| s.link.lock().clone().expect("every slot is open"))
+                    .collect();
+                cluster
+                    .restart(0)
+                    .unwrap_or_else(|e| panic!("restart {round}: {e}"));
+                // The event each link gets: its reader thread reads EOF.
+                for link in &links {
+                    while !link.dead.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            let _ = done_tx.send(());
+        });
+        // A wait that lost its event must fail the suite, not hang it.
+        match done_rx.recv_timeout(Duration::from_secs(30)) {
+            Err(RecvTimeoutError::Timeout) => panic!("still waiting after 30 s"),
+            _ => body.join().expect("restart loop panicked"),
+        }
+    }
+
     /// A request no frame can carry is refused before a byte is written —
     /// at the parent `encode_frame` asserted while `send` held the stream
     /// lock — and costs the link nothing.

@@ -59,17 +59,10 @@ impl LoopbackCluster {
         let (core, report) = CdStoreServer::open(i, backend)?;
         let core = Arc::new(core);
         self.cores[i] = Arc::clone(&core);
-        // Rebinding the just-freed port can transiently fail while the old
-        // listener's connections drain; retry briefly before giving up.
-        let mut bound = NetServer::bind(Arc::clone(&core), self.addrs[i]);
-        for _ in 0..40 {
-            if bound.is_ok() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            bound = NetServer::bind(Arc::clone(&core), self.addrs[i]);
-        }
-        self.servers[i] = bound.map_err(|e| CdStoreError::Remote(e.to_string()))?;
+        // `shutdown` returned with the old listener dropped and every
+        // connection joined, so the address is free to bind again.
+        self.servers[i] = NetServer::bind(core, self.addrs[i])
+            .map_err(|e| CdStoreError::Remote(e.to_string()))?;
         Ok(report)
     }
 

@@ -210,12 +210,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(u8, Vec<u8>, usize)>, FrameErr
 
 /// An accumulating frame reader over a byte stream.
 ///
-/// Socket reads deliver arbitrary byte runs, and a read timeout can fire
-/// with half a frame already buffered — so the reader owns the buffer the
-/// socket is read into, which survives `WouldBlock`/`TimedOut`, and
-/// [`FrameReader::poll`] distinguishes "no complete frame yet" from "frame
-/// ready" without ever losing bytes. The buffer is reused from frame to
-/// frame; [`READER_RETAINED_BYTES`] bounds it.
+/// Socket reads deliver arbitrary byte runs, so the reader owns the buffer
+/// the socket is read into and [`FrameReader::poll`] blocks in `read` until
+/// a whole frame is there. The buffer is reused from frame to frame;
+/// [`READER_RETAINED_BYTES`] bounds it.
 pub struct FrameReader {
     /// Initialised storage: `buf[..filled]` is received, the rest is where
     /// the next `read` lands.
@@ -230,9 +228,6 @@ pub enum Polled<'a> {
     /// A complete frame: `(msg_type, payload)`, the payload borrowed from
     /// the reader until its next `poll`.
     Frame(u8, &'a [u8]),
-    /// The read timed out (or would block) before a frame completed;
-    /// buffered bytes are retained for the next poll.
-    Idle,
     /// The peer closed the stream cleanly (at a frame boundary).
     Closed,
 }
@@ -262,11 +257,9 @@ impl FrameReader {
         }
     }
 
-    /// Reads until one complete frame, a clean EOF, a timeout, or an error.
-    ///
-    /// Timeouts (`WouldBlock`/`TimedOut`) yield [`Polled::Idle`] so callers
-    /// can check a shutdown flag and poll again; an EOF mid-frame is
-    /// [`FrameError::Truncated`].
+    /// Reads until one complete frame, a clean EOF, or an error; an EOF
+    /// mid-frame is [`FrameError::Truncated`]. Whoever wants a blocked reader
+    /// to return shuts the socket down.
     pub fn poll(&mut self, r: &mut impl Read) -> Result<Polled<'_>, FrameError> {
         self.reclaim();
         let total = loop {
@@ -287,12 +280,6 @@ impl FrameReader {
                 Ok(0) if self.filled == 0 => return Ok(Polled::Closed),
                 Ok(0) => return Err(FrameError::Truncated),
                 Ok(n) => self.filled += n,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(Polled::Idle);
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(FrameError::Io(e)),
             }
@@ -405,9 +392,9 @@ mod tests {
         assert!(matches!(reader.poll(&mut src), Err(FrameError::Truncated)));
     }
     /// A `Read` that hands out `data` in the run lengths a script dictates,
-    /// with the transient errors a socket produces in between (never two in
-    /// a row, so a script of errors alone still ends); `Ok(0)` once the data
-    /// is spent.
+    /// with the transient error a blocking socket produces in between (never
+    /// twice in a row, so a script of errors alone still ends); `Ok(0)` once
+    /// the data is spent.
     struct Scripted<'a> {
         data: &'a [u8],
         script: &'a [u16],
@@ -436,8 +423,6 @@ mod tests {
             let may_fail = self.step.is_multiple_of(2);
             self.step += 1;
             match op % 8 {
-                0 if may_fail => Err(io::ErrorKind::WouldBlock.into()),
-                1 if may_fail => Err(io::ErrorKind::TimedOut.into()),
                 2 if may_fail => Err(io::ErrorKind::Interrupted.into()),
                 _ => {
                     let n = (op as usize / 8 + 1).min(out.len()).min(self.data.len());
@@ -459,7 +444,6 @@ mod tests {
         loop {
             match reader.poll(src) {
                 Ok(Polled::Frame(t, p)) => frames.push((t, p.to_vec())),
-                Ok(Polled::Idle) => continue,
                 Ok(Polled::Closed) => return (frames, Ok(())),
                 Err(e) => return (frames, Err(e)),
             }
@@ -531,15 +515,16 @@ mod tests {
 
     #[test]
     fn a_header_alone_cannot_make_the_reader_allocate_past_its_bound() {
-        // A peer announces the largest frame there is and sends nothing more.
+        // A peer announces the largest frame there is and sends nothing
+        // more: its connection is reset, or it just closes.
         let mut header = encode_frame(1, b"");
         header[0..4].copy_from_slice(&(MAX_FRAME_BYTES as u32).to_le_bytes());
         header.truncate(FRAME_HEADER_BYTES);
-        struct ThenStall<'a>(&'a [u8]);
-        impl Read for ThenStall<'_> {
+        struct ThenReset<'a>(&'a [u8]);
+        impl Read for ThenReset<'_> {
             fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
                 if self.0.is_empty() {
-                    return Err(io::ErrorKind::WouldBlock.into());
+                    return Err(io::ErrorKind::ConnectionReset.into());
                 }
                 let n = out.len().min(self.0.len());
                 out[..n].copy_from_slice(&self.0[..n]);
@@ -547,49 +532,63 @@ mod tests {
                 Ok(n)
             }
         }
-        let mut src = ThenStall(&header);
         let mut reader = FrameReader::new();
-        for _ in 0..3 {
-            assert!(matches!(reader.poll(&mut src), Ok(Polled::Idle)));
-            assert!(reader.buf.capacity() <= READER_RETAINED_BYTES);
-        }
+        assert!(matches!(
+            reader.poll(&mut ThenReset(&header)),
+            Err(FrameError::Io(_))
+        ));
+        assert!(reader.buf.capacity() <= READER_RETAINED_BYTES);
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            reader.poll(&mut io::Cursor::new(&header)),
+            Err(FrameError::Truncated)
+        ));
+        assert!(reader.buf.capacity() <= READER_RETAINED_BYTES);
     }
 
     #[test]
     fn the_buffer_kept_between_frames_is_bounded() {
-        // A frame larger than the retained size, delivered in pieces with
-        // timeouts in between, then a small one.
+        // A frame larger than the retained size, delivered in pieces, then a
+        // small one.
         let big = vec![0x5au8; READER_RETAINED_BYTES + READER_RETAINED_BYTES / 2];
         let mut wire = encode_frame(3, &big);
         wire.extend_from_slice(&encode_frame(4, b"after"));
-        let script = [u16::MAX, 0, u16::MAX, u16::MAX, 1];
-        let mut src = Scripted::new(&wire, &script);
-        let mut reader = FrameReader::new();
-        let mut grown = 0;
-        loop {
-            match reader.poll(&mut src).unwrap() {
-                Polled::Frame(t, p) => {
-                    assert_eq!((t, p), (3, &big[..]));
-                    break;
-                }
-                // Mid-frame the buffer holds at most twice what has arrived.
-                Polled::Idle => {
-                    grown = grown.max(reader.buf.capacity());
-                    assert!(reader.buf.capacity() <= READER_RETAINED_BYTES.max(2 * reader.filled));
-                }
-                Polled::Closed => panic!("closed before the frame completed"),
+        /// Mid-frame the buffer holds at most twice what has arrived: seen
+        /// from the socket's side, the reader never offers `read` more room
+        /// than that.
+        struct Watched<'a> {
+            src: Scripted<'a>,
+            arrived: usize,
+            grown: usize,
+        }
+        impl Read for Watched<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                let offered = self.arrived + out.len();
+                assert!(offered <= READER_RETAINED_BYTES.max(2 * self.arrived));
+                self.grown = self.grown.max(offered);
+                let n = self.src.read(out)?;
+                self.arrived += n;
+                Ok(n)
             }
         }
-        assert!(grown > 0, "the script must interrupt the large frame");
-        loop {
-            match reader.poll(&mut src).unwrap() {
-                Polled::Frame(t, p) => {
-                    assert_eq!((t, p), (4, &b"after"[..]));
-                    break;
-                }
-                Polled::Idle => continue,
-                Polled::Closed => panic!("closed before the second frame"),
-            }
+        let script = [u16::MAX, 2, u16::MAX, u16::MAX, 1];
+        let mut src = Watched {
+            src: Scripted::new(&wire, &script),
+            arrived: 0,
+            grown: 0,
+        };
+        let mut reader = FrameReader::new();
+        match reader.poll(&mut src).unwrap() {
+            Polled::Frame(t, p) => assert_eq!((t, p), (3, &big[..])),
+            Polled::Closed => panic!("closed before the frame completed"),
+        }
+        assert!(
+            src.grown > READER_RETAINED_BYTES,
+            "the large frame must outgrow the retained size"
+        );
+        match reader.poll(&mut src.src).unwrap() {
+            Polled::Frame(t, p) => assert_eq!((t, p), (4, &b"after"[..])),
+            Polled::Closed => panic!("closed before the second frame"),
         }
         assert!(reader.buf.capacity() <= READER_RETAINED_BYTES);
     }

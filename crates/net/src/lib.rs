@@ -16,10 +16,11 @@
 //!   download (one restore window per request), recipe put/get, delete,
 //!   gc, flush, and statistics — one response frame per request.
 //! * [`server`] — [`NetServer`]: a thread-per-connection listener wrapping
-//!   an `Arc<CdStoreServer>`, with graceful shutdown.
+//!   an `Arc<CdStoreServer>` on blocking sockets, with graceful shutdown.
 //! * [`client`] — [`NetClient`]: a pipelining connection pool with timeouts
-//!   and bounded reconnect-retry, and [`RemoteServer`], the
-//!   [`cdstore_core::ServerTransport`] implementation it powers.
+//!   that sends a request **at most once** (a transport failure is `Remote`
+//!   at once; trying again is [`cdstore_core::retry`]'s decision), and
+//!   [`RemoteServer`], the [`cdstore_core::ServerTransport`] it powers.
 //! * [`cluster`] — [`LoopbackCluster`]: `n` networked servers on loopback
 //!   for benches and tests.
 //!

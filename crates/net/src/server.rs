@@ -6,14 +6,14 @@
 //! concurrently), pipelined request handling (each connection answers
 //! requests in arrival order, one response frame each, but the client may
 //! keep many in flight), and graceful shutdown that joins every connection
-//! thread.
+//! thread. Every wait is a blocking `accept` or `read`; shutdown ends them
+//! by closing what they wait on.
 
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cdstore_core::server::GcConfig;
 use cdstore_core::transport::ServerTransport;
@@ -22,9 +22,6 @@ use cdstore_crypto::Fingerprint;
 
 use crate::frame::{FrameError, FrameReader, Polled, MAX_FRAME_BYTES};
 use crate::message::{decode_request, error_to_wire, response_frame, Request, Response};
-
-/// How often a blocked connection read wakes up to check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// A CDStore server listening on a TCP address.
 pub struct NetServer {
@@ -39,9 +36,6 @@ impl NetServer {
     pub fn bind(server: Arc<CdStoreServer>, addr: impl ToSocketAddrs) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Non-blocking accept polled on an interval: shutdown then needs no
-        // self-connect trick to unwedge a blocking accept.
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
@@ -59,14 +53,25 @@ impl NetServer {
         self.addr
     }
 
-    /// Stops accepting, drains every connection thread, and returns once all
-    /// of them have exited. In-flight requests complete; idle connections
-    /// close at their next poll tick.
+    /// Stops accepting, closes the read side of every connection, and
+    /// returns once the listener is gone and every connection thread has
+    /// exited. A request already being served gets its reply; an idle
+    /// connection sees EOF at once.
     pub fn shutdown(&mut self) {
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return;
+        };
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        // One connection to ourselves is the event the blocked `accept`
+        // wakes on; a listener on the unspecified address is reached through
+        // its family's loopback. If it cannot be made the loop already ended.
+        let wake: SocketAddr = match self.addr {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+            addr => addr,
+        };
+        let _ = TcpStream::connect(wake);
+        let _ = accept_thread.join();
     }
 }
 
@@ -77,79 +82,80 @@ impl Drop for NetServer {
 }
 
 fn accept_loop(listener: TcpListener, server: Arc<CdStoreServer>, shutdown: Arc<AtomicBool>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let server = Arc::clone(&server);
-                let shutdown = Arc::clone(&shutdown);
-                connections.push(std::thread::spawn(move || {
-                    // A connection failing (corrupt frame, peer reset) only
-                    // drops that connection; the server keeps serving.
-                    let _ = serve_connection(stream, server, shutdown);
-                }));
-                // Opportunistically reap finished connection threads so a
-                // long-lived server does not accumulate handles.
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => break,
+    // Each connection's thread, and a second handle on its socket to end
+    // the thread's blocking read with.
+    let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    while let Ok((stream, _peer)) = listener.accept() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        let server = Arc::clone(&server);
+        let shutdown = Arc::clone(&shutdown);
+        let thread = std::thread::spawn(move || {
+            // A connection failing (corrupt frame, peer reset) only drops
+            // that connection; the server keeps serving.
+            let _ = serve_connection(&stream, &server, &shutdown);
+            // The accept loop holds the other handle, so dropping this one
+            // closes nothing: say so to the peer explicitly.
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+        connections.push((thread, handle));
+        // Opportunistically reap finished connection threads so a
+        // long-lived server does not accumulate handles.
+        connections.retain(|(thread, _)| !thread.is_finished());
     }
-    for handle in connections {
-        let _ = handle.join();
+    drop(listener);
+    for (_, handle) in &connections {
+        // A blocked read returns EOF; the write side stays open for the
+        // reply of a request already being served.
+        let _ = handle.shutdown(Shutdown::Read);
+    }
+    for (thread, _) in connections {
+        let _ = thread.join();
     }
 }
 
 /// Serves one connection until the peer closes, a protocol violation, or
 /// shutdown.
 fn serve_connection(
-    stream: TcpStream,
-    server: Arc<CdStoreServer>,
-    shutdown: Arc<AtomicBool>,
+    mut stream: &TcpStream,
+    server: &CdStoreServer,
+    shutdown: &AtomicBool,
 ) -> Result<(), FrameError> {
     // Small frames (queries, receipts) must not sit in Nagle buffers behind
     // an RTT: batching is done explicitly at the message layer.
     let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut reader = FrameReader::new();
-    loop {
-        let (req_id, request) = match reader.poll(&mut { &stream })? {
-            Polled::Frame(msg_type, payload) => match decode_request(msg_type, payload) {
-                Some(decoded) => decoded,
-                None => {
-                    return Err(FrameError::Corrupt(format!(
-                        "malformed request (type {msg_type:#04x})"
-                    )))
-                }
-            },
-            Polled::Idle => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Polled::Closed => return Ok(()),
+    // Requests a peer pipelined before the read side closed are still
+    // readable; the flag keeps them from holding a shutdown up.
+    while !shutdown.load(Ordering::SeqCst) {
+        let Polled::Frame(msg_type, payload) = reader.poll(&mut stream)? else {
+            return Ok(()); // closed at a frame boundary
         };
-        let response = handle_request(&server, request);
+        let Some((req_id, request)) = decode_request(msg_type, payload) else {
+            let violation = format!("malformed request (type {msg_type:#04x})");
+            return Err(FrameError::Corrupt(violation));
+        };
+        let response = handle_request(server, request);
         // A reply no frame can carry (a recipe past the cap, say) costs the
         // peer a typed error, like an oversized `FetchShares` below.
         let frame = response_frame(req_id, &response).or_else(|e| {
             let refusal = error_to_wire(&CdStoreError::InvalidConfig(e.to_string()));
             response_frame(req_id, &refusal)
         })?;
-        (&stream).write_all(&frame)?;
+        stream.write_all(&frame)?;
     }
+    Ok(())
 }
 
 /// Executes one request against the server.
-fn handle_request(server: &Arc<CdStoreServer>, request: Request) -> Response {
+fn handle_request(t: &CdStoreServer, request: Request) -> Response {
     fn or_err(result: Result<Response, CdStoreError>) -> Response {
         result.unwrap_or_else(|e| error_to_wire(&e))
     }
-    let t: &CdStoreServer = server;
     match request {
         Request::Ping => Response::Pong {
             cloud_index: ServerTransport::cloud_index(t) as u32,
@@ -241,15 +247,9 @@ mod tests {
         stream
             .write_all(&request_frame(req_id, req).unwrap())
             .unwrap();
-        let mut reader = FrameReader::new();
-        loop {
-            match reader.poll(&mut { &*stream }).unwrap() {
-                Polled::Frame(mt, payload) => {
-                    return crate::message::decode_response(mt, payload).unwrap()
-                }
-                Polled::Idle => continue,
-                Polled::Closed => panic!("server closed the connection"),
-            }
+        match FrameReader::new().poll(&mut { &*stream }).unwrap() {
+            Polled::Frame(mt, payload) => crate::message::decode_response(mt, payload).unwrap(),
+            Polled::Closed => panic!("server closed the connection"),
         }
     }
 
@@ -272,15 +272,13 @@ mod tests {
             let mut bad = connect(&server);
             // Valid frame envelope, unknown message type.
             bad.write_all(&encode_frame(0x7f, &[0u8; 8])).unwrap();
-            // The server must close this connection.
-            let mut reader = FrameReader::new();
-            loop {
-                match reader.poll(&mut { &bad }) {
-                    Ok(Polled::Closed) | Err(_) => break,
-                    Ok(Polled::Idle) | Ok(Polled::Frame(..)) => continue,
-                }
-            }
-            let _ = bad.flush();
+            // The server must close this connection: the read ends, it does
+            // not wait (the accept loop's second handle on the socket must
+            // not keep it open).
+            assert!(!matches!(
+                FrameReader::new().poll(&mut { &bad }),
+                Ok(Polled::Frame(..))
+            ));
         }
         // A fresh connection still works.
         let mut good = connect(&server);
@@ -355,13 +353,8 @@ mod tests {
             Err(_) => {}
             Ok(mut s) => {
                 let _ = s.write_all(&request_frame(2, &Request::Ping).unwrap());
-                let mut reader = FrameReader::new();
-                loop {
-                    match reader.poll(&mut { &s }) {
-                        Ok(Polled::Closed) | Err(_) => break,
-                        Ok(Polled::Frame(..)) => panic!("served after shutdown"),
-                        Ok(Polled::Idle) => continue,
-                    }
+                if let Ok(Polled::Frame(..)) = FrameReader::new().poll(&mut { &s }) {
+                    panic!("served after shutdown");
                 }
             }
         }

@@ -6,10 +6,11 @@
 //! different processes, every byte crossing a socket — and it asserts the
 //! tentpole acceptance criteria: multi-user backup/restore/delete/gc over
 //! the wire, byte-exact restores identical to the in-process path, intact
-//! dedup counters, and k-of-n restores surviving the kill of one server
-//! process mid-churn.
+//! dedup counters, k-of-n restores surviving the kill of one server
+//! process mid-churn, and a graceful stop that loses nothing.
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -24,8 +25,17 @@ struct ServeProc {
 
 impl ServeProc {
     fn spawn(cloud: usize) -> ServeProc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_cdstore-serve"))
-            .args(["--cloud", &cloud.to_string(), "--addr", "127.0.0.1:0"])
+        Self::spawn_in(cloud, None)
+    }
+
+    /// A server over `dir` (durable), or over memory.
+    fn spawn_in(cloud: usize, dir: Option<&Path>) -> ServeProc {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_cdstore-serve"));
+        command.args(["--cloud", &cloud.to_string(), "--addr", "127.0.0.1:0"]);
+        if let Some(dir) = dir {
+            command.arg("--dir").arg(dir);
+        }
+        let mut child = command
             .stdin(Stdio::piped()) // held open; EOF would stop the server
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -48,6 +58,13 @@ impl ServeProc {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+
+    /// The graceful stop: close the child's stdin and wait for it to exit.
+    fn stop(mut self) {
+        drop(self.child.stdin.take());
+        let status = self.child.wait().expect("wait for cdstore-serve");
+        assert!(status.success(), "cdstore-serve exited with {status}");
+    }
 }
 
 impl Drop for ServeProc {
@@ -61,7 +78,6 @@ fn client_config() -> NetClientConfig {
     NetClientConfig {
         request_timeout: Duration::from_secs(10),
         connect_timeout: Duration::from_secs(2),
-        retries: 1,
         ..NetClientConfig::default()
     }
 }
@@ -194,4 +210,32 @@ fn concurrent_clients_share_the_wire() {
         }
     });
     assert_eq!(store.stats().files, 4);
+}
+
+/// A graceful stop seals what the connections left open: a backup nobody
+/// flushed survives the stop and restart of all four `--dir` servers. (A
+/// server that only shut its listener down would throw its open containers
+/// away, and the next start's recovery would prune those shares.)
+#[test]
+fn a_graceful_stop_loses_nothing() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("graceful-stop");
+    let _ = std::fs::remove_dir_all(&root);
+    let dirs: Vec<_> = (0..4).map(|i| root.join(format!("cloud-{i}"))).collect();
+    let spawn_all = || -> Vec<ServeProc> {
+        (dirs.iter().enumerate())
+            .map(|(i, dir)| ServeProc::spawn_in(i, Some(dir)))
+            .collect()
+    };
+    let data = sample(file_size(), 5);
+
+    let procs = spawn_all();
+    let store = connect_store(&procs);
+    store.backup(1, "/alice/unflushed.tar", &data).unwrap();
+    drop(store);
+    procs.into_iter().for_each(ServeProc::stop);
+
+    let procs = spawn_all();
+    let store = connect_store(&procs);
+    assert_eq!(store.restore(1, "/alice/unflushed.tar").unwrap(), data);
+    let _ = std::fs::remove_dir_all(&root);
 }
