@@ -10,13 +10,18 @@
 //! Defaults: `BENCH_encode.json` in the current directory, 64 MB of seeded
 //! data. Also records the pipeline's peak live pooled buffers — the
 //! bounded-memory evidence: a pipeline-depth's worth regardless of input
-//! size.
+//! size — and the `duplicate_pass` row: the same input through one
+//! share-fingerprint memo twice, so the second pass is the cost of a chunk
+//! seen before (chunking, `H(X)`, a lookup) beside the first's full encode.
+
+use std::sync::Arc;
 
 use serde::Serialize;
 
 use cdstore_bench::encodebench::{chunking_speed, streamed_encode_speed};
 use cdstore_bench::random_secrets;
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
+use cdstore_core::ShareMemo;
 use cdstore_secretsharing::CaontRs;
 
 /// The whole snapshot written to `BENCH_encode.json`.
@@ -40,6 +45,19 @@ struct BenchEncode {
     streamed_num_secrets: u64,
     streamed_pool_allocations: u64,
     streamed_pool_reuses: u64,
+    duplicate_pass: DuplicatePass,
+}
+
+/// The same input through one fresh share-fingerprint memo twice (same
+/// pipeline as `streamed_encode_mbps`): every secret of the first pass is a
+/// miss, every secret of the second a hit.
+#[derive(Serialize)]
+struct DuplicatePass {
+    first_pass_mbps: f64,
+    second_pass_mbps: f64,
+    second_over_first: f64,
+    memo_hits: u64,
+    memo_misses: u64,
 }
 
 fn median_of<F: FnMut() -> f64>(runs: usize, mut f: F) -> f64 {
@@ -80,17 +98,41 @@ fn main() {
 
     eprintln!("bench_encode: streamed chunk+encode at {threads} threads...");
     let mut last_run = None;
+    let kind = ChunkerKind::FastCdc;
     let streamed = median_of(3, || {
-        let run =
-            streamed_encode_speed(&scheme, ChunkerKind::FastCdc, chunk_config, &data, threads);
+        let run = streamed_encode_speed(&scheme, kind, chunk_config, &data, threads, None);
         let mbps = run.mbps;
         last_run = Some(run);
         mbps
     });
     let run = last_run.expect("at least one streamed run");
 
+    eprintln!("bench_encode: the same input twice through one memo (3 runs, median ratio)...");
+    let mut duplicate_runs: Vec<DuplicatePass> = (0..3)
+        .map(|_| {
+            let memo = Arc::new(ShareMemo::new(n));
+            let pass = || {
+                streamed_encode_speed(&scheme, kind, chunk_config, &data, threads, Some(&memo)).mbps
+            };
+            let (first_pass_mbps, second_pass_mbps) = (pass(), pass());
+            DuplicatePass {
+                first_pass_mbps,
+                second_pass_mbps,
+                second_over_first: second_pass_mbps / first_pass_mbps,
+                memo_hits: memo.hits(),
+                memo_misses: memo.misses(),
+            }
+        })
+        .collect();
+    duplicate_runs.sort_by(|a, b| a.second_over_first.total_cmp(&b.second_over_first));
+    let duplicate_pass = duplicate_runs.swap_remove(1);
+    eprintln!(
+        "bench_encode:   first {:.0} MB/s, second {:.0} MB/s",
+        duplicate_pass.first_pass_mbps, duplicate_pass.second_pass_mbps
+    );
+
     let snapshot = BenchEncode {
-        schema_version: 2,
+        schema_version: 3,
         n,
         k,
         size_mb,
@@ -104,6 +146,7 @@ fn main() {
         streamed_num_secrets: run.num_secrets,
         streamed_pool_allocations: run.pool.allocations,
         streamed_pool_reuses: run.pool.reuses,
+        duplicate_pass,
     };
 
     let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
@@ -120,5 +163,10 @@ fn main() {
         snapshot.fastcdc_over_rabin >= 2.0,
         "FastCDC must chunk at >= 2x Rabin (got {:.2}x)",
         snapshot.fastcdc_over_rabin
+    );
+    assert!(
+        snapshot.duplicate_pass.second_over_first >= 1.5,
+        "a memoised pass must encode at >= 1.5x the first (got {:.2}x)",
+        snapshot.duplicate_pass.second_over_first
     );
 }

@@ -54,8 +54,14 @@ fn main() {
     println!("Chunk+encode data path, CAONT-RS with Rabin chunking, same data:");
     println!("{:<10} {:>16}", "Threads", "Streamed (MB/s)");
     for threads in 1..=4usize {
-        let streamed =
-            streamed_encode_speed(&caont, ChunkerKind::Rabin, chunk_config, &flat, threads);
+        let streamed = streamed_encode_speed(
+            &caont,
+            ChunkerKind::Rabin,
+            chunk_config,
+            &flat,
+            threads,
+            None,
+        );
         println!("{threads:<10} {:>16.1}", streamed.mbps);
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cdstore_chunking::{ChunkStream, ChunkerConfig, ChunkerKind};
-use cdstore_core::{encode_stream, PipelineConfig};
+use cdstore_core::{encode_stream, PipelineConfig, ShareMemo};
 use cdstore_secretsharing::{BufferPool, PoolStats, SecretSharing};
 
 use crate::MB;
@@ -50,32 +50,29 @@ pub struct StreamedEncodeRun {
 
 /// Streamed chunk+encode throughput over the staged pipeline, shares
 /// discarded back into the pool at the sink (isolates the encode path from
-/// any store backend).
+/// any store backend). With a `memo`, secrets it already holds come through
+/// un-encoded — a second run over the same data measures the hit path.
 pub fn streamed_encode_speed(
     scheme: &(dyn SecretSharing + Sync),
     kind: ChunkerKind,
     config: ChunkerConfig,
     data: &[u8],
     threads: usize,
+    memo: Option<&Arc<ShareMemo>>,
 ) -> StreamedEncodeRun {
     let chunker = kind.build(config);
     let pool = Arc::new(BufferPool::new());
     let pipeline = PipelineConfig {
         encode_threads: threads,
         pool: Some(Arc::clone(&pool)),
+        memo: memo.cloned(),
         ..PipelineConfig::default()
     };
     let start = Instant::now();
-    let report = encode_stream(
-        scheme,
-        chunker.as_ref(),
-        data,
-        &pipeline,
-        |mut enc, pool| {
-            pool.put_all(&mut enc.shares);
-            Ok(())
-        },
-    )
+    let report = encode_stream(scheme, chunker.as_ref(), data, &pipeline, |enc, pool| {
+        enc.recycle(pool);
+        Ok(())
+    })
     .expect("streamed encoding failed");
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(report.logical_bytes, data.len() as u64);
@@ -147,6 +144,7 @@ mod tests {
             ChunkerConfig::default(),
             &data,
             2,
+            None,
         );
         assert!(streamed.mbps > 0.0);
         assert!(streamed.num_secrets > 0);

@@ -80,7 +80,7 @@ pub fn chunk_and_encode_speed(
     threads: usize,
 ) -> f64 {
     let (kind, config) = (ChunkerKind::Rabin, ChunkerConfig::default());
-    encodebench::streamed_encode_speed(scheme, kind, config, data, threads).mbps
+    encodebench::streamed_encode_speed(scheme, kind, config, data, threads, None).mbps
 }
 
 /// Formats a floating-point MB/s value for table output.

@@ -7,7 +7,8 @@
 //! ([`CdStoreClient::download_stream`]); either way peak memory is bounded by
 //! the pipeline depth and the 4 MB per-cloud batches, not the file size.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -17,9 +18,10 @@ use cdstore_secretsharing::{BufferPool, CaontRs, SecretSharing};
 
 use crate::dedup::DedupStats;
 use crate::error::CdStoreError;
+use crate::memo::ShareMemo;
 use crate::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
 use crate::pipeline::{
-    encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig,
+    encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig, RetainedSecret,
 };
 use crate::retry::{is_transient, RetryPolicy};
 use crate::transport::ServerTransport;
@@ -72,6 +74,9 @@ pub struct CdStoreClient {
     scheme: CaontRs,
     chunker: Box<dyn Chunker + Send + Sync>,
     retry: RetryPolicy,
+    /// Share fingerprints of secrets this client (or whoever shares the
+    /// memo with it) has encoded before; see [`ShareMemo`].
+    memo: Arc<ShareMemo>,
 }
 
 impl CdStoreClient {
@@ -109,7 +114,17 @@ impl CdStoreClient {
             scheme,
             chunker: kind.build(chunker),
             retry: RetryPolicy::default(),
+            memo: Arc::new(ShareMemo::new(n)),
         })
+    }
+
+    /// Shares `memo` with this client in place of its own fresh one, so
+    /// what one client encoded another recognises — how [`crate::CdStore`]
+    /// gives the clients it builds per operation one memory. The memo must
+    /// come from clients with the same `(n, k)`.
+    pub fn with_memo(mut self, memo: Arc<ShareMemo>) -> Self {
+        self.memo = memo;
+        self
     }
 
     /// Sets the bounded retry-with-backoff policy applied to transient cloud
@@ -248,6 +263,9 @@ impl CdStoreClient {
             .unwrap_or_else(|| Arc::new(BufferPool::new()));
         let mut pipeline_config = config.clone();
         pipeline_config.pool = Some(Arc::clone(&pool));
+        // One memo per client, whatever the caller's config carries: the
+        // committer counts what it materialises on the same memo.
+        pipeline_config.memo = Some(Arc::clone(&self.memo));
         let mut committer = StreamCommitter::new(self, servers, pool, batch_bytes.max(1));
         let report =
             encode(&pipeline_config, &mut committer).and_then(|_| committer.finalize(pathname));
@@ -441,9 +459,89 @@ struct BatchShipment {
     new_bytes: u64,
 }
 
-/// Ships one batch of candidate shares to one server: second-stage
-/// intra-user dedup query, then `store_shares` for the survivors, with
-/// bounded retry-with-backoff on transient faults.
+/// What a batch entry holds for its share.
+enum Payload {
+    /// The encoded share; empty while [`ship_batch`] has it out for a
+    /// transfer.
+    Share(Vec<u8>),
+    /// Not encoded: the secret was a memo hit and waits, under its
+    /// `secret_seq`, in the committer's [`LazySecret`] map, one slot for all
+    /// the clouds' entries.
+    Lazy,
+}
+
+/// One per-cloud upload batch under construction.
+type Batch = Vec<(ShareMetadata, Payload)>;
+
+/// A secret whose fingerprints came from the memo, kept until every cloud's
+/// batch naming it has shipped. It is encoded at most once, when the first
+/// server answers "not owned" for one of its shares; the other clouds then
+/// take theirs from the same encoding.
+struct LazySecret {
+    key: [u8; 32],
+    state: LazyState,
+    /// Batch entries (at most one per cloud) that still name this secret.
+    pending: usize,
+}
+
+enum LazyState {
+    /// The chunk as cut, in a pooled buffer.
+    Retained(Vec<u8>),
+    /// The `n` shares; a cloud's slot is empty once its transfer took it.
+    Encoded(Vec<Vec<u8>>),
+}
+
+impl LazySecret {
+    /// Moves `cloud`'s share out, encoding the secret first if no cloud
+    /// needed it before (the chunk buffer is recycled then: the shares
+    /// stand in for it).
+    fn take_share(
+        &mut self,
+        client: &CdStoreClient,
+        cloud: usize,
+        pool: &BufferPool,
+    ) -> Result<Vec<u8>, CdStoreError> {
+        if let LazyState::Retained(chunk) = &mut self.state {
+            let mut shares: Vec<Vec<u8>> = (0..client.n).map(|_| pool.get()).collect();
+            client
+                .scheme
+                .split_into_keyed(chunk, &self.key, &mut shares)?;
+            client.memo.note_materialised();
+            pool.put(std::mem::take(chunk));
+            self.state = LazyState::Encoded(shares);
+        }
+        let LazyState::Encoded(shares) = &mut self.state else {
+            unreachable!("encoded above")
+        };
+        Ok(std::mem::take(&mut shares[cloud]))
+    }
+
+    /// Puts back a share a failed transfer took, so the retry (or a later
+    /// cloud) does not encode again.
+    fn put_back(&mut self, cloud: usize, share: Vec<u8>) {
+        if let LazyState::Encoded(shares) = &mut self.state {
+            shares[cloud] = share;
+        }
+    }
+
+    /// Recycles whatever buffers are left once no batch names the secret.
+    fn recycle(self, pool: &BufferPool) {
+        match self.state {
+            LazyState::Retained(chunk) => pool.put(chunk),
+            LazyState::Encoded(shares) => {
+                for share in shares.into_iter().filter(|s| !s.is_empty()) {
+                    pool.put(share);
+                }
+            }
+        }
+    }
+}
+
+/// Ships one batch of candidate shares to cloud `cloud`'s server:
+/// second-stage intra-user dedup query, then `store_shares` for the
+/// survivors, with bounded retry-with-backoff on transient faults. The
+/// query names every entry, encoded or [`Payload::Lazy`] alike; a lazy
+/// entry the server does not own is encoded then (see [`LazySecret`]).
 ///
 /// A failed `store_shares` may have taken per-upload references on shares it
 /// reached before the fault, and a blind replay would double-count them
@@ -456,16 +554,18 @@ struct BatchShipment {
 /// `pool`; on a permanent failure the batch is left intact and the failing
 /// server holds no references from it.
 fn ship_batch<T: ServerTransport>(
+    client: &CdStoreClient,
     server: &T,
-    user: u64,
-    retry: &RetryPolicy,
-    batch: &mut Vec<(ShareMetadata, Vec<u8>)>,
+    cloud: usize,
+    batch: &mut Batch,
+    lazy: &mut HashMap<u64, LazySecret>,
     pool: &BufferPool,
 ) -> Result<BatchShipment, CdStoreError> {
     if batch.is_empty() {
         return Ok(BatchShipment::default());
     }
-    let shipment = retry.run(|_| {
+    let user = client.user;
+    let shipment = client.retry.run(|_| {
         let fps: Vec<Fingerprint> = batch.iter().map(|(m, _)| m.fingerprint).collect();
         let already = server.intra_user_query(user, &fps)?;
         // Move the non-duplicate shares out of the batch for the transfer;
@@ -474,7 +574,15 @@ fn ship_batch<T: ServerTransport>(
         let mut taken: Vec<usize> = Vec::new();
         for (i, dup) in already.into_iter().enumerate() {
             if !dup {
-                to_upload.push((batch[i].0.clone(), std::mem::take(&mut batch[i].1)));
+                let (meta, payload) = &mut batch[i];
+                let share = match payload {
+                    Payload::Share(share) => std::mem::take(share),
+                    Payload::Lazy => lazy
+                        .get_mut(&meta.secret_seq)
+                        .expect("a lazy entry's secret outlives its batches")
+                        .take_share(client, cloud, pool)?,
+                };
+                to_upload.push((meta.clone(), share));
                 taken.push(i);
             }
         }
@@ -495,17 +603,33 @@ fn ship_batch<T: ServerTransport>(
             Err(e) => {
                 let sent: Vec<Fingerprint> = to_upload.iter().map(|(m, _)| m.fingerprint).collect();
                 let _ = server.release_uploads(user, &sent);
-                for (idx, (_, share)) in taken.into_iter().zip(to_upload) {
-                    batch[idx].1 = share;
+                for (idx, (meta, share)) in taken.into_iter().zip(to_upload) {
+                    match &mut batch[idx].1 {
+                        Payload::Share(slot) => *slot = share,
+                        Payload::Lazy => lazy
+                            .get_mut(&meta.secret_seq)
+                            .expect("a lazy entry's secret outlives its batches")
+                            .put_back(cloud, share),
+                    }
                 }
                 Err(e)
             }
         }
     })?;
-    // Recycle the remaining (duplicate) share buffers and empty the batch.
-    for (_, share) in batch.drain(..) {
-        if !share.is_empty() {
-            pool.put(share);
+    // Recycle the remaining (duplicate) share buffers, drop this cloud's
+    // claim on its lazy secrets, and empty the batch.
+    for (meta, payload) in batch.drain(..) {
+        match payload {
+            Payload::Share(share) if !share.is_empty() => pool.put(share),
+            Payload::Share(_) => {}
+            Payload::Lazy => {
+                if let Entry::Occupied(mut secret) = lazy.entry(meta.secret_seq) {
+                    secret.get_mut().pending -= 1;
+                    if secret.get().pending == 0 {
+                        secret.remove().recycle(pool);
+                    }
+                }
+            }
         }
     }
     Ok(shipment)
@@ -528,7 +652,10 @@ struct StreamCommitter<'a, T: ServerTransport> {
     /// First-stage intra-user dedup: shares already scheduled in this upload.
     scheduled: Vec<HashSet<Fingerprint>>,
     /// Per-cloud batch under construction (pooled share buffers).
-    batches: Vec<Vec<(ShareMetadata, Vec<u8>)>>,
+    batches: Vec<Batch>,
+    /// The secrets behind the batches' [`Payload::Lazy`] entries, by
+    /// `secret_seq`.
+    lazy: HashMap<u64, LazySecret>,
     batch_fill: Vec<u64>,
     /// Shares physically sent per cloud, for put_file / rollback.
     uploaded: Vec<Vec<Fingerprint>>,
@@ -555,7 +682,8 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             dedup: DedupStats::new(),
             recipes: vec![Vec::new(); n],
             scheduled: vec![HashSet::new(); n],
-            batches: vec![Vec::new(); n],
+            batches: (0..n).map(|_| Vec::new()).collect(),
+            lazy: HashMap::new(),
             batch_fill: vec![0; n],
             uploaded: vec![Vec::new(); n],
             transferred_per_cloud: vec![0; n],
@@ -566,7 +694,10 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
         }
     }
 
-    /// Absorbs one encoded secret from the pipeline (in input order).
+    /// Absorbs one encoded secret from the pipeline (in input order). A
+    /// retained (memo-hit) secret is accounted exactly as its shares would
+    /// be — share sizes come from the scheme — so batch boundaries, RPC
+    /// counts and the report do not depend on what the memo held.
     fn absorb(&mut self, enc: EncodedSecret) -> Result<(), CdStoreError> {
         self.num_secrets += 1;
         self.file_size += enc.secret_size as u64;
@@ -576,9 +707,15 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             secret_size,
             shares,
             fingerprints,
+            retained,
         } = enc;
-        for (cloud, (share, fp)) in shares.into_iter().zip(fingerprints).enumerate() {
-            self.dedup.logical_share_bytes += share.len() as u64;
+        let retained_share_size = self.client.scheme.share_size(secret_size as usize);
+        let mut shares = shares.into_iter();
+        let mut pending = 0;
+        for (cloud, fp) in fingerprints.into_iter().enumerate() {
+            let share = shares.next();
+            let share_size = share.as_ref().map_or(retained_share_size, Vec::len);
+            self.dedup.logical_share_bytes += share_size as u64;
             self.recipes[cloud].push(RecipeEntry {
                 share_fingerprint: fp,
                 secret_size,
@@ -586,19 +723,41 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             // First-stage intra-user dedup: drop shares already scheduled in
             // this upload before they ever hit a batch.
             if !self.scheduled[cloud].insert(fp) {
-                self.pool.put(share);
+                if let Some(share) = share {
+                    self.pool.put(share);
+                }
                 continue;
             }
-            self.batch_fill[cloud] += share.len() as u64;
+            self.batch_fill[cloud] += share_size as u64;
             self.batches[cloud].push((
                 ShareMetadata {
                     fingerprint: fp,
-                    share_size: share.len() as u32,
+                    share_size: share_size as u32,
                     secret_seq: seq,
                     secret_size,
                 },
-                share,
+                match share {
+                    Some(share) => Payload::Share(share),
+                    None => {
+                        pending += 1;
+                        Payload::Lazy
+                    }
+                },
             ));
+        }
+        if let Some(RetainedSecret { key, chunk }) = retained {
+            let secret = LazySecret {
+                key,
+                state: LazyState::Retained(chunk),
+                pending,
+            };
+            if pending == 0 {
+                secret.recycle(&self.pool);
+            } else {
+                self.lazy.insert(seq, secret);
+            }
+        }
+        for cloud in 0..self.client.n {
             if self.batch_fill[cloud] >= self.batch_bytes {
                 self.flush(cloud)?;
             }
@@ -616,10 +775,11 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             return Ok(());
         }
         let shipment = ship_batch(
+            self.client,
             &self.servers[cloud],
-            self.client.user,
-            &self.client.retry,
+            cloud,
             &mut batch,
+            &mut self.lazy,
             &self.pool,
         )?;
         self.transferred_per_cloud[cloud] += shipment.transferred;
@@ -839,19 +999,23 @@ mod tests {
     /// An upload several times larger than the pipeline's buffer budget keeps
     /// peak live chunk/share buffers bounded by the pipeline depth plus the
     /// per-cloud batches — never O(file) — whether the chunks are cut off a
-    /// reader or arrive pre-cut, and restores byte-exact.
+    /// reader or arrive pre-cut, and restores byte-exact. The same bound
+    /// holds when every secret is a memo hit: owned by the user (the batches
+    /// hold retained chunks) or not (each is encoded when its batch ships).
     #[test]
     fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
         let (n, k) = (4usize, 3usize);
         let min_chunk = 2048usize;
-        let client = CdStoreClient::with_chunker_kind(
-            1,
-            n,
-            k,
-            ChunkerKind::FastCdc,
-            ChunkerConfig::new(min_chunk, 8192, 16 * 1024),
-        )
-        .unwrap();
+        let new_client = |user| {
+            CdStoreClient::with_chunker_kind(
+                user,
+                n,
+                k,
+                ChunkerKind::FastCdc,
+                ChunkerConfig::new(min_chunk, 8192, 16 * 1024),
+            )
+            .unwrap()
+        };
         // A small batch so the per-cloud batches flush many times.
         let batch_bytes: u64 = 64 * 1024;
         // Pseudo-random content, so FastCDC cuts variable-size chunks.
@@ -864,7 +1028,7 @@ mod tests {
                 (state >> 24) as u8
             })
             .collect();
-        let chunks: Vec<Vec<u8>> = client
+        let chunks: Vec<Vec<u8>> = new_client(1)
             .chunker()
             .chunk(&data)
             .into_iter()
@@ -873,64 +1037,84 @@ mod tests {
 
         for prechunked in [false, true] {
             let servers = make_servers(n);
-            let pool = Arc::new(BufferPool::new());
-            let config = PipelineConfig {
-                encode_threads: 2,
-                chunk_queue: 2,
-                encoded_queue: 2,
-                read_buffer: 16 * 1024,
-                pool: Some(Arc::clone(&pool)),
-            };
-            let report = client
-                .upload_with(
-                    &servers,
-                    "/huge",
-                    &config,
-                    batch_bytes,
-                    |config, committer| {
-                        if prechunked {
-                            encode_chunks(&client.scheme, &chunks, config, |enc, _| {
-                                committer.absorb(enc)
-                            })
-                        } else {
-                            encode_stream(
-                                &client.scheme,
-                                client.chunker(),
-                                &data[..],
-                                config,
-                                |enc, _| committer.absorb(enc),
-                            )
-                        }
-                    },
-                )
-                .unwrap();
-            assert_eq!(report.num_secrets, chunks.len());
-            assert!(report.num_secrets > 4 * config.max_live_secrets());
-            assert!(report.batches_per_cloud.iter().all(|&b| b > 10));
+            let owner = new_client(1);
+            let other = new_client(2).with_memo(Arc::clone(&owner.memo));
+            // (who uploads, memo hits expected, of which encoded after all)
+            let passes = [
+                ("first", &owner, 0, 0),
+                ("again", &owner, chunks.len(), 0),
+                ("other user", &other, chunks.len(), chunks.len()),
+            ];
+            for (pass, client, hits, materialised) in passes {
+                let memo_before = (client.memo.hits(), client.memo.materialised());
+                let pool = Arc::new(BufferPool::new());
+                let config = PipelineConfig {
+                    encode_threads: 2,
+                    chunk_queue: 2,
+                    encoded_queue: 2,
+                    read_buffer: 16 * 1024,
+                    pool: Some(Arc::clone(&pool)),
+                    memo: None,
+                };
+                let report = client
+                    .upload_with(
+                        &servers,
+                        "/huge",
+                        &config,
+                        batch_bytes,
+                        |config, committer| {
+                            if prechunked {
+                                encode_chunks(&client.scheme, &chunks, config, |enc, _| {
+                                    committer.absorb(enc)
+                                })
+                            } else {
+                                encode_stream(
+                                    &client.scheme,
+                                    client.chunker(),
+                                    &data[..],
+                                    config,
+                                    |enc, _| committer.absorb(enc),
+                                )
+                            }
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(report.num_secrets, chunks.len());
+                assert!(report.num_secrets > 4 * config.max_live_secrets());
+                assert!(report.batches_per_cloud.iter().all(|&b| b > 10));
+                assert_eq!(
+                    (
+                        client.memo.hits() - memo_before.0,
+                        client.memo.materialised() - memo_before.1
+                    ),
+                    (hits as u64, materialised as u64),
+                    "prechunked={prechunked} {pass}"
+                );
 
-            // Buffer-count bound: the pipeline's live secrets, plus what the
-            // per-cloud batches can retain (each batched share is at least
-            // a min-chunk share).
-            let min_share = (client.scheme.total_share_size(min_chunk) / n) as u64;
-            let bound =
-                config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
-            let stats = pool.stats();
-            assert!(
-                (stats.peak_outstanding as u64) <= bound,
-                "prechunked={prechunked}: peak live buffers {} exceeded the bound {bound}",
-                stats.peak_outstanding
-            );
-            assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
-            assert!(
-                stats.reuses > 10 * stats.allocations,
-                "steady state must recycle buffers (allocs={}, reuses={})",
-                stats.allocations,
-                stats.reuses
-            );
-            assert_eq!(
-                client.download(&servers, &[true; 4], "/huge").unwrap(),
-                data
-            );
+                // Buffer-count bound: the pipeline's live secrets, plus what
+                // the per-cloud batches can retain (each batched share is at
+                // least a min-chunk share).
+                let min_share = (client.scheme.total_share_size(min_chunk) / n) as u64;
+                let bound =
+                    config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
+                let stats = pool.stats();
+                assert!(
+                    (stats.peak_outstanding as u64) <= bound,
+                    "prechunked={prechunked} {pass}: peak live buffers {} exceeded the bound {bound}",
+                    stats.peak_outstanding
+                );
+                assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
+                assert!(
+                    stats.reuses > 10 * stats.allocations,
+                    "steady state must recycle buffers (allocs={}, reuses={})",
+                    stats.allocations,
+                    stats.reuses
+                );
+                assert_eq!(
+                    client.download(&servers, &[true; 4], "/huge").unwrap(),
+                    data
+                );
+            }
         }
     }
 

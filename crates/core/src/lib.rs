@@ -27,6 +27,9 @@
 //!   deduplication-efficiency experiments.
 //! * [`pipeline`] — the bounded, multi-threaded chunk → encode pipeline
 //!   every upload runs through (§4.6).
+//! * [`memo`] — the client's bounded cache of share fingerprints by
+//!   convergent key, which lets a chunk seen before cost one hash instead of
+//!   an encode.
 //! * [`system`] — [`CdStore`], a façade wiring one client to `n` servers; the
 //!   entry point for most users. Generic over [`transport::ServerTransport`],
 //!   defaulting to in-process servers over simulated clouds.
@@ -59,6 +62,7 @@
 pub mod client;
 pub mod dedup;
 pub mod error;
+pub mod memo;
 pub mod metadata;
 pub mod pipeline;
 pub mod retry;
@@ -72,9 +76,10 @@ pub use client::{
 };
 pub use dedup::DedupStats;
 pub use error::CdStoreError;
+pub use memo::{ShareMemo, SHARE_MEMO_ENTRIES};
 pub use metadata::{FileRecipe, RecipeEntry, ShareMetadata};
 pub use pipeline::{
-    encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig,
+    encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig, RetainedSecret,
 };
 pub use retry::{is_transient, RetryPolicy};
 pub use server::{CdStoreServer, GcConfig, GcReport, IndexMode, RecoveryReport, ServerStats};

@@ -21,7 +21,7 @@ use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cdstore_chunking::{ChunkStream, Chunker};
 use cdstore_crypto::Fingerprint;
@@ -29,6 +29,7 @@ use cdstore_secretsharing::{BufferPool, SecretSharing, SharingError};
 use parking_lot::Mutex;
 
 use crate::error::CdStoreError;
+use crate::memo::ShareMemo;
 
 /// Shape of the streaming encode pipeline: worker count and queue depths.
 ///
@@ -51,19 +52,31 @@ pub struct PipelineConfig {
     /// pipeline create a private pool; pass an explicit pool to observe
     /// reuse/peak counters or share buffers across uploads.
     pub pool: Option<Arc<BufferPool>>,
+    /// Share-fingerprint memo consulted per secret (see [`ShareMemo`]).
+    /// `None` encodes every secret in full; with a memo, a secret whose key
+    /// it holds comes out as its fingerprints plus the retained chunk
+    /// ([`EncodedSecret::retained`]) and no shares.
+    pub memo: Option<Arc<ShareMemo>>,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
+        // Resolved once: on Linux every `available_parallelism` call re-reads
+        // the affinity mask and the cgroup files (~12 µs), and a default
+        // config is built per backup call.
+        static ENCODE_THREADS: OnceLock<usize> = OnceLock::new();
         PipelineConfig {
-            encode_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(8),
+            encode_threads: *ENCODE_THREADS.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+                    .min(8)
+            }),
             chunk_queue: 8,
             encoded_queue: 8,
             read_buffer: 64 * 1024,
             pool: None,
+            memo: None,
         }
     }
 }
@@ -94,10 +107,43 @@ pub struct EncodedSecret {
     pub seq: u64,
     /// Size of the source chunk in bytes.
     pub secret_size: u32,
-    /// The `n` encoded shares.
+    /// The `n` encoded shares — or none, when `retained` is set.
     pub shares: Vec<Vec<u8>>,
-    /// `Fingerprint::of` each share, computed on the worker.
+    /// `Fingerprint::of` each share, computed on the worker or recalled
+    /// from the [`ShareMemo`].
     pub fingerprints: Vec<Fingerprint>,
+    /// Set on a memo hit instead of `shares`: the secret itself, from which
+    /// the sink can still produce the shares should it need them. Always
+    /// `None` when [`PipelineConfig::memo`] is.
+    pub retained: Option<RetainedSecret>,
+}
+
+/// A secret whose shares were not produced because their fingerprints were
+/// memoised: the chunk in a pooled buffer (the sink returns it) and the key
+/// [`SecretSharing::split_into_keyed`] takes.
+pub struct RetainedSecret {
+    /// The secret's [`SecretSharing::convergent_key`].
+    pub key: [u8; 32],
+    /// The source chunk.
+    pub chunk: Vec<u8>,
+}
+
+/// Sizes only: the key is key material and the chunk is plaintext.
+impl std::fmt::Debug for RetainedSecret {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RetainedSecret({} bytes)", self.chunk.len())
+    }
+}
+
+impl EncodedSecret {
+    /// Returns every pooled buffer the secret holds to `pool`.
+    pub fn recycle(self, pool: &BufferPool) {
+        let mut shares = self.shares;
+        pool.put_all(&mut shares);
+        if let Some(retained) = self.retained {
+            pool.put(retained.chunk);
+        }
+    }
 }
 
 /// Totals returned by a completed [`encode_stream`] run.
@@ -193,9 +239,10 @@ fn encode_from(
         .pool
         .clone()
         .unwrap_or_else(|| Arc::new(BufferPool::new()));
+    let memo = config.memo.as_deref();
     let threads = config.encode_threads.max(1);
     if threads == 1 {
-        return encode_inline(scheme, next_chunk, &pool, &mut sink);
+        return encode_inline(scheme, next_chunk, &pool, memo, &mut sink);
     }
     let abort = AtomicBool::new(false);
 
@@ -259,7 +306,7 @@ fn encode_from(
             scope.spawn(move || {
                 loop {
                     let msg = chunk_rx.lock().recv();
-                    let (seq, chunk) = match msg {
+                    let (seq, mut chunk) = match msg {
                         Ok(item) => item,
                         Err(_) => return, // chunker done or aborted
                     };
@@ -269,7 +316,7 @@ fn encode_from(
                         pool.put(chunk);
                         continue;
                     }
-                    let message = encode_one(scheme, &pool, seq, &chunk);
+                    let message = encode_one(scheme, &pool, memo, seq, &mut chunk);
                     pool.put(chunk);
                     if enc_tx.send(message).is_err() {
                         return; // sink loop gone
@@ -289,8 +336,8 @@ fn encode_from(
         for message in enc_rx.iter() {
             if result.is_err() {
                 // Drain mode: recycle buffers until the workers exit.
-                if let Ok(mut enc) = message {
-                    pool.put_all(&mut enc.shares);
+                if let Ok(enc) = message {
+                    enc.recycle(&pool);
                 }
                 continue;
             }
@@ -326,8 +373,8 @@ fn encode_from(
             }
         }
         // Return any still-buffered out-of-order secrets (error paths).
-        for (_, mut enc) in out_of_order {
-            pool.put_all(&mut enc.shares);
+        for (_, enc) in out_of_order {
+            enc.recycle(&pool);
         }
         report.num_secrets = next_seq;
 
@@ -358,6 +405,7 @@ fn encode_inline(
     scheme: &(dyn SecretSharing + Sync),
     mut next_chunk: impl FnMut(&mut Vec<u8>) -> std::io::Result<bool>,
     pool: &BufferPool,
+    memo: Option<&ShareMemo>,
     sink: &mut impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
 ) -> Result<EncodeStreamReport, CdStoreError> {
     let mut report = EncodeStreamReport {
@@ -371,7 +419,7 @@ fn encode_inline(
             Ok(false) => break Ok(report),
             Err(e) => break Err(e.into()),
         }
-        let enc = match encode_one(scheme, pool, report.num_secrets, &chunk) {
+        let enc = match encode_one(scheme, pool, memo, report.num_secrets, &mut chunk) {
             Ok(enc) => enc,
             Err(e) => break Err(e.into()),
         };
@@ -387,26 +435,55 @@ fn encode_inline(
 
 /// Encodes one chunk into `n` pooled share buffers and fingerprints them
 /// (all `n` in one batch, so the multi-lane SHA-256 path can interleave
-/// them). A panicking scheme must fail the upload, not the process: the
+/// them) — unless `memo` already holds the fingerprints for the chunk's
+/// convergent key: then no share is produced and the chunk itself moves into
+/// the result, `chunk` being left a fresh pooled buffer. A miss splits with
+/// the key it looked up, so no byte is hashed twice, and memoises the
+/// result. A panicking scheme must fail the upload, not the process: the
 /// crate forbids unsafe code and the closure only touches owned data, so
 /// unwinding here is benign and surfaces as [`SharingError::WorkerPanic`].
 fn encode_one(
     scheme: &(dyn SecretSharing + Sync),
     pool: &BufferPool,
+    memo: Option<&ShareMemo>,
     seq: u64,
-    chunk: &[u8],
+    chunk: &mut Vec<u8>,
 ) -> Result<EncodedSecret, SharingError> {
     catch_unwind(AssertUnwindSafe(|| {
+        let secret_size = chunk.len() as u32;
+        let keyed = memo.and_then(|memo| Some((memo, scheme.convergent_key(chunk)?)));
+        if let Some((memo, key)) = &keyed {
+            if let Some(fingerprints) = memo.lookup(key) {
+                return Ok(EncodedSecret {
+                    seq,
+                    secret_size,
+                    shares: Vec::new(),
+                    fingerprints,
+                    retained: Some(RetainedSecret {
+                        key: *key,
+                        chunk: std::mem::replace(chunk, pool.get()),
+                    }),
+                });
+            }
+        }
         let mut shares: Vec<Vec<u8>> = (0..scheme.n()).map(|_| pool.get()).collect();
-        match scheme.split_into(chunk, &mut shares) {
+        let split = match &keyed {
+            Some((_, key)) => scheme.split_into_keyed(chunk, key, &mut shares),
+            None => scheme.split_into(chunk, &mut shares),
+        };
+        match split {
             Ok(()) => {
                 let refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
                 let fingerprints = Fingerprint::of_batch(&refs);
+                if let Some((memo, key)) = &keyed {
+                    memo.insert(key, &fingerprints);
+                }
                 Ok(EncodedSecret {
                     seq,
-                    secret_size: chunk.len() as u32,
+                    secret_size,
                     shares,
                     fingerprints,
+                    retained: None,
                 })
             }
             Err(e) => {
@@ -661,6 +738,7 @@ mod tests {
             encoded_queue: 4,
             read_buffer: 777, // deliberately odd: boundaries must not care
             pool: Some(pool),
+            memo: None,
         }
     }
 
@@ -1038,6 +1116,164 @@ mod tests {
         assert_eq!(pool.stats().outstanding, 0);
     }
 
+    // ---- the share-fingerprint memo ----
+
+    /// CAONT-RS that counts its encodes, optionally posing as a scheme
+    /// whose shares are not a function of the secret (no convergent key).
+    struct CountingScheme {
+        inner: CaontRs,
+        convergent: bool,
+        encodes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingScheme {
+        fn new(convergent: bool) -> Self {
+            CountingScheme {
+                inner: CaontRs::new(4, 3).unwrap(),
+                convergent,
+                encodes: Default::default(),
+            }
+        }
+
+        fn encodes(&self) -> usize {
+            self.encodes.load(Ordering::SeqCst)
+        }
+    }
+
+    impl SecretSharing for CountingScheme {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn k(&self) -> usize {
+            self.inner.k()
+        }
+
+        fn confidentiality_degree(&self) -> usize {
+            self.inner.confidentiality_degree()
+        }
+
+        fn is_convergent(&self) -> bool {
+            self.convergent
+        }
+
+        fn total_share_size(&self, secret_len: usize) -> usize {
+            self.inner.total_share_size(secret_len)
+        }
+
+        fn convergent_key(&self, secret: &[u8]) -> Option<[u8; 32]> {
+            self.inner
+                .convergent_key(secret)
+                .filter(|_| self.convergent)
+        }
+
+        fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
+            self.encodes.fetch_add(1, Ordering::SeqCst);
+            self.inner.split(secret)
+        }
+
+        fn split_into_keyed(
+            &self,
+            secret: &[u8],
+            key: &[u8; 32],
+            out: &mut Vec<Vec<u8>>,
+        ) -> Result<(), SharingError> {
+            self.encodes.fetch_add(1, Ordering::SeqCst);
+            self.inner.split_into_keyed(secret, key, out)
+        }
+
+        fn reconstruct(
+            &self,
+            shares: &[Option<Vec<u8>>],
+            secret_len: usize,
+        ) -> Result<Vec<u8>, SharingError> {
+            self.inner.reconstruct(shares, secret_len)
+        }
+    }
+
+    /// What the sink saw of one secret: shares, fingerprints, retained chunk.
+    type Sunk = (Vec<Vec<u8>>, Vec<Fingerprint>, Option<Vec<u8>>);
+
+    /// One pass of `chunks` through `memo` on `threads` workers: what the
+    /// sink saw, with every buffer returned.
+    fn memo_pass(
+        scheme: &CountingScheme,
+        memo: &Arc<ShareMemo>,
+        chunks: &[Vec<u8>],
+        threads: usize,
+    ) -> Vec<Sunk> {
+        let pool = Arc::new(BufferPool::new());
+        let config = PipelineConfig {
+            encode_threads: threads,
+            memo: Some(Arc::clone(memo)),
+            ..test_pipeline_config(Arc::clone(&pool))
+        };
+        let mut out = Vec::new();
+        encode_chunks(scheme, chunks, &config, |enc, pool| {
+            out.push((
+                enc.shares.clone(),
+                enc.fingerprints.clone(),
+                enc.retained.as_ref().map(|r| r.chunk.clone()),
+            ));
+            enc.recycle(pool);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(pool.stats().outstanding, 0, "buffers leaked");
+        out
+    }
+
+    #[test]
+    fn a_memoised_secret_costs_no_encode_and_keeps_its_fingerprints() {
+        for threads in [1, 3] {
+            let scheme = CountingScheme::new(true);
+            let memo = Arc::new(ShareMemo::new(4));
+            // 20 distinct secrets, the first five repeated at the end.
+            let mut chunks = secrets(20);
+            chunks.extend_from_within(..5);
+            let first = memo_pass(&scheme, &memo, &chunks[..20], threads);
+            assert_eq!(scheme.encodes(), 20);
+            for ((shares, fingerprints, retained), chunk) in first.iter().zip(&chunks) {
+                assert_eq!(shares, &scheme.inner.split(chunk).unwrap());
+                let expected: Vec<Fingerprint> =
+                    shares.iter().map(|s| Fingerprint::of(s)).collect();
+                assert_eq!(fingerprints, &expected);
+                assert_eq!(retained, &None);
+            }
+            // Second pass over all 25: nothing is encoded; every secret
+            // comes out as its fingerprints and the chunk itself.
+            let second = memo_pass(&scheme, &memo, &chunks, threads);
+            assert_eq!(scheme.encodes(), 20, "threads={threads}");
+            for (i, ((shares, fingerprints, retained), chunk)) in
+                second.iter().zip(&chunks).enumerate()
+            {
+                assert!(shares.is_empty());
+                assert_eq!(fingerprints, &first[i % 20].1);
+                assert_eq!(retained.as_ref(), Some(chunk));
+            }
+            assert_eq!((memo.hits(), memo.misses(), memo.entries()), (25, 20, 20));
+        }
+    }
+
+    #[test]
+    fn a_scheme_without_a_convergent_key_is_never_memoised() {
+        let scheme = CountingScheme::new(false);
+        let memo = Arc::new(ShareMemo::new(4));
+        let chunks = secrets(6);
+        for pass in 1..=2 {
+            let out = memo_pass(&scheme, &memo, &chunks, 2);
+            assert!(out
+                .iter()
+                .all(|(shares, _, retained)| shares.len() == 4 && retained.is_none()));
+            assert_eq!(scheme.encodes(), 6 * pass);
+        }
+        assert_eq!((memo.hits(), memo.misses(), memo.entries()), (0, 0, 0));
+    }
+
     #[test]
     fn pipeline_config_budget_accounts_for_every_stage() {
         let config = PipelineConfig {
@@ -1046,6 +1282,7 @@ mod tests {
             encoded_queue: 5,
             read_buffer: 1,
             pool: None,
+            memo: None,
         };
         assert_eq!(config.max_live_secrets(), 4 + 5 + 3 + 2);
         assert_eq!(config.max_live_buffers(4), (4 + 5 + 3 + 2) * 5);

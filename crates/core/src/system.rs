@@ -26,6 +26,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::client::{CdStoreClient, UploadReport};
 use crate::dedup::DedupStats;
 use crate::error::CdStoreError;
+use crate::memo::ShareMemo;
 use crate::pipeline::PipelineConfig;
 use crate::retry::RetryPolicy;
 use crate::server::{CdStoreServer, GcConfig, GcReport, IndexMode, RecoveryReport, ServerStats};
@@ -117,6 +118,17 @@ pub struct SystemStats {
     pub index_bytes: Vec<usize>,
     /// Number of backed-up files (across users and versions).
     pub files: usize,
+    /// Secrets whose share fingerprints this handle's [`ShareMemo`] recalled
+    /// instead of encoding.
+    pub memo_hits: u64,
+    /// Secrets the memo had not seen (encoded in full, then memoised).
+    pub memo_misses: u64,
+    /// Memo hits encoded after all, because a server did not own a share
+    /// (another user's content, or content deleted since).
+    pub memo_materialised: u64,
+    /// Entries the memo holds (bounded by
+    /// [`SHARE_MEMO_ENTRIES`](crate::SHARE_MEMO_ENTRIES)).
+    pub memo_entries: usize,
 }
 
 /// Deletes a cloud missed while unavailable: `(user, encoded pathname)` per
@@ -133,6 +145,10 @@ struct Shared<T: ServerTransport> {
     servers: RwLock<Vec<T>>,
     available: RwLock<Vec<bool>>,
     dedup: Mutex<DedupStats>,
+    /// The one share-fingerprint memo behind every client this handle
+    /// builds: what any user's backup encoded, a later backup recognises.
+    /// In memory only — a new handle starts cold.
+    memo: Arc<ShareMemo>,
     /// Catalogue of `(user, pathname)` pairs ever backed up, used by repair
     /// and statistics. (In a deployment this information lives in the file
     /// indices; the façade keeps a copy for convenience.)
@@ -361,6 +377,7 @@ impl<T: ServerTransport> CdStore<T> {
                 servers: RwLock::new(servers),
                 available: RwLock::new(vec![true; config.n]),
                 dedup: Mutex::new(DedupStats::new()),
+                memo: Arc::new(ShareMemo::new(config.n)),
                 catalog: Mutex::new(BTreeSet::new()),
                 path_locks: (0..PATH_LOCK_STRIPES).map(|_| RwLock::new(())).collect(),
                 pending_deletes: Mutex::new(HashMap::new()),
@@ -384,7 +401,8 @@ impl<T: ServerTransport> CdStore<T> {
             config.chunker_kind,
             config.chunker,
         )?
-        .with_retry_policy(config.retry))
+        .with_retry_policy(config.retry)
+        .with_memo(Arc::clone(&self.shared.memo)))
     }
 
     /// The lock covering one `(user, pathname)` file.
@@ -654,6 +672,10 @@ impl<T: ServerTransport> CdStore<T> {
             backend_bytes: probes.iter().map(|p| p.backend_bytes).collect(),
             index_bytes: probes.iter().map(|p| p.index_bytes as usize).collect(),
             files: self.shared.catalog.lock().len(),
+            memo_hits: self.shared.memo.hits(),
+            memo_misses: self.shared.memo.misses(),
+            memo_materialised: self.shared.memo.materialised(),
+            memo_entries: self.shared.memo.entries(),
         }
     }
 
@@ -860,6 +882,75 @@ mod tests {
         });
         store.gc().unwrap();
         assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
+    }
+
+    /// Distinct secrets in `data` as the store's clients chunk it.
+    fn distinct_secrets(store: &CdStore, data: &[u8]) -> u64 {
+        let chunks = store.client(0).unwrap().chunker().chunk(data);
+        let distinct: BTreeSet<&[u8]> = chunks.iter().map(|c| c.data.as_slice()).collect();
+        distinct.len() as u64
+    }
+
+    /// Memo `(hits, misses, materialised)` so far. Tests compare deltas over
+    /// a backup whose every secret is already memoised: only those are
+    /// exact, because two workers racing on a repeated chunk of a *cold*
+    /// backup may both miss.
+    fn memo_counts(store: &CdStore) -> (u64, u64, u64) {
+        let stats = store.stats();
+        (stats.memo_hits, stats.memo_misses, stats.memo_materialised)
+    }
+
+    #[test]
+    fn a_memo_hit_the_server_no_longer_owns_is_uploaded_again() {
+        let store = CdStore::new(CdStoreConfig::new(4, 3).unwrap());
+        let data = sample(300_000, 21);
+        let first = store.backup(1, "/f", &data).unwrap();
+        assert!(store.delete(1, "/f").unwrap());
+        store.gc().unwrap();
+        assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
+
+        // The memo still names every share; no server holds one. The backup
+        // must report and store exactly what the first did, encoding each
+        // distinct secret once.
+        let before = memo_counts(&store);
+        let again = store.backup(1, "/f", &data).unwrap();
+        assert_eq!(again, first);
+        let after = memo_counts(&store);
+        assert_eq!(after.0 - before.0, first.num_secrets as u64);
+        assert_eq!(after.1, before.1);
+        assert_eq!(after.2 - before.2, distinct_secrets(&store, &data));
+        store.fail_cloud(3);
+        assert_eq!(store.restore(1, "/f").unwrap(), data);
+    }
+
+    #[test]
+    fn another_users_content_is_recognised_but_still_uploaded_in_full() {
+        let store = CdStore::new(CdStoreConfig::new(4, 3).unwrap());
+        let data = sample(300_000, 22);
+        let alice = store.backup(1, "/a", &data).unwrap();
+        let distinct = distinct_secrets(&store, &data);
+        assert_eq!(store.stats().memo_entries as u64, distinct);
+
+        // Bob's backup of the same bytes hits the memo for every secret, and
+        // no server owns a share on his behalf: every share is transferred
+        // (the memo is not a dedup decision — that would be the side channel
+        // of §3.3) and each distinct secret is encoded exactly once more.
+        let before = memo_counts(&store);
+        let bob = store.backup(2, "/b", &data).unwrap();
+        assert_eq!(bob.transferred_per_cloud, alice.transferred_per_cloud);
+        assert_eq!(bob.batches_per_cloud, alice.batches_per_cloud);
+        assert_eq!(bob.dedup.physical_share_bytes, 0);
+        let after = memo_counts(&store);
+        assert_eq!(after.0 - before.0, bob.num_secrets as u64);
+        assert_eq!(after.1, before.1);
+        assert_eq!(after.2 - before.2, distinct);
+        assert_eq!(store.stats().memo_entries as u64, distinct);
+        assert_eq!(store.restore(2, "/b").unwrap(), data);
+
+        // Bob's second backup is owned: nothing is encoded at all.
+        let bob_again = store.backup(2, "/b2", &data).unwrap();
+        assert_eq!(bob_again.dedup.transferred_share_bytes, 0);
+        assert_eq!(memo_counts(&store).2, after.2);
     }
 
     #[test]

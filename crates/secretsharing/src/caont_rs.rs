@@ -68,9 +68,18 @@ impl CaontRs {
 
     /// Computes the convergent hash key `h = H(salt || X)` of a secret.
     pub fn hash_key(&self, secret: &[u8]) -> [u8; HASH_SIZE] {
-        match &self.salt {
-            Some(salt) => sha256::hash_parts(&[salt, secret]),
-            None => sha256::hash(secret),
+        self.hash_key_padded(secret, 0)
+    }
+
+    /// `h = H(salt || X || 0^pad)` without materialising the padding.
+    fn hash_key_padded(&self, secret: &[u8], pad: usize) -> [u8; HASH_SIZE] {
+        // The padding is shorter than k <= 254 bytes.
+        const ZEROS: [u8; 256] = [0u8; 256];
+        match (&self.salt, pad) {
+            (None, 0) => sha256::hash(secret),
+            (salt, _) => {
+                sha256::hash_parts(&[salt.as_deref().unwrap_or_default(), secret, &ZEROS[..pad]])
+            }
         }
     }
 
@@ -99,15 +108,25 @@ impl CaontRs {
 
     /// Builds the CAONT package into `package`, reusing its capacity.
     pub fn build_package_into(&self, secret: &[u8], package: &mut Vec<u8>) {
+        let h = self.padded_hash_key(secret);
+        self.build_package_keyed(secret, &h, package);
+    }
+
+    /// `h = H(X)` over the zero-padded secret, so encode and decode agree.
+    fn padded_hash_key(&self, secret: &[u8]) -> [u8; HASH_SIZE] {
+        self.hash_key_padded(secret, self.padded_secret_len(secret.len()) - secret.len())
+    }
+
+    /// [`CaontRs::build_package_into`] given `h`, the secret's
+    /// [`SecretSharing::convergent_key`], so the secret is not hashed again.
+    fn build_package_keyed(&self, secret: &[u8], h: &[u8; HASH_SIZE], package: &mut Vec<u8>) {
         let padded_len = self.padded_secret_len(secret.len());
         // X (zero-padded to the package-friendly length).
         package.clear();
         package.extend_from_slice(secret);
         package.resize(padded_len + HASH_SIZE, 0);
-        // h = H(X) over the padded secret so encode/decode agree.
-        let h = self.hash_key(&package[..padded_len]);
         // Y = X ⊕ G(h)  (single bulk CTR pass over the head).
-        ctr::apply_generator_mask(&h, &mut package[..padded_len]);
+        ctr::apply_generator_mask(h, &mut package[..padded_len]);
         // t = h ⊕ H(Y).
         let hy = sha256::hash(&package[..padded_len]);
         for i in 0..HASH_SIZE {
@@ -256,12 +275,25 @@ impl SecretSharing for CaontRs {
         Ok(self.rs.encode_data(&package)?)
     }
 
+    fn convergent_key(&self, secret: &[u8]) -> Option<[u8; HASH_SIZE]> {
+        Some(self.padded_hash_key(secret))
+    }
+
     fn split_into(&self, secret: &[u8], out: &mut Vec<Vec<u8>>) -> Result<(), SharingError> {
+        self.split_into_keyed(secret, &self.padded_hash_key(secret), out)
+    }
+
+    fn split_into_keyed(
+        &self,
+        secret: &[u8],
+        key: &[u8; HASH_SIZE],
+        out: &mut Vec<Vec<u8>>,
+    ) -> Result<(), SharingError> {
         // Zero-allocation steady state: the package lives in a thread-local
         // scratch buffer and the shares land in the caller's reused buffers.
         PACKAGE_SCRATCH.with(|scratch| {
             let mut package = scratch.borrow_mut();
-            self.build_package_into(secret, &mut package);
+            self.build_package_keyed(secret, key, &mut package);
             self.rs.encode_into(&package, out)?;
             Ok(())
         })

@@ -182,6 +182,30 @@ pub trait SecretSharing: Send + Sync {
         Ok(())
     }
 
+    /// The key a convergent scheme derives its shares from — for CAONT-RS
+    /// the hash `h = H(X)` of §3.2 — or `None` when the shares are not a
+    /// function of the secret alone. Equal keys mean byte-identical shares
+    /// *from this scheme instance's parameters* (`n`, `k`, salt), so a caller
+    /// may cache per key what it computed from the shares. The key is as
+    /// sensitive as the secret's encryption key: never store or log it.
+    fn convergent_key(&self, _secret: &[u8]) -> Option<[u8; 32]> {
+        None
+    }
+
+    /// [`split_into`] for a caller that already holds the secret's
+    /// [`convergent_key`]: same shares, and the secret is not hashed again.
+    ///
+    /// [`split_into`]: SecretSharing::split_into
+    /// [`convergent_key`]: SecretSharing::convergent_key
+    fn split_into_keyed(
+        &self,
+        secret: &[u8],
+        _key: &[u8; 32],
+        out: &mut Vec<Vec<u8>>,
+    ) -> Result<(), SharingError> {
+        self.split_into(secret, out)
+    }
+
     /// Reconstructs the secret from at least `k` shares. `shares` must have
     /// exactly `n` entries, with `None` marking a missing share; the position
     /// of each share encodes its index.
@@ -344,6 +368,14 @@ mod tests {
         for kind in SchemeKind::ALL {
             let scheme = build_scheme(kind, 4, 3, None).unwrap();
             assert_eq!(scheme.is_convergent(), convergent.contains(&kind), "{kind}");
+            // Only a convergent scheme may hand out a key to cache shares
+            // by (CAONT-RS does; the Rivest variant keeps the default).
+            assert!(scheme.is_convergent() || scheme.convergent_key(b"secret").is_none());
+            assert_eq!(
+                scheme.convergent_key(b"secret").is_some(),
+                kind == SchemeKind::CaontRs,
+                "{kind}"
+            );
         }
     }
 

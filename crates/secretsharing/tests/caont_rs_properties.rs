@@ -102,6 +102,19 @@ proptest! {
         let salted = org_a.split(&secret).unwrap();
         prop_assert_eq!(&salted, &org_b.split(&secret).unwrap());
         prop_assert!(salted != shares);
+        // The keyed split is the same function of the secret: the key is the
+        // `h` the package is built from (over salt, secret and padding), and
+        // splitting with it hashes nothing twice and changes no byte.
+        for (scheme, expected) in [(&client_a, &shares), (&org_a, &salted)] {
+            let key = scheme.convergent_key(&secret).expect("CAONT-RS is convergent");
+            let mut keyed = vec![b"stale".to_vec()];
+            scheme.split_into_keyed(&secret, &key, &mut keyed).unwrap();
+            prop_assert_eq!(&keyed, expected);
+            let mut unkeyed = Vec::new();
+            scheme.split_into(&secret, &mut unkeyed).unwrap();
+            prop_assert_eq!(&unkeyed, expected);
+        }
+        prop_assert!(client_a.convergent_key(&secret) != org_a.convergent_key(&secret));
     }
 
     #[test]

@@ -75,6 +75,14 @@ fn assert_pinned(scheme: &CaontRs, secret: &[u8], pinned: &[&str; 4]) {
              cross-version inter-user deduplication"
         );
     }
+    // The keyed split (what a share-fingerprint memo miss runs) lands the
+    // same pinned bytes from the key alone.
+    let key = scheme
+        .convergent_key(secret)
+        .expect("CAONT-RS is convergent");
+    let mut keyed = Vec::new();
+    scheme.split_into_keyed(secret, &key, &mut keyed).unwrap();
+    assert_eq!(keyed, shares, "keyed split drifted from split");
     // The pinned bytes (as a server would have stored them in an older
     // version) still decode to the secret with today's code.
     let received: Vec<Option<Vec<u8>>> = pinned.iter().map(|s| Some(unhex(s))).collect();

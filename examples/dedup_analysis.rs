@@ -58,7 +58,8 @@ fn main() {
                     .expect("backup succeeds");
             }
         }
-        let system = store.stats().dedup;
+        let stats = store.stats();
+        let system = stats.dedup;
         let analysed = weekly[1].cumulative;
         println!(
             "system replay (2 weeks): intra {:.1}% vs analysed {:.1}%, inter {:.1}% vs analysed {:.1}%",
@@ -66,6 +67,15 @@ fn main() {
             analysed.intra_user_saving() * 100.0,
             system.inter_user_saving() * 100.0,
             analysed.inter_user_saving() * 100.0
+        );
+        // The client's share-fingerprint memo: how many secrets it named
+        // without encoding, and how many of those a server did not own after
+        // all (another user's content), so they were encoded once more.
+        let secrets = stats.memo_hits + stats.memo_misses;
+        println!(
+            "share-fingerprint memo: {:.1}% of {secrets} secrets hit, {:.1}% of the hits encoded after all",
+            stats.memo_hits as f64 / secrets.max(1) as f64 * 100.0,
+            stats.memo_materialised as f64 / stats.memo_hits.max(1) as f64 * 100.0
         );
         println!();
     }

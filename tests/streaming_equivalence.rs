@@ -262,10 +262,12 @@ fn failed_streamed_backup_leaves_no_leaked_state() {
 /// An in-process server whose `store_shares` starts losing its replies once
 /// a budget of successful calls, shared by the whole deployment, is spent:
 /// the server stores the batch and takes its references, the client sees an
-/// error.
+/// error — a permanent one, or with `transient` a single retryable one
+/// (the budget is unlimited afterwards).
 struct LossyServer {
     inner: CdStoreServer,
     store_budget: Arc<AtomicU64>,
+    transient: bool,
 }
 
 /// Forwards the listed `ServerTransport` methods to `self.inner` unchanged.
@@ -290,6 +292,12 @@ impl ServerTransport for LossyServer {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, spend)
         {
             Ok(_) => Ok(receipt),
+            Err(_) if self.transient => {
+                self.store_budget.store(u64::MAX, Ordering::SeqCst);
+                Err(CdStoreError::Remote(
+                    "injected: store_shares reply lost".into(),
+                ))
+            }
             // Not a transient class, so no retry layer absorbs it.
             Err(_) => Err(CdStoreError::InconsistentMetadata(
                 "injected: store_shares reply lost".into(),
@@ -325,6 +333,7 @@ fn failed_prechunked_backup_leaves_no_leaked_state() {
         .map(|cloud| LossyServer {
             inner: CdStoreServer::new(cloud),
             store_budget: Arc::clone(&store_budget),
+            transient: false,
         })
         .collect();
     let store = CdStore::from_transports(config, servers).unwrap();
@@ -346,6 +355,175 @@ fn failed_prechunked_backup_leaves_no_leaked_state() {
     assert_eq!(store.restore(1, "/flaky").unwrap(), data);
 
     assert!(store.delete(1, "/flaky").unwrap());
+    store.gc().unwrap();
+    assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
+}
+
+/// One step of the memo-transparency sequence.
+enum Op {
+    Backup(u64, &'static str, Vec<u8>),
+    BackupChunks(u64, &'static str, Vec<Vec<u8>>),
+    Delete(u64, &'static str),
+    Gc,
+}
+
+/// What an [`Op`] reported, comparable across deployments.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Uploaded(cdstore_core::UploadReport),
+    Deleted(bool),
+    Collected(GcReport),
+}
+
+fn apply(store: &CdStore<Arc<CdStoreServer>>, op: &Op) -> Outcome {
+    match op {
+        Op::Backup(user, path, data) => Outcome::Uploaded(store.backup(*user, path, data).unwrap()),
+        Op::BackupChunks(user, path, chunks) => {
+            Outcome::Uploaded(store.backup_chunks(*user, path, chunks).unwrap())
+        }
+        Op::Delete(user, path) => Outcome::Deleted(store.delete(*user, path).unwrap()),
+        Op::Gc => Outcome::Collected(store.gc().unwrap()),
+    }
+}
+
+/// The share-fingerprint memo is invisible: the same operations through one
+/// long-lived handle (whose memo recognises nearly everything after the
+/// first backup) and through a fresh handle per operation (whose memo knows
+/// nothing) report the same, leave byte-identical objects on the backends —
+/// containers, recipes and journal alike — and restore the same bytes.
+#[test]
+fn a_warm_memo_and_a_cold_one_land_identical_state() {
+    for (seed, kind) in [(31u64, ChunkerKind::FastCdc), (32, ChunkerKind::Rabin)] {
+        let config = CdStoreConfig::new(4, 3)
+            .unwrap()
+            .with_chunker(small_chunks())
+            .with_chunker_kind(kind);
+        // Intra-file duplicates (backup_data repeats seven blocks); `edited`
+        // shares most chunks with `base` across files.
+        let base = backup_data(seed, 200_000);
+        let mut edited = base.clone();
+        edited[60_000..64_000].fill(0x5a);
+        edited.extend_from_slice(&backup_data(seed + 100, 40_000));
+        let edited_chunks = chunk_list(
+            &CdStoreClient::with_chunker_kind(1, 4, 3, kind, small_chunks()).unwrap(),
+            &edited,
+        );
+        let ops = [
+            Op::Backup(1, "/a", base.clone()),
+            Op::Backup(1, "/b", edited.clone()),
+            // Two users sharing content: recognised, not owned.
+            Op::Backup(2, "/a", base.clone()),
+            Op::Delete(1, "/a"),
+            Op::Gc,
+            // Re-backup: owned where `/b` still references it, not elsewhere.
+            Op::Backup(1, "/a", base.clone()),
+            Op::Delete(1, "/a"),
+            Op::Delete(1, "/b"),
+            Op::Delete(2, "/a"),
+            Op::Gc,
+            // Every server is empty again; the warm memo still knows it all.
+            Op::Backup(1, "/c", base.clone()),
+            Op::BackupChunks(2, "/c", edited_chunks),
+            Op::Backup(1, "/a", base.clone()),
+        ];
+
+        let deployment = || {
+            let backends: Vec<Arc<cdstore_storage::MemoryBackend>> =
+                (0..4).map(|_| Default::default()).collect();
+            let servers: Vec<Arc<CdStoreServer>> = backends
+                .iter()
+                .enumerate()
+                .map(|(cloud, backend)| {
+                    Arc::new(CdStoreServer::with_backend(cloud, backend.clone()))
+                })
+                .collect();
+            (backends, servers)
+        };
+        let (warm_backends, warm_servers) = deployment();
+        let (cold_backends, cold_servers) = deployment();
+        let warm = CdStore::from_transports(config, warm_servers).unwrap();
+        let cold = || CdStore::from_transports(config, cold_servers.clone()).unwrap();
+        for (step, op) in ops.iter().enumerate() {
+            assert_eq!(
+                apply(&warm, op),
+                apply(&cold(), op),
+                "seed {seed} step {step}"
+            );
+        }
+        warm.flush().unwrap();
+        cold().flush().unwrap();
+
+        let stats = warm.stats();
+        assert!(stats.memo_hits > 3 * stats.memo_misses, "{stats:?}");
+        assert!(stats.memo_materialised > stats.memo_misses, "{stats:?}");
+
+        use cdstore_storage::StorageBackend;
+        for (cloud, (a, b)) in warm_backends.iter().zip(&cold_backends).enumerate() {
+            let keys = a.list().unwrap();
+            assert_eq!(keys, b.list().unwrap(), "cloud {cloud}");
+            assert!(!keys.is_empty());
+            for key in keys {
+                assert!(
+                    a.get(&key).unwrap() == b.get(&key).unwrap(),
+                    "cloud {cloud} {key}"
+                );
+            }
+        }
+        for (user, path, data) in [(1, "/c", &base), (2, "/c", &edited), (1, "/a", &base)] {
+            assert_eq!(&warm.restore(user, path).unwrap(), data);
+            assert_eq!(&cold().restore(user, path).unwrap(), data);
+        }
+    }
+}
+
+/// A transient `store_shares` fault on a batch of memo hits the server did
+/// not own — shares encoded for this very transfer — is retried with the
+/// encoded shares put back: nothing is encoded twice, the report is what a
+/// clean run gives, and the lost reply's references are released.
+#[test]
+fn a_retried_batch_of_materialised_secrets_encodes_once_and_leaks_nothing() {
+    let config = CdStoreConfig::new(4, 3)
+        .unwrap()
+        .with_chunker(small_chunks());
+    let data = backup_data(13, 300_000);
+    let run = |budget: u64| {
+        let store_budget = Arc::new(AtomicU64::new(budget));
+        let servers = (0..4)
+            .map(|cloud| LossyServer {
+                inner: CdStoreServer::new(cloud),
+                store_budget: Arc::clone(&store_budget),
+                transient: true,
+            })
+            .collect();
+        let store = CdStore::from_transports(config, servers).unwrap();
+        // User 1's backup fills the memo (4 store calls); user 2's backup of
+        // the same bytes is all memo hits no server owns.
+        let first = store.backup(1, "/a", &data).unwrap();
+        let materialised_before = store.stats().memo_materialised;
+        let second = store.backup(2, "/b", &data).unwrap();
+        let materialised = store.stats().memo_materialised - materialised_before;
+        (store, store_budget, first, second, materialised)
+    };
+    let (_, _, clean_first, clean_second, clean_materialised) = run(u64::MAX);
+    // The sixth store call — user 2's batch on cloud 1 — loses its reply.
+    let (store, budget, first, second, materialised) = run(5);
+    assert!(
+        budget.load(Ordering::SeqCst) > 5,
+        "the fault must have fired"
+    );
+    assert_eq!((&first, &second), (&clean_first, &clean_second));
+    // Each distinct secret of user 2's backup was encoded exactly once.
+    let distinct: HashSet<Vec<u8>> = chunk_list(&store.client(2).unwrap(), &data)
+        .into_iter()
+        .collect();
+    assert_eq!(materialised, distinct.len() as u64);
+    assert_eq!(clean_materialised, distinct.len() as u64);
+    assert_eq!(store.restore(2, "/b").unwrap(), data);
+
+    // No reference outlives the files: delete + gc drains every backend.
+    assert!(store.delete(1, "/a").unwrap());
+    assert!(store.delete(2, "/b").unwrap());
+    store.flush().unwrap();
     store.gc().unwrap();
     assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
 }
