@@ -36,11 +36,13 @@ pub struct IndexRunReport {
     /// by the block cache after the first touch.
     pub hot_lookups_per_sec: f64,
     /// Lookups of absent keys — measures how well the per-run Bloom
-    /// filters short-circuit the probe.
+    /// filters short-circuit the probe (the memory store has no run and
+    /// answers from its memtable).
     pub negative_lookups_per_sec: f64,
     /// Run probes the Bloom filters skipped across all passes.
     pub bloom_skips: u64,
-    /// LSM runs on disk (or frozen in memory) after the load settled.
+    /// LSM runs on disk after the load settled (0 for the memory store,
+    /// which never freezes).
     pub run_count: usize,
     /// Resident footprint proxy: memtable + run metadata + Bloom bits +
     /// cached blocks. For the disk store this is what actually occupies
@@ -105,8 +107,8 @@ fn value_bytes(i: u64) -> [u8; 16] {
     out
 }
 
-/// Tuning used by both measured stores, sized so the disk store's resident
-/// state stays far below the loaded keyspace.
+/// Tuning of the measured disk store, sized so its resident state stays far
+/// below the loaded keyspace.
 pub fn bench_config() -> KvStoreConfig {
     KvStoreConfig {
         memtable_capacity: 256 * 1024,
@@ -194,7 +196,7 @@ fn measure(
 
 /// Loads and measures a memory-resident store.
 pub fn memory_run(entries: u64, seed: u64) -> IndexRunReport {
-    let mut store = KvStore::with_config(bench_config());
+    let mut store = KvStore::new();
     let inserts = load(&mut store, entries, seed);
     let mut report = measure(store, "memory", entries, seed, 0);
     report.inserts_per_sec = inserts;
@@ -236,6 +238,7 @@ mod tests {
         assert_eq!(report.entries, 5_000);
         assert!(report.cold_lookups_per_sec > 0.0);
         assert!(report.cache.is_none());
+        assert_eq!((report.run_count, report.bloom_skips), (0, 0));
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 use cdstore_crypto::Fingerprint;
 use cdstore_index::{
-    sharded::infallible, BlockCacheStats, FileEntry, FileKey, FilePutOutcome, KvStoreConfig,
-    ShardedFileIndex, ShardedKvStore, ShardedShareIndex, ShareEntry, ShareLocation, StoreOutcome,
+    BlockCacheStats, FileEntry, FileKey, FilePutOutcome, KvStoreConfig, ShardedFileIndex,
+    ShardedKvStore, ShardedShareIndex, ShareEntry, ShareLocation, StoreOutcome,
 };
 use cdstore_storage::{
     ContainerKind, ContainerStore, ContainerUsage, Journal, MemoryBackend, StorageBackend,
@@ -818,17 +818,10 @@ impl CdStoreServer {
             self.file_index.cache_stats(),
             self.user_shares.cache_stats(),
         ];
-        let mut total: Option<BlockCacheStats> = None;
-        for s in all.into_iter().flatten() {
-            let t = total.get_or_insert_with(BlockCacheStats::default);
-            t.hits += s.hits;
-            t.misses += s.misses;
-            t.evictions += s.evictions;
-            t.current_bytes += s.current_bytes;
-            t.peak_bytes += s.peak_bytes;
-            t.capacity_bytes += s.capacity_bytes;
-        }
-        total
+        all.into_iter().flatten().reduce(|mut total, s| {
+            total += s;
+            total
+        })
     }
 
     /// Number of globally unique shares stored.
@@ -940,7 +933,6 @@ impl CdStoreServer {
                             fp: server_fp,
                             entry: Cow::Borrowed(post),
                         });
-                        Ok(())
                     },
                 )
                 .map_err(CdStoreError::Storage)?;
@@ -965,7 +957,7 @@ impl CdStoreServer {
                 }
             }
             // Record the user's client-fingerprint → server-fingerprint link.
-            infallible(self.user_shares.put_with(
+            self.user_shares.put_with(
                 Self::user_share_key(user, &meta.fingerprint),
                 server_fp.as_bytes().to_vec(),
                 |key, value| {
@@ -973,9 +965,8 @@ impl CdStoreServer {
                         key: key.into(),
                         value: value.into(),
                     });
-                    Ok(())
                 },
-            ));
+            );
         }
         Ok(StoreReceipt {
             new_bytes,
@@ -1008,18 +999,14 @@ impl CdStoreServer {
             .resolve_server_fp(user, client_fp)
             .ok_or_else(missing)?;
         let _ckpt = self.ckpt_lock.read();
-        let found = infallible(self.share_index.add_references_existing_with(
-            &server_fp,
-            user,
-            count,
-            |post| {
-                self.journal_record(&MetaRecord::ShareUpsert {
-                    fp: server_fp,
-                    entry: Cow::Borrowed(post),
+        let found =
+            self.share_index
+                .add_references_existing_with(&server_fp, user, count, |post| {
+                    self.journal_record(&MetaRecord::ShareUpsert {
+                        fp: server_fp,
+                        entry: Cow::Borrowed(post),
+                    });
                 });
-                Ok(())
-            },
-        ));
         if found {
             Ok(())
         } else {
@@ -1040,19 +1027,16 @@ impl CdStoreServer {
         };
         let report = {
             let _ckpt = self.ckpt_lock.read();
-            infallible(
-                self.share_index
-                    .remove_reference_with(&server_fp, user, |post| {
-                        self.journal_record(&match post {
-                            Some(entry) => MetaRecord::ShareUpsert {
-                                fp: server_fp,
-                                entry: Cow::Borrowed(entry),
-                            },
-                            None => MetaRecord::ShareDelete { fp: server_fp },
-                        });
-                        Ok(())
-                    }),
-            )
+            self.share_index
+                .remove_reference_with(&server_fp, user, |post| {
+                    self.journal_record(&match post {
+                        Some(entry) => MetaRecord::ShareUpsert {
+                            fp: server_fp,
+                            entry: Cow::Borrowed(entry),
+                        },
+                        None => MetaRecord::ShareDelete { fp: server_fp },
+                    });
+                })
         };
         let Some(report) = report else {
             return;
@@ -1061,12 +1045,11 @@ impl CdStoreServer {
             let key = Self::user_share_key(user, client_fp);
             {
                 let _ckpt = self.ckpt_lock.read();
-                infallible(self.user_shares.delete_with(&key, || {
+                self.user_shares.delete_with(&key, || {
                     self.journal_record(&MetaRecord::MapDelete {
                         key: key.as_slice().into(),
                     });
-                    Ok(())
-                }));
+                });
             }
             // Repair a racing same-user re-upload: if the user re-acquired
             // references between the stripe-locked decrement above and the
@@ -1081,17 +1064,13 @@ impl CdStoreServer {
                 .unwrap_or(false)
             {
                 let _ckpt = self.ckpt_lock.read();
-                infallible(self.user_shares.put_with(
-                    key,
-                    server_fp.as_bytes().to_vec(),
-                    |key, value| {
+                self.user_shares
+                    .put_with(key, server_fp.as_bytes().to_vec(), |key, value| {
                         self.journal_record(&MetaRecord::MapPut {
                             key: key.into(),
                             value: value.into(),
                         });
-                        Ok(())
-                    },
-                ));
+                    });
             }
         }
         if report.total_refs == 0 {
@@ -1227,7 +1206,7 @@ impl CdStoreServer {
         // since each server orders versions independently.
         let outcome = {
             let _ckpt = self.ckpt_lock.read();
-            infallible(self.file_index.put_if_newer_with(
+            self.file_index.put_if_newer_with(
                 key,
                 FileEntry {
                     user,
@@ -1243,9 +1222,8 @@ impl CdStoreServer {
                         key,
                         entry: entry.clone(),
                     });
-                    Ok(())
                 },
-            ))
+            )
         };
         match outcome {
             FilePutOutcome::Written { displaced: None } => Ok(()),
@@ -1350,10 +1328,9 @@ impl CdStoreServer {
             // racing deletes must not release the same references twice).
             let removed = {
                 let _ckpt = self.ckpt_lock.read();
-                infallible(self.file_index.remove_with(&key, |_| {
+                self.file_index.remove_with(&key, |_| {
                     self.journal_record(&MetaRecord::FileDelete { key });
-                    Ok(())
-                }))
+                })
             };
             let Some(entry) = removed else {
                 return Ok(false);
@@ -1568,13 +1545,12 @@ impl CdStoreServer {
         for (fp, old, fresh) in copies {
             let relocated = {
                 let _ckpt = self.ckpt_lock.read();
-                infallible(self.share_index.relocate_with(&fp, old, fresh, |post| {
+                self.share_index.relocate_with(&fp, old, fresh, |post| {
                     self.journal_record(&MetaRecord::ShareUpsert {
                         fp,
                         entry: Cow::Borrowed(post),
                     });
-                    Ok(())
-                }))
+                })
             };
             if relocated {
                 report.shares_rewritten += 1;

@@ -7,12 +7,12 @@
 //! obtain a unique key for the entry. The entry stores a reference to the
 //! file recipe ..." (§4.4)
 
-use std::sync::Arc;
+use std::ops::DerefMut;
 
 use cdstore_crypto::{sha256, Fingerprint};
-use cdstore_storage::{StorageBackend, StorageError};
 
-use crate::kvstore::{BlockCacheStats, KvStore, KvStoreConfig};
+use crate::kvstore::KvStore;
+use crate::sharded::{key_hash, Sharded};
 use crate::share_index::ShareLocation;
 
 /// The hashed lookup key of a file-index entry.
@@ -117,119 +117,105 @@ impl FileEntry {
     }
 }
 
-/// The per-server file index backed by the LSM store.
-pub struct FileIndex {
-    store: KvStore,
+/// Outcome of [`ShardedFileIndex::put_if_newer_with`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FilePutOutcome {
+    /// The entry was written. `displaced` holds the older entry it replaced,
+    /// if any, so the caller can release the resources (recipe blob, share
+    /// references) the superseded version held.
+    Written {
+        /// The strictly older entry the write replaced, if the key existed.
+        displaced: Option<FileEntry>,
+    },
+    /// The index already held an entry at least as new; nothing was written
+    /// and the caller must release the resources of the entry it tried to
+    /// insert.
+    Stale,
 }
 
-impl Default for FileIndex {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The per-server file index: a [`Sharded`] store striped by the (already
+/// hashed) [`FileKey`], holding one encoded [`FileEntry`] per file. Hooks
+/// follow the contract stated on
+/// [`ShardedShareIndex`](crate::ShardedShareIndex).
+pub type ShardedFileIndex = Sharded<FileEntry>;
+
+fn read(stripe: &mut KvStore, key: &FileKey) -> Option<FileEntry> {
+    FileEntry::decode(&stripe.get(key.as_bytes())?)
 }
 
-impl FileIndex {
-    /// Creates an empty file index.
-    pub fn new() -> Self {
-        FileIndex {
-            store: KvStore::new(),
+impl Sharded<FileEntry> {
+    fn stripe(&self, key: &FileKey) -> impl DerefMut<Target = KvStore> + '_ {
+        self.lock(key_hash(key.as_bytes()))
+    }
+
+    /// Inserts or replaces the entry for a file, verbatim (checkpoint
+    /// restore and journal replay).
+    pub fn put(&self, key: FileKey, entry: FileEntry) {
+        self.stripe(&key)
+            .put(key.as_bytes().to_vec(), entry.encode());
+    }
+
+    /// Inserts the entry unless the index already holds a strictly newer
+    /// version for the key, reporting the displaced older entry (if any) so
+    /// the caller can release the resources it held. The hook observes the
+    /// written entry, and does not run on [`FilePutOutcome::Stale`].
+    ///
+    /// Version numbers are allocated before the stripe lock is taken, so
+    /// concurrent backups of the same file may arrive out of order; this
+    /// compare-under-lock makes them converge on the highest version
+    /// instead of last-writer-wins.
+    pub fn put_if_newer_with(
+        &self,
+        key: FileKey,
+        entry: FileEntry,
+        observe: impl FnOnce(&FileEntry),
+    ) -> FilePutOutcome {
+        let mut stripe = self.stripe(&key);
+        let displaced = read(&mut stripe, &key);
+        if displaced
+            .as_ref()
+            .is_some_and(|d| d.version > entry.version)
+        {
+            return FilePutOutcome::Stale;
         }
-    }
-
-    /// Creates a file index with an explicit store configuration.
-    pub fn with_config(config: KvStoreConfig) -> Self {
-        FileIndex {
-            store: KvStore::with_config(config),
-        }
-    }
-
-    /// Creates a *fresh* disk-backed file index named `name` on the
-    /// backend, discarding any previous incarnation of the same name.
-    pub fn create(
-        backend: Arc<dyn StorageBackend>,
-        name: &str,
-        config: KvStoreConfig,
-    ) -> Result<Self, StorageError> {
-        Ok(FileIndex {
-            store: KvStore::create(backend, name, config)?,
-        })
-    }
-
-    /// Opens the disk-backed file index previously persisted under `name`,
-    /// resuming the runs its manifest describes.
-    pub fn open(
-        backend: Arc<dyn StorageBackend>,
-        name: &str,
-        config: KvStoreConfig,
-    ) -> Result<Self, StorageError> {
-        Ok(FileIndex {
-            store: KvStore::open(backend, name, config)?,
-        })
-    }
-
-    /// Freezes buffered writes into a durable run (disk mode; a cheap no-op
-    /// when the write buffer is empty).
-    pub fn flush_runs(&mut self) -> Result<(), StorageError> {
-        self.store.try_flush()
-    }
-
-    /// Whether index runs spill to a storage backend.
-    pub fn is_disk_backed(&self) -> bool {
-        self.store.is_disk_backed()
-    }
-
-    /// Block-cache counters (`None` in memory mode).
-    pub fn cache_stats(&self) -> Option<BlockCacheStats> {
-        self.store.cache_stats()
-    }
-
-    /// Inserts or replaces the entry for a file.
-    pub fn put(&mut self, key: FileKey, entry: FileEntry) {
-        self.store.put(key.as_bytes().to_vec(), entry.encode());
+        stripe.put(key.as_bytes().to_vec(), entry.encode());
+        observe(&entry);
+        FilePutOutcome::Written { displaced }
     }
 
     /// Looks up the entry for a file.
-    pub fn get(&mut self, key: &FileKey) -> Option<FileEntry> {
-        self.store
-            .get(key.as_bytes())
-            .and_then(|bytes| FileEntry::decode(&bytes))
+    pub fn get(&self, key: &FileKey) -> Option<FileEntry> {
+        read(&mut self.stripe(key), key)
     }
 
     /// Removes the entry for a file, returning it if present.
-    pub fn remove(&mut self, key: &FileKey) -> Option<FileEntry> {
-        let entry = self.get(key);
-        if entry.is_some() {
-            self.store.delete(key.as_bytes());
-        }
-        entry
+    pub fn remove(&self, key: &FileKey) -> Option<FileEntry> {
+        self.remove_with(key, |_| {})
     }
 
-    /// Every `(key, entry)` pair currently indexed — the snapshot half of
-    /// checkpointing.
+    /// [`ShardedFileIndex::remove`] with a journaling hook that observes
+    /// the removed entry (and does not run when there was none).
+    pub fn remove_with(
+        &self,
+        key: &FileKey,
+        observe: impl FnOnce(&FileEntry),
+    ) -> Option<FileEntry> {
+        let mut stripe = self.stripe(key);
+        let entry = read(&mut stripe, key)?;
+        stripe.delete(key.as_bytes());
+        observe(&entry);
+        Some(entry)
+    }
+
+    /// Every `(key, entry)` pair across all stripes — the snapshot half of
+    /// checkpointing. Per-stripe locking only (see
+    /// [`ShardedShareIndex::export`](crate::ShardedShareIndex::export) for
+    /// the point-in-time caveat).
     pub fn export(&self) -> Vec<(FileKey, FileEntry)> {
-        self.store
-            .snapshot()
-            .iter()
-            .filter_map(|(k, v)| {
-                let key: [u8; 32] = k.as_slice().try_into().ok()?;
-                Some((FileKey::from_bytes(key), FileEntry::decode(v)?))
-            })
-            .collect()
-    }
-
-    /// Number of files indexed.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether no files are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Approximate index memory footprint in bytes.
-    pub fn approximate_size(&self) -> usize {
-        self.store.approximate_size()
+        self.export_decoded(|k, v| {
+            let key: [u8; 32] = k.try_into().ok()?;
+            Some((FileKey::from_bytes(key), FileEntry::decode(&v)?))
+        })
     }
 }
 
@@ -251,7 +237,7 @@ mod tests {
 
     #[test]
     fn put_get_remove_round_trip() {
-        let mut index = FileIndex::new();
+        let index = ShardedFileIndex::new();
         let key = FileKey::new(1, b"/home/alice/backup.tar");
         assert!(index.get(&key).is_none());
         index.put(key, entry(1));
@@ -283,12 +269,34 @@ mod tests {
 
     #[test]
     fn new_version_overwrites_old() {
-        let mut index = FileIndex::new();
+        let index = ShardedFileIndex::new();
         let key = FileKey::new(9, b"/weekly/backup.tar");
         index.put(key, entry(1));
         index.put(key, entry(2));
         assert_eq!(index.get(&key).unwrap().version, 2);
         assert_eq!(index.len(), 1);
+    }
+
+    #[test]
+    fn every_hook_sees_the_state_its_mutation_left_and_no_op_paths_run_none() {
+        let index = ShardedFileIndex::new();
+        let key = FileKey::new(1, b"/observed");
+        let mut seen = Vec::new();
+        let written = index.put_if_newer_with(key, entry(2), |post| seen.push(post.clone()));
+        assert_eq!(written, FilePutOutcome::Written { displaced: None });
+        assert_eq!(seen, vec![index.get(&key).unwrap()]);
+        // A stale version writes nothing; removing twice removes once.
+        let stale = index.put_if_newer_with(key, entry(1), |post| seen.push(post.clone()));
+        assert_eq!(stale, FilePutOutcome::Stale);
+        assert_eq!(seen, vec![entry(2)]);
+        let removed = index.remove_with(&key, |gone| seen.push(gone.clone()));
+        assert_eq!(removed, Some(entry(2)));
+        assert_eq!(index.get(&key), None);
+        assert_eq!(
+            index.remove_with(&key, |gone| seen.push(gone.clone())),
+            None
+        );
+        assert_eq!(seen, vec![entry(2), entry(2)]);
     }
 
     #[test]
@@ -317,7 +325,7 @@ mod tests {
 
     #[test]
     fn many_files_from_many_users() {
-        let mut index = FileIndex::new();
+        let index = ShardedFileIndex::new();
         for user in 0..20u64 {
             for file in 0..100u32 {
                 let key = FileKey::new(user, format!("/home/u{user}/f{file}").as_bytes());

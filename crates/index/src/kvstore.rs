@@ -1,31 +1,31 @@
 //! A log-structured merge (LSM) key-value store, the LevelDB substitute.
 //!
-//! Writes land in an in-memory write buffer (the *memtable*); when the
-//! buffer exceeds its budget it is frozen into an immutable sorted *run*
-//! fronted by a Bloom filter. Reads consult the memtable first and then the
-//! runs from newest to oldest, skipping runs whose Bloom filter rules the key
-//! out. Deletions are tombstones until compaction drops them.
+//! Writes land in an in-memory write buffer (the *memtable*). A store built
+//! on a [`StorageBackend`] ([`KvStore::create`] / [`KvStore::open`]) freezes
+//! the buffer, when it exceeds its budget, into an immutable sorted *run*
+//! fronted by a Bloom filter: a backend object in the CRC-framed block
+//! format of the private `run` module, of which only the Bloom filter and
+//! the fence pointers stay resident. Reads consult the memtable first and
+//! then the runs from newest to oldest, skipping runs whose Bloom filter
+//! rules the key out; block reads go through a byte-bounded LRU cache, so
+//! the memory footprint is `memtable + blooms + fences + cache budget`
+//! regardless of how many keys the store holds. A manifest object makes the
+//! run set reloadable: [`KvStore::open`] resumes exactly the runs a previous
+//! incarnation persisted.
 //!
-//! The store runs in one of two modes behind the same API:
+//! A store without a backend ([`KvStore::new`]) *is* its memtable: it never
+//! freezes, has no runs, and [`KvStore::flush`] and [`KvStore::compact`] do
+//! nothing — fast, volatile, fine for tests and deployments whose index fits
+//! in RAM.
 //!
-//! * **Memory mode** ([`KvStore::new`]) keeps frozen runs as sorted vectors —
-//!   fast, volatile, fine for tests and small deployments.
-//! * **Disk mode** ([`KvStore::create`] / [`KvStore::open`]) spills frozen
-//!   runs to a [`StorageBackend`] in the CRC-framed block format of the
-//!   private `run` module, keeping only each run's Bloom filter and fence
-//!   pointers
-//!   resident. Block reads go through a byte-bounded LRU cache, so the
-//!   memory footprint is `memtable + blooms + fences + cache budget`
-//!   regardless of how many keys the store holds. A manifest object makes
-//!   the run set reloadable: [`KvStore::open`] resumes exactly the runs a
-//!   previous incarnation persisted.
-//!
-//! Instead of LevelDB's all-into-one merges, compaction is *tiered*: when
-//! the run count exceeds `max_runs`, the adjacent window of
-//! `compaction_fanin` runs with the fewest total bytes is merged, so write
-//! amplification stays bounded as the index grows to 10⁸ fingerprints.
-//! Tombstones are only dropped when the merge window includes the oldest
-//! run (otherwise an older value could resurface).
+//! A deletion is a tombstone while an older run may still hold the key (a
+//! store with no run beneath the memtable simply removes it) and stays one
+//! until compaction drops it. Instead of LevelDB's all-into-one merges,
+//! compaction is *tiered*: when the run count exceeds `max_runs`, the
+//! adjacent window of `compaction_fanin` runs with the fewest total bytes is
+//! merged, so write amplification stays bounded as the index grows to 10⁸
+//! fingerprints. Tombstones are only dropped when the merge window includes
+//! the oldest run (otherwise an older value could resurface).
 //!
 //! This mirrors the structure CDStore relies on from LevelDB [26, 44]: fast
 //! random inserts/updates/deletes and Bloom-filtered lookups.
@@ -42,16 +42,19 @@
 //! drive directly.
 
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use cdstore_storage::{LruCache, StorageBackend, StorageError};
 
 use crate::bloom::BloomFilter;
 use crate::run::{
-    manifest_key, parse_run_key, run_key_prefix, BlockCache, Manifest, RunHandle, RunWriter,
+    manifest_key, parse_run_key, run_key, run_key_prefix, BlockCache, Manifest, RunHandle, RunIter,
+    RunWriter,
 };
 
-/// Configuration knobs of the store.
+/// Tuning of a disk-backed store. A store without a backend has no runs and
+/// nothing to tune.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvStoreConfig {
     /// Number of entries the memtable may hold before being frozen.
@@ -60,10 +63,9 @@ pub struct KvStoreConfig {
     pub max_runs: usize,
     /// Bloom-filter bits per key for frozen runs.
     pub bloom_bits_per_key: usize,
-    /// Target byte size of one data block in on-disk runs (disk mode only).
+    /// Target byte size of one data block in on-disk runs.
     pub block_bytes: usize,
-    /// Byte budget of the block cache fronting on-disk runs (disk mode
-    /// only).
+    /// Byte budget of the block cache fronting on-disk runs.
     pub block_cache_bytes: usize,
     /// How many adjacent runs one tiered compaction merges.
     pub compaction_fanin: usize,
@@ -120,6 +122,18 @@ pub struct BlockCacheStats {
     pub capacity_bytes: usize,
 }
 
+impl std::ops::AddAssign for BlockCacheStats {
+    /// Field-wise sum: the counters of several caches read as one.
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.current_bytes += other.current_bytes;
+        self.peak_bytes += other.peak_bytes;
+        self.capacity_bytes += other.capacity_bytes;
+    }
+}
+
 /// What [`KvStore::open`] found on the backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvStoreOpenStats {
@@ -133,69 +147,185 @@ pub struct KvStoreOpenStats {
     pub orphans_swept: usize,
 }
 
-/// Where a frozen run's entries live.
-enum RunData {
-    /// Sorted key → value-or-tombstone entries, resident.
-    Memory(Vec<(Vec<u8>, Option<Vec<u8>>)>),
-    /// An on-disk run; only fence pointers are resident (plus the Bloom
-    /// filter in the owning [`Run`]).
-    Disk(RunHandle),
-}
-
-/// One immutable sorted run.
+/// One immutable sorted run: a backend object, of which only the fence
+/// pointers (in the handle) and the Bloom filter are resident.
 struct Run {
-    data: RunData,
+    handle: RunHandle,
     bloom: BloomFilter,
-    /// Entries including tombstones.
-    entries: u64,
-    /// Approximate byte size — exact object size for disk runs, summed
-    /// key/value lengths for memory runs. Drives tiered window selection.
-    bytes: u64,
 }
 
-impl Run {
-    fn from_sorted(entries: Vec<(Vec<u8>, Option<Vec<u8>>)>, bits_per_key: usize) -> Self {
-        let mut bloom = BloomFilter::new(entries.len(), bits_per_key);
-        let mut bytes = 0u64;
-        for (k, v) in &entries {
-            bloom.insert(k);
-            bytes += (k.len() + v.as_ref().map_or(0, |v| v.len())) as u64;
+/// Streams a newest-wins merge of `runs` (oldest first) into `emit`: every
+/// key once, in key order, with the value — or tombstone — of the newest run
+/// that holds it.
+fn merge_newest_wins(
+    runs: &[Run],
+    backend: &dyn StorageBackend,
+    mut emit: impl FnMut(&[u8], Option<&[u8]>) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let mut sources: Vec<Peekable<RunIter<'_>>> = runs
+        .iter()
+        .map(|run| run.handle.iter(backend).peekable())
+        .collect();
+    // K-way merge: smallest key wins; on ties the newest source (the highest
+    // index) provides the value and every older source skips its
+    // now-shadowed entry.
+    loop {
+        let mut min_key: Option<Vec<u8>> = None;
+        for source in sources.iter_mut() {
+            match source.peek() {
+                Some(Ok((k, _)))
+                    if min_key.as_deref().map(|m| k.as_slice() < m).unwrap_or(true) =>
+                {
+                    min_key = Some(k.clone());
+                }
+                Some(Ok(_)) => {}
+                Some(Err(_)) => {
+                    return Err(source.next().expect("peeked").expect_err("peeked error"));
+                }
+                None => {}
+            }
         }
-        Run {
-            entries: entries.len() as u64,
-            bytes,
-            data: RunData::Memory(entries),
-            bloom,
+        let Some(key) = min_key else { return Ok(()) };
+        let mut newest: Option<Option<Vec<u8>>> = None;
+        for source in sources.iter_mut() {
+            if matches!(source.peek(), Some(Ok((k, _))) if *k == key) {
+                let (_, v) = source.next().expect("peeked").expect("peeked ok");
+                newest = Some(v);
+            }
         }
-    }
-
-    fn from_disk(handle: RunHandle, bloom: BloomFilter) -> Self {
-        Run {
-            entries: handle.entry_count(),
-            bytes: handle.total_bytes(),
-            data: RunData::Disk(handle),
-            bloom,
-        }
+        let value = newest.expect("some source held the min key");
+        emit(&key, value.as_deref())?;
     }
 }
 
-/// The state backing disk mode: where runs live and the cache in front of
-/// their blocks.
+/// Everything a store has beyond its memtable once it is built on a backend:
+/// the runs, where they live, and the cache in front of their blocks.
 struct DiskEnv {
+    config: KvStoreConfig,
     backend: Arc<dyn StorageBackend>,
     name: String,
     next_seq: u64,
     cache: BlockCache,
+    /// Frozen runs, newest last.
+    runs: Vec<Run>,
+}
+
+impl DiskEnv {
+    fn new(
+        backend: Arc<dyn StorageBackend>,
+        name: &str,
+        config: KvStoreConfig,
+        next_seq: u64,
+        runs: Vec<Run>,
+    ) -> Self {
+        DiskEnv {
+            config,
+            backend,
+            name: name.to_string(),
+            next_seq,
+            cache: LruCache::new(config.block_cache_bytes),
+            runs,
+        }
+    }
+
+    /// Starts the writer of the next run object, sized for `expected`
+    /// entries.
+    fn run_writer(&self, expected: usize) -> Result<RunWriter<'_>, StorageError> {
+        RunWriter::new(
+            &*self.backend,
+            &self.name,
+            self.next_seq,
+            self.config.block_bytes,
+            expected,
+            self.config.bloom_bits_per_key,
+        )
+    }
+
+    /// Rewrites the manifest from the current run set. Callers guarantee the
+    /// runs alone carry every live key (the memtable is empty or was just
+    /// frozen into the newest run), so persisting the store's `live` count as
+    /// the runs-only count is exact.
+    fn write_manifest(&self, live: usize) -> Result<(), StorageError> {
+        let manifest = Manifest {
+            next_seq: self.next_seq,
+            live_keys: live as u64,
+            run_seqs: self.runs.iter().map(|r| r.handle.seq()).collect(),
+        };
+        manifest.write(&*self.backend, &self.name)
+    }
+
+    /// Merges the adjacent window of `compaction_fanin` runs with the
+    /// fewest total bytes (adjacency keeps the newest-wins order intact).
+    fn compact_tier(&mut self, live: usize) -> Result<(), StorageError> {
+        let fanin = self.config.compaction_fanin.clamp(2, self.runs.len());
+        let window_bytes = |start: usize| -> u64 {
+            self.runs[start..start + fanin]
+                .iter()
+                .map(|r| r.handle.total_bytes())
+                .sum()
+        };
+        let start = (0..=self.runs.len() - fanin)
+            .min_by_key(|&s| window_bytes(s))
+            .expect("at least one window");
+        self.merge_runs(start, start + fanin, live)
+    }
+
+    /// Merges runs `[start, end)` into one, newest-wins; tombstones are
+    /// dropped iff the window includes the oldest run. Only mutates state
+    /// after the merged run is durable. Manifests persist a runs-only live
+    /// count, so the store's memtable must be empty (flush/compact enforce
+    /// this ordering).
+    fn merge_runs(&mut self, start: usize, end: usize, live: usize) -> Result<(), StorageError> {
+        debug_assert!(start < end && end <= self.runs.len());
+        let drop_tombstones = start == 0;
+        let window = &self.runs[start..end];
+        let expected: u64 = window.iter().map(|r| r.handle.entry_count()).sum();
+        let mut writer = self.run_writer(expected as usize)?;
+        merge_newest_wins(window, &*self.backend, |key, value| {
+            if drop_tombstones && value.is_none() {
+                return Ok(());
+            }
+            writer.push(key, value)
+        })?;
+        let merged = writer
+            .finish()?
+            .map(|(handle, bloom)| Run { handle, bloom });
+        self.next_seq += 1;
+
+        // Swap the window for the merged run, then publish and delete the
+        // replaced objects. A crash between these steps leaves orphans the
+        // next open sweeps. If the manifest write fails we are
+        // mid-transition, but open() falls back to the old manifest and
+        // sweeps the merged run as an orphan, so correctness holds.
+        let replaced: Vec<Run> = self.runs.splice(start..end, merged).collect();
+        self.write_manifest(live)?;
+        let dead: Vec<u64> = replaced.iter().map(|r| r.handle.seq()).collect();
+        self.cache.retain(|&(run_seq, _)| !dead.contains(&run_seq));
+        for run in &replaced {
+            self.backend.delete(run.handle.object_key())?;
+        }
+        Ok(())
+    }
+
+    /// Counts live keys by streaming a newest-wins merge over the runs
+    /// (used when the persisted count is stale after dropping a torn run).
+    fn count_live(&self) -> Result<usize, StorageError> {
+        let mut live = 0usize;
+        merge_newest_wins(&self.runs, &*self.backend, |_, value| {
+            live += usize::from(value.is_some());
+            Ok(())
+        })?;
+        Ok(live)
+    }
 }
 
 /// The LSM key-value store.
+#[derive(Default)]
 pub struct KvStore {
-    config: KvStoreConfig,
     /// Active write buffer: key → value-or-tombstone.
     memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Frozen runs, newest last.
-    runs: Vec<Run>,
-    /// Disk-mode state (`None` in memory mode).
+    /// The runs and their backend (`None` for a memory-resident store, whose
+    /// memtable is all there is).
     disk: Option<DiskEnv>,
     /// Exact live (non-tombstoned) key count, maintained on every mutation.
     live: usize,
@@ -203,29 +333,10 @@ pub struct KvStore {
     open_stats: KvStoreOpenStats,
 }
 
-impl Default for KvStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl KvStore {
-    /// Creates a memory-mode store with default configuration.
+    /// Creates a memory-resident store.
     pub fn new() -> Self {
-        Self::with_config(KvStoreConfig::default())
-    }
-
-    /// Creates a memory-mode store with an explicit configuration.
-    pub fn with_config(config: KvStoreConfig) -> Self {
-        KvStore {
-            config,
-            memtable: BTreeMap::new(),
-            runs: Vec::new(),
-            disk: None,
-            live: 0,
-            stats: KvStoreStats::default(),
-            open_stats: KvStoreOpenStats::default(),
-        }
+        Self::default()
     }
 
     /// Creates a *fresh* disk-backed store named `name` on the backend,
@@ -243,14 +354,10 @@ impl KvStore {
                 backend.delete(&key)?;
             }
         }
-        let mut store = Self::with_config(config);
-        store.disk = Some(DiskEnv {
-            backend,
-            name: name.to_string(),
-            next_seq: 0,
-            cache: LruCache::new(config.block_cache_bytes),
-        });
-        Ok(store)
+        Ok(KvStore {
+            disk: Some(DiskEnv::new(backend, name, config, 0, Vec::new())),
+            ..Self::default()
+        })
     }
 
     /// Opens the disk-backed store named `name`, reloading the run set its
@@ -287,35 +394,33 @@ impl KvStore {
             match RunHandle::load(&*backend, name, seq) {
                 Ok((handle, bloom)) => {
                     open_stats.runs_loaded += 1;
-                    runs.push(Run::from_disk(handle, bloom));
+                    runs.push(Run { handle, bloom });
                 }
                 Err(_) => {
                     // Torn or corrupt: drop the run. The server-level WAL
                     // replay reconciles whatever state it carried.
                     open_stats.runs_dropped += 1;
-                    backend.delete(&crate::run::run_key(name, seq))?;
+                    backend.delete(&run_key(name, seq))?;
                 }
             }
         }
 
-        let mut store = Self::with_config(config);
-        store.open_stats = open_stats;
-        store.disk = Some(DiskEnv {
-            backend,
-            name: name.to_string(),
-            next_seq: manifest.next_seq,
-            cache: LruCache::new(config.block_cache_bytes),
-        });
-        store.runs = runs;
-        if open_stats.runs_dropped == 0 {
-            store.live = manifest.live_keys as usize;
+        let env = DiskEnv::new(backend, name, config, manifest.next_seq, runs);
+        let live = if open_stats.runs_dropped == 0 {
+            manifest.live_keys as usize
         } else {
             // The persisted count covered runs we dropped: recount by
             // streaming merge and republish the surviving run set.
-            store.live = store.count_live_in_runs()?;
-            store.write_manifest()?;
-        }
-        Ok(store)
+            let live = env.count_live()?;
+            env.write_manifest(live)?;
+            live
+        };
+        Ok(KvStore {
+            disk: Some(env),
+            live,
+            open_stats,
+            ..Self::default()
+        })
     }
 
     /// Returns the operation counters.
@@ -334,7 +439,7 @@ impl KvStore {
         self.disk.is_some()
     }
 
-    /// Block-cache counters (`None` in memory mode).
+    /// Block-cache counters (`None` for a memory-resident store).
     pub fn cache_stats(&self) -> Option<BlockCacheStats> {
         self.disk.as_ref().map(|env| BlockCacheStats {
             hits: env.cache.hits(),
@@ -359,13 +464,20 @@ impl KvStore {
     /// Deletes a key (no-op if absent).
     pub fn delete(&mut self, key: &[u8]) {
         self.stats.deletes += 1;
-        if self.probe_is_live(key) {
-            self.live -= 1;
+        if !self.probe_is_live(key) {
+            // Not live anywhere: no tombstone needed (any existing tombstone
+            // already shadows older runs).
+            return;
+        }
+        self.live -= 1;
+        if self.run_count() == 0 {
+            // Nothing beneath the memtable to shadow. A memory-resident
+            // store never compacts, so a tombstone here would never go.
+            self.memtable.remove(key);
+        } else {
             self.memtable.insert(key.to_vec(), None);
             self.maybe_flush();
         }
-        // Not live anywhere: no tombstone needed (any existing tombstone
-        // already shadows older runs).
     }
 
     /// Looks up a key.
@@ -386,27 +498,18 @@ impl KvStore {
         if let Some(value) = self.memtable.get(key) {
             return Some(value.clone());
         }
-        for run in self.runs.iter().rev() {
+        let env = self.disk.as_mut()?;
+        for run in env.runs.iter().rev() {
             if !run.bloom.may_contain(key) {
                 self.stats.bloom_skips += 1;
                 continue;
             }
-            match &run.data {
-                RunData::Memory(entries) => {
-                    if let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        return Some(entries[i].1.clone());
-                    }
-                }
-                RunData::Disk(handle) => {
-                    let env = self.disk.as_mut().expect("disk run without disk env");
-                    match handle
-                        .get(&*env.backend, &mut env.cache, key)
-                        .unwrap_or_else(|e| panic!("disk index read failed: {e}"))
-                    {
-                        Some(found) => return Some(found),
-                        None => continue,
-                    }
-                }
+            let found = run
+                .handle
+                .get(&*env.backend, &mut env.cache, key)
+                .unwrap_or_else(|e| panic!("disk index read failed: {e}"));
+            if found.is_some() {
+                return found;
             }
         }
         None
@@ -427,68 +530,30 @@ impl KvStore {
         self.live == 0
     }
 
-    /// All live key/value pairs in key order. Streams disk runs block by
-    /// block (bypassing the cache); panics on a backend read error.
+    /// All live key/value pairs in key order. Streams runs block by block
+    /// (bypassing the cache); panics on a backend read error.
     pub fn snapshot(&self) -> BTreeMap<Vec<u8>, Vec<u8>> {
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        // Oldest runs first so newer entries overwrite them.
-        for run in &self.runs {
-            match &run.data {
-                RunData::Memory(entries) => {
-                    for (k, v) in entries {
-                        merged.insert(k.clone(), v.clone());
-                    }
-                }
-                RunData::Disk(handle) => {
-                    let env = self.disk.as_ref().expect("disk run without disk env");
-                    for entry in handle.iter(&*env.backend) {
-                        let (k, v) =
-                            entry.unwrap_or_else(|e| panic!("disk index scan failed: {e}"));
-                        merged.insert(k, v);
-                    }
-                }
-            }
-        }
-        for (k, v) in &self.memtable {
-            merged.insert(k.clone(), v.clone());
-        }
-        merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|value| (k, value)))
-            .collect()
+        self.scan_prefix(&[]).into_iter().collect()
     }
 
     /// Live keys with a given prefix, in key order. Range-bounded on every
-    /// source: the memtable and memory runs are entered by binary search,
-    /// disk runs seek via their fence pointers — only blocks overlapping
-    /// the prefix are read.
+    /// source: the memtable is entered by binary search, runs seek via their
+    /// fence pointers — only blocks overlapping the prefix are read.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for run in &self.runs {
-            match &run.data {
-                RunData::Memory(entries) => {
-                    let start = entries.partition_point(|(k, _)| k.as_slice() < prefix);
-                    for (k, v) in &entries[start..] {
-                        if !k.starts_with(prefix) {
-                            break;
-                        }
-                        merged.insert(k.clone(), v.clone());
+        // Oldest runs first, the memtable last, so newer entries overwrite.
+        if let Some(env) = &self.disk {
+            for run in &env.runs {
+                for entry in run.handle.iter_from(&*env.backend, prefix) {
+                    let (k, v) = entry.unwrap_or_else(|e| panic!("disk index scan failed: {e}"));
+                    if k.as_slice() < prefix {
+                        // Leading entries of the seeked block.
+                        continue;
                     }
-                }
-                RunData::Disk(handle) => {
-                    let env = self.disk.as_ref().expect("disk run without disk env");
-                    for entry in handle.iter_from(&*env.backend, prefix) {
-                        let (k, v) =
-                            entry.unwrap_or_else(|e| panic!("disk index scan failed: {e}"));
-                        if k.as_slice() < prefix {
-                            // Leading entries of the seeked block.
-                            continue;
-                        }
-                        if !k.starts_with(prefix) {
-                            break;
-                        }
-                        merged.insert(k, v);
+                    if !k.starts_with(prefix) {
+                        break;
                     }
+                    merged.insert(k, v);
                 }
             }
         }
@@ -511,78 +576,46 @@ impl KvStore {
             .unwrap_or_else(|e| panic!("index flush failed: {e}"));
     }
 
-    /// Freezes the memtable into a run (persisted in disk mode) and runs
-    /// any due tiered compactions. On error the memtable is left intact and
-    /// the flush can simply be retried.
+    /// Freezes the memtable into a durable run and runs any due tiered
+    /// compactions. On error the memtable is left intact and the flush can
+    /// simply be retried. A memory-resident store has nowhere to freeze to:
+    /// its memtable is the store, and this does nothing.
     pub fn try_flush(&mut self) -> Result<(), StorageError> {
+        let Some(env) = self.disk.as_mut() else {
+            return Ok(());
+        };
         if !self.memtable.is_empty() {
-            match &mut self.disk {
-                None => {
-                    let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                        std::mem::take(&mut self.memtable).into_iter().collect();
-                    self.runs
-                        .push(Run::from_sorted(entries, self.config.bloom_bits_per_key));
-                }
-                Some(env) => {
-                    let seq = env.next_seq;
-                    let mut writer = RunWriter::new(
-                        &*env.backend,
-                        &env.name,
-                        seq,
-                        self.config.block_bytes,
-                        self.memtable.len(),
-                        self.config.bloom_bits_per_key,
-                    )?;
-                    for (k, v) in &self.memtable {
-                        writer.push(k, v.as_deref())?;
-                    }
-                    let (handle, bloom) = writer
-                        .finish()?
-                        .expect("non-empty memtable produced an empty run");
-                    self.runs.push(Run::from_disk(handle, bloom));
-                    self.disk.as_mut().expect("disk env").next_seq = seq + 1;
-                    // Publish the run atomically; on failure unwind so the
-                    // memtable stays authoritative and the retry rewrites
-                    // the same sequence number.
-                    if let Err(e) = self.write_manifest() {
-                        let run = self.runs.pop().expect("just pushed");
-                        let env = self.disk.as_mut().expect("disk env");
-                        env.next_seq = seq;
-                        if let RunData::Disk(handle) = run.data {
-                            let _ = env.backend.delete(handle.object_key());
-                        }
-                        return Err(e);
-                    }
-                    self.memtable.clear();
-                }
+            let mut writer = env.run_writer(self.memtable.len())?;
+            for (k, v) in &self.memtable {
+                writer.push(k, v.as_deref())?;
             }
+            let (handle, bloom) = writer
+                .finish()?
+                .expect("non-empty memtable produced an empty run");
+            env.runs.push(Run { handle, bloom });
+            env.next_seq += 1;
+            // Publish the run atomically; on failure unwind so the
+            // memtable stays authoritative and the retry rewrites the same
+            // sequence number.
+            if let Err(e) = env.write_manifest(self.live) {
+                let run = env.runs.pop().expect("just pushed");
+                env.next_seq -= 1;
+                let _ = env.backend.delete(run.handle.object_key());
+                return Err(e);
+            }
+            self.memtable.clear();
             self.stats.flushes += 1;
         }
-        while self.runs.len() > self.config.max_runs {
-            self.compact_tier()?;
+        while env.runs.len() > env.config.max_runs {
+            env.compact_tier(self.live)?;
+            self.stats.compactions += 1;
         }
         Ok(())
     }
 
-    /// Merges the adjacent window of `compaction_fanin` runs with the
-    /// fewest total bytes (adjacency keeps the newest-wins order intact).
-    fn compact_tier(&mut self) -> Result<(), StorageError> {
-        let fanin = self.config.compaction_fanin.clamp(2, self.runs.len());
-        let window_bytes = |start: usize| -> u64 {
-            self.runs[start..start + fanin]
-                .iter()
-                .map(|r| r.bytes)
-                .sum()
-        };
-        let start = (0..=self.runs.len() - fanin)
-            .min_by_key(|&s| window_bytes(s))
-            .expect("at least one window");
-        self.merge_runs(start, start + fanin)
-    }
-
-    /// Merge-compacts all runs into one, dropping tombstones. In disk mode
-    /// the memtable is flushed first (the merged run set plus manifest then
-    /// fully describe the store). Panics on a backend error.
+    /// Merge-compacts all runs into one, dropping tombstones, after
+    /// flushing the memtable (the merged run plus manifest then fully
+    /// describe the store). Panics on a backend error.
     pub fn compact(&mut self) {
         self.try_compact()
             .unwrap_or_else(|e| panic!("index compaction failed: {e}"));
@@ -590,224 +623,21 @@ impl KvStore {
 
     /// Fallible variant of [`KvStore::compact`].
     pub fn try_compact(&mut self) -> Result<(), StorageError> {
-        if self.disk.is_some() {
-            self.try_flush()?;
+        self.try_flush()?;
+        if let Some(env) = self.disk.as_mut().filter(|env| env.runs.len() > 1) {
+            env.merge_runs(0, env.runs.len(), self.live)?;
+            self.stats.compactions += 1;
         }
-        if self.runs.len() <= 1 {
-            return Ok(());
-        }
-        self.merge_runs(0, self.runs.len())
-    }
-
-    /// Merges runs `[start, end)` into one, newest-wins; tombstones are
-    /// dropped iff the window includes the oldest run. Only mutates state
-    /// after the merged run is durable.
-    fn merge_runs(&mut self, start: usize, end: usize) -> Result<(), StorageError> {
-        debug_assert!(start < end && end <= self.runs.len());
-        // Manifests persist a runs-only live count, so disk-mode merges
-        // must only happen with an empty memtable (flush/compact enforce
-        // this ordering).
-        debug_assert!(self.disk.is_none() || self.memtable.is_empty());
-        let drop_tombstones = start == 0;
-        let window = &self.runs[start..end];
-        let expected: u64 = window.iter().map(|r| r.entries).sum();
-
-        // One streaming iterator per run in the window, oldest first.
-        type EntryIter<'a> =
-            Box<dyn Iterator<Item = Result<(Vec<u8>, Option<Vec<u8>>), StorageError>> + 'a>;
-        let mut sources: Vec<std::iter::Peekable<EntryIter<'_>>> = Vec::with_capacity(window.len());
-        for run in window {
-            let iter: EntryIter<'_> = match &run.data {
-                RunData::Memory(entries) => {
-                    Box::new(entries.iter().map(|(k, v)| Ok((k.clone(), v.clone()))))
-                }
-                RunData::Disk(handle) => {
-                    let env = self.disk.as_ref().expect("disk run without disk env");
-                    Box::new(handle.iter(&*env.backend))
-                }
-            };
-            sources.push(iter.peekable());
-        }
-
-        enum Sink<'a> {
-            Memory(Vec<(Vec<u8>, Option<Vec<u8>>)>),
-            Disk(Box<RunWriter<'a>>, u64),
-        }
-        let mut sink = match &self.disk {
-            None => Sink::Memory(Vec::new()),
-            Some(env) => {
-                let seq = env.next_seq;
-                Sink::Disk(
-                    Box::new(RunWriter::new(
-                        &*env.backend,
-                        &env.name,
-                        seq,
-                        self.config.block_bytes,
-                        expected as usize,
-                        self.config.bloom_bits_per_key,
-                    )?),
-                    seq,
-                )
-            }
-        };
-
-        // K-way merge: smallest key wins; on ties the newest source (the
-        // highest window index) provides the value and every older source
-        // skips its now-shadowed entry.
-        loop {
-            let mut min_key: Option<Vec<u8>> = None;
-            for source in sources.iter_mut() {
-                match source.peek() {
-                    Some(Ok((k, _)))
-                        if min_key.as_deref().map(|m| k.as_slice() < m).unwrap_or(true) =>
-                    {
-                        min_key = Some(k.clone());
-                    }
-                    Some(Ok(_)) => {}
-                    Some(Err(_)) => {
-                        return Err(source.next().expect("peeked").expect_err("peeked error"));
-                    }
-                    None => {}
-                }
-            }
-            let Some(key) = min_key else { break };
-            let mut newest: Option<Option<Vec<u8>>> = None;
-            for source in sources.iter_mut() {
-                if matches!(source.peek(), Some(Ok((k, _))) if *k == key) {
-                    let (_, v) = source.next().expect("peeked").expect("peeked ok");
-                    newest = Some(v);
-                }
-            }
-            let value = newest.expect("some source held the min key");
-            if drop_tombstones && value.is_none() {
-                continue;
-            }
-            match &mut sink {
-                Sink::Memory(out) => out.push((key, value)),
-                Sink::Disk(writer, _) => writer.push(&key, value.as_deref())?,
-            }
-        }
-        drop(sources);
-
-        let merged = match sink {
-            Sink::Memory(out) => {
-                if out.is_empty() {
-                    None
-                } else {
-                    Some(Run::from_sorted(out, self.config.bloom_bits_per_key))
-                }
-            }
-            Sink::Disk(writer, seq) => {
-                let finished = writer.finish()?;
-                self.disk.as_mut().expect("disk env").next_seq = seq + 1;
-                finished.map(|(handle, bloom)| Run::from_disk(handle, bloom))
-            }
-        };
-
-        // Swap the window for the merged run, then publish and delete the
-        // replaced objects. A crash between these steps leaves orphans the
-        // next open sweeps.
-        let replaced: Vec<Run> = self.runs.splice(start..end, merged).collect();
-        if self.disk.is_some() {
-            // The manifest write publishes the merge; if it fails we are
-            // mid-transition, but open() falls back to the old manifest and
-            // sweeps the merged run as an orphan, so correctness holds.
-            self.write_manifest()?;
-            let env = self.disk.as_mut().expect("disk env");
-            let dead: Vec<u64> = replaced
-                .iter()
-                .filter_map(|r| match &r.data {
-                    RunData::Disk(handle) => Some(handle.seq()),
-                    RunData::Memory(_) => None,
-                })
-                .collect();
-            env.cache.retain(|&(run_seq, _)| !dead.contains(&run_seq));
-            for run in &replaced {
-                if let RunData::Disk(handle) = &run.data {
-                    env.backend.delete(handle.object_key())?;
-                }
-            }
-        }
-        self.stats.compactions += 1;
         Ok(())
-    }
-
-    /// Rewrites the manifest from the current run set. Disk mode only;
-    /// callers guarantee the runs alone carry every live key (the memtable
-    /// is empty or was just frozen into the newest run), so persisting
-    /// `self.live` as the runs-only count is exact.
-    fn write_manifest(&mut self) -> Result<(), StorageError> {
-        let env = self.disk.as_ref().expect("manifest write without disk env");
-        let manifest = Manifest {
-            next_seq: env.next_seq,
-            live_keys: self.live as u64,
-            run_seqs: self
-                .runs
-                .iter()
-                .map(|r| match &r.data {
-                    RunData::Disk(handle) => handle.seq(),
-                    RunData::Memory(_) => unreachable!("memory run in disk mode"),
-                })
-                .collect(),
-        };
-        manifest.write(&*env.backend, &env.name)
-    }
-
-    /// Counts live keys by streaming a newest-wins merge over the runs
-    /// (used when the persisted count is stale after dropping a torn run).
-    fn count_live_in_runs(&self) -> Result<usize, StorageError> {
-        let env = self.disk.as_ref().expect("recount without disk env");
-        type EntryIter<'a> =
-            Box<dyn Iterator<Item = Result<(Vec<u8>, Option<Vec<u8>>), StorageError>> + 'a>;
-        let mut sources: Vec<std::iter::Peekable<EntryIter<'_>>> = Vec::new();
-        for run in &self.runs {
-            match &run.data {
-                RunData::Disk(handle) => {
-                    let iter: EntryIter<'_> = Box::new(handle.iter(&*env.backend));
-                    sources.push(iter.peekable());
-                }
-                RunData::Memory(_) => unreachable!("memory run in disk mode"),
-            }
-        }
-        let mut live = 0usize;
-        loop {
-            let mut min_key: Option<Vec<u8>> = None;
-            for source in sources.iter_mut() {
-                match source.peek() {
-                    Some(Ok((k, _)))
-                        if min_key.as_deref().map(|m| k.as_slice() < m).unwrap_or(true) =>
-                    {
-                        min_key = Some(k.clone());
-                    }
-                    Some(Ok(_)) => {}
-                    Some(Err(_)) => {
-                        return Err(source.next().expect("peeked").expect_err("peeked error"));
-                    }
-                    None => {}
-                }
-            }
-            let Some(key) = min_key else { break };
-            let mut newest: Option<Option<Vec<u8>>> = None;
-            for source in sources.iter_mut() {
-                if matches!(source.peek(), Some(Ok((k, _))) if *k == key) {
-                    let (_, v) = source.next().expect("peeked").expect("peeked ok");
-                    newest = Some(v);
-                }
-            }
-            if newest.expect("some source held the min key").is_some() {
-                live += 1;
-            }
-        }
-        Ok(live)
     }
 
     /// Number of frozen runs currently held (for tests and diagnostics).
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.disk.as_ref().map_or(0, |env| env.runs.len())
     }
 
-    /// Approximate *resident* memory footprint in bytes: memtable entries,
-    /// Bloom filters, and — for disk runs — fence pointers plus the block
+    /// Approximate *resident* memory footprint in bytes: memtable entries
+    /// and, per run, the Bloom filter and fence pointers plus the block
     /// cache, rather than the spilled data itself.
     pub fn approximate_size(&self) -> usize {
         let memtable: usize = self
@@ -815,35 +645,26 @@ impl KvStore {
             .iter()
             .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()))
             .sum();
-        let runs: usize = self
-            .runs
-            .iter()
-            .map(|r| {
-                let data = match &r.data {
-                    RunData::Memory(entries) => entries
-                        .iter()
-                        .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()))
-                        .sum::<usize>(),
-                    RunData::Disk(handle) => handle.meta_bytes(),
-                };
-                data + r.bloom.num_bits() / 8
-            })
-            .sum();
-        let cache = self
-            .disk
-            .as_ref()
-            .map(|env| env.cache.current_bytes())
-            .unwrap_or(0);
-        memtable + runs + cache
+        let disk = self.disk.as_ref().map_or(0, |env| {
+            let runs: usize = env
+                .runs
+                .iter()
+                .map(|r| r.handle.meta_bytes() + r.bloom.num_bits() / 8)
+                .sum();
+            runs + env.cache.current_bytes()
+        });
+        memtable + disk
     }
 
     fn maybe_flush(&mut self) {
-        if self.memtable.len() >= self.config.memtable_capacity {
-            if let Err(_e) = self.try_flush() {
-                // Keep the memtable (no data loss) and retry on the next
-                // mutation; durability is provided by the server WAL above.
-                self.stats.flush_failures += 1;
-            }
+        let full = self
+            .disk
+            .as_ref()
+            .is_some_and(|env| self.memtable.len() >= env.config.memtable_capacity);
+        if full && self.try_flush().is_err() {
+            // Keep the memtable (no data loss) and retry on the next
+            // mutation; durability is provided by the server WAL above.
+            self.stats.flush_failures += 1;
         }
     }
 }
@@ -863,11 +684,14 @@ mod tests {
         }
     }
 
+    fn disk_store(config: KvStoreConfig) -> KvStore {
+        KvStore::create(Arc::new(MemoryBackend::new()), "test", config).unwrap()
+    }
+
     /// Runs the same scenario against a memory store and a fresh disk store.
     fn both_modes(test: impl Fn(KvStore)) {
-        test(KvStore::with_config(small_config()));
-        let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
-        test(KvStore::create(backend, "test", small_config()).unwrap());
+        test(KvStore::new());
+        test(disk_store(small_config()));
     }
 
     #[test]
@@ -901,20 +725,19 @@ mod tests {
 
     #[test]
     fn values_survive_flush_and_compaction() {
-        both_modes(|mut store| {
-            for i in 0..200u32 {
-                store.put(i.to_be_bytes().to_vec(), (i * 3).to_be_bytes().to_vec());
-            }
-            assert!(store.stats().flushes > 0);
-            assert!(store.stats().compactions > 0);
-            for i in 0..200u32 {
-                assert_eq!(
-                    store.get(&i.to_be_bytes()),
-                    Some((i * 3).to_be_bytes().to_vec())
-                );
-            }
-            assert_eq!(store.len(), 200);
-        });
+        let mut store = disk_store(small_config());
+        for i in 0..200u32 {
+            store.put(i.to_be_bytes().to_vec(), (i * 3).to_be_bytes().to_vec());
+        }
+        assert!(store.stats().flushes > 0);
+        assert!(store.stats().compactions > 0);
+        for i in 0..200u32 {
+            assert_eq!(
+                store.get(&i.to_be_bytes()),
+                Some((i * 3).to_be_bytes().to_vec())
+            );
+        }
+        assert_eq!(store.len(), 200);
     }
 
     #[test]
@@ -952,7 +775,7 @@ mod tests {
 
     #[test]
     fn tiered_compaction_bounds_run_count_without_full_merges() {
-        let mut store = KvStore::with_config(KvStoreConfig {
+        let mut store = disk_store(KvStoreConfig {
             memtable_capacity: 8,
             max_runs: 4,
             compaction_fanin: 2,
@@ -991,20 +814,19 @@ mod tests {
 
     #[test]
     fn bloom_filters_skip_runs_for_absent_keys() {
-        both_modes(|mut store| {
-            for i in 0..64u32 {
-                store.put(i.to_be_bytes().to_vec(), b"v".to_vec());
-            }
-            store.flush();
-            for i in 1000..1200u32 {
-                let _ = store.get(&i.to_be_bytes());
-            }
-            assert!(
-                store.stats().bloom_skips > 100,
-                "bloom skips: {}",
-                store.stats().bloom_skips
-            );
-        });
+        let mut store = disk_store(small_config());
+        for i in 0..64u32 {
+            store.put(i.to_be_bytes().to_vec(), b"v".to_vec());
+        }
+        store.flush();
+        for i in 1000..1200u32 {
+            let _ = store.get(&i.to_be_bytes());
+        }
+        assert!(
+            store.stats().bloom_skips > 100,
+            "bloom skips: {}",
+            store.stats().bloom_skips
+        );
     }
 
     #[test]
@@ -1015,6 +837,57 @@ mod tests {
             store.put(i.to_be_bytes().to_vec(), vec![0u8; 100]);
         }
         assert!(store.approximate_size() > empty + 100 * 100);
+    }
+
+    #[test]
+    fn a_memory_store_is_its_memtable() {
+        let mut store = KvStore::new();
+        for i in 0..100_000u32 {
+            store.put(i.to_be_bytes().to_vec(), vec![0u8; 16]);
+            store.flush();
+            store.delete(&i.to_be_bytes());
+        }
+        store.compact();
+        // Nothing froze, and no delete left a tombstone behind.
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.approximate_size(), 0);
+        assert_eq!(store.run_count(), 0);
+        assert_eq!(store.stats().flushes + store.stats().compactions, 0);
+    }
+
+    #[test]
+    fn deletes_over_a_run_stay_tombstones_until_compaction_reaches_them() {
+        let mut store = disk_store(KvStoreConfig {
+            memtable_capacity: 1024,
+            ..KvStoreConfig::default()
+        });
+        // Before the first flush there is no run to shadow: the key just goes.
+        store.put(b"early".to_vec(), b"v".to_vec());
+        store.delete(b"early");
+        assert_eq!(store.approximate_size(), 0);
+
+        for i in 0..1000u32 {
+            store.put(i.to_be_bytes().to_vec(), b"old".to_vec());
+        }
+        store.flush();
+        assert_eq!(store.run_count(), 1);
+        for i in 0..1000u32 {
+            store.put(i.to_be_bytes().to_vec(), b"new".to_vec());
+            store.delete(&i.to_be_bytes());
+        }
+        // The oldest run still holds every "old" value; only the tombstones
+        // above it keep them from resurfacing, in the memtable and once
+        // frozen into a newer run.
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.get(&7u32.to_be_bytes()), None);
+        store.flush();
+        assert_eq!(store.run_count(), 2);
+        assert_eq!(store.get(&7u32.to_be_bytes()), None);
+        assert!(store.snapshot().is_empty());
+        // A merge that reaches the oldest run drops values and tombstones.
+        store.compact();
+        assert_eq!(store.run_count(), 0);
+        assert_eq!(store.get(&7u32.to_be_bytes()), None);
     }
 
     #[test]
@@ -1173,7 +1046,7 @@ mod tests {
             (any::<u8>(), proptest::option::of(any::<u8>())), 0..400)) {
             // Model-based test: the store must agree with a reference map
             // under an arbitrary interleaving of puts and deletes.
-            let mut store = KvStore::with_config(KvStoreConfig {
+            let mut store = disk_store(KvStoreConfig {
                 memtable_capacity: 7,
                 max_runs: 2,
                 bloom_bits_per_key: 8,
@@ -1204,7 +1077,7 @@ mod tests {
         #[test]
         fn random_workload_preserves_all_live_keys(seed: u64) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut store = KvStore::with_config(small_config());
+            let mut store = disk_store(small_config());
             let mut model = std::collections::BTreeMap::new();
             for _ in 0..500 {
                 let key: Vec<u8> = (0..rng.gen_range(1..8)).map(|_| rng.gen_range(b'a'..=b'f')).collect();

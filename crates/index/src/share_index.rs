@@ -7,12 +7,12 @@
 //! of user identifiers to distinguish who owns the share, as well as a
 //! reference count for each user to support deletion." (§4.4)
 
-use std::sync::Arc;
+use std::ops::DerefMut;
 
 use cdstore_crypto::Fingerprint;
-use cdstore_storage::{StorageBackend, StorageError};
 
-use crate::kvstore::{BlockCacheStats, KvStore, KvStoreConfig};
+use crate::kvstore::KvStore;
+use crate::sharded::{key_hash, Sharded};
 
 pub use cdstore_storage::ShareLocation;
 
@@ -34,6 +34,14 @@ impl ShareEntry {
     /// Whether the given user owns at least one reference.
     pub fn owned_by(&self, user: u64) -> bool {
         self.owners.iter().any(|(u, c)| *u == user && *c > 0)
+    }
+
+    /// Gives `user` `count` more references.
+    fn add_references(&mut self, user: u64, count: u32) {
+        match self.owners.iter_mut().find(|(u, _)| *u == user) {
+            Some((_, held)) => *held += count,
+            None => self.owners.push((user, count)),
+        }
     }
 
     /// Serialises the entry (the journal/checkpoint wire format — identical
@@ -96,20 +104,10 @@ impl ShareEntry {
     }
 }
 
-/// Outcome of recording a share upload in the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShareAddOutcome {
-    /// The share was not yet stored: the caller must write it to a container.
-    NewShare,
-    /// The share already exists; only the reference bookkeeping changed
-    /// (inter-user deduplication hit).
-    Duplicate,
-}
-
 /// The result of dropping one reference with
-/// [`ShareIndex::remove_reference`]: where the unique copy lives and how many
-/// references remain, so the caller can drive the rest of the reclamation
-/// protocol (tear down per-user ownership mappings when `user_refs` hits
+/// [`ShardedShareIndex::remove_reference_with`]: where the unique copy lives
+/// and how many references remain, so the caller can drive the rest of the
+/// reclamation protocol (tear down per-user ownership mappings when `user_refs` hits
 /// zero, release the container bytes when `total_refs` hits zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReleaseReport {
@@ -122,164 +120,161 @@ pub struct ReleaseReport {
     pub total_refs: u64,
 }
 
-/// The per-server share index backed by the LSM store.
-pub struct ShareIndex {
-    store: KvStore,
+/// Outcome of [`ShardedShareIndex::add_reference_or_store`].
+///
+/// Distinguishes *who* already owned a duplicate, so the server can keep its
+/// intra-user vs inter-user deduplication counters exact even when a user's
+/// own uploads race each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreOutcome {
+    /// The share was new: the store action ran and its bytes were written.
+    Stored,
+    /// Another user had already stored the share (an inter-user duplicate).
+    DedupInterUser,
+    /// This user had already stored the share — e.g. two of their own
+    /// uploads racing past the intra-user query stage.
+    DedupIntraUser,
 }
 
-impl Default for ShareIndex {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The per-server share index: a [`Sharded`] store striped by fingerprint
+/// (SHA-256 output is uniform, so the first eight bytes select the stripe),
+/// holding one encoded [`ShareEntry`] per unique share.
+///
+/// Every mutation runs under the fingerprint's stripe lock, decodes the
+/// entry once, and writes it back once. The `_with` forms take a journaling
+/// hook that runs under the same lock with the state the mutation left —
+/// and only when something was written — so a write-ahead journal records
+/// the mutations of one fingerprint in exactly the order they were applied.
+pub type ShardedShareIndex = Sharded<ShareEntry>;
+
+fn read(stripe: &mut KvStore, fp: &Fingerprint) -> Option<ShareEntry> {
+    ShareEntry::decode(&stripe.get(fp.as_bytes())?)
 }
 
-impl ShareIndex {
-    /// Creates an empty share index.
-    pub fn new() -> Self {
-        ShareIndex {
-            store: KvStore::new(),
-        }
-    }
+fn write(stripe: &mut KvStore, fp: &Fingerprint, entry: &ShareEntry) {
+    stripe.put(fp.as_bytes().to_vec(), entry.encode());
+}
 
-    /// Creates a share index with an explicit store configuration.
-    pub fn with_config(config: KvStoreConfig) -> Self {
-        ShareIndex {
-            store: KvStore::with_config(config),
-        }
-    }
-
-    /// Creates a *fresh* disk-backed share index named `name` on the
-    /// backend, discarding any previous incarnation of the same name.
-    pub fn create(
-        backend: Arc<dyn StorageBackend>,
-        name: &str,
-        config: KvStoreConfig,
-    ) -> Result<Self, StorageError> {
-        Ok(ShareIndex {
-            store: KvStore::create(backend, name, config)?,
-        })
-    }
-
-    /// Opens the disk-backed share index previously persisted under `name`,
-    /// resuming the runs its manifest describes.
-    pub fn open(
-        backend: Arc<dyn StorageBackend>,
-        name: &str,
-        config: KvStoreConfig,
-    ) -> Result<Self, StorageError> {
-        Ok(ShareIndex {
-            store: KvStore::open(backend, name, config)?,
-        })
-    }
-
-    /// Freezes buffered writes into a durable run (disk mode; a cheap no-op
-    /// when the write buffer is empty).
-    pub fn flush_runs(&mut self) -> Result<(), StorageError> {
-        self.store.try_flush()
-    }
-
-    /// Whether index runs spill to a storage backend.
-    pub fn is_disk_backed(&self) -> bool {
-        self.store.is_disk_backed()
-    }
-
-    /// Block-cache counters (`None` in memory mode).
-    pub fn cache_stats(&self) -> Option<BlockCacheStats> {
-        self.store.cache_stats()
+impl Sharded<ShareEntry> {
+    fn stripe(&self, fp: &Fingerprint) -> impl DerefMut<Target = KvStore> + '_ {
+        self.lock(key_hash(fp.as_bytes()))
     }
 
     /// Looks up the entry for a share fingerprint.
-    pub fn lookup(&mut self, fp: &Fingerprint) -> Option<ShareEntry> {
-        self.store
-            .get(fp.as_bytes())
-            .and_then(|bytes| ShareEntry::decode(&bytes))
+    pub fn lookup(&self, fp: &Fingerprint) -> Option<ShareEntry> {
+        read(&mut self.stripe(fp), fp)
     }
 
     /// Whether a share with this fingerprint is already stored (the
     /// inter-user deduplication test).
-    pub fn is_stored(&mut self, fp: &Fingerprint) -> bool {
+    pub fn is_stored(&self, fp: &Fingerprint) -> bool {
         self.lookup(fp).is_some()
     }
 
     /// Whether the given user already owns the share (the intra-user
     /// deduplication test answered on behalf of a client).
-    pub fn user_owns(&mut self, fp: &Fingerprint, user: u64) -> bool {
-        self.lookup(fp).map(|e| e.owned_by(user)).unwrap_or(false)
+    pub fn user_owns(&self, fp: &Fingerprint, user: u64) -> bool {
+        self.lookup(fp).is_some_and(|e| e.owned_by(user))
     }
 
     /// For a batch of fingerprints, returns which ones the user has already
     /// uploaded (the reply to a client's intra-user dedup query, §3.3).
-    pub fn filter_user_duplicates(&mut self, user: u64, fps: &[Fingerprint]) -> Vec<bool> {
+    pub fn filter_user_duplicates(&self, user: u64, fps: &[Fingerprint]) -> Vec<bool> {
         fps.iter().map(|fp| self.user_owns(fp, user)).collect()
     }
 
-    /// Records that `user` references the share. If the share is new, the
-    /// provided `location` is stored and [`ShareAddOutcome::NewShare`] is
-    /// returned; otherwise the existing location is kept and the user's
-    /// reference count is incremented.
-    pub fn add_reference(
-        &mut self,
+    /// Records that `user` references the share, storing it first if it is
+    /// new. The `store` action runs under the fingerprint's stripe lock, so
+    /// two threads racing on the same fingerprint invoke it exactly once —
+    /// the loser of the race sees a dedup outcome and the winner's location
+    /// (its own is never asked for). This is the invariant inter-user
+    /// deduplication depends on.
+    ///
+    /// Holding the stripe lock across `store` is a deliberate trade-off: it
+    /// keeps exactly-once trivial to reason about, at the cost of briefly
+    /// serialising unrelated shares that hash to the same stripe while the
+    /// store action runs (relevant only when the action does slow I/O; an
+    /// in-flight-placeholder protocol could lift the action out of the lock
+    /// if a remote backend ever sits on this path).
+    pub fn add_reference_or_store<E>(
+        &self,
         fp: &Fingerprint,
-        location: ShareLocation,
         user: u64,
-    ) -> ShareAddOutcome {
-        match self.lookup(fp) {
+        store: impl FnOnce() -> Result<ShareLocation, E>,
+    ) -> Result<(ShareLocation, StoreOutcome), E> {
+        self.add_reference_or_store_with(fp, user, store, |_| {})
+    }
+
+    /// [`ShardedShareIndex::add_reference_or_store`] with a journaling hook
+    /// that observes the entry's post-state. A failed `store` writes
+    /// nothing and the hook does not run.
+    pub fn add_reference_or_store_with<E>(
+        &self,
+        fp: &Fingerprint,
+        user: u64,
+        store: impl FnOnce() -> Result<ShareLocation, E>,
+        observe: impl FnOnce(&ShareEntry),
+    ) -> Result<(ShareLocation, StoreOutcome), E> {
+        let mut stripe = self.stripe(fp);
+        let (entry, outcome) = match read(&mut stripe, fp) {
             Some(mut entry) => {
-                self.add_references_to_entry(fp, &mut entry, user, 1);
-                ShareAddOutcome::Duplicate
+                let outcome = if entry.owned_by(user) {
+                    StoreOutcome::DedupIntraUser
+                } else {
+                    StoreOutcome::DedupInterUser
+                };
+                entry.add_references(user, 1);
+                (entry, outcome)
             }
             None => {
-                self.insert_new(fp, location, user);
-                ShareAddOutcome::NewShare
+                let entry = ShareEntry {
+                    location: store()?,
+                    owners: vec![(user, 1)],
+                };
+                (entry, StoreOutcome::Stored)
             }
-        }
+        };
+        write(&mut stripe, fp, &entry);
+        observe(&entry);
+        Ok((entry.location, outcome))
     }
 
-    /// Like [`ShareIndex::add_reference`] for a share known to exist, for
-    /// callers that already hold the decoded entry from a lookup: gives
-    /// `user` `count` more references in the entry's owner list in place and
-    /// writes it back without re-reading the store.
-    pub fn add_references_to_entry(
-        &mut self,
+    /// Adds `count` references for `user` to a share that must already be
+    /// stored, in one stripe-locked step. Returns `false` (and changes
+    /// nothing) if the fingerprint is unknown. `count == 0` is the pure
+    /// existence check of the same rule: nothing is written and the hook is
+    /// not invoked.
+    pub fn add_references_existing_with(
+        &self,
         fp: &Fingerprint,
-        entry: &mut ShareEntry,
         user: u64,
         count: u32,
-    ) {
-        match entry.owners.iter_mut().find(|(u, _)| *u == user) {
-            Some((_, held)) => *held += count,
-            None => entry.owners.push((user, count)),
-        }
-        self.store.put(fp.as_bytes().to_vec(), entry.encode());
-    }
-
-    /// Inserts a fresh entry for a share known to be absent, giving `user`
-    /// its first reference.
-    pub fn insert_new(&mut self, fp: &Fingerprint, location: ShareLocation, user: u64) {
-        let entry = ShareEntry {
-            location,
-            owners: vec![(user, 1)],
+        observe: impl FnOnce(&ShareEntry),
+    ) -> bool {
+        let mut stripe = self.stripe(fp);
+        let Some(mut entry) = read(&mut stripe, fp) else {
+            return false;
         };
-        self.store.put(fp.as_bytes().to_vec(), entry.encode());
-    }
-
-    /// Adds one reference for `user` to a share that must already be stored.
-    /// Returns `false` (and changes nothing) if the fingerprint is unknown.
-    pub fn add_reference_existing(&mut self, fp: &Fingerprint, user: u64) -> bool {
-        match self.lookup(fp) {
-            Some(mut entry) => {
-                self.add_references_to_entry(fp, &mut entry, user, 1);
-                true
-            }
-            None => false,
+        if count > 0 {
+            entry.add_references(user, count);
+            write(&mut stripe, fp, &entry);
+            observe(&entry);
         }
+        true
     }
 
     /// Drops one reference held by `user`, deleting the entry when the last
     /// reference across all users goes. Returns `None` — a no-op — if the
-    /// share is unknown or `user` holds no reference.
-    pub fn remove_reference(&mut self, fp: &Fingerprint, user: u64) -> Option<ReleaseReport> {
-        let mut entry = self.lookup(fp)?;
+    /// share is unknown or `user` holds no reference. The hook observes
+    /// `Some` surviving entry, or `None` when the entry was deleted.
+    pub fn remove_reference_with(
+        &self,
+        fp: &Fingerprint,
+        user: u64,
+        observe: impl FnOnce(Option<&ShareEntry>),
+    ) -> Option<ReleaseReport> {
+        let mut stripe = self.stripe(fp);
+        let mut entry = read(&mut stripe, fp)?;
         let pos = entry
             .owners
             .iter()
@@ -291,9 +286,11 @@ impl ShareIndex {
         }
         let total_refs = entry.total_refs();
         if total_refs == 0 {
-            self.store.delete(fp.as_bytes());
+            stripe.delete(fp.as_bytes());
+            observe(None);
         } else {
-            self.store.put(fp.as_bytes().to_vec(), entry.encode());
+            write(&mut stripe, fp, &entry);
+            observe(Some(&entry));
         }
         Some(ReleaseReport {
             location: entry.location,
@@ -303,69 +300,63 @@ impl ShareIndex {
     }
 
     /// Atomically repoints the share's location from `from` to `to` — the
-    /// index half of container compaction. Fails (returning `false`, changing
-    /// nothing) if the share is gone or its location no longer equals `from`
-    /// (someone else moved or deleted it first); the caller must then discard
-    /// the copy it made at `to`.
-    pub fn relocate(&mut self, fp: &Fingerprint, from: ShareLocation, to: ShareLocation) -> bool {
-        let Some(mut entry) = self.lookup(fp) else {
+    /// index half of container compaction. Fails (returning `false`,
+    /// changing nothing) if the share is gone or its location no longer
+    /// equals `from` (someone else moved or deleted it first); the caller
+    /// must then discard the copy it made at `to`.
+    pub fn relocate_with(
+        &self,
+        fp: &Fingerprint,
+        from: ShareLocation,
+        to: ShareLocation,
+        observe: impl FnOnce(&ShareEntry),
+    ) -> bool {
+        let mut stripe = self.stripe(fp);
+        let Some(mut entry) = read(&mut stripe, fp).filter(|e| e.location == from) else {
             return false;
         };
-        if entry.location != from {
-            return false;
-        }
         entry.location = to;
-        self.store.put(fp.as_bytes().to_vec(), entry.encode());
+        write(&mut stripe, fp, &entry);
+        observe(&entry);
         true
     }
 
-    /// Installs an entry verbatim, overwriting any existing one — the
-    /// restore half of checkpoint recovery. Unlike the reference-taking
-    /// mutators, this performs no bookkeeping of its own.
-    pub fn insert_entry(&mut self, fp: &Fingerprint, entry: &ShareEntry) {
-        self.store.put(fp.as_bytes().to_vec(), entry.encode());
+    /// Installs an entry verbatim, overwriting any existing one — checkpoint
+    /// restore and journal replay. No reference bookkeeping of its own.
+    pub fn insert_entry(&self, fp: &Fingerprint, entry: &ShareEntry) {
+        write(&mut self.stripe(fp), fp, entry);
     }
 
     /// Removes an entry verbatim, whatever references it holds — journal
     /// replay of a share deletion and recovery's pruning of entries that
     /// point into containers lost with the crash.
-    pub fn remove_entry(&mut self, fp: &Fingerprint) {
-        self.store.delete(fp.as_bytes());
+    pub fn remove_entry(&self, fp: &Fingerprint) {
+        self.stripe(fp).delete(fp.as_bytes());
     }
 
-    /// Every `(fingerprint, entry)` pair currently tracked — the snapshot
+    /// Every `(fingerprint, entry)` pair across all stripes — the snapshot
     /// half of checkpointing (and the iteration recovery's verification
-    /// pass cross-checks against container headers).
+    /// pass cross-checks against container headers). Per-stripe locking
+    /// only: concurrent mutations may land between stripes, so callers
+    /// needing a true point-in-time snapshot must exclude writers for the
+    /// duration.
     pub fn export(&self) -> Vec<(Fingerprint, ShareEntry)> {
-        self.store
-            .snapshot()
-            .iter()
-            .filter_map(|(k, v)| {
-                let fp: [u8; 32] = k.as_slice().try_into().ok()?;
-                Some((Fingerprint::from_bytes(fp), ShareEntry::decode(v)?))
-            })
-            .collect()
+        self.export_decoded(|k, v| {
+            let fp: [u8; 32] = k.try_into().ok()?;
+            Some((Fingerprint::from_bytes(fp), ShareEntry::decode(&v)?))
+        })
     }
 
     /// Number of unique shares tracked.
     pub fn unique_shares(&self) -> usize {
-        self.store.len()
+        self.len()
     }
 
-    /// Total physical bytes referenced by the index (sum of unique share sizes).
+    /// Total physical bytes referenced by the index (sum of unique share
+    /// sizes).
     pub fn physical_bytes(&self) -> u64 {
-        self.store
-            .snapshot()
-            .values()
-            .filter_map(|v| ShareEntry::decode(v))
-            .map(|e| e.location.size as u64)
-            .sum()
-    }
-
-    /// Approximate index memory footprint in bytes (relevant to the cost
-    /// model's EC2 instance sizing, §5.6).
-    pub fn approximate_size(&self) -> usize {
-        self.store.approximate_size()
+        let sizes = self.export_decoded(|_, v| Some(ShareEntry::decode(&v)?.location.size as u64));
+        sizes.into_iter().sum()
     }
 }
 
@@ -385,21 +376,31 @@ mod tests {
         }
     }
 
+    /// Uploads one share for `user`, stored at `location` if it is new.
+    fn add(
+        index: &ShardedShareIndex,
+        fp: &Fingerprint,
+        location: ShareLocation,
+        user: u64,
+    ) -> StoreOutcome {
+        let (_, outcome) = index
+            .add_reference_or_store::<()>(fp, user, || Ok(location))
+            .unwrap();
+        outcome
+    }
+
     #[test]
     fn new_share_then_duplicates() {
-        let mut index = ShareIndex::new();
+        let index = ShardedShareIndex::new();
         assert!(!index.is_stored(&fp(1)));
+        assert_eq!(add(&index, &fp(1), loc(10, 100), 1), StoreOutcome::Stored);
         assert_eq!(
-            index.add_reference(&fp(1), loc(10, 100), 1),
-            ShareAddOutcome::NewShare
+            add(&index, &fp(1), loc(99, 100), 2),
+            StoreOutcome::DedupInterUser
         );
         assert_eq!(
-            index.add_reference(&fp(1), loc(99, 100), 2),
-            ShareAddOutcome::Duplicate
-        );
-        assert_eq!(
-            index.add_reference(&fp(1), loc(99, 100), 1),
-            ShareAddOutcome::Duplicate
+            add(&index, &fp(1), loc(99, 100), 1),
+            StoreOutcome::DedupIntraUser
         );
         let entry = index.lookup(&fp(1)).unwrap();
         // The original location wins; the duplicate's location is ignored.
@@ -413,9 +414,9 @@ mod tests {
 
     #[test]
     fn intra_user_dedup_query() {
-        let mut index = ShareIndex::new();
-        index.add_reference(&fp(1), loc(1, 10), 7);
-        index.add_reference(&fp(2), loc(1, 10), 8);
+        let index = ShardedShareIndex::new();
+        add(&index, &fp(1), loc(1, 10), 7);
+        add(&index, &fp(2), loc(1, 10), 8);
         let result = index.filter_user_duplicates(7, &[fp(1), fp(2), fp(3)]);
         assert_eq!(result, vec![true, false, false]);
         assert!(index.user_owns(&fp(1), 7));
@@ -424,34 +425,36 @@ mod tests {
 
     #[test]
     fn reference_counting_supports_deletion() {
-        let mut index = ShareIndex::new();
-        index.add_reference(&fp(5), loc(3, 42), 1);
-        index.add_reference(&fp(5), loc(3, 42), 1);
-        index.add_reference(&fp(5), loc(3, 42), 2);
+        let index = ShardedShareIndex::new();
+        add(&index, &fp(5), loc(3, 42), 1);
+        add(&index, &fp(5), loc(3, 42), 1);
+        add(&index, &fp(5), loc(3, 42), 2);
+        let remove = |user| index.remove_reference_with(&fp(5), user, |_| {});
         // Two references from user 1, one from user 2.
-        let first = index.remove_reference(&fp(5), 1).unwrap();
+        let first = remove(1).unwrap();
         assert_eq!((first.user_refs, first.total_refs), (1, 2));
-        let second = index.remove_reference(&fp(5), 1).unwrap();
+        let second = remove(1).unwrap();
         assert_eq!((second.user_refs, second.total_refs), (0, 1));
         assert!(index.is_stored(&fp(5)));
         // User 1 holds nothing any more: further removals are no-ops.
-        assert_eq!(index.remove_reference(&fp(5), 1), None);
+        assert_eq!(remove(1), None);
         // Last reference gone: the entry is deleted and the location reported
         // for garbage collection.
-        let last = index.remove_reference(&fp(5), 2).unwrap();
+        let last = remove(2).unwrap();
         assert_eq!(last.location, loc(3, 42));
         assert_eq!((last.user_refs, last.total_refs), (0, 0));
         assert!(!index.is_stored(&fp(5)));
-        assert_eq!(index.remove_reference(&fp(5), 2), None);
+        assert_eq!(remove(2), None);
     }
 
     #[test]
     fn add_reference_existing_requires_a_stored_share() {
-        let mut index = ShareIndex::new();
-        assert!(!index.add_reference_existing(&fp(1), 7));
-        index.add_reference(&fp(1), loc(1, 10), 7);
-        assert!(index.add_reference_existing(&fp(1), 7));
-        assert!(index.add_reference_existing(&fp(1), 8));
+        let index = ShardedShareIndex::new();
+        let add_existing = |user| index.add_references_existing_with(&fp(1), user, 1, |_| {});
+        assert!(!add_existing(7));
+        add(&index, &fp(1), loc(1, 10), 7);
+        assert!(add_existing(7));
+        assert!(add_existing(8));
         let entry = index.lookup(&fp(1)).unwrap();
         assert_eq!(entry.total_refs(), 3);
         assert!(entry.owned_by(8));
@@ -459,26 +462,79 @@ mod tests {
 
     #[test]
     fn relocate_repoints_only_the_expected_location() {
-        let mut index = ShareIndex::new();
-        index.add_reference(&fp(9), loc(1, 64), 1);
+        let index = ShardedShareIndex::new();
+        add(&index, &fp(9), loc(1, 64), 1);
+        let relocate = |i, from, to| index.relocate_with(&fp(i), from, to, |_| {});
         // A stale `from` (e.g. a compactor racing a newer move) fails.
-        assert!(!index.relocate(&fp(9), loc(2, 64), loc(3, 64)));
+        assert!(!relocate(9, loc(2, 64), loc(3, 64)));
         assert_eq!(index.lookup(&fp(9)).unwrap().location, loc(1, 64));
         // The expected `from` succeeds and preserves the owners.
-        assert!(index.relocate(&fp(9), loc(1, 64), loc(3, 64)));
+        assert!(relocate(9, loc(1, 64), loc(3, 64)));
         let entry = index.lookup(&fp(9)).unwrap();
         assert_eq!(entry.location, loc(3, 64));
         assert!(entry.owned_by(1));
         // Unknown fingerprints fail.
-        assert!(!index.relocate(&fp(10), loc(1, 64), loc(3, 64)));
+        assert!(!relocate(10, loc(1, 64), loc(3, 64)));
+    }
+
+    #[test]
+    fn every_hook_sees_the_state_its_mutation_left_and_no_op_paths_run_none() {
+        let index = ShardedShareIndex::new();
+        let seen = std::cell::RefCell::new(Vec::new());
+        // After each mutation: the hook ran exactly once, with what a fresh
+        // lookup now returns.
+        let check = |what: &str| {
+            let seen: Vec<Option<ShareEntry>> = seen.borrow_mut().drain(..).collect();
+            assert_eq!(seen, vec![index.lookup(&fp(1))], "{what}");
+        };
+        let observe = |post: &ShareEntry| seen.borrow_mut().push(Some(post.clone()));
+        let observe_removal = |post: Option<&ShareEntry>| seen.borrow_mut().push(post.cloned());
+
+        index
+            .add_reference_or_store_with::<()>(&fp(1), 1, || Ok(loc(1, 8)), observe)
+            .unwrap();
+        check("store");
+        index
+            .add_reference_or_store_with::<()>(&fp(1), 2, || unreachable!(), observe)
+            .unwrap();
+        check("duplicate");
+        assert!(index.add_references_existing_with(&fp(1), 2, 3, observe));
+        check("counted references");
+        assert!(index.relocate_with(&fp(1), loc(1, 8), loc(2, 8), observe));
+        check("relocate");
+        for user in [2, 2, 2, 2, 1] {
+            assert!(index
+                .remove_reference_with(&fp(1), user, observe_removal)
+                .is_some());
+            check("remove");
+        }
+        assert!(!index.is_stored(&fp(1)));
+
+        // Nothing is written on these paths, so nothing is observed.
+        add(&index, &fp(1), loc(1, 8), 1);
+        let failed = index.add_reference_or_store_with(&fp(2), 1, || Err("down"), observe);
+        assert_eq!(failed, Err("down"));
+        assert!(index.add_references_existing_with(&fp(1), 1, 0, observe));
+        assert!(!index.add_references_existing_with(&fp(2), 1, 1, observe));
+        assert!(!index.relocate_with(&fp(1), loc(9, 8), loc(2, 8), observe));
+        assert!(!index.relocate_with(&fp(2), loc(1, 8), loc(2, 8), observe));
+        assert_eq!(
+            index.remove_reference_with(&fp(1), 5, observe_removal),
+            None
+        );
+        assert_eq!(
+            index.remove_reference_with(&fp(2), 1, observe_removal),
+            None
+        );
+        assert!(seen.borrow().is_empty());
     }
 
     #[test]
     fn physical_bytes_counts_unique_shares_once() {
-        let mut index = ShareIndex::new();
-        index.add_reference(&fp(1), loc(1, 1000), 1);
-        index.add_reference(&fp(1), loc(1, 1000), 2);
-        index.add_reference(&fp(2), loc(1, 500), 1);
+        let index = ShardedShareIndex::new();
+        add(&index, &fp(1), loc(1, 1000), 1);
+        add(&index, &fp(1), loc(1, 1000), 2);
+        add(&index, &fp(2), loc(1, 500), 1);
         assert_eq!(index.physical_bytes(), 1500);
         assert_eq!(index.unique_shares(), 2);
     }
@@ -496,14 +552,15 @@ mod tests {
 
     #[test]
     fn many_shares_scale() {
-        let mut index = ShareIndex::new();
+        let index = ShardedShareIndex::new();
         for i in 0..5000u32 {
-            index.add_reference(&fp(i), loc(i as u64 / 100, 8192), (i % 9) as u64);
+            add(&index, &fp(i), loc(i as u64 / 100, 8192), (i % 9) as u64);
         }
         assert_eq!(index.unique_shares(), 5000);
         for i in (0..5000u32).step_by(97) {
             assert!(index.is_stored(&fp(i)));
         }
         assert!(index.approximate_size() > 5000 * 32);
+        assert_eq!(index.export().len(), 5000);
     }
 }
