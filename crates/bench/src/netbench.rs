@@ -308,7 +308,7 @@ pub fn rpc_batching(count: usize, share_bytes: usize) -> RpcBatchingSample {
             .collect()
     };
 
-    // Warm the connection (lazy TCP connect + reader thread) outside timing.
+    // Warm the connection (lazy TCP connect) outside timing.
     transport.probe().expect("warmup probe");
 
     let batch = make_shares(1);

@@ -1,11 +1,12 @@
-//! [`NetClient`]: a pipelining connection pool, and [`RemoteServer`], the
-//! [`ServerTransport`] implementation that speaks the wire protocol.
+//! [`NetClient`]: a pool of blocking sockets, one call in flight on each,
+//! and [`RemoteServer`], the [`ServerTransport`] it powers.
 //!
-//! Each pooled connection has a dedicated reader thread that dispatches
-//! responses to waiting callers by request id, so any number of client
-//! threads can keep requests in flight on the same connection — pipelining,
-//! not one-request-per-round-trip. Failures are contained per call: a
-//! timeout or connection loss kills the link and the next call reconnects.
+//! A call takes a socket from the pool, writes its request frame and reads
+//! the reply on its own thread, checking the reply's id. At most
+//! [`NetClientConfig::connections`] sockets are open; a caller finding none
+//! idle opens one under the cap or waits for one. An idle socket is checked
+//! for a peer close before reuse, so a server restart costs a reconnect
+//! before anything is sent; a call that fails in any way closes its socket.
 //!
 //! **A request is put on the wire at most once per call.** Once its bytes may
 //! have left, a transport failure says nothing about whether the server
@@ -15,19 +16,16 @@
 //! [`cdstore_core::retry`]'s decision, made by callers that first roll back
 //! (`ship_batch` releases and re-queries, the façade replays the operation).
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender};
-use std::sync::Arc;
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use cdstore_core::server::{GcConfig, GcReport};
 use cdstore_core::transport::{ServerProbe, ServerTransport, StoreReceipt};
 use cdstore_core::{CdStoreError, FileRecipe, ShareMetadata};
 use cdstore_crypto::Fingerprint;
-use parking_lot::Mutex;
 
 use crate::frame::{FrameError, FrameReader, Polled};
 use crate::message::{
@@ -37,9 +35,11 @@ use crate::message::{
 /// Tuning knobs of a [`NetClient`].
 #[derive(Debug, Clone)]
 pub struct NetClientConfig {
-    /// Pooled connections per server (each pipelines independently).
+    /// Most sockets open to the server at once — and so most calls in
+    /// flight, one per socket. Each is a connection thread on the server.
     pub connections: usize,
-    /// Per-request timeout; expiry fails the call and kills the link.
+    /// The sockets' read timeout (non-zero): a reply that stops arriving for
+    /// this long fails its call and closes its socket.
     pub request_timeout: Duration,
     /// TCP connect timeout.
     pub connect_timeout: Duration,
@@ -55,43 +55,63 @@ impl Default for NetClientConfig {
     }
 }
 
-/// One live connection: the write half plus the response-dispatch table
-/// shared with its reader thread.
-struct Link {
-    stream: Mutex<TcpStream>,
-    /// In-flight requests: req_id → channel to the waiting caller, removed
-    /// at the request's single response.
-    pending: Arc<Mutex<HashMap<u64, SyncSender<Response>>>>,
-    dead: Arc<AtomicBool>,
+/// One connection, with the reader its replies are framed by.
+struct Socket {
+    stream: TcpStream,
+    reader: FrameReader,
 }
 
-impl Link {
-    fn kill(&self) {
-        self.dead.store(true, Ordering::SeqCst);
-        let _ = self.stream.lock().shutdown(Shutdown::Both);
+impl Socket {
+    /// Whether an idle socket can carry a call: nothing to read and no close
+    /// from the peer (`WouldBlock` on a non-blocking peek). EOF, unasked-for
+    /// bytes or an error mean it cannot.
+    fn is_reusable(&self) -> bool {
+        let mut byte = [0u8; 1];
+        self.stream.set_nonblocking(true).is_ok()
+            && matches!(self.stream.peek(&mut byte), Err(e) if e.kind() == ErrorKind::WouldBlock)
+            && self.stream.set_nonblocking(false).is_ok()
+    }
+
+    /// Sends one request frame and reads its reply. Any error leaves the
+    /// socket unfit for another call.
+    fn exchange(&mut self, req_id: u64, frame: &[u8]) -> Result<Response, CdStoreError> {
+        (&self.stream)
+            .write_all(frame)
+            .map_err(|e| remote_err(format!("send: {e}")))?;
+        match self.reader.poll(&mut &self.stream) {
+            Ok(Polled::Frame(msg_type, payload)) => match decode_response(msg_type, payload) {
+                Some((id, resp)) if id == req_id => Ok(resp),
+                other => Err(remote_err(format!(
+                    "protocol violation: reply to {:?} awaiting {req_id}",
+                    other.map(|(id, _)| id)
+                ))),
+            },
+            Ok(Polled::Closed) => Err(remote_err("connection closed awaiting response")),
+            Err(FrameError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                Err(remote_err("request timed out awaiting response"))
+            }
+            Err(e) => Err(remote_err(format!("receive: {e}"))),
+        }
     }
 }
 
-impl Drop for Link {
-    fn drop(&mut self) {
-        // Close the socket for real (the reader thread holds a clone of the
-        // handle) so the reader sees EOF and exits.
-        self.kill();
-    }
+/// The sockets of a [`NetClient`] no call holds, and how many are open.
+#[derive(Default)]
+struct Pool {
+    idle: Vec<Socket>,
+    open: usize,
 }
 
-/// One pool slot; `None` until first use or after its link died.
-struct Connection {
-    link: Mutex<Option<Arc<Link>>>,
-}
-
-/// A pipelining RPC client for one CDStore server address.
+/// An RPC client for one CDStore server address.
 pub struct NetClient {
     addr: SocketAddr,
     config: NetClientConfig,
-    pool: Vec<Connection>,
+    pool: Mutex<Pool>,
+    /// Signalled whenever a socket is handed back or closed.
+    returned: Condvar,
     next_req_id: AtomicU64,
-    next_conn: AtomicUsize,
 }
 
 fn remote_err(msg: impl std::fmt::Display) -> CdStoreError {
@@ -100,24 +120,19 @@ fn remote_err(msg: impl std::fmt::Display) -> CdStoreError {
 
 impl NetClient {
     /// Creates a client for the server at `addr`. Connections are opened
-    /// lazily on first use.
+    /// lazily, when a call finds none idle.
     pub fn new(addr: impl ToSocketAddrs, config: NetClientConfig) -> Result<Self, CdStoreError> {
         let addr = addr
             .to_socket_addrs()
             .map_err(remote_err)?
             .next()
             .ok_or_else(|| remote_err("address resolved to nothing"))?;
-        let pool = (0..config.connections.max(1))
-            .map(|_| Connection {
-                link: Mutex::new(None),
-            })
-            .collect();
         Ok(NetClient {
             addr,
             config,
-            pool,
+            pool: Mutex::default(),
+            returned: Condvar::new(),
             next_req_id: AtomicU64::new(1),
-            next_conn: AtomicUsize::new(0),
         })
     }
 
@@ -130,42 +145,51 @@ impl NetClient {
         self.next_req_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Returns a live link from the pool (round-robin), reconnecting the
-    /// slot if its link is absent or dead — before anything is sent, so a
-    /// reconnect is never a resend.
-    fn link(&self) -> Result<Arc<Link>, CdStoreError> {
-        let slot = &self.pool[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.pool.len()];
-        let mut guard = slot.link.lock();
-        if let Some(link) = guard.as_ref() {
-            if !link.dead.load(Ordering::SeqCst) {
-                return Ok(Arc::clone(link));
+    /// Takes a socket for one call: the most recently returned idle one if
+    /// it is still open, otherwise a new connection in a free slot (or in
+    /// the slot of the stale one), waiting for a slot while all are in use.
+    fn checkout(&self) -> Result<Socket, CdStoreError> {
+        let mut pool = self.pool.lock().expect("connection pool lock");
+        let idle = loop {
+            if let Some(socket) = pool.idle.pop() {
+                break Some(socket);
             }
+            if pool.open < self.config.connections.max(1) {
+                pool.open += 1;
+                break None;
+            }
+            pool = self.returned.wait(pool).expect("connection pool lock");
+        };
+        drop(pool);
+        match idle.filter(Socket::is_reusable) {
+            Some(socket) => Ok(socket),
+            // A reconnect before anything is sent, never a resend.
+            None => self.connect().inspect_err(|_| self.checkin(None)),
         }
+    }
+
+    /// Hands a socket back after its call, or — `None` — closes its slot.
+    fn checkin(&self, socket: Option<Socket>) {
+        let mut pool = self.pool.lock().expect("connection pool lock");
+        match socket {
+            Some(socket) => pool.idle.push(socket),
+            None => pool.open -= 1,
+        }
+        drop(pool);
+        self.returned.notify_one();
+    }
+
+    fn connect(&self) -> Result<Socket, CdStoreError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
             .map_err(|e| remote_err(format!("connect to {}: {e}", self.addr)))?;
         let _ = stream.set_nodelay(true);
-        let read_half = stream.try_clone().map_err(remote_err)?;
-        let pending: Arc<Mutex<HashMap<u64, SyncSender<Response>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        {
-            let pending = Arc::clone(&pending);
-            let dead = Arc::clone(&dead);
-            std::thread::spawn(move || {
-                reader_loop(read_half, &pending);
-                // Whatever ended the loop (EOF, reset, corrupt frame): fail
-                // every waiter by dropping its sender, and poison the link.
-                dead.store(true, Ordering::SeqCst);
-                pending.lock().clear();
-            });
-        }
-        let link = Arc::new(Link {
-            stream: Mutex::new(stream),
-            pending,
-            dead,
-        });
-        *guard = Some(Arc::clone(&link));
-        Ok(link)
+        stream
+            .set_read_timeout(Some(self.config.request_timeout))
+            .map_err(remote_err)?;
+        Ok(Socket {
+            stream,
+            reader: FrameReader::new(),
+        })
     }
 
     /// One RPC: the request goes out once and the call waits for its one
@@ -177,60 +201,26 @@ impl NetClient {
         self.call_framed(|req_id| request_frame(req_id, req))
     }
 
-    /// [`NetClient::call`] over the request's sealed frame: registers a
-    /// waiter, sends the frame in one `write_all` under the stream lock, and
-    /// waits out the timeout.
+    /// [`NetClient::call`] over the request's sealed frame, sent in one
+    /// `write_all` on a socket no other call holds.
     fn call_framed(
         &self,
         encode: impl FnOnce(u64) -> Result<Vec<u8>, FrameError>,
     ) -> Result<Response, CdStoreError> {
         let req_id = self.next_req_id();
         let frame = encode(req_id).map_err(|e| CdStoreError::InvalidConfig(e.to_string()))?;
-        let link = self.link()?;
-        // One response per request: a depth of one never blocks the reader.
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        link.pending.lock().insert(req_id, tx);
-        let write_result = link.stream.lock().write_all(&frame);
-        if let Err(e) = write_result {
-            link.pending.lock().remove(&req_id);
-            link.kill();
-            return Err(remote_err(format!("send: {e}")));
-        }
-        match rx.recv_timeout(self.config.request_timeout) {
-            Ok(Response::Err {
+        let mut socket = self.checkout()?;
+        let reply = socket.exchange(req_id, &frame);
+        // A failed exchange may leave a reply, or part of one, on the wire.
+        self.checkin(reply.is_ok().then_some(socket));
+        match reply? {
+            Response::Err {
                 code,
                 needed,
                 available,
                 msg,
-            }) => Err(error_from_wire(code, needed, available, msg)),
-            Ok(resp) => Ok(resp),
-            Err(RecvTimeoutError::Timeout) => {
-                link.pending.lock().remove(&req_id);
-                link.kill();
-                Err(remote_err(format!(
-                    "request timed out after {:?}",
-                    self.config.request_timeout
-                )))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(remote_err("connection lost awaiting response"))
-            }
-        }
-    }
-}
-
-/// Dispatches responses to waiting callers until the stream dies.
-fn reader_loop(mut stream: TcpStream, pending: &Mutex<HashMap<u64, SyncSender<Response>>>) {
-    let mut reader = FrameReader::new();
-    while let Ok(Polled::Frame(msg_type, payload)) = reader.poll(&mut stream) {
-        let Some((req_id, resp)) = decode_response(msg_type, payload) else {
-            return; // protocol violation: poison the link
-        };
-        // A response nobody waits for (timed-out caller, or a second
-        // answer to one request) is dropped.
-        let waiter = pending.lock().remove(&req_id);
-        if let Some(tx) = waiter {
-            let _ = tx.send(resp);
+            } => Err(error_from_wire(code, needed, available, msg)),
+            resp => Ok(resp),
         }
     }
 }
@@ -399,6 +389,7 @@ impl ServerTransport for RemoteServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::RecvTimeoutError;
 
     #[test]
     fn connecting_to_a_dead_port_is_a_remote_error_not_a_hang() {
@@ -418,38 +409,52 @@ mod tests {
         }
     }
 
+    /// The local addresses of the sockets on the idle stack.
+    fn idle_sockets(client: &NetClient) -> Vec<SocketAddr> {
+        let pool = client.pool.lock().unwrap();
+        (pool.idle.iter())
+            .map(|socket| socket.stream.local_addr().unwrap())
+            .collect()
+    }
+
     /// Shutdown and restart wait on events, never on a clock or a retry:
-    /// eight connections blocked in `read` do not hold a shutdown up, each
-    /// hears of it, the freed address binds again at once (`restart` makes
-    /// one attempt) and every slot's next call reconnects before it sends.
+    /// eight idle sockets do not hold a shutdown up, each hears of it, the
+    /// freed address binds again at once (`restart` makes one attempt) and
+    /// every slot's next call reconnects before it sends — no call fails on
+    /// a stale socket, whose server is gone and could not answer it.
     #[test]
     fn restarts_under_idle_connections_neither_wait_nor_retry() {
+        const SLOTS: usize = 8;
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let body = std::thread::spawn(move || {
             let mut cluster = crate::cluster::LoopbackCluster::spawn(1).unwrap();
             let config = NetClientConfig {
-                connections: 8,
+                connections: SLOTS,
                 ..NetClientConfig::default()
             };
             let remote = cluster.transports(config).unwrap().pop().unwrap();
-            let slots = &remote.client.pool;
+            let client = &remote.client;
             for round in 0..200 {
-                // One call a slot: each replaces the link the last restart
-                // killed, and none fails.
-                for _ in slots {
-                    remote.probe().unwrap();
+                // Every slot open at once, one call on each, first attempt.
+                let mut held: Vec<Socket> =
+                    (0..SLOTS).map(|_| client.checkout().unwrap()).collect();
+                for socket in &mut held {
+                    let req_id = client.next_req_id();
+                    let frame = request_frame(req_id, &Request::Probe).unwrap();
+                    match socket.exchange(req_id, &frame) {
+                        Ok(Response::Probe(_)) => {}
+                        other => panic!("round {round}: {other:?}"),
+                    }
                 }
-                let links: Vec<_> = (slots.iter())
-                    .map(|s| s.link.lock().clone().expect("every slot is open"))
-                    .collect();
+                held.into_iter()
+                    .for_each(|socket| client.checkin(Some(socket)));
+                assert_eq!(idle_sockets(client).len(), SLOTS);
                 cluster
                     .restart(0)
                     .unwrap_or_else(|e| panic!("restart {round}: {e}"));
-                // The event each link gets: its reader thread reads EOF.
-                for link in &links {
-                    while !link.dead.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
+                // The event each idle socket gets: EOF, seen by a blocking peek.
+                for socket in &client.pool.lock().unwrap().idle {
+                    assert_eq!(socket.stream.peek(&mut [0u8; 1]).unwrap(), 0);
                 }
             }
             let _ = done_tx.send(());
@@ -461,9 +466,8 @@ mod tests {
         }
     }
 
-    /// A request no frame can carry is refused before a byte is written —
-    /// at the parent `encode_frame` asserted while `send` held the stream
-    /// lock — and costs the link nothing.
+    /// A request no frame can carry is refused before a byte is written and
+    /// costs the socket nothing.
     #[test]
     fn an_unframeable_request_is_a_typed_error_and_the_link_survives() {
         use crate::frame::MAX_FRAME_BYTES;
@@ -473,7 +477,8 @@ mod tests {
             ..NetClientConfig::default()
         };
         let remote = cluster.transports(config).unwrap().pop().unwrap();
-        let link_before = remote.client.pool[0].link.lock().clone().unwrap();
+        let socket_before = idle_sockets(&remote.client);
+        assert_eq!(socket_before.len(), 1, "the ping's socket is idle");
 
         let share = |bytes: Vec<u8>| {
             let meta = ShareMetadata {
@@ -491,8 +496,10 @@ mod tests {
 
         let receipt = remote.store_shares(7, &[share(vec![0xcd; 4096])]).unwrap();
         assert_eq!(receipt.verdicts.len(), 1);
-        let link_after = remote.client.pool[0].link.lock().clone().unwrap();
-        assert!(Arc::ptr_eq(&link_before, &link_after), "link was replaced");
-        assert!(!link_after.dead.load(Ordering::SeqCst));
+        assert_eq!(
+            idle_sockets(&remote.client),
+            socket_before,
+            "socket was replaced"
+        );
     }
 }

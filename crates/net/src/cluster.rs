@@ -153,8 +153,8 @@ mod tests {
     }
 
     /// One request, one response, even with everything on one connection: a
-    /// restore's window fetches and another thread's probes interleave on
-    /// the single pooled link, and each call gets exactly its own reply.
+    /// restore's window fetches and another thread's probes take turns on
+    /// the single pooled socket, and each call gets exactly its own reply.
     #[test]
     fn a_restore_and_concurrent_probes_share_one_connection() {
         use cdstore_core::ServerTransport;

@@ -17,10 +17,12 @@
 //!   gc, flush, and statistics — one response frame per request.
 //! * [`server`] — [`NetServer`]: a thread-per-connection listener wrapping
 //!   an `Arc<CdStoreServer>` on blocking sockets, with graceful shutdown.
-//! * [`client`] — [`NetClient`]: a pipelining connection pool with timeouts
-//!   that sends a request **at most once** (a transport failure is `Remote`
-//!   at once; trying again is [`cdstore_core::retry`]'s decision), and
-//!   [`RemoteServer`], the [`cdstore_core::ServerTransport`] it powers.
+//! * [`client`] — [`NetClient`]: a bounded pool of blocking sockets, one
+//!   call in flight on each, whose calling thread writes the request and
+//!   reads its own reply. It sends a request **at most once** (a transport
+//!   failure is `Remote` at once; trying again is
+//!   [`cdstore_core::retry`]'s decision). [`RemoteServer`] is the
+//!   [`cdstore_core::ServerTransport`] it powers.
 //! * [`cluster`] — [`LoopbackCluster`]: `n` networked servers on loopback
 //!   for benches and tests.
 //!

@@ -1,8 +1,9 @@
 //! Request/response messages for the full server API.
 //!
 //! Every payload begins with a `req_id: u64` envelope: the client assigns
-//! request ids, pipelines many requests down one connection, and matches
-//! responses back by id — responses may arrive in any order. Message types
+//! request ids and the server echoes each one in its response, which the
+//! client checks against the request it has in flight on that connection
+//! (the server answers pipelined requests in order). Message types
 //! occupy one byte: requests are `0x01..=0x7f`, responses have the top bit
 //! set (`0x81..`). The full table lives in `docs/protocol.md`.
 

@@ -4,10 +4,10 @@
 //! protocol: a thread-per-connection accept loop (the server object itself
 //! is `Send + Sync` and internally sharded, so connections run genuinely
 //! concurrently), pipelined request handling (each connection answers
-//! requests in arrival order, one response frame each, but the client may
-//! keep many in flight), and graceful shutdown that joins every connection
-//! thread. Every wait is a blocking `accept` or `read`; shutdown ends them
-//! by closing what they wait on.
+//! requests in arrival order, one response frame each, however many a peer
+//! keeps in flight — `NetClient` keeps one), and graceful shutdown that
+//! joins every connection thread. Every wait is a blocking `accept` or
+//! `read`; shutdown ends them by closing what they wait on.
 
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
