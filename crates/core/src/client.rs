@@ -10,6 +10,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 use cdstore_chunking::{Chunker, ChunkerConfig, ChunkerKind};
@@ -34,14 +35,16 @@ pub const UPLOAD_BATCH_BYTES: u64 = 4 * 1024 * 1024;
 /// the fingerprint list of one `fetch_shares` call when secrets are tiny.
 pub const RESTORE_WINDOW_SECRETS: usize = 1024;
 
-/// Expected share bytes a restore asks one cloud for per window — what bounds
-/// a `fetch_shares` reply (and the memory both ends spend on it) for any
-/// chunker configuration, as [`UPLOAD_BATCH_BYTES`] bounds a `store_shares`
-/// request. With the default 8 KB average chunk size this is about 190
-/// secrets: enough to amortise the round trip, and small enough that the
-/// copies of a reply in flight on both ends do not show in peak memory. A
-/// window always holds at least one secret, so a share larger than this is
-/// still restorable.
+/// Share bytes a restore asks one cloud for per window, about — what bounds
+/// a `fetch_shares` or `open_file` reply (and the memory both ends spend on
+/// it) for any chunker configuration, as [`UPLOAD_BATCH_BYTES`] bounds a
+/// `store_shares` request. A window is cut over secret sizes, which a server
+/// knows without the scheme, at `k ×` this many secret bytes: each cloud's
+/// share of a secret is a `k`-th of it plus a small tail. With the default
+/// 8 KB average chunk size a window is about 190 secrets: enough to amortise
+/// the round trip, and small enough that the copies of a reply in flight on
+/// both ends do not show in peak memory. A window always holds at least one
+/// secret, so a share larger than this is still restorable.
 pub const RESTORE_WINDOW_BYTES: u64 = 512 * 1024;
 
 /// The result of one file upload.
@@ -292,10 +295,16 @@ impl CdStoreClient {
     /// each chosen cloud one bounded window at a time — the whole file is
     /// never buffered. This is the one place that decides how much a restore
     /// asks for at once: a window closes at [`RESTORE_WINDOW_SECRETS`] secrets
-    /// or [`RESTORE_WINDOW_BYTES`] of expected share bytes per cloud,
-    /// whichever comes first, and one window is one `fetch_shares` call per
-    /// cloud — in process or, over `cdstore_net`, one request and one reply
-    /// frame. Returns the number of bytes written.
+    /// or `k ×` [`RESTORE_WINDOW_BYTES`] of secret bytes — about
+    /// `RESTORE_WINDOW_BYTES` of share bytes per cloud — whichever comes
+    /// first ([`FileRecipe::window_len`]).
+    ///
+    /// The first window comes back with the recipe: one `open_file` call on
+    /// each of the `k` chosen clouds opens the file, so a file that fits one
+    /// window costs `k` calls in all. Every later window is one
+    /// `fetch_shares` call per cloud — in process or, over `cdstore_net`,
+    /// one request and one reply frame. `get_recipe` is called only to fail
+    /// over to a spare cloud mid-file. Returns the number of bytes written.
     pub fn download_stream<T: ServerTransport, W: Write + ?Sized>(
         &self,
         servers: &[T],
@@ -324,18 +333,24 @@ impl CdStoreClient {
         let mut spares: Vec<usize> = candidates.split_off(self.k);
         spares.reverse(); // pop() takes the lowest index first
         let encoded_paths = self.encode_pathname(pathname)?;
+        let max_secret_bytes = self.k as u64 * RESTORE_WINDOW_BYTES;
 
-        // Fetch the per-cloud recipes. (Metadata is a few dozen bytes per
-        // secret; only share payloads are windowed.)
-        let fetch_recipe = |cloud: usize| {
-            self.retry
-                .run(|_| servers[cloud].get_recipe(self.user, &encoded_paths[cloud]))
-        };
+        // Open the file on each chosen cloud: its recipe (metadata is a few
+        // dozen bytes per secret; only share payloads are windowed) and the
+        // first window's shares.
         let mut recipes: Vec<(usize, FileRecipe)> = Vec::with_capacity(self.k);
+        let mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)> = Vec::with_capacity(self.k);
         for mut cloud in candidates {
-            let recipe = loop {
-                match fetch_recipe(cloud) {
-                    Ok(recipe) => break recipe,
+            let (recipe, shares) = loop {
+                match self.retry.run(|_| {
+                    servers[cloud].open_file(
+                        self.user,
+                        &encoded_paths[cloud],
+                        RESTORE_WINDOW_SECRETS,
+                        max_secret_bytes,
+                    )
+                }) {
+                    Ok(opened) => break opened,
                     Err(e) if is_transient(&e) => match spares.pop() {
                         Some(spare) => cloud = spare,
                         None => return Err(e),
@@ -344,6 +359,7 @@ impl CdStoreClient {
                 }
             };
             recipes.push((cloud, recipe));
+            shares_by_cloud.push((cloud, shares));
         }
         let num_secrets = recipes[0].1.num_secrets();
         let file_size = recipes[0].1.file_size;
@@ -355,14 +371,26 @@ impl CdStoreClient {
                 "servers disagree on the file recipe".into(),
             ));
         }
+        // The first window is the secrets every reply carries a share of.
+        let first = (shares_by_cloud.iter())
+            .map(|(_, shares)| shares.len())
+            .min()
+            .unwrap_or(0)
+            .min(num_secrets);
+        let mut written = self.decode_window(&recipes[0].1, 0..first, shares_by_cloud, out)?;
 
-        // Fetch a window of shares from each chosen cloud, decode secret by
-        // secret, write out, repeat.
-        let mut written = 0u64;
-        let mut window_start = 0usize;
+        // Then a window of shares from each chosen cloud at a time: fetch,
+        // decode secret by secret, write out, repeat.
+        let fetch_recipe = |cloud: usize| {
+            self.retry
+                .run(|_| servers[cloud].get_recipe(self.user, &encoded_paths[cloud]))
+        };
+        let mut window_start = first;
         while window_start < num_secrets {
-            let window_end =
-                window_start + self.restore_window_len(&recipes[0].1.entries[window_start..]);
+            let window_end = window_start
+                + recipes[0]
+                    .1
+                    .window_len(window_start, RESTORE_WINDOW_SECRETS, max_secret_bytes);
             let mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)> = Vec::with_capacity(self.k);
             // Indexing, not iterating: the failover arm below reassigns
             // `recipes[slot]`, which an element iterator would hold borrowed.
@@ -371,11 +399,7 @@ impl CdStoreClient {
                 let shares = loop {
                     let (cloud, fps) = {
                         let (cloud, recipe) = &recipes[slot];
-                        let fps: Vec<Fingerprint> = recipe.entries[window_start..window_end]
-                            .iter()
-                            .map(|e| e.share_fingerprint)
-                            .collect();
-                        (*cloud, fps)
+                        (*cloud, recipe.fingerprints(window_start..window_end))
                     };
                     match self
                         .retry
@@ -405,47 +429,51 @@ impl CdStoreClient {
                 };
                 shares_by_cloud.push((recipes[slot].0, shares));
             }
-            for seq in window_start..window_end {
-                let mut share_slots: Vec<Option<Vec<u8>>> = vec![None; self.n];
-                for (cloud, shares) in &mut shares_by_cloud {
-                    // Each share is decoded exactly once: move, don't clone.
-                    share_slots[*cloud] = Some(std::mem::take(&mut shares[seq - window_start]));
-                }
-                let secret_size = recipes[0].1.entries[seq].secret_size as usize;
-                let secret =
-                    self.scheme
-                        .reconstruct(&share_slots, secret_size)
-                        .map_err(|e| match e {
-                            cdstore_secretsharing::SharingError::IntegrityCheckFailed => {
-                                CdStoreError::IntegrityFailure(format!(
-                                    "secret {seq} failed its hash check"
-                                ))
-                            }
-                            other => CdStoreError::Sharing(other),
-                        })?;
-                out.write_all(&secret)?;
-                written += secret.len() as u64;
-            }
+            written += self.decode_window(
+                &recipes[0].1,
+                window_start..window_end,
+                shares_by_cloud,
+                out,
+            )?;
             window_start = window_end;
         }
         Ok(written)
     }
 
-    /// How many of the secrets at the head of `entries` the next restore
-    /// window takes: up to [`RESTORE_WINDOW_SECRETS`], stopping before the
-    /// secret whose share would take the window past [`RESTORE_WINDOW_BYTES`]
-    /// — but never before the first.
-    fn restore_window_len(&self, entries: &[RecipeEntry]) -> usize {
-        let mut bytes = 0u64;
-        let mut len = 0;
-        for entry in entries.iter().take(RESTORE_WINDOW_SECRETS) {
-            bytes += self.scheme.share_size(entry.secret_size as usize) as u64;
-            if len > 0 && bytes > RESTORE_WINDOW_BYTES {
-                break;
+    /// Decodes the secrets in `window` of `recipe` from `shares_by_cloud` —
+    /// `(cloud, shares)` from `k` clouds, each cloud's shares starting at the
+    /// window's first secret — writes them to `out` and returns the bytes
+    /// written.
+    fn decode_window<W: Write + ?Sized>(
+        &self,
+        recipe: &FileRecipe,
+        window: Range<usize>,
+        mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)>,
+        out: &mut W,
+    ) -> Result<u64, CdStoreError> {
+        let mut written = 0u64;
+        for (i, seq) in window.enumerate() {
+            let mut share_slots: Vec<Option<Vec<u8>>> = vec![None; self.n];
+            for (cloud, shares) in &mut shares_by_cloud {
+                // Each share is decoded exactly once: move, don't clone.
+                share_slots[*cloud] = Some(std::mem::take(&mut shares[i]));
             }
-            len += 1;
+            let secret_size = recipe.entries[seq].secret_size as usize;
+            let secret =
+                self.scheme
+                    .reconstruct(&share_slots, secret_size)
+                    .map_err(|e| match e {
+                        cdstore_secretsharing::SharingError::IntegrityCheckFailed => {
+                            CdStoreError::IntegrityFailure(format!(
+                                "secret {seq} failed its hash check"
+                            ))
+                        }
+                        other => CdStoreError::Sharing(other),
+                    })?;
+            out.write_all(&secret)?;
+            written += secret.len() as u64;
         }
-        len
+        Ok(written)
     }
 }
 
@@ -457,6 +485,26 @@ struct BatchShipment {
     uploaded: Vec<Fingerprint>,
     transferred: u64,
     new_bytes: u64,
+}
+
+/// Shares moved out of a batch for one transfer, with their metadata.
+type Transfer = Vec<(ShareMetadata, Vec<u8>)>;
+
+impl BatchShipment {
+    /// Accounts for the shares a server took, recycling their buffers.
+    fn recycling(sent: Transfer, new_bytes: u64, pool: &BufferPool) -> Self {
+        let mut shipment = BatchShipment {
+            uploaded: Vec::with_capacity(sent.len()),
+            transferred: 0,
+            new_bytes,
+        };
+        for (meta, share) in sent {
+            shipment.uploaded.push(meta.fingerprint);
+            shipment.transferred += share.len() as u64;
+            pool.put(share);
+        }
+        shipment
+    }
 }
 
 /// What a batch entry holds for its share.
@@ -537,11 +585,44 @@ impl LazySecret {
     }
 }
 
-/// Ships one batch of candidate shares to cloud `cloud`'s server:
-/// second-stage intra-user dedup query, then `store_shares` for the
-/// survivors, with bounded retry-with-backoff on transient faults. The
-/// query names every entry, encoded or [`Payload::Lazy`] alike; a lazy
-/// entry the server does not own is encoded then (see [`LazySecret`]).
+/// The second-stage intra-user dedup query for one batch of cloud `cloud`:
+/// moves the shares the server does not already hold for the user out of
+/// the batch, each with its batch index. The query names every entry,
+/// encoded or [`Payload::Lazy`] alike; a lazy entry the server does not own
+/// is encoded now (see [`LazySecret`]). The slots stay in place, so a failed
+/// transfer can put the shares back.
+fn take_unowned<T: ServerTransport>(
+    client: &CdStoreClient,
+    server: &T,
+    cloud: usize,
+    batch: &mut Batch,
+    lazy: &mut HashMap<u64, LazySecret>,
+    pool: &BufferPool,
+) -> Result<(Transfer, Vec<usize>), CdStoreError> {
+    let fps: Vec<Fingerprint> = batch.iter().map(|(m, _)| m.fingerprint).collect();
+    let already = server.intra_user_query(client.user, &fps)?;
+    let mut to_upload = Transfer::new();
+    let mut taken: Vec<usize> = Vec::new();
+    for (i, dup) in already.into_iter().enumerate() {
+        if !dup {
+            let (meta, payload) = &mut batch[i];
+            let share = match payload {
+                Payload::Share(share) => std::mem::take(share),
+                Payload::Lazy => lazy
+                    .get_mut(&meta.secret_seq)
+                    .expect("a lazy entry's secret outlives its batches")
+                    .take_share(client, cloud, pool)?,
+            };
+            to_upload.push((meta.clone(), share));
+            taken.push(i);
+        }
+    }
+    Ok((to_upload, taken))
+}
+
+/// Ships one non-final batch of candidate shares to cloud `cloud`'s server:
+/// [`take_unowned`], then `store_shares` for the survivors, with bounded
+/// retry-with-backoff on transient faults.
 ///
 /// A failed `store_shares` may have taken per-upload references on shares it
 /// reached before the fault, and a blind replay would double-count them
@@ -566,40 +647,9 @@ fn ship_batch<T: ServerTransport>(
     }
     let user = client.user;
     let shipment = client.retry.run(|_| {
-        let fps: Vec<Fingerprint> = batch.iter().map(|(m, _)| m.fingerprint).collect();
-        let already = server.intra_user_query(user, &fps)?;
-        // Move the non-duplicate shares out of the batch for the transfer;
-        // the slots stay in place so a failed attempt can put them back.
-        let mut to_upload: Vec<(ShareMetadata, Vec<u8>)> = Vec::new();
-        let mut taken: Vec<usize> = Vec::new();
-        for (i, dup) in already.into_iter().enumerate() {
-            if !dup {
-                let (meta, payload) = &mut batch[i];
-                let share = match payload {
-                    Payload::Share(share) => std::mem::take(share),
-                    Payload::Lazy => lazy
-                        .get_mut(&meta.secret_seq)
-                        .expect("a lazy entry's secret outlives its batches")
-                        .take_share(client, cloud, pool)?,
-                };
-                to_upload.push((meta.clone(), share));
-                taken.push(i);
-            }
-        }
+        let (to_upload, taken) = take_unowned(client, server, cloud, batch, lazy, pool)?;
         match server.store_shares(user, &to_upload) {
-            Ok(receipt) => {
-                let transferred: u64 = to_upload.iter().map(|(_, d)| d.len() as u64).sum();
-                let uploaded: Vec<Fingerprint> =
-                    to_upload.iter().map(|(m, _)| m.fingerprint).collect();
-                for (_, share) in to_upload {
-                    pool.put(share);
-                }
-                Ok(BatchShipment {
-                    uploaded,
-                    transferred,
-                    new_bytes: receipt.new_bytes,
-                })
-            }
+            Ok(receipt) => Ok(BatchShipment::recycling(to_upload, receipt.new_bytes, pool)),
             Err(e) => {
                 let sent: Vec<Fingerprint> = to_upload.iter().map(|(m, _)| m.fingerprint).collect();
                 let _ = server.release_uploads(user, &sent);
@@ -616,8 +666,13 @@ fn ship_batch<T: ServerTransport>(
             }
         }
     })?;
-    // Recycle the remaining (duplicate) share buffers, drop this cloud's
-    // claim on its lazy secrets, and empty the batch.
+    retire_batch(batch, lazy, pool);
+    Ok(shipment)
+}
+
+/// Empties a shipped batch: recycles the remaining (duplicate) share
+/// buffers and drops this cloud's claim on its lazy secrets.
+fn retire_batch(batch: &mut Batch, lazy: &mut HashMap<u64, LazySecret>, pool: &BufferPool) {
     for (meta, payload) in batch.drain(..) {
         match payload {
             Payload::Share(share) if !share.is_empty() => pool.put(share),
@@ -632,16 +687,16 @@ fn ship_batch<T: ServerTransport>(
             }
         }
     }
-    Ok(shipment)
 }
 
 /// The store half of an upload: accumulates per-cloud 4 MB batches of
 /// non-duplicate shares as the encode pipeline emits secrets (every cloud
-/// fed as secrets arrive), flushes each batch through second-stage
-/// intra-user dedup + `store_shares`, and offloads the per-cloud recipes
-/// once the input ends. It owns the upload's rollback obligations: shares
-/// sent but not yet settled by `put_file` hold transient per-upload
-/// references, which [`StreamCommitter::abandon`] drops on failure.
+/// fed as secrets arrive), flushes each full batch through second-stage
+/// intra-user dedup + `store_shares`, and once the input ends sends each
+/// cloud its last batch together with its recipe (`commit_file`). It owns
+/// the upload's rollback obligations: shares sent to a cloud not yet
+/// committed hold transient per-upload references, which
+/// [`StreamCommitter::abandon`] drops on failure.
 struct StreamCommitter<'a, T: ServerTransport> {
     client: &'a CdStoreClient,
     servers: &'a [T],
@@ -657,7 +712,8 @@ struct StreamCommitter<'a, T: ServerTransport> {
     /// `secret_seq`.
     lazy: HashMap<u64, LazySecret>,
     batch_fill: Vec<u64>,
-    /// Shares physically sent per cloud, for put_file / rollback.
+    /// Shares physically sent per cloud, for commit_file / rollback; emptied
+    /// once the cloud's commit has been sent, whatever its outcome.
     uploaded: Vec<Vec<Fingerprint>>,
     transferred_per_cloud: Vec<u64>,
     physical_per_cloud: Vec<u64>,
@@ -782,46 +838,64 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             &mut self.lazy,
             &self.pool,
         )?;
-        self.transferred_per_cloud[cloud] += shipment.transferred;
-        self.dedup.transferred_share_bytes += shipment.transferred;
-        self.batches_per_cloud[cloud] += 1;
+        self.account(cloud, &shipment);
         self.uploaded[cloud].extend(shipment.uploaded);
-        self.physical_per_cloud[cloud] += shipment.new_bytes;
-        self.dedup.physical_share_bytes += shipment.new_bytes;
         Ok(())
     }
 
-    /// Stream ended cleanly: flush the final partial batches and offload the
-    /// per-cloud recipes. On error the caller must still call
+    /// Adds one shipped batch to the report.
+    fn account(&mut self, cloud: usize, shipment: &BatchShipment) {
+        self.transferred_per_cloud[cloud] += shipment.transferred;
+        self.dedup.transferred_share_bytes += shipment.transferred;
+        self.batches_per_cloud[cloud] += 1;
+        self.physical_per_cloud[cloud] += shipment.new_bytes;
+        self.dedup.physical_share_bytes += shipment.new_bytes;
+    }
+
+    /// Stream ended cleanly: every cloud's last (partial, possibly empty)
+    /// batch goes through the dedup query, then rides with the cloud's
+    /// recipe in one `commit_file`. The queries all run first, so a fault
+    /// there leaves no cloud committed. On error the caller must still call
     /// [`StreamCommitter::abandon`].
     fn finalize(&mut self, pathname: &str) -> Result<UploadReport, CdStoreError> {
-        for cloud in 0..self.client.n {
-            self.flush(cloud)?;
-        }
-        let encoded_paths = self.client.encode_pathname(pathname)?;
+        let client = self.client;
+        let encoded_paths = client.encode_pathname(pathname)?;
+        let mut last_batches = Vec::with_capacity(client.n);
         for (cloud, server) in self.servers.iter().enumerate() {
+            let mut batch = std::mem::take(&mut self.batches[cloud]);
+            let to_upload = if batch.is_empty() {
+                Vec::new()
+            } else {
+                let (lazy, pool) = (&mut self.lazy, &self.pool);
+                client
+                    .retry
+                    .run(|_| take_unowned(client, server, cloud, &mut batch, lazy, pool))?
+                    .0
+            };
+            last_batches.push((batch, to_upload));
+        }
+        for (cloud, (mut batch, to_upload)) in last_batches.into_iter().enumerate() {
             let recipe = FileRecipe {
                 file_size: self.file_size,
                 entries: std::mem::take(&mut self.recipes[cloud]),
             };
-            if let Err(e) = server.put_file(
-                self.client.user,
+            // Taken before the call: whether it fails or its reply is lost
+            // (the file may be committed), this cloud's references are the
+            // server's to settle or roll back, never the client's to release.
+            // A failure leaves `uploaded` of the clouds not reached yet for
+            // `abandon`; the façade replays the whole upload.
+            let uploaded = std::mem::take(&mut self.uploaded[cloud]);
+            let receipt = self.servers[cloud].commit_file(
+                client.user,
                 &encoded_paths[cloud],
+                &to_upload,
                 &recipe,
-                &self.uploaded[cloud],
-            ) {
-                // A server that answered with an error rolled its own
-                // references back; one whose reply was lost may instead hold
-                // the committed recipe, like the earlier clouds — a retried
-                // backup supersedes those. Only clouds not yet reached still
-                // hold transient per-upload references — drop exactly those.
-                for later in cloud + 1..self.client.n {
-                    let _ = self.servers[later]
-                        .release_uploads(self.client.user, &self.uploaded[later]);
-                }
-                // Everything is settled; make the caller's abandon a no-op.
-                self.uploaded.iter_mut().for_each(Vec::clear);
-                return Err(e);
+                &uploaded,
+            )?;
+            if !batch.is_empty() {
+                let shipment = BatchShipment::recycling(to_upload, receipt.new_bytes, &self.pool);
+                retire_batch(&mut batch, &mut self.lazy, &self.pool);
+                self.account(cloud, &shipment);
             }
         }
         Ok(UploadReport {
@@ -836,7 +910,7 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
 
     /// Abandons the upload after a failure without leaking: drops the
     /// transient per-upload references taken by every `store_shares` batch
-    /// that was sent but never settled by `put_file`.
+    /// sent to a cloud whose `commit_file` was never sent.
     fn abandon(&self) {
         for (cloud, server) in self.servers.iter().enumerate() {
             if !self.uploaded[cloud].is_empty() {
@@ -1121,9 +1195,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// The restore windows planned over any recipe cover every secret
-        /// once, in order; none exceeds the secret-count cap, none exceeds the
-        /// byte budget unless it is a single secret, and none is cut short.
+        /// The restore windows `download_stream` plans over any recipe cover
+        /// every secret once, in order; none exceeds the secret-count cap,
+        /// none exceeds the secret-byte budget unless it is a single secret —
+        /// so each cloud's shares of it stay within `RESTORE_WINDOW_BYTES`
+        /// plus a share tail a secret — and none is cut short.
         #[test]
         fn restore_windows_cover_every_secret_once_within_both_bounds(
             raw in proptest::collection::vec(proptest::any::<u32>(), 0..3000),
@@ -1133,23 +1209,32 @@ mod tests {
             k in 1usize..4,
         ) {
             let client = CdStoreClient::new(1, 4, k).unwrap();
+            let budget = k as u64 * RESTORE_WINDOW_BYTES;
             let share_fingerprint = Fingerprint::of(b"");
-            let entries: Vec<RecipeEntry> = raw
-                .iter()
-                .map(|r| RecipeEntry { share_fingerprint, secret_size: r % (1 << scale) })
-                .collect();
+            let recipe = FileRecipe {
+                file_size: 0,
+                entries: raw
+                    .iter()
+                    .map(|r| RecipeEntry { share_fingerprint, secret_size: r % (1 << scale) })
+                    .collect(),
+            };
+            let entries = &recipe.entries;
             let share_bytes = |e: &RecipeEntry| client.scheme.share_size(e.secret_size as usize) as u64;
+            let tail = client.scheme.share_size(0) as u64 + 1;
             let mut start = 0;
             while start < entries.len() {
-                let len = client.restore_window_len(&entries[start..]);
+                let len = recipe.window_len(start, RESTORE_WINDOW_SECRETS, budget);
                 proptest::prop_assert!((1..=RESTORE_WINDOW_SECRETS).contains(&len));
                 proptest::prop_assert!(start + len <= entries.len());
-                let bytes: u64 = entries[start..start + len].iter().map(share_bytes).sum();
-                proptest::prop_assert!(len == 1 || bytes <= RESTORE_WINDOW_BYTES);
+                let window = &entries[start..start + len];
+                let bytes: u64 = window.iter().map(|e| u64::from(e.secret_size)).sum();
+                proptest::prop_assert!(len == 1 || bytes <= budget);
+                let shares: u64 = window.iter().map(share_bytes).sum();
+                proptest::prop_assert!(len == 1 || shares <= RESTORE_WINDOW_BYTES + len as u64 * tail);
                 if let Some(next) = entries.get(start + len) {
                     proptest::prop_assert!(
                         len == RESTORE_WINDOW_SECRETS
-                            || bytes + share_bytes(next) > RESTORE_WINDOW_BYTES,
+                            || bytes + u64::from(next.secret_size) > budget,
                         "window of {} secrets / {} bytes closed early", len, bytes
                     );
                 }

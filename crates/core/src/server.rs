@@ -886,37 +886,48 @@ impl CdStoreServer {
         user: u64,
         shares: &[(ShareMetadata, Vec<u8>)],
     ) -> Result<StoreReceipt, CdStoreError> {
-        // Server-side fingerprints (never reuse the client's), computed for
-        // the whole batch before any lock is taken.
-        let server_fps: Vec<Fingerprint> = shares
-            .iter()
-            .map(|(_, data)| Fingerprint::tagged(&self.tag, data))
-            .collect();
-        let receipt = {
+        let server_fps = self.server_fingerprints(shares);
+        let mut receipt = StoreReceipt::default();
+        let stored = {
             // One checkpoint-lock acquisition and one journal commit for
             // the batch. The commit also covers a batch that failed part
             // way: the shares applied before the failure stay applied.
             let _ckpt = self.ckpt_lock.read();
-            let receipt = self.store_batch(user, shares, &server_fps);
+            let stored = self.store_batch(user, shares, &server_fps, &mut receipt);
             self.commit_journal();
-            receipt
+            stored
         };
         // The cadence is checked here too (not only in `put_file`), so one
         // large file's batches cannot grow the journal without bound.
         self.maybe_checkpoint();
-        receipt
+        stored.map(|()| receipt)
+    }
+
+    /// Server-side fingerprints of a batch (never reuse the client's),
+    /// computed for the whole batch before any lock is taken.
+    fn server_fingerprints(&self, shares: &[(ShareMetadata, Vec<u8>)]) -> Vec<Fingerprint> {
+        shares
+            .iter()
+            .map(|(_, data)| Fingerprint::tagged(&self.tag, data))
+            .collect()
     }
 
     /// The body of [`Self::store_shares_detailed`]: applies and stages the
-    /// batch share by share. The caller holds `ckpt_lock.read()` and commits.
+    /// batch share by share, one verdict each into `receipt` — so after a
+    /// failure its verdicts count the shares applied. The caller holds
+    /// `ckpt_lock.read()` and commits.
     fn store_batch(
         &self,
         user: u64,
         shares: &[(ShareMetadata, Vec<u8>)],
         server_fps: &[Fingerprint],
-    ) -> Result<StoreReceipt, CdStoreError> {
-        let mut new_bytes = 0u64;
-        let mut verdicts = Vec::with_capacity(shares.len());
+        receipt: &mut StoreReceipt,
+    ) -> Result<(), CdStoreError> {
+        let StoreReceipt {
+            new_bytes,
+            verdicts,
+        } = receipt;
+        verdicts.reserve(shares.len());
         for ((meta, data), &server_fp) in shares.iter().zip(server_fps) {
             self.stats.shares_received.fetch_add(1, Ordering::Relaxed);
             self.stats
@@ -952,7 +963,7 @@ impl CdStoreServer {
                     self.stats
                         .physical_share_bytes
                         .fetch_add(data.len() as u64, Ordering::Relaxed);
-                    new_bytes += data.len() as u64;
+                    *new_bytes += data.len() as u64;
                     verdicts.push(ShareVerdict::Stored);
                 }
             }
@@ -968,10 +979,7 @@ impl CdStoreServer {
                 },
             );
         }
-        Ok(StoreReceipt {
-            new_bytes,
-            verdicts,
-        })
+        Ok(())
     }
 
     /// Resolves a client-computed fingerprint to the server fingerprint of
@@ -1123,6 +1131,48 @@ impl CdStoreServer {
         uploaded: &[Fingerprint],
     ) -> Result<(), CdStoreError> {
         let result = self.settle_file(user, encoded_pathname, recipe, uploaded);
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result
+    }
+
+    /// An upload's last request: stores `last_batch` as
+    /// [`Self::store_shares_detailed`] does, then settles the file as
+    /// [`Self::put_file`] does with `uploaded` plus the batch's client
+    /// fingerprints — under one journal commit. `last_batch` may be empty.
+    ///
+    /// An `Err` leaves no reference the upload took: a store that fails part
+    /// way releases the shares of the batch it applied and `uploaded`, and a
+    /// failed settlement rolls back as `put_file` does.
+    pub fn commit_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        last_batch: &[(ShareMetadata, Vec<u8>)],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        let server_fps = self.server_fingerprints(last_batch);
+        let mut receipt = StoreReceipt::default();
+        let stored = {
+            let _ckpt = self.ckpt_lock.read();
+            self.store_batch(user, last_batch, &server_fps, &mut receipt)
+        };
+        let batch_fps = last_batch.iter().map(|(meta, _)| meta.fingerprint);
+        let result = match stored {
+            Ok(()) => {
+                let settled: Vec<Fingerprint> = uploaded.iter().copied().chain(batch_fps).collect();
+                self.settle_file(user, encoded_pathname, recipe, &settled)
+                    .map(|()| receipt)
+            }
+            Err(e) => {
+                let applied = batch_fps.take(receipt.verdicts.len());
+                for fp in uploaded.iter().copied().chain(applied) {
+                    self.release_share_reference(user, &fp);
+                }
+                Err(e)
+            }
+        };
         self.commit_journal();
         self.maybe_checkpoint();
         result
@@ -1599,8 +1649,8 @@ mod tests {
     }
 
     /// Uploads `datas` as `user`'s shares and commits a recipe referencing
-    /// each once, mirroring the client's upload protocol (intra-user query,
-    /// store, put_file with the uploaded fingerprints).
+    /// each once, mirroring the client's upload protocol for a one-batch
+    /// file (intra-user query, then commit_file carrying the batch).
     fn backup_file(
         server: &CdStoreServer,
         user: u64,
@@ -1616,8 +1666,6 @@ mod tests {
             .zip(already)
             .filter_map(|(s, dup)| (!dup).then_some(s))
             .collect();
-        let uploaded: Vec<_> = to_upload.iter().map(|(m, _)| m.fingerprint).collect();
-        server.store_shares(user, &to_upload).unwrap();
         let recipe = FileRecipe {
             file_size: datas.iter().map(|d| d.len() as u64).sum(),
             entries: shares
@@ -1628,7 +1676,9 @@ mod tests {
                 })
                 .collect(),
         };
-        server.put_file(user, path, &recipe, &uploaded).unwrap();
+        server
+            .commit_file(user, path, &to_upload, &recipe, &[])
+            .unwrap();
         recipe
     }
 
@@ -1752,6 +1802,48 @@ mod tests {
         assert!(server.fetch_share(1, &good.0.fingerprint).is_err());
         server.gc().unwrap();
         assert_eq!(server.backend_bytes(), 0);
+    }
+
+    /// The merged call fails as `put_file` does, and takes its last batch
+    /// down with it: no reference of the earlier batches or of this one
+    /// survives. Either way the journal folds to the live indexes.
+    #[test]
+    fn a_failed_commit_releases_its_batch_and_the_earlier_uploads() {
+        let backend: Arc<MemoryBackend> = Arc::new(MemoryBackend::new());
+        let server = CdStoreServer::with_backend(0, backend.clone());
+        let earlier = share(b"an earlier batch");
+        let last = share(b"the last batch");
+        let commit = |recipe: &FileRecipe| {
+            server.store_shares(1, std::slice::from_ref(&earlier))?;
+            server.commit_file(
+                1,
+                b"/f",
+                std::slice::from_ref(&last),
+                recipe,
+                &[earlier.0.fingerprint],
+            )
+        };
+        let stray = recipe_of(&[&earlier.1, &last.1, b"never uploaded"]);
+        assert!(matches!(commit(&stray), Err(CdStoreError::MissingShare(_))));
+        assert!(!server.has_file(1, b"/f"));
+        assert_eq!(server.unique_shares(), 0, "rolled back to zero references");
+        assert_eq!(folded_journal(&*backend), live_state(&server));
+        server.gc().unwrap();
+        assert_eq!(server.backend_bytes(), 0);
+
+        // Without the stray entry the same call commits the file.
+        let recipe = recipe_of(&[&earlier.1, &last.1]);
+        assert_eq!(
+            commit(&recipe).unwrap().verdicts,
+            vec![ShareVerdict::Stored]
+        );
+        assert_eq!(refs(&server, 1, &earlier.1), 1);
+        assert_eq!(refs(&server, 1, &last.1), 1);
+        assert_eq!(folded_journal(&*backend), live_state(&server));
+        assert_eq!(
+            crate::ServerTransport::open_file(&server, 1, b"/f", 1, 0).unwrap(),
+            (recipe, vec![earlier.1.clone()])
+        );
     }
 
     #[test]

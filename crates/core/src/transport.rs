@@ -79,6 +79,15 @@ pub struct ServerProbe {
 /// Implementations must be `Send + Sync`: a transport handle is shared by
 /// every client thread of a deployment, exactly like the in-process
 /// [`CdStoreServer`] it abstracts.
+///
+/// A file's fixed cost is two calls per cloud to back it up — the dedup
+/// query for its last batch, then [`ServerTransport::commit_file`] carrying
+/// that batch and the recipe — and one call on each of `k` clouds to
+/// restore it, [`ServerTransport::open_file`], while it fits one restore
+/// window. Both merged calls have default bodies composing the calls they
+/// replace, so a wrapper that implements only those keeps working; one that
+/// forwards to a remote transport must override them too, or it pays the
+/// separate round trips.
 pub trait ServerTransport: Send + Sync {
     /// The index of the cloud this server fronts.
     fn cloud_index(&self) -> usize;
@@ -109,6 +118,40 @@ pub trait ServerTransport: Send + Sync {
         uploaded: &[Fingerprint],
     ) -> Result<(), CdStoreError>;
 
+    /// Ends an upload on this cloud in one call: stores `last_batch` (which
+    /// may be empty) as [`ServerTransport::store_shares`] does, then settles
+    /// the file as [`ServerTransport::put_file`] does with `uploaded` plus
+    /// the batch's fingerprints (see [`CdStoreServer::commit_file`]).
+    ///
+    /// An `Err` means the server holds no reference this upload took. The
+    /// call is never retried in place: after an `Err`, or a lost reply that
+    /// may have committed the file, the caller releases nothing on this
+    /// cloud and replays the whole upload.
+    ///
+    /// The default composes the two calls and, if the store fails, releases
+    /// `uploaded` and the batch itself.
+    fn commit_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        last_batch: &[(ShareMetadata, Vec<u8>)],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        let settled: Vec<Fingerprint> = (uploaded.iter().copied())
+            .chain(last_batch.iter().map(|(meta, _)| meta.fingerprint))
+            .collect();
+        let receipt = if last_batch.is_empty() {
+            StoreReceipt::default()
+        } else {
+            self.store_shares(user, last_batch).inspect_err(|_| {
+                let _ = self.release_uploads(user, &settled);
+            })?
+        };
+        self.put_file(user, encoded_pathname, recipe, &settled)?;
+        Ok(receipt)
+    }
+
     /// Drops the transient per-upload references of an abandoned upload
     /// (best-effort; see [`CdStoreServer::release_uploads`]).
     fn release_uploads(&self, user: u64, fingerprints: &[Fingerprint]) -> Result<(), CdStoreError>;
@@ -118,6 +161,30 @@ pub trait ServerTransport: Send + Sync {
 
     /// Fetches the file recipe for a user's file.
     fn get_recipe(&self, user: u64, encoded_pathname: &[u8]) -> Result<FileRecipe, CdStoreError>;
+
+    /// Opens a file for restore in one call: its recipe, plus the shares of
+    /// the recipe's first window, cut by [`FileRecipe::window_len`] from
+    /// secret 0 under these bounds. `max_secrets == 0` asks for the recipe
+    /// alone.
+    ///
+    /// The default composes [`ServerTransport::get_recipe`] and
+    /// [`ServerTransport::fetch_shares`].
+    fn open_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        max_secrets: usize,
+        max_secret_bytes: u64,
+    ) -> Result<(FileRecipe, Vec<Vec<u8>>), CdStoreError> {
+        let recipe = self.get_recipe(user, encoded_pathname)?;
+        let first = recipe.window_len(0, max_secrets, max_secret_bytes);
+        let shares = if first == 0 {
+            Vec::new()
+        } else {
+            self.fetch_shares(user, &recipe.fingerprints(0..first))?
+        };
+        Ok((recipe, shares))
+    }
 
     /// Deletes a file, releasing its share references. Returns whether the
     /// file existed.
@@ -174,6 +241,17 @@ impl ServerTransport for CdStoreServer {
         CdStoreServer::put_file(self, user, encoded_pathname, recipe, uploaded)
     }
 
+    fn commit_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        last_batch: &[(ShareMetadata, Vec<u8>)],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        CdStoreServer::commit_file(self, user, encoded_pathname, last_batch, recipe, uploaded)
+    }
+
     fn release_uploads(&self, user: u64, fingerprints: &[Fingerprint]) -> Result<(), CdStoreError> {
         CdStoreServer::release_uploads(self, user, fingerprints);
         Ok(())
@@ -186,6 +264,9 @@ impl ServerTransport for CdStoreServer {
     fn get_recipe(&self, user: u64, encoded_pathname: &[u8]) -> Result<FileRecipe, CdStoreError> {
         CdStoreServer::get_recipe(self, user, encoded_pathname)
     }
+
+    // `open_file` keeps the default: in process, the recipe and the first
+    // window's shares cost two function calls however they are grouped.
 
     fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
         CdStoreServer::delete_file(self, user, encoded_pathname)
@@ -252,6 +333,19 @@ impl<T: ServerTransport + ?Sized> ServerTransport for std::sync::Arc<T> {
         (**self).put_file(user, encoded_pathname, recipe, uploaded)
     }
 
+    // Forwarded, not defaulted: the default would split the inner
+    // transport's one call back into two.
+    fn commit_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        last_batch: &[(ShareMetadata, Vec<u8>)],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        (**self).commit_file(user, encoded_pathname, last_batch, recipe, uploaded)
+    }
+
     fn release_uploads(&self, user: u64, fingerprints: &[Fingerprint]) -> Result<(), CdStoreError> {
         (**self).release_uploads(user, fingerprints)
     }
@@ -262,6 +356,16 @@ impl<T: ServerTransport + ?Sized> ServerTransport for std::sync::Arc<T> {
 
     fn get_recipe(&self, user: u64, encoded_pathname: &[u8]) -> Result<FileRecipe, CdStoreError> {
         (**self).get_recipe(user, encoded_pathname)
+    }
+
+    fn open_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        max_secrets: usize,
+        max_secret_bytes: u64,
+    ) -> Result<(FileRecipe, Vec<Vec<u8>>), CdStoreError> {
+        (**self).open_file(user, encoded_pathname, max_secrets, max_secret_bytes)
     }
 
     fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {

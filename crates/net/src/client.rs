@@ -29,7 +29,8 @@ use cdstore_crypto::Fingerprint;
 
 use crate::frame::{FrameError, FrameReader, Polled};
 use crate::message::{
-    decode_response, error_from_wire, request_frame, store_shares_frame, Request, Response,
+    decode_response, error_from_wire, put_file_frame, request_frame, store_shares_frame, Request,
+    Response,
 };
 
 /// Tuning knobs of a [`NetClient`].
@@ -296,6 +297,7 @@ impl ServerTransport for RemoteServer {
         }
     }
 
+    /// The empty-batch form of `commit_file`'s message.
     fn put_file(
         &self,
         user: u64,
@@ -303,12 +305,25 @@ impl ServerTransport for RemoteServer {
         recipe: &FileRecipe,
         uploaded: &[Fingerprint],
     ) -> Result<(), CdStoreError> {
-        expect_unit(self.client.call(&Request::PutFile {
-            user,
-            encoded_pathname: encoded_pathname.to_vec(),
-            recipe: recipe.clone(),
-            uploaded: uploaded.to_vec(),
-        })?)
+        self.commit_file(user, encoded_pathname, &[], recipe, uploaded)
+            .map(drop)
+    }
+
+    fn commit_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        last_batch: &[(ShareMetadata, Vec<u8>)],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        // Encoded from the borrowed batch, like `store_shares`.
+        match self.client.call_framed(|req_id| {
+            put_file_frame(req_id, user, last_batch, encoded_pathname, recipe, uploaded)
+        })? {
+            Response::Receipt(receipt) if receipt.verdicts.len() == last_batch.len() => Ok(receipt),
+            other => Err(remote_err(format!("bad commit reply: {other:?}"))),
+        }
     }
 
     fn release_uploads(&self, user: u64, fingerprints: &[Fingerprint]) -> Result<(), CdStoreError> {
@@ -328,12 +343,33 @@ impl ServerTransport for RemoteServer {
         }
     }
 
+    /// The zero-window form of `open_file`'s message.
     fn get_recipe(&self, user: u64, encoded_pathname: &[u8]) -> Result<FileRecipe, CdStoreError> {
+        self.open_file(user, encoded_pathname, 0, 0)
+            .map(|(recipe, _)| recipe)
+    }
+
+    fn open_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        max_secrets: usize,
+        max_secret_bytes: u64,
+    ) -> Result<(FileRecipe, Vec<Vec<u8>>), CdStoreError> {
+        let max_secrets = u32::try_from(max_secrets).unwrap_or(u32::MAX);
         match self.client.call(&Request::GetRecipe {
             user,
             encoded_pathname: encoded_pathname.to_vec(),
+            max_secrets,
+            max_secret_bytes,
         })? {
-            Response::Recipe(recipe) => Ok(recipe),
+            // The window rule is a function of the recipe: the server must
+            // have cut exactly the window asked for.
+            Response::Recipe { recipe, shares }
+                if shares.len() == recipe.window_len(0, max_secrets as usize, max_secret_bytes) =>
+            {
+                Ok((recipe, shares))
+            }
             other => Err(remote_err(format!("bad recipe reply: {other:?}"))),
         }
     }

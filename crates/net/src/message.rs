@@ -34,15 +34,19 @@ pub enum Request {
         /// `(metadata, share bytes)` pairs.
         shares: Vec<(ShareMetadata, Vec<u8>)>,
     },
-    /// Recipe put + reference settlement.
+    /// An upload's last request: its last batch of shares (possibly empty),
+    /// the recipe, and reference settlement — `ServerTransport::commit_file`.
     PutFile {
         /// Owning user.
         user: u64,
+        /// The last batch's `(metadata, share bytes)` pairs.
+        shares: Vec<(ShareMetadata, Vec<u8>)>,
         /// The user's encoded pathname share for this cloud.
         encoded_pathname: Vec<u8>,
         /// The per-cloud file recipe.
         recipe: FileRecipe,
-        /// Fingerprints this upload physically sent (for ref settlement).
+        /// Fingerprints the earlier batches physically sent (settled with
+        /// `shares`' own).
         uploaded: Vec<Fingerprint>,
     },
     /// Drops transient upload references of an abandoned upload.
@@ -59,12 +63,18 @@ pub enum Request {
         /// Encoded pathname share.
         encoded_pathname: Vec<u8>,
     },
-    /// Fetches a file recipe.
+    /// Opens a file for restore: its recipe and the shares of the recipe's
+    /// first window — `ServerTransport::open_file`. A zero window asks for
+    /// the recipe alone.
     GetRecipe {
         /// Owning user.
         user: u64,
         /// Encoded pathname share.
         encoded_pathname: Vec<u8>,
+        /// Most secrets in the first window.
+        max_secrets: u32,
+        /// Most secret bytes in the first window (one secret always fits).
+        max_secret_bytes: u64,
     },
     /// Deletes a file.
     DeleteFile {
@@ -103,14 +113,19 @@ pub enum Response {
     },
     /// Answer to `IntraUserQuery`.
     Bools(Vec<bool>),
-    /// Answer to `StoreShares`.
+    /// Answer to `StoreShares` and `PutFile`.
     Receipt(StoreReceipt),
-    /// Success carrying no data (`PutFile`, `ReleaseUploads`, `Flush`).
+    /// Success carrying no data (`ReleaseUploads`, `Flush`).
     Unit,
     /// Answer to `HasFile` / `DeleteFile`.
     Bool(bool),
     /// Answer to `GetRecipe`.
-    Recipe(FileRecipe),
+    Recipe {
+        /// The per-cloud file recipe.
+        recipe: FileRecipe,
+        /// The shares of its first window, in recipe order.
+        shares: Vec<Vec<u8>>,
+    },
     /// Answer to `FetchShares`.
     Shares(Vec<Vec<u8>>),
     /// Answer to `Gc`.
@@ -194,11 +209,17 @@ fn read_share_metadata(r: &mut WireReader<'_>) -> Option<ShareMetadata> {
 /// Encoded size of a [`ShareMetadata`]: fingerprint, two `u32`s, one `u64`.
 const SHARE_METADATA_BYTES: usize = Fingerprint::SIZE + 4 + 8 + 4;
 
-/// The `StoreShares` body after the envelope, sized exactly before the first
-/// share is copied.
-fn write_store_shares(w: &mut WireWriter, user: u64, shares: &[(ShareMetadata, Vec<u8>)]) -> u8 {
+/// The `StoreShares` body after the envelope — also the head of a `PutFile`
+/// body — with room reserved for it and the `tail` bytes that follow before
+/// the first share is copied.
+fn write_store_shares(
+    w: &mut WireWriter,
+    user: u64,
+    shares: &[(ShareMetadata, Vec<u8>)],
+    tail: usize,
+) -> u8 {
     let share_bytes: usize = shares.iter().map(|(_, data)| data.len()).sum();
-    w.reserve(8 + 4 + shares.len() * (SHARE_METADATA_BYTES + 4) + share_bytes);
+    w.reserve(8 + 4 + shares.len() * (SHARE_METADATA_BYTES + 4) + share_bytes + tail);
     w.u64(user);
     w.u32(shares.len() as u32);
     for (meta, data) in shares {
@@ -206,6 +227,62 @@ fn write_store_shares(w: &mut WireWriter, user: u64, shares: &[(ShareMetadata, V
         w.bytes(data);
     }
     MT_STORE_SHARES
+}
+
+/// `(metadata, share bytes)` pairs, as a `StoreShares` body carries them.
+type ShareBatch = Vec<(ShareMetadata, Vec<u8>)>;
+
+/// The `StoreShares` body: `user` and its batch.
+fn read_store_shares(r: &mut WireReader<'_>) -> Option<(u64, ShareBatch)> {
+    let user = r.u64()?;
+    let n = r.u32()? as usize;
+    let mut shares = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let meta = read_share_metadata(r)?;
+        shares.push((meta, r.bytes()?));
+    }
+    Some((user, shares))
+}
+
+/// The `PutFile` body after the envelope: the last batch as a `StoreShares`
+/// body, then the pathname share, the recipe and the earlier batches'
+/// fingerprints, all in one exactly sized buffer.
+fn write_put_file(
+    w: &mut WireWriter,
+    user: u64,
+    shares: &[(ShareMetadata, Vec<u8>)],
+    encoded_pathname: &[u8],
+    recipe: &FileRecipe,
+    uploaded: &[Fingerprint],
+) -> u8 {
+    let recipe = recipe.to_bytes();
+    let tail =
+        4 + encoded_pathname.len() + 4 + recipe.len() + 4 + uploaded.len() * Fingerprint::SIZE;
+    write_store_shares(w, user, shares, tail);
+    w.bytes(encoded_pathname);
+    w.bytes(&recipe);
+    write_fingerprints(w, uploaded);
+    MT_PUT_FILE
+}
+
+/// A vector of byte strings, sized exactly first: the `Shares` body and
+/// the tail of a `Recipe` body.
+fn write_shares(w: &mut WireWriter, shares: &[Vec<u8>]) {
+    let share_bytes: usize = shares.iter().map(Vec::len).sum();
+    w.reserve(4 + shares.len() * 4 + share_bytes);
+    w.u32(shares.len() as u32);
+    for s in shares {
+        w.bytes(s);
+    }
+}
+
+fn read_shares(r: &mut WireReader<'_>) -> Option<Vec<Vec<u8>>> {
+    let n = r.u32()? as usize;
+    let mut shares = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        shares.push(r.bytes()?);
+    }
+    Some(shares)
 }
 
 /// Writes envelope and body of one request, returning its message type.
@@ -218,19 +295,14 @@ fn write_request(w: &mut WireWriter, req_id: u64, req: &Request) -> u8 {
             write_fingerprints(w, fingerprints);
             MT_INTRA_QUERY
         }
-        Request::StoreShares { user, shares } => write_store_shares(w, *user, shares),
+        Request::StoreShares { user, shares } => write_store_shares(w, *user, shares, 0),
         Request::PutFile {
             user,
+            shares,
             encoded_pathname,
             recipe,
             uploaded,
-        } => {
-            w.u64(*user);
-            w.bytes(encoded_pathname);
-            w.bytes(&recipe.to_bytes());
-            write_fingerprints(w, uploaded);
-            MT_PUT_FILE
-        }
+        } => write_put_file(w, *user, shares, encoded_pathname, recipe, uploaded),
         Request::ReleaseUploads { user, fingerprints } => {
             w.u64(*user);
             write_fingerprints(w, fingerprints);
@@ -247,9 +319,13 @@ fn write_request(w: &mut WireWriter, req_id: u64, req: &Request) -> u8 {
         Request::GetRecipe {
             user,
             encoded_pathname,
+            max_secrets,
+            max_secret_bytes,
         } => {
             w.u64(*user);
             w.bytes(encoded_pathname);
+            w.u32(*max_secrets);
+            w.u64(*max_secret_bytes);
             MT_GET_RECIPE
         }
         Request::DeleteFile {
@@ -297,7 +373,24 @@ pub(crate) fn store_shares_frame(
 ) -> Result<Vec<u8>, FrameError> {
     framed(|w| {
         w.u64(req_id);
-        write_store_shares(w, user, shares)
+        write_store_shares(w, user, shares, 0)
+    })
+}
+
+/// [`request_frame`] of a [`Request::PutFile`] straight from the caller's
+/// borrowed parts, copying the last batch's share bytes once, like
+/// [`store_shares_frame`].
+pub(crate) fn put_file_frame(
+    req_id: u64,
+    user: u64,
+    shares: &[(ShareMetadata, Vec<u8>)],
+    encoded_pathname: &[u8],
+    recipe: &FileRecipe,
+    uploaded: &[Fingerprint],
+) -> Result<Vec<u8>, FrameError> {
+    framed(|w| {
+        w.u64(req_id);
+        write_put_file(w, user, shares, encoded_pathname, recipe, uploaded)
     })
 }
 
@@ -326,22 +419,19 @@ pub fn decode_request(msg_type: u8, payload: &[u8]) -> Option<(u64, Request)> {
             fingerprints: read_fingerprints(&mut r)?,
         },
         MT_STORE_SHARES => {
-            let user = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut shares = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let meta = read_share_metadata(&mut r)?;
-                let data = r.bytes()?;
-                shares.push((meta, data));
-            }
+            let (user, shares) = read_store_shares(&mut r)?;
             Request::StoreShares { user, shares }
         }
-        MT_PUT_FILE => Request::PutFile {
-            user: r.u64()?,
-            encoded_pathname: r.bytes()?,
-            recipe: FileRecipe::from_bytes(&r.bytes()?)?,
-            uploaded: read_fingerprints(&mut r)?,
-        },
+        MT_PUT_FILE => {
+            let (user, shares) = read_store_shares(&mut r)?;
+            Request::PutFile {
+                user,
+                shares,
+                encoded_pathname: r.bytes()?,
+                recipe: FileRecipe::from_bytes(&r.bytes()?)?,
+                uploaded: read_fingerprints(&mut r)?,
+            }
+        }
         MT_RELEASE_UPLOADS => Request::ReleaseUploads {
             user: r.u64()?,
             fingerprints: read_fingerprints(&mut r)?,
@@ -353,6 +443,8 @@ pub fn decode_request(msg_type: u8, payload: &[u8]) -> Option<(u64, Request)> {
         MT_GET_RECIPE => Request::GetRecipe {
             user: r.u64()?,
             encoded_pathname: r.bytes()?,
+            max_secrets: r.u32()?,
+            max_secret_bytes: r.u64()?,
         },
         MT_DELETE_FILE => Request::DeleteFile {
             user: r.u64()?,
@@ -424,17 +516,13 @@ fn write_response(w: &mut WireWriter, req_id: u64, resp: &Response) -> u8 {
             w.bool(*b);
             MT_BOOL
         }
-        Response::Recipe(recipe) => {
+        Response::Recipe { recipe, shares } => {
             w.bytes(&recipe.to_bytes());
+            write_shares(w, shares);
             MT_RECIPE
         }
         Response::Shares(shares) => {
-            let share_bytes: usize = shares.iter().map(Vec::len).sum();
-            w.reserve(4 + shares.len() * 4 + share_bytes);
-            w.u32(shares.len() as u32);
-            for s in shares {
-                w.bytes(s);
-            }
+            write_shares(w, shares);
             MT_SHARES
         }
         Response::Gc(report) => {
@@ -510,15 +598,11 @@ pub fn decode_response(msg_type: u8, payload: &[u8]) -> Option<(u64, Response)> 
         }
         MT_UNIT => Response::Unit,
         MT_BOOL => Response::Bool(r.bool()?),
-        MT_RECIPE => Response::Recipe(FileRecipe::from_bytes(&r.bytes()?)?),
-        MT_SHARES => {
-            let n = r.u32()? as usize;
-            let mut shares = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                shares.push(r.bytes()?);
-            }
-            Response::Shares(shares)
-        }
+        MT_RECIPE => Response::Recipe {
+            recipe: FileRecipe::from_bytes(&r.bytes()?)?,
+            shares: read_shares(&mut r)?,
+        },
+        MT_SHARES => Response::Shares(read_shares(&mut r)?),
         MT_GC_REPORT => Response::Gc(GcReport {
             containers_deleted: r.u64()?,
             containers_compacted: r.u64()?,
@@ -621,12 +705,19 @@ mod tests {
             },
             Request::PutFile {
                 user: 9,
+                shares: vec![],
                 encoded_pathname: vec![1, 2, 3],
                 recipe: FileRecipe {
                     file_size: 15,
                     entries: vec![],
                 },
                 uploaded: vec![fp],
+            },
+            Request::GetRecipe {
+                user: 9,
+                encoded_pathname: vec![4, 5],
+                max_secrets: 0,
+                max_secret_bytes: 1 << 20,
             },
             Request::FetchShares {
                 user: 9,
@@ -660,6 +751,13 @@ mod tests {
             }),
             Response::Unit,
             Response::Bool(true),
+            Response::Recipe {
+                recipe: FileRecipe {
+                    file_size: 3,
+                    entries: vec![],
+                },
+                shares: vec![b"abc".to_vec()],
+            },
             Response::Shares(vec![b"one".to_vec(), b"two".to_vec()]),
             Response::Gc(GcReport {
                 containers_deleted: 1,

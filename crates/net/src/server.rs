@@ -168,12 +168,13 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
         }
         Request::PutFile {
             user,
+            shares,
             encoded_pathname,
             recipe,
             uploaded,
         } => or_err(
-            ServerTransport::put_file(t, user, &encoded_pathname, &recipe, &uploaded)
-                .map(|()| Response::Unit),
+            ServerTransport::commit_file(t, user, &encoded_pathname, &shares, &recipe, &uploaded)
+                .map(Response::Receipt),
         ),
         Request::ReleaseUploads { user, fingerprints } => or_err(
             ServerTransport::release_uploads(t, user, &fingerprints).map(|()| Response::Unit),
@@ -185,13 +186,21 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
         Request::GetRecipe {
             user,
             encoded_pathname,
-        } => or_err(ServerTransport::get_recipe(t, user, &encoded_pathname).map(Response::Recipe)),
+            max_secrets,
+            max_secret_bytes,
+        } => or_err(open_file_capped(
+            t,
+            user,
+            &encoded_pathname,
+            max_secrets as usize,
+            max_secret_bytes,
+        )),
         Request::DeleteFile {
             user,
             encoded_pathname,
         } => or_err(ServerTransport::delete_file(t, user, &encoded_pathname).map(Response::Bool)),
         Request::FetchShares { user, fingerprints } => {
-            or_err(fetch_shares_capped(t, user, &fingerprints).map(Response::Shares))
+            or_err(fetch_shares_capped(t, user, &fingerprints, 0).map(Response::Shares))
         }
         Request::Flush => or_err(ServerTransport::flush(t).map(|()| Response::Unit)),
         Request::Gc { dead_ratio_bits } => or_err(
@@ -207,17 +216,38 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
     }
 }
 
+/// `ServerTransport::open_file` under the frame cap: the first window is cut
+/// by the peer's bounds, which are outside input, so the recipe counts
+/// against the cap first and the window's shares are read as
+/// [`fetch_shares_capped`] reads them.
+fn open_file_capped(
+    server: &CdStoreServer,
+    user: u64,
+    encoded_pathname: &[u8],
+    max_secrets: usize,
+    max_secret_bytes: u64,
+) -> Result<Response, CdStoreError> {
+    let recipe = server.get_recipe(user, encoded_pathname)?;
+    let first = recipe.window_len(0, max_secrets, max_secret_bytes);
+    // The recipe travels ahead of the shares as one length-prefixed blob.
+    let ahead = 4 + recipe.serialized_size();
+    let shares = fetch_shares_capped(server, user, &recipe.fingerprints(0..first), ahead)?;
+    Ok(Response::Recipe { recipe, shares })
+}
+
 /// `CdStoreServer::fetch_shares`, except that it stops reading shares as soon
-/// as the `Shares` reply could no longer be framed: how many fingerprints a
-/// peer sends is outside input, and an oversized reply must cost it a typed
-/// error, not this server the memory.
+/// as the reply could no longer be framed with `ahead` bytes in front of
+/// them: how many fingerprints a peer sends is outside input, and an
+/// oversized reply must cost it a typed error, not this server the memory.
 fn fetch_shares_capped(
     server: &CdStoreServer,
     user: u64,
     fingerprints: &[Fingerprint],
+    ahead: usize,
 ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-    // version + type bytes, `req_id`, share count; then a length word a share.
-    let mut frame_bytes = 2 + 8 + 4;
+    // version + type bytes, `req_id`, what goes ahead, share count; then a
+    // length word a share.
+    let mut frame_bytes = 2 + 8 + ahead + 4;
     let mut shares = Vec::with_capacity(fingerprints.len());
     for fp in fingerprints {
         let share = server.fetch_share(user, fp)?;
@@ -287,6 +317,37 @@ mod tests {
         server.shutdown();
     }
 
+    /// A `PutFile` that frames and checksums fine but whose recipe announces
+    /// 2^62 entries in 16 bytes is malformed: the connection is dropped — it
+    /// reads EOF, not a hang behind a dead connection thread — and the
+    /// server keeps answering.
+    #[test]
+    fn a_put_file_with_a_hostile_recipe_drops_only_its_connection() {
+        use crate::wire::WireWriter;
+        let core = Arc::new(CdStoreServer::new(0));
+        let mut server = NetServer::bind(core, "127.0.0.1:0").unwrap();
+        let mut recipe = [0u8; 16];
+        recipe[8..].copy_from_slice(&(1u64 << 62).to_be_bytes());
+        let mut w = WireWriter::new();
+        w.u64(1); // req_id
+        w.u64(7); // user
+        w.u32(0); // an empty last batch
+        w.bytes(b"/hostile");
+        w.bytes(&recipe);
+        w.u32(0); // nothing uploaded earlier
+        let mut bad = connect(&server);
+        bad.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        bad.write_all(&encode_frame(0x04, &w.finish())).unwrap();
+        assert!(matches!(
+            FrameReader::new().poll(&mut { &bad }),
+            Ok(Polled::Closed)
+        ));
+        let (_, resp) = roundtrip(&mut connect(&server), 2, &Request::Ping);
+        assert!(matches!(resp, Response::Pong { .. }));
+        server.shutdown();
+    }
+
     /// How many fingerprints a peer puts in one `FetchShares` is its choice;
     /// a reply that cannot be framed must cost it a typed error — not the
     /// connection thread a panic — and the connection keeps serving.
@@ -335,6 +396,67 @@ mod tests {
         // ...and the server still accepts new ones.
         let (_, resp) = roundtrip(&mut connect(&server), 1, &Request::Ping);
         assert!(matches!(resp, Response::Pong { .. }));
+        server.shutdown();
+    }
+
+    /// A `GetRecipe`'s first window is cut by the peer's bounds, so the
+    /// frame cap holds over the recipe and its shares together: a window
+    /// past it is a typed error, and the connection serves a smaller one.
+    #[test]
+    fn an_unframeable_first_window_is_a_typed_error_not_a_dead_connection() {
+        let core = Arc::new(CdStoreServer::new(0));
+        let share = vec![0xcdu8; 1 << 20];
+        let fingerprint = Fingerprint::of(&share);
+        let meta = ShareMetadata {
+            fingerprint,
+            share_size: share.len() as u32,
+            secret_seq: 0,
+            secret_size: 3 << 20,
+        };
+        // 65 secrets whose shares on this cloud are one 1 MiB share.
+        let entries = MAX_FRAME_BYTES / share.len() + 1;
+        let recipe = cdstore_core::FileRecipe {
+            file_size: (entries as u64) << 20,
+            entries: vec![
+                cdstore_core::RecipeEntry {
+                    share_fingerprint: fingerprint,
+                    secret_size: 3 << 20,
+                };
+                entries
+            ],
+        };
+        core.commit_file(7, b"/big", &[(meta, share.clone())], &recipe, &[])
+            .unwrap();
+        let mut server = NetServer::bind(core, "127.0.0.1:0").unwrap();
+        let mut stream = connect(&server);
+        let open = |max_secrets| Request::GetRecipe {
+            user: 7,
+            encoded_pathname: b"/big".to_vec(),
+            max_secrets,
+            max_secret_bytes: u64::MAX,
+        };
+
+        match roundtrip(&mut stream, 1, &open(u32::MAX)).1 {
+            Response::Err { code: 1, msg, .. } => assert!(msg.contains("frame cap"), "{msg}"),
+            other => panic!("expected a typed InvalidConfig error, got {other:?}"),
+        }
+        let (req_id, resp) = roundtrip(&mut stream, 2, &open(2));
+        assert_eq!(req_id, 2);
+        assert_eq!(
+            resp,
+            Response::Recipe {
+                recipe: recipe.clone(),
+                shares: vec![share.clone(), share]
+            }
+        );
+        let (_, resp) = roundtrip(&mut stream, 3, &open(0));
+        assert_eq!(
+            resp,
+            Response::Recipe {
+                recipe,
+                shares: vec![]
+            }
+        );
         server.shutdown();
     }
 

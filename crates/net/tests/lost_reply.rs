@@ -6,74 +6,39 @@
 //! nets to zero, displaces the first recipe and releases the only reference
 //! (the share is gone); a second `StoreShares` takes an upload reference
 //! nothing will release. The transport reports [`CdStoreError::Remote`] and
-//! [`cdstore_core::retry`] replays — after rolling back.
+//! [`cdstore_core::retry`] replays — after rolling back where it may.
+//!
+//! An upload's last batch rides in its `PutFile` (`commit_file`), and that
+//! call is never retried in place. After it fails — an error or a lost
+//! reply, which may have committed the file — the client sends that cloud no
+//! `ReleaseUploads`: the server settled or rolled back the references
+//! itself, and the façade replays the whole backup, whose new recipe
+//! supersedes one the lost reply left committed. A lost reply to a
+//! `PutFile` the server never applied can leak the earlier batches' upload
+//! references — never a share a file needs.
 
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
-use std::sync::Arc;
+mod proxy;
 
 use cdstore_core::{
-    CdStore, CdStoreConfig, CdStoreError, FileRecipe, RecipeEntry, ServerTransport, ShareMetadata,
+    CdStore, CdStoreConfig, CdStoreError, FileRecipe, RecipeEntry, RetryPolicy, ServerTransport,
+    ShareMetadata,
 };
 use cdstore_crypto::Fingerprint;
-use cdstore_net::frame::{encode_frame, FrameReader, Polled};
 use cdstore_net::{LoopbackCluster, NetClientConfig, RemoteServer};
-
-/// Reply types (`docs/protocol.md`): `StoreShares`' receipt, `PutFile`'s unit.
-const RECEIPT: u8 = 0x83;
-const UNIT: u8 = 0x84;
-
-/// A TCP proxy in front of `upstream`. Requests pass verbatim and replies
-/// frame by frame, until the returned cell holds a reply type: the first
-/// reply of that type is withheld, its connection closed and the cell zeroed.
-fn lossy_proxy(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicU8>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let armed = Arc::new(AtomicU8::new(0));
-    let handle = Arc::clone(&armed);
-    // The threads end with their sockets, the listener's with the process.
-    std::thread::spawn(move || {
-        for client in listener.incoming().flatten() {
-            let server = TcpStream::connect(upstream).unwrap();
-            let (mut from, mut to) = (client.try_clone().unwrap(), server.try_clone().unwrap());
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut from, &mut to);
-                let _ = to.shutdown(Shutdown::Write);
-            });
-            let armed = Arc::clone(&armed);
-            std::thread::spawn(move || {
-                let mut reader = FrameReader::new();
-                while let Ok(Polled::Frame(msg_type, payload)) = reader.poll(&mut &server) {
-                    // The server has answered, so it has applied the request.
-                    let lose = armed.compare_exchange(msg_type, 0, SeqCst, SeqCst).is_ok();
-                    if lose
-                        || (&client)
-                            .write_all(&encode_frame(msg_type, payload))
-                            .is_err()
-                    {
-                        break;
-                    }
-                }
-                let _ = server.shutdown(Shutdown::Both);
-                let _ = client.shutdown(Shutdown::Both);
-            });
-        }
-    });
-    (addr, handle)
-}
+use proxy::{Proxy, GET_RECIPE, PUT_FILE, RELEASE_UPLOADS, STORE_SHARES};
 
 const USER: u64 = 7;
 const PATH: &[u8] = b"/lost/reply";
 
-/// Uploads one share and commits the recipe naming it through the proxy,
-/// with the first reply of type `lost` withheld: that call must be
-/// [`CdStoreError::Remote`], and the server must hold what one application
-/// of each request leaves.
-fn a_lost_reply_is_remote_and_the_request_applied_once(lost: u8) {
+/// Uploads one share and commits the recipe naming it through the proxy —
+/// `merged`, in one `commit_file`; otherwise as `store_shares` then the
+/// empty-batch `put_file` — with the reply to the first request of type
+/// `lost` withheld. That call must be [`CdStoreError::Remote`], and the
+/// server must hold what one application of each request leaves.
+fn a_lost_reply_is_remote_and_the_request_applied_once(lost: u8, merged: bool) {
     let cluster = LoopbackCluster::spawn(1).unwrap();
-    let (addr, armed) = lossy_proxy(cluster.addrs()[0]);
-    let remote = RemoteServer::connect(addr, NetClientConfig::default()).unwrap();
+    let proxy = Proxy::spawn(cluster.addrs()[0]);
+    let remote = RemoteServer::connect(proxy.addr, NetClientConfig::default()).unwrap();
     let bytes = vec![0x5au8; 3000];
     let fp = Fingerprint::of(&bytes);
     let meta = ShareMetadata {
@@ -89,17 +54,22 @@ fn a_lost_reply_is_remote_and_the_request_applied_once(lost: u8) {
             secret_size: 3000,
         }],
     };
-    let expect = |result: Result<(), CdStoreError>, reply: u8| match result {
-        Err(CdStoreError::Remote(_)) if reply == lost => {}
-        Ok(()) if reply != lost => {}
-        other => panic!("reply {reply:#x} with {lost:#x} lost: got {other:?}"),
+    let expect = |result: Result<(), CdStoreError>, request: u8| match result {
+        Err(CdStoreError::Remote(_)) if request == lost => {}
+        Ok(()) if request != lost => {}
+        other => panic!("request {request:#x} with {lost:#x}'s reply lost: got {other:?}"),
     };
 
-    armed.store(lost, SeqCst);
-    let stored = remote.store_shares(USER, &[(meta, bytes.clone())]);
-    expect(stored.map(drop), RECEIPT);
-    expect(remote.put_file(USER, PATH, &recipe, &[fp]), UNIT);
-    assert_eq!(armed.load(SeqCst), 0, "the reply was produced and withheld");
+    proxy.lose_reply_to(lost);
+    let batch = [(meta, bytes.clone())];
+    if merged {
+        let committed = remote.commit_file(USER, PATH, &batch, &recipe, &[]);
+        expect(committed.map(drop), PUT_FILE);
+    } else {
+        expect(remote.store_shares(USER, &batch).map(drop), STORE_SHARES);
+        expect(remote.put_file(USER, PATH, &recipe, &[fp]), PUT_FILE);
+    }
+    assert!(!proxy.armed(), "the reply was produced and withheld");
 
     // The share is served, and deleting the file leaves nothing referenced.
     assert_eq!(remote.fetch_shares(USER, &[fp]).unwrap(), vec![bytes]);
@@ -109,40 +79,108 @@ fn a_lost_reply_is_remote_and_the_request_applied_once(lost: u8) {
 
 #[test]
 fn a_lost_put_file_reply_is_a_remote_error_and_the_share_survives() {
-    a_lost_reply_is_remote_and_the_request_applied_once(UNIT);
+    a_lost_reply_is_remote_and_the_request_applied_once(PUT_FILE, false);
+    a_lost_reply_is_remote_and_the_request_applied_once(PUT_FILE, true);
 }
 
 #[test]
 fn a_lost_store_shares_reply_is_a_remote_error_and_leaks_no_reference() {
-    a_lost_reply_is_remote_and_the_request_applied_once(RECEIPT);
+    a_lost_reply_is_remote_and_the_request_applied_once(STORE_SHARES, false);
 }
 
-/// The layer that does retry: a backup that loses a `StoreShares` receipt,
-/// or its `PutFile` reply, on one cloud succeeds on the replay the default
-/// `RetryPolicy` makes, restores byte-exact and leaks nothing.
+/// Four servers behind proxies, and a deployment over them.
+fn proxied_store(config: CdStoreConfig) -> (LoopbackCluster, Vec<Proxy>, CdStore<RemoteServer>) {
+    let cluster = LoopbackCluster::spawn(4).unwrap();
+    let proxies: Vec<Proxy> = cluster.addrs().iter().map(|&a| Proxy::spawn(a)).collect();
+    let transports = (proxies.iter())
+        .map(|p| RemoteServer::connect(p.addr, NetClientConfig::default()).unwrap())
+        .collect();
+    let store = CdStore::from_transports(config, transports).unwrap();
+    for proxy in &proxies {
+        proxy.take_requests(); // the connect's ping
+    }
+    (cluster, proxies, store)
+}
+
+/// `len` bytes no chunk of which repeats.
+fn unique_data(len: usize) -> Vec<u8> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+/// The layer that does retry, for a backup of one batch a cloud and one of
+/// two: a lost `StoreShares` receipt (a non-final batch) is released and
+/// retried in place; a lost `PutFile` receipt fails the upload, the client
+/// sends that cloud no `ReleaseUploads`, and the façade's replay converges.
+/// The restore is byte-exact and deleting the file leaves nothing live.
 #[test]
 fn a_backup_rides_out_a_lost_reply_on_its_replay() {
-    for lost in [RECEIPT, UNIT] {
-        let cluster = LoopbackCluster::spawn(4).unwrap();
-        let (addrs, armed): (Vec<_>, Vec<_>) =
-            cluster.addrs().iter().map(|&a| lossy_proxy(a)).unzip();
-        let transports = (addrs.iter())
-            .map(|&a| RemoteServer::connect(a, NetClientConfig::default()).unwrap())
-            .collect();
-        let store =
-            CdStore::from_transports(CdStoreConfig::new(4, 3).unwrap(), transports).unwrap();
-        let data: Vec<u8> = (0..200_000u32)
-            .map(|i| ((i / 700) as u8).wrapping_mul(17).wrapping_add(3))
-            .collect();
-
-        armed[1].store(lost, SeqCst);
+    // (bytes, proxy losing a StoreShares reply, proxy losing a PutFile reply)
+    let cases = [
+        (200_000, None, 1),
+        // Past one 4 MiB batch of shares a cloud at k = 3.
+        (13 << 20, Some(1), 2),
+    ];
+    for (len, lose_store, lose_commit) in cases {
+        let (cluster, proxies, store) = proxied_store(CdStoreConfig::new(4, 3).unwrap());
+        let data = unique_data(len);
+        if let Some(cloud) = lose_store {
+            proxies[cloud].lose_reply_to(STORE_SHARES);
+        }
+        proxies[lose_commit].lose_reply_to(PUT_FILE);
         store.backup(USER, "/lost/backup.tar", &data).unwrap();
-        assert_eq!(armed[1].load(SeqCst), 0, "no {lost:#x} reply was lost");
-        assert_eq!(store.restore(USER, "/lost/backup.tar").unwrap(), data);
+        assert!(
+            proxies.iter().all(|p| !p.armed()),
+            "{len}: a reply was not lost"
+        );
 
+        let sent: Vec<Vec<u8>> = proxies.iter().map(Proxy::take_requests).collect();
+        let commits = sent[lose_commit].iter().filter(|&&t| t == PUT_FILE).count();
+        assert_eq!(commits, 2, "{len}: the commit and its replay");
+        assert!(
+            !sent[lose_commit].contains(&RELEASE_UPLOADS),
+            "{len}: a release after a failed commit: {:?}",
+            sent[lose_commit]
+        );
+        if let Some(cloud) = lose_store {
+            let first_commit = sent[cloud].iter().position(|&t| t == PUT_FILE).unwrap();
+            assert!(
+                sent[cloud][..first_commit].contains(&RELEASE_UPLOADS),
+                "a lost batch receipt is released before its retry: {:?}",
+                sent[cloud]
+            );
+        }
+
+        assert_eq!(store.restore(USER, "/lost/backup.tar").unwrap(), data);
         assert!(store.delete(USER, "/lost/backup.tar").unwrap());
         for cloud in 0..4 {
-            assert_eq!(cluster.core(cloud).live_share_bytes(), 0, "cloud {cloud}");
+            assert_eq!(
+                cluster.core(cloud).live_share_bytes(),
+                0,
+                "{len}: cloud {cloud}"
+            );
         }
+    }
+}
+
+/// A restore whose first `GetRecipe` reply is lost retries that cloud — or,
+/// with retries off, fails over to the spare — and is byte-exact.
+#[test]
+fn a_restore_rides_out_a_lost_get_recipe_reply() {
+    for retry in [RetryPolicy::default(), RetryPolicy::none()] {
+        let config = CdStoreConfig::new(4, 3).unwrap().with_retry(retry);
+        let (_cluster, proxies, store) = proxied_store(config);
+        let data = unique_data(100_000);
+        store.backup(USER, "/lost/restore.tar", &data).unwrap();
+        proxies[0].lose_reply_to(GET_RECIPE);
+        assert_eq!(store.restore(USER, "/lost/restore.tar").unwrap(), data);
+        assert!(!proxies[0].armed());
     }
 }

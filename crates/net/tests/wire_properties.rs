@@ -6,6 +6,9 @@
 //!   bytes), never mis-parsed;
 //! * single-byte corruption anywhere in a frame is rejected by the length /
 //!   version / CRC checks — it never decodes back to the original message;
+//! * a count or length word inflated past the payload — or a recipe's entry
+//!   count changed — makes a message malformed, without a panic or an
+//!   allocation sized by the word;
 //! * the message types retired with protocol version 1 stay malformed.
 
 use cdstore_core::server::GcReport;
@@ -15,7 +18,7 @@ use cdstore_crypto::Fingerprint;
 use cdstore_net::frame::{decode_frame, encode_frame};
 use cdstore_net::message::{decode_request, decode_response, encode_request, encode_response};
 use cdstore_net::{Request, Response};
-use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+use proptest::{prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
 fn fp(seed: u64) -> Fingerprint {
     Fingerprint::of(&seed.to_le_bytes())
@@ -25,9 +28,41 @@ fn fps(seeds: &[u64]) -> Vec<Fingerprint> {
     seeds.iter().map(|&s| fp(s)).collect()
 }
 
+fn share_batch(seeds: &[u64], blob: &[u8], small: u32) -> Vec<(ShareMetadata, Vec<u8>)> {
+    seeds
+        .iter()
+        .map(|&s| {
+            (
+                ShareMetadata {
+                    fingerprint: fp(s),
+                    share_size: blob.len() as u32,
+                    secret_seq: s,
+                    secret_size: small,
+                },
+                blob.to_vec(),
+            )
+        })
+        .collect()
+}
+
+fn recipe(user: u64, seeds: &[u64], small: u32) -> FileRecipe {
+    FileRecipe {
+        file_size: user ^ 0x5555,
+        entries: seeds
+            .iter()
+            .map(|&s| RecipeEntry {
+                share_fingerprint: fp(s),
+                secret_size: small,
+            })
+            .collect(),
+    }
+}
+
 /// Deterministically builds one of every request shape from generated raw
 /// material (the shim has no enum strategies; selection-by-discriminant is
-/// equivalent for coverage).
+/// equivalent for coverage). A `PutFile` carries the first half of the seeds
+/// as its batch and a `GetRecipe` asks for up to two secrets, so both meet
+/// their empty forms.
 fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32) -> Request {
     match variant % 10 {
         0 => Request::Ping,
@@ -37,34 +72,13 @@ fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32)
         },
         2 => Request::StoreShares {
             user,
-            shares: seeds
-                .iter()
-                .map(|&s| {
-                    (
-                        ShareMetadata {
-                            fingerprint: fp(s),
-                            share_size: blob.len() as u32,
-                            secret_seq: s,
-                            secret_size: small,
-                        },
-                        blob.to_vec(),
-                    )
-                })
-                .collect(),
+            shares: share_batch(seeds, blob, small),
         },
         3 => Request::PutFile {
             user,
+            shares: share_batch(&seeds[..seeds.len() / 2], blob, small),
             encoded_pathname: blob.to_vec(),
-            recipe: FileRecipe {
-                file_size: user ^ 0x5555,
-                entries: seeds
-                    .iter()
-                    .map(|&s| RecipeEntry {
-                        share_fingerprint: fp(s),
-                        secret_size: small,
-                    })
-                    .collect(),
-            },
+            recipe: recipe(user, seeds, small),
             uploaded: fps(seeds),
         },
         4 => Request::ReleaseUploads {
@@ -78,6 +92,8 @@ fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32)
         6 => Request::GetRecipe {
             user,
             encoded_pathname: blob.to_vec(),
+            max_secrets: small % 3,
+            max_secret_bytes: user,
         },
         7 => Request::DeleteFile {
             user,
@@ -93,9 +109,10 @@ fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32)
     }
 }
 
-/// Same for responses.
+/// Same for responses; a `Recipe` carries shares for the first half of its
+/// entries.
 fn build_response(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32) -> Response {
-    match variant % 9 {
+    match variant % 10 {
         0 => Response::Pong { cloud_index: small },
         1 => Response::Bools(seeds.iter().map(|s| s.is_multiple_of(2)).collect()),
         2 => Response::Receipt(StoreReceipt {
@@ -120,12 +137,73 @@ fn build_response(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32
             rewritten_bytes: user ^ 13,
         }),
         7 => Response::Probe(ServerProbe::default()),
+        8 => Response::Recipe {
+            recipe: recipe(user, seeds, small),
+            shares: seeds[..seeds.len() / 2]
+                .iter()
+                .map(|_| blob.to_vec())
+                .collect(),
+        },
         _ => Response::Err {
             code: variant,
             needed: user,
             available: u64::from(small),
             msg: String::from_utf8_lossy(blob).into_owned(),
         },
+    }
+}
+
+type Malformed = fn(u8, &[u8]) -> bool;
+
+fn request_malformed(msg_type: u8, payload: &[u8]) -> bool {
+    decode_request(msg_type, payload).is_none()
+}
+
+fn response_malformed(msg_type: u8, payload: &[u8]) -> bool {
+    decode_response(msg_type, payload).is_none()
+}
+
+/// The re-shaped messages at their edges — an empty last batch, a zero
+/// window, an empty recipe without shares — round-trip, and every strict
+/// prefix of their frames is incomplete.
+#[test]
+fn the_reshaped_messages_round_trip_in_their_empty_forms() {
+    let empty = FileRecipe {
+        file_size: 0,
+        entries: vec![],
+    };
+    let requests = [
+        Request::PutFile {
+            user: 3,
+            shares: vec![],
+            encoded_pathname: b"/p".to_vec(),
+            recipe: empty.clone(),
+            uploaded: vec![],
+        },
+        Request::GetRecipe {
+            user: 3,
+            encoded_pathname: b"/p".to_vec(),
+            max_secrets: 0,
+            max_secret_bytes: 0,
+        },
+    ];
+    let response = Response::Recipe {
+        recipe: empty,
+        shares: vec![],
+    };
+    let mut frames = Vec::new();
+    for req in &requests {
+        let (mt, payload) = encode_request(5, req);
+        assert_eq!(decode_request(mt, &payload), Some((5, req.clone())));
+        frames.push(encode_frame(mt, &payload));
+    }
+    let (mt, payload) = encode_response(5, &response);
+    assert_eq!(decode_response(mt, &payload), Some((5, response)));
+    frames.push(encode_frame(mt, &payload));
+    for frame in frames {
+        for cut in 0..frame.len() {
+            assert!(matches!(decode_frame(&frame[..cut]), Ok(None)));
+        }
     }
 }
 
@@ -221,15 +299,88 @@ proptest! {
         small in 0u32..4096,
     ) {
         let req = build_request(variant, user, &seeds, &blob, small);
-        let (msg_type, payload) = encode_request(7, &req);
-        let frame = encode_frame(msg_type, &payload);
-        for cut in 0..frame.len() {
-            // A prefix must ask for more bytes — decoding it as a frame (or
-            // worse, as a different message) would corrupt the stream.
-            prop_assert!(
-                matches!(decode_frame(&frame[..cut]), Ok(None)),
-                "prefix of {} bytes mis-parsed", cut
-            );
+        let resp = build_response(variant, user, &seeds, &blob, small);
+        for (msg_type, payload) in [encode_request(7, &req), encode_response(7, &resp)] {
+            let frame = encode_frame(msg_type, &payload);
+            for cut in 0..frame.len() {
+                // A prefix must ask for more bytes — decoding it as a frame (or
+                // worse, as a different message) would corrupt the stream.
+                prop_assert!(
+                    matches!(decode_frame(&frame[..cut]), Ok(None)),
+                    "prefix of {} bytes mis-parsed", cut
+                );
+            }
+        }
+    }
+
+    /// The count and length words of the re-shaped messages are outside
+    /// input. Set past what the payload could hold — up to `u32::MAX` — each
+    /// makes the message malformed. It must not panic, and it must not size
+    /// an allocation: a `Vec::with_capacity(u32::MAX)` of shares would abort
+    /// the process, so passing at `u32::MAX` shows the decoders' caps hold.
+    #[test]
+    fn an_inflated_count_or_length_is_malformed_not_a_panic(
+        user in proptest::any::<u64>(),
+        seeds in proptest::collection::vec(proptest::any::<u64>(), 0..8),
+        blob in proptest::collection::vec(proptest::any::<u8>(), 0..64),
+        small in 0u32..4096,
+        inflate in proptest::any::<u32>(),
+        recipe_count in proptest::any::<u64>(),
+    ) {
+        let batch = share_batch(&seeds[..seeds.len() / 2], &blob, small);
+        let put = Request::PutFile {
+            user,
+            shares: batch.clone(),
+            encoded_pathname: blob.clone(),
+            recipe: recipe(user, &seeds, small),
+            uploaded: fps(&seeds),
+        };
+        let opened = Response::Recipe {
+            recipe: recipe(user, &seeds, small),
+            shares: vec![blob.clone(); seeds.len() / 2],
+        };
+        let (put_type, put_payload) = encode_request(1, &put);
+        let (recipe_type, recipe_payload) = encode_response(1, &opened);
+        let recipe_bytes = recipe(user, &seeds, small).serialized_size();
+
+        // Word offsets: `req_id` first; a PutFile leads with `user` and the
+        // share count, then each share, the pathname, the recipe blob and
+        // the fingerprint count; a Recipe leads with the blob.
+        let batch_bytes: usize = batch.iter().map(|(_, d)| 48 + 4 + d.len()).sum();
+        let put_path = 8 + 8 + 4 + batch_bytes;
+        let put_recipe = put_path + 4 + blob.len();
+        let put_uploaded = put_recipe + 4 + recipe_bytes;
+        let put_words = [8 + 8, put_path, put_recipe, put_uploaded];
+        let recipe_words = [8, 8 + 4 + recipe_bytes];
+
+        let cases: [(u8, &Vec<u8>, &[usize], Malformed); 2] = [
+            (put_type, &put_payload, &put_words, request_malformed),
+            (recipe_type, &recipe_payload, &recipe_words, response_malformed),
+        ];
+        for (msg_type, payload, words, malformed) in cases {
+            for &at in words {
+                // No element is under four bytes, so this count or length
+                // overruns whatever follows it.
+                let floor = (payload.len() / 4 + 1) as u32;
+                for word in [floor + inflate % (u32::MAX - floor), u32::MAX] {
+                    let mut bad = payload.clone();
+                    bad[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                    prop_assert!(malformed(msg_type, &bad), "word at {} set to {} decoded", at, word);
+                }
+            }
+        }
+
+        // The recipe's own entry count, inside its blob, must name exactly
+        // the entries that follow.
+        prop_assume!(recipe_count != seeds.len() as u64);
+        let blobs: [(u8, &Vec<u8>, usize, Malformed); 2] = [
+            (put_type, &put_payload, put_recipe + 4, request_malformed),
+            (recipe_type, &recipe_payload, 8 + 4, response_malformed),
+        ];
+        for (msg_type, payload, blob_at, malformed) in blobs {
+            let mut bad = payload.clone();
+            bad[blob_at + 8..blob_at + 16].copy_from_slice(&recipe_count.to_be_bytes());
+            prop_assert!(malformed(msg_type, &bad), "recipe count {} decoded", recipe_count);
         }
     }
 

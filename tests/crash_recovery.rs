@@ -585,28 +585,39 @@ impl StorageBackend for ProbeBackend {
 
 /// One 1 000-share upload is one journal append, and committing its recipe
 /// at most one more — whatever the backend charges per append (on a
-/// `DirBackend`, an `open + write + fsync`).
+/// `DirBackend`, an `open + write + fsync`). The batch riding with the
+/// recipe in one `commit_file` is one append in all.
 #[test]
 fn a_share_batch_is_one_journal_append_and_its_put_file_at_most_one() {
     let root = std::env::temp_dir().join(format!("cdstore-group-commit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let inners: [Arc<dyn StorageBackend>; 2] = [
+    let inners: [Arc<dyn StorageBackend>; 4] = [
         Arc::new(MemoryBackend::new()),
-        Arc::new(DirBackend::new(&root).unwrap()),
+        Arc::new(DirBackend::new(root.join("separate")).unwrap()),
+        Arc::new(MemoryBackend::new()),
+        Arc::new(DirBackend::new(root.join("merged")).unwrap()),
     ];
-    for inner in inners {
+    for (i, inner) in inners.into_iter().enumerate() {
+        let merged = i >= 2;
         let probe = ProbeBackend::new(inner.clone());
         let server = CdStoreServer::with_backend(0, probe.clone());
         let datas: Vec<Vec<u8>> = (0..1000u32)
             .map(|i| format!("share {i} of one upload batch").into_bytes())
             .collect();
         let shares = shares_of(&datas);
-        server.store_shares(1, &shares).unwrap();
-        assert_eq!(probe.appends(), 1, "one batch, one append");
-        let uploaded: Vec<Fingerprint> = shares.iter().map(|(m, _)| m.fingerprint).collect();
         let recipe = recipe_of(&shares);
-        server.put_file(1, b"/batch", &recipe, &uploaded).unwrap();
-        assert!(probe.appends() <= 2, "{} appends", probe.appends());
+        if merged {
+            server
+                .commit_file(1, b"/batch", &shares, &recipe, &[])
+                .unwrap();
+            assert_eq!(probe.appends(), 1, "one batch and its recipe, one append");
+        } else {
+            server.store_shares(1, &shares).unwrap();
+            assert_eq!(probe.appends(), 1, "one batch, one append");
+            let uploaded: Vec<Fingerprint> = shares.iter().map(|(m, _)| m.fingerprint).collect();
+            server.put_file(1, b"/batch", &recipe, &uploaded).unwrap();
+            assert!(probe.appends() <= 2, "{} appends", probe.appends());
+        }
         server.flush().unwrap();
         drop(server);
         // What those two appends made durable is the whole upload.

@@ -319,24 +319,38 @@ impl ServerTransport for LossyServer {
     }
 }
 
+/// A deployment of fresh [`LossyServer`]s sharing one budget of `budget`
+/// successful `store_shares` calls. `LossyServer` leaves `commit_file` to
+/// the trait's default, so an upload's last batch spends the budget too.
+fn lossy_store(
+    config: CdStoreConfig,
+    budget: u64,
+    transient: bool,
+) -> (CdStore<LossyServer>, Arc<AtomicU64>) {
+    let store_budget = Arc::new(AtomicU64::new(budget));
+    let servers = (0..4)
+        .map(|cloud| LossyServer {
+            inner: CdStoreServer::new(cloud),
+            store_budget: Arc::clone(&store_budget),
+            transient,
+        })
+        .collect();
+    (
+        CdStore::from_transports(config, servers).unwrap(),
+        store_budget,
+    )
+}
+
 /// A pre-chunked backup that fails after its first batch was stored — cloud
 /// 0 holds a whole batch, cloud 1 stored one whose reply was lost — releases
 /// all transient upload state: the retry succeeds and restores, and delete +
 /// gc drains every backend.
 #[test]
 fn failed_prechunked_backup_leaves_no_leaked_state() {
-    let store_budget = Arc::new(AtomicU64::new(1));
     let config = CdStoreConfig::new(4, 3)
         .unwrap()
         .with_chunker(small_chunks());
-    let servers = (0..4)
-        .map(|cloud| LossyServer {
-            inner: CdStoreServer::new(cloud),
-            store_budget: Arc::clone(&store_budget),
-            transient: false,
-        })
-        .collect();
-    let store = CdStore::from_transports(config, servers).unwrap();
+    let (store, store_budget) = lossy_store(config, 1, false);
     let data = backup_data(11, 300_000);
     let chunks = chunk_list(&store.client(1).unwrap(), &data);
 
@@ -476,56 +490,102 @@ fn a_warm_memo_and_a_cold_one_land_identical_state() {
     }
 }
 
-/// A transient `store_shares` fault on a batch of memo hits the server did
-/// not own — shares encoded for this very transfer — is retried with the
-/// encoded shares put back: nothing is encoded twice, the report is what a
-/// clean run gives, and the lost reply's references are released.
-#[test]
-fn a_retried_batch_of_materialised_secrets_encodes_once_and_leaks_nothing() {
-    let config = CdStoreConfig::new(4, 3)
-        .unwrap()
-        .with_chunker(small_chunks());
-    let data = backup_data(13, 300_000);
-    let run = |budget: u64| {
-        let store_budget = Arc::new(AtomicU64::new(budget));
-        let servers = (0..4)
-            .map(|cloud| LossyServer {
-                inner: CdStoreServer::new(cloud),
-                store_budget: Arc::clone(&store_budget),
-                transient: true,
-            })
-            .collect();
-        let store = CdStore::from_transports(config, servers).unwrap();
-        // User 1's backup fills the memo (4 store calls); user 2's backup of
-        // the same bytes is all memo hits no server owns.
-        let first = store.backup(1, "/a", &data).unwrap();
-        let materialised_before = store.stats().memo_materialised;
-        let second = store.backup(2, "/b", &data).unwrap();
-        let materialised = store.stats().memo_materialised - materialised_before;
-        (store, store_budget, first, second, materialised)
-    };
-    let (_, _, clean_first, clean_second, clean_materialised) = run(u64::MAX);
-    // The sixth store call — user 2's batch on cloud 1 — loses its reply.
-    let (store, budget, first, second, materialised) = run(5);
-    assert!(
-        budget.load(Ordering::SeqCst) > 5,
-        "the fault must have fired"
-    );
-    assert_eq!((&first, &second), (&clean_first, &clean_second));
-    // Each distinct secret of user 2's backup was encoded exactly once.
-    let distinct: HashSet<Vec<u8>> = chunk_list(&store.client(2).unwrap(), &data)
-        .into_iter()
-        .collect();
-    assert_eq!(materialised, distinct.len() as u64);
-    assert_eq!(clean_materialised, distinct.len() as u64);
-    assert_eq!(store.restore(2, "/b").unwrap(), data);
+/// `len` bytes no chunk of which repeats.
+fn unique_data(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen()).collect()
+}
 
-    // No reference outlives the files: delete + gc drains every backend.
+/// Deletes both users' files and collects: no reference may outlive them,
+/// so every backend drains.
+fn drain(store: &CdStore<LossyServer>) {
     assert!(store.delete(1, "/a").unwrap());
     assert!(store.delete(2, "/b").unwrap());
     store.flush().unwrap();
     store.gc().unwrap();
     assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
+}
+
+/// A transient `store_shares` fault on a non-final batch of memo hits the
+/// server did not own — shares encoded for this very transfer — is retried
+/// in place with the encoded shares put back: nothing is encoded twice, the
+/// reports are what the oracle gives, and the lost reply's references are
+/// released.
+#[test]
+fn a_retried_batch_of_materialised_secrets_encodes_once_and_leaks_nothing() {
+    let config = CdStoreConfig::new(4, 3)
+        .unwrap()
+        .with_chunker_kind(ChunkerKind::FastCdc);
+    // Unique content past one 4 MiB batch of shares a cloud: two batches.
+    let data = unique_data(13, 13 << 20);
+    // User 1's backup fills the memo: a batch on each cloud, then each
+    // cloud's last batch (store calls 1–8). User 2's backup of the same bytes
+    // is all memo hits no server owns; its first batch on cloud 1 — the
+    // tenth call — loses its reply.
+    let (store, budget) = lossy_store(config, 9, true);
+    let first = store.backup(1, "/a", &data).unwrap();
+    let materialised_before = store.stats().memo_materialised;
+    let second = store.backup(2, "/b", &data).unwrap();
+    let materialised = store.stats().memo_materialised - materialised_before;
+    assert!(
+        budget.load(Ordering::SeqCst) > 9,
+        "the fault must have fired"
+    );
+
+    let client = store.client(2).unwrap();
+    let chunks = chunk_list(&client, &data);
+    let (dedup, unique_per_cloud) = oracle(&client, &chunks);
+    for (user, report) in [(1, &first), (2, &second)] {
+        // User 2's shares are all stored already, as user 1's.
+        let physical = if user == 1 {
+            dedup.physical_share_bytes
+        } else {
+            0
+        };
+        assert_eq!(report.num_secrets, chunks.len(), "user {user}");
+        assert_eq!(report.batches_per_cloud, vec![2; 4], "user {user}");
+        assert_eq!(
+            &report.transferred_per_cloud, &unique_per_cloud,
+            "user {user}"
+        );
+        assert_eq!(
+            report.dedup,
+            DedupStats {
+                physical_share_bytes: physical,
+                ..dedup
+            },
+            "user {user}"
+        );
+    }
+    // Each distinct secret of user 2's backup was encoded exactly once.
+    let distinct: HashSet<Vec<u8>> = chunks.into_iter().collect();
+    assert_eq!(materialised, distinct.len() as u64);
+    assert_eq!(store.restore(2, "/b").unwrap(), data);
+    drain(&store);
+}
+
+/// The same fault on an upload's last batch hits `commit_file`, which is
+/// never retried in place: the server keeps no reference the call took, the
+/// client releases nothing there, and the façade replays the whole backup.
+/// The replay restores byte-exact and leaks nothing.
+#[test]
+fn a_lost_last_batch_reply_is_replayed_whole_and_leaks_nothing() {
+    let config = CdStoreConfig::new(4, 3)
+        .unwrap()
+        .with_chunker(small_chunks());
+    let data = backup_data(13, 300_000);
+    // One batch a cloud: user 1's four, then user 2's on cloud 0; user 2's
+    // on cloud 1 — the sixth call, inside its commit — loses its reply.
+    let (store, budget) = lossy_store(config, 5, true);
+    store.backup(1, "/a", &data).unwrap();
+    store.backup(2, "/b", &data).unwrap();
+    assert!(
+        budget.load(Ordering::SeqCst) > 5,
+        "the fault must have fired"
+    );
+    assert_eq!(store.restore(1, "/a").unwrap(), data);
+    assert_eq!(store.restore(2, "/b").unwrap(), data);
+    drain(&store);
 }
 
 /// `CdStore::backup` (slice wrapper) and `CdStore::backup_stream` land
