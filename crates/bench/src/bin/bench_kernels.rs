@@ -72,11 +72,11 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("BENCH_kernels.json");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let (region_bytes, reps, sha_lanes) = if smoke {
-        (256 * 1024, 5, 16)
+    let (region_bytes, reps) = if smoke {
+        (256 * 1024, 5)
     } else {
         let mb: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(8);
-        (mb * 1024 * 1024, 9, 64)
+        (mb * 1024 * 1024, 9)
     };
 
     let mut rows = Vec::new();
@@ -88,39 +88,40 @@ fn main() {
         rows.extend(rows_from(&format!("gf/{kernel}"), &speeds));
     }
 
-    // SHA-256: one long message (the streaming hasher) and a batch of
-    // share-sized messages (the client's fingerprint loop).
-    let share_len = 4096;
-    for backend in sha256::Backend::available() {
-        let single = sha_single_speed(backend, region_bytes, reps);
+    // SHA-256: one long message (the streaming hasher), then batches per
+    // batch kernel (single-stream backends and lane kernels) at the sizes
+    // the data path hashes: a secret's 4 shares, a 16-share request, a
+    // 170-secret restore window, of ≈3 KiB shares and ≈9 KiB chunks — so the
+    // batch size where 16 lanes start to pay is on record.
+    let singles: Vec<KernelSpeed> = sha256::Backend::available()
+        .into_iter()
+        .map(|backend| KernelSpeed {
+            backend: backend.name(),
+            mbps: sha_single_speed(backend, region_bytes, reps),
+        })
+        .collect();
+    for s in &singles {
         println!(
-            "sha256/single   {:<7} {}",
-            backend.name(),
-            fmt_speed(single)
+            "sha256/single          {:<9} {}",
+            s.backend,
+            fmt_speed(s.mbps)
         );
-        rows.push(KernelRow {
-            kernel: "sha256/single".to_string(),
-            backend: backend.name(),
-            mbps: single,
-            speedup_vs_scalar: 1.0, // patched below once scalar is known
-        });
-        let batch = sha_batch_speed(backend, share_len, sha_lanes, reps);
-        println!("sha256/batch    {:<7} {}", backend.name(), fmt_speed(batch));
-        rows.push(KernelRow {
-            kernel: "sha256/batch".to_string(),
-            backend: backend.name(),
-            mbps: batch,
-            speedup_vs_scalar: 1.0,
-        });
     }
-    for kernel in ["sha256/single", "sha256/batch"] {
-        let scalar = rows
-            .iter()
-            .find(|r| r.kernel == kernel && r.backend == "scalar")
-            .expect("scalar backend is always available")
-            .mbps;
-        for row in rows.iter_mut().filter(|r| r.kernel == kernel) {
-            row.speedup_vs_scalar = row.mbps / scalar;
+    rows.extend(rows_from("sha256/single", &singles));
+    for msg_kib in [3, 9] {
+        for count in [4, 16, 170] {
+            let kernel = format!("sha256/batch/{count}x{msg_kib}KiB");
+            let speeds: Vec<KernelSpeed> = sha256::BatchKernel::available()
+                .into_iter()
+                .map(|batch_kernel| KernelSpeed {
+                    backend: batch_kernel.name(),
+                    mbps: sha_batch_speed(batch_kernel, msg_kib * 1024, count, reps),
+                })
+                .collect();
+            for s in &speeds {
+                println!("{kernel:<22} {:<9} {}", s.backend, fmt_speed(s.mbps));
+            }
+            rows.extend(rows_from(&kernel, &speeds));
         }
     }
 

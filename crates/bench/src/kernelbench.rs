@@ -17,8 +17,8 @@ use crate::MB;
 /// Throughput of one measured kernel on one backend.
 #[derive(Debug, Clone)]
 pub struct KernelSpeed {
-    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `aes-ni`,
-    /// `pclmulqdq`).
+    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `x4`,
+    /// `avx512x16`, `aes-ni`, `pclmulqdq`).
     pub backend: &'static str,
     /// Median throughput in MB/s of region bytes processed.
     pub mbps: f64,
@@ -85,17 +85,32 @@ pub fn sha_single_speed(backend: sha256::Backend, msg_len: usize, reps: usize) -
     mbps
 }
 
-/// Measures batched SHA-256 throughput on one backend: `reps` batch calls
-/// over `lanes` messages of `msg_len` bytes each, median MB/s of total bytes.
-/// On scalar hosts this is the 4-lane interleaved scheduler; on SHA-NI hosts
-/// the hardware path per message.
-pub fn sha_batch_speed(backend: sha256::Backend, msg_len: usize, lanes: usize, reps: usize) -> f64 {
-    let mut flat = vec![0u8; msg_len * lanes];
+/// Measures batched SHA-256 throughput with one kernel: `reps` batch calls
+/// over `count` messages of mixed lengths within ±25 % of `msg_len` (share-
+/// or chunk-sized, so lanes refill and hand off as they do on the data
+/// path), median MB/s of total bytes.
+pub fn sha_batch_speed(
+    kernel: sha256::BatchKernel,
+    msg_len: usize,
+    count: usize,
+    reps: usize,
+) -> f64 {
+    let lens: Vec<usize> = (0..count)
+        .map(|i| msg_len * 3 / 4 + (i * 0x9E37) % (msg_len / 2 + 1))
+        .collect();
+    let total: usize = lens.iter().sum();
+    let mut flat = vec![0u8; total];
     fill_deterministic(&mut flat, 0xE703_7ED1_A0B4_28DB);
-    let msgs: Vec<&[u8]> = flat.chunks(msg_len).collect();
+    let mut msgs: Vec<&[u8]> = Vec::with_capacity(count);
+    let mut rest = flat.as_slice();
+    for &len in &lens {
+        let (msg, tail) = rest.split_at(len);
+        msgs.push(msg);
+        rest = tail;
+    }
     let mut sink = 0u8;
-    let mbps = measure(msg_len * lanes, reps, || {
-        let digests = sha256::hash_batch_with(backend, &msgs);
+    let mbps = measure(total, reps, || {
+        let digests = sha256::hash_batch_with(kernel, &[], &msgs);
         sink ^= digests[0][0];
     });
     std::hint::black_box(sink);

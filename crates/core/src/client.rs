@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use cdstore_chunking::{Chunker, ChunkerConfig, ChunkerKind};
 use cdstore_crypto::Fingerprint;
-use cdstore_secretsharing::{BufferPool, CaontRs, SecretSharing};
+use cdstore_secretsharing::caont_rs::DECODE_GROUP;
+use cdstore_secretsharing::{BufferPool, CaontRs, SecretSharing, SharingError};
 
 use crate::dedup::DedupStats;
 use crate::error::CdStoreError;
@@ -443,35 +444,38 @@ impl CdStoreClient {
     /// Decodes the secrets in `window` of `recipe` from `shares_by_cloud` —
     /// `(cloud, shares)` from `k` clouds, each cloud's shares starting at the
     /// window's first secret — writes them to `out` and returns the bytes
-    /// written.
+    /// written. The window decodes in groups of [`DECODE_GROUP`] secrets
+    /// ([`CaontRs::reconstruct_group`]); a failing secret stops the restore
+    /// after the secrets before it are written.
     fn decode_window<W: Write + ?Sized>(
         &self,
         recipe: &FileRecipe,
         window: Range<usize>,
-        mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)>,
+        shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)>,
         out: &mut W,
     ) -> Result<u64, CdStoreError> {
         let mut written = 0u64;
-        for (i, seq) in window.enumerate() {
-            let mut share_slots: Vec<Option<Vec<u8>>> = vec![None; self.n];
-            for (cloud, shares) in &mut shares_by_cloud {
-                // Each share is decoded exactly once: move, don't clone.
-                share_slots[*cloud] = Some(std::mem::take(&mut shares[i]));
+        for group_start in window.clone().step_by(DECODE_GROUP) {
+            let seqs = group_start..window.end.min(group_start + DECODE_GROUP);
+            let mut slots: Vec<Option<&[u8]>> = vec![None; seqs.len() * self.n];
+            for (slots, seq) in slots.chunks_mut(self.n).zip(seqs.clone()) {
+                for (cloud, shares) in &shares_by_cloud {
+                    slots[*cloud] = Some(&shares[seq - window.start]);
+                }
             }
-            let secret_size = recipe.entries[seq].secret_size as usize;
-            let secret =
-                self.scheme
-                    .reconstruct(&share_slots, secret_size)
-                    .map_err(|e| match e {
-                        cdstore_secretsharing::SharingError::IntegrityCheckFailed => {
-                            CdStoreError::IntegrityFailure(format!(
-                                "secret {seq} failed its hash check"
-                            ))
-                        }
-                        other => CdStoreError::Sharing(other),
-                    })?;
-            out.write_all(&secret)?;
-            written += secret.len() as u64;
+            let group: Vec<(&[Option<&[u8]>], usize)> = (slots.chunks(self.n).zip(seqs.clone()))
+                .map(|(slots, seq)| (slots, recipe.entries[seq].secret_size as usize))
+                .collect();
+            for (seq, secret) in seqs.zip(self.scheme.reconstruct_group(&group)) {
+                let secret = secret.map_err(|e| match e {
+                    SharingError::IntegrityCheckFailed => CdStoreError::IntegrityFailure(format!(
+                        "secret {seq} failed its hash check"
+                    )),
+                    other => CdStoreError::Sharing(other),
+                })?;
+                out.write_all(&secret)?;
+                written += secret.len() as u64;
+            }
         }
         Ok(written)
     }
@@ -1031,6 +1035,51 @@ mod tests {
         assert!(r2.dedup.transferred_share_bytes < r1.dedup.transferred_share_bytes / 4);
         assert!(r2.dedup.intra_user_saving() > 0.7);
         assert_eq!(client.download(&servers, &[true; 4], "/w2").unwrap(), week2);
+    }
+
+    #[test]
+    fn a_corrupt_share_mid_group_names_its_secret() {
+        let servers = make_servers(4);
+        let client = CdStoreClient::new(1, 4, 3).unwrap();
+        let data = test_data(400_000, 8);
+        client.upload(&servers, "/groups", &data).unwrap();
+        let paths = client.encode_pathname("/groups").unwrap();
+        let recipes: Vec<FileRecipe> = (0..3)
+            .map(|c| servers[c].get_recipe(1, &paths[c]).unwrap())
+            .collect();
+        assert!(recipes[0].num_secrets() > 18);
+        let mut offsets = vec![0usize];
+        for entry in &recipes[0].entries {
+            offsets.push(offsets.last().unwrap() + entry.secret_size as usize);
+        }
+        // One group each, just under, at and over the sixteen hash lanes. The
+        // window starts at secret 1, so the name is the file's seq.
+        for size in [15, 16, 17] {
+            let window = 1..1 + size;
+            let shares: Vec<(usize, Vec<Vec<u8>>)> = (recipes.iter().enumerate())
+                .map(|(c, r)| {
+                    let fps = r.fingerprints(window.clone());
+                    (c, servers[c].fetch_shares(1, &fps).unwrap())
+                })
+                .collect();
+            let mut out = Vec::new();
+            (client.decode_window(&recipes[0], window.clone(), shares.clone(), &mut out)).unwrap();
+            assert_eq!(out, data[offsets[window.start]..offsets[window.end]]);
+
+            let bad = window.start + size / 2;
+            let mut corrupt = shares;
+            corrupt[1].1[bad - window.start][3] ^= 0x10;
+            let mut out = Vec::new();
+            let err = (client.decode_window(&recipes[0], window.clone(), corrupt, &mut out))
+                .expect_err("a corrupt share must fail its secret's hash check");
+            assert!(
+                matches!(&err, CdStoreError::IntegrityFailure(msg)
+                    if *msg == format!("secret {bad} failed its hash check")),
+                "group of {size}: {err:?}"
+            );
+            // The secrets before it are written, none from it on.
+            assert_eq!(out, data[offsets[window.start]..offsets[bad]]);
+        }
     }
 
     #[test]

@@ -906,10 +906,8 @@ impl CdStoreServer {
     /// Server-side fingerprints of a batch (never reuse the client's),
     /// computed for the whole batch before any lock is taken.
     fn server_fingerprints(&self, shares: &[(ShareMetadata, Vec<u8>)]) -> Vec<Fingerprint> {
-        shares
-            .iter()
-            .map(|(_, data)| Fingerprint::tagged(&self.tag, data))
-            .collect()
+        let datas: Vec<&[u8]> = shares.iter().map(|(_, data)| data.as_slice()).collect();
+        Fingerprint::tagged_batch(&self.tag, &datas)
     }
 
     /// The body of [`Self::store_shares_detailed`]: applies and stages the

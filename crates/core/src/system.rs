@@ -747,6 +747,26 @@ mod tests {
     }
 
     #[test]
+    fn degraded_restore_through_decode_groups_is_byte_exact() {
+        // Several full decode groups and a short last one, every secret
+        // decoded through a parity share. CI runs this under both dispatch
+        // modes: the restored bytes are the file's under either.
+        let store = CdStore::new(CdStoreConfig::new(4, 3).unwrap());
+        let data: Vec<u8> = (0..1_500_000u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        let report = store.backup(1, "/big", &data).unwrap();
+        let groups = cdstore_secretsharing::caont_rs::DECODE_GROUP;
+        assert!(
+            report.num_secrets > 2 * groups && !report.num_secrets.is_multiple_of(groups),
+            "{} secrets",
+            report.num_secrets
+        );
+        store.fail_cloud(0);
+        assert_eq!(store.restore(1, "/big").unwrap(), data);
+    }
+
+    #[test]
     fn repair_rebuilds_a_lost_cloud() {
         let store = CdStore::new(CdStoreConfig::new(4, 3).unwrap());
         let data_a = sample(180_000, 3);

@@ -30,10 +30,11 @@
 //! ```
 
 // Unsafe is denied crate-wide and re-allowed for three modules and the safe
-// functions that dispatch into them: SHA-NI in `sha256` (plus its SSE2 batch
-// lanes), AES-NI in `aes` and PCLMULQDQ folding in `crc32`. Their intrinsics
-// carry per-function safety contracts: CPU feature detection before
-// dispatch, and the length precondition the caller established.
+// functions that dispatch into them: SHA-NI in `sha256` (plus its SSE2 and
+// AVX-512 batch lanes), AES-NI in `aes` and PCLMULQDQ folding in `crc32`.
+// Their intrinsics carry per-function safety contracts: CPU feature
+// detection before dispatch, and the length precondition the caller
+// established.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -59,9 +60,11 @@ impl Fingerprint {
     }
 
     /// Computes the fingerprints of many buffers at once through
-    /// [`sha256::hash_batch`] — SHA-NI per message where available, the
-    /// 4-lane interleaved scalar path otherwise. Used by the client to
-    /// fingerprint all `n` shares of a secret in one call.
+    /// [`sha256::hash_batch`], whose kernel depends on the batch size (see
+    /// [`sha256::BatchKernel::for_batch`]): sixteen AVX-512 lanes for 16 or
+    /// more buffers where they outrun SHA-NI, else SHA-NI per buffer, else
+    /// four SSE2 lanes. Used by the client to fingerprint all `n` shares of
+    /// a secret in one call.
     pub fn of_batch(datas: &[&[u8]]) -> Vec<Self> {
         sha256::hash_batch(datas)
             .into_iter()
@@ -79,6 +82,17 @@ impl Fingerprint {
         hasher.update(tag);
         hasher.update(data);
         Fingerprint(hasher.finalize())
+    }
+
+    /// [`Fingerprint::tagged`] for every buffer of a batch under one tag,
+    /// through [`sha256::hash_batch_prefixed`] with `len ‖ tag` as the
+    /// prefix: how a server fingerprints a request's shares.
+    pub fn tagged_batch(tag: &[u8], datas: &[&[u8]]) -> Vec<Self> {
+        let prefix = [&(tag.len() as u64).to_be_bytes()[..], tag].concat();
+        sha256::hash_batch_prefixed(&prefix, datas)
+            .into_iter()
+            .map(Fingerprint)
+            .collect()
     }
 
     /// Wraps an existing 32-byte digest.

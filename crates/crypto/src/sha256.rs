@@ -14,11 +14,21 @@
 //! GF(2^8) region kernels honour, so CI can pin golden vectors under both
 //! dispatch modes.
 //!
-//! [`hash_batch`] hashes many independent messages. On SHA-NI hosts each
-//! message takes the (already instruction-parallel) NI path; on scalar hosts
-//! a 4-lane interleaved scheduler compresses four messages in lockstep so
-//! their four dependency chains fill the ALU ports — the fast path for
-//! fingerprinting the `n` shares of each secret.
+//! [`hash_batch`] and [`hash_batch_prefixed`] hash many independent
+//! messages, each behind one shared prefix (a server's fingerprint tag, an
+//! organisation salt). [`BatchKernel::for_batch`] picks how:
+//!
+//! * a batch of at least 16 messages takes the **16-lane AVX-512 kernel**
+//!   on a host where it measured faster than the single-stream backend (one
+//!   timing at first use; a double-pumped AVX-512 core keeps its SHA-NI);
+//! * otherwise a SHA-NI host hashes one message after another, and a scalar
+//!   host compresses four messages in lockstep with SSE2 (portable lane
+//!   arrays off x86_64).
+//!
+//! Both lane kernels share one scheduler (`multilane`): a lane is refilled
+//! as its message ends, and once too few lanes are live to outrun
+//! [`Backend::active`], each remaining message finishes there from its
+//! mid-state.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_SIZE: usize = 32;
@@ -43,14 +53,20 @@ const K: [u32; 64] = [
 /// A SHA-256 compression implementation selected by runtime CPU detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable scalar schedule; always available. Batches take the 4-lane
-    /// interleaved path.
+    /// Portable scalar schedule; always available. Batches that do not take
+    /// sixteen lanes take four.
     Scalar,
     /// x86 SHA extensions (`sha256rnds2` et al.).
     ShaNi,
 }
 
 static ACTIVE: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
+
+/// `CDSTORE_FORCE_SCALAR` set (to anything but `0`): every dispatch takes
+/// the portable path.
+fn force_scalar() -> bool {
+    std::env::var_os("CDSTORE_FORCE_SCALAR").is_some_and(|v| v != "0")
+}
 
 impl Backend {
     /// Every backend runnable on this CPU, scalar first (for the
@@ -73,8 +89,7 @@ impl Backend {
     /// where detected, unless `CDSTORE_FORCE_SCALAR` is set at first use.
     pub fn active() -> Backend {
         *ACTIVE.get_or_init(|| {
-            let force_scalar = std::env::var_os("CDSTORE_FORCE_SCALAR").is_some_and(|v| v != "0");
-            if force_scalar {
+            if force_scalar() {
                 Backend::Scalar
             } else {
                 *Self::available().last().expect("scalar always available")
@@ -368,154 +383,444 @@ pub fn hash_parts(parts: &[&[u8]]) -> [u8; DIGEST_SIZE] {
 }
 
 /// Hashes many independent messages, returning one digest per input in
-/// order. Dispatches like [`hash`]; on scalar hosts, four messages are
-/// compressed in lockstep (see the module docs). This is the API the
-/// client's share-fingerprint loop batches through.
+/// order, with the kernel [`BatchKernel::for_batch`] picks for the batch.
+/// This is the API the client's share-fingerprint loop batches through.
 pub fn hash_batch(inputs: &[&[u8]]) -> Vec<[u8; DIGEST_SIZE]> {
-    hash_batch_with(Backend::active(), inputs)
+    hash_batch_prefixed(&[], inputs)
 }
 
-/// [`hash_batch`] with an explicit backend (differential tests and benches).
-pub fn hash_batch_with(backend: Backend, inputs: &[&[u8]]) -> Vec<[u8; DIGEST_SIZE]> {
-    match backend {
-        // SHA-NI single-stream already saturates the sha ports; lanes would
-        // only add copies.
-        Backend::ShaNi => inputs.iter().map(|m| hash_with(backend, m)).collect(),
-        Backend::Scalar => {
-            let mut out = vec![[0u8; DIGEST_SIZE]; inputs.len()];
-            multilane::hash_all(inputs, &mut out);
-            out
+/// Hashes `prefix ‖ m` for every message `m` of `inputs`, returning one
+/// digest per input in order — each equal to `hash_parts(&[prefix, m])` —
+/// with the kernel [`BatchKernel::for_batch`] picks. The prefix's whole
+/// blocks are compressed once for the batch; the block it ends in is staged
+/// per message, and every later whole block is read from the message in
+/// place. The prefix is a server's `len ‖ tag` or an organisation salt.
+pub fn hash_batch_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<[u8; DIGEST_SIZE]> {
+    hash_batch_with(BatchKernel::for_batch(inputs.len()), prefix, inputs)
+}
+
+/// [`hash_batch_prefixed`] with an explicit kernel (differential tests and
+/// benches).
+///
+/// # Panics
+///
+/// Panics if `kernel` names lanes this CPU cannot run (see
+/// [`Lanes::available`]).
+pub fn hash_batch_with(
+    kernel: BatchKernel,
+    prefix: &[u8],
+    inputs: &[&[u8]],
+) -> Vec<[u8; DIGEST_SIZE]> {
+    let mut out = vec![[0u8; DIGEST_SIZE]; inputs.len()];
+    match kernel {
+        BatchKernel::Single(backend) => {
+            multilane::Batch::new(backend, prefix, inputs).single(&mut out);
+        }
+        BatchKernel::Lanes { lanes, min_live } => {
+            let batch = multilane::Batch::new(Backend::active(), prefix, inputs);
+            match lanes {
+                Lanes::X4 => batch.lanes(multilane::x4, min_live, &mut out),
+                #[cfg(target_arch = "x86_64")]
+                Lanes::X16 => batch.lanes(multilane::avx512::x16, min_live, &mut out),
+                #[cfg(not(target_arch = "x86_64"))]
+                Lanes::X16 => panic!("the 16-lane kernel needs x86_64 with AVX-512"),
+            }
         }
     }
+    out
+}
+
+/// How a batch of independent messages is hashed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchKernel {
+    /// One message after another on a single-stream backend.
+    Single(Backend),
+    /// One message per lane, every lane compressed in lockstep. A lane whose
+    /// message ends takes the next waiting one; once none waits and fewer
+    /// than `min_live` lanes are live, each remaining message finishes on
+    /// [`Backend::active`] from its mid-state.
+    Lanes {
+        /// The multi-buffer kernel.
+        lanes: Lanes,
+        /// The fewest live lanes that still outrun one single-stream
+        /// backend.
+        min_live: usize,
+    },
+}
+
+impl BatchKernel {
+    /// The kernel the production dispatch hashes `messages` messages with:
+    ///
+    /// * 16 AVX-512 lanes when `messages >= 16` and, timed once per process,
+    ///   they outran one [`Backend::active`] stream (never under
+    ///   `CDSTORE_FORCE_SCALAR`). Smaller batches would leave lanes idle.
+    /// * Otherwise message after message on SHA-NI, which outruns four SSE2
+    ///   lanes.
+    /// * Otherwise four lanes, handing off below two live.
+    pub fn for_batch(messages: usize) -> BatchKernel {
+        if messages >= Lanes::X16.width() {
+            if let Some(min_live) = x16_min_live() {
+                return BatchKernel::Lanes {
+                    lanes: Lanes::X16,
+                    min_live,
+                };
+            }
+        }
+        match Backend::active() {
+            Backend::ShaNi => BatchKernel::Single(Backend::ShaNi),
+            Backend::Scalar => BatchKernel::Lanes {
+                lanes: Lanes::X4,
+                min_live: X4_MIN_LIVE,
+            },
+        }
+    }
+
+    /// Every kernel runnable on this CPU: each single-stream backend, then
+    /// each lane kernel with the hand-off point production gives it (16 for
+    /// the 16 lanes where production never takes them).
+    pub fn available() -> Vec<BatchKernel> {
+        let singles = Backend::available().into_iter().map(BatchKernel::Single);
+        let lanes = Lanes::available()
+            .into_iter()
+            .map(|lanes| BatchKernel::Lanes {
+                lanes,
+                min_live: match lanes {
+                    Lanes::X4 => X4_MIN_LIVE,
+                    Lanes::X16 => x16_min_live().unwrap_or(lanes.width()),
+                },
+            });
+        singles.chain(lanes).collect()
+    }
+
+    /// Human-readable kernel name (used by benches).
+    pub fn name(self) -> &'static str {
+        match self {
+            BatchKernel::Single(backend) => backend.name(),
+            BatchKernel::Lanes { lanes, .. } => lanes.name(),
+        }
+    }
+}
+
+/// A multi-buffer SHA-256 kernel: one block into each of
+/// [`width`](Lanes::width) independent states per step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lanes {
+    /// Four lanes: explicit SSE2 on x86_64 (part of its baseline, so never
+    /// detected), portable lane arrays elsewhere.
+    X4,
+    /// Sixteen lanes in AVX-512F/BW registers (x86_64, detected at run
+    /// time).
+    X16,
+}
+
+impl Lanes {
+    /// Every lane kernel runnable on this CPU, narrowest first.
+    pub fn available() -> Vec<Lanes> {
+        let mut v = vec![Lanes::X4];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if multilane::avx512::detected() {
+                v.push(Lanes::X16);
+            }
+        }
+        v
+    }
+
+    /// Messages compressed per step.
+    pub fn width(self) -> usize {
+        match self {
+            Lanes::X4 => 4,
+            Lanes::X16 => 16,
+        }
+    }
+
+    /// Human-readable kernel name (used by benches).
+    pub fn name(self) -> &'static str {
+        match self {
+            Lanes::X4 => "x4",
+            Lanes::X16 => "avx512x16",
+        }
+    }
+}
+
+/// Four SSE2 lanes hash at ≈2.1× one scalar stream (`BENCH_kernels.json`,
+/// `sha256/batch/*`: `x4` 457–487 against `scalar` 220–232 MB/s), so each
+/// lane is worth ≈0.52 of it and two live lanes still outrun it.
+const X4_MIN_LIVE: usize = 2;
+
+/// For the 16-lane kernel on this host: the fewest live lanes that still
+/// outrun one [`Backend::active`] stream, timed once per process. `None`
+/// when the CPU lacks AVX-512F/BW, when even sixteen lanes lose (a core
+/// that splits each 512-bit operation in two against its SHA-NI), or under
+/// `CDSTORE_FORCE_SCALAR`.
+///
+/// The timing hashes the same sixteen 2 KiB messages both ways, best of
+/// five after a warm-up pass that also powers up the 512-bit units, and
+/// costs ≈0.3 ms. A lane step advances every live lane one block at the
+/// cost of one full step, and the stream pays per block what the whole
+/// batch cost divided by its sixteen messages' blocks, so `L` live lanes
+/// win when `L > 16 · t_lanes / t_stream`.
+fn x16_min_live() -> Option<usize> {
+    static MIN_LIVE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *MIN_LIVE.get_or_init(|| {
+        if force_scalar() || !Lanes::available().contains(&Lanes::X16) {
+            return None;
+        }
+        const LEN: usize = 2048;
+        let width = Lanes::X16.width();
+        let data: Vec<u8> = (0..width * LEN).map(|i| (i * 131 + 7) as u8).collect();
+        let msgs: Vec<&[u8]> = data.chunks(LEN).collect();
+        let kernels = [
+            BatchKernel::Single(Backend::active()),
+            BatchKernel::Lanes {
+                lanes: Lanes::X16,
+                min_live: width,
+            },
+        ];
+        let mut best = [std::time::Duration::MAX; 2];
+        for pass in 0..6 {
+            for (&kernel, best) in kernels.iter().zip(&mut best) {
+                let start = std::time::Instant::now();
+                std::hint::black_box(hash_batch_with(kernel, &[], std::hint::black_box(&msgs)));
+                if pass > 0 {
+                    *best = (*best).min(start.elapsed());
+                }
+            }
+        }
+        let [stream, lanes] = best.map(|d| d.as_secs_f64());
+        let fewest_losing = (width as f64 * lanes / stream).floor();
+        (fewest_losing < width as f64).then(|| fewest_losing as usize + 1)
+    })
 }
 
 mod multilane {
-    //! 4-lane interleaved scalar SHA-256 for batches of messages.
+    //! The lane scheduler both multi-buffer kernels run under, the message
+    //! layout it shares with the single-stream batch path, and the kernels.
     //!
-    //! One scalar SHA-256 stream is latency-bound: each round depends on the
-    //! previous one, leaving ALU ports idle. Compressing four independent
-    //! messages in lockstep — every round variable becomes a `[u32; 4]`
-    //! lane array — gives the scheduler four parallel dependency chains
-    //! (and lets LLVM vectorise the lane loops). A small scheduler feeds the
-    //! lanes: when a message finishes, its digest is written out and the
-    //! lane is refilled with the next pending message, so mixed-length
-    //! batches stay in lockstep; leftovers (fewer than four live lanes)
-    //! finish on the single-stream scalar path.
+    //! One SHA-256 stream is a chain of dependent rounds. Compressing several
+    //! independent messages in lockstep — every round variable a vector with
+    //! one message per lane — fills the execution ports the chain leaves
+    //! idle. Lanes hold `states[word][lane]`; a lane whose message ends is
+    //! refilled with the next one, so mixed-length batches stay in lockstep.
 
-    use super::{compress_scalar, digest_bytes, padded_tail, Backend, BLOCK_SIZE, DIGEST_SIZE, H0};
+    use super::{
+        compress_blocks_with, digest_bytes, padded_tail, Backend, BLOCK_SIZE, DIGEST_SIZE, H0,
+    };
 
-    const LANES: usize = 4;
+    /// A lane kernel: compresses `nblocks` consecutive blocks of each lane
+    /// into that lane's column of `states`. A lane's slice is empty (an idle
+    /// lane, whose column comes out meaningless) or holds at least `nblocks`
+    /// whole blocks.
+    pub(super) type Kernel<const W: usize> = fn(&mut [[u32; W]; 8], &[&[u8]; W], usize);
 
-    struct Lane<'a> {
-        msg: &'a [u8],
-        /// Index into the output array.
-        out: usize,
-        state: [u32; 8],
-        /// Next block to compress.
-        block: usize,
-        nblocks: usize,
-        /// Padded tail block(s); block indices `>= tail_start` read here.
-        tail: [u8; BLOCK_SIZE * 2],
-        tail_start: usize,
+    /// `prefix ‖ m` for every message `m` of a batch. The prefix's whole
+    /// blocks are compressed once into `start`; its last `rem` bytes open
+    /// every message's own blocks.
+    pub(super) struct Batch<'a> {
+        /// Compresses the prefix and whatever the lanes hand off.
+        backend: Backend,
+        start: [u32; 8],
+        rem: &'a [u8],
+        prefix_len: usize,
+        inputs: &'a [&'a [u8]],
     }
 
-    impl<'a> Lane<'a> {
-        fn new(msg: &'a [u8], out: usize) -> Self {
-            let full = msg.len() / BLOCK_SIZE;
-            let rem = msg.len() % BLOCK_SIZE;
-            let mut tail = [0u8; BLOCK_SIZE * 2];
-            tail[..rem].copy_from_slice(&msg[full * BLOCK_SIZE..]);
-            let tail_len = padded_tail(&mut tail, rem, msg.len() as u64);
-            Lane {
-                msg,
-                out,
-                state: H0,
-                block: 0,
-                nblocks: full + tail_len / BLOCK_SIZE,
-                tail,
-                tail_start: full,
+    impl<'a> Batch<'a> {
+        pub(super) fn new(backend: Backend, prefix: &'a [u8], inputs: &'a [&'a [u8]]) -> Self {
+            let whole = prefix.len() - prefix.len() % BLOCK_SIZE;
+            let mut start = H0;
+            compress_blocks_with(backend, &mut start, &prefix[..whole]);
+            Batch {
+                backend,
+                start,
+                rem: &prefix[whole..],
+                prefix_len: prefix.len(),
+                inputs,
             }
         }
 
-        fn block_at(&self, i: usize) -> &[u8] {
-            if i < self.tail_start {
-                &self.msg[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE]
+        fn message(&self, i: usize) -> Message<'a> {
+            let msg = self.inputs[i];
+            Message::new(self.rem, msg, (self.prefix_len + msg.len()) as u64, i)
+        }
+
+        /// Hashes the messages one after another.
+        pub(super) fn single(&self, out: &mut [[u8; DIGEST_SIZE]]) {
+            for (i, digest) in out.iter_mut().enumerate() {
+                let mut state = self.start;
+                self.message(i).finish(self.backend, &mut state);
+                *digest = digest_bytes(&state);
+            }
+        }
+
+        /// Hashes the messages `W` at a time through `kernel`, each step as
+        /// many blocks as every live lane holds contiguously. Once no message
+        /// waits and fewer than `min_live` lanes are live, each remaining
+        /// message finishes single-stream from its lane's mid-state.
+        pub(super) fn lanes<const W: usize>(
+            &self,
+            kernel: Kernel<W>,
+            min_live: usize,
+            out: &mut [[u8; DIGEST_SIZE]],
+        ) {
+            let mut states = [[0u32; W]; 8];
+            let mut lanes: [Option<Message>; W] = std::array::from_fn(|_| None);
+            let mut next = 0;
+            for (l, lane) in lanes.iter_mut().enumerate().take(self.inputs.len()) {
+                *lane = Some(self.message(l));
+                set_column(&mut states, l, &self.start);
+                next += 1;
+            }
+            loop {
+                let live = lanes.iter().flatten().count();
+                if live == 0 {
+                    return;
+                }
+                if live < min_live && next == self.inputs.len() {
+                    for (l, lane) in lanes.iter_mut().enumerate() {
+                        if let Some(message) = lane {
+                            let mut state = column(&states, l);
+                            message.finish(self.backend, &mut state);
+                            out[message.out] = digest_bytes(&state);
+                        }
+                    }
+                    return;
+                }
+                let run = (lanes.iter().flatten())
+                    .map(|m| m.next_run().len() / BLOCK_SIZE)
+                    .min()
+                    .expect("a live lane");
+                let blocks: [&[u8]; W] = std::array::from_fn(|l| {
+                    lanes[l]
+                        .as_ref()
+                        .map_or(&[][..], |m| &m.next_run()[..run * BLOCK_SIZE])
+                });
+                kernel(&mut states, &blocks, run);
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let Some(message) = lane else { continue };
+                    message.advance(run);
+                    if message.finished() {
+                        out[message.out] = digest_bytes(&column(&states, l));
+                        *lane = (next < self.inputs.len()).then(|| {
+                            set_column(&mut states, l, &self.start);
+                            next += 1;
+                            self.message(next - 1)
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    fn column<const W: usize>(states: &[[u32; W]; 8], lane: usize) -> [u32; 8] {
+        std::array::from_fn(|i| states[i][lane])
+    }
+
+    fn set_column<const W: usize>(states: &mut [[u32; W]; 8], lane: usize, state: &[u32; 8]) {
+        for (row, &word) in states.iter_mut().zip(state) {
+            row[lane] = word;
+        }
+    }
+
+    /// One message's blocks as three runs: a staged head (the prefix's last
+    /// bytes and the message's first), the message's whole blocks read in
+    /// place, and the staged padded tail.
+    struct Message<'a> {
+        /// Index of the digest in the output.
+        out: usize,
+        head: Option<[u8; BLOCK_SIZE]>,
+        body: &'a [u8],
+        tail: [u8; BLOCK_SIZE * 2],
+        tail_at: usize,
+        tail_end: usize,
+    }
+
+    impl<'a> Message<'a> {
+        /// The blocks of `rem ‖ msg`, padded as a message of `total_len`
+        /// bytes. The head exists only when `rem` is not empty and the two
+        /// fill a block; otherwise `rem` opens the tail.
+        fn new(rem: &[u8], msg: &'a [u8], total_len: u64, out: usize) -> Self {
+            let mut head = None;
+            let mut staged = rem;
+            let mut rest = msg;
+            if !rem.is_empty() && rem.len() + msg.len() >= BLOCK_SIZE {
+                let (first, after) = msg.split_at(BLOCK_SIZE - rem.len());
+                let mut block = [0u8; BLOCK_SIZE];
+                block[..rem.len()].copy_from_slice(rem);
+                block[rem.len()..].copy_from_slice(first);
+                head = Some(block);
+                staged = &[];
+                rest = after;
+            }
+            let (body, left) = rest.split_at(rest.len() - rest.len() % BLOCK_SIZE);
+            let mut tail = [0u8; BLOCK_SIZE * 2];
+            tail[..staged.len()].copy_from_slice(staged);
+            tail[staged.len()..staged.len() + left.len()].copy_from_slice(left);
+            let tail_end = padded_tail(&mut tail, staged.len() + left.len(), total_len);
+            Message {
+                out,
+                head,
+                body,
+                tail,
+                tail_at: 0,
+                tail_end,
+            }
+        }
+
+        /// The blocks to compress next, contiguous in memory.
+        fn next_run(&self) -> &[u8] {
+            match &self.head {
+                Some(head) => head,
+                None if !self.body.is_empty() => self.body,
+                None => &self.tail[self.tail_at..self.tail_end],
+            }
+        }
+
+        /// Marks the first `blocks` blocks of [`Self::next_run`] compressed.
+        fn advance(&mut self, blocks: usize) {
+            let bytes = blocks * BLOCK_SIZE;
+            if self.head.is_some() {
+                debug_assert_eq!(bytes, BLOCK_SIZE);
+                self.head = None;
+            } else if !self.body.is_empty() {
+                self.body = &self.body[bytes..];
             } else {
-                let off = (i - self.tail_start) * BLOCK_SIZE;
-                &self.tail[off..off + BLOCK_SIZE]
+                self.tail_at += bytes;
             }
         }
 
         fn finished(&self) -> bool {
-            self.block >= self.nblocks
+            self.next_run().is_empty()
         }
 
-        /// Compresses the remaining blocks single-stream.
-        fn finish_scalar(&mut self) {
+        /// Compresses every remaining block into `state` single-stream.
+        fn finish(&mut self, backend: Backend, state: &mut [u32; 8]) {
             while !self.finished() {
-                let block: [u8; BLOCK_SIZE] =
-                    self.block_at(self.block).try_into().expect("64 bytes");
-                compress_scalar(&mut self.state, &block);
-                self.block += 1;
+                let blocks = self.next_run().len() / BLOCK_SIZE;
+                compress_blocks_with(backend, state, self.next_run());
+                self.advance(blocks);
             }
         }
     }
 
-    pub fn hash_all(inputs: &[&[u8]], out: &mut [[u8; DIGEST_SIZE]]) {
-        let mut next = 0usize;
-        let mut lanes: Vec<Lane> = Vec::with_capacity(LANES);
-        while lanes.len() < LANES && next < inputs.len() {
-            lanes.push(Lane::new(inputs[next], next));
-            next += 1;
+    /// The four-lane [`Kernel`]: reads each lane's words big-endian (an idle
+    /// lane reads zeros) and compresses them with SSE2 on x86_64, the
+    /// portable lane arrays elsewhere.
+    pub(super) fn x4(states: &mut [[u32; 4]; 8], blocks: &[&[u8]; 4], nblocks: usize) {
+        for b in 0..nblocks {
+            let words: [[u32; 4]; 16] = std::array::from_fn(|t| {
+                std::array::from_fn(|l| {
+                    let at = b * BLOCK_SIZE + t * 4;
+                    blocks[l]
+                        .get(at..at + 4)
+                        .map_or(0, |w| u32::from_be_bytes(w.try_into().expect("4 bytes")))
+                })
+            });
+            #[cfg(target_arch = "x86_64")]
+            sse2::compress4(states, &words);
+            #[cfg(not(target_arch = "x86_64"))]
+            portable::compress4(states, &words);
         }
-        // Lockstep while all four lanes are live.
-        while lanes.len() == LANES {
-            let mut blocks = [[0u8; BLOCK_SIZE]; LANES];
-            for (l, lane) in lanes.iter().enumerate() {
-                blocks[l].copy_from_slice(lane.block_at(lane.block));
-            }
-            let mut states = [[0u32; 8]; LANES];
-            for (l, lane) in lanes.iter().enumerate() {
-                states[l] = lane.state;
-            }
-            compress4(&mut states, &blocks);
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                lane.state = states[l];
-                lane.block += 1;
-            }
-            // Retire finished lanes (digest out, refill or drop).
-            let mut l = 0;
-            while l < lanes.len() {
-                if lanes[l].finished() {
-                    out[lanes[l].out] = digest_bytes(&lanes[l].state);
-                    if next < inputs.len() {
-                        lanes[l] = Lane::new(inputs[next], next);
-                        next += 1;
-                        l += 1;
-                    } else {
-                        lanes.swap_remove(l);
-                    }
-                } else {
-                    l += 1;
-                }
-            }
-        }
-        // Fewer than four lanes left: single-stream the rest.
-        for lane in &mut lanes {
-            lane.finish_scalar();
-            out[lane.out] = digest_bytes(&lane.state);
-        }
-        debug_assert_eq!(next, inputs.len());
-        // Keep the unused-variant lint honest: this module is scalar-only.
-        debug_assert_eq!(Backend::Scalar.name(), "scalar");
-    }
-
-    /// Compresses one block into each of four states in lockstep.
-    fn compress4(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_SIZE]; LANES]) {
-        #[cfg(target_arch = "x86_64")]
-        sse2::compress4(states, blocks);
-        #[cfg(not(target_arch = "x86_64"))]
-        portable::compress4(states, blocks);
     }
 
     /// Portable lane-array rounds: every round variable is a `[u32; 4]`, so
@@ -527,9 +832,8 @@ mod multilane {
     #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
     mod portable {
         use super::super::K;
-        use super::{BLOCK_SIZE, LANES};
 
-        type V = [u32; LANES];
+        type V = [u32; 4];
 
         #[inline(always)]
         fn add(a: V, b: V) -> V {
@@ -563,32 +867,20 @@ mod multilane {
             std::array::from_fn(|l| (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]))
         }
 
-        pub fn compress4(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_SIZE]; LANES]) {
-            let mut w = [[0u32; LANES]; 64];
-            for (t, wt) in w.iter_mut().take(16).enumerate() {
-                for l in 0..LANES {
-                    wt[l] = u32::from_be_bytes(
-                        blocks[l][t * 4..(t + 1) * 4].try_into().expect("4 bytes"),
-                    );
-                }
-            }
+        /// Compresses one block of message words (`words[t][lane]`) into
+        /// each lane's column of `states`.
+        pub fn compress4(states: &mut [V; 8], words: &[V; 16]) {
+            let mut w = [[0u32; 4]; 64];
+            w[..16].copy_from_slice(words);
             for t in 16..64 {
                 let s0 = xor3(rotr(w[t - 15], 7), rotr(w[t - 15], 18), shr(w[t - 15], 3));
                 let s1 = xor3(rotr(w[t - 2], 17), rotr(w[t - 2], 19), shr(w[t - 2], 10));
                 w[t] = add(add(w[t - 16], s0), add(w[t - 7], s1));
             }
-            let load = |i: usize| -> V { std::array::from_fn(|l| states[l][i]) };
-            let mut a = load(0);
-            let mut b = load(1);
-            let mut c = load(2);
-            let mut d = load(3);
-            let mut e = load(4);
-            let mut f = load(5);
-            let mut g = load(6);
-            let mut h = load(7);
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *states;
             for t in 0..64 {
                 let s1 = xor3(rotr(e, 6), rotr(e, 11), rotr(e, 25));
-                let temp1 = add(add(h, s1), add(ch(e, f, g), add([K[t]; LANES], w[t])));
+                let temp1 = add(add(h, s1), add(ch(e, f, g), add([K[t]; 4], w[t])));
                 let s0 = xor3(rotr(a, 2), rotr(a, 13), rotr(a, 22));
                 let temp2 = add(s0, maj(a, b, c));
                 h = g;
@@ -600,11 +892,8 @@ mod multilane {
                 b = a;
                 a = add(temp1, temp2);
             }
-            let v = [a, b, c, d, e, f, g, h];
-            for l in 0..LANES {
-                for i in 0..8 {
-                    states[l][i] = states[l][i].wrapping_add(v[i][l]);
-                }
+            for (row, v) in states.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *row = add(*row, v);
             }
         }
     }
@@ -619,7 +908,6 @@ mod multilane {
         use core::arch::x86_64::*;
 
         use super::super::K;
-        use super::{BLOCK_SIZE, LANES};
 
         /// `rotr!(v, n)`: rotate each 32-bit lane right by the literal `n`
         /// (SSE2 has no vector rotate; shift-shift-or).
@@ -641,19 +929,16 @@ mod multilane {
             };
         }
 
-        pub fn compress4(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_SIZE]; LANES]) {
+        /// Compresses one block of message words (`words[t][lane]`) into
+        /// each lane's column of `states`.
+        pub fn compress4(states: &mut [[u32; 4]; 8], words: &[[u32; 4]; 16]) {
             // SAFETY: SSE2 is unconditionally available on x86_64 (baseline
-            // target feature); all memory access goes through the safe
-            // `states`/`blocks` references and a local store buffer.
+            // target feature); every load and store is one `[u32; 4]` row of
+            // `states` or `words`, exactly one 128-bit register.
             unsafe {
-                let word = |l: usize, t: usize| -> i32 {
-                    u32::from_be_bytes(blocks[l][t * 4..(t + 1) * 4].try_into().expect("4 bytes"))
-                        as i32
-                };
                 let mut w = [_mm_setzero_si128(); 64];
-                for (t, wt) in w.iter_mut().take(16).enumerate() {
-                    // `_mm_set_epi32` takes lanes high-to-low: lane 0 last.
-                    *wt = _mm_set_epi32(word(3, t), word(2, t), word(1, t), word(0, t));
+                for (wt, row) in w.iter_mut().zip(words) {
+                    *wt = _mm_loadu_si128(row.as_ptr().cast());
                 }
                 for t in 16..64 {
                     let w15 = w[t - 15];
@@ -662,22 +947,11 @@ mod multilane {
                     let s1 = xor3!(rotr!(w2, 17), rotr!(w2, 19), _mm_srli_epi32(w2, 10));
                     w[t] = add!(add!(w[t - 16], s0), add!(w[t - 7], s1));
                 }
-                let load = |i: usize| -> __m128i {
-                    _mm_set_epi32(
-                        states[3][i] as i32,
-                        states[2][i] as i32,
-                        states[1][i] as i32,
-                        states[0][i] as i32,
-                    )
-                };
-                let mut a = load(0);
-                let mut b = load(1);
-                let mut c = load(2);
-                let mut d = load(3);
-                let mut e = load(4);
-                let mut f = load(5);
-                let mut g = load(6);
-                let mut h = load(7);
+                let mut init = [_mm_setzero_si128(); 8];
+                for (v, row) in init.iter_mut().zip(states.iter()) {
+                    *v = _mm_loadu_si128(row.as_ptr().cast());
+                }
+                let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = init;
                 for (&k, &wt) in K.iter().zip(&w) {
                     let s1 = xor3!(rotr!(e, 6), rotr!(e, 11), rotr!(e, 25));
                     let ch = _mm_xor_si128(_mm_and_si128(e, f), _mm_andnot_si128(e, g));
@@ -698,13 +972,216 @@ mod multilane {
                     b = a;
                     a = add!(temp1, temp2);
                 }
-                let mut lanes = [0u32; LANES];
-                for (i, v) in [a, b, c, d, e, f, g, h].into_iter().enumerate() {
-                    _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), v);
-                    for l in 0..LANES {
-                        states[l][i] = states[l][i].wrapping_add(lanes[l]);
+                let out = [a, b, c, d, e, f, g, h];
+                for ((row, v), start) in states.iter_mut().zip(out).zip(init) {
+                    _mm_storeu_si128(row.as_mut_ptr().cast(), add!(start, v));
+                }
+            }
+        }
+    }
+
+    /// Sixteen lanes in AVX-512: one 512-bit register holds a round
+    /// variable for sixteen messages. Rotates are single `vprord`s and each
+    /// three-input logic step (`Σ` XORs, `Ch`, `Maj`) one `vpternlogd`, so a
+    /// round costs about a scalar round's instruction count for sixteen
+    /// messages. Each lane's block is one 512-bit load, byte-swapped and
+    /// transposed in registers into sixteen word columns.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    pub(super) mod avx512 {
+        use core::arch::x86_64::*;
+
+        use super::super::{BLOCK_SIZE, K};
+
+        /// Whether this CPU runs the kernel (cached by the standard
+        /// library after the first call).
+        pub(in super::super) fn detected() -> bool {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+        }
+
+        /// The sixteen-lane [`super::Kernel`].
+        ///
+        /// # Panics
+        ///
+        /// Panics without AVX-512F/BW, or when a lane is neither empty nor
+        /// `nblocks` whole blocks long.
+        pub(in super::super) fn x16(
+            states: &mut [[u32; 16]; 8],
+            blocks: &[&[u8]; 16],
+            nblocks: usize,
+        ) {
+            assert!(
+                detected(),
+                "the 16-lane kernel needs AVX-512F and AVX-512BW"
+            );
+            let need = nblocks.checked_mul(BLOCK_SIZE);
+            assert!(
+                blocks.iter().all(|b| b.is_empty() || Some(b.len()) >= need),
+                "a lane is idle or holds every block it is asked for"
+            );
+            // SAFETY: both CPU features were detected just above, and every
+            // non-empty lane holds the `nblocks * 64` bytes the kernel reads
+            // from it.
+            unsafe { compress(states, blocks, nblocks) }
+        }
+
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512BW, and every non-empty
+        /// lane of `blocks` must hold at least `nblocks * 64` bytes.
+        #[target_feature(enable = "avx512f,avx512bw")]
+        unsafe fn compress(states: &mut [[u32; 16]; 8], blocks: &[&[u8]; 16], nblocks: usize) {
+            // Big-endian words: byte-reverse each 32-bit element.
+            let bswap = _mm512_broadcast_i32x4(_mm_set_epi8(
+                12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
+            ));
+            let mut state = [_mm512_setzero_si512(); 8];
+            for (v, row) in state.iter_mut().zip(states.iter()) {
+                // SAFETY: a row is sixteen `u32`s, one 512-bit register.
+                *v = unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
+            }
+            for blk in 0..nblocks {
+                let mut w = [_mm512_setzero_si512(); 16];
+                for (row, lane) in w.iter_mut().zip(blocks) {
+                    if !lane.is_empty() {
+                        // SAFETY: a non-empty lane holds `nblocks` blocks
+                        // (the caller's contract) and `blk < nblocks`.
+                        let block = unsafe {
+                            _mm512_loadu_si512(lane.as_ptr().add(blk * BLOCK_SIZE).cast())
+                        };
+                        *row = _mm512_shuffle_epi8(block, bswap);
                     }
                 }
+                transpose(&mut w);
+                let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+                let mut t = 0;
+                while t < 64 {
+                    if t >= 16 {
+                        for i in t..t + 8 {
+                            schedule(&mut w, i);
+                        }
+                    }
+                    round(&w, t, a, b, c, &mut d, e, f, g, &mut h);
+                    round(&w, t + 1, h, a, b, &mut c, d, e, f, &mut g);
+                    round(&w, t + 2, g, h, a, &mut b, c, d, e, &mut f);
+                    round(&w, t + 3, f, g, h, &mut a, b, c, d, &mut e);
+                    round(&w, t + 4, e, f, g, &mut h, a, b, c, &mut d);
+                    round(&w, t + 5, d, e, f, &mut g, h, a, b, &mut c);
+                    round(&w, t + 6, c, d, e, &mut f, g, h, a, &mut b);
+                    round(&w, t + 7, b, c, d, &mut e, f, g, h, &mut a);
+                    t += 8;
+                }
+                for (v, x) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                    *v = _mm512_add_epi32(*v, x);
+                }
+            }
+            for (row, v) in states.iter_mut().zip(state) {
+                // SAFETY: a row is sixteen `u32`s, one 512-bit register.
+                unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
+            }
+        }
+
+        /// One SHA-256 round with the round variables renamed rather than
+        /// moved: `d += T1` and `h = T1 + T2`, which the next round reads
+        /// as `e` and `a`.
+        #[allow(clippy::too_many_arguments)]
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn round(
+            w: &[__m512i; 16],
+            t: usize,
+            a: __m512i,
+            b: __m512i,
+            c: __m512i,
+            d: &mut __m512i,
+            e: __m512i,
+            f: __m512i,
+            g: __m512i,
+            h: &mut __m512i,
+        ) {
+            let k = _mm512_set1_epi32(K[t] as i32);
+            // Ch(e, f, g) = e ? f : g (0xCA); Maj (0xE8); Σ is a 3-way XOR (0x96).
+            let ch = _mm512_ternarylogic_epi32::<0xCA>(e, f, g);
+            let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                _mm512_ror_epi32::<6>(e),
+                _mm512_ror_epi32::<11>(e),
+                _mm512_ror_epi32::<25>(e),
+            );
+            let t1 = _mm512_add_epi32(
+                _mm512_add_epi32(*h, s1),
+                _mm512_add_epi32(ch, _mm512_add_epi32(k, w[t % 16])),
+            );
+            let maj = _mm512_ternarylogic_epi32::<0xE8>(a, b, c);
+            let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                _mm512_ror_epi32::<2>(a),
+                _mm512_ror_epi32::<13>(a),
+                _mm512_ror_epi32::<22>(a),
+            );
+            *d = _mm512_add_epi32(*d, t1);
+            *h = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
+        }
+
+        /// `W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16]`, in a ring
+        /// of sixteen.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn schedule(w: &mut [__m512i; 16], t: usize) {
+            let w15 = w[(t + 1) % 16];
+            let w2 = w[(t + 14) % 16];
+            let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                _mm512_ror_epi32::<7>(w15),
+                _mm512_ror_epi32::<18>(w15),
+                _mm512_srli_epi32::<3>(w15),
+            );
+            let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                _mm512_ror_epi32::<17>(w2),
+                _mm512_ror_epi32::<19>(w2),
+                _mm512_srli_epi32::<10>(w2),
+            );
+            w[t % 16] = _mm512_add_epi32(
+                _mm512_add_epi32(w[t % 16], s0),
+                _mm512_add_epi32(w[(t + 9) % 16], s1),
+            );
+        }
+
+        /// Turns sixteen rows (`w[l]` = lane `l`'s sixteen words) into
+        /// sixteen columns (`w[t]` = word `t` of every lane): 32-bit
+        /// unpacks pair the lanes, 64-bit unpacks make quads, and two
+        /// rounds of 128-bit shuffles gather each word's four quads.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn transpose(w: &mut [__m512i; 16]) {
+            let mut pairs = [_mm512_setzero_si512(); 16];
+            for p in 0..8 {
+                // Chunk q: words 4q, 4q+1 (lo) or 4q+2, 4q+3 (hi) of lanes 2p, 2p+1.
+                pairs[2 * p] = _mm512_unpacklo_epi32(w[2 * p], w[2 * p + 1]);
+                pairs[2 * p + 1] = _mm512_unpackhi_epi32(w[2 * p], w[2 * p + 1]);
+            }
+            // quads[4g + j], chunk q: word 4q + j of lanes 4g..4g+3.
+            let mut quads = [_mm512_setzero_si512(); 16];
+            for g in 0..4 {
+                let (lo0, hi0, lo1, hi1) = (
+                    pairs[4 * g],
+                    pairs[4 * g + 1],
+                    pairs[4 * g + 2],
+                    pairs[4 * g + 3],
+                );
+                quads[4 * g] = _mm512_unpacklo_epi64(lo0, lo1);
+                quads[4 * g + 1] = _mm512_unpackhi_epi64(lo0, lo1);
+                quads[4 * g + 2] = _mm512_unpacklo_epi64(hi0, hi1);
+                quads[4 * g + 3] = _mm512_unpackhi_epi64(hi0, hi1);
+            }
+            for j in 0..4 {
+                // Chunks (quad, q): v02 = (0,0) (0,2) (1,0) (1,2),
+                // v13 = (0,1) (0,3) (1,1) (1,3), and the same for quads 2, 3.
+                let v02 = _mm512_shuffle_i32x4::<0x88>(quads[j], quads[4 + j]);
+                let v13 = _mm512_shuffle_i32x4::<0xDD>(quads[j], quads[4 + j]);
+                let x02 = _mm512_shuffle_i32x4::<0x88>(quads[8 + j], quads[12 + j]);
+                let x13 = _mm512_shuffle_i32x4::<0xDD>(quads[8 + j], quads[12 + j]);
+                w[j] = _mm512_shuffle_i32x4::<0x88>(v02, x02);
+                w[8 + j] = _mm512_shuffle_i32x4::<0xDD>(v02, x02);
+                w[4 + j] = _mm512_shuffle_i32x4::<0x88>(v13, x13);
+                w[12 + j] = _mm512_shuffle_i32x4::<0xDD>(v13, x13);
             }
         }
     }
@@ -851,7 +1328,7 @@ mod tests {
 
     #[test]
     fn hash_batch_matches_individual_hashes() {
-        // Mixed lengths force lane refills mid-batch in the 4-lane path.
+        // Mixed lengths force lane refills mid-batch in the lane kernels.
         let msgs: Vec<Vec<u8>> = [0usize, 1, 55, 56, 64, 65, 200, 1000, 31, 64, 128, 5]
             .iter()
             .map(|&len| (0..len).map(|i| (i * 31 + len) as u8).collect())
@@ -863,9 +1340,9 @@ mod tests {
             for (i, digest) in batch.iter().enumerate() {
                 assert_eq!(*digest, hash(refs[i]), "count={count} msg={i}");
             }
-            for backend in Backend::available() {
-                let with = hash_batch_with(backend, &refs[..count]);
-                assert_eq!(with, batch, "backend {} count {count}", backend.name());
+            for kernel in BatchKernel::available() {
+                let with = hash_batch_with(kernel, &[], &refs[..count]);
+                assert_eq!(with, batch, "kernel {} count {count}", kernel.name());
             }
         }
     }
