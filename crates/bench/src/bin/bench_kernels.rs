@@ -1,5 +1,6 @@
 //! Perf trajectory for the low-level kernels: GF(2^8) region primitives,
-//! SHA-256, the AES-256 mask generator and CRC-32, per ISA backend, written
+//! SHA-256, the AES-256 mask generator and CRC-32, per ISA backend, and the
+//! CAONT-RS encode per secret against per group, written
 //! to `BENCH_kernels.json` so this and future PRs leave a comparable curve
 //! (companion to `bench_encode`'s `BENCH_encode.json`).
 //!
@@ -17,8 +18,8 @@ use serde::Serialize;
 
 use cdstore_bench::fmt_speed;
 use cdstore_bench::kernelbench::{
-    aes_ctr_speed, aes_generator_mask_speed, crc32_speed, gf_kernel_all_backends, sha_batch_speed,
-    sha_single_speed, KernelSpeed,
+    aes_ctr_speed, aes_generator_mask_speed, caont_split_speed, crc32_speed,
+    gf_kernel_all_backends, sha_batch_speed, sha_single_speed, KernelSpeed,
 };
 use cdstore_crypto::{aes, crc32, sha256};
 use cdstore_gf::region;
@@ -30,7 +31,8 @@ struct KernelRow {
     backend: &'static str,
     mbps: f64,
     /// This backend's throughput over the scalar baseline for the same
-    /// kernel; 1.0 for the scalar rows themselves.
+    /// kernel; 1.0 for the scalar rows themselves. The `caont/split` rows'
+    /// baseline is their `per_secret` row.
     speedup_vs_scalar: f64,
 }
 
@@ -48,11 +50,11 @@ struct BenchKernels {
     rows: Vec<KernelRow>,
 }
 
-fn rows_from(kernel: &str, speeds: &[KernelSpeed]) -> Vec<KernelRow> {
-    let scalar = speeds
+fn rows_from(kernel: &str, speeds: &[KernelSpeed], baseline: &str) -> Vec<KernelRow> {
+    let base = speeds
         .iter()
-        .find(|s| s.backend == "scalar")
-        .expect("scalar backend is always available")
+        .find(|s| s.backend == baseline)
+        .expect("the baseline backend is always measured")
         .mbps;
     speeds
         .iter()
@@ -60,7 +62,7 @@ fn rows_from(kernel: &str, speeds: &[KernelSpeed]) -> Vec<KernelRow> {
             kernel: kernel.to_string(),
             backend: s.backend,
             mbps: s.mbps,
-            speedup_vs_scalar: s.mbps / scalar,
+            speedup_vs_scalar: s.mbps / base,
         })
         .collect()
 }
@@ -85,7 +87,7 @@ fn main() {
         for s in &speeds {
             println!("gf/{kernel:<8} {:<7} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(&format!("gf/{kernel}"), &speeds));
+        rows.extend(rows_from(&format!("gf/{kernel}"), &speeds, "scalar"));
     }
 
     // SHA-256: one long message (the streaming hasher), then batches per
@@ -107,7 +109,7 @@ fn main() {
             fmt_speed(s.mbps)
         );
     }
-    rows.extend(rows_from("sha256/single", &singles));
+    rows.extend(rows_from("sha256/single", &singles, "scalar"));
     for msg_kib in [3, 9] {
         for count in [4, 16, 170] {
             let kernel = format!("sha256/batch/{count}x{msg_kib}KiB");
@@ -121,8 +123,27 @@ fn main() {
             for s in &speeds {
                 println!("{kernel:<22} {:<9} {}", s.backend, fmt_speed(s.mbps));
             }
-            rows.extend(rows_from(&kernel, &speeds));
+            rows.extend(rows_from(&kernel, &speeds, "scalar"));
         }
+    }
+
+    // The CAONT-RS encode with its share fingerprints, on the production
+    // dispatch: secret by secret (no hash batch exceeds a secret's 4 shares)
+    // against one group of 16 and of 64 ≈9 KiB secrets, whose three hash
+    // passes are batches of 16+ messages that can take the 16 lanes.
+    for count in [16, 64] {
+        let kernel = format!("caont/split/{count}x9KiB");
+        let speeds: Vec<KernelSpeed> = [("per_secret", false), ("group", true)]
+            .into_iter()
+            .map(|(backend, grouped)| KernelSpeed {
+                backend,
+                mbps: caont_split_speed(9 * 1024, count, grouped, reps),
+            })
+            .collect();
+        for s in &speeds {
+            println!("{kernel:<22} {:<10} {}", s.backend, fmt_speed(s.mbps));
+        }
+        rows.extend(rows_from(&kernel, &speeds, "per_secret"));
     }
 
     // AES-256: bulk CTR under one key, and the CAONT generator mask at the
@@ -143,7 +164,7 @@ fn main() {
         for s in &speeds {
             println!("{kernel:<18} {:<7} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(kernel, &speeds));
+        rows.extend(rows_from(kernel, &speeds, "scalar"));
     }
 
     // CRC-32: one wire frame of shares, and journal-record-sized messages
@@ -163,7 +184,7 @@ fn main() {
         for s in &speeds {
             println!("{kernel:<18} {:<9} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(kernel, &speeds));
+        rows.extend(rows_from(kernel, &speeds, "scalar"));
     }
 
     let snapshot = BenchKernels {

@@ -137,11 +137,12 @@ mod tests {
     #[test]
     fn streamed_encode_speed_is_positive_and_counted() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let data = test_data(512 * 1024);
+        let data = test_data(1024 * 1024);
+        // ~1 KiB chunks: many more secrets than the pipeline's groups hold.
         let streamed = streamed_encode_speed(
             &scheme,
             ChunkerKind::Rabin,
-            ChunkerConfig::default(),
+            ChunkerConfig::new(256, 1024, 4096),
             &data,
             2,
             None,

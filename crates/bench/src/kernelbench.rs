@@ -1,6 +1,7 @@
 //! Measurement helpers for the low-level encode kernels: the GF(2^8) region
 //! primitives (`xor_into`, `mul_into`, `mul_acc`), SHA-256, the AES-256 CTR
-//! mask generator and CRC-32, per backend.
+//! mask generator and CRC-32, per backend — and the CAONT-RS encode they
+//! compose, per secret and per group.
 //!
 //! Used by the `bench_kernels` binary (perf trajectory `BENCH_kernels.json`).
 //! Every backend reported by [`Backend::available()`] is measured over the
@@ -9,8 +10,9 @@
 
 use std::time::Instant;
 
-use cdstore_crypto::{aes, crc32, ctr, sha256};
+use cdstore_crypto::{aes, crc32, ctr, sha256, Fingerprint};
 use cdstore_gf::region::Backend;
+use cdstore_secretsharing::{CaontRs, GroupSplit, SecretSharing};
 
 use crate::MB;
 
@@ -95,12 +97,8 @@ pub fn sha_batch_speed(
     count: usize,
     reps: usize,
 ) -> f64 {
-    let lens: Vec<usize> = (0..count)
-        .map(|i| msg_len * 3 / 4 + (i * 0x9E37) % (msg_len / 2 + 1))
-        .collect();
-    let total: usize = lens.iter().sum();
-    let mut flat = vec![0u8; total];
-    fill_deterministic(&mut flat, 0xE703_7ED1_A0B4_28DB);
+    let (flat, lens) = mixed_messages(msg_len, count, 0xE703_7ED1_A0B4_28DB);
+    let total = flat.len();
     let mut msgs: Vec<&[u8]> = Vec::with_capacity(count);
     let mut rest = flat.as_slice();
     for &len in &lens {
@@ -112,6 +110,72 @@ pub fn sha_batch_speed(
     let mbps = measure(total, reps, || {
         let digests = sha256::hash_batch_with(kernel, &[], &msgs);
         sink ^= digests[0][0];
+    });
+    std::hint::black_box(sink);
+    mbps
+}
+
+/// `count` messages of mixed lengths within ±25 % of `msg_len` (share- or
+/// chunk-sized, so lanes refill and hand off as they do on the data path),
+/// concatenated, and their lengths.
+fn mixed_messages(msg_len: usize, count: usize, seed: u64) -> (Vec<u8>, Vec<usize>) {
+    let lens: Vec<usize> = (0..count)
+        .map(|i| msg_len * 3 / 4 + (i * 0x9E37) % (msg_len / 2 + 1))
+        .collect();
+    let mut flat = vec![0u8; lens.iter().sum()];
+    fill_deterministic(&mut flat, seed);
+    (flat, lens)
+}
+
+/// Measures the CAONT-RS encode of `count` secrets of about `msg_len` bytes
+/// (mixed as [`sha_batch_speed`]'s messages), shares fingerprinted, on the
+/// production dispatch. Per secret (`grouped == false`): `split_into` and
+/// one [`Fingerprint::of_batch`] of its `n` shares at a time, so no hash
+/// batch exceeds `n` messages. As one group: the secrets copied into their
+/// own buffers, [`SecretSharing::convergent_keys`],
+/// [`SecretSharing::split_group`] and one `of_batch` over every share — what
+/// the encode pipeline runs per group. `reps` timed passes, median MB/s of
+/// secret bytes.
+pub fn caont_split_speed(msg_len: usize, count: usize, grouped: bool, reps: usize) -> f64 {
+    let scheme = CaontRs::new(4, 3).expect("valid (n, k)");
+    let (flat, lens) = mixed_messages(msg_len, count, 0x3C6E_F372_FE94_F82B);
+    let mut secrets: Vec<&[u8]> = Vec::with_capacity(count);
+    let mut rest = flat.as_slice();
+    for &len in &lens {
+        let (secret, tail) = rest.split_at(len);
+        secrets.push(secret);
+        rest = tail;
+    }
+    let mut buffers: Vec<Vec<u8>> = vec![Vec::new(); count];
+    let mut shares: Vec<Vec<Vec<u8>>> = vec![Vec::new(); count];
+    let mut sink = 0u8;
+    let mbps = measure(flat.len(), reps, || {
+        let fingerprints = if grouped {
+            for (buffer, secret) in buffers.iter_mut().zip(&secrets) {
+                buffer.clear();
+                buffer.extend_from_slice(secret);
+            }
+            let keys = scheme.convergent_keys(&mut buffers).expect("CAONT-RS keys");
+            let mut group: Vec<GroupSplit<'_>> = (buffers.iter_mut().zip(&mut shares).zip(&keys))
+                .map(|((secret, shares), key)| GroupSplit {
+                    secret,
+                    key: Some(key),
+                    shares,
+                })
+                .collect();
+            scheme.split_group(&mut group, &mut 0).expect("split");
+            let refs: Vec<&[u8]> = shares.iter().flatten().map(Vec::as_slice).collect();
+            Fingerprint::of_batch(&refs)
+        } else {
+            let mut last = Vec::new();
+            for (secret, shares) in secrets.iter().zip(&mut shares) {
+                scheme.split_into(secret, shares).expect("split");
+                let refs: Vec<&[u8]> = shares.iter().map(Vec::as_slice).collect();
+                last = Fingerprint::of_batch(&refs);
+            }
+            last
+        };
+        sink ^= fingerprints[0].as_bytes()[0];
     });
     std::hint::black_box(sink);
     mbps

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use cdstore_chunking::{Chunker, ChunkerConfig, ChunkerKind};
 use cdstore_crypto::Fingerprint;
-use cdstore_secretsharing::caont_rs::DECODE_GROUP;
-use cdstore_secretsharing::{BufferPool, CaontRs, SecretSharing, SharingError};
+use cdstore_secretsharing::caont_rs::GROUP;
+use cdstore_secretsharing::{BufferPool, CaontRs, GroupSplit, SecretSharing, SharingError};
 
 use crate::dedup::DedupStats;
 use crate::error::CdStoreError;
@@ -444,7 +444,7 @@ impl CdStoreClient {
     /// Decodes the secrets in `window` of `recipe` from `shares_by_cloud` —
     /// `(cloud, shares)` from `k` clouds, each cloud's shares starting at the
     /// window's first secret — writes them to `out` and returns the bytes
-    /// written. The window decodes in groups of [`DECODE_GROUP`] secrets
+    /// written. The window decodes in groups of [`GROUP`] secrets
     /// ([`CaontRs::reconstruct_group`]); a failing secret stops the restore
     /// after the secrets before it are written.
     fn decode_window<W: Write + ?Sized>(
@@ -455,8 +455,8 @@ impl CdStoreClient {
         out: &mut W,
     ) -> Result<u64, CdStoreError> {
         let mut written = 0u64;
-        for group_start in window.clone().step_by(DECODE_GROUP) {
-            let seqs = group_start..window.end.min(group_start + DECODE_GROUP);
+        for group_start in window.clone().step_by(GROUP) {
+            let seqs = group_start..window.end.min(group_start + GROUP);
             let mut slots: Vec<Option<&[u8]>> = vec![None; seqs.len() * self.n];
             for (slots, seq) in slots.chunks_mut(self.n).zip(seqs.clone()) {
                 for (cloud, shares) in &shares_by_cloud {
@@ -555,9 +555,13 @@ impl LazySecret {
     ) -> Result<Vec<u8>, CdStoreError> {
         if let LazyState::Retained(chunk) = &mut self.state {
             let mut shares: Vec<Vec<u8>> = (0..client.n).map(|_| pool.get()).collect();
-            client
-                .scheme
-                .split_into_keyed(chunk, &self.key, &mut shares)?;
+            // The package is built in the chunk's own buffer.
+            let member = GroupSplit {
+                secret: chunk,
+                key: Some(&self.key),
+                shares: &mut shares,
+            };
+            client.scheme.split_group(&mut [member], &mut 0)?;
             client.memo.note_materialised();
             pool.put(std::mem::take(chunk));
             self.state = LazyState::Encoded(shares);
@@ -1128,14 +1132,15 @@ mod tests {
     #[test]
     fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
         let (n, k) = (4usize, 3usize);
-        let min_chunk = 2048usize;
+        // Small chunks, so the file is many times the pipeline's groups.
+        let min_chunk = 512usize;
         let new_client = |user| {
             CdStoreClient::with_chunker_kind(
                 user,
                 n,
                 k,
                 ChunkerKind::FastCdc,
-                ChunkerConfig::new(min_chunk, 8192, 16 * 1024),
+                ChunkerConfig::new(min_chunk, 1024, 4096),
             )
             .unwrap()
         };
@@ -1143,7 +1148,7 @@ mod tests {
         let batch_bytes: u64 = 64 * 1024;
         // Pseudo-random content, so FastCDC cuts variable-size chunks.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let data: Vec<u8> = (0..4 * 1024 * 1024)
+        let data: Vec<u8> = (0..8 * 1024 * 1024)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -1173,8 +1178,8 @@ mod tests {
                 let pool = Arc::new(BufferPool::new());
                 let config = PipelineConfig {
                     encode_threads: 2,
-                    chunk_queue: 2,
-                    encoded_queue: 2,
+                    chunk_queue: 1,
+                    encoded_queue: 1,
                     read_buffer: 16 * 1024,
                     pool: Some(Arc::clone(&pool)),
                     memo: None,

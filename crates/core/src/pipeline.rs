@@ -1,20 +1,26 @@
 //! The client's encode pipeline (§4.6): chunk → CAONT-RS encode on a pool
 //! of coding threads → in-order sink.
 //!
-//! The CDStore client parallelises the CPU-intensive CAONT-RS operations at
-//! the secret level: each secret produced by the chunking module is handed to
-//! one of a pool of coding threads. There is one encode body, fed by a chunk
-//! *source* — anything that fills a pooled buffer with the next chunk:
+//! The CDStore client parallelises the CPU-intensive CAONT-RS operations
+//! across coding threads. The unit of work is a *group* of consecutive
+//! secrets — up to [`GROUP`] of them, or [`GROUP_BYTES`] of secret bytes —
+//! so that each hash pass of the encode covers the whole group as one batch,
+//! which is what the multi-lane SHA-256 kernel needs (see [`encode_stream`]).
+//! There is one encode body, run by the inline mode and by every coding
+//! thread, fed by a chunk *source* — anything that fills a pooled buffer
+//! with the next chunk:
 //!
 //! * [`encode_stream`] cuts chunks straight off an [`std::io::Read`] with a
 //!   [`ChunkStream`];
 //! * [`encode_chunks`] walks a slice of chunks whose boundaries the caller
 //!   already fixed (the trace-driven experiments of §5.2).
 //!
-//! Either way the stages are connected by bounded queues, so encoding of
-//! chunk *i+1* overlaps the store RPC for chunk *i* and peak memory is set by
-//! [`PipelineConfig`] depths rather than input size. Chunk and share buffers
-//! cycle through a [`BufferPool`], making the steady state allocation-free.
+//! Either way the stages are connected by bounded queues of groups, so
+//! encoding of one group overlaps the store RPCs for the one before it, and
+//! peak memory is set by [`PipelineConfig`] depths rather than input size.
+//! The sink still receives secrets one at a time, in input order. Chunk and
+//! share buffers cycle through a [`BufferPool`], making the steady state
+//! allocation-free.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -25,26 +31,36 @@ use std::sync::{Arc, OnceLock};
 
 use cdstore_chunking::{ChunkStream, Chunker};
 use cdstore_crypto::Fingerprint;
-use cdstore_secretsharing::{BufferPool, SecretSharing, SharingError};
+pub use cdstore_secretsharing::caont_rs::GROUP;
+use cdstore_secretsharing::{BufferPool, GroupSplit, SecretSharing, SharingError};
 use parking_lot::Mutex;
 
 use crate::error::CdStoreError;
 use crate::memo::ShareMemo;
 
+/// Most secret bytes an encode group takes before it is cut, counting the
+/// secret that crosses the bound: with large chunks a group ends here
+/// rather than at [`GROUP`] secrets, so its buffers stay about a MiB of
+/// chunks plus their shares whatever the chunker's sizes.
+pub const GROUP_BYTES: usize = 1 << 20;
+
 /// Shape of the streaming encode pipeline: worker count and queue depths.
 ///
-/// The queue depths are the memory bound: at most
+/// The queues carry groups (see the [module docs](self)), and their depths
+/// are the memory bound: at most
 /// [`max_live_secrets`](PipelineConfig::max_live_secrets) secrets (each one
 /// chunk buffer plus `n` share buffers) are alive inside the pipeline at any
-/// instant, enforced with a ticket window between the chunker and the
-/// in-order sink.
+/// instant, enforced with a ticket window of groups between the chunker and
+/// the in-order sink.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Number of CAONT-RS encode workers (clamped to at least 1).
     pub encode_threads: usize,
-    /// Bounded-queue depth between the chunker and the encode workers.
+    /// Bounded-queue depth, in groups, between the chunker and the encode
+    /// workers.
     pub chunk_queue: usize,
-    /// Bounded-queue depth between the encode workers and the in-order sink.
+    /// Bounded-queue depth, in groups, between the encode workers and the
+    /// in-order sink.
     pub encoded_queue: usize,
     /// Read-buffer size handed to [`ChunkStream`].
     pub read_buffer: usize,
@@ -72,8 +88,10 @@ impl Default for PipelineConfig {
                     .unwrap_or(4)
                     .min(8)
             }),
-            chunk_queue: 8,
-            encoded_queue: 8,
+            // A group is up to 64 secrets: one waiting at each hand-off
+            // keeps every stage fed.
+            chunk_queue: 1,
+            encoded_queue: 1,
             read_buffer: 64 * 1024,
             pool: None,
             memo: None,
@@ -82,15 +100,21 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Upper bound on secrets simultaneously alive inside the pipeline: one
+    /// Upper bound on groups simultaneously alive inside the pipeline: one
     /// being cut, the two queues, one per worker, and one at the sink.
-    pub fn max_live_secrets(&self) -> usize {
+    fn max_live_groups(&self) -> usize {
         self.chunk_queue + self.encoded_queue + self.encode_threads.max(1) + 2
+    }
+
+    /// Upper bound on secrets simultaneously alive inside the pipeline:
+    /// [`GROUP`] for each group that can be.
+    pub fn max_live_secrets(&self) -> usize {
+        self.max_live_groups() * GROUP
     }
 
     /// Upper bound on pool buffers simultaneously checked out by the
     /// pipeline itself (excluding any the sink retains): each live secret
-    /// holds one chunk buffer and `n` share buffers.
+    /// holds at most one chunk buffer and `n` share buffers.
     pub fn max_live_buffers(&self, n: usize) -> usize {
         self.max_live_secrets() * (n + 1)
     }
@@ -120,7 +144,7 @@ pub struct EncodedSecret {
 
 /// A secret whose shares were not produced because their fingerprints were
 /// memoised: the chunk in a pooled buffer (the sink returns it) and the key
-/// [`SecretSharing::split_into_keyed`] takes.
+/// [`SecretSharing::split_group`] takes.
 pub struct RetainedSecret {
     /// The secret's [`SecretSharing::convergent_key`].
     pub key: [u8; 32],
@@ -147,7 +171,7 @@ impl EncodedSecret {
 }
 
 /// Totals returned by a completed [`encode_stream`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncodeStreamReport {
     /// Number of secrets (chunks) cut and encoded.
     pub num_secrets: u64,
@@ -155,32 +179,59 @@ pub struct EncodeStreamReport {
     pub logical_bytes: u64,
 }
 
-/// Message from the encode workers to the in-order sink loop.
-type EncodedMessage = Result<EncodedSecret, SharingError>;
+/// A group of chunks as cut, in pooled buffers, after the sequence number of
+/// its first.
+type ChunkGroup = (u64, Vec<Vec<u8>>);
 
 /// The chunk queue's receive side, shared by the encode workers.
-type SharedChunkReceiver = Arc<Mutex<Receiver<(u64, Vec<u8>)>>>;
+type SharedChunkReceiver = Arc<Mutex<Receiver<ChunkGroup>>>;
+
+/// A group after the encode stage: its secrets in order up to the first
+/// that failed, and that failure.
+struct EncodedGroup {
+    first_seq: u64,
+    secrets: Vec<EncodedSecret>,
+    outcome: Result<(), SharingError>,
+}
+
+impl EncodedGroup {
+    fn recycle(self, pool: &BufferPool) {
+        self.secrets.into_iter().for_each(|enc| enc.recycle(pool));
+    }
+}
 
 /// Streams `reader` through chunk → encode → sink with bounded memory.
 ///
-/// A chunker thread cuts chunks into pooled buffers and feeds a bounded
-/// queue; `encode_threads` workers pull chunks, run
-/// [`SecretSharing::split_into`] into pooled share buffers, fingerprint the
-/// shares, and feed a second bounded queue; the calling thread reorders by
-/// sequence number and hands each [`EncodedSecret`] to `sink` in input
-/// order. The sink overlaps whatever it does (batching, store RPCs) with the
-/// encoding of later chunks — the pipelining that lets CPU and network run
-/// concurrently.
+/// A chunker thread cuts chunks into pooled buffers, a group at a time, and
+/// feeds a bounded queue; `encode_threads` workers each take a whole group
+/// and encode it into pooled share buffers:
+///
+/// 1. `H(X)` of every secret as one batch
+///    ([`SecretSharing::convergent_keys`]);
+/// 2. the memo lookups, where a hit costs only its `H(X)`;
+/// 3. the misses split as one group ([`SecretSharing::split_group`]) — for
+///    CAONT-RS the mask applied in each chunk's own buffer, `H(Y)` as one
+///    batch, then Reed-Solomon per secret;
+/// 4. the `n` shares of every miss fingerprinted as one
+///    [`Fingerprint::of_batch`].
+///
+/// A group of 16 or more secrets takes the sixteen AVX-512 SHA-256 lanes
+/// where they outrun SHA-NI ([`cdstore_crypto::sha256::BatchKernel`]). The
+/// calling thread reorders the groups and hands each [`EncodedSecret`] to
+/// `sink` in input order. The sink overlaps whatever it does (batching,
+/// store RPCs) with the encoding of later groups — the pipelining that lets
+/// CPU and network run concurrently.
 ///
 /// Error handling: the first failure anywhere — a read error, an encode
-/// error, a worker panic (surfaced as [`SharingError::WorkerPanic`]), or a
+/// error, an encode panic (surfaced as [`SharingError::WorkerPanic`]), or a
 /// sink error — aborts the pipeline promptly; in-flight buffers drain back
-/// to the pool and the error is returned. On success the sink has seen every
-/// secret exactly once, in order.
+/// to the pool and the error is returned. The sink has seen every secret
+/// before the failing one, in order, and none after it. On success it has
+/// seen every secret exactly once, in order.
 ///
 /// With `encode_threads <= 1` there is no parallelism to exploit, so the
-/// stages run inline on the calling thread (same semantics, no channel or
-/// context-switch cost).
+/// stages run inline on the calling thread, a group at a time (same
+/// semantics, no channel or context-switch cost).
 pub fn encode_stream<R: Read + Send>(
     scheme: &(dyn SecretSharing + Sync),
     chunker: &dyn Chunker,
@@ -226,7 +277,7 @@ pub fn encode_chunks(
     )
 }
 
-/// The encode body behind [`encode_stream`] and [`encode_chunks`].
+/// The pipeline behind [`encode_stream`] and [`encode_chunks`].
 /// `next_chunk` is the chunk source: it overwrites the pooled buffer it is
 /// given with the next chunk and returns `Ok(false)` at end of input.
 fn encode_from(
@@ -246,17 +297,14 @@ fn encode_from(
     }
     let abort = AtomicBool::new(false);
 
-    let (chunk_tx, chunk_rx) = sync_channel::<(u64, Vec<u8>)>(config.chunk_queue.max(1));
+    let (chunk_tx, chunk_rx) = sync_channel::<ChunkGroup>(config.chunk_queue.max(1));
     let chunk_rx: SharedChunkReceiver = Arc::new(Mutex::new(chunk_rx));
-    let (enc_tx, enc_rx) = sync_channel::<EncodedMessage>(config.encoded_queue.max(1));
-    // Ticket window capping secrets alive between the chunker and the sink.
-    let (ticket_tx, ticket_rx) = sync_channel::<()>(config.max_live_secrets());
+    let (enc_tx, enc_rx) = sync_channel::<EncodedGroup>(config.encoded_queue.max(1));
+    // Ticket window capping groups alive between the chunker and the sink.
+    let (ticket_tx, ticket_rx) = sync_channel::<()>(config.max_live_groups());
 
     let mut result: Result<(), CdStoreError> = Ok(());
-    let mut report = EncodeStreamReport {
-        num_secrets: 0,
-        logical_bytes: 0,
-    };
+    let mut report = EncodeStreamReport::default();
 
     std::thread::scope(|scope| {
         // --- Stage 1: the chunker thread. ---
@@ -275,22 +323,23 @@ fn encode_from(
                     if ticket_tx.send(()).is_err() {
                         return Ok(());
                     }
-                    let mut buf = pool.get();
-                    match next_chunk(&mut buf) {
-                        Ok(true) => {
-                            if chunk_tx.send((seq, buf)).is_err() {
-                                return Ok(()); // workers gone: abort path
-                            }
-                            seq += 1;
-                        }
-                        Ok(false) => {
-                            pool.put(buf);
+                    let mut chunks = Vec::with_capacity(GROUP);
+                    let cut = cut_group(&mut next_chunk, &pool, &mut chunks);
+                    let count = chunks.len() as u64;
+                    if count > 0 {
+                        if let Err(mut unsent) = chunk_tx.send((seq, chunks)) {
+                            // Workers gone: the abort path.
+                            pool.put_all(&mut (unsent.0).1);
                             return Ok(());
                         }
-                        Err(e) => {
-                            pool.put(buf);
-                            return Err(e);
-                        }
+                    }
+                    seq += count;
+                    match cut {
+                        Ok(true) => {}
+                        // A read error surfaces after the chunks cut before
+                        // it are encoded and sunk.
+                        Ok(false) => return Ok(()),
+                        Err(e) => return Err(e),
                     }
                 }
                 // chunk_tx drops here, disconnecting the workers.
@@ -306,19 +355,24 @@ fn encode_from(
             scope.spawn(move || {
                 loop {
                     let msg = chunk_rx.lock().recv();
-                    let (seq, mut chunk) = match msg {
-                        Ok(item) => item,
-                        Err(_) => return, // chunker done or aborted
+                    let Ok((first_seq, mut chunks)) = msg else {
+                        return; // chunker done or aborted
                     };
                     if abort.load(Ordering::Acquire) {
                         // Keep draining so a full queue never wedges the
                         // chunker; just recycle the buffers.
-                        pool.put(chunk);
+                        pool.put_all(&mut chunks);
                         continue;
                     }
-                    let message = encode_one(scheme, &pool, memo, seq, &mut chunk);
-                    pool.put(chunk);
-                    if enc_tx.send(message).is_err() {
+                    let (secrets, outcome) =
+                        encode_group(scheme, &pool, memo, first_seq, &mut chunks);
+                    let group = EncodedGroup {
+                        first_seq,
+                        secrets,
+                        outcome,
+                    };
+                    if let Err(unsent) = enc_tx.send(group) {
+                        unsent.0.recycle(&pool);
                         return; // sink loop gone
                     }
                 }
@@ -328,55 +382,39 @@ fn encode_from(
         drop(enc_tx);
 
         // --- Stage 3: reorder by sequence and sink in input order. ---
-        let mut next_seq = 0u64;
-        let mut out_of_order: BTreeMap<u64, EncodedSecret> = BTreeMap::new();
+        let mut out_of_order: BTreeMap<u64, EncodedGroup> = BTreeMap::new();
         // Hold the ticket receiver in an Option so the abort path can drop
         // it, which unblocks/terminates the chunker's ticket acquisition.
         let mut window = Some(ticket_rx);
-        for message in enc_rx.iter() {
+        for group in enc_rx.iter() {
             if result.is_err() {
                 // Drain mode: recycle buffers until the workers exit.
-                if let Ok(enc) = message {
-                    enc.recycle(&pool);
-                }
+                group.recycle(&pool);
                 continue;
             }
-            match message {
-                Ok(enc) => {
-                    out_of_order.insert(enc.seq, enc);
-                    while let Some(enc) = out_of_order.remove(&next_seq) {
-                        report.logical_bytes += enc.secret_size as u64;
-                        match sink(enc, &pool) {
-                            Ok(()) => {
-                                next_seq += 1;
-                                // One ticket per sunk secret; its token was
-                                // deposited before the chunk was cut, so
-                                // this never blocks.
-                                if let Some(rx) = &window {
-                                    let _ = rx.recv();
-                                }
-                            }
-                            Err(e) => {
-                                result = Err(e);
-                                abort.store(true, Ordering::Release);
-                                window = None;
-                                break;
-                            }
+            out_of_order.insert(group.first_seq, group);
+            while let Some(group) = out_of_order.remove(&report.num_secrets) {
+                match sink_group(group, &pool, &mut sink, &mut report) {
+                    // One ticket per sunk group; its token was deposited
+                    // before the group was cut, so this never blocks.
+                    Ok(()) => {
+                        if let Some(rx) = &window {
+                            let _ = rx.recv();
                         }
                     }
-                }
-                Err(e) => {
-                    result = Err(e.into());
-                    abort.store(true, Ordering::Release);
-                    window = None;
+                    Err(e) => {
+                        result = Err(e);
+                        abort.store(true, Ordering::Release);
+                        window = None;
+                        break;
+                    }
                 }
             }
         }
-        // Return any still-buffered out-of-order secrets (error paths).
-        for (_, enc) in out_of_order {
-            enc.recycle(&pool);
+        // Return any still-buffered out-of-order groups (error paths).
+        for (_, group) in out_of_order {
+            group.recycle(&pool);
         }
-        report.num_secrets = next_seq;
 
         // Surface a chunker I/O failure unless an earlier error already won.
         match chunker_handle.join() {
@@ -397,9 +435,9 @@ fn encode_from(
     result.map(|()| report)
 }
 
-/// The single-threaded mode of [`encode_from`]: chunk → encode → sink run
-/// inline with one reused chunk buffer, preserving the threaded mode's
-/// semantics (in-order delivery, pooled buffers, typed errors) without any
+/// The single-threaded mode of [`encode_from`]: cut → encode → sink run
+/// inline a group at a time, preserving the threaded mode's semantics
+/// (in-order delivery, pooled buffers, typed errors) without any
 /// cross-thread handoffs.
 fn encode_inline(
     scheme: &(dyn SecretSharing + Sync),
@@ -408,95 +446,190 @@ fn encode_inline(
     memo: Option<&ShareMemo>,
     sink: &mut impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
 ) -> Result<EncodeStreamReport, CdStoreError> {
-    let mut report = EncodeStreamReport {
-        num_secrets: 0,
-        logical_bytes: 0,
-    };
-    let mut chunk = pool.get();
-    let result = loop {
-        match next_chunk(&mut chunk) {
+    let mut report = EncodeStreamReport::default();
+    let mut chunks = Vec::with_capacity(GROUP);
+    loop {
+        let cut = cut_group(&mut next_chunk, pool, &mut chunks);
+        if !chunks.is_empty() {
+            let first_seq = report.num_secrets;
+            let (secrets, outcome) = encode_group(scheme, pool, memo, first_seq, &mut chunks);
+            let group = EncodedGroup {
+                first_seq,
+                secrets,
+                outcome,
+            };
+            sink_group(group, pool, sink, &mut report)?;
+        }
+        match cut {
             Ok(true) => {}
-            Ok(false) => break Ok(report),
-            Err(e) => break Err(e.into()),
+            Ok(false) => return Ok(report),
+            Err(e) => return Err(e.into()),
         }
-        let enc = match encode_one(scheme, pool, memo, report.num_secrets, &mut chunk) {
-            Ok(enc) => enc,
-            Err(e) => break Err(e.into()),
-        };
-        report.logical_bytes += enc.secret_size as u64;
-        report.num_secrets += 1;
-        if let Err(e) = sink(enc, pool) {
-            break Err(e);
-        }
-    };
-    pool.put(chunk);
-    result
+    }
 }
 
-/// Encodes one chunk into `n` pooled share buffers and fingerprints them
-/// (all `n` in one batch, so the multi-lane SHA-256 path can interleave
-/// them) — unless `memo` already holds the fingerprints for the chunk's
-/// convergent key: then no share is produced and the chunk itself moves into
-/// the result, `chunk` being left a fresh pooled buffer. A miss splits with
-/// the key it looked up, so no byte is hashed twice, and memoises the
-/// result. A panicking scheme must fail the upload, not the process: the
+/// Cuts the next group off `next_chunk` into pooled buffers appended to
+/// `chunks`, stopping after [`GROUP`] chunks or [`GROUP_BYTES`] bytes.
+/// Returns `Ok(false)` at end of input. On a read error the chunks cut
+/// before it stay in `chunks`.
+fn cut_group(
+    next_chunk: &mut impl FnMut(&mut Vec<u8>) -> std::io::Result<bool>,
+    pool: &BufferPool,
+    chunks: &mut Vec<Vec<u8>>,
+) -> std::io::Result<bool> {
+    let mut bytes = 0;
+    while chunks.len() < GROUP && bytes < GROUP_BYTES {
+        let mut buf = pool.get();
+        match next_chunk(&mut buf) {
+            Ok(true) => {
+                bytes += buf.len();
+                chunks.push(buf);
+            }
+            Ok(false) => {
+                pool.put(buf);
+                return Ok(false);
+            }
+            Err(e) => {
+                pool.put(buf);
+                return Err(e);
+            }
+        }
+    }
+    Ok(true)
+}
+
+/// Encodes one group of chunks, the first numbered `first_seq`, draining
+/// `chunks` — the steps [`encode_stream`] lists. A secret that repeats an
+/// earlier one of its group is looked up only once that one is memoised,
+/// as encoding secret by secret would, so it costs no encode either.
+///
+/// Returns the secrets in order up to the first that failed, and that
+/// failure. A panicking scheme must fail the upload, not the process: the
 /// crate forbids unsafe code and the closure only touches owned data, so
-/// unwinding here is benign and surfaces as [`SharingError::WorkerPanic`].
-fn encode_one(
+/// unwinding here is benign and surfaces as [`SharingError::WorkerPanic`],
+/// the secrets before the panicking one still returned. Every buffer of the
+/// group that is not returned goes back to `pool`, on every path.
+fn encode_group(
     scheme: &(dyn SecretSharing + Sync),
     pool: &BufferPool,
     memo: Option<&ShareMemo>,
-    seq: u64,
-    chunk: &mut Vec<u8>,
-) -> Result<EncodedSecret, SharingError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let secret_size = chunk.len() as u32;
-        let keyed = memo.and_then(|memo| Some((memo, scheme.convergent_key(chunk)?)));
-        if let Some((memo, key)) = &keyed {
-            if let Some(fingerprints) = memo.lookup(key) {
-                return Ok(EncodedSecret {
-                    seq,
-                    secret_size,
-                    shares: Vec::new(),
-                    fingerprints,
-                    retained: Some(RetainedSecret {
-                        key: *key,
-                        chunk: std::mem::replace(chunk, pool.get()),
-                    }),
-                });
-            }
-        }
-        let mut shares: Vec<Vec<u8>> = (0..scheme.n()).map(|_| pool.get()).collect();
-        let split = match &keyed {
-            Some((_, key)) => scheme.split_into_keyed(chunk, key, &mut shares),
-            None => scheme.split_into(chunk, &mut shares),
-        };
-        match split {
-            Ok(()) => {
-                let refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
-                let fingerprints = Fingerprint::of_batch(&refs);
-                if let Some((memo, key)) = &keyed {
-                    memo.insert(key, &fingerprints);
+    first_seq: u64,
+    chunks: &mut Vec<Vec<u8>>,
+) -> (Vec<EncodedSecret>, Result<(), SharingError>) {
+    let n = scheme.n();
+    let sizes: Vec<u32> = chunks.iter().map(|chunk| chunk.len() as u32).collect();
+    let mut keys: Option<Vec<[u8; 32]>> = None;
+    let mut fingerprints: Vec<Option<Vec<Fingerprint>>> = vec![None; chunks.len()];
+    let mut shares: Vec<Vec<Vec<u8>>> = vec![Vec::new(); chunks.len()];
+    let mut repeats: Vec<usize> = Vec::new();
+    let mut misses: Vec<usize> = Vec::new();
+    let mut done = 0;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        keys = scheme.convergent_keys(chunks);
+        if let (Some(memo), Some(keys)) = (memo, &keys) {
+            for (i, key) in keys.iter().enumerate() {
+                if keys[..i].contains(key) {
+                    repeats.push(i);
+                } else {
+                    fingerprints[i] = memo.lookup(key);
                 }
-                Ok(EncodedSecret {
-                    seq,
-                    secret_size,
-                    shares,
-                    fingerprints,
-                    retained: None,
-                })
-            }
-            Err(e) => {
-                pool.put_all(&mut shares);
-                Err(e)
             }
         }
+        misses = (0..chunks.len())
+            .filter(|i| fingerprints[*i].is_none() && !repeats.contains(i))
+            .collect();
+        for &i in &misses {
+            shares[i] = (0..n).map(|_| pool.get()).collect();
+        }
+        let mut group: Vec<GroupSplit<'_>> = (chunks.iter_mut().zip(&mut shares).enumerate())
+            .filter(|(i, _)| misses.binary_search(i).is_ok())
+            .map(|(i, (secret, shares))| GroupSplit {
+                secret,
+                key: keys.as_ref().map(|keys| &keys[i]),
+                shares,
+            })
+            .collect();
+        scheme.split_group(&mut group, &mut done)
     }))
-    .unwrap_or_else(|payload| Err(panic_error(payload)))
+    .unwrap_or_else(|payload| Err(panic_error(payload)));
+    // Secrets from the first failed one on are not returned.
+    let end = match outcome {
+        Ok(()) => chunks.len(),
+        Err(_) => misses.get(done).copied().unwrap_or(0),
+    };
+
+    let encoded = &misses[..done];
+    let refs: Vec<&[u8]> = (encoded.iter())
+        .flat_map(|&i| shares[i].iter().map(Vec::as_slice))
+        .collect();
+    for (&i, batch) in encoded.iter().zip(Fingerprint::of_batch(&refs).chunks(n)) {
+        if let (Some(memo), Some(keys)) = (memo, &keys) {
+            memo.insert(&keys[i], batch);
+        }
+        fingerprints[i] = Some(batch.to_vec());
+    }
+    if let (Some(memo), Some(keys)) = (memo, &keys) {
+        for &i in repeats.iter().filter(|&&i| i < end) {
+            let first = keys.iter().position(|key| key == &keys[i]);
+            let first = first.expect("a repeat follows its first");
+            fingerprints[i] = memo
+                .lookup(&keys[i])
+                .or_else(|| fingerprints[first].clone());
+        }
+    }
+
+    let mut secrets = Vec::with_capacity(end);
+    let group = chunks.drain(..).zip(shares).zip(fingerprints);
+    for (i, ((chunk, mut shares), fingerprints)) in group.enumerate() {
+        if i >= end {
+            pool.put(chunk);
+            pool.put_all(&mut shares);
+            continue;
+        }
+        let retained = match misses.binary_search(&i) {
+            Ok(_) => {
+                pool.put(chunk);
+                None
+            }
+            Err(_) => Some(RetainedSecret {
+                key: keys.as_ref().expect("a memo hit has a key")[i],
+                chunk,
+            }),
+        };
+        secrets.push(EncodedSecret {
+            seq: first_seq + i as u64,
+            secret_size: sizes[i],
+            shares,
+            fingerprints: fingerprints.expect("a secret before the failure has its fingerprints"),
+            retained,
+        });
+    }
+    (secrets, outcome)
 }
 
-/// Converts a worker thread's panic payload into a [`SharingError`],
-/// preserving `panic!` string messages where possible.
+/// Hands a group's secrets to `sink` in order, counting them into `report`,
+/// then surfaces the group's encode failure, if any. On a sink error the
+/// rest of the group is recycled.
+fn sink_group(
+    group: EncodedGroup,
+    pool: &BufferPool,
+    sink: &mut impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
+    report: &mut EncodeStreamReport,
+) -> Result<(), CdStoreError> {
+    let mut secrets = group.secrets.into_iter();
+    for enc in secrets.by_ref() {
+        report.logical_bytes += enc.secret_size as u64;
+        if let Err(e) = sink(enc, pool) {
+            secrets.for_each(|enc| enc.recycle(pool));
+            return Err(e);
+        }
+        report.num_secrets += 1;
+    }
+    group.outcome.map_err(CdStoreError::from)
+}
+
+/// Converts an encode panic's payload into a [`SharingError`], preserving
+/// `panic!` string messages where possible.
 fn panic_error(payload: Box<dyn std::any::Any + Send>) -> SharingError {
     let message = payload
         .downcast_ref::<&'static str>()
@@ -734,8 +867,8 @@ mod tests {
     fn test_pipeline_config(pool: Arc<BufferPool>) -> PipelineConfig {
         PipelineConfig {
             encode_threads: 3,
-            chunk_queue: 4,
-            encoded_queue: 4,
+            chunk_queue: 1,
+            encoded_queue: 1,
             read_buffer: 777, // deliberately odd: boundaries must not care
             pool: Some(pool),
             memo: None,
@@ -805,8 +938,8 @@ mod tests {
         let chunker = ChunkerKind::FastCdc.build(small_chunk_config());
         let pool = Arc::new(BufferPool::new());
         let config = test_pipeline_config(Arc::clone(&pool));
-        // ~1 MiB at ~1 KiB chunks: ~1000 secrets, far above max_live_secrets.
-        let data = stream_data(1024 * 1024);
+        // ~4 MiB at ~1 KiB chunks: ~4000 secrets, far above max_live_secrets.
+        let data = stream_data(4 * 1024 * 1024);
         let report = encode_stream(
             &scheme,
             chunker.as_ref(),
@@ -1094,10 +1227,8 @@ mod tests {
             err,
             CdStoreError::Sharing(SharingError::WorkerPanic(_))
         ));
-        // The share buffers alive at the panic were freed by the unwind, not
-        // returned, so the pool's outstanding counter keeps them: only the
-        // panicking encode's own shares (n = 4) may be unaccounted for.
-        assert!(pool.stats().outstanding <= 4);
+        // The panicking group's buffers went back to the pool too.
+        assert_eq!(pool.stats().outstanding, 0);
 
         // Read error surfaces as Io.
         let pool = Arc::new(BufferPool::new());
@@ -1174,16 +1305,6 @@ mod tests {
         fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
             self.encodes.fetch_add(1, Ordering::SeqCst);
             self.inner.split(secret)
-        }
-
-        fn split_into_keyed(
-            &self,
-            secret: &[u8],
-            key: &[u8; 32],
-            out: &mut Vec<Vec<u8>>,
-        ) -> Result<(), SharingError> {
-            self.encodes.fetch_add(1, Ordering::SeqCst);
-            self.inner.split_into_keyed(secret, key, out)
         }
 
         fn reconstruct(
@@ -1284,8 +1405,9 @@ mod tests {
             pool: None,
             memo: None,
         };
-        assert_eq!(config.max_live_secrets(), 4 + 5 + 3 + 2);
-        assert_eq!(config.max_live_buffers(4), (4 + 5 + 3 + 2) * 5);
+        // Groups: one being cut, the two queues, one per worker, the sink's.
+        assert_eq!(config.max_live_secrets(), (4 + 5 + 3 + 2) * GROUP);
+        assert_eq!(config.max_live_buffers(4), (4 + 5 + 3 + 2) * GROUP * 5);
         let default = PipelineConfig::default();
         assert!(default.encode_threads >= 1);
         assert!(default.max_live_secrets() > default.encode_threads);

@@ -756,7 +756,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
             .collect();
         let report = store.backup(1, "/big", &data).unwrap();
-        let groups = cdstore_secretsharing::caont_rs::DECODE_GROUP;
+        let groups = cdstore_secretsharing::caont_rs::GROUP;
         assert!(
             report.num_secrets > 2 * groups && !report.num_secrets.is_multiple_of(groups),
             "{} secrets",

@@ -63,8 +63,9 @@ impl Fingerprint {
     /// [`sha256::hash_batch`], whose kernel depends on the batch size (see
     /// [`sha256::BatchKernel::for_batch`]): sixteen AVX-512 lanes for 16 or
     /// more buffers where they outrun SHA-NI, else SHA-NI per buffer, else
-    /// four SSE2 lanes. Used by the client to fingerprint all `n` shares of
-    /// a secret in one call.
+    /// four SSE2 lanes. Used by the client to fingerprint every share of an
+    /// encode group — `n` per secret, up to 64 secrets — in one call; one
+    /// secret's `n` shares alone would never fill the lanes.
     pub fn of_batch(datas: &[&[u8]]) -> Vec<Self> {
         sha256::hash_batch(datas)
             .into_iter()

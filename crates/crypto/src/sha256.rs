@@ -384,7 +384,8 @@ pub fn hash_parts(parts: &[&[u8]]) -> [u8; DIGEST_SIZE] {
 
 /// Hashes many independent messages, returning one digest per input in
 /// order, with the kernel [`BatchKernel::for_batch`] picks for the batch.
-/// This is the API the client's share-fingerprint loop batches through.
+/// The client's encode groups and the restore's decode groups batch
+/// through it.
 pub fn hash_batch(inputs: &[&[u8]]) -> Vec<[u8; DIGEST_SIZE]> {
     hash_batch_prefixed(&[], inputs)
 }

@@ -12,33 +12,37 @@
 //!    into `n` shares with a systematic Reed-Solomon code. Share `i` is
 //!    always stored on cloud `i`, so identical secrets deduplicate per cloud.
 //!
-//! Decoding reverses the steps and verifies `H(X) == h`, giving an embedded
-//! integrity check on the recovered secret. It runs over a group of secrets
-//! at once ([`CaontRs::reconstruct_group`]) so each of its two hash passes
-//! can batch the group.
+//! Both directions run over a group of secrets at once, so each hash pass
+//! can batch the group: [`SecretSharing::split_group`] encodes a group in
+//! its members' own buffers and [`CaontRs::reconstruct_group`] decodes one,
+//! reversing the steps and verifying `H(X) == h`, the embedded integrity
+//! check on the recovered secret. `split`, `split_into` and `reconstruct`
+//! are groups of one.
 
 use std::cell::RefCell;
 
 use cdstore_crypto::{constant_time_eq, ctr, sha256};
 use cdstore_erasure::ReedSolomon;
 
-use crate::{validate_shares, SecretSharing, SharingError};
+use crate::{validate_shares, GroupSplit, SecretSharing, SharingError};
 
 thread_local! {
-    /// Per-thread CAONT package scratch for [`CaontRs::split_into`]: each
-    /// encode worker settles on one buffer at its working chunk size instead
-    /// of allocating a package per secret.
+    /// Per-thread copy of a secret [`SecretSharing::split_into`] only
+    /// borrows: the package is built in place, so a lent secret is copied
+    /// here first, into a buffer each thread keeps at its working chunk
+    /// size instead of allocating one per secret.
     static PACKAGE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Size of the convergent hash key / package tail in bytes.
 pub const HASH_SIZE: usize = 32;
 
-/// Secrets a restore decodes per [`CaontRs::reconstruct_group`] call: enough
-/// to fill the 16 hash lanes four times over, few enough that the group's
-/// packages (≈512 KiB at 8 KiB chunks) stay in L2 between its two hash
-/// passes.
-pub const DECODE_GROUP: usize = 64;
+/// Secrets a CAONT-RS group holds in either direction — a backup encodes
+/// and a restore decodes this many at once: enough to fill the 16 hash
+/// lanes four times over, so they idle only through a group's tail, and few
+/// enough that its packages (≈512 KiB at 8 KiB chunks) stay in L2 between
+/// its hash passes.
+pub const GROUP: usize = 64;
 
 /// CAONT-RS convergent dispersal with parameters `(n, k)` (and `r = k − 1`).
 #[derive(Debug, Clone)]
@@ -74,17 +78,18 @@ impl CaontRs {
         Ok(scheme)
     }
 
-    /// The convergent hash key `h = H(salt || X || 0^pad)` without
-    /// materialising the padding.
-    fn hash_key_padded(&self, secret: &[u8], pad: usize) -> [u8; HASH_SIZE] {
-        // The padding is shorter than k <= 254 bytes.
-        const ZEROS: [u8; 256] = [0u8; 256];
-        match (&self.salt, pad) {
-            (None, 0) => sha256::hash(secret),
-            (salt, _) => {
-                sha256::hash_parts(&[salt.as_deref().unwrap_or_default(), secret, &ZEROS[..pad]])
-            }
-        }
+    /// The organisation salt, empty when there is none.
+    fn salt(&self) -> &[u8] {
+        self.salt.as_deref().unwrap_or_default()
+    }
+
+    /// Zero-pads the secret in `buf` to the package head `X ‖ 0^pad`,
+    /// reserving room for the tail, so building the package in place
+    /// reallocates at most here.
+    fn pad(&self, buf: &mut Vec<u8>) {
+        let padded = self.padded_secret_len(buf.len());
+        buf.reserve(padded + HASH_SIZE - buf.len());
+        buf.resize(padded, 0);
     }
 
     /// Returns the padded secret length: the smallest length at least
@@ -105,36 +110,39 @@ impl CaontRs {
 
     /// Builds the CAONT package `(Y, t)` for a secret (before Reed-Solomon).
     pub fn build_package(&self, secret: &[u8]) -> Vec<u8> {
-        let mut package = Vec::new();
-        self.build_package_into(secret, &mut package);
+        let mut package = secret.to_vec();
+        self.package_group(&mut [GroupSplit {
+            secret: &mut package,
+            key: None,
+            shares: &mut Vec::new(),
+        }]);
         package
     }
 
-    /// Builds the CAONT package into `package`, reusing its capacity.
-    pub fn build_package_into(&self, secret: &[u8], package: &mut Vec<u8>) {
-        let h = self.padded_hash_key(secret);
-        self.build_package_keyed(secret, &h, package);
-    }
-
-    /// `h = H(X)` over the zero-padded secret, so encode and decode agree.
-    fn padded_hash_key(&self, secret: &[u8]) -> [u8; HASH_SIZE] {
-        self.hash_key_padded(secret, self.padded_secret_len(secret.len()) - secret.len())
-    }
-
-    /// [`CaontRs::build_package_into`] given `h`, the secret's
-    /// [`SecretSharing::convergent_key`], so the secret is not hashed again.
-    fn build_package_keyed(&self, secret: &[u8], h: &[u8; HASH_SIZE], package: &mut Vec<u8>) {
-        let padded_len = self.padded_secret_len(secret.len());
-        // X (zero-padded to the package-friendly length).
-        package.clear();
-        package.extend_from_slice(secret);
-        package.resize(padded_len + HASH_SIZE, 0);
-        // Y = X ⊕ G(h)  (single bulk CTR pass over the head).
-        ctr::apply_generator_mask(h, &mut package[..padded_len]);
-        // t = h ⊕ H(Y).
-        let hy = sha256::hash(&package[..padded_len]);
-        for i in 0..HASH_SIZE {
-            package[padded_len + i] = h[i] ^ hy[i];
+    /// Turns each member's buffer, holding its secret, into its CAONT
+    /// package `(Y, t)` in place: zero padding, `Y = X ⊕ G(h)` per secret
+    /// (one bulk CTR pass each), then `t = h ⊕ H(Y)` with the group's
+    /// `H(Y)` as one [`sha256::hash_batch`]. A member without a key has its
+    /// `h` hashed here.
+    fn package_group(&self, group: &mut [GroupSplit<'_>]) {
+        let keys: Vec<[u8; HASH_SIZE]> = (group.iter_mut())
+            .map(|member| {
+                self.pad(member.secret);
+                (member.key.copied())
+                    .unwrap_or_else(|| sha256::hash_parts(&[self.salt(), member.secret]))
+            })
+            .collect();
+        for (member, h) in group.iter_mut().zip(&keys) {
+            ctr::apply_generator_mask(h, member.secret);
+        }
+        let heads: Vec<&[u8]> = group
+            .iter()
+            .map(|member| member.secret.as_slice())
+            .collect();
+        let hy = sha256::hash_batch(&heads);
+        for ((member, h), hy) in group.iter_mut().zip(&keys).zip(&hy) {
+            let t: [u8; HASH_SIZE] = std::array::from_fn(|i| h[i] ^ hy[i]);
+            member.secret.extend_from_slice(&t);
         }
     }
 
@@ -155,7 +163,7 @@ impl CaontRs {
     /// takes sixteen AVX-512 lanes for a group of 16 or more where they
     /// outrun SHA-NI. This is the only CAONT-RS decode; `reconstruct` is
     /// the group of one. A group's packages are its only extra memory;
-    /// groups of [`DECODE_GROUP`] stay cache-resident between the passes.
+    /// groups of [`GROUP`] stay cache-resident between the passes.
     pub fn reconstruct_group(
         &self,
         group: &[(&[Option<&[u8]>], usize)],
@@ -316,36 +324,63 @@ impl SecretSharing for CaontRs {
     }
 
     fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
-        let package = self.build_package(secret);
-        // The package length is a multiple of k by construction; the encoder
-        // splits it into the k data shares and appends n − k parity shares.
-        // Share i goes to cloud i (§3.2), which the caller realises by
-        // indexing the returned vector.
-        Ok(self.rs.encode_data(&package)?)
+        let mut shares = Vec::new();
+        self.split_into(secret, &mut shares)?;
+        Ok(shares)
     }
 
+    /// [`SecretSharing::convergent_keys`] of one copy of the secret.
     fn convergent_key(&self, secret: &[u8]) -> Option<[u8; HASH_SIZE]> {
-        Some(self.padded_hash_key(secret))
+        let keys = self.convergent_keys(&mut [secret.to_vec()])?;
+        Some(keys[0])
     }
 
+    /// `H(salt ‖ X ‖ 0^pad)` over the group as one
+    /// [`sha256::hash_batch_prefixed`], each secret padded in its buffer's
+    /// spare capacity (and room for the tail reserved) for the hash.
+    fn convergent_keys(&self, secrets: &mut [Vec<u8>]) -> Option<Vec<[u8; HASH_SIZE]>> {
+        let lens: Vec<usize> = secrets.iter().map(Vec::len).collect();
+        secrets.iter_mut().for_each(|secret| self.pad(secret));
+        let heads: Vec<&[u8]> = secrets.iter().map(Vec::as_slice).collect();
+        let keys = sha256::hash_batch_prefixed(self.salt(), &heads);
+        for (secret, len) in secrets.iter_mut().zip(lens) {
+            secret.truncate(len);
+        }
+        Some(keys)
+    }
+
+    /// A [`SecretSharing::split_group`] of one, over a copy of the lent
+    /// secret in the thread's package scratch.
     fn split_into(&self, secret: &[u8], out: &mut Vec<Vec<u8>>) -> Result<(), SharingError> {
-        self.split_into_keyed(secret, &self.padded_hash_key(secret), out)
-    }
-
-    fn split_into_keyed(
-        &self,
-        secret: &[u8],
-        key: &[u8; HASH_SIZE],
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<(), SharingError> {
-        // Zero-allocation steady state: the package lives in a thread-local
-        // scratch buffer and the shares land in the caller's reused buffers.
         PACKAGE_SCRATCH.with(|scratch| {
             let mut package = scratch.borrow_mut();
-            self.build_package_keyed(secret, key, &mut package);
-            self.rs.encode_into(&package, out)?;
-            Ok(())
+            package.clear();
+            package.extend_from_slice(secret);
+            let member = GroupSplit {
+                secret: &mut package,
+                key: None,
+                shares: out,
+            };
+            self.split_group(&mut [member], &mut 0)
         })
+    }
+
+    /// The only CAONT-RS encode: each member's buffer becomes its package
+    /// (`package_group`), from which Reed-Solomon writes the `k`
+    /// data shares and `n − k` parity shares. The package length is a
+    /// multiple of `k` by construction. Share `i` goes to cloud `i` (§3.2),
+    /// which the caller realises by indexing the shares.
+    fn split_group(
+        &self,
+        group: &mut [GroupSplit<'_>],
+        done: &mut usize,
+    ) -> Result<(), SharingError> {
+        self.package_group(group);
+        for member in group.iter_mut() {
+            self.rs.encode_into(member.secret, member.shares)?;
+            *done += 1;
+        }
+        Ok(())
     }
 
     fn reconstruct(

@@ -171,10 +171,11 @@ pub trait SecretSharing: Send + Sync {
     ///
     /// `out` is resized to `n` entries and each entry is overwritten in
     /// place. The default implementation falls back to [`split`] and moves
-    /// the result (correct for every scheme, no reuse); convergent schemes on
-    /// the streaming data path override it to encode allocation-free.
+    /// the result (correct for every scheme, no reuse); CAONT-RS overrides
+    /// it, as a [`split_group`] of one, to encode allocation-free.
     ///
     /// [`split`]: SecretSharing::split
+    /// [`split_group`]: SecretSharing::split_group
     fn split_into(&self, secret: &[u8], out: &mut Vec<Vec<u8>>) -> Result<(), SharingError> {
         let shares = self.split(secret)?;
         out.clear();
@@ -192,18 +193,40 @@ pub trait SecretSharing: Send + Sync {
         None
     }
 
-    /// [`split_into`] for a caller that already holds the secret's
-    /// [`convergent_key`]: same shares, and the secret is not hashed again.
+    /// The group form of [`convergent_key`]: one key per secret, or `None`
+    /// when the scheme has none. Each buffer is left holding its secret; a
+    /// scheme may use its spare capacity meanwhile. The default asks
+    /// [`convergent_key`] secret by secret; CAONT-RS hashes the group as one
+    /// batch.
+    ///
+    /// [`convergent_key`]: SecretSharing::convergent_key
+    fn convergent_keys(&self, secrets: &mut [Vec<u8>]) -> Option<Vec<[u8; 32]>> {
+        secrets.iter().map(|s| self.convergent_key(s)).collect()
+    }
+
+    /// The group form of [`split_into`]: splits every member of `group`
+    /// into its `shares`, stopping at the first failure. A member's `secret`
+    /// buffer is the encode's scratch: on return it no longer holds the
+    /// secret. A member's `key`, its [`convergent_key`], spares the scheme
+    /// hashing the secret again. `done` counts the leading members whose
+    /// shares are final and is advanced as each completes, so a caller that
+    /// catches a panic still knows which shares it may use. The default
+    /// splits member by member with [`split_into`]; CAONT-RS builds each
+    /// package in its member's own buffer and hashes the group's `H(Y)` as
+    /// one batch.
     ///
     /// [`split_into`]: SecretSharing::split_into
     /// [`convergent_key`]: SecretSharing::convergent_key
-    fn split_into_keyed(
+    fn split_group(
         &self,
-        secret: &[u8],
-        _key: &[u8; 32],
-        out: &mut Vec<Vec<u8>>,
+        group: &mut [GroupSplit<'_>],
+        done: &mut usize,
     ) -> Result<(), SharingError> {
-        self.split_into(secret, out)
+        for member in group.iter_mut() {
+            self.split_into(member.secret, member.shares)?;
+            *done += 1;
+        }
+        Ok(())
     }
 
     /// Reconstructs the secret from at least `k` shares. `shares` must have
@@ -214,6 +237,18 @@ pub trait SecretSharing: Send + Sync {
         shares: &[Option<Vec<u8>>],
         secret_len: usize,
     ) -> Result<Vec<u8>, SharingError>;
+}
+
+/// One secret of a [`SecretSharing::split_group`] call. No `Debug`: it
+/// holds a secret and its key.
+pub struct GroupSplit<'a> {
+    /// The secret, in a buffer the split may use as scratch.
+    pub secret: &'a mut Vec<u8>,
+    /// Its [`SecretSharing::convergent_key`], if the caller has it.
+    pub key: Option<&'a [u8; 32]>,
+    /// Where its `n` shares go, overwritten as [`SecretSharing::split_into`]
+    /// overwrites `out`.
+    pub shares: &'a mut Vec<Vec<u8>>,
 }
 
 /// Identifier of a secret sharing scheme, used by configuration and the

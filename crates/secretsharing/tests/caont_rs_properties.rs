@@ -6,7 +6,7 @@
 //! Case counts are reduced under `debug_assertions` so plain `cargo test`
 //! stays fast; CI additionally runs this suite in release mode at full size.
 
-use cdstore_secretsharing::{CaontRs, SecretSharing, SharingError};
+use cdstore_secretsharing::{CaontRs, GroupSplit, SecretSharing, SharingError};
 use proptest::prelude::*;
 
 const CASES: u32 = if cfg!(debug_assertions) { 6 } else { 32 };
@@ -108,7 +108,12 @@ proptest! {
         for (scheme, expected) in [(&client_a, &shares), (&org_a, &salted)] {
             let key = scheme.convergent_key(&secret).expect("CAONT-RS is convergent");
             let mut keyed = vec![b"stale".to_vec()];
-            scheme.split_into_keyed(&secret, &key, &mut keyed).unwrap();
+            let member = GroupSplit {
+                secret: &mut secret.clone(),
+                key: Some(&key),
+                shares: &mut keyed,
+            };
+            scheme.split_group(&mut [member], &mut 0).unwrap();
             prop_assert_eq!(&keyed, expected);
             let mut unkeyed = Vec::new();
             scheme.split_into(&secret, &mut unkeyed).unwrap();

@@ -10,7 +10,7 @@
 //! implementation at the time the suite was written and must never change.
 
 use cdstore_crypto::sha256;
-use cdstore_secretsharing::{CaontRs, SecretSharing};
+use cdstore_secretsharing::{CaontRs, GroupSplit, SecretSharing};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -75,14 +75,29 @@ fn assert_pinned(scheme: &CaontRs, secret: &[u8], pinned: &[&str; 4]) {
              cross-version inter-user deduplication"
         );
     }
-    // The keyed split (what a share-fingerprint memo miss runs) lands the
-    // same pinned bytes from the key alone.
-    let key = scheme
-        .convergent_key(secret)
+    // The encode pipeline's path lands the same pinned bytes: a group of
+    // sixteen copies — enough for the 16-lane SHA-256 kernel where it runs —
+    // keyed by the group's batched `H(X)` and split as one group.
+    let mut secrets = vec![secret.to_vec(); 16];
+    let keys = scheme
+        .convergent_keys(&mut secrets)
         .expect("CAONT-RS is convergent");
-    let mut keyed = Vec::new();
-    scheme.split_into_keyed(secret, &key, &mut keyed).unwrap();
-    assert_eq!(keyed, shares, "keyed split drifted from split");
+    assert_eq!(Some(keys[0]), scheme.convergent_key(secret));
+    let mut grouped = vec![Vec::new(); 16];
+    let mut group: Vec<GroupSplit<'_>> = (secrets.iter_mut().zip(&mut grouped).zip(&keys))
+        .map(|((secret, shares), key)| GroupSplit {
+            secret,
+            key: Some(key),
+            shares,
+        })
+        .collect();
+    let mut done = 0;
+    scheme.split_group(&mut group, &mut done).unwrap();
+    assert_eq!(done, 16);
+    assert!(
+        grouped.iter().all(|g| g == &shares),
+        "grouped split drifted from split"
+    );
     // The pinned bytes (as a server would have stored them in an older
     // version) still decode to the secret with today's code.
     let received: Vec<Option<Vec<u8>>> = pinned.iter().map(|s| Some(unhex(s))).collect();

@@ -242,6 +242,19 @@ impl ContainerBuilder {
             data.len()
         );
         let offset = self.payload.len() as u32;
+        // A share container that has reached a quarter of the cap is being
+        // filled by a stream: reserve the rest once instead of doubling
+        // there (re-copying the payload and faulting in twice the pages).
+        // Below that it grows as it goes, so the many containers a flush
+        // seals early never hold a cap's worth of memory.
+        let needed = self.payload.len() + data.len();
+        if self.kind == ContainerKind::Share
+            && needed > self.payload.capacity()
+            && self.payload.len() >= CONTAINER_CAPACITY / 4
+        {
+            self.payload
+                .reserve_exact(CONTAINER_CAPACITY.max(needed) - self.payload.len());
+        }
         self.payload.extend_from_slice(data);
         self.entries.push(ContainerEntry {
             fingerprint,
@@ -299,6 +312,40 @@ mod tests {
         builder.append(fp(0), &vec![0u8; CONTAINER_CAPACITY - 100]);
         assert!(!builder.would_overflow(100));
         assert!(builder.would_overflow(101));
+    }
+
+    #[test]
+    fn a_share_container_reserves_the_rest_of_its_cap_once() {
+        let share = vec![0x5a; 3 * 1024];
+        let mut builder = ContainerBuilder::new(1, 1, ContainerKind::Share);
+        let mut i = 0;
+        while builder.payload_size() < CONTAINER_CAPACITY / 4 {
+            builder.append(fp(i), &share);
+            i += 1;
+        }
+        // Past a quarter of the cap, the next growth reserves the rest.
+        while builder.payload.capacity() < CONTAINER_CAPACITY {
+            builder.append(fp(i), &share);
+            i += 1;
+        }
+        assert_eq!(builder.payload.capacity(), CONTAINER_CAPACITY);
+        let payload = builder.payload.as_ptr();
+        while !builder.would_overflow(share.len()) {
+            builder.append(fp(i), &share);
+            i += 1;
+        }
+        let rest = CONTAINER_CAPACITY - builder.payload_size();
+        builder.append(fp(i), &vec![0xa5; rest]);
+        assert_eq!(builder.payload_size(), CONTAINER_CAPACITY);
+        assert_eq!(builder.payload.as_ptr(), payload, "the payload moved");
+        assert_eq!(builder.payload.capacity(), CONTAINER_CAPACITY);
+
+        // A container sealed early holds what it grew to.
+        for kind in [ContainerKind::Share, ContainerKind::Recipe] {
+            let mut small = ContainerBuilder::new(2, 1, kind);
+            small.append(fp(0), &share);
+            assert!(small.payload.capacity() < CONTAINER_CAPACITY / 4);
+        }
     }
 
     #[test]
