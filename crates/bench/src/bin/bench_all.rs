@@ -24,28 +24,7 @@ use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use serde::Serialize;
-
-/// One figure binary run.
-#[derive(Serialize)]
-struct FigRun {
-    name: &'static str,
-    args: Vec<String>,
-    ok: bool,
-    seconds: f64,
-    /// Captured stdout — the figure's printed table.
-    stdout: String,
-    /// Captured stderr, kept only when the run failed.
-    stderr: String,
-}
-
-/// The whole snapshot written to `BENCH_figs.json`.
-#[derive(Serialize)]
-struct BenchAll {
-    schema_version: u32,
-    mode: &'static str,
-    runs: Vec<FigRun>,
-}
+use cdstore_bench::json::{write_snapshot, Json};
 
 /// The figure battery: `(binary, smoke args, full args)`. Full runs use
 /// each binary's own defaults, which are already sized for a nightly
@@ -131,44 +110,43 @@ fn main() -> ExitCode {
         let started = Instant::now();
         let output = Command::new(&path).args(args.iter()).output();
         let seconds = started.elapsed().as_secs_f64();
-        let run = match output {
-            Ok(output) => FigRun {
-                name,
-                args: args.iter().map(|a| a.to_string()).collect(),
-                ok: output.status.success(),
-                seconds,
-                stdout: String::from_utf8_lossy(&output.stdout).into_owned(),
-                stderr: if output.status.success() {
+        // stderr is kept only when the run failed.
+        let (ok, stdout, stderr) = match output {
+            Ok(output) => {
+                let ok = output.status.success();
+                let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+                let stderr = if ok {
                     String::new()
                 } else {
-                    String::from_utf8_lossy(&output.stderr).into_owned()
-                },
-            },
-            Err(e) => FigRun {
-                name,
-                args: args.iter().map(|a| a.to_string()).collect(),
-                ok: false,
-                seconds,
-                stdout: String::new(),
-                stderr: format!("failed to spawn: {e}"),
-            },
+                    text(&output.stderr)
+                };
+                (ok, text(&output.stdout), stderr)
+            }
+            Err(e) => (false, String::new(), format!("failed to spawn: {e}")),
         };
-        if !run.ok {
+        if !ok {
             failed = true;
             eprintln!("bench_all: {name} FAILED after {seconds:.1}s");
         } else {
             eprintln!("bench_all: {name} ok ({seconds:.1}s)");
         }
-        runs.push(run);
+        runs.push(Json::obj([
+            ("name", name.into()),
+            ("args", Json::Arr(args.iter().map(|&a| a.into()).collect())),
+            ("ok", ok.into()),
+            ("seconds", seconds.into()),
+            // The figure's printed table.
+            ("stdout", stdout.into()),
+            ("stderr", stderr.into()),
+        ]));
     }
 
-    let snapshot = BenchAll {
-        schema_version: 1,
-        mode: if smoke { "smoke" } else { "full" },
-        runs,
-    };
-    let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
+    let snapshot = Json::obj([
+        ("schema_version", 1.into()),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("runs", Json::Arr(runs)),
+    ]);
+    if let Err(e) = write_snapshot(&out_path, &snapshot) {
         eprintln!("bench_all: writing {out_path} failed: {e}");
         return ExitCode::FAILURE;
     }

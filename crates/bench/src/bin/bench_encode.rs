@@ -4,54 +4,30 @@
 //! comparable curve (companion to `bench_net`'s `BENCH_net.json`).
 //!
 //! ```text
-//! cargo run --release -p cdstore_bench --bin bench_encode [-- out_path] [size_mb]
+//! cargo run --release -p cdstore_bench --bin bench_encode -- [out_path] [size_mb]
 //! ```
 //!
-//! Defaults: `BENCH_encode.json` in the current directory, 64 MB of seeded
-//! data. Also records the pipeline's peak live pooled buffers — the
-//! bounded-memory evidence: a pipeline-depth's worth regardless of input
-//! size — and the `duplicate_pass` row: the same input through one
-//! share-fingerprint memo twice, so the second pass is the cost of a chunk
-//! seen before (chunking, `H(X)`, a lookup) beside the first's full encode.
+//! The arguments go in either order: a number is the size, any other
+//! argument the path. Defaults: `BENCH_encode.json` in the current
+//! directory, 64 MB of seeded data. Also records the pipeline's peak live
+//! pooled buffers — the bounded-memory evidence: a pipeline-depth's worth
+//! regardless of input size — and the `duplicate_pass` row: the same input
+//! through one share-fingerprint memo twice, so the second pass is the cost
+//! of a chunk seen before (chunking, `H(X)`, a lookup) beside the first's
+//! full encode.
 
 use std::sync::Arc;
 
-use serde::Serialize;
-
 use cdstore_bench::encodebench::{chunking_speed, streamed_encode_speed};
-use cdstore_bench::random_secrets;
+use cdstore_bench::json::{write_snapshot, Json};
+use cdstore_bench::{random_secrets, SnapshotArgs};
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_core::ShareMemo;
 use cdstore_secretsharing::CaontRs;
 
-/// The whole snapshot written to `BENCH_encode.json`.
-#[derive(Serialize)]
-struct BenchEncode {
-    schema_version: u32,
-    n: usize,
-    k: usize,
-    size_mb: usize,
-    encode_threads: usize,
-    /// Chunking alone (streaming cutter, reused buffer), MB/s.
-    chunking_fixed_mbps: f64,
-    chunking_rabin_mbps: f64,
-    chunking_fastcdc_mbps: f64,
-    /// FastCDC over Rabin — the point of shipping the second cutter.
-    fastcdc_over_rabin: f64,
-    /// Chunk + CAONT-RS encode through the streamed pipeline.
-    streamed_encode_mbps: f64,
-    /// Peak live pooled buffers during the streamed run.
-    streamed_peak_live_buffers: usize,
-    streamed_num_secrets: u64,
-    streamed_pool_allocations: u64,
-    streamed_pool_reuses: u64,
-    duplicate_pass: DuplicatePass,
-}
-
 /// The same input through one fresh share-fingerprint memo twice (same
 /// pipeline as `streamed_encode_mbps`): every secret of the first pass is a
 /// miss, every secret of the second a hit.
-#[derive(Serialize)]
 struct DuplicatePass {
     first_pass_mbps: f64,
     second_pass_mbps: f64,
@@ -67,15 +43,8 @@ fn median_of<F: FnMut() -> f64>(runs: usize, mut f: F) -> f64 {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_encode.json");
-    let mut size_mb: usize = 64;
-    for arg in std::env::args().skip(1) {
-        if let Ok(mb) = arg.parse() {
-            size_mb = mb;
-        } else {
-            out_path = arg;
-        }
-    }
+    let args = SnapshotArgs::from_env("BENCH_encode.json", 64, false);
+    let size_mb = args.size as usize;
     let (n, k) = (4usize, 3usize);
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -131,28 +100,42 @@ fn main() {
         duplicate_pass.first_pass_mbps, duplicate_pass.second_pass_mbps
     );
 
-    let snapshot = BenchEncode {
-        schema_version: 3,
-        n,
-        k,
-        size_mb,
-        encode_threads: threads,
-        chunking_fixed_mbps: fixed,
-        chunking_rabin_mbps: rabin,
-        chunking_fastcdc_mbps: fastcdc,
-        fastcdc_over_rabin: fastcdc / rabin,
-        streamed_encode_mbps: streamed,
-        streamed_peak_live_buffers: run.pool.peak_outstanding,
-        streamed_num_secrets: run.num_secrets,
-        streamed_pool_allocations: run.pool.allocations,
-        streamed_pool_reuses: run.pool.reuses,
-        duplicate_pass,
-    };
+    let fastcdc_over_rabin = fastcdc / rabin;
+    let pool = &run.pool;
+    let snapshot = Json::obj([
+        ("schema_version", 3.into()),
+        ("n", n.into()),
+        ("k", k.into()),
+        ("size_mb", size_mb.into()),
+        ("encode_threads", threads.into()),
+        // Chunking alone (streaming cutter, reused buffer), MB/s.
+        ("chunking_fixed_mbps", fixed.into()),
+        ("chunking_rabin_mbps", rabin.into()),
+        ("chunking_fastcdc_mbps", fastcdc.into()),
+        // FastCDC over Rabin — the point of shipping the second cutter.
+        ("fastcdc_over_rabin", fastcdc_over_rabin.into()),
+        // Chunk + CAONT-RS encode through the streamed pipeline, and its
+        // peak live pooled buffers.
+        ("streamed_encode_mbps", streamed.into()),
+        ("streamed_peak_live_buffers", pool.peak_outstanding.into()),
+        ("streamed_num_secrets", run.num_secrets.into()),
+        ("streamed_pool_allocations", pool.allocations.into()),
+        ("streamed_pool_reuses", pool.reuses.into()),
+        (
+            "duplicate_pass",
+            Json::obj([
+                ("first_pass_mbps", duplicate_pass.first_pass_mbps.into()),
+                ("second_pass_mbps", duplicate_pass.second_pass_mbps.into()),
+                ("second_over_first", duplicate_pass.second_over_first.into()),
+                ("memo_hits", duplicate_pass.memo_hits.into()),
+                ("memo_misses", duplicate_pass.memo_misses.into()),
+            ]),
+        ),
+    ]);
 
-    let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
-    std::fs::write(&out_path, format!("{json}\n")).expect("write snapshot");
-    println!("{json}");
-    eprintln!("bench_encode: wrote {out_path}");
+    write_snapshot(&args.out_path, &snapshot).expect("write snapshot");
+    println!("{snapshot}");
+    eprintln!("bench_encode: wrote {}", args.out_path);
 
     // The acceptance comparison only holds with optimisations on.
     if cfg!(debug_assertions) {
@@ -160,13 +143,12 @@ fn main() {
         return;
     }
     assert!(
-        snapshot.fastcdc_over_rabin >= 2.0,
-        "FastCDC must chunk at >= 2x Rabin (got {:.2}x)",
-        snapshot.fastcdc_over_rabin
+        fastcdc_over_rabin >= 2.0,
+        "FastCDC must chunk at >= 2x Rabin (got {fastcdc_over_rabin:.2}x)"
     );
     assert!(
-        snapshot.duplicate_pass.second_over_first >= 1.5,
+        duplicate_pass.second_over_first >= 1.5,
         "a memoised pass must encode at >= 1.5x the first (got {:.2}x)",
-        snapshot.duplicate_pass.second_over_first
+        duplicate_pass.second_over_first
     );
 }

@@ -5,52 +5,31 @@
 //! (companion to `bench_encode`'s `BENCH_encode.json`).
 //!
 //! ```text
-//! cargo run --release -p cdstore_bench --bin bench_kernels [-- out_path] [region_mb | --smoke]
+//! cargo run --release -p cdstore_bench --bin bench_kernels -- [out_path] [region_mb | --smoke]
 //! ```
 //!
-//! Defaults: `BENCH_kernels.json` in the current directory, 8 MB regions.
-//! `--smoke` (as the second argument) shrinks the regions and repetitions
+//! The arguments go in either order: a number is the region size, any other
+//! argument the path. Defaults: `BENCH_kernels.json` in the current
+//! directory, 8 MB regions. `--smoke` shrinks the regions and repetitions
 //! for CI sanity runs. Every backend reported by the runtime detectors is
 //! measured; the `speedup_vs_scalar` column is the acceptance criterion for
 //! the SIMD kernels (≥ 4x for `mul_acc` on SIMD-capable hosts).
 
-use serde::Serialize;
-
 use cdstore_bench::fmt_speed;
+use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::kernelbench::{
     aes_ctr_speed, aes_generator_mask_speed, caont_split_speed, crc32_speed,
     gf_kernel_all_backends, sha_batch_speed, sha_single_speed, KernelSpeed,
 };
+use cdstore_bench::SnapshotArgs;
 use cdstore_crypto::{aes, crc32, sha256};
 use cdstore_gf::region;
 
-/// One measured (kernel, backend) row.
-#[derive(Serialize)]
-struct KernelRow {
-    kernel: String,
-    backend: &'static str,
-    mbps: f64,
-    /// This backend's throughput over the scalar baseline for the same
-    /// kernel; 1.0 for the scalar rows themselves. The `caont/split` rows'
-    /// baseline is their `per_secret` row.
-    speedup_vs_scalar: f64,
-}
-
-/// The whole snapshot written to `BENCH_kernels.json`.
-#[derive(Serialize)]
-struct BenchKernels {
-    schema_version: u32,
-    region_bytes: usize,
-    reps: usize,
-    /// Backend the production dispatch selected on this host.
-    gf_active_backend: &'static str,
-    sha_active_backend: &'static str,
-    aes_active_backend: &'static str,
-    crc32_active_backend: &'static str,
-    rows: Vec<KernelRow>,
-}
-
-fn rows_from(kernel: &str, speeds: &[KernelSpeed], baseline: &str) -> Vec<KernelRow> {
+/// One measured (kernel, backend) row per speed: `kernel`, `backend`,
+/// `mbps` and `speedup_vs_scalar`, this backend's throughput over the
+/// `baseline` backend's for the same kernel (1.0 for the baseline rows
+/// themselves; the `caont/split` rows' baseline is their `per_secret` row).
+fn rows_from(kernel: &str, speeds: &[KernelSpeed], baseline: &str) -> Vec<Json> {
     let base = speeds
         .iter()
         .find(|s| s.backend == baseline)
@@ -58,27 +37,23 @@ fn rows_from(kernel: &str, speeds: &[KernelSpeed], baseline: &str) -> Vec<Kernel
         .mbps;
     speeds
         .iter()
-        .map(|s| KernelRow {
-            kernel: kernel.to_string(),
-            backend: s.backend,
-            mbps: s.mbps,
-            speedup_vs_scalar: s.mbps / base,
+        .map(|s| {
+            Json::obj([
+                ("kernel", kernel.into()),
+                ("backend", s.backend.into()),
+                ("mbps", s.mbps.into()),
+                ("speedup_vs_scalar", (s.mbps / base).into()),
+            ])
         })
         .collect()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("BENCH_kernels.json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (region_bytes, reps) = if smoke {
+    let args = SnapshotArgs::from_env("BENCH_kernels.json", 8, true);
+    let (region_bytes, reps) = if args.smoke {
         (256 * 1024, 5)
     } else {
-        let mb: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(8);
-        (mb * 1024 * 1024, 9)
+        (args.size as usize * 1024 * 1024, 9)
     };
 
     let mut rows = Vec::new();
@@ -187,23 +162,24 @@ fn main() {
         rows.extend(rows_from(kernel, &speeds, "scalar"));
     }
 
-    let snapshot = BenchKernels {
-        schema_version: 1,
-        region_bytes,
-        reps,
-        gf_active_backend: region::Backend::active().name(),
-        sha_active_backend: sha256::Backend::active().name(),
-        aes_active_backend: aes::Backend::active().name(),
-        crc32_active_backend: crc32::Backend::active().name(),
-        rows,
-    };
-    let json = serde_json::to_string_pretty(&snapshot).expect("serialise snapshot");
-    std::fs::write(out_path, &json).expect("write BENCH_kernels.json");
+    // The backends the production dispatch selected on this host.
+    let gf_active = region::Backend::active().name();
+    let sha_active = sha256::Backend::active().name();
+    let aes_active = aes::Backend::active().name();
+    let crc32_active = crc32::Backend::active().name();
+    let snapshot = Json::obj([
+        ("schema_version", 1.into()),
+        ("region_bytes", region_bytes.into()),
+        ("reps", reps.into()),
+        ("gf_active_backend", gf_active.into()),
+        ("sha_active_backend", sha_active.into()),
+        ("aes_active_backend", aes_active.into()),
+        ("crc32_active_backend", crc32_active.into()),
+        ("rows", Json::Arr(rows)),
+    ]);
+    write_snapshot(&args.out_path, &snapshot).expect("write BENCH_kernels.json");
     println!(
-        "active backends: gf={} sha={} aes={} crc32={}; wrote {out_path}",
-        snapshot.gf_active_backend,
-        snapshot.sha_active_backend,
-        snapshot.aes_active_backend,
-        snapshot.crc32_active_backend
+        "active backends: gf={gf_active} sha={sha_active} aes={aes_active} crc32={crc32_active}; wrote {}",
+        args.out_path
     );
 }

@@ -3,67 +3,37 @@
 //! future PRs leave a comparable curve (ROADMAP item 6).
 //!
 //! ```text
-//! cargo run --release -p cdstore_bench --bin bench_net [-- out_path] [per_client_mb]
+//! cargo run --release -p cdstore_bench --bin bench_net -- [out_path] [per_client_mb]
 //! ```
 //!
-//! Defaults: `BENCH_net.json` in the current directory, 4 MB per client.
-//! All data generation is seeded; run-to-run variance comes only from the
-//! machine, never the workload.
+//! The arguments go in either order: a number is the size, any other
+//! argument the path. Defaults: `BENCH_net.json` in the current directory,
+//! 4 MB per client. All data generation is seeded; run-to-run variance
+//! comes only from the machine, never the workload.
 
-use serde::Serialize;
-
+use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::netbench::{rpc_batching, wire_aggregate_upload, wire_single_speeds};
-
-/// One fig8-style point: concurrent clients against 4 loopback servers.
-#[derive(Serialize)]
-struct AggregatePoint {
-    clients: usize,
-    unique_mbps: f64,
-    duplicate_mbps: f64,
-}
-
-/// The whole snapshot written to `BENCH_net.json`.
-#[derive(Serialize)]
-struct BenchNet {
-    schema_version: u32,
-    n: usize,
-    k: usize,
-    per_client_mb: usize,
-    /// fig7a over the wire: one client, loopback TCP.
-    single_upload_unique_mbps: f64,
-    single_upload_duplicate_mbps: f64,
-    single_download_mbps: f64,
-    /// fig8 over the wire at 1/4/8 clients.
-    aggregate: Vec<AggregatePoint>,
-    /// Raw share-upload RPC, one batch vs one-share-per-request.
-    rpc_batched_mbps: f64,
-    rpc_unbatched_mbps: f64,
-    rpc_batching_speedup: f64,
-}
+use cdstore_bench::SnapshotArgs;
 
 fn main() {
-    let mut out_path = String::from("BENCH_net.json");
-    let mut per_client_mb: usize = 4;
-    for arg in std::env::args().skip(1) {
-        if let Ok(mb) = arg.parse() {
-            per_client_mb = mb;
-        } else {
-            out_path = arg;
-        }
-    }
+    let args = SnapshotArgs::from_env("BENCH_net.json", 4, false);
+    let per_client_mb = args.size as usize;
     let per_client = per_client_mb * 1024 * 1024;
 
     eprintln!("bench_net: single-client loopback speeds ({per_client_mb} MB)...");
     let single = wire_single_speeds(per_client);
 
+    // fig8 over the wire: concurrent clients against 4 loopback servers.
     let mut aggregate = Vec::new();
     for clients in [1usize, 4, 8] {
         eprintln!("bench_net: aggregate at {clients} client(s)...");
-        aggregate.push(AggregatePoint {
-            clients,
-            unique_mbps: wire_aggregate_upload(clients, per_client, false),
-            duplicate_mbps: wire_aggregate_upload(clients, per_client, true),
-        });
+        let unique = wire_aggregate_upload(clients, per_client, false);
+        let duplicate = wire_aggregate_upload(clients, per_client, true);
+        aggregate.push(Json::obj([
+            ("clients", clients.into()),
+            ("unique_mbps", unique.into()),
+            ("duplicate_mbps", duplicate.into()),
+        ]));
     }
 
     eprintln!("bench_net: rpc batching ratio...");
@@ -71,22 +41,26 @@ fn main() {
     // weighs at k = 3, so the ratio reflects the real protocol traffic.
     let rpc = rpc_batching(512, 3 * 1024);
 
-    let snapshot = BenchNet {
-        schema_version: 1,
-        n: 4,
-        k: 3,
-        per_client_mb,
-        single_upload_unique_mbps: single.upload_unique,
-        single_upload_duplicate_mbps: single.upload_duplicate,
-        single_download_mbps: single.download,
-        aggregate,
-        rpc_batched_mbps: rpc.batched_mbps,
-        rpc_unbatched_mbps: rpc.unbatched_mbps,
-        rpc_batching_speedup: rpc.speedup,
-    };
+    let snapshot = Json::obj([
+        ("schema_version", 1.into()),
+        ("n", 4.into()),
+        ("k", 3.into()),
+        ("per_client_mb", per_client_mb.into()),
+        // fig7a over the wire: one client, loopback TCP.
+        ("single_upload_unique_mbps", single.upload_unique.into()),
+        (
+            "single_upload_duplicate_mbps",
+            single.upload_duplicate.into(),
+        ),
+        ("single_download_mbps", single.download.into()),
+        ("aggregate", Json::Arr(aggregate)),
+        // Raw share-upload RPC, one batch vs one-share-per-request.
+        ("rpc_batched_mbps", rpc.batched_mbps.into()),
+        ("rpc_unbatched_mbps", rpc.unbatched_mbps.into()),
+        ("rpc_batching_speedup", rpc.speedup.into()),
+    ]);
 
-    let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
-    std::fs::write(&out_path, format!("{json}\n")).expect("write snapshot");
-    println!("{json}");
-    eprintln!("bench_net: wrote {out_path}");
+    write_snapshot(&args.out_path, &snapshot).expect("write snapshot");
+    println!("{snapshot}");
+    eprintln!("bench_net: wrote {}", args.out_path);
 }

@@ -13,7 +13,8 @@ use std::time::Instant;
 
 use cdstore_index::{BlockCacheStats, KvStore, KvStoreConfig};
 use cdstore_storage::{DirBackend, StorageBackend};
-use serde::Serialize;
+
+use crate::json::Json;
 
 /// How many lookups each timed pass performs (clamped to the entry count).
 const LOOKUPS_PER_PASS: usize = 100_000;
@@ -21,7 +22,7 @@ const LOOKUPS_PER_PASS: usize = 100_000;
 const HOT_WORKING_SET: usize = 512;
 
 /// One measured store configuration.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct IndexRunReport {
     /// `"memory"` or `"disk"`.
     pub mode: String,
@@ -51,33 +52,39 @@ pub struct IndexRunReport {
     /// Bytes the backend holds (0 for the memory store).
     pub backend_bytes: u64,
     /// Block-cache counters after the hot pass (`None` in memory mode).
-    pub cache: Option<CacheReport>,
+    pub cache: Option<BlockCacheStats>,
 }
 
-/// Serializable mirror of [`BlockCacheStats`].
-#[derive(Debug, Serialize)]
-pub struct CacheReport {
-    /// Block fetches served from the cache.
-    pub hits: u64,
-    /// Block fetches that touched the backend.
-    pub misses: u64,
-    /// Blocks evicted to stay within the byte budget.
-    pub evictions: u64,
-    /// High-water mark of cached bytes.
-    pub peak_bytes: u64,
-    /// Configured byte budget.
-    pub capacity_bytes: u64,
-}
-
-impl From<BlockCacheStats> for CacheReport {
-    fn from(s: BlockCacheStats) -> Self {
-        CacheReport {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            peak_bytes: s.peak_bytes as u64,
-            capacity_bytes: s.capacity_bytes as u64,
-        }
+impl IndexRunReport {
+    /// The report as its `BENCH_index.json` object, fields in declaration
+    /// order; `cache` is `null` in memory mode and leaves out
+    /// `current_bytes`.
+    pub fn to_json(&self) -> Json {
+        let cache = self.cache.as_ref().map_or(Json::Null, |c| {
+            Json::obj([
+                ("hits", c.hits.into()),
+                ("misses", c.misses.into()),
+                ("evictions", c.evictions.into()),
+                ("peak_bytes", c.peak_bytes.into()),
+                ("capacity_bytes", c.capacity_bytes.into()),
+            ])
+        });
+        Json::obj([
+            ("mode", self.mode.as_str().into()),
+            ("entries", self.entries.into()),
+            ("inserts_per_sec", self.inserts_per_sec.into()),
+            ("cold_lookups_per_sec", self.cold_lookups_per_sec.into()),
+            ("hot_lookups_per_sec", self.hot_lookups_per_sec.into()),
+            (
+                "negative_lookups_per_sec",
+                self.negative_lookups_per_sec.into(),
+            ),
+            ("bloom_skips", self.bloom_skips.into()),
+            ("run_count", self.run_count.into()),
+            ("resident_bytes", self.resident_bytes.into()),
+            ("backend_bytes", self.backend_bytes.into()),
+            ("cache", cache),
+        ])
     }
 }
 
@@ -190,7 +197,7 @@ fn measure(
         run_count: store.run_count(),
         resident_bytes: store.approximate_size() as u64,
         backend_bytes,
-        cache: store.cache_stats().map(CacheReport::from),
+        cache: store.cache_stats(),
     }
 }
 

@@ -20,6 +20,7 @@ use cdstore_secretsharing::SecretSharing;
 
 pub mod encodebench;
 pub mod indexbench;
+pub mod json;
 pub mod kernelbench;
 pub mod netbench;
 
@@ -93,6 +94,59 @@ pub fn fmt_pct(fraction: f64) -> String {
     format!("{:6.1}%", fraction * 100.0)
 }
 
+/// A snapshot binary's command line: `[out_path] [size]` in either order,
+/// plus `--smoke` where the binary takes it.
+#[derive(Debug, PartialEq)]
+pub struct SnapshotArgs {
+    /// Where the snapshot is written.
+    pub out_path: String,
+    /// The run's size, in the binary's unit (MB, or entries).
+    pub size: u64,
+    /// `--smoke` was given.
+    pub smoke: bool,
+}
+
+impl SnapshotArgs {
+    /// Parses `args` (without the program name) over the given defaults: a
+    /// numeric argument is the size, `--smoke` sets `smoke` if
+    /// `takes_smoke`, any other argument starting with `-` is an error and
+    /// anything else is the path.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        out_path: &str,
+        size: u64,
+        takes_smoke: bool,
+    ) -> Result<SnapshotArgs, String> {
+        let mut parsed = SnapshotArgs {
+            out_path: out_path.to_string(),
+            size,
+            smoke: false,
+        };
+        for arg in args {
+            if let Ok(n) = arg.parse() {
+                parsed.size = n;
+            } else if takes_smoke && arg == "--smoke" {
+                parsed.smoke = true;
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown option `{arg}`"));
+            } else {
+                parsed.out_path = arg;
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// [`SnapshotArgs::parse`] over this process's arguments; prints the
+    /// error and exits with status 2 if they do not parse.
+    pub fn from_env(out_path: &str, size: u64, takes_smoke: bool) -> SnapshotArgs {
+        Self::parse(std::env::args().skip(1), out_path, size, takes_smoke).unwrap_or_else(|e| {
+            let smoke = if takes_smoke { " | --smoke" } else { "" };
+            eprintln!("{e}; expected [out_path] [size{smoke}]");
+            std::process::exit(2)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +172,27 @@ mod tests {
         assert!(enc > 0.0);
         let combined = chunk_and_encode_speed(&scheme, &vec![7u8; 256 * 1024], 2);
         assert!(combined > 0.0);
+    }
+
+    #[test]
+    fn snapshot_args_take_a_path_and_a_size_in_any_order() {
+        let parse = |args: &[&str], takes_smoke| {
+            let args = args.iter().map(|a| a.to_string());
+            SnapshotArgs::parse(args, "BENCH_x.json", 8, takes_smoke)
+        };
+        let args = |out_path: &str, size, smoke| SnapshotArgs {
+            out_path: out_path.to_string(),
+            size,
+            smoke,
+        };
+        assert_eq!(parse(&["--smoke"], true), Ok(args("BENCH_x.json", 8, true)));
+        assert_eq!(
+            parse(&["o.json", "16"], false),
+            Ok(args("o.json", 16, false))
+        );
+        assert_eq!(parse(&["16"], false), Ok(args("BENCH_x.json", 16, false)));
+        assert!(parse(&["o.json", "--fast"], true).is_err());
+        assert!(parse(&["--smoke"], false).is_err());
     }
 
     #[test]

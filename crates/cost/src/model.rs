@@ -1,13 +1,11 @@
 //! The cost model comparing CDStore with the AONT-RS and single-cloud
 //! baselines (Figure 9).
 
-use serde::{Deserialize, Serialize};
-
 use crate::pricing::{cheapest_instance_for_index, S3Pricing};
 
 /// A backup scenario (the paper's case study: weekly backups retained for 26
 /// weeks, `(n, k) = (4, 3)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Weekly backup size in bytes (logical data per week).
     pub weekly_backup_bytes: f64,
@@ -43,7 +41,7 @@ impl Scenario {
 }
 
 /// The monthly cost of one system, broken down by component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostBreakdown {
     /// System name.
     pub system: String,
@@ -65,7 +63,7 @@ impl CostBreakdown {
 }
 
 /// The three-way comparison evaluated for one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostComparison {
     /// The scenario evaluated.
     pub scenario: Scenario,
@@ -273,15 +271,6 @@ mod tests {
         let huge = model.evaluate(&Scenario::case_study(256.0 * TB, 10.0));
         assert_ne!(tiny.cdstore.instance, huge.cdstore.instance);
         assert!(huge.cdstore.vm_usd > tiny.cdstore.vm_usd);
-    }
-
-    #[test]
-    fn comparison_serialises_to_json() {
-        let model = CostModel::new();
-        let c = model.evaluate(&Scenario::case_study(4.0 * TB, 10.0));
-        let json = serde_json::to_string_pretty(&c).unwrap();
-        let back: CostComparison = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 
     #[test]

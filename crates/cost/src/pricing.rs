@@ -10,23 +10,20 @@
 //! are representative; the *structure* (tiered storage, discrete instance
 //! steps) is what produces Figure 9's shape.
 
-use serde::{Deserialize, Serialize};
-
 use crate::GB;
 
 /// One S3 storage pricing tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct S3Tier {
     /// Upper bound of the tier in GB (cumulative); effectively unbounded for
-    /// the last tier (a very large finite value, so the list stays
-    /// JSON-serialisable).
+    /// the last tier (a very large finite value).
     pub upto_gb: f64,
     /// Price in USD per GB-month within the tier.
     pub usd_per_gb_month: f64,
 }
 
 /// The S3 tiered storage price list (standard storage, September 2014).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct S3Pricing {
     /// The tiers, in increasing order of `upto_gb`.
     pub tiers: Vec<S3Tier>,
@@ -87,7 +84,7 @@ impl S3Pricing {
 }
 
 /// One EC2 reserved-instance option.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ec2Instance {
     /// Instance type name.
     pub name: &'static str,
@@ -227,13 +224,5 @@ mod tests {
         }
         assert!(EC2_CATALOG[0].monthly_usd >= 60.0);
         assert!(EC2_CATALOG[EC2_CATALOG.len() - 1].monthly_usd <= 1300.0);
-    }
-
-    #[test]
-    fn pricing_serialises_to_json() {
-        let pricing = S3Pricing::default();
-        let json = serde_json::to_string(&pricing).unwrap();
-        let back: S3Pricing = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, pricing);
     }
 }

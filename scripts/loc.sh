@@ -4,7 +4,9 @@
 # column counts each file under the crate's `src/` up to its first
 # unindented `#[cfg(test)]` — the test module — or whole if it has none. The
 # benchmark's own package (`bench_e2e`) is not part of the system and is left
-# out.
+# out. The offline dependency shims under `vendor/` get their own row after
+# the total, which leaves them out; the total plus that row is all the Rust
+# the workspace builds.
 # Run from anywhere: `scripts/loc.sh`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -34,3 +36,5 @@ done
 tests=$(cat tests/*.rs | wc -l)
 echo "| root tests/ | $tests | — |"
 echo "| **total** | $((total + tests)) | $total_before |"
+set -- $(find vendor -name '*.rs' | count)
+echo "| vendor/ | $1 | — |"
