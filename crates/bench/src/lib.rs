@@ -196,6 +196,20 @@ mod tests {
     }
 
     #[test]
+    fn floats_round_trip_exactly() {
+        for n in [0.0295, 1.0e15, -2.5, 61.0, f64::MIN_POSITIVE] {
+            let text = json::Json::from(n).to_string();
+            assert_eq!(text.parse::<f64>().unwrap(), n, "{text}");
+        }
+    }
+
+    #[test]
+    fn integers_print_without_fraction() {
+        assert_eq!(json::Json::from(1024.0).to_string(), "1024");
+        assert_eq!(json::Json::from(26usize).to_string(), "26");
+    }
+
+    #[test]
     fn formatting_helpers() {
         assert_eq!(fmt_pct(0.5), "  50.0%");
         assert!(fmt_speed(123.456).contains("123.5"));
