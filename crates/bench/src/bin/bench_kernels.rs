@@ -1,8 +1,8 @@
 //! Perf trajectory for the low-level kernels: GF(2^8) region primitives,
-//! SHA-256, the AES-256 mask generator and CRC-32, per ISA backend, and the
-//! CAONT-RS encode per secret against per group, written
-//! to `BENCH_kernels.json` so this and future PRs leave a comparable curve
-//! (companion to `bench_encode`'s `BENCH_encode.json`).
+//! SHA-256, the AES-256 mask generator, CRC-32 and the FastCDC gear scan,
+//! per ISA backend, and the CAONT-RS encode per secret against per group,
+//! written to `BENCH_kernels.json` so this and future PRs leave a
+//! comparable curve (companion to `bench_encode`'s `BENCH_encode.json`).
 //!
 //! ```text
 //! cargo run --release -p cdstore_bench --bin bench_kernels -- [out_path] [region_mb | --smoke]
@@ -18,7 +18,7 @@
 use cdstore_bench::fmt_speed;
 use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::kernelbench::{
-    aes_ctr_speed, aes_generator_mask_speed, caont_split_speed, crc32_speed,
+    aes_ctr_speed, aes_generator_mask_speed, caont_split_speed, crc32_speed, gear_scan_speed,
     gf_kernel_all_backends, sha_batch_speed, sha_single_speed, KernelSpeed,
 };
 use cdstore_bench::SnapshotArgs;
@@ -161,6 +161,16 @@ fn main() {
         }
         rows.extend(rows_from(kernel, &speeds, "scalar"));
     }
+
+    // The FastCDC boundary search at the default 2/8/16 KiB chunk sizes
+    // (one portable implementation).
+    let mbps = gear_scan_speed(region_bytes, reps);
+    println!("{:<18} {:<9} {}", "gear/scan", "scalar", fmt_speed(mbps));
+    let speeds = [KernelSpeed {
+        backend: "scalar",
+        mbps,
+    }];
+    rows.extend(rows_from("gear/scan", &speeds, "scalar"));
 
     // The backends the production dispatch selected on this host.
     let gf_active = region::Backend::active().name();

@@ -1,7 +1,7 @@
 //! Measurement helpers for the low-level encode kernels: the GF(2^8) region
 //! primitives (`xor_into`, `mul_into`, `mul_acc`), SHA-256, the AES-256 CTR
-//! mask generator and CRC-32, per backend — and the CAONT-RS encode they
-//! compose, per secret and per group.
+//! mask generator and CRC-32, per backend, the FastCDC gear scan — and the
+//! CAONT-RS encode they compose, per secret and per group.
 //!
 //! Used by the `bench_kernels` binary (perf trajectory `BENCH_kernels.json`).
 //! Every backend reported by [`Backend::available()`] is measured over the
@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use cdstore_chunking::{Chunker, ChunkerConfig, FastCdcChunker};
 use cdstore_crypto::{aes, crc32, ctr, sha256, Fingerprint};
 use cdstore_gf::region::Backend;
 use cdstore_secretsharing::{CaontRs, GroupSplit, SecretSharing};
@@ -224,6 +225,26 @@ pub fn crc32_speed(backend: crc32::Backend, msg_len: usize, region_len: usize, r
         }
     });
     std::hint::black_box(sink);
+    mbps
+}
+
+/// FastCDC boundary search at [`ChunkerConfig::default`]: a cutter run over
+/// a random `region_len`-byte region, cut points only (no chunk copies),
+/// median MB/s.
+pub fn gear_scan_speed(region_len: usize, reps: usize) -> f64 {
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x6EA2_5CA1_0F00_D5ED);
+    let chunker = FastCdcChunker::new(ChunkerConfig::default());
+    let mut cuts = 0usize;
+    let mbps = measure(region_len, reps, || {
+        let mut cutter = chunker.cutter();
+        let mut rest = &buf[..];
+        while let Some(consumed) = cutter.find_boundary(rest) {
+            rest = &rest[consumed..];
+            cuts += 1;
+        }
+    });
+    std::hint::black_box(cuts);
     mbps
 }
 

@@ -64,18 +64,35 @@ impl ChunkerConfig {
     /// Panics if `min_size > avg_size`, `avg_size > max_size`, or `avg_size`
     /// is not a power of two.
     pub fn new(min_size: usize, avg_size: usize, max_size: usize) -> Self {
-        assert!(min_size >= 1, "min_size must be at least 1");
-        assert!(min_size <= avg_size, "min_size must not exceed avg_size");
-        assert!(avg_size <= max_size, "avg_size must not exceed max_size");
-        assert!(
-            avg_size.is_power_of_two(),
-            "avg_size must be a power of two"
-        );
         ChunkerConfig {
             min_size,
             avg_size,
             max_size,
         }
+        .validated()
+    }
+
+    /// Returns the configuration after the checks [`ChunkerConfig::new`]
+    /// makes: the fields are public, so a struct literal skips them.
+    ///
+    /// # Panics
+    ///
+    /// As [`ChunkerConfig::new`].
+    pub(crate) fn validated(self) -> Self {
+        assert!(self.min_size >= 1, "min_size must be at least 1");
+        assert!(
+            self.min_size <= self.avg_size,
+            "min_size must not exceed avg_size"
+        );
+        assert!(
+            self.avg_size <= self.max_size,
+            "avg_size must not exceed max_size"
+        );
+        assert!(
+            self.avg_size.is_power_of_two(),
+            "avg_size must be a power of two"
+        );
+        self
     }
 
     /// The bit mask applied to the Rabin fingerprint: a boundary is declared

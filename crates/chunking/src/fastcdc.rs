@@ -18,6 +18,7 @@
 use std::sync::OnceLock;
 
 use crate::chunker::{ChunkCutter, Chunker, ChunkerConfig};
+use crate::gear;
 
 /// Number of trailing bytes that influence the gear hash: the hash shifts
 /// left one bit per byte, so a byte's contribution is gone after 64 steps.
@@ -71,8 +72,17 @@ pub struct FastCdcChunker {
 
 impl FastCdcChunker {
     /// Creates a FastCDC chunker with the given size bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= min_size <= avg_size <= max_size` and `avg_size`
+    /// is a power of two, as [`ChunkerConfig::new`] does: the fields are
+    /// public, so a struct literal skips those checks, and the cutter's
+    /// phase bounds would underflow.
     pub fn new(config: ChunkerConfig) -> Self {
-        FastCdcChunker { config }
+        FastCdcChunker {
+            config: config.validated(),
+        }
     }
 
     /// Returns the configuration in use.
@@ -87,6 +97,8 @@ impl Default for FastCdcChunker {
     }
 }
 
+/// The cutter: one bounded loop per phase of a chunk, resumable at any
+/// byte because `hash` and `in_chunk` carry across calls.
 struct FastCdcCutter {
     gear: &'static [u64; 256],
     mask_hard: u64,
@@ -98,6 +110,26 @@ struct FastCdcCutter {
     in_chunk: usize,
 }
 
+impl FastCdcCutter {
+    /// Scans, under `mask`, the bytes of `input` from `*i` that end chunks
+    /// shorter than `end`, and returns the cut's offset in `input` if the
+    /// hash clears the mask on one of them.
+    fn phase(&mut self, input: &[u8], i: &mut usize, end: usize, mask: u64) -> Option<usize> {
+        if self.in_chunk >= end - 1 {
+            return None;
+        }
+        let n = (end - 1 - self.in_chunk).min(input.len() - *i);
+        let span = &input[*i..*i + n];
+        if let Some(k) = gear::scan(self.gear, &mut self.hash, span, mask) {
+            self.reset();
+            return Some(*i + k + 1);
+        }
+        self.in_chunk += n;
+        *i += n;
+        None
+    }
+}
+
 impl ChunkCutter for FastCdcCutter {
     fn find_boundary(&mut self, input: &[u8]) -> Option<usize> {
         let mut i = 0usize;
@@ -106,27 +138,30 @@ impl ChunkCutter for FastCdcCutter {
         // gains over Rabin even before the cheaper per-byte update.
         let hash_start = self.min.saturating_sub(GEAR_WINDOW);
         if self.in_chunk < hash_start {
-            let skip = (hash_start - self.in_chunk).min(input.len());
-            self.in_chunk += skip;
-            i = skip;
+            i = (hash_start - self.in_chunk).min(input.len());
+            self.in_chunk += i;
         }
-        while i < input.len() {
-            self.hash = (self.hash << 1).wrapping_add(self.gear[input[i] as usize]);
-            let len = self.in_chunk + 1;
-            i += 1;
-            self.in_chunk = len;
-            if len < self.min {
-                continue;
-            }
-            let mask = if len < self.avg {
-                self.mask_hard
-            } else {
-                self.mask_easy
-            };
-            if (self.hash & mask) == 0 || len >= self.max {
-                self.reset();
-                return Some(i);
-            }
+        // Warm-up: hash the bytes that end chunks shorter than `min`, but
+        // never test them.
+        if self.in_chunk + 1 < self.min {
+            let n = (self.min - 1 - self.in_chunk).min(input.len() - i);
+            self.hash = gear::roll(self.gear, self.hash, &input[i..i + n]);
+            self.in_chunk += n;
+            i += n;
+        }
+        // Normalized chunking: lengths in [min, avg) under the hard mask,
+        // then [avg, max) under the easy one.
+        if let Some(cut) = self.phase(input, &mut i, self.avg, self.mask_hard) {
+            return Some(cut);
+        }
+        if let Some(cut) = self.phase(input, &mut i, self.max, self.mask_easy) {
+            return Some(cut);
+        }
+        // Every earlier phase is complete: the next byte ends a chunk of
+        // `max` bytes.
+        if i < input.len() {
+            self.reset();
+            return Some(i + 1);
         }
         None
     }
@@ -160,7 +195,7 @@ impl Chunker for FastCdcChunker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunker::Chunk;
+    use crate::chunker::{Chunk, ChunkerKind};
     use cdstore_crypto::Fingerprint;
     use rand::{Rng, SeedableRng};
 
@@ -245,6 +280,28 @@ mod tests {
         let data = random_data(512 * 1024, 41);
         let chunker = FastCdcChunker::default();
         assert_eq!(chunker.chunk(&data), chunker.chunk(&data));
+    }
+
+    #[test]
+    #[should_panic(expected = "min_size must not exceed avg_size")]
+    fn a_config_literal_with_min_above_max_is_refused() {
+        // The fields are public, so this skips `ChunkerConfig::new`.
+        let config = ChunkerConfig {
+            min_size: 4096,
+            avg_size: 1024,
+            max_size: 2048,
+        };
+        ChunkerKind::FastCdc.build(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn a_config_literal_with_an_odd_average_is_refused() {
+        FastCdcChunker::new(ChunkerConfig {
+            min_size: 512,
+            avg_size: 1000,
+            max_size: 4096,
+        });
     }
 
     #[test]

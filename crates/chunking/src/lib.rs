@@ -10,8 +10,8 @@
 //!
 //! Every algorithm is exposed two ways: the buffer-at-once
 //! [`Chunker::chunk`], and the incremental [`ChunkCutter`] /
-//! [`ChunkStream`] pair that cuts chunks out of any [`std::io::Read`]
-//! source with bounded memory. Both produce identical boundaries.
+//! [`ChunkStream`] pair that cuts chunks out of any [`std::io::BufRead`]
+//! source in place, with bounded memory. Both produce identical boundaries.
 //!
 //! # Examples
 //!
@@ -30,6 +30,7 @@
 
 pub mod chunker;
 pub mod fastcdc;
+mod gear;
 pub mod rabin;
 pub mod stream;
 

@@ -1,20 +1,21 @@
-//! Incremental chunking of an [`std::io::Read`] source.
+//! Incremental chunking of an [`std::io::BufRead`] source.
 //!
-//! [`ChunkStream`] drives a [`ChunkCutter`] over a fixed-size read buffer and
-//! emits chunks as they are cut, so memory stays bounded by
-//! `read buffer + one max-size chunk` regardless of input length. Because the
+//! [`ChunkStream`] drives a [`ChunkCutter`] over the reader's own buffer
+//! (`fill_buf`/`consume`) and emits chunks as they are cut, so memory stays
+//! bounded by `reader buffer + one max-size chunk` regardless of input
+//! length, and each byte is copied once: from the reader's buffer into the
+//! chunk. An in-memory `&[u8]` is its own buffer, so a slice is cut in
+//! place; wrap a file or socket in a [`std::io::BufReader`]. Because the
 //! cutter's boundary decisions are invariant under input slicing, the chunks
 //! are byte-identical to what [`Chunker::chunk`] produces on the whole input
-//! in memory.
+//! in memory, whatever the reader's buffer size.
 
-use std::io::{ErrorKind, Read};
+use std::io::{BufRead, ErrorKind};
 
 use crate::chunker::{Chunk, ChunkCutter, Chunker};
 
-/// Default size of the internal read buffer.
-pub const DEFAULT_READ_BUFFER: usize = 64 * 1024;
-
-/// Streams chunks out of a reader, one [`ChunkCutter`] boundary at a time.
+/// Streams chunks out of a buffered reader, one [`ChunkCutter`] boundary at
+/// a time.
 ///
 /// Use [`next_chunk_into`](ChunkStream::next_chunk_into) to cut into a
 /// caller-owned (poolable) buffer, or the [`Iterator`] impl for owned
@@ -22,36 +23,17 @@ pub const DEFAULT_READ_BUFFER: usize = 64 * 1024;
 pub struct ChunkStream<R> {
     reader: R,
     cutter: Box<dyn ChunkCutter>,
-    buf: Box<[u8]>,
-    /// Valid bytes in `buf`.
-    filled: usize,
-    /// Bytes of `buf` already handed to the cutter.
-    scanned: usize,
     /// Absolute offset of the next chunk's first byte.
     offset: usize,
-    eof: bool,
 }
 
-impl<R: Read> ChunkStream<R> {
-    /// Starts streaming `reader` through `chunker`'s algorithm with the
-    /// default read-buffer size.
+impl<R: BufRead> ChunkStream<R> {
+    /// Starts streaming `reader` through `chunker`'s algorithm.
     pub fn new(chunker: &dyn Chunker, reader: R) -> Self {
-        ChunkStream::with_buffer_size(chunker, reader, DEFAULT_READ_BUFFER)
-    }
-
-    /// Starts streaming with an explicit read-buffer size (must be > 0).
-    /// Chunk boundaries do not depend on this size — only memory use and
-    /// syscall granularity do.
-    pub fn with_buffer_size(chunker: &dyn Chunker, reader: R, buffer_size: usize) -> Self {
-        assert!(buffer_size > 0, "read buffer must be non-empty");
         ChunkStream {
             reader,
             cutter: chunker.cutter(),
-            buf: vec![0u8; buffer_size].into_boxed_slice(),
-            filled: 0,
-            scanned: 0,
             offset: 0,
-            eof: false,
         }
     }
 
@@ -67,35 +49,19 @@ impl<R: Read> ChunkStream<R> {
     pub fn next_chunk_into(&mut self, out: &mut Vec<u8>) -> std::io::Result<bool> {
         out.clear();
         loop {
-            if self.scanned == self.filled {
-                if self.eof {
-                    break;
-                }
-                match self.reader.read(&mut self.buf) {
-                    Ok(0) => {
-                        self.eof = true;
-                        continue;
-                    }
-                    Ok(n) => {
-                        self.filled = n;
-                        self.scanned = 0;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            let pending = &self.buf[self.scanned..self.filled];
-            match self.cutter.find_boundary(pending) {
-                Some(consumed) => {
-                    out.extend_from_slice(&pending[..consumed]);
-                    self.scanned += consumed;
-                    self.offset += out.len();
-                    return Ok(true);
-                }
-                None => {
-                    out.extend_from_slice(pending);
-                    self.scanned = self.filled;
-                }
+            let pending = match self.reader.fill_buf() {
+                Ok([]) => break,
+                Ok(pending) => pending,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let boundary = self.cutter.find_boundary(pending);
+            let consumed = boundary.unwrap_or(pending.len());
+            out.extend_from_slice(&pending[..consumed]);
+            self.reader.consume(consumed);
+            if boundary.is_some() {
+                self.offset += out.len();
+                return Ok(true);
             }
         }
         if out.is_empty() {
@@ -109,7 +75,7 @@ impl<R: Read> ChunkStream<R> {
     }
 }
 
-impl<R: Read> Iterator for ChunkStream<R> {
+impl<R: BufRead> Iterator for ChunkStream<R> {
     type Item = std::io::Result<Chunk>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -128,6 +94,7 @@ mod tests {
     use super::*;
     use crate::chunker::{ChunkerConfig, ChunkerKind};
     use rand::{Rng, SeedableRng};
+    use std::io::{BufReader, Read};
 
     fn random_data(len: usize, seed: u64) -> Vec<u8> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -178,10 +145,10 @@ mod tests {
                     pos: 0,
                     cap,
                 };
-                let streamed: Vec<Chunk> =
-                    ChunkStream::with_buffer_size(chunker.as_ref(), reader, buffer_size)
-                        .map(|c| c.expect("dribble read"))
-                        .collect();
+                let reader = BufReader::with_capacity(buffer_size, reader);
+                let streamed: Vec<Chunk> = ChunkStream::new(chunker.as_ref(), reader)
+                    .map(|c| c.expect("dribble read"))
+                    .collect();
                 assert_eq!(streamed, expected, "cap {cap} buffer {buffer_size}");
             }
         }
@@ -221,7 +188,7 @@ mod tests {
             }
         }
         let chunker = ChunkerKind::FastCdc.build(ChunkerConfig::default());
-        let mut stream = ChunkStream::new(chunker.as_ref(), FailingReader);
+        let mut stream = ChunkStream::new(chunker.as_ref(), BufReader::new(FailingReader));
         let err = stream.next().expect("one item").expect_err("must fail");
         assert_eq!(err.kind(), ErrorKind::Other);
     }

@@ -2,7 +2,7 @@
 //! boundaries must not depend on how the input is sliced across `Read`
 //! calls, and configured size bounds must always hold.
 
-use std::io::Read;
+use std::io::{BufReader, Read};
 
 use cdstore_chunking::{Chunk, ChunkStream, Chunker, ChunkerConfig, ChunkerKind, FastCdcChunker};
 use proptest::prelude::*;
@@ -58,8 +58,8 @@ proptest! {
             pos: 0,
             next_segment: 0,
         };
-        let streamed: Result<Vec<Chunk>, _> =
-            ChunkStream::with_buffer_size(chunker.as_ref(), reader, buffer_size).collect();
+        let reader = BufReader::with_capacity(buffer_size, reader);
+        let streamed: Result<Vec<Chunk>, _> = ChunkStream::new(chunker.as_ref(), reader).collect();
         let streamed = streamed.expect("in-memory reads cannot fail");
         prop_assert_eq!(streamed, buffered);
     }

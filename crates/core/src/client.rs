@@ -1,7 +1,7 @@
 //! The CDStore client (§4.1–§4.3): chunking, CAONT-RS encoding, intra-user
 //! deduplication, batched uploads, and restores.
 //!
-//! Uploads pull from any [`std::io::Read`] ([`CdStoreClient::upload_stream`])
+//! Uploads pull from any [`std::io::BufRead`] ([`CdStoreClient::upload_stream`])
 //! or from a list of pre-cut chunks ([`CdStoreClient::upload_chunks`]) and
 //! restores push to any [`std::io::Write`]
 //! ([`CdStoreClient::download_stream`]); either way peak memory is bounded by
@@ -9,7 +9,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{BufRead, Write};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -173,7 +173,7 @@ impl CdStoreClient {
     /// Uploads require all `n` clouds so redundancy is not silently degraded.
     ///
     /// Thin wrapper over [`CdStoreClient::upload_stream`] — an in-memory
-    /// slice is just one shape of `Read` source.
+    /// slice is just one shape of `BufRead` source, cut in place.
     pub fn upload<T: ServerTransport>(
         &self,
         servers: &[T],
@@ -191,7 +191,9 @@ impl CdStoreClient {
     /// in [`UPLOAD_BATCH_BYTES`] batches *while later chunks are still being
     /// encoded* — CPU and network overlap, and peak memory is bounded by the
     /// pipeline depth plus the per-cloud batch buffers, never the file size.
-    pub fn upload_stream<T: ServerTransport, R: Read + Send>(
+    /// Chunks are cut out of the reader's own buffer; wrap a file in a
+    /// [`std::io::BufReader`].
+    pub fn upload_stream<T: ServerTransport, R: BufRead + Send>(
         &self,
         servers: &[T],
         pathname: &str,
@@ -932,6 +934,7 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
 mod tests {
     use super::*;
     use crate::server::CdStoreServer;
+    use std::io::BufReader;
 
     fn make_servers(n: usize) -> Vec<CdStoreServer> {
         (0..n).map(CdStoreServer::new).collect()
@@ -1180,7 +1183,6 @@ mod tests {
                     encode_threads: 2,
                     chunk_queue: 1,
                     encoded_queue: 1,
-                    read_buffer: 16 * 1024,
                     pool: Some(Arc::clone(&pool)),
                     memo: None,
                 };
@@ -1199,7 +1201,7 @@ mod tests {
                                 encode_stream(
                                     &client.scheme,
                                     client.chunker(),
-                                    &data[..],
+                                    BufReader::with_capacity(16 * 1024, &data[..]),
                                     config,
                                     |enc, _| committer.absorb(enc),
                                 )

@@ -10,8 +10,8 @@
 //! thread, fed by a chunk *source* — anything that fills a pooled buffer
 //! with the next chunk:
 //!
-//! * [`encode_stream`] cuts chunks straight off an [`std::io::Read`] with a
-//!   [`ChunkStream`];
+//! * [`encode_stream`] cuts chunks straight out of an [`std::io::BufRead`]'s
+//!   buffer with a [`ChunkStream`];
 //! * [`encode_chunks`] walks a slice of chunks whose boundaries the caller
 //!   already fixed (the trace-driven experiments of §5.2).
 //!
@@ -23,7 +23,7 @@
 //! allocation-free.
 
 use std::collections::BTreeMap;
-use std::io::Read;
+use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -62,8 +62,6 @@ pub struct PipelineConfig {
     /// Bounded-queue depth, in groups, between the encode workers and the
     /// in-order sink.
     pub encoded_queue: usize,
-    /// Read-buffer size handed to [`ChunkStream`].
-    pub read_buffer: usize,
     /// Buffer pool shared by chunk and share buffers. `None` lets the
     /// pipeline create a private pool; pass an explicit pool to observe
     /// reuse/peak counters or share buffers across uploads.
@@ -92,7 +90,6 @@ impl Default for PipelineConfig {
             // keeps every stage fed.
             chunk_queue: 1,
             encoded_queue: 1,
-            read_buffer: 64 * 1024,
             pool: None,
             memo: None,
         }
@@ -202,7 +199,9 @@ impl EncodedGroup {
 
 /// Streams `reader` through chunk → encode → sink with bounded memory.
 ///
-/// A chunker thread cuts chunks into pooled buffers, a group at a time, and
+/// Chunks are cut straight out of the reader's buffer: a `&[u8]` is copied
+/// once, into the pooled chunk buffers; wrap a file in a
+/// [`std::io::BufReader`]. A chunker thread cuts chunks into pooled buffers, a group at a time, and
 /// feeds a bounded queue; `encode_threads` workers each take a whole group
 /// and encode it into pooled share buffers:
 ///
@@ -232,7 +231,7 @@ impl EncodedGroup {
 /// With `encode_threads <= 1` there is no parallelism to exploit, so the
 /// stages run inline on the calling thread, a group at a time (same
 /// semantics, no channel or context-switch cost).
-pub fn encode_stream<R: Read + Send>(
+pub fn encode_stream<R: BufRead + Send>(
     scheme: &(dyn SecretSharing + Sync),
     chunker: &dyn Chunker,
     reader: R,
@@ -241,8 +240,7 @@ pub fn encode_stream<R: Read + Send>(
 ) -> Result<EncodeStreamReport, CdStoreError> {
     // The chunker is only borrowed to build the stream; the stream itself
     // (cutter + reader) moves into the source.
-    let mut chunk_stream =
-        ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
+    let mut chunk_stream = ChunkStream::new(chunker, reader);
     encode_from(
         scheme,
         move |buf| chunk_stream.next_chunk_into(buf),
@@ -841,6 +839,7 @@ mod tests {
     // ---- encode_stream ----
 
     use cdstore_chunking::{ChunkerConfig, ChunkerKind};
+    use std::io::{BufReader, Read};
 
     /// Deterministic pseudo-random bytes so the Rabin/FastCDC chunkers cut
     /// realistic variable-size chunks.
@@ -869,7 +868,6 @@ mod tests {
             encode_threads: 3,
             chunk_queue: 1,
             encoded_queue: 1,
-            read_buffer: 777, // deliberately odd: boundaries must not care
             pool: Some(pool),
             memo: None,
         }
@@ -887,7 +885,8 @@ mod tests {
             let report = encode_stream(
                 &scheme,
                 chunker.as_ref(),
-                &data[..],
+                // Deliberately odd buffer: boundaries must not care.
+                BufReader::with_capacity(777, &data[..]),
                 &test_pipeline_config(Arc::clone(&pool)),
                 |mut enc, pool| {
                     let shares = enc.shares.clone();
@@ -1081,7 +1080,7 @@ mod tests {
         let err = encode_stream(
             &scheme,
             chunker.as_ref(),
-            FailingReader { remaining: 8192 },
+            BufReader::new(FailingReader { remaining: 8192 }),
             &test_pipeline_config(Arc::clone(&pool)),
             |mut enc, pool| {
                 pool.put_all(&mut enc.shares);
@@ -1235,7 +1234,7 @@ mod tests {
         let err = encode_stream(
             &scheme,
             chunker.as_ref(),
-            FailingReader { remaining: 8192 },
+            BufReader::new(FailingReader { remaining: 8192 }),
             &single(Arc::clone(&pool)),
             |mut enc, pool| {
                 pool.put_all(&mut enc.shares);
@@ -1401,7 +1400,6 @@ mod tests {
             encode_threads: 3,
             chunk_queue: 4,
             encoded_queue: 5,
-            read_buffer: 1,
             pool: None,
             memo: None,
         };

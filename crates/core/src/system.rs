@@ -16,7 +16,7 @@
 //! delete/gc protocol over it.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::{Read, Write};
+use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
@@ -413,13 +413,13 @@ impl<T: ServerTransport> CdStore<T> {
     }
 
     /// Backs up a file for a user. Thin wrapper over
-    /// [`CdStore::backup_stream`] — a slice is one shape of `Read` source —
+    /// [`CdStore::backup_stream`] — a slice is one shape of `BufRead` source —
     /// with whole-operation retry on transient faults: a slice source is
     /// replayable and a failed upload rolls back to a replay-safe state, so
     /// this also rides out transient faults that escape the per-batch retry
     /// (e.g. during the metadata offload). Generic-reader callers use
     /// [`CdStore::backup_stream`] directly, which only retries per batch —
-    /// an arbitrary `Read` source cannot be rewound.
+    /// an arbitrary reader cannot be rewound.
     pub fn backup(
         &self,
         user: u64,
@@ -437,8 +437,9 @@ impl<T: ServerTransport> CdStore<T> {
     /// bounded staged pipeline, and shipped to the clouds in 4 MB batches
     /// while later chunks are still being encoded. Peak memory is set by the
     /// pipeline depth and batch size, not the file size — files larger than
-    /// RAM stream through.
-    pub fn backup_stream<R: Read + Send>(
+    /// RAM stream through. Chunks are cut out of the reader's own buffer;
+    /// wrap a file in a [`std::io::BufReader`].
+    pub fn backup_stream<R: BufRead + Send>(
         &self,
         user: u64,
         pathname: &str,

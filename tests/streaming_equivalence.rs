@@ -11,7 +11,7 @@
 //! from either source leaks nothing.
 
 use std::collections::HashSet;
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -137,7 +137,7 @@ fn oracle(client: &CdStoreClient, chunks: &[Vec<u8>]) -> (DedupStats, Vec<u64>) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For arbitrary content, chunker, read-slicing, and pipeline read-buffer
+    /// For arbitrary content, chunker, read-slicing, and reader buffer
     /// size: an upload through a dribbling reader and an upload of the
     /// in-memory chunking as pre-cut chunks both report exactly what the
     /// oracle computes, and both restore byte-exact.
@@ -151,8 +151,8 @@ proptest! {
         let data = backup_data(seed, 150_000 + (seed % 50_000) as usize);
         let read_cap = 1 + (seed % 7919) as usize;
 
-        // Same content arrives in dribbled reads through a pipeline with an
-        // arbitrary read-buffer size.
+        // Same content arrives in dribbled reads through a buffer of an
+        // arbitrary size.
         let streamed_store = store_with(kind);
         let client = streamed_store.client(1).unwrap();
         let chunks = chunk_list(&client, &data);
@@ -161,13 +161,10 @@ proptest! {
             dedup.transferred_share_bytes < dedup.logical_share_bytes,
             "the data must contain duplicate chunks for dedup to matter"
         );
-        let config = PipelineConfig {
-            read_buffer,
-            ..PipelineConfig::default()
-        };
+        let reader = BufReader::with_capacity(read_buffer, DribbleReader::new(&data, read_cap));
         let streamed = streamed_store.with_servers(|servers| {
             client
-                .upload_stream(servers, "/f", DribbleReader::new(&data, read_cap), &config)
+                .upload_stream(servers, "/f", reader, &PipelineConfig::default())
                 .unwrap()
         });
         let prechunked_store = store_with(kind);
@@ -235,11 +232,11 @@ fn failed_streamed_backup_leaves_no_leaked_state() {
         .backup_stream(
             1,
             "/flaky",
-            FailAfter {
+            BufReader::new(FailAfter {
                 data: &data,
                 pos: 0,
                 good: 250_000,
-            },
+            }),
         )
         .expect_err("truncated source must fail the backup");
     assert!(
