@@ -66,7 +66,6 @@ pub fn streamed_encode_speed(
         encode_threads: threads,
         pool: Some(Arc::clone(&pool)),
         memo: memo.cloned(),
-        ..PipelineConfig::default()
     };
     let start = Instant::now();
     let report = encode_stream(scheme, chunker.as_ref(), data, &pipeline, |enc, pool| {

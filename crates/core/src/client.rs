@@ -138,11 +138,6 @@ impl CdStoreClient {
         self
     }
 
-    /// The transient-fault retry policy in use.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The user this client acts for.
     pub fn user(&self) -> u64 {
         self.user
@@ -1181,8 +1176,6 @@ mod tests {
                 let pool = Arc::new(BufferPool::new());
                 let config = PipelineConfig {
                     encode_threads: 2,
-                    chunk_queue: 1,
-                    encoded_queue: 1,
                     pool: Some(Arc::clone(&pool)),
                     memo: None,
                 };

@@ -52,12 +52,6 @@ impl DedupStats {
         saving(self.physical_share_bytes, self.transferred_share_bytes)
     }
 
-    /// Overall saving relative to the logical shares:
-    /// `1 − physical / logical shares`.
-    pub fn total_saving(&self) -> f64 {
-        saving(self.physical_share_bytes, self.logical_share_bytes)
-    }
-
     /// Deduplication ratio as defined in §5.6: logical shares / physical
     /// shares (e.g. `10×`).
     pub fn dedup_ratio(&self) -> f64 {
@@ -102,7 +96,6 @@ mod tests {
         };
         assert!((stats.intra_user_saving() - 0.75).abs() < 1e-12);
         assert!((stats.inter_user_saving() - 0.5).abs() < 1e-12);
-        assert!((stats.total_saving() - 0.875).abs() < 1e-12);
         assert!((stats.dedup_ratio() - 8.0).abs() < 1e-12);
         assert!((stats.physical_to_logical() - 150.0 / 900.0).abs() < 1e-12);
     }

@@ -15,18 +15,17 @@
 //! * [`encode_chunks`] walks a slice of chunks whose boundaries the caller
 //!   already fixed (the trace-driven experiments of §5.2).
 //!
-//! Either way the stages are connected by bounded queues of groups, so
-//! encoding of one group overlaps the store RPCs for the one before it, and
-//! peak memory is set by [`PipelineConfig`] depths rather than input size.
-//! The sink still receives secrets one at a time, in input order. Chunk and
-//! share buffers cycle through a [`BufferPool`], making the steady state
+//! Either way each group carries a one-slot reply channel, and the slots
+//! queue up in input order in front of the sink, so encoding of later groups
+//! overlaps the store RPCs for the one before them, and peak memory is set
+//! by [`PipelineConfig::encode_threads`] rather than input size. The sink
+//! still receives secrets one at a time, in input order. Chunk and share
+//! buffers cycle through a [`BufferPool`], making the steady state
 //! allocation-free.
 
-use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{channel, sync_channel};
 use std::sync::{Arc, OnceLock};
 
 use cdstore_chunking::{ChunkStream, Chunker};
@@ -44,24 +43,17 @@ use crate::memo::ShareMemo;
 /// chunks plus their shares whatever the chunker's sizes.
 pub const GROUP_BYTES: usize = 1 << 20;
 
-/// Shape of the streaming encode pipeline: worker count and queue depths.
+/// Shape of the streaming encode pipeline: its workers, buffers and memo.
 ///
-/// The queues carry groups (see the [module docs](self)), and their depths
-/// are the memory bound: at most
+/// The worker count is also the memory bound: at most
 /// [`max_live_secrets`](PipelineConfig::max_live_secrets) secrets (each one
 /// chunk buffer plus `n` share buffers) are alive inside the pipeline at any
-/// instant, enforced with a ticket window of groups between the chunker and
-/// the in-order sink.
+/// instant, because at most `encode_threads` groups wait between the chunker
+/// and the in-order sink.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Number of CAONT-RS encode workers (clamped to at least 1).
     pub encode_threads: usize,
-    /// Bounded-queue depth, in groups, between the chunker and the encode
-    /// workers.
-    pub chunk_queue: usize,
-    /// Bounded-queue depth, in groups, between the encode workers and the
-    /// in-order sink.
-    pub encoded_queue: usize,
     /// Buffer pool shared by chunk and share buffers. `None` lets the
     /// pipeline create a private pool; pass an explicit pool to observe
     /// reuse/peak counters or share buffers across uploads.
@@ -86,10 +78,6 @@ impl Default for PipelineConfig {
                     .unwrap_or(4)
                     .min(8)
             }),
-            // A group is up to 64 secrets: one waiting at each hand-off
-            // keeps every stage fed.
-            chunk_queue: 1,
-            encoded_queue: 1,
             pool: None,
             memo: None,
         }
@@ -97,16 +85,11 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Upper bound on groups simultaneously alive inside the pipeline: one
-    /// being cut, the two queues, one per worker, and one at the sink.
-    fn max_live_groups(&self) -> usize {
-        self.chunk_queue + self.encoded_queue + self.encode_threads.max(1) + 2
-    }
-
     /// Upper bound on secrets simultaneously alive inside the pipeline:
-    /// [`GROUP`] for each group that can be.
+    /// [`GROUP`] for each group that can be — the one the chunker holds, one
+    /// per place in the order queue, and one at the sink.
     pub fn max_live_secrets(&self) -> usize {
-        self.max_live_groups() * GROUP
+        (self.encode_threads.max(1) + 2) * GROUP
     }
 
     /// Upper bound on pool buffers simultaneously checked out by the
@@ -176,24 +159,21 @@ pub struct EncodeStreamReport {
     pub logical_bytes: u64,
 }
 
-/// A group of chunks as cut, in pooled buffers, after the sequence number of
-/// its first.
-type ChunkGroup = (u64, Vec<Vec<u8>>);
-
-/// The chunk queue's receive side, shared by the encode workers.
-type SharedChunkReceiver = Arc<Mutex<Receiver<ChunkGroup>>>;
-
 /// A group after the encode stage: its secrets in order up to the first
-/// that failed, and that failure.
-struct EncodedGroup {
-    first_seq: u64,
+/// that failed, and that failure. Dropping a group returns the buffers of
+/// the secrets it still holds to `pool`, so one left in a reply slot the
+/// sink hung up on is recycled too.
+struct EncodedGroup<'p> {
+    pool: &'p BufferPool,
     secrets: Vec<EncodedSecret>,
     outcome: Result<(), SharingError>,
 }
 
-impl EncodedGroup {
-    fn recycle(self, pool: &BufferPool) {
-        self.secrets.into_iter().for_each(|enc| enc.recycle(pool));
+impl Drop for EncodedGroup<'_> {
+    fn drop(&mut self) {
+        self.secrets
+            .drain(..)
+            .for_each(|enc| enc.recycle(self.pool));
     }
 }
 
@@ -201,9 +181,9 @@ impl EncodedGroup {
 ///
 /// Chunks are cut straight out of the reader's buffer: a `&[u8]` is copied
 /// once, into the pooled chunk buffers; wrap a file in a
-/// [`std::io::BufReader`]. A chunker thread cuts chunks into pooled buffers, a group at a time, and
-/// feeds a bounded queue; `encode_threads` workers each take a whole group
-/// and encode it into pooled share buffers:
+/// [`std::io::BufReader`]. A chunker thread cuts chunks into pooled buffers,
+/// a group at a time, and puts each group on a work queue; `encode_threads`
+/// workers each take a whole group and encode it into pooled share buffers:
 ///
 /// 1. `H(X)` of every secret as one batch
 ///    ([`SecretSharing::convergent_keys`]);
@@ -215,11 +195,13 @@ impl EncodedGroup {
 ///    [`Fingerprint::of_batch`].
 ///
 /// A group of 16 or more secrets takes the sixteen AVX-512 SHA-256 lanes
-/// where they outrun SHA-NI ([`cdstore_crypto::sha256::BatchKernel`]). The
-/// calling thread reorders the groups and hands each [`EncodedSecret`] to
-/// `sink` in input order. The sink overlaps whatever it does (batching,
-/// store RPCs) with the encoding of later groups — the pipelining that lets
-/// CPU and network run concurrently.
+/// where they outrun SHA-NI ([`cdstore_crypto::sha256::BatchKernel`]). Each
+/// group is answered in its own one-slot reply channel, and the chunker
+/// queues the slots in input order, at most `encode_threads` deep; the
+/// calling thread waits on each slot in turn and hands each
+/// [`EncodedSecret`] to `sink` in input order. The sink overlaps whatever
+/// it does (batching, store RPCs) with the encoding of later groups — the
+/// pipelining that lets CPU and network run concurrently.
 ///
 /// Error handling: the first failure anywhere — a read error, an encode
 /// error, an encode panic (surfaced as [`SharingError::WorkerPanic`]), or a
@@ -278,6 +260,11 @@ pub fn encode_chunks(
 /// The pipeline behind [`encode_stream`] and [`encode_chunks`].
 /// `next_chunk` is the chunk source: it overwrites the pooled buffer it is
 /// given with the next chunk and returns `Ok(false)` at end of input.
+///
+/// An abort is a hang-up: the side that fails drops its end of a channel,
+/// and whoever next uses the other end finds it gone and returns its
+/// buffers to the pool. A sink error drops the order queue, so every
+/// pending reply and the chunker's next push fail.
 fn encode_from(
     scheme: &(dyn SecretSharing + Sync),
     mut next_chunk: impl FnMut(&mut Vec<u8>) -> std::io::Result<bool> + Send,
@@ -288,149 +275,88 @@ fn encode_from(
         .pool
         .clone()
         .unwrap_or_else(|| Arc::new(BufferPool::new()));
+    let pool = &*pool;
     let memo = config.memo.as_deref();
     let threads = config.encode_threads.max(1);
     if threads == 1 {
-        return encode_inline(scheme, next_chunk, &pool, memo, &mut sink);
+        return encode_inline(scheme, next_chunk, pool, memo, &mut sink);
     }
-    let abort = AtomicBool::new(false);
-
-    let (chunk_tx, chunk_rx) = sync_channel::<ChunkGroup>(config.chunk_queue.max(1));
-    let chunk_rx: SharedChunkReceiver = Arc::new(Mutex::new(chunk_rx));
-    let (enc_tx, enc_rx) = sync_channel::<EncodedGroup>(config.encoded_queue.max(1));
-    // Ticket window capping groups alive between the chunker and the sink.
-    let (ticket_tx, ticket_rx) = sync_channel::<()>(config.max_live_groups());
-
-    let mut result: Result<(), CdStoreError> = Ok(());
+    // The work queue carries a group, the sequence number of its first
+    // secret and its reply slot's sender. It needs no bound of its own: the
+    // chunker cuts a group only once the one before has its place on the
+    // order queue.
+    let (work_tx, work_rx) = channel();
+    let work_rx = Arc::new(Mutex::new(work_rx));
+    let (order_tx, order_rx) = sync_channel(threads);
     let mut report = EncodeStreamReport::default();
 
     std::thread::scope(|scope| {
-        // --- Stage 1: the chunker thread. ---
-        let chunker_handle = scope.spawn({
-            let pool = Arc::clone(&pool);
-            let abort = &abort;
-            move || -> std::io::Result<()> {
-                let mut seq = 0u64;
-                loop {
-                    if abort.load(Ordering::Acquire) {
+        let chunker = scope.spawn(move || -> std::io::Result<()> {
+            let mut seq = 0u64;
+            loop {
+                let mut chunks = Vec::with_capacity(GROUP);
+                let cut = cut_group(&mut next_chunk, pool, &mut chunks);
+                let count = chunks.len() as u64;
+                if count > 0 {
+                    let (reply, slot) = sync_channel(1);
+                    // Fails only once every worker has panicked, which the
+                    // scope re-raises.
+                    let _ = work_tx.send((seq, chunks, reply));
+                    // Blocks while `threads` groups wait for the sink, so
+                    // this group is encoded meanwhile but no other is cut;
+                    // fails once the sink has hung up.
+                    if order_tx.send(slot).is_err() {
                         return Ok(());
-                    }
-                    // Acquire a ticket first: blocks while the pipeline is
-                    // full, errors when the sink loop has torn the window
-                    // down (abort) — either way no unbounded buffering.
-                    if ticket_tx.send(()).is_err() {
-                        return Ok(());
-                    }
-                    let mut chunks = Vec::with_capacity(GROUP);
-                    let cut = cut_group(&mut next_chunk, &pool, &mut chunks);
-                    let count = chunks.len() as u64;
-                    if count > 0 {
-                        if let Err(mut unsent) = chunk_tx.send((seq, chunks)) {
-                            // Workers gone: the abort path.
-                            pool.put_all(&mut (unsent.0).1);
-                            return Ok(());
-                        }
-                    }
-                    seq += count;
-                    match cut {
-                        Ok(true) => {}
-                        // A read error surfaces after the chunks cut before
-                        // it are encoded and sunk.
-                        Ok(false) => return Ok(()),
-                        Err(e) => return Err(e),
                     }
                 }
-                // chunk_tx drops here, disconnecting the workers.
+                seq += count;
+                match cut {
+                    Ok(true) => {}
+                    // A read error surfaces after the chunks cut before it
+                    // are encoded and sunk.
+                    Ok(false) => return Ok(()),
+                    Err(e) => return Err(e),
+                }
             }
         });
 
-        // --- Stage 2: the encode workers. ---
         for _ in 0..threads {
-            let chunk_rx = Arc::clone(&chunk_rx);
-            let enc_tx = enc_tx.clone();
-            let pool = Arc::clone(&pool);
-            let abort = &abort;
-            scope.spawn(move || {
-                loop {
-                    let msg = chunk_rx.lock().recv();
-                    let Ok((first_seq, mut chunks)) = msg else {
-                        return; // chunker done or aborted
-                    };
-                    if abort.load(Ordering::Acquire) {
-                        // Keep draining so a full queue never wedges the
-                        // chunker; just recycle the buffers.
-                        pool.put_all(&mut chunks);
-                        continue;
-                    }
-                    let (secrets, outcome) =
-                        encode_group(scheme, &pool, memo, first_seq, &mut chunks);
-                    let group = EncodedGroup {
-                        first_seq,
-                        secrets,
-                        outcome,
-                    };
-                    if let Err(unsent) = enc_tx.send(group) {
-                        unsent.0.recycle(&pool);
-                        return; // sink loop gone
-                    }
-                }
+            let work_rx = Arc::clone(&work_rx);
+            scope.spawn(move || loop {
+                let Ok((first_seq, mut chunks, reply)) = work_rx.lock().recv() else {
+                    return; // the chunker is done
+                };
+                let (secrets, outcome) = encode_group(scheme, pool, memo, first_seq, &mut chunks);
+                // Fails once the sink has hung up; the group then drops
+                // back into the pool.
+                let _ = reply.send(EncodedGroup {
+                    pool,
+                    secrets,
+                    outcome,
+                });
             });
         }
-        // The sink loop must observe disconnect once the workers finish.
-        drop(enc_tx);
+        drop(work_rx);
 
-        // --- Stage 3: reorder by sequence and sink in input order. ---
-        let mut out_of_order: BTreeMap<u64, EncodedGroup> = BTreeMap::new();
-        // Hold the ticket receiver in an Option so the abort path can drop
-        // it, which unblocks/terminates the chunker's ticket acquisition.
-        let mut window = Some(ticket_rx);
-        for group in enc_rx.iter() {
+        let mut result = Ok(());
+        for slot in order_rx.iter() {
+            // A slot without a reply means its worker panicked, which the
+            // scope re-raises.
+            let Ok(group) = slot.recv() else { break };
+            result = sink_group(group, pool, &mut sink, &mut report);
             if result.is_err() {
-                // Drain mode: recycle buffers until the workers exit.
-                group.recycle(&pool);
-                continue;
-            }
-            out_of_order.insert(group.first_seq, group);
-            while let Some(group) = out_of_order.remove(&report.num_secrets) {
-                match sink_group(group, &pool, &mut sink, &mut report) {
-                    // One ticket per sunk group; its token was deposited
-                    // before the group was cut, so this never blocks.
-                    Ok(()) => {
-                        if let Some(rx) = &window {
-                            let _ = rx.recv();
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        abort.store(true, Ordering::Release);
-                        window = None;
-                        break;
-                    }
-                }
+                break;
             }
         }
-        // Return any still-buffered out-of-order groups (error paths).
-        for (_, group) in out_of_order {
-            group.recycle(&pool);
-        }
-
-        // Surface a chunker I/O failure unless an earlier error already won.
-        match chunker_handle.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(io_err)) => {
-                if result.is_ok() {
-                    result = Err(io_err.into());
-                }
-            }
-            Err(payload) => {
-                if result.is_ok() {
-                    result = Err(panic_error(payload).into());
-                }
-            }
-        }
-    });
-
-    result.map(|()| report)
+        drop(order_rx);
+        // A chunker failure surfaces unless an earlier error already won.
+        let chunked = match chunker.join() {
+            Ok(cut) => cut.map_err(CdStoreError::from),
+            Err(payload) => Err(panic_error(payload).into()),
+        };
+        result.and(chunked)
+    })
+    .map(|()| report)
 }
 
 /// The single-threaded mode of [`encode_from`]: cut → encode → sink run
@@ -452,7 +378,7 @@ fn encode_inline(
             let first_seq = report.num_secrets;
             let (secrets, outcome) = encode_group(scheme, pool, memo, first_seq, &mut chunks);
             let group = EncodedGroup {
-                first_seq,
+                pool,
                 secrets,
                 outcome,
             };
@@ -609,12 +535,12 @@ fn encode_group(
 /// then surfaces the group's encode failure, if any. On a sink error the
 /// rest of the group is recycled.
 fn sink_group(
-    group: EncodedGroup,
+    mut group: EncodedGroup,
     pool: &BufferPool,
     sink: &mut impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
     report: &mut EncodeStreamReport,
 ) -> Result<(), CdStoreError> {
-    let mut secrets = group.secrets.into_iter();
+    let mut secrets = std::mem::take(&mut group.secrets).into_iter();
     for enc in secrets.by_ref() {
         report.logical_bytes += enc.secret_size as u64;
         if let Err(e) = sink(enc, pool) {
@@ -623,7 +549,7 @@ fn sink_group(
         }
         report.num_secrets += 1;
     }
-    group.outcome.map_err(CdStoreError::from)
+    std::mem::replace(&mut group.outcome, Ok(())).map_err(CdStoreError::from)
 }
 
 /// Converts an encode panic's payload into a [`SharingError`], preserving
@@ -641,6 +567,7 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> SharingError {
 mod tests {
     use super::*;
     use cdstore_secretsharing::CaontRs;
+    use std::sync::atomic::Ordering;
 
     fn secrets(count: usize) -> Vec<Vec<u8>> {
         (0..count)
@@ -866,8 +793,6 @@ mod tests {
     fn test_pipeline_config(pool: Arc<BufferPool>) -> PipelineConfig {
         PipelineConfig {
             encode_threads: 3,
-            chunk_queue: 1,
-            encoded_queue: 1,
             pool: Some(pool),
             memo: None,
         }
@@ -1398,14 +1323,12 @@ mod tests {
     fn pipeline_config_budget_accounts_for_every_stage() {
         let config = PipelineConfig {
             encode_threads: 3,
-            chunk_queue: 4,
-            encoded_queue: 5,
             pool: None,
             memo: None,
         };
-        // Groups: one being cut, the two queues, one per worker, the sink's.
-        assert_eq!(config.max_live_secrets(), (4 + 5 + 3 + 2) * GROUP);
-        assert_eq!(config.max_live_buffers(4), (4 + 5 + 3 + 2) * GROUP * 5);
+        // Groups: one being cut, one per order-queue slot, the sink's.
+        assert_eq!(config.max_live_secrets(), (3 + 2) * GROUP);
+        assert_eq!(config.max_live_buffers(4), (3 + 2) * GROUP * 5);
         let default = PipelineConfig::default();
         assert!(default.encode_threads >= 1);
         assert!(default.max_live_secrets() > default.encode_threads);

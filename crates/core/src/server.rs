@@ -37,7 +37,7 @@ use cdstore_index::{
 };
 use cdstore_storage::{
     ContainerKind, ContainerStore, ContainerUsage, Journal, MemoryBackend, StorageBackend,
-    StorageError, StoreUtilisation,
+    StorageError,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -1479,11 +1479,6 @@ impl CdStoreServer {
         self.containers.backend()
     }
 
-    /// Aggregate live/dead payload bytes across this server's containers.
-    pub fn container_utilisation(&self) -> StoreUtilisation {
-        self.containers.utilisation()
-    }
-
     /// Runs a garbage-collection pass with the default [`GcConfig`].
     pub fn gc(&self) -> Result<GcReport, CdStoreError> {
         self.gc_with(GcConfig::default())
@@ -1947,7 +1942,7 @@ mod tests {
         assert_eq!(report.containers_compacted, 0);
         assert!(report.reclaimed_bytes >= 200_000);
         assert_eq!(server.backend_bytes(), 0);
-        assert_eq!(server.container_utilisation(), StoreUtilisation::default());
+        assert_eq!(server.containers.utilisation(), Default::default());
     }
 
     #[test]

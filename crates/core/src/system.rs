@@ -619,11 +619,6 @@ impl<T: ServerTransport> CdStore<T> {
         self.shared.available.write()[i] = true;
     }
 
-    /// Whether cloud `i` is currently reachable.
-    pub fn is_cloud_available(&self, i: usize) -> bool {
-        self.shared.available.read()[i]
-    }
-
     /// Seals open containers on every server. A transient fault while a
     /// container seals is retried (a failed seal reinstates the builder, so
     /// the replay writes the identical container).
@@ -730,7 +725,7 @@ mod tests {
         let data = sample(100_000, 2);
         store.backup(1, "/f", &data).unwrap();
         store.fail_cloud(0);
-        assert!(!store.is_cloud_available(0));
+        assert!(!store.shared.available.read()[0]);
         assert_eq!(store.restore(1, "/f").unwrap(), data);
         // Backups require all clouds.
         assert!(matches!(

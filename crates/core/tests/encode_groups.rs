@@ -6,9 +6,12 @@
 //! output of a grouped run to what CAONT-RS gives secret by secret (`split`,
 //! then `Fingerprint::of` per share): at and around every group boundary,
 //! plain and salted, inline and on three workers, with memo hits anywhere in
-//! a group, and when one secret of a group fails or panics.
+//! a group, when one secret of a group fails or panics, and when groups
+//! finish out of order or the sink fails while one is still encoding.
 
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_core::pipeline::{GROUP, GROUP_BYTES};
@@ -68,7 +71,6 @@ fn config(threads: usize, pool: &Arc<BufferPool>, memo: Option<&Arc<ShareMemo>>)
         encode_threads: threads,
         pool: Some(Arc::clone(pool)),
         memo: memo.cloned(),
-        ..PipelineConfig::default()
     }
 }
 
@@ -398,4 +400,121 @@ fn a_failing_secret_ends_the_stream_after_every_secret_before_it() {
             }
         }
     }
+}
+
+/// Length of the secret a [`Stalling`] scheme stalls on: shorter than any
+/// of [`secrets`].
+const STALL_LEN: usize = 1000;
+
+/// Polls `done` until it holds or ten seconds pass.
+fn wait_until(done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// CAONT-RS whose encode of the group holding a [`STALL_LEN`]-byte secret
+/// waits until `release_after` other groups are encoded.
+struct Stalling {
+    inner: CaontRs,
+    release_after: AtomicUsize,
+    encoded: AtomicUsize,
+}
+
+impl Stalling {
+    fn new(release_after: usize) -> Self {
+        Stalling {
+            inner: CaontRs::new(4, 3).unwrap(),
+            release_after: release_after.into(),
+            encoded: 0.into(),
+        }
+    }
+}
+
+impl SecretSharing for Stalling {
+    delegate_to_inner!();
+
+    fn convergent_keys(&self, secrets: &mut [Vec<u8>]) -> Option<Vec<[u8; 32]>> {
+        self.inner.convergent_keys(secrets)
+    }
+
+    fn split_group(
+        &self,
+        group: &mut [GroupSplit<'_>],
+        done: &mut usize,
+    ) -> Result<(), SharingError> {
+        if group.iter().any(|m| m.secret.len() == STALL_LEN) {
+            wait_until(|| self.encoded.load(SeqCst) >= self.release_after.load(SeqCst));
+        }
+        let result = self.inner.split_group(group, done);
+        self.encoded.fetch_add(1, SeqCst);
+        result
+    }
+}
+
+#[test]
+fn groups_that_finish_out_of_order_reach_the_sink_in_order() {
+    // The first group waits until the two after it are encoded on the
+    // other workers; seven more follow.
+    let scheme = Stalling::new(2);
+    let mut chunks = secrets(10 * GROUP, 12);
+    chunks[0] = vec![7; STALL_LEN];
+    let pool = Arc::new(BufferPool::new());
+    let config = config(3, &pool, None);
+    let started = Instant::now();
+    let mut sunk = Vec::new();
+    encode_chunks(&scheme, &chunks, &config, |enc, pool| {
+        sunk.push(Sunk {
+            seq: enc.seq,
+            shares: enc.shares.clone(),
+            fingerprints: enc.fingerprints.clone(),
+            retained: None,
+        });
+        enc.recycle(pool);
+        Ok(())
+    })
+    .unwrap();
+    // The stall ended on its release, not on its ten-second deadline.
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "nothing overtook"
+    );
+    assert_per_secret(&scheme.inner, &chunks, &sunk, "out of order");
+    let stats = pool.stats();
+    assert!(stats.peak_outstanding <= config.max_live_buffers(4));
+    assert_eq!(stats.outstanding, 0, "buffers leaked");
+}
+
+#[test]
+fn a_sink_error_while_a_group_is_still_encoding_returns_promptly() {
+    // The second group waits until the sink fails on the first, and the
+    // sink fails once two later groups are encoded: the hang-up meets a
+    // group in flight and replies waiting in their slots.
+    let scheme = Stalling::new(usize::MAX);
+    let mut chunks = secrets(40 * GROUP, 13);
+    chunks[GROUP] = vec![7; STALL_LEN];
+    let pool = Arc::new(BufferPool::new());
+    let started = Instant::now();
+    let mut sunk = 0;
+    let result = encode_chunks(&scheme, &chunks, &config(3, &pool, None), |enc, pool| {
+        enc.recycle(pool);
+        sunk += 1;
+        if sunk < 5 {
+            return Ok(());
+        }
+        wait_until(|| scheme.encoded.load(SeqCst) >= 3);
+        scheme.release_after.store(0, SeqCst);
+        Err(CdStoreError::Remote("simulated store failure".into()))
+    });
+    assert!(matches!(result, Err(CdStoreError::Remote(_))));
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        started.elapsed()
+    );
+    // No more groups were encoded than the pipeline holds (3 + 2).
+    assert!(scheme.encoded.load(SeqCst) <= 5);
+    assert_eq!(sunk, 5);
+    assert_eq!(pool.stats().outstanding, 0, "buffers leaked");
 }

@@ -115,16 +115,6 @@ impl CostModel {
         Self::default()
     }
 
-    /// Creates a model with explicit metadata-size parameters (used by the
-    /// sensitivity tests).
-    pub fn with_metadata_sizes(index_entry_bytes: f64, recipe_entry_bytes: f64) -> Self {
-        CostModel {
-            pricing: S3Pricing::default(),
-            index_entry_bytes,
-            recipe_entry_bytes,
-        }
-    }
-
     /// Evaluates the three systems for a scenario.
     pub fn evaluate(&self, scenario: &Scenario) -> CostComparison {
         let logical = scenario.logical_bytes();

@@ -103,19 +103,9 @@ impl ReedSolomon {
         self.k
     }
 
-    /// Number of parity shards.
-    pub fn parity_shards(&self) -> usize {
-        self.n - self.k
-    }
-
     /// Storage blowup of the code: `n / k`.
     pub fn storage_blowup(&self) -> f64 {
         self.n as f64 / self.k as f64
-    }
-
-    /// Returns the `n x k` encoding matrix.
-    pub fn encoding_matrix(&self) -> &Matrix {
-        &self.matrix
     }
 
     /// Encodes `k` equal-size data shards into `n` shards (the first `k`
@@ -482,7 +472,6 @@ mod tests {
     fn storage_blowup_matches_n_over_k() {
         let rs = ReedSolomon::new(4, 3).unwrap();
         assert!((rs.storage_blowup() - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rs.parity_shards(), 1);
     }
 
     #[test]

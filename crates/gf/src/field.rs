@@ -50,12 +50,6 @@ impl Gf256 {
     pub fn pow(self, e: u32) -> Gf256 {
         Gf256(tables::pow(self.0, e))
     }
-
-    /// Returns `α^e`, the `e`-th power of the group generator.
-    #[inline]
-    pub fn alpha_pow(e: u32) -> Gf256 {
-        Self::GENERATOR.pow(e)
-    }
 }
 
 impl fmt::Debug for Gf256 {
@@ -198,7 +192,7 @@ mod tests {
     fn alpha_pow_matches_repeated_multiplication() {
         let mut x = Gf256::ONE;
         for e in 0..600u32 {
-            assert_eq!(Gf256::alpha_pow(e), x);
+            assert_eq!(Gf256::GENERATOR.pow(e), x);
             x *= Gf256::GENERATOR;
         }
     }

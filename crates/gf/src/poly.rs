@@ -17,11 +17,6 @@ pub fn eval(coeffs: &[Gf256], x: Gf256) -> Gf256 {
     acc
 }
 
-/// Evaluates the polynomial at `x = 0`, i.e. returns the constant term.
-pub fn eval_at_zero(coeffs: &[Gf256]) -> Gf256 {
-    coeffs.first().copied().unwrap_or(Gf256::ZERO)
-}
-
 /// Interpolates the unique polynomial of degree `< points.len()` passing
 /// through the given `(x, y)` points and evaluates it at `at`.
 ///
@@ -129,7 +124,6 @@ mod tests {
     #[test]
     fn eval_at_zero_returns_constant_term() {
         let coeffs = [g(0xaa), g(1), g(2), g(3)];
-        assert_eq!(eval_at_zero(&coeffs), g(0xaa));
         assert_eq!(eval(&coeffs, Gf256::ZERO), g(0xaa));
     }
 

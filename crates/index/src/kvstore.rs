@@ -434,11 +434,6 @@ impl KvStore {
         self.open_stats
     }
 
-    /// Whether runs spill to a storage backend.
-    pub fn is_disk_backed(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// Block-cache counters (`None` for a memory-resident store).
     pub fn cache_stats(&self) -> Option<BlockCacheStats> {
         self.disk.as_ref().map(|env| BlockCacheStats {
@@ -906,7 +901,7 @@ mod tests {
         drop(store);
 
         let mut reopened = KvStore::open(backend, "idx", small_config()).unwrap();
-        assert!(reopened.is_disk_backed());
+        assert!(reopened.disk.is_some());
         assert_eq!(reopened.open_stats().runs_dropped, 0);
         assert_eq!(reopened.len(), live);
         assert_eq!(reopened.snapshot(), expected);

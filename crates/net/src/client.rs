@@ -137,11 +137,6 @@ impl NetClient {
         })
     }
 
-    /// The server address this client talks to.
-    pub fn server_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     fn next_req_id(&self) -> u64 {
         self.next_req_id.fetch_add(1, Ordering::Relaxed)
     }

@@ -90,16 +90,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.evictions
     }
 
-    /// Hit ratio in `[0, 1]` (zero when no lookups happened).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Looks up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
@@ -195,7 +185,6 @@ mod tests {
         assert_eq!(cache.get(&1).map(|v| v.len()), Some(10));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert!((cache.hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -134,6 +134,10 @@ impl Container {
             _ => return None,
         };
         let entry_count = u32::from_be_bytes(bytes[21..25].try_into().ok()?) as usize;
+        // A count the input cannot hold is corrupt, not an allocation size.
+        if entry_count > (bytes.len() - 25) / 40 {
+            return None;
+        }
         let mut offset = 25usize;
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
@@ -153,9 +157,9 @@ impl Container {
         if bytes.len() < offset + 8 {
             return None;
         }
-        let payload_len = u64::from_be_bytes(bytes[offset..offset + 8].try_into().ok()?) as usize;
+        let payload_len = u64::from_be_bytes(bytes[offset..offset + 8].try_into().ok()?);
         offset += 8;
-        if bytes.len() != offset + payload_len {
+        if (bytes.len() - offset) as u64 != payload_len {
             return None;
         }
         let payload = bytes[offset..].to_vec();
@@ -405,6 +409,66 @@ mod tests {
         builder.append(fp(1), b"data");
         let bytes = builder.seal().to_bytes();
         assert_eq!(Container::from_bytes(&bytes[..bytes.len() - 1]), None);
+    }
+
+    #[test]
+    fn hostile_header_counts_are_rejected() {
+        // An entry count of u32::MAX once allocated 160 GiB up front and
+        // aborted; a payload length of u64::MAX once overflowed an add.
+        for (entry_count, payload_len) in [(u32::MAX, 0), (0, u64::MAX)] {
+            let mut bytes = b"CDCT".to_vec();
+            bytes.extend_from_slice(&[0; 17]);
+            bytes.extend_from_slice(&entry_count.to_be_bytes());
+            bytes.extend_from_slice(&payload_len.to_be_bytes());
+            assert_eq!(Container::from_bytes(&bytes), None);
+        }
+    }
+
+    /// Hostile-input cases: a quick pass under `cargo test`, thousands in
+    /// release builds.
+    const HOSTILE_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 4096 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(HOSTILE_CASES))]
+
+        // Behind a valid magic and kind, so the decoder reads every field.
+        #[test]
+        fn arbitrary_bytes_decode_to_none_or_their_own_bytes(
+            body in proptest::collection::vec(any::<u8>(), 0..400),
+        ) {
+            let mut bytes = b"CDCT".to_vec();
+            bytes.extend_from_slice(&body);
+            if bytes.len() > 20 {
+                bytes[20] %= 2;
+            }
+            if let Some(container) = Container::from_bytes(&bytes) {
+                prop_assert_eq!(container.to_bytes(), bytes);
+            }
+        }
+
+        // No checksum covers a container, so a flipped id, fingerprint or
+        // payload byte still decodes — but only to exactly the bytes read.
+        #[test]
+        fn one_mutated_byte_decodes_to_none_or_its_own_bytes(
+            blobs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..6),
+            at in any::<u32>(),
+            value in any::<u8>(),
+        ) {
+            let mut builder = ContainerBuilder::new(5, 3, ContainerKind::Share);
+            for (i, blob) in blobs.iter().enumerate() {
+                builder.append(fp(i as u32), blob);
+            }
+            let container = builder.seal();
+            let mut bytes = container.to_bytes();
+            let at = at as usize % bytes.len();
+            let unchanged = bytes[at] == value;
+            bytes[at] = value;
+            match Container::from_bytes(&bytes) {
+                Some(decoded) if unchanged => prop_assert_eq!(decoded, container),
+                Some(decoded) => prop_assert_eq!(decoded.to_bytes(), bytes),
+                None => prop_assert!(!unchanged),
+            }
+        }
     }
 
     proptest! {

@@ -113,17 +113,6 @@ impl Window {
     }
 }
 
-/// A degraded (but not dead) period: operation delays inside the window are
-/// multiplied by `factor` — the "slow, then recover" cloud behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowWindow {
-    /// The tick window the slowdown covers.
-    pub window: Window,
-    /// Delay multiplier (applied to the shaped delay, or to a 1 ms baseline
-    /// when the plan has no shaping configured).
-    pub factor: f64,
-}
-
 /// Configuration of one [`FaultPlan`]. The default is a *clean* plan: no
 /// errors, no tearing, no outages, no shaping — a `FaultyBackend` over it is
 /// a transparent pass-through.
@@ -146,8 +135,6 @@ pub struct FaultConfig {
     pub time_scale: f64,
     /// Full-outage windows: every operation whose tick falls inside fails.
     pub outages: Vec<Window>,
-    /// Slowdown windows: delays inside are multiplied by the window factor.
-    pub slow_windows: Vec<SlowWindow>,
 }
 
 impl Default for FaultConfig {
@@ -159,7 +146,6 @@ impl Default for FaultConfig {
             shaping: None,
             time_scale: 1.0,
             outages: Vec::new(),
-            slow_windows: Vec::new(),
         }
     }
 }
@@ -200,12 +186,6 @@ impl FaultConfig {
     /// Adds a full-outage tick window.
     pub fn with_outage(mut self, window: Window) -> Self {
         self.outages.push(window);
-        self
-    }
-
-    /// Adds a slow-then-recover tick window.
-    pub fn with_slow_window(mut self, window: Window, factor: f64) -> Self {
-        self.slow_windows.push(SlowWindow { window, factor });
         self
     }
 }
@@ -470,17 +450,10 @@ impl FaultPlan {
         }
         // Delay shaping last: failed operations return promptly (a dead
         // cloud answers with connection-refused, not a slow transfer).
-        let mut delay = match &self.config.shaping {
+        let delay = match &self.config.shaping {
             Some(shaping) => shaping.delay_seconds(bytes, write),
             None => 0.0,
         };
-        for slow in &self.config.slow_windows {
-            if slow.window.contains(tick) {
-                // With no shaping configured, a slowdown still stalls the
-                // operation: scale a 1 ms baseline instead of zero.
-                delay = (delay.max(0.001)) * slow.factor;
-            }
-        }
         if delay > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(
                 (delay / self.config.time_scale).min(5.0),
@@ -711,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn shaping_and_slow_windows_stall_operations() {
+    fn shaping_stalls_operations_and_time_scale_compresses_the_stall() {
         let shaping = Shaping {
             latency_ms: 5.0,
             upload_mbps: 1.0,
@@ -726,19 +699,20 @@ mod tests {
         backend.put("s", &[0u8; 1024]).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(4));
 
-        // A slow window multiplies the delay; time_scale compresses it.
-        let (slowed, _) = faulty(
+        // time_scale divides the shaped delay: 200 ms of latency / 20.
+        let (compressed, _) = faulty(
             FaultConfig::clean(9)
-                .with_slow_window(Window::new(0, 1), 50.0)
-                .with_time_scale(10.0),
+                .with_shaping(Shaping {
+                    latency_ms: 200.0,
+                    ..shaping
+                })
+                .with_time_scale(20.0),
         );
         let start = std::time::Instant::now();
-        slowed.put("s", &[0u8; 16]).unwrap(); // tick 0: (1ms * 50) / 10
-        let slow_elapsed = start.elapsed();
-        assert!(slow_elapsed >= Duration::from_millis(4));
-        let start = std::time::Instant::now();
-        slowed.put("s", &[0u8; 16]).unwrap(); // tick 1: outside the window
-        assert!(start.elapsed() < slow_elapsed);
+        compressed.put("s", &[0u8; 16]).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed >= Duration::from_millis(9), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
     }
 
     #[test]

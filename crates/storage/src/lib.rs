@@ -31,8 +31,6 @@ pub mod store;
 pub use backend::{DirBackend, MemoryBackend, StorageBackend, StorageError};
 pub use cache::LruCache;
 pub use container::{Container, ContainerBuilder, ContainerKind, CONTAINER_CAPACITY};
-pub use fault::{
-    FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultyBackend, Shaping, SlowWindow, Window,
-};
+pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultyBackend, Shaping, Window};
 pub use journal::{Journal, LoadedJournal};
 pub use store::{ContainerStore, ContainerUsage, ShareLocation, StoreStats, StoreUtilisation};
