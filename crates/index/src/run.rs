@@ -294,6 +294,10 @@ impl RunHandle {
         let entry_count = u64::from_le_bytes(fence[0..8].try_into().expect("8 bytes"));
         let tombstones = u64::from_le_bytes(fence[8..16].try_into().expect("8 bytes"));
         let block_count = u32::from_le_bytes(fence[16..20].try_into().expect("4 bytes")) as usize;
+        // A count the fence cannot hold is corrupt, not an allocation size.
+        if block_count > (fence.len() - 20) / 16 {
+            return Err(corrupt(&key, "fence block count out of range"));
+        }
         let mut blocks = Vec::with_capacity(block_count);
         let mut cursor = 20usize;
         let mut next_offset = 0u64;
@@ -749,6 +753,28 @@ mod tests {
         backend.put(&key, &full).unwrap();
         backend.corrupt(&key, full.len() - 10).unwrap();
         assert!(RunHandle::load(&backend, "t", 1).is_err());
+    }
+
+    #[test]
+    fn a_hostile_fence_block_count_is_corrupt_not_an_allocation() {
+        let backend = MemoryBackend::new();
+        let (handle, _) = write_run(&backend, 200);
+        let key = handle.object_key().to_string();
+        let mut bytes = backend.get(&key).unwrap();
+        // Claim u32::MAX blocks under a valid fence checksum: this once
+        // reserved 160 GiB up front and aborted the process.
+        let footer = bytes.len() - FOOTER_BYTES;
+        let fence_off = u64::from_le_bytes(bytes[footer + 24..footer + 32].try_into().unwrap());
+        let fence = fence_off as usize + FRAME_HEADER;
+        let fence_len = u32::from_le_bytes(bytes[fence - 8..fence - 4].try_into().unwrap());
+        bytes[fence + 16..fence + 20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes[fence..fence + fence_len as usize]);
+        bytes[fence - 4..fence].copy_from_slice(&crc.to_le_bytes());
+        backend.put(&key, &bytes).unwrap();
+        assert!(matches!(
+            RunHandle::load(&backend, "t", 1),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

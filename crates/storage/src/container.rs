@@ -246,16 +246,13 @@ impl ContainerBuilder {
             data.len()
         );
         let offset = self.payload.len() as u32;
-        // A share container that has reached a quarter of the cap is being
-        // filled by a stream: reserve the rest once instead of doubling
-        // there (re-copying the payload and faulting in twice the pages).
-        // Below that it grows as it goes, so the many containers a flush
-        // seals early never hold a cap's worth of memory.
+        // A share container reserves its whole cap on its first append (and
+        // again after a failed seal reopened it shrunk), so filling it never
+        // re-copies the payload or faults its pages in twice. Recipe
+        // containers are small and grow as they go; `seal` gives back what
+        // either kind did not use.
         let needed = self.payload.len() + data.len();
-        if self.kind == ContainerKind::Share
-            && needed > self.payload.capacity()
-            && self.payload.len() >= CONTAINER_CAPACITY / 4
-        {
+        if self.kind == ContainerKind::Share && needed > self.payload.capacity() {
             self.payload
                 .reserve_exact(CONTAINER_CAPACITY.max(needed) - self.payload.len());
         }
@@ -268,8 +265,11 @@ impl ContainerBuilder {
         offset
     }
 
-    /// Seals the container, making it immutable.
-    pub fn seal(self) -> Container {
+    /// Seals the container, making it immutable. The payload is shrunk to
+    /// its length, so a container sealed early (by a flush) holds only its
+    /// bytes wherever it is kept.
+    pub fn seal(mut self) -> Container {
+        self.payload.shrink_to_fit();
         Container {
             id: self.id,
             user: self.user,
@@ -318,38 +318,50 @@ mod tests {
         assert!(builder.would_overflow(101));
     }
 
-    #[test]
-    fn a_share_container_reserves_the_rest_of_its_cap_once() {
+    /// Appends 3 KiB shares until the container is exactly full, asserting
+    /// the payload never moves or regrows on the way.
+    fn fill_without_moving(builder: &mut ContainerBuilder) {
         let share = vec![0x5a; 3 * 1024];
-        let mut builder = ContainerBuilder::new(1, 1, ContainerKind::Share);
-        let mut i = 0;
-        while builder.payload_size() < CONTAINER_CAPACITY / 4 {
-            builder.append(fp(i), &share);
-            i += 1;
-        }
-        // Past a quarter of the cap, the next growth reserves the rest.
-        while builder.payload.capacity() < CONTAINER_CAPACITY {
-            builder.append(fp(i), &share);
-            i += 1;
-        }
-        assert_eq!(builder.payload.capacity(), CONTAINER_CAPACITY);
         let payload = builder.payload.as_ptr();
+        let mut i = builder.entries.len() as u32;
         while !builder.would_overflow(share.len()) {
             builder.append(fp(i), &share);
             i += 1;
+            assert_eq!(builder.payload.as_ptr(), payload, "the payload moved");
+            assert_eq!(builder.payload.capacity(), CONTAINER_CAPACITY);
         }
         let rest = CONTAINER_CAPACITY - builder.payload_size();
         builder.append(fp(i), &vec![0xa5; rest]);
         assert_eq!(builder.payload_size(), CONTAINER_CAPACITY);
         assert_eq!(builder.payload.as_ptr(), payload, "the payload moved");
         assert_eq!(builder.payload.capacity(), CONTAINER_CAPACITY);
+    }
 
-        // A container sealed early holds what it grew to.
+    #[test]
+    fn a_share_container_is_filled_in_one_allocation() {
+        let share = vec![0x5a; 3 * 1024];
+        // The first share reserves the whole cap; the rest fill it in place.
+        let mut builder = ContainerBuilder::new(1, 1, ContainerKind::Share);
+        builder.append(fp(0), &share);
+        assert_eq!(builder.payload.capacity(), CONTAINER_CAPACITY);
+        fill_without_moving(&mut builder);
+
+        // A container sealed after one share holds only that share.
         for kind in [ContainerKind::Share, ContainerKind::Recipe] {
             let mut small = ContainerBuilder::new(2, 1, kind);
             small.append(fp(0), &share);
-            assert!(small.payload.capacity() < CONTAINER_CAPACITY / 4);
+            let sealed = small.seal();
+            assert_eq!(sealed.payload.capacity(), sealed.payload.len());
         }
+
+        // Reopened after a failed write, it reserves the cap once more on
+        // its next append and fills to it without moving again.
+        let mut small = ContainerBuilder::new(3, 1, ContainerKind::Share);
+        small.append(fp(0), &share);
+        let mut reopened = small.seal().reopen();
+        reopened.append(fp(1), &share);
+        assert_eq!(reopened.payload.capacity(), CONTAINER_CAPACITY);
+        fill_without_moving(&mut reopened);
     }
 
     #[test]
