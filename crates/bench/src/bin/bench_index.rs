@@ -1,5 +1,6 @@
 //! Perf trajectory for the dedup index: loads seeded pseudo-fingerprints
-//! into the memory-resident and disk-backed `KvStore` and writes
+//! into a `KvStore` whose memtable holds them all (the memory row) and one
+//! that spills runs to a directory (the disk row), and writes
 //! `BENCH_index.json`, so this and future PRs leave a comparable curve.
 //!
 //! ```text
@@ -17,7 +18,7 @@ use cdstore_bench::indexbench::{disk_run, memory_run};
 use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::SnapshotArgs;
 
-/// Fingerprints beyond which the memory-resident baseline is not grown
+/// Fingerprints beyond which the never-spilling baseline is not grown
 /// (the disk store is the scaling story; the memory row is a footprint
 /// reference point).
 const MEMORY_CAP: u64 = 2_000_000;

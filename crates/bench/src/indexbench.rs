@@ -1,7 +1,9 @@
 //! Dedup-index scale measurements: loads seeded pseudo-fingerprints into a
-//! [`KvStore`] (memory-resident or disk-backed) and measures insert and
-//! lookup throughput plus the resident footprint — the perf-trajectory
-//! harness behind `bench_index` → `BENCH_index.json`.
+//! [`KvStore`] and measures insert and lookup throughput plus the resident
+//! footprint — the perf-trajectory harness behind `bench_index` →
+//! `BENCH_index.json`. The `memory` row is the store with a memtable larger
+//! than the entry count, so it never spills; the `disk` row spills runs to
+//! a directory.
 //!
 //! The disk rows are the point: the paper-scale question is whether the
 //! share index can outgrow RAM (10⁷+ fingerprints) while hot lookups stay
@@ -12,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cdstore_index::{BlockCacheStats, KvStore, KvStoreConfig};
-use cdstore_storage::{DirBackend, StorageBackend};
+use cdstore_storage::{DirBackend, MemoryBackend, StorageBackend};
 
 use crate::json::Json;
 
@@ -24,7 +26,7 @@ const HOT_WORKING_SET: usize = 512;
 /// One measured store configuration.
 #[derive(Debug)]
 pub struct IndexRunReport {
-    /// `"memory"` or `"disk"`.
+    /// `"memory"` (never spills) or `"disk"` (spills).
     pub mode: String,
     /// Fingerprints loaded.
     pub entries: u64,
@@ -51,24 +53,23 @@ pub struct IndexRunReport {
     pub resident_bytes: u64,
     /// Bytes the backend holds (0 for the memory store).
     pub backend_bytes: u64,
-    /// Block-cache counters after the hot pass (`None` in memory mode).
-    pub cache: Option<BlockCacheStats>,
+    /// Block-cache counters after the hot pass (all zero but the budget
+    /// for a store that never spilled).
+    pub cache: BlockCacheStats,
 }
 
 impl IndexRunReport {
     /// The report as its `BENCH_index.json` object, fields in declaration
-    /// order; `cache` is `null` in memory mode and leaves out
-    /// `current_bytes`.
+    /// order; `cache` leaves out `current_bytes`.
     pub fn to_json(&self) -> Json {
-        let cache = self.cache.as_ref().map_or(Json::Null, |c| {
-            Json::obj([
-                ("hits", c.hits.into()),
-                ("misses", c.misses.into()),
-                ("evictions", c.evictions.into()),
-                ("peak_bytes", c.peak_bytes.into()),
-                ("capacity_bytes", c.capacity_bytes.into()),
-            ])
-        });
+        let c = &self.cache;
+        let cache = Json::obj([
+            ("hits", c.hits.into()),
+            ("misses", c.misses.into()),
+            ("evictions", c.evictions.into()),
+            ("peak_bytes", c.peak_bytes.into()),
+            ("capacity_bytes", c.capacity_bytes.into()),
+        ]);
         Json::obj([
             ("mode", self.mode.as_str().into()),
             ("entries", self.entries.into()),
@@ -132,12 +133,14 @@ fn probe_order(count: u64, salt: u64) -> impl Iterator<Item = u64> {
     })
 }
 
-fn load(store: &mut KvStore, entries: u64, seed: u64) -> f64 {
+/// Puts `entries` fingerprints, then runs `settle` on the store, and
+/// returns the insert rate over both.
+fn load(store: &mut KvStore, entries: u64, seed: u64, settle: impl FnOnce(&mut KvStore)) -> f64 {
     let start = Instant::now();
     for i in 0..entries {
         store.put(fingerprint_bytes(i, seed).to_vec(), value_bytes(i).to_vec());
     }
-    store.flush();
+    settle(store);
     entries as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
@@ -201,10 +204,15 @@ fn measure(
     }
 }
 
-/// Loads and measures a memory-resident store.
+/// Loads and measures a store whose memtable holds every entry.
 pub fn memory_run(entries: u64, seed: u64) -> IndexRunReport {
-    let mut store = KvStore::new();
-    let inserts = load(&mut store, entries, seed);
+    let config = KvStoreConfig {
+        memtable_capacity: entries as usize + 1,
+        ..bench_config()
+    };
+    let mut store = KvStore::create(Arc::new(MemoryBackend::new()), "bench", config)
+        .expect("create in-memory bench store");
+    let inserts = load(&mut store, entries, seed, |_| {});
     let mut report = measure(store, "memory", entries, seed, 0);
     report.inserts_per_sec = inserts;
     report
@@ -217,7 +225,7 @@ pub fn disk_run(entries: u64, seed: u64, dir: &std::path::Path) -> IndexRunRepor
         Arc::new(DirBackend::new(dir).expect("create bench backend dir"));
     let mut store = KvStore::create(Arc::clone(&backend), "bench", bench_config())
         .expect("create disk-backed bench store");
-    let inserts = load(&mut store, entries, seed);
+    let inserts = load(&mut store, entries, seed, KvStore::flush);
     drop(store);
     let store = KvStore::open(Arc::clone(&backend), "bench", bench_config())
         .expect("reopen disk-backed bench store");
@@ -244,7 +252,7 @@ mod tests {
         let report = memory_run(5_000, 1);
         assert_eq!(report.entries, 5_000);
         assert!(report.cold_lookups_per_sec > 0.0);
-        assert!(report.cache.is_none());
+        assert_eq!(report.cache.hits + report.cache.misses, 0);
         assert_eq!((report.run_count, report.bloom_skips), (0, 0));
     }
 
@@ -255,7 +263,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(report.entries, 5_000);
         assert!(report.backend_bytes > 0);
-        let cache = report.cache.expect("disk mode has a block cache");
+        let cache = report.cache;
         assert!(cache.hits > 0, "hot pass must hit the cache");
         assert!(cache.peak_bytes <= cache.capacity_bytes);
     }

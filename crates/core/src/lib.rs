@@ -82,7 +82,7 @@ pub use pipeline::{
     encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig, RetainedSecret,
 };
 pub use retry::{is_transient, RetryPolicy};
-pub use server::{CdStoreServer, GcConfig, GcReport, IndexMode, RecoveryReport, ServerStats};
+pub use server::{CdStoreServer, GcConfig, GcReport, RecoveryReport, ServerStats};
 pub use system::{CdStore, CdStoreConfig, SystemStats};
 pub use transport::{ServerProbe, ServerTransport, ShareVerdict, StoreReceipt};
-pub use wal::{MetaRecord, Snapshot};
+pub use wal::{Checkpoint, MetaRecord};

@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 use cdstore_crypto::Fingerprint;
 use cdstore_index::{
-    BlockCacheStats, FileEntry, FileKey, FilePutOutcome, KvStoreConfig, ShardedFileIndex,
-    ShardedKvStore, ShardedShareIndex, ShareEntry, ShareLocation, StoreOutcome,
+    FileEntry, FileKey, FilePutOutcome, KvStoreConfig, Sharded, ShardedFileIndex, ShardedKvStore,
+    ShardedShareIndex, ShareEntry, ShareLocation, StoreOutcome,
 };
 use cdstore_storage::{
     ContainerKind, ContainerStore, ContainerUsage, Journal, MemoryBackend, StorageBackend,
@@ -44,7 +44,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::CdStoreError;
 use crate::metadata::{FileRecipe, ShareMetadata};
 use crate::transport::{ShareVerdict, StoreReceipt};
-use crate::wal::{MetaRecord, Snapshot};
+use crate::wal::{write_index, Checkpoint, MetaRecord, CHECKPOINT_VERSION};
 
 /// Number of times share and recipe reads re-resolve their index entry when
 /// the container they point at vanishes mid-read: an online compaction pass
@@ -55,39 +55,16 @@ const RELOCATION_RETRIES: usize = 3;
 
 /// Floor on the journal records between automatic checkpoints (checked at
 /// the end of every `store_shares` batch, `put_file`, `release_uploads`,
-/// `delete_file`, `flush`, and `gc`). A checkpoint
-/// costs a full snapshot of the indices, so the effective cadence also
-/// scales with them: the trigger additionally waits for at least a quarter
-/// of the last snapshot's entry count in new records. Write amplification
-/// therefore stays bounded (≈ 4× in steady state) instead of growing with
-/// index size, while recovery replay stays bounded by
-/// `max(this floor, index entries / 4)` records.
+/// `delete_file`, `flush`, and `gc`). A checkpoint writes the indexes'
+/// memtables — the whole index while it fits them — so the effective
+/// cadence also scales with them: the trigger additionally waits for at
+/// least a quarter of the last checkpoint's entry count in new records.
+/// Write amplification therefore stays bounded (≈ 4× in steady state),
+/// while recovery replay stays bounded by
+/// `max(this floor, checkpointed entries / 4)` records.
 pub const CHECKPOINT_INTERVAL_RECORDS: u64 = 8192;
 
-/// Where a server keeps its three metadata indexes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Fully memory-resident indexes, checkpointed inline into the journal's
-    /// snapshot blob — the original behaviour, fine while the index fits in
-    /// RAM.
-    #[default]
-    Memory,
-    /// Disk-resident indexes: each index stripe spills its LSM runs to the
-    /// server's storage backend (Bloom-filtered, block-cached reads), and
-    /// checkpoints flush the runs durable then commit a small external
-    /// marker instead of serialising the index bodies. Memory use stays
-    /// bounded by `memtables + Bloom filters + block caches` however many
-    /// fingerprints the server tracks.
-    Disk(KvStoreConfig),
-}
-
-/// Backend object-name prefix shared by every disk-resident index structure
-/// (`idx-{store}-...`); its presence on a backend is how
-/// [`CdStoreServer::open`] detects that the previous incarnation ran with
-/// [`IndexMode::Disk`].
-const INDEX_KEY_PREFIX: &str = "idx-";
-
-/// Stripe-set names of the three disk-resident indexes on the backend.
+/// Names of the server's three indexes on its backend.
 const SHARE_INDEX_NAME: &str = "share";
 const FILE_INDEX_NAME: &str = "file";
 const USER_MAP_NAME: &str = "usermap";
@@ -239,10 +216,10 @@ pub struct CdStoreServer {
     /// (under the mutated key's stripe lock, so per-key order is exact), and
     /// the request commits the staged group before it returns to the client.
     journal: Journal,
-    /// Excludes index mutations while [`CdStoreServer::checkpoint`] exports
+    /// Excludes index mutations while [`CdStoreServer::checkpoint`] writes
     /// and commits: without it, a record could be staged into the journal
     /// epoch the checkpoint is about to sweep without being captured by its
-    /// snapshot.
+    /// memtable images.
     /// Mutations take the read side (cheap, fully concurrent with each
     /// other); the checkpoint takes the write side.
     ckpt_lock: RwLock<()>,
@@ -252,9 +229,9 @@ pub struct CdStoreServer {
     /// the next checkpoint trigger fires eagerly to re-baseline durability
     /// from the full in-memory state.
     journal_lapses: AtomicU64,
-    /// Entry count of the last committed checkpoint snapshot: the adaptive
+    /// Entry count of the last committed checkpoint: the adaptive
     /// checkpoint cadence waits for new records proportional to it, so the
-    /// O(index) snapshot cost amortises over O(index) mutations.
+    /// O(memtables) checkpoint cost amortises over as many mutations.
     last_snapshot_entries: AtomicU64,
     stats: AtomicServerStats,
     next_version: AtomicU64,
@@ -262,8 +239,6 @@ pub struct CdStoreServer {
     /// otherwise race to copy the same containers. Client traffic never
     /// takes this lock.
     gc_lock: Mutex<()>,
-    /// Where the three indexes live; decides how checkpoints serialise them.
-    index_mode: IndexMode,
 }
 
 impl CdStoreServer {
@@ -274,66 +249,43 @@ impl CdStoreServer {
 
     /// Creates a server over an explicit storage backend (e.g. a directory,
     /// or the backend of a simulated cloud), starting from empty state with
-    /// memory-resident indexes. Any journal state a previous incarnation
+    /// the default index tuning. Any journal state a previous incarnation
     /// left on the backend is cleared; to *recover* that state instead, use
     /// [`CdStoreServer::open`].
     pub fn with_backend(cloud_index: usize, backend: Arc<dyn StorageBackend>) -> Self {
-        Self::with_backend_and_index(cloud_index, backend, IndexMode::Memory)
-            .expect("memory-mode construction is infallible")
+        Self::with_backend_and_index(cloud_index, backend, KvStoreConfig::default())
+            .expect("a fresh server reads nothing from its backend")
     }
 
-    /// [`CdStoreServer::with_backend`] with an explicit [`IndexMode`]: in
-    /// [`IndexMode::Disk`] the three indexes spill their runs to the same
-    /// backend the containers use, starting fresh (any disk-index state a
-    /// previous incarnation left is discarded — use [`CdStoreServer::open`]
-    /// to resume it).
+    /// [`CdStoreServer::with_backend`] with explicit index tuning. The three
+    /// indexes start empty and read nothing from the backend (their stripes
+    /// spill runs to it once their memtables fill); whatever index objects
+    /// a previous incarnation left there are ignored.
     pub fn with_backend_and_index(
         cloud_index: usize,
         backend: Arc<dyn StorageBackend>,
-        index_mode: IndexMode,
+        index: KvStoreConfig,
     ) -> Result<Self, CdStoreError> {
         let journal = Journal::fresh(backend.clone());
-        Self::assemble(cloud_index, backend, journal, index_mode, false)
+        Self::assemble(cloud_index, backend, journal, index, Checkpoint::default())
     }
 
-    /// Builds the three indexes per `index_mode` (resuming on-disk runs iff
-    /// `resume`) and wires the server together.
+    /// Opens the three indexes from `checkpoint`'s stripe images and wires
+    /// the server together.
     fn assemble(
         cloud_index: usize,
         backend: Arc<dyn StorageBackend>,
         journal: Journal,
-        index_mode: IndexMode,
-        resume: bool,
+        index: KvStoreConfig,
+        checkpoint: Checkpoint,
     ) -> Result<Self, CdStoreError> {
-        let (share_index, file_index, user_shares) = match index_mode {
-            IndexMode::Memory => (
-                ShardedShareIndex::new(),
-                ShardedFileIndex::new(),
-                ShardedKvStore::new(),
-            ),
-            IndexMode::Disk(config) if resume => (
-                ShardedShareIndex::open(backend.clone(), SHARE_INDEX_NAME, config)
-                    .map_err(CdStoreError::Storage)?,
-                ShardedFileIndex::open(backend.clone(), FILE_INDEX_NAME, config)
-                    .map_err(CdStoreError::Storage)?,
-                ShardedKvStore::open(backend.clone(), USER_MAP_NAME, config)
-                    .map_err(CdStoreError::Storage)?,
-            ),
-            IndexMode::Disk(config) => (
-                ShardedShareIndex::create(backend.clone(), SHARE_INDEX_NAME, config)
-                    .map_err(CdStoreError::Storage)?,
-                ShardedFileIndex::create(backend.clone(), FILE_INDEX_NAME, config)
-                    .map_err(CdStoreError::Storage)?,
-                ShardedKvStore::create(backend.clone(), USER_MAP_NAME, config)
-                    .map_err(CdStoreError::Storage)?,
-            ),
-        };
+        let b = &backend;
         Ok(CdStoreServer {
             cloud_index,
             tag: format!("cdstore-server-{cloud_index}").into_bytes(),
-            share_index,
-            file_index,
-            user_shares,
+            share_index: Sharded::open(b.clone(), SHARE_INDEX_NAME, index, checkpoint.shares)?,
+            file_index: Sharded::open(b.clone(), FILE_INDEX_NAME, index, checkpoint.files)?,
+            user_shares: Sharded::open(b.clone(), USER_MAP_NAME, index, checkpoint.mappings)?,
             containers: ContainerStore::new(backend),
             journal,
             ckpt_lock: RwLock::new(()),
@@ -342,16 +294,17 @@ impl CdStoreServer {
             stats: AtomicServerStats::default(),
             next_version: AtomicU64::new(1),
             gc_lock: Mutex::new(()),
-            index_mode,
         })
     }
 
-    /// Rebuilds a server from backend-only state: loads the newest valid
-    /// checkpoint, replays the journal suffix written since (tolerating a
-    /// torn final record), cross-checks the rebuilt indices against the
-    /// sealed container headers actually present on the backend — pruning
-    /// anything that points at data lost with the crash — and commits a
-    /// fresh checkpoint of the recovered state before returning.
+    /// Rebuilds a server from backend-only state: opens the indexes from the
+    /// newest valid checkpoint (each stripe's runs, with its checkpointed
+    /// memtable installed over them), replays the journal suffix written
+    /// since (tolerating a torn final record), cross-checks the rebuilt
+    /// indices against the sealed container headers actually present on
+    /// the backend — pruning anything that points at data lost with the
+    /// crash — and commits a fresh checkpoint of the recovered state before
+    /// returning.
     ///
     /// Traffic counters ([`CdStoreServer::stats`]) are per-process and start
     /// at zero; the dedup state itself (unique shares, reference counts,
@@ -361,70 +314,33 @@ impl CdStoreServer {
         cloud_index: usize,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<(Self, RecoveryReport), CdStoreError> {
-        // Auto-detect the index mode of the previous incarnation: disk-
-        // resident indexes leave their run/manifest objects on the backend.
-        let disk = backend
-            .list()
-            .map_err(CdStoreError::Storage)?
-            .iter()
-            .any(|key| key.starts_with(INDEX_KEY_PREFIX));
-        let mode = if disk {
-            IndexMode::Disk(KvStoreConfig::default())
-        } else {
-            IndexMode::Memory
-        };
-        Self::open_with_index(cloud_index, backend, mode)
+        Self::open_with_index(cloud_index, backend, KvStoreConfig::default())
     }
 
-    /// [`CdStoreServer::open`] with an explicit [`IndexMode`] (and, for
-    /// [`IndexMode::Disk`], explicit tuning) instead of auto-detection.
-    ///
-    /// In disk mode the indexes are *opened* from their on-disk runs first;
-    /// an external-marker checkpoint then installs nothing (the runs are the
-    /// checkpoint), and journal replay reconciles the runs with every record
-    /// written after their last flush — records are absolute post-states, so
-    /// re-applying ones a run already absorbed is a no-op. Opening a backend
-    /// whose checkpoint is an external marker in [`IndexMode::Memory`] is an
-    /// error: the index bodies are not in the blob to install.
+    /// [`CdStoreServer::open`] with explicit index tuning (it need not match
+    /// the tuning the runs were written under).
     pub fn open_with_index(
         cloud_index: usize,
         backend: Arc<dyn StorageBackend>,
-        index_mode: IndexMode,
+        index: KvStoreConfig,
     ) -> Result<(Self, RecoveryReport), CdStoreError> {
         let loaded = Journal::load(&*backend).map_err(CdStoreError::Storage)?;
         let journal = Journal::resume(backend.clone(), &loaded);
-        let server = Self::assemble(cloud_index, backend, journal, index_mode, true)?;
+        let checkpoint = match &loaded.checkpoint {
+            Some(blob) => Checkpoint::decode(blob).ok_or_else(|| {
+                CdStoreError::InconsistentMetadata("unreadable checkpoint".into())
+            })?,
+            // No checkpoint: the journal holds every mutation since the
+            // server was created.
+            None => Checkpoint::default(),
+        };
+        let server = Self::assemble(cloud_index, backend, journal, index, checkpoint)?;
         let mut report = RecoveryReport {
             used_checkpoint: loaded.checkpoint.is_some(),
             records_replayed: loaded.records.len(),
             torn_tail: loaded.torn,
             ..RecoveryReport::default()
         };
-        if let Some(blob) = &loaded.checkpoint {
-            let snapshot = Snapshot::decode(blob).ok_or_else(|| {
-                CdStoreError::InconsistentMetadata("unreadable checkpoint snapshot".into())
-            })?;
-            if snapshot.external_indexes {
-                if matches!(index_mode, IndexMode::Memory) {
-                    return Err(CdStoreError::InconsistentMetadata(
-                        "checkpoint marks the indexes as disk-resident, but the server \
-                         was opened in memory index mode"
-                            .into(),
-                    ));
-                }
-                // Nothing to install: the opened runs *are* the snapshot.
-            } else {
-                for (fp, entry) in &snapshot.shares {
-                    server.share_index.insert_entry(fp, entry);
-                }
-                for (key, entry) in snapshot.files {
-                    server.file_index.put(key, entry);
-                }
-                for (key, value) in snapshot.mappings {
-                    server.user_shares.put(key, value);
-                }
-            }
-        }
         for payload in &loaded.records {
             // Unknown tags (a rolled-back binary opening a newer journal)
             // are skipped rather than fatal; the verification pass below
@@ -695,11 +611,11 @@ impl CdStoreServer {
         })
     }
 
-    /// Commits a checkpoint: a full snapshot of the three metadata
-    /// structures, superseding the journal so recovery replays only records
-    /// written after this call. Runs with index mutations excluded (they
-    /// block for the duration); triggered automatically past the adaptive
-    /// cadence bound (see [`CHECKPOINT_INTERVAL_RECORDS`]), or explicitly.
+    /// Commits a checkpoint of the three metadata structures, superseding
+    /// the journal so recovery replays only records written after this
+    /// call. Runs with index mutations excluded (they block for the
+    /// duration); triggered automatically past the adaptive cadence bound
+    /// (see [`CHECKPOINT_INTERVAL_RECORDS`]), or explicitly.
     pub fn checkpoint(&self) -> Result<(), CdStoreError> {
         let _excl = self.ckpt_lock.write();
         self.checkpoint_locked()
@@ -708,48 +624,24 @@ impl CdStoreServer {
     /// The body of [`CdStoreServer::checkpoint`]; the caller must hold the
     /// write side of `ckpt_lock`.
     ///
-    /// Memory mode serialises the three index bodies inline. Disk mode
-    /// instead flushes every index stripe's write buffer into durable runs
-    /// *before* committing a small external marker: once the marker commits
-    /// (and the superseded journal epoch is swept), the runs are the only
-    /// copy of the pre-checkpoint mutations, so the flush-then-commit order
-    /// is what makes the sweep safe.
+    /// Writes each index stripe's memtable and run counter inline (see
+    /// [`crate::wal`]); the runs beneath are already durable, published by
+    /// their manifests when they froze. The memtables are not flushed:
+    /// a small index would then answer every lookup through Bloom filters,
+    /// fence pointers and the block cache instead of its memtable.
     fn checkpoint_locked(&self) -> Result<(), CdStoreError> {
         // Drain the staging buffer into the epoch about to be superseded:
         // records staged by requests that have not reached their commit yet
-        // describe states the snapshot below already contains, and must not
-        // land in the new epoch behind it. Nothing can stage while the write
-        // lock is held, so the buffer stays empty until the epoch rolls.
+        // describe states the checkpoint below already contains, and must
+        // not land in the new epoch behind it. Nothing can stage while the
+        // write lock is held, so the buffer stays empty until the epoch
+        // rolls.
         self.commit_journal();
         debug_assert!(!self.journal.has_staged());
-        let (blob, entries) = match self.index_mode {
-            IndexMode::Memory => {
-                let snapshot = Snapshot {
-                    shares: self.share_index.export(),
-                    files: self.file_index.export(),
-                    mappings: self.user_shares.export(),
-                    ..Snapshot::default()
-                };
-                let entries =
-                    snapshot.shares.len() + snapshot.files.len() + snapshot.mappings.len();
-                (snapshot.encode(), entries)
-            }
-            IndexMode::Disk(_) => {
-                self.share_index
-                    .flush_runs()
-                    .map_err(CdStoreError::Storage)?;
-                self.file_index
-                    .flush_runs()
-                    .map_err(CdStoreError::Storage)?;
-                self.user_shares
-                    .flush_runs()
-                    .map_err(CdStoreError::Storage)?;
-                let entries = self.share_index.unique_shares()
-                    + self.file_index.len()
-                    + self.user_shares.len();
-                (Snapshot::external().encode(), entries)
-            }
-        };
+        let mut blob = CHECKPOINT_VERSION.to_be_bytes().to_vec();
+        let entries = write_index(&mut blob, &self.share_index)
+            + write_index(&mut blob, &self.file_index)
+            + write_index(&mut blob, &self.user_shares);
         self.journal
             .commit_checkpoint(&blob)
             .map_err(CdStoreError::Storage)?;
@@ -796,32 +688,13 @@ impl CdStoreServer {
     }
 
     /// Approximate size of the server's indices in bytes (drives the EC2
-    /// instance choice in the cost model, §5.6). In [`IndexMode::Disk`] this
-    /// is the *resident* footprint — write buffers, Bloom filters, fence
-    /// pointers, and block caches — not the spilled run bytes.
+    /// instance choice in the cost model, §5.6): the *resident* footprint —
+    /// memtables and, once an index spills, Bloom filters, fence pointers,
+    /// and block caches — not the spilled run bytes.
     pub fn index_bytes(&self) -> usize {
         self.share_index.approximate_size()
             + self.file_index.approximate_size()
             + self.user_shares.approximate_size()
-    }
-
-    /// Where this server keeps its indexes.
-    pub fn index_mode(&self) -> IndexMode {
-        self.index_mode
-    }
-
-    /// Summed block-cache counters across all three indexes' stripes
-    /// (`None` in [`IndexMode::Memory`]).
-    pub fn index_cache_stats(&self) -> Option<BlockCacheStats> {
-        let all = [
-            self.share_index.cache_stats(),
-            self.file_index.cache_stats(),
-            self.user_shares.cache_stats(),
-        ];
-        all.into_iter().flatten().reduce(|mut total, s| {
-            total += s;
-            total
-        })
     }
 
     /// Number of globally unique shares stored.
@@ -1624,6 +1497,7 @@ impl CdStoreServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdstore_index::{sharded::DEFAULT_SHARDS, StripeImage};
 
     fn meta(fp: Fingerprint, size: u32, seq: u64) -> ShareMetadata {
         ShareMetadata {
@@ -2351,28 +2225,31 @@ mod tests {
         std::collections::BTreeMap<Vec<u8>, Vec<u8>>,
     );
 
-    /// What a recovery would start from: the newest checkpoint's bodies with
-    /// the journal suffix folded over them last-writer-wins per key — *no*
-    /// verification pass, no recount, so an ordering bug cannot hide.
+    /// What a recovery would start from: the newest checkpoint's memtables
+    /// with the journal suffix folded over them last-writer-wins per key —
+    /// *no* verification pass, no recount, so an ordering bug cannot hide.
+    /// (These servers never spill, so the memtables are the whole index.)
     fn folded_journal(backend: &dyn StorageBackend) -> Folded {
         let loaded = Journal::load(backend).unwrap();
         assert!(!loaded.torn);
         let mut folded = Folded::default();
         if let Some(blob) = &loaded.checkpoint {
-            let snapshot = Snapshot::decode(blob).unwrap();
-            folded.0.extend(
-                snapshot
-                    .shares
-                    .into_iter()
-                    .map(|(fp, entry)| (*fp.as_bytes(), entry)),
-            );
-            folded.1.extend(
-                snapshot
-                    .files
-                    .into_iter()
-                    .map(|(key, entry)| (*key.as_bytes(), entry)),
-            );
-            folded.2.extend(snapshot.mappings);
+            let checkpoint = Checkpoint::decode(blob).unwrap();
+            let live = |images: [StripeImage; DEFAULT_SHARDS]| {
+                images.into_iter().flat_map(|image| {
+                    assert_eq!(image.runs_written, 0);
+                    image.memtable.into_iter().map(|(k, v)| (k, v.unwrap()))
+                })
+            };
+            for (k, v) in live(checkpoint.shares) {
+                let entry = ShareEntry::from_bytes(&v).unwrap();
+                folded.0.insert(k.try_into().unwrap(), entry);
+            }
+            for (k, v) in live(checkpoint.files) {
+                let entry = FileEntry::from_bytes(&v).unwrap();
+                folded.1.insert(k.try_into().unwrap(), entry);
+            }
+            folded.2.extend(live(checkpoint.mappings));
         }
         for payload in &loaded.records {
             match MetaRecord::decode(payload).expect("the server wrote it") {

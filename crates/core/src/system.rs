@@ -20,6 +20,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
+use cdstore_index::KvStoreConfig;
 use cdstore_storage::{MemoryBackend, StorageBackend};
 use parking_lot::{Mutex, RwLock};
 
@@ -29,7 +30,7 @@ use crate::error::CdStoreError;
 use crate::memo::ShareMemo;
 use crate::pipeline::PipelineConfig;
 use crate::retry::RetryPolicy;
-use crate::server::{CdStoreServer, GcConfig, GcReport, IndexMode, RecoveryReport, ServerStats};
+use crate::server::{CdStoreServer, GcConfig, GcReport, RecoveryReport, ServerStats};
 use crate::transport::{ServerProbe, ServerTransport};
 
 /// System-wide configuration.
@@ -44,9 +45,10 @@ pub struct CdStoreConfig {
     /// Chunking algorithm used by clients (Rabin by default, as in the
     /// paper; [`ChunkerKind::FastCdc`] is several times faster).
     pub chunker_kind: ChunkerKind,
-    /// Where each server keeps its metadata indexes (memory-resident by
-    /// default; see [`IndexMode::Disk`]).
-    pub index_mode: IndexMode,
+    /// Tuning of every server's index stripes (memtable capacity, run and
+    /// cache sizes). The field keeps the name it had when it chose between
+    /// a memory and a disk index, which the benchmark package still uses.
+    pub index_mode: KvStoreConfig,
     /// Bounded retry-with-backoff for transient cloud faults, applied per
     /// upload batch, per replayable façade operation, and per restore fetch
     /// (see [`crate::retry`]). [`RetryPolicy::none`] surfaces every fault
@@ -67,7 +69,7 @@ impl CdStoreConfig {
             k,
             chunker: ChunkerConfig::default(),
             chunker_kind: ChunkerKind::Rabin,
-            index_mode: IndexMode::default(),
+            index_mode: KvStoreConfig::default(),
             retry: RetryPolicy::default(),
         })
     }
@@ -84,16 +86,9 @@ impl CdStoreConfig {
         self
     }
 
-    /// Runs every server with disk-resident indexes (default tuning); see
-    /// [`IndexMode::Disk`].
-    pub fn with_disk_index(mut self) -> Self {
-        self.index_mode = IndexMode::Disk(Default::default());
-        self
-    }
-
-    /// Sets an explicit [`IndexMode`] for every server.
-    pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
-        self.index_mode = mode;
+    /// Does nothing: every server index spills to its backend once its
+    /// memtables fill. Kept for the benchmark package, which still calls it.
+    pub fn with_disk_index(self) -> Self {
         self
     }
 
@@ -195,8 +190,7 @@ impl<T: ServerTransport> Clone for CdStore<T> {
 }
 
 impl CdStore {
-    /// Creates a CDStore deployment with `n` in-memory servers (index
-    /// residency per `config.index_mode`).
+    /// Creates a CDStore deployment with `n` in-memory servers.
     pub fn new(config: CdStoreConfig) -> Self {
         let servers = (0..config.n)
             .map(|i| {
@@ -261,19 +255,13 @@ impl CdStore {
         Ok((Self::from_parts(config, servers), reports))
     }
 
-    /// Opens one server, honouring an explicit disk-index tuning from the
-    /// config (a memory-mode config defers to [`CdStoreServer::open`]'s
-    /// auto-detection, so memory-configured deployments still recover
-    /// backends persisted in disk mode).
+    /// Opens one server with the config's index tuning.
     fn reopen_server(
         config: &CdStoreConfig,
         i: usize,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<(CdStoreServer, RecoveryReport), CdStoreError> {
-        match config.index_mode {
-            IndexMode::Memory => CdStoreServer::open(i, backend),
-            mode @ IndexMode::Disk(_) => CdStoreServer::open_with_index(i, backend, mode),
-        }
+        CdStoreServer::open_with_index(i, backend, config.index_mode)
     }
 
     fn check_backend_count(

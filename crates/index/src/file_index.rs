@@ -38,9 +38,8 @@ impl FileKey {
         self.0.as_bytes()
     }
 
-    /// Reconstructs a key from its raw hash bytes (journal replay and
-    /// checkpoint restore; the pathname itself is not recoverable from the
-    /// hash, nor needed).
+    /// Reconstructs a key from its raw hash bytes (journal replay; the
+    /// pathname itself is not recoverable from the hash, nor needed).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
         FileKey(Fingerprint::from_bytes(bytes))
     }
@@ -148,8 +147,7 @@ impl Sharded<FileEntry> {
         self.lock(key_hash(key.as_bytes()))
     }
 
-    /// Inserts or replaces the entry for a file, verbatim (checkpoint
-    /// restore and journal replay).
+    /// Inserts or replaces the entry for a file, verbatim (journal replay).
     pub fn put(&self, key: FileKey, entry: FileEntry) {
         self.stripe(&key)
             .put(key.as_bytes().to_vec(), entry.encode());
@@ -207,10 +205,8 @@ impl Sharded<FileEntry> {
         Some(entry)
     }
 
-    /// Every `(key, entry)` pair across all stripes — the snapshot half of
-    /// checkpointing. Per-stripe locking only (see
-    /// [`ShardedShareIndex::export`](crate::ShardedShareIndex::export) for
-    /// the point-in-time caveat).
+    /// Every `(key, entry)` pair across all stripes (see
+    /// [`ShardedShareIndex::export`](crate::ShardedShareIndex::export)).
     pub fn export(&self) -> Vec<(FileKey, FileEntry)> {
         self.export_decoded(|k, v| {
             let key: [u8; 32] = k.try_into().ok()?;
@@ -237,7 +233,7 @@ mod tests {
 
     #[test]
     fn put_get_remove_round_trip() {
-        let index = ShardedFileIndex::new();
+        let index: ShardedFileIndex = crate::sharded::tests::fresh();
         let key = FileKey::new(1, b"/home/alice/backup.tar");
         assert!(index.get(&key).is_none());
         index.put(key, entry(1));
@@ -269,7 +265,7 @@ mod tests {
 
     #[test]
     fn new_version_overwrites_old() {
-        let index = ShardedFileIndex::new();
+        let index: ShardedFileIndex = crate::sharded::tests::fresh();
         let key = FileKey::new(9, b"/weekly/backup.tar");
         index.put(key, entry(1));
         index.put(key, entry(2));
@@ -279,7 +275,7 @@ mod tests {
 
     #[test]
     fn every_hook_sees_the_state_its_mutation_left_and_no_op_paths_run_none() {
-        let index = ShardedFileIndex::new();
+        let index: ShardedFileIndex = crate::sharded::tests::fresh();
         let key = FileKey::new(1, b"/observed");
         let mut seen = Vec::new();
         let written = index.put_if_newer_with(key, entry(2), |post| seen.push(post.clone()));
@@ -325,7 +321,7 @@ mod tests {
 
     #[test]
     fn many_files_from_many_users() {
-        let index = ShardedFileIndex::new();
+        let index: ShardedFileIndex = crate::sharded::tests::fresh();
         for user in 0..20u64 {
             for file in 0..100u32 {
                 let key = FileKey::new(user, format!("/home/u{user}/f{file}").as_bytes());

@@ -1,22 +1,20 @@
 //! A log-structured merge (LSM) key-value store, the LevelDB substitute.
 //!
-//! Writes land in an in-memory write buffer (the *memtable*). A store built
-//! on a [`StorageBackend`] ([`KvStore::create`] / [`KvStore::open`]) freezes
-//! the buffer, when it exceeds its budget, into an immutable sorted *run*
-//! fronted by a Bloom filter: a backend object in the CRC-framed block
-//! format of the private `run` module, of which only the Bloom filter and
-//! the fence pointers stay resident. Reads consult the memtable first and
-//! then the runs from newest to oldest, skipping runs whose Bloom filter
-//! rules the key out; block reads go through a byte-bounded LRU cache, so
-//! the memory footprint is `memtable + blooms + fences + cache budget`
-//! regardless of how many keys the store holds. A manifest object makes the
-//! run set reloadable: [`KvStore::open`] resumes exactly the runs a previous
-//! incarnation persisted.
-//!
-//! A store without a backend ([`KvStore::new`]) *is* its memtable: it never
-//! freezes, has no runs, and [`KvStore::flush`] and [`KvStore::compact`] do
-//! nothing — fast, volatile, fine for tests and deployments whose index fits
-//! in RAM.
+//! Writes land in an in-memory write buffer (the *memtable*). At
+//! `memtable_capacity` entries the store freezes it into an immutable
+//! sorted *run* fronted by a Bloom filter: an object on the store's
+//! [`StorageBackend`] in the CRC-framed block format of the private `run`
+//! module, of which only the Bloom filter and the fence pointers stay
+//! resident. Reads consult the memtable first and then the runs from newest
+//! to oldest, skipping runs whose Bloom filter rules the key out; block
+//! reads go through a byte-bounded LRU cache, so the memory footprint is
+//! `memtable + blooms + fences + cache budget` regardless of how many keys
+//! the store holds. A manifest object makes the run set reloadable:
+//! [`KvStore::open`] resumes exactly the runs a previous incarnation
+//! persisted. A store whose memtable never fills never touches its backend.
+//! A checkpoint keeps a store's [`KvStore::memtable`] and
+//! [`KvStore::runs_written`]; recovery reopens the runs and
+//! [`KvStore::install`]s that memtable over them.
 //!
 //! A deletion is a tombstone while an older run may still hold the key (a
 //! store with no run beneath the memtable simply removes it) and stays one
@@ -53,8 +51,7 @@ use crate::run::{
     RunWriter,
 };
 
-/// Tuning of a disk-backed store. A store without a backend has no runs and
-/// nothing to tune.
+/// Tuning of a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvStoreConfig {
     /// Number of entries the memtable may hold before being frozen.
@@ -104,8 +101,8 @@ pub struct KvStoreStats {
     pub flush_failures: u64,
 }
 
-/// Block-cache counters of a disk-backed store — the resident-memory story
-/// of the disk index (`peak_bytes` never exceeds the configured budget).
+/// Block-cache counters of a store — the resident-memory story of a
+/// spilled index (`peak_bytes` never exceeds the configured budget).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockCacheStats {
     /// Block fetches served from the cache.
@@ -198,135 +195,18 @@ fn merge_newest_wins(
     }
 }
 
-/// Everything a store has beyond its memtable once it is built on a backend:
-/// the runs, where they live, and the cache in front of their blocks.
-struct DiskEnv {
+/// The LSM key-value store.
+pub struct KvStore {
+    /// Active write buffer: key → value-or-tombstone.
+    memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     config: KvStoreConfig,
     backend: Arc<dyn StorageBackend>,
     name: String,
+    /// Sequence number of the next run object this store writes.
     next_seq: u64,
     cache: BlockCache,
     /// Frozen runs, newest last.
     runs: Vec<Run>,
-}
-
-impl DiskEnv {
-    fn new(
-        backend: Arc<dyn StorageBackend>,
-        name: &str,
-        config: KvStoreConfig,
-        next_seq: u64,
-        runs: Vec<Run>,
-    ) -> Self {
-        DiskEnv {
-            config,
-            backend,
-            name: name.to_string(),
-            next_seq,
-            cache: LruCache::new(config.block_cache_bytes),
-            runs,
-        }
-    }
-
-    /// Starts the writer of the next run object, sized for `expected`
-    /// entries.
-    fn run_writer(&self, expected: usize) -> Result<RunWriter<'_>, StorageError> {
-        RunWriter::new(
-            &*self.backend,
-            &self.name,
-            self.next_seq,
-            self.config.block_bytes,
-            expected,
-            self.config.bloom_bits_per_key,
-        )
-    }
-
-    /// Rewrites the manifest from the current run set. Callers guarantee the
-    /// runs alone carry every live key (the memtable is empty or was just
-    /// frozen into the newest run), so persisting the store's `live` count as
-    /// the runs-only count is exact.
-    fn write_manifest(&self, live: usize) -> Result<(), StorageError> {
-        let manifest = Manifest {
-            next_seq: self.next_seq,
-            live_keys: live as u64,
-            run_seqs: self.runs.iter().map(|r| r.handle.seq()).collect(),
-        };
-        manifest.write(&*self.backend, &self.name)
-    }
-
-    /// Merges the adjacent window of `compaction_fanin` runs with the
-    /// fewest total bytes (adjacency keeps the newest-wins order intact).
-    fn compact_tier(&mut self, live: usize) -> Result<(), StorageError> {
-        let fanin = self.config.compaction_fanin.clamp(2, self.runs.len());
-        let window_bytes = |start: usize| -> u64 {
-            self.runs[start..start + fanin]
-                .iter()
-                .map(|r| r.handle.total_bytes())
-                .sum()
-        };
-        let start = (0..=self.runs.len() - fanin)
-            .min_by_key(|&s| window_bytes(s))
-            .expect("at least one window");
-        self.merge_runs(start, start + fanin, live)
-    }
-
-    /// Merges runs `[start, end)` into one, newest-wins; tombstones are
-    /// dropped iff the window includes the oldest run. Only mutates state
-    /// after the merged run is durable. Manifests persist a runs-only live
-    /// count, so the store's memtable must be empty (flush/compact enforce
-    /// this ordering).
-    fn merge_runs(&mut self, start: usize, end: usize, live: usize) -> Result<(), StorageError> {
-        debug_assert!(start < end && end <= self.runs.len());
-        let drop_tombstones = start == 0;
-        let window = &self.runs[start..end];
-        let expected: u64 = window.iter().map(|r| r.handle.entry_count()).sum();
-        let mut writer = self.run_writer(expected as usize)?;
-        merge_newest_wins(window, &*self.backend, |key, value| {
-            if drop_tombstones && value.is_none() {
-                return Ok(());
-            }
-            writer.push(key, value)
-        })?;
-        let merged = writer
-            .finish()?
-            .map(|(handle, bloom)| Run { handle, bloom });
-        self.next_seq += 1;
-
-        // Swap the window for the merged run, then publish and delete the
-        // replaced objects. A crash between these steps leaves orphans the
-        // next open sweeps. If the manifest write fails we are
-        // mid-transition, but open() falls back to the old manifest and
-        // sweeps the merged run as an orphan, so correctness holds.
-        let replaced: Vec<Run> = self.runs.splice(start..end, merged).collect();
-        self.write_manifest(live)?;
-        let dead: Vec<u64> = replaced.iter().map(|r| r.handle.seq()).collect();
-        self.cache.retain(|&(run_seq, _)| !dead.contains(&run_seq));
-        for run in &replaced {
-            self.backend.delete(run.handle.object_key())?;
-        }
-        Ok(())
-    }
-
-    /// Counts live keys by streaming a newest-wins merge over the runs
-    /// (used when the persisted count is stale after dropping a torn run).
-    fn count_live(&self) -> Result<usize, StorageError> {
-        let mut live = 0usize;
-        merge_newest_wins(&self.runs, &*self.backend, |_, value| {
-            live += usize::from(value.is_some());
-            Ok(())
-        })?;
-        Ok(live)
-    }
-}
-
-/// The LSM key-value store.
-#[derive(Default)]
-pub struct KvStore {
-    /// Active write buffer: key → value-or-tombstone.
-    memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// The runs and their backend (`None` for a memory-resident store, whose
-    /// memtable is all there is).
-    disk: Option<DiskEnv>,
     /// Exact live (non-tombstoned) key count, maintained on every mutation.
     live: usize,
     stats: KvStoreStats,
@@ -334,93 +214,104 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    /// Creates a memory-resident store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a *fresh* disk-backed store named `name` on the backend,
-    /// deleting any manifest and run objects a previous incarnation of the
-    /// same name left behind. Use [`KvStore::open`] to resume them instead.
+    /// Creates a *fresh* store named `name` on the backend, deleting any
+    /// manifest and run objects a previous incarnation of the same name left
+    /// behind. Use [`KvStore::open`] to resume them instead.
     pub fn create(
         backend: Arc<dyn StorageBackend>,
         name: &str,
         config: KvStoreConfig,
     ) -> Result<Self, StorageError> {
-        backend.delete(&manifest_key(name))?;
-        let prefix = run_key_prefix(name);
+        let (manifest, prefix) = (manifest_key(name), run_key_prefix(name));
         for key in backend.list()? {
-            if key.starts_with(&prefix) {
+            if key == manifest || key.starts_with(&prefix) {
                 backend.delete(&key)?;
             }
         }
-        Ok(KvStore {
-            disk: Some(DiskEnv::new(backend, name, config, 0, Vec::new())),
-            ..Self::default()
-        })
+        Self::open_listed(backend, name, config, &[])
     }
 
-    /// Opens the disk-backed store named `name`, reloading the run set its
-    /// manifest describes. Runs whose objects are torn or corrupt are
-    /// dropped (and the manifest rewritten without them); run objects not in
-    /// the manifest — leftovers of an interrupted flush — are swept. An
-    /// absent manifest yields an empty store.
+    /// Opens the store named `name`, reloading the run set its manifest
+    /// describes. Runs whose objects are torn or corrupt are dropped (and
+    /// the manifest rewritten without them); run objects not in the
+    /// manifest — leftovers of an interrupted flush — are swept. An absent
+    /// manifest yields an empty store.
     pub fn open(
         backend: Arc<dyn StorageBackend>,
         name: &str,
         config: KvStoreConfig,
     ) -> Result<Self, StorageError> {
-        let manifest = Manifest::read(&*backend, name)?.unwrap_or_default();
-        let mut open_stats = KvStoreOpenStats::default();
+        let listing = backend.list()?;
+        Self::open_listed(backend, name, config, &listing)
+    }
+
+    /// [`KvStore::open`] given the backend's key listing, touching only the
+    /// objects it names: an empty listing opens an empty store without a
+    /// backend call, whatever is stored under `name` (its first flush
+    /// replaces the manifest, and the next open sweeps the older runs).
+    pub(crate) fn open_listed(
+        backend: Arc<dyn StorageBackend>,
+        name: &str,
+        config: KvStoreConfig,
+        listing: &[String],
+    ) -> Result<Self, StorageError> {
+        let mut store = KvStore {
+            memtable: BTreeMap::new(),
+            config,
+            backend,
+            name: name.to_string(),
+            next_seq: 0,
+            cache: LruCache::new(config.block_cache_bytes),
+            runs: Vec::new(),
+            live: 0,
+            stats: KvStoreStats::default(),
+            open_stats: KvStoreOpenStats::default(),
+        };
+        if listing.is_empty() {
+            return Ok(store);
+        }
+        let manifest = if listing.contains(&manifest_key(name)) {
+            Manifest::read(&*store.backend, name)?.unwrap_or_default()
+        } else {
+            Manifest::default()
+        };
+        (store.next_seq, store.live) = (manifest.next_seq, manifest.live_keys as usize);
 
         // Sweep orphan run objects (present on the backend, absent from the
         // manifest) before anything else: their sequence numbers may be
         // reused by the next flush.
         let listed: std::collections::BTreeSet<u64> = manifest.run_seqs.iter().copied().collect();
         let prefix = run_key_prefix(name);
-        for key in backend.list()? {
-            if !key.starts_with(&prefix) {
-                continue;
-            }
-            let orphan = parse_run_key(name, &key).map(|seq| !listed.contains(&seq));
+        for key in listing.iter().filter(|key| key.starts_with(&prefix)) {
+            let orphan = parse_run_key(name, key).map(|seq| !listed.contains(&seq));
             if orphan.unwrap_or(true) {
-                backend.delete(&key)?;
-                open_stats.orphans_swept += 1;
+                store.backend.delete(key)?;
+                store.open_stats.orphans_swept += 1;
             }
         }
 
-        let mut runs = Vec::with_capacity(manifest.run_seqs.len());
         for &seq in &manifest.run_seqs {
-            match RunHandle::load(&*backend, name, seq) {
+            match RunHandle::load(&*store.backend, name, seq) {
                 Ok((handle, bloom)) => {
-                    open_stats.runs_loaded += 1;
-                    runs.push(Run { handle, bloom });
+                    store.open_stats.runs_loaded += 1;
+                    store.runs.push(Run { handle, bloom });
                 }
                 Err(_) => {
                     // Torn or corrupt: drop the run. The server-level WAL
                     // replay reconciles whatever state it carried.
-                    open_stats.runs_dropped += 1;
-                    backend.delete(&run_key(name, seq))?;
+                    store.open_stats.runs_dropped += 1;
+                    store.backend.delete(&run_key(name, seq))?;
                 }
             }
         }
 
-        let env = DiskEnv::new(backend, name, config, manifest.next_seq, runs);
-        let live = if open_stats.runs_dropped == 0 {
-            manifest.live_keys as usize
-        } else {
+        if store.open_stats.runs_dropped > 0 {
             // The persisted count covered runs we dropped: recount by
             // streaming merge and republish the surviving run set.
-            let live = env.count_live()?;
-            env.write_manifest(live)?;
-            live
-        };
-        Ok(KvStore {
-            disk: Some(env),
-            live,
-            open_stats,
-            ..Self::default()
-        })
+            store.live = store.count_live()?;
+            store.write_manifest()?;
+        }
+        Ok(store)
     }
 
     /// Returns the operation counters.
@@ -428,22 +319,22 @@ impl KvStore {
         self.stats
     }
 
-    /// What [`KvStore::open`] found (zeroes for stores not opened from
-    /// disk).
+    /// What [`KvStore::open`] found (zeroes for a store that was not
+    /// opened).
     pub fn open_stats(&self) -> KvStoreOpenStats {
         self.open_stats
     }
 
-    /// Block-cache counters (`None` for a memory-resident store).
-    pub fn cache_stats(&self) -> Option<BlockCacheStats> {
-        self.disk.as_ref().map(|env| BlockCacheStats {
-            hits: env.cache.hits(),
-            misses: env.cache.misses(),
-            evictions: env.cache.evictions(),
-            current_bytes: env.cache.current_bytes(),
-            peak_bytes: env.cache.peak_bytes(),
-            capacity_bytes: env.cache.capacity_bytes(),
-        })
+    /// Block-cache counters.
+    pub fn cache_stats(&self) -> BlockCacheStats {
+        BlockCacheStats {
+            hits: self.cache.hits(),
+            misses: self.cache.misses(),
+            evictions: self.cache.evictions(),
+            current_bytes: self.cache.current_bytes(),
+            peak_bytes: self.cache.peak_bytes(),
+            capacity_bytes: self.cache.capacity_bytes(),
+        }
     }
 
     /// Inserts or overwrites a key.
@@ -465,9 +356,9 @@ impl KvStore {
             return;
         }
         self.live -= 1;
-        if self.run_count() == 0 {
-            // Nothing beneath the memtable to shadow. A memory-resident
-            // store never compacts, so a tombstone here would never go.
+        if self.runs.is_empty() {
+            // Nothing beneath the memtable to shadow: a store that never
+            // spills keeps no tombstones.
             self.memtable.remove(key);
         } else {
             self.memtable.insert(key.to_vec(), None);
@@ -493,15 +384,14 @@ impl KvStore {
         if let Some(value) = self.memtable.get(key) {
             return Some(value.clone());
         }
-        let env = self.disk.as_mut()?;
-        for run in env.runs.iter().rev() {
+        for run in self.runs.iter().rev() {
             if !run.bloom.may_contain(key) {
                 self.stats.bloom_skips += 1;
                 continue;
             }
             let found = run
                 .handle
-                .get(&*env.backend, &mut env.cache, key)
+                .get(&*self.backend, &mut self.cache, key)
                 .unwrap_or_else(|e| panic!("disk index read failed: {e}"));
             if found.is_some() {
                 return found;
@@ -525,6 +415,31 @@ impl KvStore {
         self.live == 0
     }
 
+    /// The memtable in key order: each key with its value, or `None` for a
+    /// tombstone.
+    pub fn memtable(&self) -> impl ExactSizeIterator<Item = (&[u8], Option<&[u8]>)> {
+        self.memtable
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_deref()))
+    }
+
+    /// How many runs the store has written, flushed or merged (the next
+    /// run's sequence number). Zero means its memtable holds every entry.
+    pub fn runs_written(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Applies a memtable dump ([`KvStore::memtable`]) over the store's
+    /// runs: a value is put, a tombstone deletes the key.
+    pub fn install(&mut self, entries: impl IntoIterator<Item = (Vec<u8>, Option<Vec<u8>>)>) {
+        for (key, value) in entries {
+            match value {
+                Some(value) => self.put(key, value),
+                None => self.delete(&key),
+            }
+        }
+    }
+
     /// All live key/value pairs in key order. Streams runs block by block
     /// (bypassing the cache); panics on a backend read error.
     pub fn snapshot(&self) -> BTreeMap<Vec<u8>, Vec<u8>> {
@@ -537,19 +452,17 @@ impl KvStore {
     pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         // Oldest runs first, the memtable last, so newer entries overwrite.
-        if let Some(env) = &self.disk {
-            for run in &env.runs {
-                for entry in run.handle.iter_from(&*env.backend, prefix) {
-                    let (k, v) = entry.unwrap_or_else(|e| panic!("disk index scan failed: {e}"));
-                    if k.as_slice() < prefix {
-                        // Leading entries of the seeked block.
-                        continue;
-                    }
-                    if !k.starts_with(prefix) {
-                        break;
-                    }
-                    merged.insert(k, v);
+        for run in &self.runs {
+            for entry in run.handle.iter_from(&*self.backend, prefix) {
+                let (k, v) = entry.unwrap_or_else(|e| panic!("disk index scan failed: {e}"));
+                if k.as_slice() < prefix {
+                    // Leading entries of the seeked block.
+                    continue;
                 }
+                if !k.starts_with(prefix) {
+                    break;
+                }
+                merged.insert(k, v);
             }
         }
         for (k, v) in self.memtable.range(prefix.to_vec()..) {
@@ -573,36 +486,32 @@ impl KvStore {
 
     /// Freezes the memtable into a durable run and runs any due tiered
     /// compactions. On error the memtable is left intact and the flush can
-    /// simply be retried. A memory-resident store has nowhere to freeze to:
-    /// its memtable is the store, and this does nothing.
+    /// simply be retried.
     pub fn try_flush(&mut self) -> Result<(), StorageError> {
-        let Some(env) = self.disk.as_mut() else {
-            return Ok(());
-        };
         if !self.memtable.is_empty() {
-            let mut writer = env.run_writer(self.memtable.len())?;
+            let mut writer = self.run_writer(self.memtable.len())?;
             for (k, v) in &self.memtable {
                 writer.push(k, v.as_deref())?;
             }
             let (handle, bloom) = writer
                 .finish()?
                 .expect("non-empty memtable produced an empty run");
-            env.runs.push(Run { handle, bloom });
-            env.next_seq += 1;
+            self.runs.push(Run { handle, bloom });
+            self.next_seq += 1;
             // Publish the run atomically; on failure unwind so the
             // memtable stays authoritative and the retry rewrites the same
             // sequence number.
-            if let Err(e) = env.write_manifest(self.live) {
-                let run = env.runs.pop().expect("just pushed");
-                env.next_seq -= 1;
-                let _ = env.backend.delete(run.handle.object_key());
+            if let Err(e) = self.write_manifest() {
+                let run = self.runs.pop().expect("just pushed");
+                self.next_seq -= 1;
+                let _ = self.backend.delete(run.handle.object_key());
                 return Err(e);
             }
             self.memtable.clear();
             self.stats.flushes += 1;
         }
-        while env.runs.len() > env.config.max_runs {
-            env.compact_tier(self.live)?;
+        while self.runs.len() > self.config.max_runs {
+            self.compact_tier()?;
             self.stats.compactions += 1;
         }
         Ok(())
@@ -619,8 +528,8 @@ impl KvStore {
     /// Fallible variant of [`KvStore::compact`].
     pub fn try_compact(&mut self) -> Result<(), StorageError> {
         self.try_flush()?;
-        if let Some(env) = self.disk.as_mut().filter(|env| env.runs.len() > 1) {
-            env.merge_runs(0, env.runs.len(), self.live)?;
+        if self.runs.len() > 1 {
+            self.merge_runs(0, self.runs.len())?;
             self.stats.compactions += 1;
         }
         Ok(())
@@ -628,7 +537,7 @@ impl KvStore {
 
     /// Number of frozen runs currently held (for tests and diagnostics).
     pub fn run_count(&self) -> usize {
-        self.disk.as_ref().map_or(0, |env| env.runs.len())
+        self.runs.len()
     }
 
     /// Approximate *resident* memory footprint in bytes: memtable entries
@@ -640,27 +549,110 @@ impl KvStore {
             .iter()
             .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()))
             .sum();
-        let disk = self.disk.as_ref().map_or(0, |env| {
-            let runs: usize = env
-                .runs
-                .iter()
-                .map(|r| r.handle.meta_bytes() + r.bloom.num_bits() / 8)
-                .sum();
-            runs + env.cache.current_bytes()
-        });
-        memtable + disk
+        let runs: usize = self
+            .runs
+            .iter()
+            .map(|r| r.handle.meta_bytes() + r.bloom.num_bits() / 8)
+            .sum();
+        memtable + runs + self.cache.current_bytes()
     }
 
     fn maybe_flush(&mut self) {
-        let full = self
-            .disk
-            .as_ref()
-            .is_some_and(|env| self.memtable.len() >= env.config.memtable_capacity);
-        if full && self.try_flush().is_err() {
+        if self.memtable.len() >= self.config.memtable_capacity && self.try_flush().is_err() {
             // Keep the memtable (no data loss) and retry on the next
             // mutation; durability is provided by the server WAL above.
             self.stats.flush_failures += 1;
         }
+    }
+
+    /// Starts the writer of the next run object, sized for `expected`
+    /// entries.
+    fn run_writer(&self, expected: usize) -> Result<RunWriter<'_>, StorageError> {
+        RunWriter::new(
+            &*self.backend,
+            &self.name,
+            self.next_seq,
+            self.config.block_bytes,
+            expected,
+            self.config.bloom_bits_per_key,
+        )
+    }
+
+    /// Rewrites the manifest from the current run set. Callers guarantee the
+    /// runs alone carry every live key (the memtable is empty or was just
+    /// frozen into the newest run), so persisting `live` as the runs-only
+    /// count is exact.
+    fn write_manifest(&self) -> Result<(), StorageError> {
+        let manifest = Manifest {
+            next_seq: self.next_seq,
+            live_keys: self.live as u64,
+            run_seqs: self.runs.iter().map(|r| r.handle.seq()).collect(),
+        };
+        manifest.write(&*self.backend, &self.name)
+    }
+
+    /// Merges the adjacent window of `compaction_fanin` runs with the
+    /// fewest total bytes (adjacency keeps the newest-wins order intact).
+    fn compact_tier(&mut self) -> Result<(), StorageError> {
+        let fanin = self.config.compaction_fanin.clamp(2, self.runs.len());
+        let window_bytes = |start: usize| -> u64 {
+            self.runs[start..start + fanin]
+                .iter()
+                .map(|r| r.handle.total_bytes())
+                .sum()
+        };
+        let start = (0..=self.runs.len() - fanin)
+            .min_by_key(|&s| window_bytes(s))
+            .expect("at least one window");
+        self.merge_runs(start, start + fanin)
+    }
+
+    /// Merges runs `[start, end)` into one, newest-wins; tombstones are
+    /// dropped iff the window includes the oldest run. Only mutates state
+    /// after the merged run is durable. Manifests persist a runs-only live
+    /// count, so the memtable must be empty (flush/compact enforce this
+    /// ordering).
+    fn merge_runs(&mut self, start: usize, end: usize) -> Result<(), StorageError> {
+        debug_assert!(start < end && end <= self.runs.len());
+        let drop_tombstones = start == 0;
+        let window = &self.runs[start..end];
+        let expected: u64 = window.iter().map(|r| r.handle.entry_count()).sum();
+        let mut writer = self.run_writer(expected as usize)?;
+        merge_newest_wins(window, &*self.backend, |key, value| {
+            if drop_tombstones && value.is_none() {
+                return Ok(());
+            }
+            writer.push(key, value)
+        })?;
+        let merged = writer
+            .finish()?
+            .map(|(handle, bloom)| Run { handle, bloom });
+        self.next_seq += 1;
+
+        // Swap the window for the merged run, then publish and delete the
+        // replaced objects. A crash between these steps leaves orphans the
+        // next open sweeps. If the manifest write fails we are
+        // mid-transition, but open() falls back to the old manifest and
+        // sweeps the merged run as an orphan, so correctness holds.
+        let replaced: Vec<Run> = self.runs.splice(start..end, merged).collect();
+        self.write_manifest()?;
+        let dead: Vec<u64> = replaced.iter().map(|r| r.handle.seq()).collect();
+        self.cache.retain(|&(run_seq, _)| !dead.contains(&run_seq));
+        for run in &replaced {
+            self.backend.delete(run.handle.object_key())?;
+        }
+        Ok(())
+    }
+
+    /// Counts live keys by streaming a newest-wins merge over the runs
+    /// (used when the persisted count is stale after dropping a torn run).
+    fn count_live(&self) -> Result<usize, StorageError> {
+        let mut live = 0usize;
+        merge_newest_wins(&self.runs, &*self.backend, |_, value| {
+            live += usize::from(value.is_some());
+            Ok(())
+        })?;
+        Ok(live)
     }
 }
 
@@ -683,15 +675,16 @@ mod tests {
         KvStore::create(Arc::new(MemoryBackend::new()), "test", config).unwrap()
     }
 
-    /// Runs the same scenario against a memory store and a fresh disk store.
-    fn both_modes(test: impl Fn(KvStore)) {
-        test(KvStore::new());
+    /// Runs the same scenario against a store too small to spill and one
+    /// that spills every few writes.
+    fn both_sizes(test: impl Fn(KvStore)) {
+        test(disk_store(KvStoreConfig::default()));
         test(disk_store(small_config()));
     }
 
     #[test]
     fn put_get_delete_round_trip() {
-        both_modes(|mut store| {
+        both_sizes(|mut store| {
             store.put(b"k1".to_vec(), b"v1".to_vec());
             store.put(b"k2".to_vec(), b"v2".to_vec());
             assert_eq!(store.get(b"k1"), Some(b"v1".to_vec()));
@@ -705,7 +698,7 @@ mod tests {
 
     #[test]
     fn overwrites_return_latest_value() {
-        both_modes(|mut store| {
+        both_sizes(|mut store| {
             for round in 0..5u8 {
                 for i in 0..50u8 {
                     store.put(vec![i], vec![round, i]);
@@ -737,7 +730,7 @@ mod tests {
 
     #[test]
     fn deletes_survive_flush_and_compaction() {
-        both_modes(|mut store| {
+        both_sizes(|mut store| {
             for i in 0..100u32 {
                 store.put(i.to_be_bytes().to_vec(), b"x".to_vec());
             }
@@ -756,7 +749,7 @@ mod tests {
 
     #[test]
     fn compaction_reclaims_tombstones_and_merges_runs() {
-        both_modes(|mut store| {
+        both_sizes(|mut store| {
             for i in 0..64u32 {
                 store.put(i.to_be_bytes().to_vec(), b"payload".to_vec());
             }
@@ -791,7 +784,7 @@ mod tests {
 
     #[test]
     fn snapshot_and_prefix_scan() {
-        both_modes(|mut store| {
+        both_sizes(|mut store| {
             store.put(b"user1/file-a".to_vec(), b"1".to_vec());
             store.put(b"user1/file-b".to_vec(), b"2".to_vec());
             store.put(b"user2/file-a".to_vec(), b"3".to_vec());
@@ -826,7 +819,7 @@ mod tests {
 
     #[test]
     fn approximate_size_grows_with_data() {
-        let mut store = KvStore::new();
+        let mut store = disk_store(KvStoreConfig::default());
         let empty = store.approximate_size();
         for i in 0..100u32 {
             store.put(i.to_be_bytes().to_vec(), vec![0u8; 100]);
@@ -834,20 +827,52 @@ mod tests {
         assert!(store.approximate_size() > empty + 100 * 100);
     }
 
+    /// A store whose memtable never fills is its memtable: it never writes
+    /// to its backend, and no delete leaves a tombstone behind.
     #[test]
     fn a_memory_store_is_its_memtable() {
-        let mut store = KvStore::new();
+        let backend = Arc::new(MemoryBackend::new());
+        let mut store = KvStore::create(backend.clone(), "test", KvStoreConfig::default()).unwrap();
         for i in 0..100_000u32 {
             store.put(i.to_be_bytes().to_vec(), vec![0u8; 16]);
-            store.flush();
             store.delete(&i.to_be_bytes());
         }
         store.compact();
-        // Nothing froze, and no delete left a tombstone behind.
         assert_eq!(store.len(), 0);
         assert_eq!(store.approximate_size(), 0);
         assert_eq!(store.run_count(), 0);
         assert_eq!(store.stats().flushes + store.stats().compactions, 0);
+        assert_eq!(backend.object_count(), 0);
+    }
+
+    #[test]
+    fn a_memtable_dump_installed_over_the_reopened_runs_restores_the_store() {
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+        let mut store = KvStore::create(backend.clone(), "idx", small_config()).unwrap();
+        for i in 0..100u32 {
+            store.put(i.to_be_bytes().to_vec(), b"old".to_vec());
+        }
+        // Overwrites and tombstones over the runs, some still unfrozen.
+        for i in (0..100u32).step_by(7) {
+            store.put(i.to_be_bytes().to_vec(), b"new".to_vec());
+            store.delete(&(i + 1).to_be_bytes());
+        }
+        assert!(
+            store.memtable().any(|(_, v)| v.is_none()),
+            "a tombstone is buffered"
+        );
+        let expected = store.snapshot();
+        let dump: Vec<_> = store
+            .memtable()
+            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .collect();
+        assert!(store.runs_written() > 0);
+        drop(store);
+
+        let mut reopened = KvStore::open(backend, "idx", small_config()).unwrap();
+        reopened.install(dump);
+        assert_eq!(reopened.snapshot(), expected);
+        assert_eq!(reopened.len(), expected.len());
     }
 
     #[test]
@@ -901,7 +926,6 @@ mod tests {
         drop(store);
 
         let mut reopened = KvStore::open(backend, "idx", small_config()).unwrap();
-        assert!(reopened.disk.is_some());
         assert_eq!(reopened.open_stats().runs_dropped, 0);
         assert_eq!(reopened.len(), live);
         assert_eq!(reopened.snapshot(), expected);
@@ -1024,11 +1048,11 @@ mod tests {
         for i in 0..50u32 {
             assert!(store.contains(&i.to_be_bytes()));
         }
-        let cold = store.cache_stats().unwrap();
+        let cold = store.cache_stats();
         for i in 0..50u32 {
             assert!(store.contains(&i.to_be_bytes()));
         }
-        let hot = store.cache_stats().unwrap();
+        let hot = store.cache_stats();
         assert!(hot.hits > cold.hits);
         assert_eq!(hot.misses, cold.misses);
         assert!(hot.peak_bytes <= hot.capacity_bytes);

@@ -6,13 +6,14 @@
 //! ingredients (an LSM-style store with a write-buffer, sorted runs, Bloom
 //! filters, and background compaction) in two layers:
 //!
-//! * [`KvStore`] — the log-structured merge key-value store: a memtable,
-//!   and beneath it, when built on a storage backend, sorted runs.
+//! * [`KvStore`] — the log-structured merge key-value store: a memtable on
+//!   a storage backend, and beneath it, once the memtable has filled,
+//!   sorted runs.
 //! * [`Sharded`] — a thread-safe store striped over mutex-guarded
 //!   [`KvStore`]s so a server can run many clients concurrently. It owns
-//!   the lifecycle (memory / `create` / `open`, `flush_runs`, counters)
-//!   once; each index is a key hash, a value codec and the rule of each
-//!   mutation on top of it:
+//!   the lifecycle (`create`, `open` from checkpoint [`StripeImage`]s,
+//!   counters) once; each index is a key hash, a value codec and the rule
+//!   of each mutation on top of it:
 //!   [`ShardedShareIndex`] maps share fingerprints to container references,
 //!   owner lists, and per-user reference counts (the structure both
 //!   deduplication stages query); [`ShardedFileIndex`] maps
@@ -22,9 +23,10 @@
 //! # Examples
 //!
 //! ```
-//! use cdstore_index::KvStore;
+//! use cdstore_index::{KvStore, KvStoreConfig};
 //!
-//! let mut store = KvStore::new();
+//! let backend = std::sync::Arc::new(cdstore_storage::MemoryBackend::new());
+//! let mut store = KvStore::create(backend, "example", KvStoreConfig::default()).unwrap();
 //! store.put(b"alpha".to_vec(), b"1".to_vec());
 //! assert_eq!(store.get(b"alpha"), Some(b"1".to_vec()));
 //! store.delete(b"alpha");
@@ -44,5 +46,5 @@ pub mod share_index;
 pub use bloom::BloomFilter;
 pub use file_index::{FileEntry, FileKey, FilePutOutcome, ShardedFileIndex};
 pub use kvstore::{BlockCacheStats, KvStore, KvStoreConfig, KvStoreOpenStats, KvStoreStats};
-pub use sharded::{Sharded, ShardedKvStore};
+pub use sharded::{Sharded, ShardedKvStore, StripeImage};
 pub use share_index::{ReleaseReport, ShardedShareIndex, ShareEntry, ShareLocation, StoreOutcome};

@@ -1,12 +1,13 @@
 //! The striped store every server-side index is built on.
 //!
 //! A CDStore server handles many concurrent clients (§5.4, Figure 8), so its
-//! indices must support parallel lookups and inserts. [`Sharded`] stripes a
-//! power-of-two number of [`KvStore`]s, each behind its own mutex, selected
-//! by a hash of the key, and owns what is the same for every index: building
-//! the stripes in memory or on a backend, flushing them, and summing their
-//! counters. What an index *means* is layered on top as a key hash, a value
-//! codec and the rule of each mutation:
+//! indices must support parallel lookups and inserts. [`Sharded`] stripes
+//! [`DEFAULT_SHARDS`] [`KvStore`]s on one backend, each behind its own
+//! mutex, selected by a hash of the key, and owns what is the same for every
+//! index: creating the stripes, opening them from checkpoint
+//! [`StripeImage`]s, and summing their counters. What an index *means* is
+//! layered on top as a key hash, a value codec and the rule of each
+//! mutation:
 //!
 //! * [`ShardedShareIndex`](crate::ShardedShareIndex) — fingerprint →
 //!   [`ShareEntry`](crate::ShareEntry), in `share_index.rs`.
@@ -28,9 +29,11 @@ use cdstore_storage::{StorageBackend, StorageError};
 use parking_lot::Mutex;
 
 use crate::kvstore::{BlockCacheStats, KvStore, KvStoreConfig};
+use crate::run::INDEX_KEY_PREFIX;
 
-/// Default number of lock stripes per index.
+/// Number of lock stripes per index (a power of two).
 pub const DEFAULT_SHARDS: usize = 16;
+const _: () = assert!(DEFAULT_SHARDS.is_power_of_two());
 
 /// FNV-1a over a byte key, for striping keys without a uniform distribution.
 /// Public so other layers (e.g. the façade's per-file write locks) stripe
@@ -55,92 +58,101 @@ pub(crate) fn key_hash(bytes: &[u8; 32]) -> u64 {
 /// it has); the stripes hold encoded bytes.
 pub struct Sharded<V> {
     stripes: Vec<Mutex<KvStore>>,
-    mask: u64,
     values: PhantomData<fn() -> V>,
 }
 
-impl<V> Default for Sharded<V> {
-    fn default() -> Self {
-        Self::new()
-    }
+/// What a checkpoint keeps of one stripe.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StripeImage {
+    /// The stripe's [`KvStore::runs_written`]. Zero means the memtable held
+    /// every entry of the stripe.
+    pub runs_written: u64,
+    /// The memtable ([`KvStore::memtable`]): each key with its value, or
+    /// `None` for a tombstone.
+    pub memtable: Vec<(Vec<u8>, Option<Vec<u8>>)>,
 }
 
 impl<V> Sharded<V> {
-    fn from_stripes(stores: impl Iterator<Item = KvStore>) -> Self {
-        let stripes: Vec<_> = stores.map(Mutex::new).collect();
-        debug_assert!(stripes.len().is_power_of_two());
+    /// Stripe names `{name}-{NN}`, as many as ever: `open` must find a key
+    /// in the stripe `create` put it in.
+    fn stripe_names(name: &str) -> impl Iterator<Item = String> + '_ {
+        (0..DEFAULT_SHARDS).map(move |i| format!("{name}-{i:02}"))
+    }
+
+    fn from_stripes(stores: Vec<KvStore>) -> Self {
         Sharded {
-            mask: stripes.len() as u64 - 1,
-            stripes,
+            stripes: stores.into_iter().map(Mutex::new).collect(),
             values: PhantomData,
         }
     }
 
-    /// Builds the [`DEFAULT_SHARDS`] stripes of a disk-backed store, one
-    /// [`KvStore`] named `{name}-{NN}` each. The count is fixed because
-    /// `open` must find a key in the stripe `create` put it in.
-    fn on_backend(
-        backend: Arc<dyn StorageBackend>,
-        name: &str,
-        config: KvStoreConfig,
-        stripe: impl Fn(Arc<dyn StorageBackend>, &str, KvStoreConfig) -> Result<KvStore, StorageError>,
-    ) -> Result<Self, StorageError> {
-        let stores = (0..DEFAULT_SHARDS)
-            .map(|i| stripe(backend.clone(), &format!("{name}-{i:02}"), config))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_stripes(stores.into_iter()))
-    }
-
-    /// Creates a memory-resident store with [`DEFAULT_SHARDS`] stripes.
-    pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates a memory-resident store with (at least) the requested number
-    /// of stripes, rounded up to a power of two.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::from_stripes((0..shards.max(1).next_power_of_two()).map(|_| KvStore::new()))
-    }
-
-    /// Creates a *fresh* disk-backed store named `name` on the backend,
-    /// discarding any previous incarnation of the same name.
+    /// Creates a *fresh* store named `name` on the backend, discarding any
+    /// previous incarnation of the same name. Lists the backend once.
     pub fn create(
         backend: Arc<dyn StorageBackend>,
         name: &str,
         config: KvStoreConfig,
     ) -> Result<Self, StorageError> {
-        Self::on_backend(backend, name, config, KvStore::create)
+        let prefix = format!("{INDEX_KEY_PREFIX}{name}-");
+        for key in backend.list()? {
+            if key.starts_with(&prefix) {
+                backend.delete(&key)?;
+            }
+        }
+        let stores = Self::stripe_names(name)
+            .map(|stripe| KvStore::open_listed(backend.clone(), &stripe, config, &[]))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::from_stripes(stores))
     }
 
-    /// Opens the disk-backed store previously persisted under `name`,
-    /// resuming every stripe's runs.
+    /// Rebuilds store `name` from one checkpoint image per stripe: opens the
+    /// runs of each stripe whose image counts any (listing the backend
+    /// once), then installs the image's memtable over them. A stripe whose
+    /// image counts none reads nothing from the backend, whatever an older
+    /// incarnation left there: blank images make a fresh store.
     pub fn open(
         backend: Arc<dyn StorageBackend>,
         name: &str,
         config: KvStoreConfig,
+        images: [StripeImage; DEFAULT_SHARDS],
     ) -> Result<Self, StorageError> {
-        Self::on_backend(backend, name, config, KvStore::open)
+        let spilled = images.iter().any(|image| image.runs_written > 0);
+        let listing = if spilled { backend.list()? } else { Vec::new() };
+        let stores = Self::stripe_names(name)
+            .zip(images)
+            .map(|(stripe, image)| {
+                let listing = if image.runs_written > 0 {
+                    &listing[..]
+                } else {
+                    &[]
+                };
+                let mut store = KvStore::open_listed(backend.clone(), &stripe, config, listing)?;
+                store.install(image.memtable);
+                Ok(store)
+            })
+            .collect::<Result<_, StorageError>>()?;
+        Ok(Self::from_stripes(stores))
     }
 
-    /// Freezes every stripe's buffered writes into durable runs (nothing to
-    /// do for a memory-resident store).
+    /// Calls `visit` on every stripe in order, each under its lock.
+    pub fn for_each_stripe(&self, mut visit: impl FnMut(&KvStore)) {
+        for stripe in &self.stripes {
+            visit(&stripe.lock());
+        }
+    }
+
+    /// Freezes every stripe's buffered writes into durable runs.
     pub fn flush_runs(&self) -> Result<(), StorageError> {
         self.stripes.iter().try_for_each(|s| s.lock().try_flush())
     }
 
-    /// Summed block-cache counters over all stripes (`None` for a
-    /// memory-resident store).
+    /// Summed block-cache counters over all stripes (always `Some`).
     pub fn cache_stats(&self) -> Option<BlockCacheStats> {
-        let stats = self.stripes.iter().filter_map(|s| s.lock().cache_stats());
-        stats.reduce(|mut total, s| {
+        let stats = self.stripes.iter().map(|s| s.lock().cache_stats());
+        Some(stats.fold(BlockCacheStats::default(), |mut total, s| {
             total += s;
             total
-        })
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.stripes.len()
+        }))
     }
 
     /// Number of live keys across all stripes.
@@ -164,7 +176,7 @@ impl<V> Sharded<V> {
 
     /// Locks the stripe a key hash selects.
     pub(crate) fn lock(&self, hash: u64) -> impl DerefMut<Target = KvStore> + '_ {
-        self.stripes[(hash & self.mask) as usize].lock()
+        self.stripes[(hash as usize) & (DEFAULT_SHARDS - 1)].lock()
     }
 
     /// Every live pair across all stripes that `decode` accepts. Per-stripe
@@ -224,17 +236,15 @@ impl Sharded<Vec<u8>> {
         stripe.delete(key);
     }
 
-    /// Every live `(key, value)` pair across all stripes — the snapshot half
-    /// of checkpointing. Per-stripe locking only (see
-    /// [`ShardedShareIndex::export`](crate::ShardedShareIndex::export) for
-    /// the point-in-time caveat).
+    /// Every live `(key, value)` pair across all stripes (see
+    /// [`ShardedShareIndex::export`](crate::ShardedShareIndex::export)).
     pub fn export(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.export_decoded(|k, v| Some((k, v)))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{
         FileEntry, FileKey, FilePutOutcome, ShardedFileIndex, ShardedShareIndex, ShareLocation,
@@ -243,6 +253,12 @@ mod tests {
     use cdstore_crypto::Fingerprint;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+
+    /// A fresh store over its own memory backend.
+    pub(crate) fn fresh<V>() -> Sharded<V> {
+        let backend = Arc::new(cdstore_storage::MemoryBackend::new());
+        Sharded::create(backend, "test", KvStoreConfig::default()).unwrap()
+    }
 
     fn fp(i: u32) -> Fingerprint {
         Fingerprint::of(&i.to_be_bytes())
@@ -257,15 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_round_up_to_powers_of_two() {
-        assert_eq!(ShardedShareIndex::with_shards(0).shard_count(), 1);
-        assert_eq!(ShardedShareIndex::with_shards(5).shard_count(), 8);
-        assert_eq!(ShardedShareIndex::with_shards(16).shard_count(), 16);
-    }
-
-    #[test]
     fn share_index_round_trip_through_stripes() {
-        let index = ShardedShareIndex::with_shards(4);
+        let index: ShardedShareIndex = fresh();
         for i in 0..500u32 {
             let (_, outcome) = index
                 .add_reference_or_store::<()>(&fp(i), (i % 7) as u64, || Ok(loc(i as u64, 100)))
@@ -290,7 +299,7 @@ mod tests {
 
     #[test]
     fn relocate_races_resolve_under_the_stripe_lock() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = fresh();
         index
             .add_reference_or_store::<()>(&fp(1), 1, || Ok(loc(10, 8)))
             .unwrap();
@@ -319,7 +328,7 @@ mod tests {
 
     #[test]
     fn counted_references_land_in_one_observed_step() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = fresh();
         index
             .add_reference_or_store::<()>(&fp(1), 1, || Ok(loc(10, 8)))
             .unwrap();
@@ -342,7 +351,7 @@ mod tests {
 
     #[test]
     fn racing_stores_invoke_the_store_action_exactly_once() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = fresh();
         let stores = AtomicUsize::new(0);
         let new_outcomes = AtomicUsize::new(0);
         let threads = 8;
@@ -383,7 +392,7 @@ mod tests {
 
     #[test]
     fn duplicate_outcomes_distinguish_intra_from_inter_user() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = fresh();
         let (_, first) = index
             .add_reference_or_store::<()>(&fp(1), 7, || Ok(loc(1, 10)))
             .unwrap();
@@ -402,7 +411,7 @@ mod tests {
 
     #[test]
     fn put_if_newer_keeps_the_highest_version() {
-        let index = ShardedFileIndex::new();
+        let index: ShardedFileIndex = fresh();
         let key = FileKey::new(1, b"/racy");
         let entry = |version: u64| FileEntry {
             user: 1,
@@ -430,7 +439,7 @@ mod tests {
 
     #[test]
     fn store_errors_do_not_poison_the_stripe() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = fresh();
         let result = index.add_reference_or_store(&fp(1), 1, || Err("backend down"));
         assert_eq!(result, Err("backend down"));
         assert!(!index.is_stored(&fp(1)));
@@ -443,7 +452,7 @@ mod tests {
 
     #[test]
     fn file_index_round_trip_through_stripes() {
-        let index = ShardedFileIndex::with_shards(4);
+        let index: ShardedFileIndex = fresh();
         let entry = FileEntry {
             user: 3,
             recipe_container_id: 3,
@@ -470,7 +479,7 @@ mod tests {
 
     #[test]
     fn kv_store_round_trip_through_stripes() {
-        let store = ShardedKvStore::with_shards(4);
+        let store: ShardedKvStore = fresh();
         for i in 0..300u32 {
             store.put(i.to_be_bytes().to_vec(), (i * 2).to_be_bytes().to_vec());
         }
@@ -495,6 +504,21 @@ mod tests {
         assert_eq!(store.export().len(), 299);
     }
 
+    /// The checkpoint image of every stripe.
+    fn images_of<V>(index: &Sharded<V>) -> [StripeImage; DEFAULT_SHARDS] {
+        let mut images = Vec::new();
+        index.for_each_stripe(|stripe| {
+            let memtable = stripe.memtable();
+            images.push(StripeImage {
+                runs_written: stripe.runs_written(),
+                memtable: memtable
+                    .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+                    .collect(),
+            })
+        });
+        images.try_into().unwrap()
+    }
+
     #[test]
     fn disk_backed_stripes_persist_across_reopen() {
         use cdstore_storage::MemoryBackend;
@@ -509,26 +533,33 @@ mod tests {
                 .add_reference_or_store::<()>(&fp(i), (i % 5) as u64, || Ok(loc(i as u64, 64)))
                 .unwrap();
         }
-        index.flush_runs().unwrap();
+        // Every stripe has spilled; some hold buffered writes on top.
+        for i in (0..200u32).step_by(3) {
+            index.remove_reference_with(&fp(i), (i % 5) as u64, |_| {});
+        }
+        let images = images_of(&index);
+        assert!(images.iter().any(|image| image.runs_written > 0));
+        assert!(images.iter().any(|image| !image.memtable.is_empty()));
+        let expected = index.export();
         drop(index);
 
-        let reopened = ShardedShareIndex::open(backend.clone(), "share", config).unwrap();
-        assert_eq!(reopened.unique_shares(), 200);
-        for i in (0..200u32).step_by(17) {
-            let entry = reopened.lookup(&fp(i)).unwrap();
-            assert_eq!(entry.location, loc(i as u64, 64));
-            assert!(entry.owned_by((i % 5) as u64));
-        }
+        let reopened = ShardedShareIndex::open(backend.clone(), "share", config, images).unwrap();
+        assert_eq!(reopened.export(), expected);
+        assert_eq!(reopened.unique_shares(), expected.len());
         assert!(reopened.cache_stats().is_some());
 
-        // A fresh create of the same name discards the persisted state.
+        // Blank images ignore what is on the backend, and so does a fresh
+        // create of the same name.
+        let blank = Default::default();
+        let ignored = ShardedShareIndex::open(backend.clone(), "share", config, blank).unwrap();
+        assert_eq!(ignored.unique_shares(), 0);
         let fresh = ShardedShareIndex::create(backend, "share", config).unwrap();
         assert_eq!(fresh.unique_shares(), 0);
     }
 
     #[test]
     fn kv_store_handles_concurrent_writers() {
-        let store = ShardedKvStore::new();
+        let store: ShardedKvStore = fresh();
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let store = &store;

@@ -83,7 +83,7 @@ impl ShareEntry {
         let offset = u32::from_be_bytes(bytes[8..12].try_into().ok()?);
         let size = u32::from_be_bytes(bytes[12..16].try_into().ok()?);
         let count = u32::from_be_bytes(bytes[16..20].try_into().ok()?) as usize;
-        if bytes.len() != 20 + count * 12 {
+        if Some(bytes.len()) != count.checked_mul(12).and_then(|n| n.checked_add(20)) {
             return None;
         }
         let mut owners = Vec::with_capacity(count);
@@ -321,8 +321,8 @@ impl Sharded<ShareEntry> {
         true
     }
 
-    /// Installs an entry verbatim, overwriting any existing one — checkpoint
-    /// restore and journal replay. No reference bookkeeping of its own.
+    /// Installs an entry verbatim, overwriting any existing one — journal
+    /// replay and recovery's recount. No reference bookkeeping of its own.
     pub fn insert_entry(&self, fp: &Fingerprint, entry: &ShareEntry) {
         write(&mut self.stripe(fp), fp, entry);
     }
@@ -334,12 +334,11 @@ impl Sharded<ShareEntry> {
         self.stripe(fp).delete(fp.as_bytes());
     }
 
-    /// Every `(fingerprint, entry)` pair across all stripes — the snapshot
-    /// half of checkpointing (and the iteration recovery's verification
-    /// pass cross-checks against container headers). Per-stripe locking
-    /// only: concurrent mutations may land between stripes, so callers
-    /// needing a true point-in-time snapshot must exclude writers for the
-    /// duration.
+    /// Every `(fingerprint, entry)` pair across all stripes — what
+    /// recovery's verification pass cross-checks against container headers.
+    /// Per-stripe locking only: concurrent mutations may land between
+    /// stripes, so callers needing a true point-in-time view must exclude
+    /// writers for the duration.
     pub fn export(&self) -> Vec<(Fingerprint, ShareEntry)> {
         self.export_decoded(|k, v| {
             let fp: [u8; 32] = k.try_into().ok()?;
@@ -391,7 +390,7 @@ mod tests {
 
     #[test]
     fn new_share_then_duplicates() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         assert!(!index.is_stored(&fp(1)));
         assert_eq!(add(&index, &fp(1), loc(10, 100), 1), StoreOutcome::Stored);
         assert_eq!(
@@ -414,7 +413,7 @@ mod tests {
 
     #[test]
     fn intra_user_dedup_query() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         add(&index, &fp(1), loc(1, 10), 7);
         add(&index, &fp(2), loc(1, 10), 8);
         let result = index.filter_user_duplicates(7, &[fp(1), fp(2), fp(3)]);
@@ -425,7 +424,7 @@ mod tests {
 
     #[test]
     fn reference_counting_supports_deletion() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         add(&index, &fp(5), loc(3, 42), 1);
         add(&index, &fp(5), loc(3, 42), 1);
         add(&index, &fp(5), loc(3, 42), 2);
@@ -449,7 +448,7 @@ mod tests {
 
     #[test]
     fn add_reference_existing_requires_a_stored_share() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         let add_existing = |user| index.add_references_existing_with(&fp(1), user, 1, |_| {});
         assert!(!add_existing(7));
         add(&index, &fp(1), loc(1, 10), 7);
@@ -462,7 +461,7 @@ mod tests {
 
     #[test]
     fn relocate_repoints_only_the_expected_location() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         add(&index, &fp(9), loc(1, 64), 1);
         let relocate = |i, from, to| index.relocate_with(&fp(i), from, to, |_| {});
         // A stale `from` (e.g. a compactor racing a newer move) fails.
@@ -479,7 +478,7 @@ mod tests {
 
     #[test]
     fn every_hook_sees_the_state_its_mutation_left_and_no_op_paths_run_none() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         let seen = std::cell::RefCell::new(Vec::new());
         // After each mutation: the hook ran exactly once, with what a fresh
         // lookup now returns.
@@ -531,7 +530,7 @@ mod tests {
 
     #[test]
     fn physical_bytes_counts_unique_shares_once() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         add(&index, &fp(1), loc(1, 1000), 1);
         add(&index, &fp(1), loc(1, 1000), 2);
         add(&index, &fp(2), loc(1, 500), 1);
@@ -552,7 +551,7 @@ mod tests {
 
     #[test]
     fn many_shares_scale() {
-        let index = ShardedShareIndex::new();
+        let index: ShardedShareIndex = crate::sharded::tests::fresh();
         for i in 0..5000u32 {
             add(&index, &fp(i), loc(i as u64 / 100, 8192), (i % 9) as u64);
         }

@@ -2,8 +2,9 @@
 //!
 //! The in-crate unit proptests cover put/delete interleavings against a
 //! reference `BTreeMap`; this suite widens the operation alphabet to the
-//! *structural* operations — explicit flushes, compactions, and (for the
-//! disk-backed store) full close/reopen cycles — and adds a crash test that
+//! *structural* operations — explicit flushes, compactions, full
+//! close/reopen cycles, and checkpoints (a memtable dump installed over the
+//! reopened runs, as a server recovers) — and adds a crash test that
 //! truncates run objects to arbitrary byte prefixes before reopening.
 
 use std::collections::BTreeMap;
@@ -13,7 +14,7 @@ use cdstore_index::{KvStore, KvStoreConfig};
 use cdstore_storage::{MemoryBackend, StorageBackend};
 use proptest::prelude::*;
 
-/// One step of a store workload. `Reopen` is a no-op for memory stores.
+/// One step of a store workload.
 #[derive(Debug, Clone)]
 enum Op {
     Put(u8, u8),
@@ -21,6 +22,7 @@ enum Op {
     Flush,
     Compact,
     Reopen,
+    Checkpoint,
 }
 
 /// Weighted op strategy: mostly puts, some deletes, occasional structural
@@ -34,12 +36,13 @@ impl Strategy for OpStrategy {
 
     fn generate(&self, rng: &mut proptest::TestRng) -> Op {
         use rand::Rng;
-        match rng.gen_range(0u32..15) {
+        match rng.gen_range(0u32..16) {
             0..=7 => Op::Put(rng.gen_range(0u8..48), rng.gen()),
             8..=11 => Op::Delete(rng.gen_range(0u8..48)),
             12 => Op::Flush,
             13 => Op::Compact,
-            _ => Op::Reopen,
+            14 => Op::Reopen,
+            _ => Op::Checkpoint,
         }
     }
 }
@@ -60,13 +63,13 @@ fn key_bytes(k: u8) -> Vec<u8> {
     vec![b'k', k]
 }
 
-/// Drives `ops` through the store and a reference `BTreeMap`, reopening from
-/// the backend on `Op::Reopen` when one is given, then checks full agreement.
-fn run_model(
-    ops: &[Op],
-    mut store: KvStore,
-    backend: Option<Arc<dyn StorageBackend>>,
-) -> Result<(), TestCaseError> {
+/// Drives `ops` through a fresh store and a reference `BTreeMap`, reopening
+/// from the backend on `Op::Reopen` and `Op::Checkpoint`, then checks full
+/// agreement.
+fn run_model(ops: &[Op]) -> Result<(), TestCaseError> {
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+    let reopen = || KvStore::open(Arc::clone(&backend), "model", test_config()).expect("reopen");
+    let mut store = KvStore::create(Arc::clone(&backend), "model", test_config()).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for op in ops {
         match op {
@@ -81,14 +84,22 @@ fn run_model(
             Op::Flush => store.flush(),
             Op::Compact => store.compact(),
             Op::Reopen => {
-                if let Some(backend) = &backend {
-                    // Reopening only resumes what was made durable; flush
-                    // first so the model and the store stay comparable.
-                    store.flush();
-                    drop(store);
-                    store = KvStore::open(Arc::clone(backend), "model", test_config())
-                        .expect("reopen after clean flush");
-                }
+                // Reopening only resumes what was made durable; flush
+                // first so the model and the store stay comparable.
+                store.flush();
+                drop(store);
+                store = reopen();
+            }
+            Op::Checkpoint => {
+                // What a server checkpoint keeps: the memtable, tombstones
+                // included, installed over the runs on recovery.
+                let dump: Vec<_> = store
+                    .memtable()
+                    .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+                    .collect();
+                drop(store);
+                store = reopen();
+                store.install(dump);
             }
         }
         prop_assert_eq!(store.len(), model.len());
@@ -106,20 +117,11 @@ fn run_model(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A memory-resident store is its memtable — the structural ops do
-    /// nothing — and agrees with the model: the map-semantics check.
-    #[test]
-    fn memory_store_matches_model(ops in proptest::collection::vec(OpStrategy, 0..200)) {
-        run_model(&ops, KvStore::new(), None)?;
-    }
-
-    /// Disk-mode store agrees with the model under structural ops including
-    /// close/reopen cycles.
+    /// The store agrees with the model under structural ops including
+    /// close/reopen cycles and checkpoints.
     #[test]
     fn disk_store_matches_model(ops in proptest::collection::vec(OpStrategy, 0..200)) {
-        let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
-        let store = KvStore::create(Arc::clone(&backend), "model", test_config()).unwrap();
-        run_model(&ops, store, Some(backend))?;
+        run_model(&ops)?;
     }
 }
 
