@@ -225,7 +225,7 @@ pub fn disk_run(entries: u64, seed: u64, dir: &std::path::Path) -> IndexRunRepor
         Arc::new(DirBackend::new(dir).expect("create bench backend dir"));
     let mut store = KvStore::create(Arc::clone(&backend), "bench", bench_config())
         .expect("create disk-backed bench store");
-    let inserts = load(&mut store, entries, seed, KvStore::flush);
+    let inserts = load(&mut store, entries, seed, |s| s.try_flush().expect("flush"));
     drop(store);
     let store = KvStore::open(Arc::clone(&backend), "bench", bench_config())
         .expect("reopen disk-backed bench store");

@@ -32,8 +32,7 @@ pub const MB: f64 = 1024.0 * 1024.0;
 /// ... generate secrets using variable-size chunking with an average chunk
 /// size 8KB").
 pub fn random_secrets(total_bytes: usize, avg_chunk: usize, seed: u64) -> Vec<Vec<u8>> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = cdstore_workloads::SplitMix64::new(seed);
     let mut secrets = Vec::new();
     let mut produced = 0usize;
     while produced < total_bytes {
@@ -42,7 +41,7 @@ pub fn random_secrets(total_bytes: usize, avg_chunk: usize, seed: u64) -> Vec<Ve
             .min(total_bytes - produced)
             .max(1);
         let mut chunk = vec![0u8; size];
-        rng.fill(&mut chunk[..]);
+        rng.fill(&mut chunk);
         produced += size;
         secrets.push(chunk);
     }

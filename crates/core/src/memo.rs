@@ -22,9 +22,9 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use cdstore_crypto::Fingerprint;
-use parking_lot::Mutex;
 
 /// Most entries a [`ShareMemo`] holds: 2¹⁸ secrets ≈ 2 GiB of unique 8 KiB
 /// chunks, ≈ 45 MB of fingerprints at `n = 4` when full.
@@ -89,7 +89,7 @@ impl ShareMemo {
 
     /// The fingerprints memoised for `key`, counting a hit or a miss.
     pub fn lookup(&self, key: &[u8; 32]) -> Option<Vec<Fingerprint>> {
-        let mut generations = self.generations.lock();
+        let mut generations = self.generations.lock().expect("memo lock");
         let found = match generations.current.get(self.n, key) {
             Some(fingerprints) => Some(fingerprints.to_vec()),
             None => {
@@ -115,7 +115,8 @@ impl ShareMemo {
 
     /// Memoises the `n` share fingerprints of the secret whose key is `key`.
     pub fn insert(&self, key: &[u8; 32], fingerprints: &[Fingerprint]) {
-        self.insert_locked(&mut self.generations.lock(), key, fingerprints);
+        let mut generations = self.generations.lock().expect("memo lock");
+        self.insert_locked(&mut generations, key, fingerprints);
     }
 
     fn insert_locked(
@@ -166,7 +167,7 @@ impl ShareMemo {
 
     /// Entries currently held, never more than the capacity.
     pub fn entries(&self) -> usize {
-        let generations = self.generations.lock();
+        let generations = self.generations.lock().expect("memo lock");
         generations.current.slots.len() + generations.previous.slots.len()
     }
 }

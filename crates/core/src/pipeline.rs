@@ -26,13 +26,12 @@
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cdstore_chunking::{ChunkStream, Chunker};
 use cdstore_crypto::Fingerprint;
 pub use cdstore_secretsharing::caont_rs::GROUP;
 use cdstore_secretsharing::{BufferPool, GroupSplit, SecretSharing, SharingError};
-use parking_lot::Mutex;
 
 use crate::error::CdStoreError;
 use crate::memo::ShareMemo;
@@ -323,7 +322,9 @@ fn encode_from(
         for _ in 0..threads {
             let work_rx = Arc::clone(&work_rx);
             scope.spawn(move || loop {
-                let Ok((first_seq, mut chunks, reply)) = work_rx.lock().recv() else {
+                let Ok((first_seq, mut chunks, reply)) =
+                    work_rx.lock().expect("work queue lock").recv()
+                else {
                     return; // the chunker is done
                 };
                 let (secrets, outcome) = encode_group(scheme, pool, memo, first_seq, &mut chunks);

@@ -28,7 +28,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 use cdstore_crypto::Fingerprint;
 use cdstore_index::{
@@ -39,7 +39,6 @@ use cdstore_storage::{
     ContainerKind, ContainerStore, ContainerUsage, Journal, MemoryBackend, StorageBackend,
     StorageError,
 };
-use parking_lot::{Mutex, RwLock};
 
 use crate::error::CdStoreError;
 use crate::metadata::{FileRecipe, ShareMetadata};
@@ -617,7 +616,7 @@ impl CdStoreServer {
     /// duration); triggered automatically past the adaptive cadence bound
     /// (see [`CHECKPOINT_INTERVAL_RECORDS`]), or explicitly.
     pub fn checkpoint(&self) -> Result<(), CdStoreError> {
-        let _excl = self.ckpt_lock.write();
+        let _excl = self.ckpt_lock.write().expect("checkpoint lock");
         self.checkpoint_locked()
     }
 
@@ -670,7 +669,7 @@ impl CdStoreServer {
         if !self.checkpoint_due() {
             return;
         }
-        let _excl = self.ckpt_lock.write();
+        let _excl = self.ckpt_lock.write().expect("checkpoint lock");
         if !self.checkpoint_due() {
             return; // another thread committed while we queued
         }
@@ -765,7 +764,7 @@ impl CdStoreServer {
             // One checkpoint-lock acquisition and one journal commit for
             // the batch. The commit also covers a batch that failed part
             // way: the shares applied before the failure stay applied.
-            let _ckpt = self.ckpt_lock.read();
+            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
             let stored = self.store_batch(user, shares, &server_fps, &mut receipt);
             self.commit_journal();
             stored
@@ -877,7 +876,7 @@ impl CdStoreServer {
         let server_fp = self
             .resolve_server_fp(user, client_fp)
             .ok_or_else(missing)?;
-        let _ckpt = self.ckpt_lock.read();
+        let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
         let found =
             self.share_index
                 .add_references_existing_with(&server_fp, user, count, |post| {
@@ -905,7 +904,7 @@ impl CdStoreServer {
             return;
         };
         let report = {
-            let _ckpt = self.ckpt_lock.read();
+            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
             self.share_index
                 .remove_reference_with(&server_fp, user, |post| {
                     self.journal_record(&match post {
@@ -923,7 +922,7 @@ impl CdStoreServer {
         if report.user_refs == 0 {
             let key = Self::user_share_key(user, client_fp);
             {
-                let _ckpt = self.ckpt_lock.read();
+                let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
                 self.user_shares.delete_with(&key, || {
                     self.journal_record(&MetaRecord::MapDelete {
                         key: key.as_slice().into(),
@@ -942,7 +941,7 @@ impl CdStoreServer {
                 .map(|entry| entry.owned_by(user))
                 .unwrap_or(false)
             {
-                let _ckpt = self.ckpt_lock.read();
+                let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
                 self.user_shares
                     .put_with(key, server_fp.as_bytes().to_vec(), |key, value| {
                         self.journal_record(&MetaRecord::MapPut {
@@ -1026,7 +1025,7 @@ impl CdStoreServer {
         let server_fps = self.server_fingerprints(last_batch);
         let mut receipt = StoreReceipt::default();
         let stored = {
-            let _ckpt = self.ckpt_lock.read();
+            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
             self.store_batch(user, last_batch, &server_fps, &mut receipt)
         };
         let batch_fps = last_batch.iter().map(|(meta, _)| meta.fingerprint);
@@ -1126,7 +1125,7 @@ impl CdStoreServer {
         // job: `CdStore` serialises whole-file writes per (user, pathname),
         // since each server orders versions independently.
         let outcome = {
-            let _ckpt = self.ckpt_lock.read();
+            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
             self.file_index.put_if_newer_with(
                 key,
                 FileEntry {
@@ -1196,14 +1195,9 @@ impl CdStoreServer {
             let entry = self.file_index.get(&key).ok_or_else(|| {
                 CdStoreError::FileNotFound(format!("user {user} on cloud {}", self.cloud_index))
             })?;
-            match self.containers.fetch(&entry.recipe_location()) {
-                Ok(bytes) => {
-                    return FileRecipe::from_bytes(&bytes).ok_or_else(|| {
-                        CdStoreError::InconsistentMetadata("corrupt file recipe".into())
-                    })
-                }
-                Err(StorageError::NotFound(_)) => continue,
-                Err(e) => return Err(CdStoreError::Storage(e)),
+            match self.read_recipe(&entry.recipe_location()) {
+                Err(CdStoreError::Storage(StorageError::NotFound(_))) => continue,
+                result => return result,
             }
         }
         Err(CdStoreError::FileNotFound(format!(
@@ -1248,7 +1242,7 @@ impl CdStoreServer {
             // Commit point: whoever wins the remove owns the release (two
             // racing deletes must not release the same references twice).
             let removed = {
-                let _ckpt = self.ckpt_lock.read();
+                let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
                 self.file_index.remove_with(&key, |_| {
                     self.journal_record(&MetaRecord::FileDelete { key });
                 })
@@ -1373,7 +1367,7 @@ impl CdStoreServer {
     /// recovered from a container scan), so a recipe container is deleted
     /// once every recipe in it is dead and merely waits otherwise.
     pub fn gc_with(&self, config: GcConfig) -> Result<GcReport, CdStoreError> {
-        let _vacuum = self.gc_lock.lock();
+        let _vacuum = self.gc_lock.lock().expect("gc lock");
         let mut report = GcReport::default();
         let result = self.vacuum(config, &mut report);
         self.commit_journal();
@@ -1460,7 +1454,7 @@ impl CdStoreServer {
         // after it — both sealed, so neither read can miss.
         for (fp, old, fresh) in copies {
             let relocated = {
-                let _ckpt = self.ckpt_lock.read();
+                let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
                 self.share_index.relocate_with(&fp, old, fresh, |post| {
                     self.journal_record(&MetaRecord::ShareUpsert {
                         fp,

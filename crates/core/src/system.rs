@@ -17,12 +17,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_index::KvStoreConfig;
 use cdstore_storage::{MemoryBackend, StorageBackend};
-use parking_lot::{Mutex, RwLock};
 
 use crate::client::{CdStoreClient, UploadReport};
 use crate::dedup::DedupStats;
@@ -164,6 +163,24 @@ struct Shared<T: ServerTransport> {
     pending_deletes: Mutex<PendingDeletes>,
 }
 
+impl<T: ServerTransport> Shared<T> {
+    fn servers(&self) -> RwLockReadGuard<'_, Vec<T>> {
+        self.servers.read().expect("servers lock")
+    }
+
+    fn availability(&self) -> Vec<bool> {
+        self.available.read().expect("availability lock").clone()
+    }
+
+    fn catalog(&self) -> MutexGuard<'_, BTreeSet<(u64, String)>> {
+        self.catalog.lock().expect("catalog lock")
+    }
+
+    fn pending_deletes(&self) -> MutexGuard<'_, PendingDeletes> {
+        self.pending_deletes.lock().expect("pending deletes lock")
+    }
+}
+
 /// Number of path-lock stripes (distinct files rarely collide at 64).
 const PATH_LOCK_STRIPES: usize = 64;
 
@@ -290,7 +307,7 @@ impl CdStore {
     /// exercised by dropping the deployment and [`CdStore::open`]ing a new
     /// one from the same backends.
     pub fn restart_server(&self, i: usize) -> Result<RecoveryReport, CdStoreError> {
-        let mut servers = self.shared.servers.write();
+        let mut servers = self.shared.servers.write().expect("servers lock");
         servers[i].flush()?;
         let backend = servers[i].backend();
         let (server, report) = Self::reopen_server(&self.shared.config, i, backend)?;
@@ -306,24 +323,25 @@ impl CdStore {
     /// quiesced, as files backed up concurrently with the repair pass may be
     /// missed.
     pub fn replace_and_repair_cloud(&self, i: usize) -> Result<usize, CdStoreError> {
-        self.shared.servers.write()[i] = CdStoreServer::with_backend_and_index(
-            i,
-            Arc::new(MemoryBackend::new()),
-            self.shared.config.index_mode,
-        )?;
-        self.shared.available.write()[i] = true;
+        self.shared.servers.write().expect("servers lock")[i] =
+            CdStoreServer::with_backend_and_index(
+                i,
+                Arc::new(MemoryBackend::new()),
+                self.shared.config.index_mode,
+            )?;
+        self.shared.available.write().expect("availability lock")[i] = true;
         // The replacement server starts empty: deletes that were pending for
         // the lost cloud have nothing left to delete (repair re-uploads only
         // catalogued — i.e. not deleted — files).
-        self.shared.pending_deletes.lock().remove(&i);
-        let catalog: Vec<(u64, String)> = self.shared.catalog.lock().iter().cloned().collect();
+        self.shared.pending_deletes().remove(&i);
+        let catalog: Vec<(u64, String)> = self.shared.catalog().iter().cloned().collect();
         let mut repaired = 0usize;
         for (user, pathname) in catalog {
             // Restore from the surviving clouds...
             let client = self.client(user)?;
-            let mut availability = self.shared.available.read().clone();
+            let mut availability = self.shared.availability();
             availability[i] = false;
-            let servers = self.shared.servers.read();
+            let servers = self.shared.servers();
             let data = client.download(&servers, &availability, &pathname)?;
             // ...and re-upload, which regenerates the identical convergent
             // shares and repopulates cloud i (the other clouds deduplicate the
@@ -467,15 +485,16 @@ impl<T: ServerTransport> CdStore<T> {
         // The upload interleaves encoding with server traffic, so the whole
         // upload runs under the per-file write lock (unrelated files stay
         // concurrent via the lock striping).
-        let _file = self.path_lock(user, pathname).write();
-        let servers = self.shared.servers.read();
+        let _file = self.path_lock(user, pathname).write().expect("path lock");
+        let servers = self.shared.servers();
         let report = upload(&client, &servers)?;
         drop(servers);
-        self.shared.dedup.lock().accumulate(&report.dedup);
         self.shared
-            .catalog
+            .dedup
             .lock()
-            .insert((user, pathname.to_string()));
+            .expect("dedup stats lock")
+            .accumulate(&report.dedup);
+        self.shared.catalog().insert((user, pathname.to_string()));
         Ok(report)
     }
 
@@ -500,9 +519,9 @@ impl<T: ServerTransport> CdStore<T> {
         // Read side of the per-file lock: a restore never observes a
         // half-committed rewrite of the same file (mixed per-cloud recipes),
         // while restores of the same file still run concurrently.
-        let _file = self.path_lock(user, pathname).read();
-        let availability = self.shared.available.read().clone();
-        let servers = self.shared.servers.read();
+        let _file = self.path_lock(user, pathname).read().expect("path lock");
+        let availability = self.shared.availability();
+        let servers = self.shared.servers();
         client.download_stream(&servers, &availability, pathname, out)
     }
 
@@ -515,9 +534,9 @@ impl<T: ServerTransport> CdStore<T> {
     pub fn delete(&self, user: u64, pathname: &str) -> Result<bool, CdStoreError> {
         let client = self.client(user)?;
         let encoded = client.encode_pathname(pathname)?;
-        let _file = self.path_lock(user, pathname).write();
-        let availability = self.shared.available.read().clone();
-        let servers = self.shared.servers.read();
+        let _file = self.path_lock(user, pathname).write().expect("path lock");
+        let availability = self.shared.availability();
+        let servers = self.shared.servers();
         let mut any = false;
         let mut first_err = None;
         for (i, server) in servers.iter().enumerate() {
@@ -543,8 +562,8 @@ impl<T: ServerTransport> CdStore<T> {
                 // flips the flag under the same lock, so either this delete
                 // lands in the queue before the drain, or it observes the
                 // recovery and executes directly — never a stranded orphan.
-                let mut pending = self.shared.pending_deletes.lock();
-                if self.shared.available.read()[i] {
+                let mut pending = self.shared.pending_deletes();
+                if self.shared.available.read().expect("availability lock")[i] {
                     match server.delete_file(user, &encoded[i]) {
                         Ok(deleted) => any |= deleted,
                         Err(e) => first_err = first_err.or(Some(e)),
@@ -560,16 +579,13 @@ impl<T: ServerTransport> CdStore<T> {
         if let Some(e) = first_err {
             return Err(e);
         }
-        self.shared
-            .catalog
-            .lock()
-            .remove(&(user, pathname.to_string()));
+        self.shared.catalog().remove(&(user, pathname.to_string()));
         Ok(any)
     }
 
     /// Injects a failure of cloud `i` (its server becomes unreachable).
     pub fn fail_cloud(&self, i: usize) {
-        self.shared.available.write()[i] = false;
+        self.shared.available.write().expect("availability lock")[i] = false;
     }
 
     /// Marks cloud `i` reachable again, after replaying the deletes it
@@ -587,8 +603,8 @@ impl<T: ServerTransport> CdStore<T> {
         // Lock order servers → pending → available, matching `delete`'s
         // in-loop order, so a writer queued on the servers lock can never
         // wedge the two against each other.
-        let servers = self.shared.servers.read();
-        let mut pending_map = self.shared.pending_deletes.lock();
+        let servers = self.shared.servers();
+        let mut pending_map = self.shared.pending_deletes();
         let pending = pending_map.remove(&i).unwrap_or_default();
         let mut failed = Vec::new();
         for (user, encoded_pathname) in pending {
@@ -604,14 +620,14 @@ impl<T: ServerTransport> CdStore<T> {
         if !failed.is_empty() {
             pending_map.entry(i).or_default().extend(failed);
         }
-        self.shared.available.write()[i] = true;
+        self.shared.available.write().expect("availability lock")[i] = true;
     }
 
     /// Seals open containers on every server. A transient fault while a
     /// container seals is retried (a failed seal reinstates the builder, so
     /// the replay writes the identical container).
     pub fn flush(&self) -> Result<(), CdStoreError> {
-        for server in self.shared.servers.read().iter() {
+        for server in self.shared.servers().iter() {
             self.shared.config.retry.run(|_| server.flush())?;
         }
         Ok(())
@@ -629,8 +645,8 @@ impl<T: ServerTransport> CdStore<T> {
     /// explicit configuration. Unavailable clouds are skipped (their space
     /// is reclaimed by the first pass after they recover).
     pub fn gc_with(&self, config: GcConfig) -> Result<GcReport, CdStoreError> {
-        let availability = self.shared.available.read().clone();
-        let servers = self.shared.servers.read();
+        let availability = self.shared.availability();
+        let servers = self.shared.servers();
         let mut total = GcReport::default();
         for (i, server) in servers.iter().enumerate() {
             if availability[i] {
@@ -645,17 +661,17 @@ impl<T: ServerTransport> CdStore<T> {
     /// (e.g. an unreachable remote) contributes zeroed counters rather than
     /// failing the whole snapshot.
     pub fn stats(&self) -> SystemStats {
-        let servers = self.shared.servers.read();
+        let servers = self.shared.servers();
         let probes: Vec<ServerProbe> = servers
             .iter()
             .map(|s| s.probe().unwrap_or_default())
             .collect();
         SystemStats {
-            dedup: *self.shared.dedup.lock(),
+            dedup: *self.shared.dedup.lock().expect("dedup stats lock"),
             servers: probes.iter().map(|p| p.stats).collect(),
             backend_bytes: probes.iter().map(|p| p.backend_bytes).collect(),
             index_bytes: probes.iter().map(|p| p.index_bytes as usize).collect(),
-            files: self.shared.catalog.lock().len(),
+            files: self.shared.catalog().len(),
             memo_hits: self.shared.memo.hits(),
             memo_misses: self.shared.memo.misses(),
             memo_materialised: self.shared.memo.materialised(),
@@ -666,11 +682,11 @@ impl<T: ServerTransport> CdStore<T> {
     /// Runs a closure against the server (transport) slice — used by
     /// benchmarks and tests that drive [`CdStoreClient`]s explicitly.
     pub fn with_servers<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&self.shared.servers.read())
+        f(&self.shared.servers())
     }
 
     fn ensure_all_clouds_up(&self) -> Result<(), CdStoreError> {
-        let available = self.shared.available.read();
+        let available = self.shared.available.read().expect("availability lock");
         let up = available.iter().filter(|&&a| a).count();
         if up < self.shared.config.n {
             // Uploads write to all n clouds so redundancy is never silently
@@ -713,7 +729,7 @@ mod tests {
         let data = sample(100_000, 2);
         store.backup(1, "/f", &data).unwrap();
         store.fail_cloud(0);
-        assert!(!store.shared.available.read()[0]);
+        assert!(!store.shared.available.read().expect("availability lock")[0]);
         assert_eq!(store.restore(1, "/f").unwrap(), data);
         // Backups require all clouds.
         assert!(matches!(

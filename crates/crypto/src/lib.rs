@@ -18,6 +18,8 @@
 //!   here because this is where the detect-once kernels live).
 //! * [`Fingerprint`] — a 32-byte content fingerprint with hex formatting,
 //!   the unit of deduplication indexing.
+//! * [`os_random`] — OS entropy for the random-key schemes, with no
+//!   fallback.
 //!
 //! # Examples
 //!
@@ -44,6 +46,9 @@ pub mod ctr;
 pub mod sha256;
 
 use core::fmt;
+use std::fs::File;
+use std::io::{self, Read};
+use std::sync::OnceLock;
 
 /// A 256-bit content fingerprint (SHA-256 output) identifying a chunk or a
 /// share for deduplication.
@@ -167,9 +172,56 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
+/// Fills `buf` with OS entropy from `/dev/urandom`, read through one
+/// process-wide handle. There is no fallback: if the device cannot be opened
+/// or read, the error is returned and `buf` must not be used as key
+/// material.
+pub fn os_random(buf: &mut [u8]) -> io::Result<()> {
+    static URANDOM: OnceLock<File> = OnceLock::new();
+    let dev = match URANDOM.get() {
+        Some(dev) => dev,
+        None => {
+            let opened = File::open("/dev/urandom")?;
+            URANDOM.get_or_init(|| opened)
+        }
+    };
+    fill_from(dev, buf)
+}
+
+/// Fills all of `buf` from `source`, or fails.
+fn fill_from(mut source: impl Read, buf: &mut [u8]) -> io::Result<()> {
+    source.read_exact(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn os_random_fills_and_differs() {
+        let (mut a, mut b) = ([0u8; 32], [0u8; 32]);
+        os_random(&mut a).unwrap();
+        os_random(&mut b).unwrap();
+        assert_ne!(a, [0u8; 32]);
+        assert_ne!(a, b);
+        os_random(&mut []).unwrap();
+    }
+
+    #[test]
+    fn fill_from_fails_closed_on_an_empty_or_failing_source() {
+        struct Failing;
+        impl Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("device gone"))
+            }
+        }
+        let mut buf = [0u8; 32];
+        assert!(fill_from(io::empty(), &mut buf).is_err());
+        assert!(fill_from(Failing, &mut buf).is_err());
+        assert_eq!(buf, [0u8; 32], "nothing is filled in, nothing falls back");
+        fill_from(&[7u8; 40][..], &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 32]);
+    }
 
     #[test]
     fn fingerprint_is_deterministic() {

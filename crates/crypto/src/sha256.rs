@@ -108,7 +108,7 @@ impl Backend {
 
 /// Runs the compression function over `data` (a whole number of 64-byte
 /// blocks) with the given backend.
-#[allow(unsafe_code)] // the ShaNi variant exists only after feature detection
+#[allow(unsafe_code)] // the ShaNi arm runs only on a detected backend
 fn compress_blocks_with(backend: Backend, state: &mut [u32; 8], data: &[u8]) {
     debug_assert!(data.len().is_multiple_of(BLOCK_SIZE));
     match backend {
@@ -118,8 +118,8 @@ fn compress_blocks_with(backend: Backend, state: &mut [u32; 8], data: &[u8]) {
             }
         }
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: the ShaNi variant is only constructed after
-        // `is_x86_feature_detected!("sha")` (plus ssse3/sse4.1) succeeded.
+        // SAFETY: `ShaNi` comes from `Backend::active`, which detected it, or
+        // from `hash_with`, which asserts so; `data` is whole blocks (above).
         Backend::ShaNi => unsafe { ni::compress_blocks(state, data) },
         #[allow(unreachable_patterns)]
         _ => {
@@ -360,8 +360,15 @@ pub fn hash(data: &[u8]) -> [u8; DIGEST_SIZE] {
 }
 
 /// One-shot SHA-256 with an explicit backend (differential tests and
-/// benches; production code uses [`hash`]).
+/// benches; production code uses [`hash`]). Panics if this CPU does not run
+/// `backend`.
 pub fn hash_with(backend: Backend, data: &[u8]) -> [u8; DIGEST_SIZE] {
+    let runs = Backend::available().contains(&backend);
+    assert!(
+        runs,
+        "SHA-256 backend {} is not on this CPU",
+        backend.name()
+    );
     let mut state = H0;
     let full = data.len() - data.len() % BLOCK_SIZE;
     compress_blocks_with(backend, &mut state, &data[..full]);
@@ -1045,8 +1052,8 @@ mod multilane {
                 let mut w = [_mm512_setzero_si512(); 16];
                 for (row, lane) in w.iter_mut().zip(blocks) {
                     if !lane.is_empty() {
-                        // SAFETY: a non-empty lane holds `nblocks` blocks
-                        // (the caller's contract) and `blk < nblocks`.
+                        // SAFETY: `x16` asserted that a non-empty lane holds
+                        // `nblocks` blocks, and `blk < nblocks`.
                         let block = unsafe {
                             _mm512_loadu_si512(lane.as_ptr().add(blk * BLOCK_SIZE).cast())
                         };

@@ -82,6 +82,14 @@ impl Backend {
         })
     }
 
+    /// `self`, once asserted to run on this CPU: the SIMD arms rely on it.
+    fn checked(self) -> Self {
+        static DETECTED: OnceLock<Vec<Backend>> = OnceLock::new();
+        let runs = DETECTED.get_or_init(Self::available).contains(&self);
+        assert!(runs, "region backend {} is not on this CPU", self.name());
+        self
+    }
+
     /// Human-readable backend name (used by benches and logs).
     pub fn name(self) -> &'static str {
         match self {
@@ -96,15 +104,15 @@ impl Backend {
     ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
-    #[allow(unsafe_code)] // SIMD variants exist only after feature detection
+    /// Panics if the slices differ in length or this CPU lacks the backend.
+    #[allow(unsafe_code)] // SIMD arms run only on a `checked` backend
     pub fn xor_into(self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "region length mismatch");
-        match self {
+        match self.checked() {
             Backend::Scalar => xor_into_scalar(dst, src),
             #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-            // SAFETY: constructing these variants requires the feature
-            // detection in `Backend::available`/`Backend::active`.
+            // SAFETY: `checked` asserted the CPU runs this backend, and the
+            // `assert_eq!` above that the slices are the same length.
             Backend::Ssse3 => unsafe { x86::xor_sse2(dst, src) },
             #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
             Backend::Avx2 => unsafe { x86::xor_avx2(dst, src) },
@@ -119,17 +127,18 @@ impl Backend {
     ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
-    #[allow(unsafe_code)] // SIMD variants exist only after feature detection
+    /// Panics if the slices differ in length or this CPU lacks the backend.
+    #[allow(unsafe_code)] // SIMD arms run only on a `checked` backend
     pub fn mul_into(self, dst: &mut [u8], src: &[u8], c: u8) {
         assert_eq!(dst.len(), src.len(), "region length mismatch");
         match c {
             0 => dst.fill(0),
             1 => dst.copy_from_slice(src),
-            _ => match self {
+            _ => match self.checked() {
                 Backend::Scalar => mul_scalar::<false>(dst, src, c),
                 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-                // SAFETY: variant implies the feature was detected.
+                // SAFETY: `checked` asserted the CPU runs this backend; the
+                // lengths are equal (asserted) and `c` is not 0 or 1 (matched).
                 Backend::Ssse3 => unsafe { x86::mul_ssse3::<false>(dst, src, c) },
                 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
                 Backend::Avx2 => unsafe { x86::mul_avx2::<false>(dst, src, c) },
@@ -145,17 +154,18 @@ impl Backend {
     ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
-    #[allow(unsafe_code)] // SIMD variants exist only after feature detection
+    /// Panics if the slices differ in length or this CPU lacks the backend.
+    #[allow(unsafe_code)] // SIMD arms run only on a `checked` backend
     pub fn mul_acc(self, dst: &mut [u8], src: &[u8], c: u8) {
         assert_eq!(dst.len(), src.len(), "region length mismatch");
         match c {
             0 => {}
             1 => self.xor_into(dst, src),
-            _ => match self {
+            _ => match self.checked() {
                 Backend::Scalar => mul_scalar::<true>(dst, src, c),
                 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-                // SAFETY: variant implies the feature was detected.
+                // SAFETY: `checked` asserted the CPU runs this backend; the
+                // lengths are equal (asserted) and `c` is not 0 or 1 (matched).
                 Backend::Ssse3 => unsafe { x86::mul_ssse3::<true>(dst, src, c) },
                 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
                 Backend::Avx2 => unsafe { x86::mul_avx2::<true>(dst, src, c) },

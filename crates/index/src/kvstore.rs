@@ -35,9 +35,9 @@
 //! half-written run object (swept on open) but never corrupt the manifest.
 //! The lookup API keeps its infallible `Option` signatures; a backend I/O
 //! error or checksummed corruption on the read path is unrecoverable for
-//! the in-process caller and panics with the failing object key. Fallible
-//! variants ([`KvStore::try_flush`]) exist for the write paths servers
-//! drive directly.
+//! the in-process caller and panics with the failing object key. The write
+//! paths ([`KvStore::try_flush`], [`KvStore::try_compact`]) return their
+//! errors.
 
 use std::collections::BTreeMap;
 use std::iter::Peekable;
@@ -477,13 +477,6 @@ impl KvStore {
             .collect()
     }
 
-    /// Forces the memtable to be frozen into a run, panicking on a backend
-    /// write error ([`KvStore::try_flush`] is the fallible variant).
-    pub fn flush(&mut self) {
-        self.try_flush()
-            .unwrap_or_else(|e| panic!("index flush failed: {e}"));
-    }
-
     /// Freezes the memtable into a durable run and runs any due tiered
     /// compactions. On error the memtable is left intact and the flush can
     /// simply be retried.
@@ -519,13 +512,7 @@ impl KvStore {
 
     /// Merge-compacts all runs into one, dropping tombstones, after
     /// flushing the memtable (the merged run plus manifest then fully
-    /// describe the store). Panics on a backend error.
-    pub fn compact(&mut self) {
-        self.try_compact()
-            .unwrap_or_else(|e| panic!("index compaction failed: {e}"));
-    }
-
-    /// Fallible variant of [`KvStore::compact`].
+    /// describe the store).
     pub fn try_compact(&mut self) -> Result<(), StorageError> {
         self.try_flush()?;
         if self.runs.len() > 1 {
@@ -737,8 +724,8 @@ mod tests {
             for i in (0..100u32).step_by(2) {
                 store.delete(&i.to_be_bytes());
             }
-            store.flush();
-            store.compact();
+            store.try_flush().unwrap();
+            store.try_compact().unwrap();
             for i in 0..100u32 {
                 let expected = i % 2 == 1;
                 assert_eq!(store.contains(&i.to_be_bytes()), expected, "key {i}");
@@ -753,9 +740,9 @@ mod tests {
             for i in 0..64u32 {
                 store.put(i.to_be_bytes().to_vec(), b"payload".to_vec());
             }
-            store.flush();
+            store.try_flush().unwrap();
             let runs_before = store.run_count();
-            store.compact();
+            store.try_compact().unwrap();
             assert!(store.run_count() <= runs_before);
             assert!(store.run_count() <= 1);
         });
@@ -788,7 +775,7 @@ mod tests {
             store.put(b"user1/file-a".to_vec(), b"1".to_vec());
             store.put(b"user1/file-b".to_vec(), b"2".to_vec());
             store.put(b"user2/file-a".to_vec(), b"3".to_vec());
-            store.flush();
+            store.try_flush().unwrap();
             store.put(b"user1/file-c".to_vec(), b"4".to_vec());
             let user1 = store.scan_prefix(b"user1/");
             assert_eq!(user1.len(), 3);
@@ -806,7 +793,7 @@ mod tests {
         for i in 0..64u32 {
             store.put(i.to_be_bytes().to_vec(), b"v".to_vec());
         }
-        store.flush();
+        store.try_flush().unwrap();
         for i in 1000..1200u32 {
             let _ = store.get(&i.to_be_bytes());
         }
@@ -837,7 +824,7 @@ mod tests {
             store.put(i.to_be_bytes().to_vec(), vec![0u8; 16]);
             store.delete(&i.to_be_bytes());
         }
-        store.compact();
+        store.try_compact().unwrap();
         assert_eq!(store.len(), 0);
         assert_eq!(store.approximate_size(), 0);
         assert_eq!(store.run_count(), 0);
@@ -889,7 +876,7 @@ mod tests {
         for i in 0..1000u32 {
             store.put(i.to_be_bytes().to_vec(), b"old".to_vec());
         }
-        store.flush();
+        store.try_flush().unwrap();
         assert_eq!(store.run_count(), 1);
         for i in 0..1000u32 {
             store.put(i.to_be_bytes().to_vec(), b"new".to_vec());
@@ -900,12 +887,12 @@ mod tests {
         // frozen into a newer run.
         assert_eq!(store.len(), 0);
         assert_eq!(store.get(&7u32.to_be_bytes()), None);
-        store.flush();
+        store.try_flush().unwrap();
         assert_eq!(store.run_count(), 2);
         assert_eq!(store.get(&7u32.to_be_bytes()), None);
         assert!(store.snapshot().is_empty());
         // A merge that reaches the oldest run drops values and tombstones.
-        store.compact();
+        store.try_compact().unwrap();
         assert_eq!(store.run_count(), 0);
         assert_eq!(store.get(&7u32.to_be_bytes()), None);
     }
@@ -920,7 +907,7 @@ mod tests {
         for i in (0..300u32).step_by(3) {
             store.delete(&i.to_be_bytes());
         }
-        store.flush();
+        store.try_flush().unwrap();
         let expected = store.snapshot();
         let live = store.len();
         drop(store);
@@ -946,7 +933,7 @@ mod tests {
         for i in 0..40u32 {
             store.put(i.to_be_bytes().to_vec(), b"flushed".to_vec());
         }
-        store.flush();
+        store.try_flush().unwrap();
         // These stay in the memtable (capacity 16 not reached after flush).
         for i in 100..105u32 {
             store.put(i.to_be_bytes().to_vec(), b"volatile".to_vec());
@@ -964,7 +951,7 @@ mod tests {
         let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
         let mut store = KvStore::create(backend.clone(), "idx", small_config()).unwrap();
         store.put(b"old".to_vec(), b"state".to_vec());
-        store.flush();
+        store.try_flush().unwrap();
         drop(store);
         let mut fresh = KvStore::create(backend.clone(), "idx", small_config()).unwrap();
         assert_eq!(fresh.get(b"old"), None);
@@ -978,7 +965,7 @@ mod tests {
         let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
         let mut store = KvStore::create(backend.clone(), "idx", small_config()).unwrap();
         store.put(b"a".to_vec(), b"1".to_vec());
-        store.flush();
+        store.try_flush().unwrap();
         drop(store);
         // A half-written run object from an interrupted flush.
         backend
@@ -1001,11 +988,11 @@ mod tests {
         for i in 0..20u32 {
             store.put(i.to_be_bytes().to_vec(), b"first".to_vec());
         }
-        store.flush();
+        store.try_flush().unwrap();
         for i in 20..40u32 {
             store.put(i.to_be_bytes().to_vec(), b"second".to_vec());
         }
-        store.flush();
+        store.try_flush().unwrap();
         assert_eq!(store.run_count(), 2);
         drop(store);
         // Truncate the second run's object to a prefix.
@@ -1043,7 +1030,7 @@ mod tests {
         for i in 0..2000u32 {
             store.put(i.to_be_bytes().to_vec(), vec![0xabu8; 64]);
         }
-        store.flush();
+        store.try_flush().unwrap();
         // Cold pass misses, hot pass hits.
         for i in 0..50u32 {
             assert!(store.contains(&i.to_be_bytes()));

@@ -824,4 +824,154 @@ mod tests {
         assert!(writer.finish().unwrap().is_none());
         assert!(!backend.exists(&run_key("t", 5)).unwrap());
     }
+
+    /// Hostile-input cases: a quick pass under `cargo test`, thousands in
+    /// release builds.
+    const HOSTILE_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 4096 };
+
+    /// One block entry as `RunWriter::push` lays it out.
+    fn entry_bytes(key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
+        let mut out = (key.len() as u32).to_le_bytes().to_vec();
+        out.push(value.is_some() as u8);
+        out.extend_from_slice(&(value.map_or(0, <[u8]>::len) as u32).to_le_bytes());
+        out.extend_from_slice(key);
+        out.extend_from_slice(value.unwrap_or_default());
+        out
+    }
+
+    /// Parses a block payload: its entries re-encoded, and whether the
+    /// parser stopped at a malformed one.
+    fn reparse(payload: &[u8]) -> (Vec<u8>, bool) {
+        let mut bytes = Vec::new();
+        for parsed in BlockEntries::new(payload, "t") {
+            match parsed {
+                Ok((k, v)) => bytes.extend_from_slice(&entry_bytes(k, v)),
+                Err(StorageError::Corrupt(_)) => return (bytes, true),
+                Err(e) => panic!("untyped error {e}"),
+            }
+        }
+        (bytes, false)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(HOSTILE_CASES))]
+
+        // Behind a valid frame and, mostly, the version: the decoder reads
+        // the count and the run list.
+        #[test]
+        fn arbitrary_manifest_payloads_fail_typed_or_decode_to_their_own_bytes(
+            body in proptest::collection::vec(proptest::any::<u8>(), 0..100),
+            count in 0u32..10,
+            versioned: bool,
+        ) {
+            let mut payload = if versioned { RUN_VERSION.to_le_bytes().to_vec() } else { Vec::new() };
+            payload.extend_from_slice(&body);
+            if payload.len() >= 24 {
+                payload[20..24].copy_from_slice(&count.to_le_bytes());
+            }
+            let mut bytes = MANIFEST_MAGIC.to_vec();
+            frame_into(&mut bytes, &payload);
+            match Manifest::decode(&bytes, "m") {
+                Ok(manifest) => proptest::prop_assert_eq!(manifest.encode(), bytes),
+                Err(e) => proptest::prop_assert!(matches!(e, StorageError::Corrupt(_))),
+            }
+        }
+
+        #[test]
+        fn one_mutated_manifest_byte_is_corrupt(
+            run_seqs in proptest::collection::vec(proptest::any::<u64>(), 0..10),
+            next_seq: u64,
+            at: u32,
+            value: u8,
+        ) {
+            let manifest = Manifest { next_seq, live_keys: next_seq / 3, run_seqs };
+            let mut bytes = manifest.encode();
+            let at = at as usize % bytes.len();
+            let unchanged = bytes[at] == value;
+            bytes[at] = value;
+            match Manifest::decode(&bytes, "m") {
+                Ok(decoded) => proptest::prop_assert!(unchanged && decoded == manifest),
+                Err(e) => proptest::prop_assert!(!unchanged && matches!(e, StorageError::Corrupt(_))),
+            }
+        }
+
+        // Every byte of a run is checksummed: one changed byte fails the
+        // load, or — in a data block, checked lazily — the read of that
+        // block. Whatever is served before is the run's own entries.
+        #[test]
+        fn one_mutated_run_byte_fails_typed_or_serves_its_own_entries(
+            n in 1u32..120,
+            at: u32,
+            value: u8,
+        ) {
+            let backend = MemoryBackend::new();
+            let (handle, _) = write_run(&backend, n);
+            let key = handle.object_key().to_string();
+            let mut bytes = backend.get(&key).unwrap();
+            let at = at as usize % bytes.len();
+            let unchanged = bytes[at] == value;
+            bytes[at] = value;
+            backend.put(&key, &bytes).unwrap();
+            let expected: Vec<_> = (0..n).map(entry).collect();
+            let handle = match RunHandle::load(&backend, "t", 1) {
+                Ok((handle, _)) => handle,
+                Err(e) => {
+                    proptest::prop_assert!(!unchanged && matches!(e, StorageError::Corrupt(_)));
+                    return Ok(());
+                }
+            };
+            let mut read = Vec::new();
+            let mut failed = false;
+            for item in handle.iter(&backend) {
+                match item {
+                    Ok(entry) => read.push(entry),
+                    Err(e) => {
+                        proptest::prop_assert!(matches!(e, StorageError::Corrupt(_)));
+                        failed = true;
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(&read[..], &expected[..read.len()]);
+            proptest::prop_assert_eq!(failed, !unchanged);
+            let mut cache: BlockCache = LruCache::new(1 << 20);
+            for (k, v) in &expected {
+                match handle.get(&backend, &mut cache, k) {
+                    Ok(found) => proptest::prop_assert_eq!(found.as_ref(), Some(v)),
+                    Err(e) => proptest::prop_assert!(!unchanged && matches!(e, StorageError::Corrupt(_))),
+                }
+            }
+        }
+
+        // The block entry parser, under the checksum: whole entries of its
+        // own bytes, in order, then the end or a typed error.
+        #[test]
+        fn arbitrary_block_bytes_parse_to_their_own_entries_or_corrupt(
+            entries in proptest::collection::vec(
+                (
+                    proptest::collection::vec(proptest::any::<u8>(), 0..8),
+                    proptest::option::of(proptest::collection::vec(proptest::any::<u8>(), 0..8)),
+                ),
+                0..8,
+            ),
+            noise in proptest::collection::vec(proptest::any::<u8>(), 0..40),
+            at: u32,
+            value: u8,
+        ) {
+            let mut payload: Vec<u8> = entries
+                .iter()
+                .flat_map(|(k, v)| entry_bytes(k, v.as_deref()))
+                .collect();
+            let (reparsed, failed) = reparse(&payload);
+            proptest::prop_assert!(!failed && reparsed == payload);
+            // One byte changed, then arbitrary bytes appended.
+            if !payload.is_empty() {
+                let at = at as usize % payload.len();
+                payload[at] = value;
+            }
+            payload.extend_from_slice(&noise);
+            let (reparsed, failed) = reparse(&payload);
+            proptest::prop_assert!(payload.starts_with(&reparsed));
+            proptest::prop_assert_eq!(failed, reparsed.len() < payload.len());
+        }
+    }
 }

@@ -22,11 +22,9 @@
 //! order.
 
 use std::marker::PhantomData;
-use std::ops::DerefMut;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdstore_storage::{StorageBackend, StorageError};
-use parking_lot::Mutex;
 
 use crate::kvstore::{BlockCacheStats, KvStore, KvStoreConfig};
 use crate::run::INDEX_KEY_PREFIX;
@@ -134,21 +132,27 @@ impl<V> Sharded<V> {
         Ok(Self::from_stripes(stores))
     }
 
+    /// Each stripe in order, locked as reached. A panic under a stripe lock
+    /// poisons it: every later request on it panics instead of running on.
+    fn locked(&self) -> impl Iterator<Item = MutexGuard<'_, KvStore>> {
+        self.stripes
+            .iter()
+            .map(|stripe| stripe.lock().expect("index stripe lock"))
+    }
+
     /// Calls `visit` on every stripe in order, each under its lock.
     pub fn for_each_stripe(&self, mut visit: impl FnMut(&KvStore)) {
-        for stripe in &self.stripes {
-            visit(&stripe.lock());
-        }
+        self.locked().for_each(|stripe| visit(&stripe));
     }
 
     /// Freezes every stripe's buffered writes into durable runs.
     pub fn flush_runs(&self) -> Result<(), StorageError> {
-        self.stripes.iter().try_for_each(|s| s.lock().try_flush())
+        self.locked().try_for_each(|mut s| s.try_flush())
     }
 
     /// Summed block-cache counters over all stripes (always `Some`).
     pub fn cache_stats(&self) -> Option<BlockCacheStats> {
-        let stats = self.stripes.iter().map(|s| s.lock().cache_stats());
+        let stats = self.locked().map(|s| s.cache_stats());
         Some(stats.fold(BlockCacheStats::default(), |mut total, s| {
             total += s;
             total
@@ -157,7 +161,7 @@ impl<V> Sharded<V> {
 
     /// Number of live keys across all stripes.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        self.locked().map(|s| s.len()).sum()
     }
 
     /// Whether the store holds no live keys.
@@ -168,15 +172,14 @@ impl<V> Sharded<V> {
     /// Approximate resident memory footprint in bytes (relevant to the cost
     /// model's EC2 instance sizing, §5.6).
     pub fn approximate_size(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().approximate_size())
-            .sum()
+        self.locked().map(|s| s.approximate_size()).sum()
     }
 
     /// Locks the stripe a key hash selects.
-    pub(crate) fn lock(&self, hash: u64) -> impl DerefMut<Target = KvStore> + '_ {
-        self.stripes[(hash as usize) & (DEFAULT_SHARDS - 1)].lock()
+    pub(crate) fn lock(&self, hash: u64) -> MutexGuard<'_, KvStore> {
+        self.stripes[(hash as usize) & (DEFAULT_SHARDS - 1)]
+            .lock()
+            .expect("index stripe lock")
     }
 
     /// Every live pair across all stripes that `decode` accepts. Per-stripe
@@ -186,9 +189,8 @@ impl<V> Sharded<V> {
         decode: impl Fn(Vec<u8>, Vec<u8>) -> Option<T>,
     ) -> Vec<T> {
         let mut all = Vec::new();
-        for stripe in &self.stripes {
-            // The empty prefix: every live pair of the stripe.
-            let pairs = stripe.lock().scan_prefix(&[]);
+        // The empty prefix: every live pair of each stripe.
+        for pairs in self.locked().map(|stripe| stripe.scan_prefix(&[])) {
             all.extend(pairs.into_iter().filter_map(|(k, v)| decode(k, v)));
         }
         all
@@ -284,13 +286,10 @@ pub(crate) mod tests {
         assert_eq!(index.unique_shares(), 500);
         for i in (0..500u32).step_by(13) {
             assert!(index.is_stored(&fp(i)));
-            assert!(index.user_owns(&fp(i), (i % 7) as u64));
-            assert!(!index.user_owns(&fp(i), 99));
+            let entry = index.lookup(&fp(i)).unwrap();
+            assert!(entry.owned_by((i % 7) as u64));
+            assert!(!entry.owned_by(99));
         }
-        assert_eq!(
-            index.filter_user_duplicates(0, &[fp(0), fp(1), fp(7)]),
-            vec![true, false, true]
-        );
         let release = index.remove_reference_with(&fp(0), 0, |_| {}).unwrap();
         assert_eq!(release.location, loc(0, 100));
         assert_eq!(release.total_refs, 0);
@@ -555,6 +554,54 @@ pub(crate) mod tests {
         assert_eq!(ignored.unique_shares(), 0);
         let fresh = ShardedShareIndex::create(backend, "share", config).unwrap();
         assert_eq!(fresh.unique_shares(), 0);
+    }
+
+    #[test]
+    fn a_panic_under_a_stripe_lock_stops_that_stripe() {
+        use cdstore_storage::{FaultConfig, FaultPlan, FaultyBackend, MemoryBackend};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let plan = Arc::new(FaultPlan::new(FaultConfig::clean(1)));
+        let backend = Arc::new(FaultyBackend::new(
+            Arc::new(MemoryBackend::new()),
+            plan.clone(),
+        ));
+        let config = KvStoreConfig {
+            memtable_capacity: 4,
+            ..KvStoreConfig::default()
+        };
+        let store = ShardedKvStore::create(backend, "kv", config).unwrap();
+        let stripe_of = |key: &[u8]| fnv1a(key) as usize & (DEFAULT_SHARDS - 1);
+        let victim = b"victim".to_vec();
+        let mut same_stripe = (0u32..)
+            .map(|i| i.to_be_bytes().to_vec())
+            .filter(|key| stripe_of(key) == stripe_of(&victim));
+        let other = (0u32..)
+            .map(|i| i.to_be_bytes().to_vec())
+            .find(|key| stripe_of(key) != stripe_of(&victim))
+            .unwrap();
+        store.put(other.clone(), b"other".to_vec());
+        // The victim and three neighbours fill the memtable: it spills into
+        // a run, so reading the victim back goes to the backend.
+        store.put(victim.clone(), b"old".to_vec());
+        for _ in 0..3 {
+            store.put(same_stripe.next().unwrap(), b"x".to_vec());
+        }
+
+        // The overwrite reads the old value from the run, fails, and panics
+        // while it holds the stripe lock.
+        plan.set_outage(true);
+        let put = catch_unwind(AssertUnwindSafe(|| {
+            store.put(victim.clone(), b"new".to_vec())
+        }));
+        assert!(put.is_err(), "a failed run read panics");
+        plan.set_outage(false);
+
+        // The backend is back, but the stripe stays stopped: the next request
+        // on it panics instead of running on whatever the panic left.
+        let get = catch_unwind(AssertUnwindSafe(|| store.get(&victim)));
+        assert!(get.is_err(), "a poisoned stripe must not serve requests");
+        // Other stripes carry on.
+        assert_eq!(store.get(&other), Some(b"other".to_vec()));
     }
 
     #[test]

@@ -171,18 +171,6 @@ impl Sharded<ShareEntry> {
         self.lookup(fp).is_some()
     }
 
-    /// Whether the given user already owns the share (the intra-user
-    /// deduplication test answered on behalf of a client).
-    pub fn user_owns(&self, fp: &Fingerprint, user: u64) -> bool {
-        self.lookup(fp).is_some_and(|e| e.owned_by(user))
-    }
-
-    /// For a batch of fingerprints, returns which ones the user has already
-    /// uploaded (the reply to a client's intra-user dedup query, §3.3).
-    pub fn filter_user_duplicates(&self, user: u64, fps: &[Fingerprint]) -> Vec<bool> {
-        fps.iter().map(|fp| self.user_owns(fp, user)).collect()
-    }
-
     /// Records that `user` references the share, storing it first if it is
     /// new. The `store` action runs under the fingerprint's stripe lock, so
     /// two threads racing on the same fingerprint invoke it exactly once —
@@ -416,10 +404,8 @@ mod tests {
         let index: ShardedShareIndex = crate::sharded::tests::fresh();
         add(&index, &fp(1), loc(1, 10), 7);
         add(&index, &fp(2), loc(1, 10), 8);
-        let result = index.filter_user_duplicates(7, &[fp(1), fp(2), fp(3)]);
-        assert_eq!(result, vec![true, false, false]);
-        assert!(index.user_owns(&fp(1), 7));
-        assert!(!index.user_owns(&fp(2), 7));
+        assert!(index.lookup(&fp(1)).unwrap().owned_by(7));
+        assert!(!index.lookup(&fp(2)).unwrap().owned_by(7));
     }
 
     #[test]

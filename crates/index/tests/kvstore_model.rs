@@ -81,12 +81,12 @@ fn run_model(ops: &[Op]) -> Result<(), TestCaseError> {
                 store.delete(&key_bytes(*k));
                 model.remove(&key_bytes(*k));
             }
-            Op::Flush => store.flush(),
-            Op::Compact => store.compact(),
+            Op::Flush => store.try_flush().unwrap(),
+            Op::Compact => store.try_compact().unwrap(),
             Op::Reopen => {
                 // Reopening only resumes what was made durable; flush
                 // first so the model and the store stay comparable.
-                store.flush();
+                store.try_flush().unwrap();
                 drop(store);
                 store = reopen();
             }
@@ -155,7 +155,7 @@ fn seeded_store() -> (
                 history.entry(key_bytes(k)).or_default().push(value);
             }
         }
-        store.flush();
+        store.try_flush().unwrap();
     }
     (backend, model, history)
 }
@@ -210,7 +210,7 @@ fn truncated_run_objects_reopen_consistently() {
             }
             // The survivor must still be writable and durable.
             store.put(b"post-crash".to_vec(), vec![cut as u8]);
-            store.flush();
+            store.try_flush().unwrap();
             assert_eq!(store.get(b"post-crash"), Some(vec![cut as u8]));
             // Restore the incarnation for the next cut (including the run
             // object the reopen above deleted and possibly re-sequenced).

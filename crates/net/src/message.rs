@@ -180,14 +180,24 @@ fn write_fingerprints(w: &mut WireWriter, fps: &[Fingerprint]) {
     }
 }
 
-fn read_fingerprints(r: &mut WireReader<'_>) -> Option<Vec<Fingerprint>> {
+/// A `u32` count, then that many items. The vector is sized for no more
+/// items than the bytes left could encode at `min_bytes` each, so a hostile
+/// count costs no more memory than the frame that carries it.
+fn read_vec<'a, T>(
+    r: &mut WireReader<'a>,
+    min_bytes: usize,
+    mut item: impl FnMut(&mut WireReader<'a>) -> Option<T>,
+) -> Option<Vec<T>> {
     let n = r.u32()? as usize;
-    // Cap pre-allocation by what the frame could physically carry.
-    let mut fps = Vec::with_capacity(n.min(1 << 20));
+    let mut items = Vec::with_capacity(n.min(r.remaining() / min_bytes));
     for _ in 0..n {
-        fps.push(r.fingerprint()?);
+        items.push(item(r)?);
     }
-    Some(fps)
+    Some(items)
+}
+
+fn read_fingerprints(r: &mut WireReader<'_>) -> Option<Vec<Fingerprint>> {
+    read_vec(r, Fingerprint::SIZE, WireReader::fingerprint)
 }
 
 fn write_share_metadata(w: &mut WireWriter, m: &ShareMetadata) {
@@ -235,12 +245,9 @@ type ShareBatch = Vec<(ShareMetadata, Vec<u8>)>;
 /// The `StoreShares` body: `user` and its batch.
 fn read_store_shares(r: &mut WireReader<'_>) -> Option<(u64, ShareBatch)> {
     let user = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut shares = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let meta = read_share_metadata(r)?;
-        shares.push((meta, r.bytes()?));
-    }
+    let shares = read_vec(r, SHARE_METADATA_BYTES + 4, |r| {
+        Some((read_share_metadata(r)?, r.bytes()?))
+    })?;
     Some((user, shares))
 }
 
@@ -277,12 +284,7 @@ fn write_shares(w: &mut WireWriter, shares: &[Vec<u8>]) {
 }
 
 fn read_shares(r: &mut WireReader<'_>) -> Option<Vec<Vec<u8>>> {
-    let n = r.u32()? as usize;
-    let mut shares = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        shares.push(r.bytes()?);
-    }
-    Some(shares)
+    read_vec(r, 4, WireReader::bytes)
 }
 
 /// Writes envelope and body of one request, returning its message type.
@@ -571,31 +573,16 @@ pub fn decode_response(msg_type: u8, payload: &[u8]) -> Option<(u64, Response)> 
         MT_PONG => Response::Pong {
             cloud_index: r.u32()?,
         },
-        MT_BOOLS => {
-            let n = r.u32()? as usize;
-            let mut bools = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                bools.push(r.bool()?);
-            }
-            Response::Bools(bools)
-        }
-        MT_RECEIPT => {
-            let new_bytes = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut verdicts = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                verdicts.push(match r.u8()? {
-                    0 => ShareVerdict::Stored,
-                    1 => ShareVerdict::DuplicateInterUser,
-                    2 => ShareVerdict::DuplicateIntraUser,
-                    _ => return None,
-                });
-            }
-            Response::Receipt(StoreReceipt {
-                new_bytes,
-                verdicts,
-            })
-        }
+        MT_BOOLS => Response::Bools(read_vec(&mut r, 1, WireReader::bool)?),
+        MT_RECEIPT => Response::Receipt(StoreReceipt {
+            new_bytes: r.u64()?,
+            verdicts: read_vec(&mut r, 1, |r| match r.u8()? {
+                0 => Some(ShareVerdict::Stored),
+                1 => Some(ShareVerdict::DuplicateInterUser),
+                2 => Some(ShareVerdict::DuplicateIntraUser),
+                _ => None,
+            })?,
+        }),
         MT_UNIT => Response::Unit,
         MT_BOOL => Response::Bool(r.bool()?),
         MT_RECIPE => Response::Recipe {

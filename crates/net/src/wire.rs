@@ -88,6 +88,12 @@ impl<'a> WireReader<'a> {
         self.buf.is_empty()
     }
 
+    /// Bytes not yet consumed: the most any count read from here can
+    /// describe, so decoders size pre-allocations by it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.buf.len() < n {
             return None;

@@ -10,11 +10,10 @@
 //!   prior convergent instantiation, deduplicable because identical secrets
 //!   produce identical packages and therefore identical shares.
 
-use cdstore_crypto::sha256;
+use cdstore_crypto::{os_random, sha256};
 use cdstore_erasure::ReedSolomon;
-use rand::RngCore;
 
-use crate::{aont, validate_shares, SecretSharing, SharingError};
+use crate::{aont, draw, validate_shares, SecretSharing, SharingError};
 
 /// Shared implementation: package with a chosen key, then Reed-Solomon.
 #[derive(Debug, Clone)]
@@ -70,15 +69,11 @@ impl AontRs {
         })
     }
 
-    /// Splits with an explicit RNG (deterministic tests).
-    pub fn split_with_rng<R: RngCore>(
-        &self,
-        secret: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<Vec<u8>>, SharingError> {
-        let mut key = [0u8; aont::KEY_SIZE];
-        rng.fill_bytes(&mut key);
-        self.inner.split_with_key(secret, &key)
+    /// Splits under `key`, the package key that [`SecretSharing::split`]
+    /// draws from the OS. Panics unless it is [`aont::KEY_SIZE`] bytes.
+    pub fn split_with(&self, secret: &[u8], key: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
+        let key = key.try_into().expect("a key is aont::KEY_SIZE bytes");
+        self.inner.split_with_key(secret, key)
     }
 }
 
@@ -104,7 +99,7 @@ impl SecretSharing for AontRs {
     }
 
     fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
-        self.split_with_rng(secret, &mut rand::thread_rng())
+        self.split_with(secret, &draw(aont::KEY_SIZE, os_random)?)
     }
 
     fn reconstruct(
@@ -192,7 +187,8 @@ impl SecretSharing for CaontRsRivest {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::io;
 
     fn drop_shares(shares: Vec<Vec<u8>>, drop: &[usize]) -> Vec<Option<Vec<u8>>> {
         shares
@@ -227,13 +223,26 @@ mod tests {
     fn aont_rs_deterministic_with_seeded_rng() {
         let scheme = AontRs::new(4, 3).unwrap();
         let secret = b"seeded aont".to_vec();
-        let a = scheme
-            .split_with_rng(&secret, &mut rand::rngs::StdRng::seed_from_u64(3))
-            .unwrap();
-        let b = scheme
-            .split_with_rng(&secret, &mut rand::rngs::StdRng::seed_from_u64(3))
-            .unwrap();
+        let mut key = [0u8; aont::KEY_SIZE];
+        rand::rngs::StdRng::seed_from_u64(3).fill(&mut key[..]);
+        let a = scheme.split_with(&secret, &key).unwrap();
+        let b = scheme.split_with(&secret, &key).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn aont_rs_split_fails_closed_without_entropy() {
+        // `split` is `split_with(secret, &draw(KEY_SIZE, os_random)?)`; here
+        // the source is one that cannot be read.
+        let scheme = AontRs::new(4, 3).unwrap();
+        let split = |fill: fn(&mut [u8]) -> io::Result<()>| {
+            draw(aont::KEY_SIZE, fill).and_then(|key| scheme.split_with(b"secret", &key))
+        };
+        let unreadable = |_: &mut [u8]| Err(io::Error::other("device gone"));
+        let empty = |buf: &mut [u8]| io::Read::read_exact(&mut io::empty(), buf);
+        assert!(matches!(split(unreadable), Err(SharingError::Entropy(_))));
+        assert!(matches!(split(empty), Err(SharingError::Entropy(_))));
+        assert_eq!(split(os_random).unwrap().len(), 4);
     }
 
     #[test]

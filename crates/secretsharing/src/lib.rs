@@ -49,6 +49,7 @@ pub mod ssms;
 pub mod ssss;
 
 use core::fmt;
+use std::io;
 
 pub use aont_rs::{AontRs, CaontRsRivest};
 pub use caont_rs::CaontRs;
@@ -87,6 +88,8 @@ pub enum SharingError {
     Erasure(String),
     /// A parallel coding worker panicked; the payload is the panic message.
     WorkerPanic(String),
+    /// The OS could not supply a random-key scheme's randomness.
+    Entropy(String),
 }
 
 impl fmt::Display for SharingError {
@@ -104,6 +107,7 @@ impl fmt::Display for SharingError {
             SharingError::IntegrityCheckFailed => write!(f, "integrity check failed"),
             SharingError::Erasure(msg) => write!(f, "erasure coding error: {msg}"),
             SharingError::WorkerPanic(msg) => write!(f, "coding worker panicked: {msg}"),
+            SharingError::Entropy(msg) => write!(f, "no OS entropy: {msg}"),
         }
     }
 }
@@ -330,6 +334,17 @@ pub(crate) fn validate_n_k(n: usize, k: usize) -> Result<(), SharingError> {
         )));
     }
     Ok(())
+}
+
+/// `len` bytes from `fill` ([`cdstore_crypto::os_random`] in every `split`),
+/// or [`SharingError::Entropy`]: a scheme's randomness never falls back.
+pub(crate) fn draw(
+    len: usize,
+    fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
+) -> Result<Vec<u8>, SharingError> {
+    let mut random = vec![0u8; len];
+    fill(&mut random).map_err(|e| SharingError::Entropy(e.to_string()))?;
+    Ok(random)
 }
 
 /// Collects the indices of available shares and validates counts/sizes.

@@ -7,11 +7,11 @@
 //! anything, and the storage blowup is `n / (k − r)` — trading
 //! confidentiality (`r`) against storage.
 
+use cdstore_crypto::os_random;
 use cdstore_erasure::{pad_and_split, shard_size};
 use cdstore_gf::{region, Matrix};
-use rand::RngCore;
 
-use crate::{validate_shares, SecretSharing, SharingError};
+use crate::{draw, validate_shares, SecretSharing, SharingError};
 
 /// Ramp `(n, k, r)` secret sharing over GF(2^8).
 #[derive(Debug, Clone)]
@@ -49,20 +49,19 @@ impl Rsss {
         shard_size(secret_len, self.k - self.r)
     }
 
-    /// Splits with an explicit RNG (deterministic tests).
-    pub fn split_with_rng<R: RngCore>(
-        &self,
-        secret: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<Vec<u8>>, SharingError> {
-        let data_pieces = pad_and_split(secret, self.k - self.r);
-        let piece_len = data_pieces[0].len();
-        let mut pieces = data_pieces;
-        for _ in 0..self.r {
-            let mut random = vec![0u8; piece_len];
-            rng.fill_bytes(&mut random);
-            pieces.push(random);
-        }
+    /// Random bytes a split draws: `r` pieces of one share's size.
+    pub fn random_len(&self, secret_len: usize) -> usize {
+        self.r * self.share_size(secret_len)
+    }
+
+    /// Splits with the `r` random pieces taken from `random`, which
+    /// [`SecretSharing::split`] draws from the OS. Panics unless `random` is
+    /// [`Rsss::random_len`] bytes.
+    pub fn split_with(&self, secret: &[u8], random: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
+        assert_eq!(random.len(), self.random_len(secret.len()));
+        let mut pieces = pad_and_split(secret, self.k - self.r);
+        let piece_len = pieces[0].len();
+        pieces.extend((0..self.r).map(|i| random[i * piece_len..][..piece_len].to_vec()));
         let refs: Vec<&[u8]> = pieces.iter().map(|p| p.as_slice()).collect();
         let mut shares = vec![vec![0u8; piece_len]; self.n];
         let mut share_refs: Vec<&mut [u8]> = shares.iter_mut().map(|s| s.as_mut_slice()).collect();
@@ -99,7 +98,7 @@ impl SecretSharing for Rsss {
     }
 
     fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
-        self.split_with_rng(secret, &mut rand::thread_rng())
+        self.split_with(secret, &draw(self.random_len(secret.len()), os_random)?)
     }
 
     fn reconstruct(
@@ -143,7 +142,7 @@ impl SecretSharing for Rsss {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn round_trip_basic() {
@@ -237,12 +236,13 @@ mod tests {
         #[test]
         fn round_trips_with_erasures(secret in proptest::collection::vec(any::<u8>(), 1..400),
                                      seed: u64) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let n = 6;
             let k = 4;
             let r = (seed % 4) as usize; // 0..=3 < k
             let scheme = Rsss::new(n, k, r).unwrap();
-            let shares = scheme.split_with_rng(&secret, &mut rng).unwrap();
+            let mut random = vec![0u8; scheme.random_len(secret.len())];
+            rand::rngs::StdRng::seed_from_u64(seed).fill(&mut random[..]);
+            let shares = scheme.split_with(&secret, &random).unwrap();
             // Drop n - k arbitrary shares (here: the first two).
             let received: Vec<Option<Vec<u8>>> = shares.into_iter().enumerate()
                 .map(|(i, s)| (i >= 2).then_some(s))

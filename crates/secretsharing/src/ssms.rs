@@ -8,11 +8,10 @@
 //! the Table 1 blowup `n/k + n · S_key / S_sec` with computational
 //! confidentiality degree `r = k − 1`.
 
-use cdstore_crypto::ctr::Aes256Ctr;
+use cdstore_crypto::{ctr::Aes256Ctr, os_random};
 use cdstore_erasure::{shard_size, ReedSolomon};
-use rand::RngCore;
 
-use crate::{ssss::Ssss, validate_shares, SecretSharing, SharingError};
+use crate::{draw, ssss::Ssss, validate_shares, SecretSharing, SharingError};
 
 /// Size of the random data-encryption key in bytes (AES-256).
 pub const KEY_SIZE: usize = 32;
@@ -38,19 +37,21 @@ impl Ssms {
         })
     }
 
-    /// Splits with an explicit RNG (deterministic tests).
-    pub fn split_with_rng<R: RngCore>(
-        &self,
-        secret: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<Vec<u8>>, SharingError> {
-        // Encrypt the secret with a fresh random key.
-        let mut key = [0u8; KEY_SIZE];
-        rng.fill_bytes(&mut key);
-        let ciphertext = Aes256Ctr::new(&key, 0).encrypt(secret);
+    /// Random bytes a split draws: the key, then the SSSS coefficients.
+    pub fn random_len(&self) -> usize {
+        KEY_SIZE + self.key_sharing.random_len(KEY_SIZE)
+    }
+
+    /// Splits with the key and its sharing coefficients taken from `random`,
+    /// which [`SecretSharing::split`] draws from the OS. Panics unless
+    /// `random` is [`Ssms::random_len`] bytes.
+    pub fn split_with(&self, secret: &[u8], random: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
+        assert_eq!(random.len(), self.random_len());
+        let (key, coefficients) = random.split_at(KEY_SIZE);
+        let ciphertext = Aes256Ctr::new(key.try_into().expect("length checked"), 0).encrypt(secret);
         // Disperse the ciphertext with IDA and the key with SSSS.
         let data_shares = self.rs.encode_data(&ciphertext)?;
-        let key_shares = self.key_sharing.split_with_rng(&key, rng)?;
+        let key_shares = self.key_sharing.split_with(key, coefficients)?;
         // Each share is ciphertext fragment || key fragment.
         Ok(data_shares
             .into_iter()
@@ -85,7 +86,7 @@ impl SecretSharing for Ssms {
     }
 
     fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
-        self.split_with_rng(secret, &mut rand::thread_rng())
+        self.split_with(secret, &draw(self.random_len(), os_random)?)
     }
 
     fn reconstruct(

@@ -6,10 +6,10 @@
 //! interpolation; `k−1` or fewer reveal nothing (information-theoretically).
 //! Each share has the same size as the secret, so the storage blowup is `n`.
 
+use cdstore_crypto::os_random;
 use cdstore_gf::{poly, Gf256};
-use rand::RngCore;
 
-use crate::{validate_n_k, validate_shares, SecretSharing, SharingError};
+use crate::{draw, validate_n_k, validate_shares, SecretSharing, SharingError};
 
 /// Shamir's `(n, k)` secret sharing over GF(2^8).
 #[derive(Debug, Clone)]
@@ -25,19 +25,25 @@ impl Ssss {
         Ok(Ssss { n, k })
     }
 
-    /// Splits with an explicit random number generator (deterministic tests).
-    pub fn split_with_rng<R: RngCore>(
-        &self,
-        secret: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<Vec<u8>>, SharingError> {
+    /// Random bytes a split draws: `k − 1` coefficients per secret byte.
+    pub fn random_len(&self, secret_len: usize) -> usize {
+        (self.k - 1) * secret_len
+    }
+
+    /// Splits with the polynomials' coefficients taken from `random`, which
+    /// [`SecretSharing::split`] draws from the OS: byte `i` of the secret
+    /// uses the `k − 1` bytes from `i · (k − 1)`. Panics unless `random` is
+    /// [`Ssss::random_len`] bytes.
+    pub fn split_with(&self, secret: &[u8], random: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
+        assert_eq!(random.len(), self.random_len(secret.len()));
+        let degree = self.k - 1;
         let mut shares = vec![vec![0u8; secret.len()]; self.n];
-        // Random coefficients for degree 1..k-1, refreshed per byte.
         let mut coeffs = vec![Gf256::ZERO; self.k];
         for (byte_idx, &s) in secret.iter().enumerate() {
             coeffs[0] = Gf256::new(s);
-            for c in coeffs.iter_mut().skip(1) {
-                *c = Gf256::new((rng.next_u32() & 0xff) as u8);
+            let random = &random[byte_idx * degree..][..degree];
+            for (c, &r) in coeffs[1..].iter_mut().zip(random) {
+                *c = Gf256::new(r);
             }
             for (share_idx, share) in shares.iter_mut().enumerate() {
                 let x = Gf256::new((share_idx + 1) as u8);
@@ -71,7 +77,7 @@ impl SecretSharing for Ssss {
     }
 
     fn split(&self, secret: &[u8]) -> Result<Vec<Vec<u8>>, SharingError> {
-        self.split_with_rng(secret, &mut rand::thread_rng())
+        self.split_with(secret, &draw(self.random_len(secret.len()), os_random)?)
     }
 
     fn reconstruct(
@@ -105,7 +111,14 @@ impl SecretSharing for Ssss {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `len` bytes from a seeded generator.
+    fn seeded(len: usize, seed: u64) -> Vec<u8> {
+        let mut random = vec![0u8; len];
+        rand::rngs::StdRng::seed_from_u64(seed).fill(&mut random[..]);
+        random
+    }
 
     #[test]
     fn round_trip_with_all_shares() {
@@ -161,11 +174,10 @@ mod tests {
     fn deterministic_with_seeded_rng() {
         let scheme = Ssss::new(4, 2).unwrap();
         let secret = b"seeded".to_vec();
-        let mut rng1 = rand::rngs::StdRng::seed_from_u64(9);
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(9);
+        let random = seeded(scheme.random_len(secret.len()), 9);
         assert_eq!(
-            scheme.split_with_rng(&secret, &mut rng1).unwrap(),
-            scheme.split_with_rng(&secret, &mut rng2).unwrap()
+            scheme.split_with(&secret, &random).unwrap(),
+            scheme.split_with(&secret, &random).unwrap()
         );
     }
 
@@ -203,10 +215,10 @@ mod tests {
         fn random_subsets_round_trip(secret in proptest::collection::vec(any::<u8>(), 0..200),
                                      seed: u64,
                                      n in 3usize..8) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let k = 2 + (seed as usize % (n - 2).max(1)).min(n - 2);
             let scheme = Ssss::new(n, k).unwrap();
-            let shares = scheme.split_with_rng(&secret, &mut rng).unwrap();
+            let random = seeded(scheme.random_len(secret.len()), seed);
+            let shares = scheme.split_with(&secret, &random).unwrap();
             // Keep the last k shares (arbitrary subset).
             let received: Vec<Option<Vec<u8>>> = (0..n)
                 .map(|i| (i >= n - k).then(|| shares[i].clone()))

@@ -11,8 +11,7 @@ use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
-
-use parking_lot::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Errors returned by storage backends.
 #[derive(Debug)]
@@ -135,15 +134,23 @@ impl MemoryBackend {
         Self::default()
     }
 
+    fn objects(&self) -> RwLockReadGuard<'_, BTreeMap<String, Vec<u8>>> {
+        self.objects.read().expect("memory backend lock")
+    }
+
+    fn objects_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Vec<u8>>> {
+        self.objects.write().expect("memory backend lock")
+    }
+
     /// Number of stored objects.
     pub fn object_count(&self) -> usize {
-        self.objects.read().len()
+        self.objects().len()
     }
 
     /// Corrupts an object by flipping a byte (failure-injection helper for
     /// integrity tests).
     pub fn corrupt(&self, key: &str, byte_index: usize) -> Result<(), StorageError> {
-        let mut objects = self.objects.write();
+        let mut objects = self.objects_mut();
         let data = objects
             .get_mut(key)
             .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
@@ -156,40 +163,38 @@ impl MemoryBackend {
 
 impl StorageBackend for MemoryBackend {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.objects.write().insert(key.to_string(), data.to_vec());
+        self.objects_mut().insert(key.to_string(), data.to_vec());
         Ok(())
     }
 
     fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
         // `concat` sizes the one allocation exactly; it becomes the object.
-        self.objects.write().insert(key.to_string(), parts.concat());
+        self.objects_mut().insert(key.to_string(), parts.concat());
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        self.objects
-            .read()
+        self.objects()
             .get(key)
             .cloned()
             .ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
 
     fn delete(&self, key: &str) -> Result<(), StorageError> {
-        self.objects.write().remove(key);
+        self.objects_mut().remove(key);
         Ok(())
     }
 
     fn exists(&self, key: &str) -> Result<bool, StorageError> {
-        Ok(self.objects.read().contains_key(key))
+        Ok(self.objects().contains_key(key))
     }
 
     fn list(&self) -> Result<Vec<String>, StorageError> {
-        Ok(self.objects.read().keys().cloned().collect())
+        Ok(self.objects().keys().cloned().collect())
     }
 
     fn append(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.objects
-            .write()
+        self.objects_mut()
             .entry(key.to_string())
             .or_default()
             .extend_from_slice(data);
@@ -197,15 +202,14 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn object_size(&self, key: &str) -> Result<u64, StorageError> {
-        self.objects
-            .read()
+        self.objects()
             .get(key)
             .map(|v| v.len() as u64)
             .ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
 
     fn read_range(&self, key: &str, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
-        let objects = self.objects.read();
+        let objects = self.objects();
         let data = objects
             .get(key)
             .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
@@ -213,7 +217,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn total_bytes(&self) -> Result<u64, StorageError> {
-        Ok(self.objects.read().values().map(|v| v.len() as u64).sum())
+        Ok(self.objects().values().map(|v| v.len() as u64).sum())
     }
 }
 

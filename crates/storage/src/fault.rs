@@ -23,10 +23,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::backend::{StorageBackend, StorageError};
 
@@ -332,7 +330,7 @@ impl FaultPlan {
 
     /// The injected faults recorded so far, in injection order.
     pub fn schedule(&self) -> Vec<FaultEvent> {
-        self.log.lock().clone()
+        self.log.lock().expect("fault log lock").clone()
     }
 
     /// Events discarded after the log cap was reached.
@@ -344,7 +342,7 @@ impl FaultPlan {
     /// names the seed — the artifact CI uploads on a chaos failure, and the
     /// input to "replay this locally" (see `docs/chaos.md`).
     pub fn render_schedule(&self) -> String {
-        let log = self.log.lock();
+        let log = self.log.lock().expect("fault log lock");
         let mut out = String::with_capacity(64 + log.len() * 48);
         out.push_str(&format!(
             "# fault schedule: seed={} ticks={} events={} dropped={}\n",
@@ -360,7 +358,7 @@ impl FaultPlan {
     }
 
     fn record(&self, event: FaultEvent) {
-        let mut log = self.log.lock();
+        let mut log = self.log.lock().expect("fault log lock");
         if log.len() < MAX_LOGGED_EVENTS {
             log.push(event);
         } else {

@@ -58,10 +58,9 @@
 //! *group* is the same shape: the records before the tear replay, the rest of
 //! the group is discarded with the tail.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cdstore_crypto::crc32::crc32;
-use parking_lot::Mutex;
 
 use crate::backend::{StorageBackend, StorageError};
 
@@ -346,14 +345,14 @@ impl Journal {
     /// lock that serialises mutations of the record's key, so the staging
     /// order *is* the apply order.
     pub fn stage(&self, payload: impl FnOnce(&mut Vec<u8>)) {
-        let mut staging = self.staging.lock();
+        let mut staging = self.staging.lock().expect("journal staging lock");
         frame_record_into(&mut staging.frames, payload);
         staging.records += 1;
     }
 
     /// Whether any staged record awaits a commit.
     pub fn has_staged(&self) -> bool {
-        self.staging.lock().records > 0
+        self.staging.lock().expect("journal staging lock").records > 0
     }
 
     /// Makes every record staged so far — by any thread — durable with one
@@ -364,8 +363,8 @@ impl Journal {
     /// whether to fail its operation or to count the lapse and re-baseline
     /// with a prompt checkpoint (the CDStore server does the latter).
     pub fn commit(&self) -> Result<(), StorageError> {
-        let mut state = self.state.lock();
-        let group = std::mem::take(&mut *self.staging.lock());
+        let mut state = self.state.lock().expect("journal writer lock");
+        let group = std::mem::take(&mut *self.staging.lock().expect("journal staging lock"));
         if group.records == 0 {
             return Ok(());
         }
@@ -403,7 +402,8 @@ impl Journal {
 
     /// Records committed since the last committed checkpoint.
     pub fn records_since_checkpoint(&self) -> u64 {
-        self.state.lock().records_since_checkpoint
+        let state = self.state.lock().expect("journal writer lock");
+        state.records_since_checkpoint
     }
 
     /// Commits a checkpoint: persists the snapshot under the next epoch,
@@ -414,7 +414,7 @@ impl Journal {
     /// state is deleted, so recovery always finds either the old epoch
     /// intact or the new one (or both, in which case the newer wins).
     pub fn commit_checkpoint(&self, snapshot: &[u8]) -> Result<(), StorageError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().expect("journal writer lock");
         if state.reset_pending {
             self.sweep(None)?;
             state.reset_pending = false;
@@ -795,6 +795,76 @@ mod tests {
             let boundary: usize = decoded.iter().map(|r| 8 + r.len()).sum();
             prop_assert_eq!(torn, boundary != cut);
             prop_assert!(cut - boundary < 8 + records.get(decoded.len()).map_or(1, Vec::len));
+        }
+    }
+
+    /// Hostile-input cases: a quick pass under `cargo test`, thousands in
+    /// release builds.
+    const HOSTILE_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 4096 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(HOSTILE_CASES))]
+
+        // Whatever the bytes, each record decoded is a whole checksummed
+        // frame of the input, in order, and `torn` says whether bytes were
+        // left over.
+        #[test]
+        fn arbitrary_bytes_decode_to_their_own_frames_or_a_torn_tail(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            zero_headers: bool,
+        ) {
+            let mut bytes = bytes;
+            if zero_headers && bytes.len() >= 8 {
+                // An empty payload's CRC is zero: a zeroed header is a frame.
+                bytes[..8].fill(0);
+            }
+            let (records, torn) = decode_records(&bytes);
+            let mut rest = &bytes[..];
+            for record in &records {
+                let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+                prop_assert_eq!(len, record.len());
+                prop_assert_eq!(&rest[8..8 + len], &record[..]);
+                rest = &rest[8 + len..];
+            }
+            prop_assert_eq!(torn, !rest.is_empty());
+        }
+
+        // One changed byte drops the frame holding it and everything after:
+        // appends are ordered, so nothing beyond a bad frame is trusted.
+        #[test]
+        fn one_mutated_byte_cuts_the_stream_at_its_frame(
+            sizes in proptest::collection::vec(0usize..100, 1..20),
+            at: u32,
+            value: u8,
+        ) {
+            let records: Vec<Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| vec![i as u8; len])
+                .collect();
+            let mut stream = Vec::new();
+            for record in &records {
+                frame_record_into(&mut stream, |out| out.extend_from_slice(record));
+            }
+            let at = at as usize % stream.len();
+            let unchanged = stream[at] == value;
+            stream[at] = value;
+            let (decoded, torn) = decode_records(&stream);
+            if unchanged {
+                prop_assert!(!torn);
+                prop_assert_eq!(decoded, records);
+            } else {
+                let mut end = 0;
+                let frame = records
+                    .iter()
+                    .take_while(|r| {
+                        end += 8 + r.len();
+                        end <= at
+                    })
+                    .count();
+                prop_assert!(torn);
+                prop_assert_eq!(&decoded[..], &records[..frame]);
+            }
         }
     }
 }

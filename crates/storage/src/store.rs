@@ -17,10 +17,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use cdstore_crypto::Fingerprint;
-use parking_lot::{Mutex, RwLock};
 
 use crate::backend::{StorageBackend, StorageError};
 use crate::cache::LruCache;
@@ -200,6 +199,11 @@ pub struct ContainerStore {
     stats: AtomicStoreStats,
 }
 
+/// Locks one user's open containers.
+fn locked(entry: &Mutex<OpenContainers>) -> MutexGuard<'_, OpenContainers> {
+    entry.lock().expect("user containers lock")
+}
+
 impl ContainerStore {
     /// Creates a container store over the given backend with the default
     /// cache size.
@@ -220,16 +224,42 @@ impl ContainerStore {
         }
     }
 
+    fn open_by_id(&self) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<OpenContainers>>>> {
+        self.open_by_id.lock().expect("container id lock")
+    }
+
+    fn cache(&self) -> MutexGuard<'_, LruCache<u64, Container>> {
+        self.cache.lock().expect("container cache lock")
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, HashMap<u64, ContainerUsage>> {
+        self.ledger.lock().expect("ledger lock")
+    }
+
     fn object_key(container_id: u64) -> String {
         container_key(container_id)
     }
 
     /// Returns the user's open-container entry, creating it if needed.
     fn user_entry(&self, user: u64) -> Arc<Mutex<OpenContainers>> {
-        if let Some(entry) = self.open.read().get(&user) {
+        if let Some(entry) = self.open.read().expect("open containers lock").get(&user) {
             return entry.clone();
         }
-        self.open.write().entry(user).or_default().clone()
+        let mut open = self.open.write().expect("open containers lock");
+        open.entry(user).or_default().clone()
+    }
+
+    /// Every user's open containers, in user order, not HashMap order: a
+    /// seeded fault-injection replay must see the identical backend op
+    /// sequence on every run.
+    fn open_entries(&self) -> Vec<Arc<Mutex<OpenContainers>>> {
+        let open = self.open.read().expect("open containers lock");
+        let mut entries: Vec<_> = open.iter().collect();
+        entries.sort_by_key(|(user, _)| **user);
+        entries
+            .into_iter()
+            .map(|(_, entry)| entry.clone())
+            .collect()
     }
 
     /// Appends a share to the user's open share container, returning where it
@@ -263,7 +293,7 @@ impl ContainerStore {
         kind: ContainerKind,
     ) -> Result<ShareLocation, StorageError> {
         let entry = self.user_entry(user);
-        let mut open = entry.lock();
+        let mut open = locked(&entry);
         let slot = open.slot(kind);
         // Seal the open container first if this blob would overflow it.
         if slot
@@ -275,13 +305,12 @@ impl ContainerStore {
         }
         let builder = open.slot(kind).get_or_insert_with(|| {
             let id = self.next_container_id.fetch_add(1, Ordering::Relaxed);
-            self.open_by_id.lock().insert(id, entry.clone());
+            self.open_by_id().insert(id, entry.clone());
             ContainerBuilder::new(id, user, kind)
         });
         let offset = builder.append(fingerprint, data);
         let id = builder.id();
-        self.ledger
-            .lock()
+        self.ledger()
             .entry(id)
             .or_insert_with(|| ContainerUsage::new(kind))
             .live_bytes += data.len() as u64;
@@ -303,8 +332,8 @@ impl ContainerStore {
         };
         let id = builder.id();
         if builder.is_empty() {
-            self.open_by_id.lock().remove(&id);
-            self.ledger.lock().remove(&id);
+            self.open_by_id().remove(&id);
+            self.ledger().remove(&id);
             return Ok(());
         }
         let container = builder.seal();
@@ -325,15 +354,15 @@ impl ContainerStore {
         self.stats
             .bytes_written
             .fetch_add((header.len() + size) as u64, Ordering::Relaxed);
-        self.cache.lock().put(id, container, size);
-        if let Some(usage) = self.ledger.lock().get_mut(&id) {
+        self.cache().put(id, container, size);
+        if let Some(usage) = self.ledger().get_mut(&id) {
             usage.sealed = true;
         }
         // Deregister only after the write landed: a reader racing the seal
         // still resolves the id through `open_by_id`, blocks on the user's
         // entry lock, misses the builder, and falls through to the cache
         // populated above — never to a backend miss.
-        self.open_by_id.lock().remove(&id);
+        self.open_by_id().remove(&id);
         Ok(())
     }
 
@@ -341,17 +370,8 @@ impl ContainerStore {
     /// user, then prunes idle per-user entries so a long-lived server does
     /// not accumulate one entry per user ever seen.
     pub fn flush(&self) -> Result<(), StorageError> {
-        // Seal in user order, not HashMap order: a seeded fault-injection
-        // replay must see the identical backend op sequence on every run.
-        let mut entries: Vec<(u64, Arc<Mutex<OpenContainers>>)> = self
-            .open
-            .read()
-            .iter()
-            .map(|(user, entry)| (*user, Arc::clone(entry)))
-            .collect();
-        entries.sort_by_key(|(user, _)| *user);
-        for (_, entry) in entries {
-            let mut open = entry.lock();
+        for entry in self.open_entries() {
+            let mut open = locked(&entry);
             self.seal_slot(&mut open.share)?;
             self.seal_slot(&mut open.recipe)?;
         }
@@ -360,7 +380,10 @@ impl ContainerStore {
         // in `open_by_id`) or that still buffer data.
         self.open
             .write()
-            .retain(|_, entry| Arc::strong_count(entry) > 1 || entry.lock().builders().count() > 0);
+            .expect("open containers lock")
+            .retain(|_, entry| {
+                Arc::strong_count(entry) > 1 || locked(entry).builders().count() > 0
+            });
         Ok(())
     }
 
@@ -370,22 +393,15 @@ impl ContainerStore {
     /// containers open, so periodic vacuums do not fragment active backup
     /// streams into under-filled containers.
     pub fn flush_dead(&self) -> Result<(), StorageError> {
-        let mut entries: Vec<(u64, Arc<Mutex<OpenContainers>>)> = self
-            .open
-            .read()
-            .iter()
-            .map(|(user, entry)| (*user, Arc::clone(entry)))
-            .collect();
-        entries.sort_by_key(|(user, _)| *user);
-        for (_, entry) in entries {
-            let mut open = entry.lock();
+        for entry in self.open_entries() {
+            let mut open = locked(&entry);
             for kind in [ContainerKind::Share, ContainerKind::Recipe] {
                 let slot = open.slot(kind);
                 let Some(builder) = slot.as_ref() else {
                     continue;
                 };
                 let id = builder.id();
-                let Some(usage) = self.ledger.lock().get(&id).copied() else {
+                let Some(usage) = self.ledger().get(&id).copied() else {
                     continue;
                 };
                 if usage.dead_bytes == 0 {
@@ -394,8 +410,8 @@ impl ContainerStore {
                 if usage.live_bytes == 0 {
                     // Every blob is already dead: discard the buffer without
                     // ever writing it to the backend (nothing references it).
-                    self.open_by_id.lock().remove(&id);
-                    self.ledger.lock().remove(&id);
+                    self.open_by_id().remove(&id);
+                    self.ledger().remove(&id);
                     *slot = None;
                 } else {
                     self.seal_slot(slot)?;
@@ -410,10 +426,10 @@ impl ContainerStore {
     /// rewrote live shares into durable without disturbing unrelated users'
     /// open containers.
     pub fn seal_open_container(&self, container_id: u64) -> Result<(), StorageError> {
-        let Some(entry) = self.open_by_id.lock().get(&container_id).cloned() else {
+        let Some(entry) = self.open_by_id().get(&container_id).cloned() else {
             return Ok(());
         };
-        let mut open = entry.lock();
+        let mut open = locked(&entry);
         for kind in [ContainerKind::Share, ContainerKind::Recipe] {
             let slot = open.slot(kind);
             if slot
@@ -438,8 +454,8 @@ impl ContainerStore {
     ) -> Option<R> {
         // Clone the entry out of the id index before locking it, so this
         // read path never holds both locks at once.
-        let entry = self.open_by_id.lock().get(&container_id).cloned()?;
-        let open = entry.lock();
+        let entry = self.open_by_id().get(&container_id).cloned()?;
+        let open = locked(&entry);
         // The builder may have been sealed between the two locks; the caller
         // then falls through to the cache/backend, where the seal landed it.
         let found = open.builders().find(|b| b.id() == container_id).map(read);
@@ -461,7 +477,7 @@ impl ContainerStore {
             return blob.ok_or_else(corrupt);
         }
         // 2. The LRU cache.
-        if let Some(container) = self.cache.lock().get(&location.container_id) {
+        if let Some(container) = self.cache().get(&location.container_id) {
             self.stats.cache_reads.fetch_add(1, Ordering::Relaxed);
             return container
                 .get_at(location.offset, location.size)
@@ -478,9 +494,7 @@ impl ContainerStore {
             .get_at(location.offset, location.size)
             .map(|s| s.to_vec());
         let size = container.payload_size();
-        self.cache
-            .lock()
-            .put(location.container_id, container, size);
+        self.cache().put(location.container_id, container, size);
         blob.ok_or(StorageError::Corrupt(key))
     }
 
@@ -492,7 +506,7 @@ impl ContainerStore {
             self.stats.open_buffer_reads.fetch_add(1, Ordering::Relaxed);
             return Ok(container);
         }
-        if let Some(container) = self.cache.lock().get(&container_id) {
+        if let Some(container) = self.cache().get(&container_id) {
             self.stats.cache_reads.fetch_add(1, Ordering::Relaxed);
             return Ok(container.clone());
         }
@@ -505,8 +519,8 @@ impl ContainerStore {
     /// Deletes a sealed container from the backend (garbage collection) and
     /// drops its ledger entry.
     pub fn delete_container(&self, container_id: u64) -> Result<(), StorageError> {
-        self.cache.lock().remove(&container_id);
-        self.ledger.lock().remove(&container_id);
+        self.cache().remove(&container_id);
+        self.ledger().remove(&container_id);
         self.backend.delete(&Self::object_key(container_id))
     }
 
@@ -515,7 +529,7 @@ impl ContainerStore {
     /// Tolerant of unknown container ids (the container may already have been
     /// reclaimed by a concurrent vacuum).
     pub fn release(&self, location: &ShareLocation) {
-        if let Some(usage) = self.ledger.lock().get_mut(&location.container_id) {
+        if let Some(usage) = self.ledger().get_mut(&location.container_id) {
             let bytes = location.size as u64;
             usage.live_bytes = usage.live_bytes.saturating_sub(bytes);
             usage.dead_bytes += bytes;
@@ -524,14 +538,13 @@ impl ContainerStore {
 
     /// The liveness ledger entry of one container, if tracked.
     pub fn container_usage(&self, container_id: u64) -> Option<ContainerUsage> {
-        self.ledger.lock().get(&container_id).copied()
+        self.ledger().get(&container_id).copied()
     }
 
     /// Snapshot of every *sealed* container's liveness accounting — the
     /// candidate set a garbage-collection pass works from.
     pub fn sealed_usages(&self) -> Vec<(u64, ContainerUsage)> {
-        self.ledger
-            .lock()
+        self.ledger()
             .iter()
             .filter(|(_, usage)| usage.sealed)
             .map(|(&id, &usage)| (id, usage))
@@ -540,7 +553,7 @@ impl ContainerStore {
 
     /// Aggregate live/dead byte counts across all tracked containers.
     pub fn utilisation(&self) -> StoreUtilisation {
-        let ledger = self.ledger.lock();
+        let ledger = self.ledger();
         let mut total = StoreUtilisation::default();
         for usage in ledger.values() {
             total.live_bytes += usage.live_bytes;
@@ -597,7 +610,7 @@ impl ContainerStore {
     /// server recovery after it has cross-checked the rebuilt indices
     /// against the sealed container headers).
     pub fn restore_ledger(&self, entries: impl IntoIterator<Item = (u64, ContainerUsage)>) {
-        let mut ledger = self.ledger.lock();
+        let mut ledger = self.ledger();
         ledger.clear();
         ledger.extend(entries);
     }
@@ -792,15 +805,19 @@ mod tests {
         let (store, _) = new_store();
         store.store_share(1, fp(1), b"x").unwrap();
         store.store_share(2, fp(2), b"y").unwrap();
-        assert_eq!(store.open.read().len(), 2);
-        assert_eq!(store.open_by_id.lock().len(), 2);
+        assert_eq!(store.open.read().expect("open containers lock").len(), 2);
+        assert_eq!(store.open_by_id().len(), 2);
         store.flush().unwrap();
-        assert_eq!(store.open.read().len(), 0, "idle user entries are pruned");
-        assert!(store.open_by_id.lock().is_empty());
+        assert_eq!(
+            store.open.read().expect("open containers lock").len(),
+            0,
+            "idle user entries are pruned"
+        );
+        assert!(store.open_by_id().is_empty());
         // The store keeps working after pruning.
         let loc = store.store_share(1, fp(3), b"z").unwrap();
         assert_eq!(store.fetch(&loc).unwrap(), b"z");
-        assert_eq!(store.open_by_id.lock().len(), 1);
+        assert_eq!(store.open_by_id().len(), 1);
     }
 
     #[test]

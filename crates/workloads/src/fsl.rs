@@ -9,11 +9,9 @@
 //! * after 16 weeks the physical shares are ~6.3% of the logical data.
 
 use cdstore_crypto::sha256;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::spec::{ChunkSpec, Snapshot};
-use crate::Workload;
+use crate::{SplitMix64, Workload};
 
 /// Configuration of the FSL-like generator.
 #[derive(Debug, Clone, Copy)]
@@ -86,10 +84,10 @@ impl FslWorkload {
         u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"))
     }
 
-    fn chunk_size(rng: &mut StdRng, mean: u32) -> u32 {
+    fn chunk_size(rng: &mut SplitMix64, mean: u32) -> u32 {
         // Variable-size chunking yields sizes between min (mean/4) and max
         // (2 * mean); sample uniformly, which preserves the mean.
-        rng.gen_range(mean / 4..=mean * 2 - mean / 4)
+        rng.gen_range(mean as usize / 4..(mean * 2 - mean / 4) as usize + 1) as u32
     }
 }
 
@@ -108,7 +106,7 @@ impl Workload for FslWorkload {
 
     fn snapshots(&self) -> Vec<Vec<Snapshot>> {
         let cfg = self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = SplitMix64::new(cfg.seed);
         // Current state of each user's home directory.
         let mut state: Vec<Vec<ChunkSpec>> = Vec::with_capacity(cfg.users);
         // A small shared pool (e.g. common project files) used by every user.

@@ -24,11 +24,13 @@
 
 pub mod analysis;
 pub mod fsl;
+pub mod rng;
 pub mod spec;
 pub mod vm;
 
 pub use analysis::{weekly_dedup, DedupCounters, WeeklyDedup};
 pub use fsl::{FslConfig, FslWorkload};
+pub use rng::SplitMix64;
 pub use spec::{ChunkSpec, Snapshot};
 pub use vm::{VmConfig, VmWorkload};
 

@@ -11,11 +11,9 @@
 //! * after 16 weeks the physical shares are ~0.8% of the logical data.
 
 use cdstore_crypto::sha256;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::spec::{ChunkSpec, Snapshot};
-use crate::Workload;
+use crate::{SplitMix64, Workload};
 
 /// Configuration of the VM-like generator.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +103,7 @@ impl Workload for VmWorkload {
 
     fn snapshots(&self) -> Vec<Vec<Snapshot>> {
         let cfg = self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = SplitMix64::new(cfg.seed);
         // The master image every VM is cloned from.
         let master: Vec<ChunkSpec> = (0..cfg.chunks_per_image)
             .map(|i| ChunkSpec::new(Self::content_id("vm-master", 0, i as u64), cfg.chunk_size))
