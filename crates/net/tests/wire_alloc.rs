@@ -24,6 +24,9 @@ fn count(bytes: usize) {
     let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
 }
 
+// SAFETY: every method forwards its pointer and layout unchanged to
+// `System`, which upholds the `GlobalAlloc` contract; counting only bumps a
+// constant-initialised thread-local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
