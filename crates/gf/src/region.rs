@@ -558,6 +558,15 @@ mod tests {
         xor_into(&mut dst, &[0u8; 5]);
     }
 
+    /// A backend handed in by the caller must run on this CPU before any
+    /// SIMD arm is entered (NEON never does on x86).
+    #[test]
+    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+    #[should_panic(expected = "not on this CPU")]
+    fn a_backend_this_cpu_lacks_is_refused() {
+        Backend::Neon.mul_acc(&mut [0u8; 64], &[1u8; 64], 7);
+    }
+
     #[test]
     fn scalar_backend_is_always_available() {
         let backends = Backend::available();
