@@ -714,16 +714,18 @@ impl CdStoreServer {
         self.share_index.physical_bytes()
     }
 
-    fn user_share_key(user: u64, fp: &Fingerprint) -> Vec<u8> {
-        let mut key = Vec::with_capacity(40);
-        key.extend_from_slice(&user.to_be_bytes());
-        key.extend_from_slice(fp.as_bytes());
+    /// The ownership-map key `user ‖ client fingerprint`, built on the
+    /// stack: a lookup by it allocates nothing.
+    fn user_share_key(user: u64, fp: &Fingerprint) -> [u8; 40] {
+        let mut key = [0u8; 40];
+        key[..8].copy_from_slice(&user.to_be_bytes());
+        key[8..].copy_from_slice(fp.as_bytes());
         key
     }
 
     /// Answers an intra-user deduplication query: for each client-computed
     /// share fingerprint, has this user already uploaded the share to this
-    /// server? (§3.3, intra-user deduplication.)
+    /// server? (§3.3, intra-user deduplication.) Allocates only the answer.
     pub fn intra_user_query(&self, user: u64, fingerprints: &[Fingerprint]) -> Vec<bool> {
         fingerprints
             .iter()
@@ -784,8 +786,9 @@ impl CdStoreServer {
 
     /// The body of [`Self::store_shares_detailed`]: applies and stages the
     /// batch share by share, one verdict each into `receipt` — so after a
-    /// failure its verdicts count the shares applied. The caller holds
-    /// `ckpt_lock.read()` and commits.
+    /// failure its verdicts count the shares applied, and so do the server's
+    /// counters, bumped once per batch. The caller holds `ckpt_lock.read()`
+    /// and commits.
     fn store_batch(
         &self,
         user: u64,
@@ -798,67 +801,92 @@ impl CdStoreServer {
             verdicts,
         } = receipt;
         verdicts.reserve(shares.len());
+        let (mut applied, mut received_bytes, mut stored_bytes, mut inter_user) = (0, 0, 0, 0);
+        let mut result = Ok(());
         for ((meta, data), &server_fp) in shares.iter().zip(server_fps) {
-            self.stats.shares_received.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .received_share_bytes
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
-            let (_, outcome) = self
-                .share_index
-                .add_reference_or_store_with(
-                    &server_fp,
-                    user,
-                    || self.containers.store_share(user, server_fp, data),
-                    |post| {
-                        self.journal_record(&MetaRecord::ShareUpsert {
-                            fp: server_fp,
-                            entry: Cow::Borrowed(post),
-                        });
-                    },
-                )
-                .map_err(CdStoreError::Storage)?;
-            match outcome {
+            let outcome = match self.apply_share(user, meta, data, server_fp) {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            };
+            applied += 1;
+            received_bytes += data.len() as u64;
+            verdicts.push(match outcome {
                 StoreOutcome::DedupInterUser => {
-                    self.stats
-                        .inter_user_duplicates
-                        .fetch_add(1, Ordering::Relaxed);
-                    verdicts.push(ShareVerdict::DuplicateInterUser);
+                    inter_user += 1;
+                    ShareVerdict::DuplicateInterUser
                 }
                 // The user's own uploads raced past the intra-user query
                 // stage; not an inter-user duplicate.
-                StoreOutcome::DedupIntraUser => {
-                    verdicts.push(ShareVerdict::DuplicateIntraUser);
-                }
+                StoreOutcome::DedupIntraUser => ShareVerdict::DuplicateIntraUser,
                 StoreOutcome::Stored => {
-                    self.stats
-                        .physical_share_bytes
-                        .fetch_add(data.len() as u64, Ordering::Relaxed);
-                    *new_bytes += data.len() as u64;
-                    verdicts.push(ShareVerdict::Stored);
+                    stored_bytes += data.len() as u64;
+                    ShareVerdict::Stored
                 }
-            }
-            // Record the user's client-fingerprint → server-fingerprint link.
-            self.user_shares.put_with(
-                Self::user_share_key(user, &meta.fingerprint),
-                server_fp.as_bytes().to_vec(),
-                |key, value| {
-                    self.journal_record(&MetaRecord::MapPut {
-                        key: key.into(),
-                        value: value.into(),
+            });
+        }
+        *new_bytes += stored_bytes;
+        let stats = &self.stats;
+        stats.shares_received.fetch_add(applied, Ordering::Relaxed);
+        stats
+            .received_share_bytes
+            .fetch_add(received_bytes, Ordering::Relaxed);
+        stats
+            .inter_user_duplicates
+            .fetch_add(inter_user, Ordering::Relaxed);
+        stats
+            .physical_share_bytes
+            .fetch_add(stored_bytes, Ordering::Relaxed);
+        result
+    }
+
+    /// Applies and stages one share of a batch: the stripe-locked index
+    /// upsert (appending new content to the user's open container) and the
+    /// user's client-fingerprint → server-fingerprint link.
+    fn apply_share(
+        &self,
+        user: u64,
+        meta: &ShareMetadata,
+        data: &[u8],
+        server_fp: Fingerprint,
+    ) -> Result<StoreOutcome, CdStoreError> {
+        let (_, outcome) = self
+            .share_index
+            .add_reference_or_store_with(
+                &server_fp,
+                user,
+                || self.containers.store_share(user, server_fp, data),
+                |post| {
+                    self.journal_record(&MetaRecord::ShareUpsert {
+                        fp: server_fp,
+                        entry: Cow::Borrowed(post),
                     });
                 },
-            );
-        }
-        Ok(())
+            )
+            .map_err(CdStoreError::Storage)?;
+        self.user_shares.put_with(
+            Self::user_share_key(user, &meta.fingerprint).to_vec(),
+            server_fp.as_bytes().to_vec(),
+            |key, value| {
+                self.journal_record(&MetaRecord::MapPut {
+                    key: key.into(),
+                    value: value.into(),
+                });
+            },
+        );
+        Ok(outcome)
     }
 
     /// Resolves a client-computed fingerprint to the server fingerprint of
     /// the share, through the user's ownership mapping.
     fn resolve_server_fp(&self, user: u64, client_fp: &Fingerprint) -> Option<Fingerprint> {
-        let bytes = self
-            .user_shares
-            .get(&Self::user_share_key(user, client_fp))?;
-        bytes.try_into().ok().map(Fingerprint::from_bytes)
+        self.user_shares
+            .peek(&Self::user_share_key(user, client_fp), |bytes| {
+                bytes.try_into().ok().map(Fingerprint::from_bytes)
+            })
+            .flatten()
     }
 
     /// Takes `count` references on behalf of `user` for the share the client
@@ -942,13 +970,16 @@ impl CdStoreServer {
                 .unwrap_or(false)
             {
                 let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
-                self.user_shares
-                    .put_with(key, server_fp.as_bytes().to_vec(), |key, value| {
+                self.user_shares.put_with(
+                    key.to_vec(),
+                    server_fp.as_bytes().to_vec(),
+                    |key, value| {
                         self.journal_record(&MetaRecord::MapPut {
                             key: key.into(),
                             value: value.into(),
                         });
-                    });
+                    },
+                );
             }
         }
         if report.total_refs == 0 {

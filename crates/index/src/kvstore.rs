@@ -368,22 +368,35 @@ impl KvStore {
 
     /// Looks up a key.
     pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+        self.peek(key, <[u8]>::to_vec)
+    }
+
+    /// Looks up a key and returns what `read` makes of its live value. A
+    /// memtable hit is read in place, allocating nothing; a run hit reads
+    /// the value's block as [`KvStore::get`] does. Counts as a `get`.
+    pub fn peek<R>(&mut self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         self.stats.gets += 1;
-        self.probe(key).flatten()
+        self.read_live(key, read)
     }
 
     /// Returns whether the key is present (not deleted).
     pub fn contains(&mut self, key: &[u8]) -> bool {
-        self.get(key).is_some()
+        self.peek(key, |_| ()).is_some()
     }
 
-    /// Resolves a key across memtable and runs: `None` if unknown,
+    /// [`KvStore::peek`] without counting a `get`: the memtable in place,
+    /// then the runs.
+    fn read_live<R>(&mut self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        if let Some(value) = self.memtable.get(key) {
+            return value.as_deref().map(read);
+        }
+        self.probe_runs(key).flatten().as_deref().map(read)
+    }
+
+    /// Resolves a key in the runs, newest first: `None` if unknown there,
     /// `Some(None)` if tombstoned, `Some(Some(v))` if live. Panics on a
     /// backend read error (see the module docs on errors).
-    fn probe(&mut self, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        if let Some(value) = self.memtable.get(key) {
-            return Some(value.clone());
-        }
+    fn probe_runs(&mut self, key: &[u8]) -> Option<Option<Vec<u8>>> {
         for run in self.runs.iter().rev() {
             if !run.bloom.may_contain(key) {
                 self.stats.bloom_skips += 1;
@@ -401,7 +414,7 @@ impl KvStore {
     }
 
     fn probe_is_live(&mut self, key: &[u8]) -> bool {
-        self.probe(key).map(|v| v.is_some()).unwrap_or(false)
+        self.read_live(key, |_| ()).is_some()
     }
 
     /// Number of live keys. O(1): maintained across puts, deletes, flushes,

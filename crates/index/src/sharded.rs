@@ -220,9 +220,16 @@ impl Sharded<Vec<u8>> {
         self.lock(fnv1a(key)).get(key)
     }
 
-    /// Returns whether the key is present (not deleted).
+    /// Looks up a key and returns what `read` makes of its value, under the
+    /// stripe lock ([`KvStore::peek`]: a memtable hit allocates nothing).
+    pub fn peek<R>(&self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.lock(fnv1a(key)).peek(key, read)
+    }
+
+    /// Returns whether the key is present (not deleted). A memtable hit
+    /// allocates nothing.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
+        self.lock(fnv1a(key)).contains(key)
     }
 
     /// Deletes a key (no-op if absent).

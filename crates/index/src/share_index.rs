@@ -147,8 +147,10 @@ pub enum StoreOutcome {
 /// the mutations of one fingerprint in exactly the order they were applied.
 pub type ShardedShareIndex = Sharded<ShareEntry>;
 
+/// Decodes a fingerprint's entry straight from the stripe's bytes (the
+/// memtable's, on a hit there), with no intermediate copy.
 fn read(stripe: &mut KvStore, fp: &Fingerprint) -> Option<ShareEntry> {
-    ShareEntry::decode(&stripe.get(fp.as_bytes())?)
+    stripe.peek(fp.as_bytes(), ShareEntry::decode)?
 }
 
 fn write(stripe: &mut KvStore, fp: &Fingerprint, entry: &ShareEntry) {

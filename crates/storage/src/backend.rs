@@ -11,7 +11,7 @@ use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Errors returned by storage backends.
 #[derive(Debug)]
@@ -47,15 +47,20 @@ pub trait StorageBackend: Send + Sync {
     /// Writes (or overwrites) an object.
     fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError>;
 
-    /// Writes (or overwrites) an object whose bytes are the concatenation of
-    /// `parts`, in order. The contract is exactly `put(key, parts.concat())`
-    /// — same atomicity, same durability, same resulting object — which is
-    /// also what this default does; backends that can write the parts
-    /// straight to their destination override it to skip the intermediate
-    /// buffer (a sealed container is a small header plus a 4 MB payload that
-    /// already sits in memory).
-    fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
-        self.put(key, &parts.concat())
+    /// Writes (or overwrites) a sealed container: `header` followed by the
+    /// bytes of `payload`. The contract is exactly `put(key, header ‖
+    /// payload)` — same atomicity, same durability, same resulting object —
+    /// which is also what this default does. [`MemoryBackend`] overrides it
+    /// to keep a clone of the `Arc` beside the header, so the object and the
+    /// container store's read cache hold one 4 MB buffer between them;
+    /// [`DirBackend`] writes both parts straight into its temp file.
+    fn put_shared(
+        &self,
+        key: &str,
+        header: &[u8],
+        payload: &Arc<Vec<u8>>,
+    ) -> Result<(), StorageError> {
+        self.put(key, &[header, payload.as_slice()].concat())
     }
 
     /// Reads an object.
@@ -97,7 +102,7 @@ pub trait StorageBackend: Send + Sync {
     /// a short read: callers always know the exact extent they framed.
     fn read_range(&self, key: &str, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
         let data = self.get(key)?;
-        range_of(&data, key, offset, len)
+        range_of([&data, &[]], key, offset, len)
     }
 
     /// Total bytes stored across all objects.
@@ -110,22 +115,70 @@ pub trait StorageBackend: Send + Sync {
     }
 }
 
-/// Slices `data[offset..offset + len]`, mapping out-of-bounds ranges to
-/// [`StorageError::Corrupt`].
-fn range_of(data: &[u8], key: &str, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
-    let start = usize::try_from(offset).map_err(|_| StorageError::Corrupt(key.to_string()))?;
-    let end = start
-        .checked_add(len)
-        .ok_or_else(|| StorageError::Corrupt(key.to_string()))?;
-    data.get(start..end)
-        .map(|s| s.to_vec())
-        .ok_or_else(|| StorageError::Corrupt(key.to_string()))
+/// Copies bytes `offset..offset + len` of the object `head ‖ tail`, mapping
+/// out-of-bounds ranges to [`StorageError::Corrupt`].
+fn range_of(
+    [head, tail]: [&[u8]; 2],
+    key: &str,
+    offset: u64,
+    len: usize,
+) -> Result<Vec<u8>, StorageError> {
+    let corrupt = || StorageError::Corrupt(key.to_string());
+    let start = usize::try_from(offset).map_err(|_| corrupt())?;
+    let end = start.checked_add(len).ok_or_else(corrupt)?;
+    if end > head.len() + tail.len() {
+        return Err(corrupt());
+    }
+    let split = head.len();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&head[start.min(split)..end.min(split)]);
+    out.extend_from_slice(&tail[start.saturating_sub(split)..end.saturating_sub(split)]);
+    Ok(out)
+}
+
+/// One object of a [`MemoryBackend`].
+enum Object {
+    /// Bytes written by `put` or `append`.
+    Bytes(Vec<u8>),
+    /// A sealed container written by `put_shared`: its header, and the
+    /// payload buffer the container store's read cache shares.
+    Sealed {
+        header: Vec<u8>,
+        payload: Arc<Vec<u8>>,
+    },
+}
+
+impl Object {
+    /// The object's bytes, in order, as two slices.
+    fn parts(&self) -> [&[u8]; 2] {
+        match self {
+            Object::Bytes(bytes) => [bytes, &[]],
+            Object::Sealed { header, payload } => [header, payload],
+        }
+    }
+
+    fn len(&self) -> usize {
+        let [head, tail] = self.parts();
+        head.len() + tail.len()
+    }
+
+    /// The object's bytes as one mutable buffer, copying a sealed object's
+    /// parts into it first: a write never reaches a shared payload.
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        if let Object::Sealed { .. } = self {
+            *self = Object::Bytes(self.parts().concat());
+        }
+        match self {
+            Object::Bytes(bytes) => bytes,
+            Object::Sealed { .. } => unreachable!("converted above"),
+        }
+    }
 }
 
 /// An in-memory backend for tests and benchmarks.
 #[derive(Default)]
 pub struct MemoryBackend {
-    objects: RwLock<BTreeMap<String, Vec<u8>>>,
+    objects: RwLock<BTreeMap<String, Object>>,
 }
 
 impl MemoryBackend {
@@ -134,12 +187,19 @@ impl MemoryBackend {
         Self::default()
     }
 
-    fn objects(&self) -> RwLockReadGuard<'_, BTreeMap<String, Vec<u8>>> {
+    fn objects(&self) -> RwLockReadGuard<'_, BTreeMap<String, Object>> {
         self.objects.read().expect("memory backend lock")
     }
 
-    fn objects_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Vec<u8>>> {
+    fn objects_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Object>> {
         self.objects.write().expect("memory backend lock")
+    }
+
+    fn object<R>(&self, key: &str, read: impl FnOnce(&Object) -> R) -> Result<R, StorageError> {
+        self.objects()
+            .get(key)
+            .map(read)
+            .ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
 
     /// Number of stored objects.
@@ -148,13 +208,15 @@ impl MemoryBackend {
     }
 
     /// Corrupts an object by flipping a byte (failure-injection helper for
-    /// integrity tests).
+    /// integrity tests). A sealed container's object is copied first, so
+    /// the flip reaches the backend's bytes and never a read cache sharing
+    /// its payload.
     pub fn corrupt(&self, key: &str, byte_index: usize) -> Result<(), StorageError> {
         let mut objects = self.objects_mut();
-        let data = objects
+        let object = objects
             .get_mut(key)
             .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
-        if let Some(b) = data.get_mut(byte_index) {
+        if let Some(b) = object.bytes_mut().get_mut(byte_index) {
             *b ^= 0xff;
         }
         Ok(())
@@ -163,21 +225,27 @@ impl MemoryBackend {
 
 impl StorageBackend for MemoryBackend {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.objects_mut().insert(key.to_string(), data.to_vec());
+        self.objects_mut()
+            .insert(key.to_string(), Object::Bytes(data.to_vec()));
         Ok(())
     }
 
-    fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
-        // `concat` sizes the one allocation exactly; it becomes the object.
-        self.objects_mut().insert(key.to_string(), parts.concat());
+    fn put_shared(
+        &self,
+        key: &str,
+        header: &[u8],
+        payload: &Arc<Vec<u8>>,
+    ) -> Result<(), StorageError> {
+        let object = Object::Sealed {
+            header: header.to_vec(),
+            payload: payload.clone(),
+        };
+        self.objects_mut().insert(key.to_string(), object);
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        self.objects()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+        self.object(key, |object| object.parts().concat())
     }
 
     fn delete(&self, key: &str) -> Result<(), StorageError> {
@@ -196,28 +264,22 @@ impl StorageBackend for MemoryBackend {
     fn append(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
         self.objects_mut()
             .entry(key.to_string())
-            .or_default()
+            .or_insert_with(|| Object::Bytes(Vec::new()))
+            .bytes_mut()
             .extend_from_slice(data);
         Ok(())
     }
 
     fn object_size(&self, key: &str) -> Result<u64, StorageError> {
-        self.objects()
-            .get(key)
-            .map(|v| v.len() as u64)
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+        self.object(key, |object| object.len() as u64)
     }
 
     fn read_range(&self, key: &str, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
-        let objects = self.objects();
-        let data = objects
-            .get(key)
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
-        range_of(data, key, offset, len)
+        self.object(key, |object| range_of(object.parts(), key, offset, len))?
     }
 
     fn total_bytes(&self) -> Result<u64, StorageError> {
-        Ok(self.objects().values().map(|v| v.len() as u64).sum())
+        Ok(self.objects().values().map(|o| o.len() as u64).sum())
     }
 }
 
@@ -258,14 +320,10 @@ impl DirBackend {
             let _ = dir.sync_all();
         }
     }
-}
 
-impl StorageBackend for DirBackend {
-    fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.put_parts(key, &[data])
-    }
-
-    fn put_parts(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
+    /// Writes `parts`, in order, to a temp file and renames it over the
+    /// object: the one write path of `put` and `put_shared`.
+    fn write_object(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
         let path = self.path_for(key);
         let tmp = path.with_extension("tmp");
         {
@@ -284,6 +342,21 @@ impl StorageBackend for DirBackend {
         // parent directory's entries.
         self.sync_root();
         Ok(())
+    }
+}
+
+impl StorageBackend for DirBackend {
+    fn put(&self, key: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.write_object(key, &[data])
+    }
+
+    fn put_shared(
+        &self,
+        key: &str,
+        header: &[u8],
+        payload: &Arc<Vec<u8>>,
+    ) -> Result<(), StorageError> {
+        self.write_object(key, &[header, payload])
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
@@ -394,11 +467,25 @@ mod tests {
         assert!(!backend.exists("a").unwrap());
         assert!(matches!(backend.get("a"), Err(StorageError::NotFound(_))));
         backend.delete("never-existed").unwrap();
-        // `put_parts` is `put` of the concatenation, overwriting included.
+        // `put_shared` is `put` of header ‖ payload, overwriting included,
+        // and the object reads and appends as the concatenation.
         backend.put("parts", b"overwritten").unwrap();
-        backend.put_parts("parts", &[b"he", b"", b"llo"]).unwrap();
+        let payload = Arc::new(b"llo".to_vec());
+        backend.put_shared("parts", b"he", &payload).unwrap();
         assert_eq!(backend.get("parts").unwrap(), b"hello");
         assert_eq!(backend.object_size("parts").unwrap(), 5);
+        assert_eq!(backend.read_range("parts", 1, 3).unwrap(), b"ell");
+        assert_eq!(backend.read_range("parts", 2, 3).unwrap(), b"llo");
+        assert!(matches!(
+            backend.read_range("parts", 3, 3),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert_eq!(backend.total_bytes().unwrap(), 4 + 5);
+        backend.append("parts", b"!").unwrap();
+        assert_eq!(backend.get("parts").unwrap(), b"hello!");
+        assert_eq!(*payload, b"llo", "an append never reaches the payload");
+        backend.put_shared("parts", b"", &payload).unwrap();
+        assert_eq!(backend.get("parts").unwrap(), b"llo");
         backend.delete("parts").unwrap();
     }
 
@@ -499,6 +586,30 @@ mod tests {
         let reopened = DirBackend::new(&dir).unwrap();
         assert_eq!(reopened.get("log").unwrap(), b"reset!");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_memory_backend_keeps_a_sealed_payload_without_copying_it() {
+        let backend = MemoryBackend::new();
+        let payload = Arc::new(vec![7u8; 64]);
+        backend.put_shared("c", b"head", &payload).unwrap();
+        assert_eq!(
+            Arc::strong_count(&payload),
+            2,
+            "the object shares the buffer"
+        );
+        assert_eq!(backend.object_size("c").unwrap(), 68);
+        // Corrupting the object copies it first: the shared buffer is intact.
+        backend.corrupt("c", 10).unwrap();
+        assert_eq!(*payload, vec![7u8; 64]);
+        assert_eq!(Arc::strong_count(&payload), 1);
+        let bytes = backend.get("c").unwrap();
+        assert_eq!(&bytes[..4], b"head");
+        assert_eq!(bytes[10], 7 ^ 0xff);
+        assert_eq!(bytes.iter().filter(|&&b| b == 7).count(), 63);
+        backend.put_shared("c", b"head", &payload).unwrap();
+        backend.delete("c").unwrap();
+        assert_eq!(Arc::strong_count(&payload), 1, "a delete drops the share");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! Containers are organised per user so each container contains only the
 //! data of a single user, retaining the spatial locality of backup streams.
 
+use std::sync::Arc;
+
 use cdstore_crypto::Fingerprint;
 
 /// Cap on the size of a sealed container's payload in bytes (4 MB).
@@ -47,8 +49,9 @@ pub struct Container {
     pub kind: ContainerKind,
     /// Index of contained blobs.
     pub entries: Vec<ContainerEntry>,
-    /// Concatenated blob payload.
-    pub payload: Vec<u8>,
+    /// Concatenated blob payload: one immutable buffer that the store's
+    /// read cache and a [`crate::MemoryBackend`] object share, never copy.
+    pub payload: Arc<Vec<u8>>,
 }
 
 impl Container {
@@ -80,8 +83,8 @@ impl Container {
     /// The serialised prefix of the container object: magic, identity, the
     /// entry table, and the payload length — everything
     /// [`Container::to_bytes`] writes before the payload itself. The store
-    /// seals with `put_parts(key, [header, payload])`, so the 4 MB payload
-    /// is never copied into a second buffer.
+    /// seals with [`crate::StorageBackend::put_shared`]`(key, header,
+    /// payload)`, so the 4 MB payload is never copied into a second buffer.
     pub fn header_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(33 + self.entries.len() * 40);
         out.extend_from_slice(b"CDCT");
@@ -110,14 +113,16 @@ impl Container {
 
     /// Reopens the sealed container as a builder with identical id, user,
     /// entries, and payload — the inverse of [`ContainerBuilder::seal`].
-    /// Used to restore an open buffer after a failed backend write.
+    /// Used to restore an open buffer after a failed backend write. The
+    /// payload is taken back without a copy when nothing else holds it (a
+    /// failed write keeps no clone), and copied otherwise.
     pub fn reopen(self) -> ContainerBuilder {
         ContainerBuilder {
             id: self.id,
             user: self.user,
             kind: self.kind,
             entries: self.entries,
-            payload: self.payload,
+            payload: Arc::try_unwrap(self.payload).unwrap_or_else(|shared| (*shared).clone()),
         }
     }
 
@@ -162,7 +167,7 @@ impl Container {
         if (bytes.len() - offset) as u64 != payload_len {
             return None;
         }
-        let payload = bytes[offset..].to_vec();
+        let payload = Arc::new(bytes[offset..].to_vec());
         // Sanity-check the entry ranges.
         for entry in &entries {
             if (entry.offset as usize) + (entry.length as usize) > payload.len() {
@@ -267,7 +272,9 @@ impl ContainerBuilder {
 
     /// Seals the container, making it immutable. The payload is shrunk to
     /// its length, so a container sealed early (by a flush) holds only its
-    /// bytes wherever it is kept.
+    /// bytes wherever it is kept, and then moved into an [`Arc`] as it is:
+    /// only the `Vec`'s three words are boxed, its bytes stay where they
+    /// were filled. (`Arc<[u8]>::from(Vec)` would copy all of them.)
     pub fn seal(mut self) -> Container {
         self.payload.shrink_to_fit();
         Container {
@@ -275,7 +282,7 @@ impl ContainerBuilder {
             user: self.user,
             kind: self.kind,
             entries: self.entries,
-            payload: self.payload,
+            payload: Arc::new(self.payload),
         }
     }
 }
@@ -362,6 +369,21 @@ mod tests {
         reopened.append(fp(1), &share);
         assert_eq!(reopened.payload.capacity(), CONTAINER_CAPACITY);
         fill_without_moving(&mut reopened);
+    }
+
+    #[test]
+    fn seal_and_reopen_move_the_payload_without_copying_it() {
+        let mut builder = ContainerBuilder::new(4, 1, ContainerKind::Share);
+        builder.append(fp(0), &vec![0x5a; CONTAINER_CAPACITY]);
+        let filled = builder.payload.as_ptr();
+        let sealed = builder.seal();
+        assert_eq!(sealed.payload.as_ptr(), filled, "the seal copied");
+        let shared = sealed.payload.clone();
+        // With the payload still shared, reopening copies it...
+        assert_ne!(sealed.clone().reopen().payload.as_ptr(), filled);
+        drop(shared);
+        // ...and alone, it takes the same buffer back.
+        assert_eq!(sealed.reopen().payload.as_ptr(), filled);
     }
 
     #[test]

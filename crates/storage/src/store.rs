@@ -322,10 +322,11 @@ impl ContainerStore {
     }
 
     /// Seals the builder in `slot` (if any) and writes it to the backend and
-    /// the read cache. On success the slot is left empty; if the backend
-    /// write fails the builder is put back, so blobs whose locations were
-    /// already handed out stay readable from the open buffer and the next
-    /// seal attempt (overflow or flush) retries the write.
+    /// the read cache, which share its one payload buffer. On success the
+    /// slot is left empty; if the backend write fails the builder is put
+    /// back, so blobs whose locations were already handed out stay readable
+    /// from the open buffer and the next seal attempt (overflow or flush)
+    /// retries the write.
     fn seal_slot(&self, slot: &mut Option<ContainerBuilder>) -> Result<(), StorageError> {
         let Some(builder) = slot.take() else {
             return Ok(());
@@ -338,11 +339,12 @@ impl ContainerStore {
         }
         let container = builder.seal();
         // Header and payload go to the backend as two parts: the object is
-        // byte-identical to `to_bytes()`, without copying the payload.
+        // byte-identical to `to_bytes()`, and the payload is handed over as
+        // the `Arc` the cache keeps below, never copied.
         let header = container.header_bytes();
         if let Err(e) = self
             .backend
-            .put_parts(&Self::object_key(id), &[&header, &container.payload])
+            .put_shared(&Self::object_key(id), &header, &container.payload)
         {
             *slot = Some(container.reopen());
             return Err(e);
@@ -499,6 +501,7 @@ impl ContainerStore {
     }
 
     /// Reads a whole container by id (used by repair and garbage collection).
+    /// A cached container is returned as a clone that shares its payload.
     pub fn fetch_container(&self, container_id: u64) -> Result<Container, StorageError> {
         // Whole-container reads (repair/GC) are the one case that really
         // needs a sealed snapshot of the open buffer.
@@ -970,10 +973,29 @@ mod tests {
         let (store, backend) = new_store();
         let loc = store.store_share(1, fp(1), b"soon corrupt").unwrap();
         store.flush().unwrap();
-        backend
-            .corrupt(&ContainerStore::object_key(loc.container_id), 0)
-            .unwrap();
+        let key = ContainerStore::object_key(loc.container_id);
+        // Flip the magic and the blob's first payload byte.
+        let payload_at = backend.get(&key).unwrap().len() - b"soon corrupt".len();
+        backend.corrupt(&key, 0).unwrap();
+        backend.corrupt(&key, payload_at).unwrap();
+        // The warm cache shares the sealed payload with the backend object,
+        // and the flips copied the object first: it still serves the
+        // stored bytes.
+        assert_eq!(store.fetch(&loc).unwrap(), b"soon corrupt");
+        assert_eq!(store.stats().cache_reads, 1);
         let cold = ContainerStore::new(backend);
         assert!(matches!(cold.fetch(&loc), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn the_cache_and_the_backend_object_share_one_payload() {
+        let (store, _) = new_store();
+        let loc = store.store_share(1, fp(1), &[9u8; 3000]).unwrap();
+        store.flush().unwrap();
+        let container = store.fetch_container(loc.container_id).unwrap();
+        // This clone, the cache entry and the backend object: one buffer.
+        assert_eq!(Arc::strong_count(&container.payload), 3);
+        store.delete_container(loc.container_id).unwrap();
+        assert_eq!(Arc::strong_count(&container.payload), 1);
     }
 }

@@ -682,9 +682,9 @@ fn a_crash_between_gc_relocation_and_container_delete_loses_no_share() {
 }
 
 /// The objects a backup leaves on the backend are pinned to the bytes the
-/// record-at-a-time server wrote: sealing through `put_parts` and committing
-/// by the batch change how containers and recipes get there, not what they
-/// are. (The journal is bookkeeping and deliberately not pinned.)
+/// record-at-a-time server wrote: sealing through `put_shared` (a payload
+/// buffer the read cache shares) and committing by the batch change how
+/// containers and recipes get there, not what they are. (The journal is bookkeeping and deliberately not pinned.)
 #[test]
 fn container_and_recipe_objects_are_byte_identical_to_the_pinned_backup() {
     let backends = new_backends();
