@@ -276,8 +276,10 @@ impl CdStoreClient {
     /// Restores a file by contacting any `k` of the `n` servers.
     /// `available[i]` states whether cloud `i` (and its server) is reachable.
     ///
-    /// Thin wrapper over [`CdStoreClient::download_stream`] collecting into
-    /// a `Vec<u8>`.
+    /// [`CdStoreClient::download_stream`] into a `Vec<u8>` reserved for the
+    /// recipe's file size once the recipe is known, so the file is written
+    /// without a regrowth and returned without spare capacity. A size that
+    /// cannot be reserved fails the restore with [`CdStoreError::Io`].
     pub fn download<T: ServerTransport>(
         &self,
         servers: &[T],
@@ -285,7 +287,12 @@ impl CdStoreClient {
         pathname: &str,
     ) -> Result<Vec<u8>, CdStoreError> {
         let mut out = Vec::new();
-        self.download_stream(servers, available, pathname, &mut out)?;
+        self.download_into(servers, available, pathname, &mut out, |out, size| {
+            usize::try_from(size)
+                .ok()
+                .and_then(|size| out.try_reserve_exact(size).ok())
+                .ok_or_else(|| CdStoreError::Io(format!("cannot hold a {size}-byte file")))
+        })?;
         Ok(out)
     }
 
@@ -303,12 +310,29 @@ impl CdStoreClient {
     /// `fetch_shares` call per cloud — in process or, over `cdstore_net`,
     /// one request and one reply frame. `get_recipe` is called only to fail
     /// over to a spare cloud mid-file. Returns the number of bytes written.
+    ///
+    /// A recipe whose secret sizes do not sum to its file size is refused
+    /// with [`CdStoreError::InconsistentMetadata`] before a byte is written.
     pub fn download_stream<T: ServerTransport, W: Write + ?Sized>(
         &self,
         servers: &[T],
         available: &[bool],
         pathname: &str,
         out: &mut W,
+    ) -> Result<u64, CdStoreError> {
+        self.download_into(servers, available, pathname, out, |_, _| Ok(()))
+    }
+
+    /// The body of [`CdStoreClient::download_stream`], which hands `prepare`
+    /// the destination and the file size once the recipes are checked and
+    /// before the first byte is written.
+    fn download_into<T: ServerTransport, W: Write + ?Sized>(
+        &self,
+        servers: &[T],
+        available: &[bool],
+        pathname: &str,
+        out: &mut W,
+        prepare: impl FnOnce(&mut W, u64) -> Result<(), CdStoreError>,
     ) -> Result<u64, CdStoreError> {
         if servers.len() != self.n || available.len() != self.n {
             return Err(CdStoreError::InvalidConfig(format!(
@@ -369,6 +393,16 @@ impl CdStoreClient {
                 "servers disagree on the file recipe".into(),
             ));
         }
+        // Every window decodes with the first recipe's secret sizes.
+        let secret_bytes: u64 = (recipes[0].1.entries.iter())
+            .map(|e| u64::from(e.secret_size))
+            .sum();
+        if secret_bytes != file_size {
+            return Err(CdStoreError::InconsistentMetadata(format!(
+                "the recipe's secrets hold {secret_bytes} bytes of a {file_size}-byte file"
+            )));
+        }
+        prepare(out, file_size)?;
         // The first window is the secrets every reply carries a share of.
         let first = (shares_by_cloud.iter())
             .map(|(_, shares)| shares.len())

@@ -1309,18 +1309,8 @@ impl CdStoreServer {
         // container between the index lookup and the container fetch; the
         // index then already points at the fresh copy, so re-resolve.
         for _ in 0..RELOCATION_RETRIES {
-            let server_fp_bytes = self
-                .user_shares
-                .get(&Self::user_share_key(user, client_fp))
-                .ok_or_else(|| CdStoreError::MissingShare(client_fp.to_hex()))?;
-            let server_fp = Fingerprint::from_bytes(server_fp_bytes.try_into().map_err(|_| {
-                CdStoreError::InconsistentMetadata("bad fingerprint mapping".into())
-            })?);
-            let entry = self
-                .share_index
-                .lookup(&server_fp)
-                .ok_or_else(|| CdStoreError::MissingShare(client_fp.to_hex()))?;
-            match self.containers.fetch(&entry.location) {
+            let location = self.locate_share(user, client_fp)?;
+            match self.containers.fetch(&location) {
                 Ok(data) => {
                     self.stats
                         .served_share_bytes
@@ -1337,16 +1327,78 @@ impl CdStoreServer {
         )))
     }
 
-    /// Fetches a batch of shares owned by `user`.
+    /// Where the share `user` knows by `client_fp` is stored: the user's
+    /// ownership mapping, then the share index, each read in place.
+    fn locate_share(
+        &self,
+        user: u64,
+        client_fp: &Fingerprint,
+    ) -> Result<ShareLocation, CdStoreError> {
+        let missing = || CdStoreError::MissingShare(client_fp.to_hex());
+        let server_fp = self
+            .user_shares
+            .peek(&Self::user_share_key(user, client_fp), |bytes| {
+                bytes.try_into().ok().map(Fingerprint::from_bytes)
+            })
+            .ok_or_else(missing)?
+            .ok_or_else(|| CdStoreError::InconsistentMetadata("bad fingerprint mapping".into()))?;
+        self.share_index.location(&server_fp).ok_or_else(missing)
+    }
+
+    /// Fetches a batch of shares owned by `user`. The whole batch is
+    /// resolved first; then each run of consecutive shares in one container
+    /// is read with one look for that container ([`ContainerStore::fetch_run`]).
+    /// A run whose container a gc pass deleted in between falls back to
+    /// [`CdStoreServer::fetch_share`] share by share, which re-resolves.
     pub fn fetch_shares(
         &self,
         user: u64,
         client_fps: &[Fingerprint],
     ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-        client_fps
-            .iter()
-            .map(|fp| self.fetch_share(user, fp))
-            .collect()
+        let shares = self.fetch_shares_within(user, client_fps, u64::MAX)?;
+        Ok(shares.expect("shares of u32 sizes hold fewer than u64::MAX bytes"))
+    }
+
+    /// [`CdStoreServer::fetch_shares`] for a reply that must hold at most
+    /// `max_bytes` of shares: `None`, with nothing read, when the resolved
+    /// shares hold more.
+    pub fn fetch_shares_within(
+        &self,
+        user: u64,
+        client_fps: &[Fingerprint],
+        max_bytes: u64,
+    ) -> Result<Option<Vec<Vec<u8>>>, CdStoreError> {
+        let mut locations = Vec::with_capacity(client_fps.len());
+        for fp in client_fps {
+            locations.push(self.locate_share(user, fp)?);
+        }
+        let bytes: u64 = locations.iter().map(|l| u64::from(l.size)).sum();
+        if bytes > max_bytes {
+            return Ok(None);
+        }
+        let mut shares: Vec<Vec<u8>> = Vec::with_capacity(locations.len());
+        let mut served = 0u64;
+        for run in locations.chunk_by(|a, b| a.container_id == b.container_id) {
+            let start = shares.len();
+            let read = self.containers.fetch_run(run, |share| {
+                served += share.len() as u64;
+                shares.push(share.to_vec());
+            });
+            match read {
+                Ok(()) => {}
+                Err(StorageError::NotFound(_)) => {
+                    for fp in &client_fps[start..start + run.len()] {
+                        // Counts its own served bytes.
+                        shares.push(self.fetch_share(user, fp)?);
+                    }
+                }
+                Err(e) => return Err(CdStoreError::Storage(e)),
+            }
+        }
+        self.stats
+            .served_share_bytes
+            .fetch_add(served, Ordering::Relaxed);
+        Ok(Some(shares))
     }
 
     /// Seals and persists all open containers (called at the end of a backup
@@ -1627,6 +1679,41 @@ mod tests {
         // User 2 knows the fingerprint but never uploaded the share: denied.
         assert!(matches!(
             server.fetch_share(2, &s.0.fingerprint),
+            Err(CdStoreError::MissingShare(_))
+        ));
+    }
+
+    /// A batch is read run by run across a sealed and an open container in
+    /// request order, is refused whole when one share is not the user's,
+    /// and reads nothing past a byte cap.
+    #[test]
+    fn a_batch_fetch_reads_its_runs_in_order_within_its_cap() {
+        let server = CdStoreServer::new(0);
+        let sealed = share(b"a share in a sealed container");
+        server
+            .store_shares(1, std::slice::from_ref(&sealed))
+            .unwrap();
+        server.flush().unwrap();
+        let open = share(b"a share in the open container");
+        server.store_shares(1, std::slice::from_ref(&open)).unwrap();
+        let fps = [
+            sealed.0.fingerprint,
+            open.0.fingerprint,
+            sealed.0.fingerprint,
+        ];
+        let want = vec![sealed.1.clone(), open.1.clone(), sealed.1.clone()];
+        assert_eq!(server.fetch_shares(1, &fps).unwrap(), want);
+        let bytes = want.iter().map(|s| s.len() as u64).sum::<u64>();
+        assert_eq!(
+            server.fetch_shares_within(1, &fps, bytes - 1).unwrap(),
+            None
+        );
+        assert_eq!(
+            server.fetch_shares_within(1, &fps, bytes).unwrap(),
+            Some(want)
+        );
+        assert!(matches!(
+            server.fetch_shares(2, &fps),
             Err(CdStoreError::MissingShare(_))
         ));
     }

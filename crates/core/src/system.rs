@@ -498,12 +498,12 @@ impl<T: ServerTransport> CdStore<T> {
         Ok(report)
     }
 
-    /// Restores a file for a user from any `k` available clouds. Thin
-    /// wrapper over [`CdStore::restore_stream`] collecting into a `Vec<u8>`.
+    /// Restores a file for a user from any `k` available clouds into a
+    /// `Vec<u8>` of exactly the file's size ([`CdStoreClient::download`]).
     pub fn restore(&self, user: u64, pathname: &str) -> Result<Vec<u8>, CdStoreError> {
-        let mut out = Vec::new();
-        self.restore_stream(user, pathname, &mut out)?;
-        Ok(out)
+        self.restoring(user, pathname, |client, servers, availability| {
+            client.download(servers, availability, pathname)
+        })
     }
 
     /// Restores a file into any [`Write`] destination, fetching shares in
@@ -515,14 +515,27 @@ impl<T: ServerTransport> CdStore<T> {
         pathname: &str,
         out: &mut W,
     ) -> Result<u64, CdStoreError> {
+        self.restoring(user, pathname, |client, servers, availability| {
+            client.download_stream(servers, availability, pathname, out)
+        })
+    }
+
+    /// Runs `restore` with the user's client, the servers and their
+    /// availability, under the read side of the file's lock: a restore
+    /// never observes a half-committed rewrite of the same file (mixed
+    /// per-cloud recipes), while restores of the same file still run
+    /// concurrently.
+    fn restoring<R>(
+        &self,
+        user: u64,
+        pathname: &str,
+        restore: impl FnOnce(&CdStoreClient, &[T], &[bool]) -> Result<R, CdStoreError>,
+    ) -> Result<R, CdStoreError> {
         let client = self.client(user)?;
-        // Read side of the per-file lock: a restore never observes a
-        // half-committed rewrite of the same file (mixed per-cloud recipes),
-        // while restores of the same file still run concurrently.
         let _file = self.path_lock(user, pathname).read().expect("path lock");
         let availability = self.shared.availability();
         let servers = self.shared.servers();
-        client.download_stream(&servers, &availability, pathname, out)
+        restore(&client, &servers, &availability)
     }
 
     /// Deletes a file on all available servers, releasing its share

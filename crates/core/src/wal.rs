@@ -239,8 +239,9 @@ fn write_stripe<'a>(
 pub fn write_index<V>(out: &mut Vec<u8>, index: &Sharded<V>) -> usize {
     let mut entries = 0;
     index.for_each_stripe(|stripe| {
-        entries += stripe.memtable().len();
-        write_stripe(out, stripe.runs_written(), stripe.memtable());
+        let memtable = stripe.memtable();
+        entries += memtable.len();
+        write_stripe(out, stripe.runs_written(), memtable);
     });
     entries
 }

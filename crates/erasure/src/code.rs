@@ -282,17 +282,21 @@ impl ReedSolomon {
         if size == 0 {
             return Ok(Vec::new());
         }
-        let mut out = vec![0u8; size * self.k];
         if available.iter().take_while(|&&i| i < self.k).count() >= self.k {
-            // Fast path: all k data shards survive; copy them through.
-            for (i, chunk) in out.chunks_mut(size).enumerate() {
-                chunk.copy_from_slice(shards[i].expect("data shard present"));
+            // Fast path: all k data shards survive; append them, up to
+            // `original_len`, to a buffer of exactly that size.
+            let mut out = Vec::with_capacity(original_len);
+            for shard in &shards[..self.k] {
+                let shard = shard.expect("data shard present");
+                let take = shard.len().min(original_len - out.len());
+                out.extend_from_slice(&shard[..take]);
             }
-        } else {
-            let (inv, inputs) = self.decode_inputs(shards, &available)?;
-            let mut out_refs: Vec<&mut [u8]> = out.chunks_mut(size).collect();
-            region::matrix_apply_into(inv.as_slice(), self.k, self.k, &inputs, &mut out_refs);
+            return Ok(out);
         }
+        let mut out = vec![0u8; size * self.k];
+        let (inv, inputs) = self.decode_inputs(shards, &available)?;
+        let mut out_refs: Vec<&mut [u8]> = out.chunks_mut(size).collect();
+        region::matrix_apply_into(inv.as_slice(), self.k, self.k, &inputs, &mut out_refs);
         out.truncate(original_len);
         Ok(out)
     }

@@ -1,6 +1,13 @@
 //! A log-structured merge (LSM) key-value store, the LevelDB substitute.
 //!
-//! Writes land in an in-memory write buffer (the *memtable*). At
+//! Writes land in an in-memory write buffer (the *memtable*): a
+//! `std::collections::HashMap` under the default keyed hasher, since the
+//! ownership-map keys embed client-chosen fingerprints. Keys of up to 40
+//! bytes (every key the server writes is a 32-byte fingerprint or a 40-byte
+//! ownership key) are held inline; longer ones are boxed. A lookup or an
+//! overwrite is one probe. Key order is paid for only where it is needed,
+//! by one sort of the memtable's entries: freezing it into a run, dumping
+//! it for a checkpoint ([`KvStore::memtable`]) and a prefix scan. At
 //! `memtable_capacity` entries the store freezes it into an immutable
 //! sorted *run* fronted by a Bloom filter: an object on the store's
 //! [`StorageBackend`] in the CRC-framed block format of the private `run`
@@ -39,7 +46,10 @@
 //! paths ([`KvStore::try_flush`], [`KvStore::try_compact`]) return their
 //! errors.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::iter::Peekable;
 use std::sync::Arc;
 
@@ -195,10 +205,90 @@ fn merge_newest_wins(
     }
 }
 
+/// Resolves a key in `runs`, newest first: `None` if unknown there,
+/// `Some(None)` if tombstoned, `Some(Some(v))` if live. Counts each run a
+/// Bloom filter rules out in `bloom_skips`. Panics on a backend read error
+/// (see the module docs on errors).
+fn probe_runs(
+    runs: &[Run],
+    backend: &dyn StorageBackend,
+    cache: &mut BlockCache,
+    bloom_skips: &mut u64,
+    key: &[u8],
+) -> Option<Option<Vec<u8>>> {
+    for run in runs.iter().rev() {
+        if !run.bloom.may_contain(key) {
+            *bloom_skips += 1;
+            continue;
+        }
+        let found = run
+            .handle
+            .get(backend, cache, key)
+            .unwrap_or_else(|e| panic!("disk index read failed: {e}"));
+        if found.is_some() {
+            return found;
+        }
+    }
+    None
+}
+
+/// Longest key the memtable holds inline.
+const INLINE_KEY: usize = 40;
+
+/// A memtable key: inline up to [`INLINE_KEY`] bytes, boxed beyond. It
+/// hashes and compares as the bytes it holds, so the memtable is probed
+/// with a plain `&[u8]`.
+enum MemKey {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<[u8]>),
+}
+
+impl MemKey {
+    fn new(key: &[u8]) -> Self {
+        if key.len() > INLINE_KEY {
+            return MemKey::Boxed(key.into());
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..key.len()].copy_from_slice(key);
+        MemKey::Inline {
+            len: key.len() as u8,
+            bytes,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            MemKey::Inline { len, bytes } => &bytes[..*len as usize],
+            MemKey::Boxed(key) => key,
+        }
+    }
+}
+
+impl Borrow<[u8]> for MemKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl Hash for MemKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // As `[u8]` hashes: `Borrow` requires the two to agree.
+        self.as_slice().hash(state)
+    }
+}
+
+impl PartialEq for MemKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for MemKey {}
+
 /// The LSM key-value store.
 pub struct KvStore {
-    /// Active write buffer: key → value-or-tombstone.
-    memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// Active write buffer: key → value-or-tombstone, in no order.
+    memtable: HashMap<MemKey, Option<Vec<u8>>>,
     config: KvStoreConfig,
     backend: Arc<dyn StorageBackend>,
     name: String,
@@ -256,7 +346,7 @@ impl KvStore {
         listing: &[String],
     ) -> Result<Self, StorageError> {
         let mut store = KvStore {
-            memtable: BTreeMap::new(),
+            memtable: HashMap::new(),
             config,
             backend,
             name: name.to_string(),
@@ -337,33 +427,59 @@ impl KvStore {
         }
     }
 
-    /// Inserts or overwrites a key.
+    /// Inserts or overwrites a key. Overwriting a key the memtable holds is
+    /// one probe; a new key is also looked up in the runs, to keep the live
+    /// count exact.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
         self.stats.puts += 1;
-        if !self.probe_is_live(&key) {
-            self.live += 1;
+        match self.memtable.entry(MemKey::new(&key)) {
+            Entry::Occupied(mut slot) => {
+                if slot.insert(Some(value)).is_none() {
+                    // Over a tombstone.
+                    self.live += 1;
+                }
+            }
+            Entry::Vacant(slot) => {
+                let (runs, cache) = (&self.runs, &mut self.cache);
+                let skips = &mut self.stats.bloom_skips;
+                let key = slot.key().as_slice();
+                if !matches!(
+                    probe_runs(runs, &*self.backend, cache, skips, key),
+                    Some(Some(_))
+                ) {
+                    self.live += 1;
+                }
+                slot.insert(Some(value));
+            }
         }
-        self.memtable.insert(key, Some(value));
         self.maybe_flush();
     }
 
     /// Deletes a key (no-op if absent).
     pub fn delete(&mut self, key: &[u8]) {
         self.stats.deletes += 1;
-        if !self.probe_is_live(key) {
-            // Not live anywhere: no tombstone needed (any existing tombstone
-            // already shadows older runs).
+        if let Some(slot) = self.memtable.get_mut(key) {
+            if slot.take().is_none() {
+                // Already a tombstone, which shadows the older runs.
+                return;
+            }
+            self.live -= 1;
+            if self.runs.is_empty() {
+                // Nothing beneath the memtable to shadow: a store that never
+                // spills keeps no tombstones.
+                self.memtable.remove(key);
+            } else {
+                self.maybe_flush();
+            }
+            return;
+        }
+        if self.runs.is_empty() || !matches!(self.probe_runs(key), Some(Some(_))) {
+            // Not live anywhere: no tombstone needed.
             return;
         }
         self.live -= 1;
-        if self.runs.is_empty() {
-            // Nothing beneath the memtable to shadow: a store that never
-            // spills keeps no tombstones.
-            self.memtable.remove(key);
-        } else {
-            self.memtable.insert(key.to_vec(), None);
-            self.maybe_flush();
-        }
+        self.memtable.insert(MemKey::new(key), None);
+        self.maybe_flush();
     }
 
     /// Looks up a key.
@@ -376,7 +492,10 @@ impl KvStore {
     /// the value's block as [`KvStore::get`] does. Counts as a `get`.
     pub fn peek<R>(&mut self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         self.stats.gets += 1;
-        self.read_live(key, read)
+        if let Some(value) = self.memtable.get(key) {
+            return value.as_deref().map(read);
+        }
+        self.probe_runs(key).flatten().as_deref().map(read)
     }
 
     /// Returns whether the key is present (not deleted).
@@ -384,37 +503,10 @@ impl KvStore {
         self.peek(key, |_| ()).is_some()
     }
 
-    /// [`KvStore::peek`] without counting a `get`: the memtable in place,
-    /// then the runs.
-    fn read_live<R>(&mut self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        if let Some(value) = self.memtable.get(key) {
-            return value.as_deref().map(read);
-        }
-        self.probe_runs(key).flatten().as_deref().map(read)
-    }
-
-    /// Resolves a key in the runs, newest first: `None` if unknown there,
-    /// `Some(None)` if tombstoned, `Some(Some(v))` if live. Panics on a
-    /// backend read error (see the module docs on errors).
+    /// [`probe_runs`] over this store's runs.
     fn probe_runs(&mut self, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        for run in self.runs.iter().rev() {
-            if !run.bloom.may_contain(key) {
-                self.stats.bloom_skips += 1;
-                continue;
-            }
-            let found = run
-                .handle
-                .get(&*self.backend, &mut self.cache, key)
-                .unwrap_or_else(|e| panic!("disk index read failed: {e}"));
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
-    }
-
-    fn probe_is_live(&mut self, key: &[u8]) -> bool {
-        self.read_live(key, |_| ()).is_some()
+        let skips = &mut self.stats.bloom_skips;
+        probe_runs(&self.runs, &*self.backend, &mut self.cache, skips, key)
     }
 
     /// Number of live keys. O(1): maintained across puts, deletes, flushes,
@@ -429,11 +521,14 @@ impl KvStore {
     }
 
     /// The memtable in key order: each key with its value, or `None` for a
-    /// tombstone.
+    /// tombstone. Sorts the memtable once per call (keys are unique, so an
+    /// unstable sort is deterministic).
     pub fn memtable(&self) -> impl ExactSizeIterator<Item = (&[u8], Option<&[u8]>)> {
-        self.memtable
-            .iter()
+        let mut entries: Vec<_> = (self.memtable.iter())
             .map(|(k, v)| (k.as_slice(), v.as_deref()))
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
     }
 
     /// How many runs the store has written, flushed or merged (the next
@@ -459,9 +554,10 @@ impl KvStore {
         self.scan_prefix(&[]).into_iter().collect()
     }
 
-    /// Live keys with a given prefix, in key order. Range-bounded on every
-    /// source: the memtable is entered by binary search, runs seek via their
-    /// fence pointers — only blocks overlapping the prefix are read.
+    /// Live keys with a given prefix, in key order. Runs seek via their
+    /// fence pointers — only blocks overlapping the prefix are read; the
+    /// memtable's entries are filtered by the prefix and sorted in the
+    /// merge.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         // Oldest runs first, the memtable last, so newer entries overwrite.
@@ -478,11 +574,10 @@ impl KvStore {
                 merged.insert(k, v);
             }
         }
-        for (k, v) in self.memtable.range(prefix.to_vec()..) {
-            if !k.starts_with(prefix) {
-                break;
+        for (k, v) in &self.memtable {
+            if k.as_slice().starts_with(prefix) {
+                merged.insert(k.as_slice().to_vec(), v.clone());
             }
-            merged.insert(k.clone(), v.clone());
         }
         merged
             .into_iter()
@@ -496,8 +591,8 @@ impl KvStore {
     pub fn try_flush(&mut self) -> Result<(), StorageError> {
         if !self.memtable.is_empty() {
             let mut writer = self.run_writer(self.memtable.len())?;
-            for (k, v) in &self.memtable {
-                writer.push(k, v.as_deref())?;
+            for (k, v) in self.memtable() {
+                writer.push(k, v)?;
             }
             let (handle, bloom) = writer
                 .finish()?
@@ -547,7 +642,7 @@ impl KvStore {
         let memtable: usize = self
             .memtable
             .iter()
-            .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()))
+            .map(|(k, v)| k.as_slice().len() + v.as_ref().map_or(0, |v| v.len()))
             .sum();
         let runs: usize = self
             .runs

@@ -76,30 +76,30 @@ impl ShareEntry {
     }
 
     fn decode(bytes: &[u8]) -> Option<ShareEntry> {
-        if bytes.len() < 20 {
-            return None;
-        }
-        let container_id = u64::from_be_bytes(bytes[0..8].try_into().ok()?);
-        let offset = u32::from_be_bytes(bytes[8..12].try_into().ok()?);
-        let size = u32::from_be_bytes(bytes[12..16].try_into().ok()?);
-        let count = u32::from_be_bytes(bytes[16..20].try_into().ok()?) as usize;
+        let location = Self::decode_location(bytes)?;
+        let owners = (bytes[20..].chunks_exact(12))
+            .map(|owner| {
+                let (user, refs) = owner.split_at(8);
+                let user = u64::from_be_bytes(user.try_into().expect("8 bytes"));
+                (user, u32::from_be_bytes(refs.try_into().expect("4 bytes")))
+            })
+            .collect();
+        Some(ShareEntry { location, owners })
+    }
+
+    /// The location of an encoded entry, whose length is checked as
+    /// [`ShareEntry::from_bytes`] checks it; the owners are not decoded.
+    fn decode_location(bytes: &[u8]) -> Option<ShareLocation> {
+        let head: &[u8; 20] = bytes.get(..20)?.try_into().ok()?;
+        let word = |at: usize| u32::from_be_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+        let count = word(16) as usize;
         if Some(bytes.len()) != count.checked_mul(12).and_then(|n| n.checked_add(20)) {
             return None;
         }
-        let mut owners = Vec::with_capacity(count);
-        for i in 0..count {
-            let base = 20 + i * 12;
-            let user = u64::from_be_bytes(bytes[base..base + 8].try_into().ok()?);
-            let refs = u32::from_be_bytes(bytes[base + 8..base + 12].try_into().ok()?);
-            owners.push((user, refs));
-        }
-        Some(ShareEntry {
-            location: ShareLocation {
-                container_id,
-                offset,
-                size,
-            },
-            owners,
+        Some(ShareLocation {
+            container_id: u64::from_be_bytes(head[0..8].try_into().expect("8 bytes")),
+            offset: word(8),
+            size: word(12),
         })
     }
 }
@@ -167,10 +167,18 @@ impl Sharded<ShareEntry> {
         read(&mut self.stripe(fp), fp)
     }
 
+    /// Where the share with this fingerprint is stored. Decodes only the
+    /// entry's location, allocating nothing on a memtable hit; a malformed
+    /// entry reads as absent, as in [`ShardedShareIndex::lookup`].
+    pub fn location(&self, fp: &Fingerprint) -> Option<ShareLocation> {
+        let mut stripe = self.stripe(fp);
+        stripe.peek(fp.as_bytes(), ShareEntry::decode_location)?
+    }
+
     /// Whether a share with this fingerprint is already stored (the
     /// inter-user deduplication test).
     pub fn is_stored(&self, fp: &Fingerprint) -> bool {
-        self.lookup(fp).is_some()
+        self.location(fp).is_some()
     }
 
     /// Records that `user` references the share, storing it first if it is
@@ -394,6 +402,8 @@ mod tests {
         let entry = index.lookup(&fp(1)).unwrap();
         // The original location wins; the duplicate's location is ignored.
         assert_eq!(entry.location, loc(10, 100));
+        assert_eq!(index.location(&fp(1)), Some(loc(10, 100)));
+        assert_eq!(index.location(&fp(2)), None);
         assert_eq!(entry.total_refs(), 3);
         assert!(entry.owned_by(1));
         assert!(entry.owned_by(2));
@@ -532,9 +542,14 @@ mod tests {
             location: loc(0xdeadbeef, 12345),
             owners: vec![(1, 3), (42, 1), (u64::MAX, 7)],
         };
-        assert_eq!(ShareEntry::decode(&entry.encode()), Some(entry));
-        assert_eq!(ShareEntry::decode(&[1, 2, 3]), None);
-        assert_eq!(ShareEntry::decode(&[0u8; 21]), None);
+        let bytes = entry.encode();
+        assert_eq!(ShareEntry::decode_location(&bytes), Some(entry.location));
+        assert_eq!(ShareEntry::decode(&bytes), Some(entry));
+        // The location is refused wherever the whole entry is.
+        for bad in [&[1, 2, 3][..], &[0u8; 21], &bytes[..bytes.len() - 1]] {
+            assert_eq!(ShareEntry::decode(bad), None);
+            assert_eq!(ShareEntry::decode_location(bad), None);
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! close/reopen cycles, and checkpoints (a memtable dump installed over the
 //! reopened runs, as a server recovers) — and adds a crash test that
 //! truncates run objects to arbitrary byte prefixes before reopening.
+//! Keys run from 0 to 48 bytes, across the memtable's 40-byte inline bound,
+//! and many are prefixes of others; after every step the memtable dump must
+//! be in strictly increasing key order and agree with the model, and
+//! prefix scans must match it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,11 +18,21 @@ use cdstore_index::{KvStore, KvStoreConfig};
 use cdstore_storage::{MemoryBackend, StorageBackend};
 use proptest::prelude::*;
 
+/// Longest key the workload draws: past the memtable's 40-byte inline bound.
+const MAX_KEY: u8 = 48;
+
+/// Last byte of a key, by tag. A key of `b'k'`s is a prefix of every longer
+/// key, so prefix scans and key order meet shared leading bytes.
+const TAGS: [u8; 4] = [b'k', b'a', b'z', 0xff];
+
+/// A key: its length (0 to [`MAX_KEY`]) and the tag of its last byte.
+type Key = (u8, u8);
+
 /// One step of a store workload.
 #[derive(Debug, Clone)]
 enum Op {
-    Put(u8, u8),
-    Delete(u8),
+    Put(Key, u8),
+    Delete(Key),
     Flush,
     Compact,
     Reopen,
@@ -36,9 +50,13 @@ impl Strategy for OpStrategy {
 
     fn generate(&self, rng: &mut proptest::TestRng) -> Op {
         use rand::Rng;
+        let key = (
+            rng.gen_range(0..=MAX_KEY),
+            rng.gen_range(0..TAGS.len() as u8),
+        );
         match rng.gen_range(0u32..16) {
-            0..=7 => Op::Put(rng.gen_range(0u8..48), rng.gen()),
-            8..=11 => Op::Delete(rng.gen_range(0u8..48)),
+            0..=7 => Op::Put(key, rng.gen()),
+            8..=11 => Op::Delete(key),
             12 => Op::Flush,
             13 => Op::Compact,
             14 => Op::Reopen,
@@ -63,6 +81,51 @@ fn key_bytes(k: u8) -> Vec<u8> {
     vec![b'k', k]
 }
 
+/// The bytes of a drawn key: `len` bytes, all `b'k'` but the last, which
+/// is the tag's.
+fn drawn_key((len, tag): Key) -> Vec<u8> {
+    let mut key = vec![b'k'; len as usize];
+    if let Some(last) = key.last_mut() {
+        *last = TAGS[tag as usize];
+    }
+    key
+}
+
+/// Every key the workload can draw.
+fn all_keys() -> impl Iterator<Item = Vec<u8>> {
+    (0..=MAX_KEY).flat_map(|len| (0..TAGS.len() as u8).map(move |tag| drawn_key((len, tag))))
+}
+
+/// Prefixes the scans are checked under: the empty one, and runs of `b'k'`
+/// on both sides of the inline bound.
+const SCAN_PREFIXES: [&[u8]; 4] = [b"", b"k", b"kkkk", &[b'k'; 41]];
+
+/// Checks the memtable dump and the prefix scans against `model` after one
+/// step: the dump is in strictly increasing key order, each of its values is
+/// the model's and each tombstone names a key the model lacks; every scan
+/// holds exactly the model's keys under its prefix.
+fn check_ordered_views(
+    store: &KvStore,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+) -> Result<(), TestCaseError> {
+    let dump: Vec<(&[u8], Option<&[u8]>)> = store.memtable().collect();
+    prop_assert!(
+        dump.windows(2).all(|pair| pair[0].0 < pair[1].0),
+        "memtable dump out of order"
+    );
+    for (key, value) in dump {
+        prop_assert_eq!((key, value), (key, model.get(key).map(Vec::as_slice)));
+    }
+    for prefix in SCAN_PREFIXES {
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = (model.iter())
+            .filter(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        prop_assert_eq!((prefix, store.scan_prefix(prefix)), (prefix, expected));
+    }
+    Ok(())
+}
+
 /// Drives `ops` through a fresh store and a reference `BTreeMap`, reopening
 /// from the backend on `Op::Reopen` and `Op::Checkpoint`, then checks full
 /// agreement.
@@ -74,12 +137,12 @@ fn run_model(ops: &[Op]) -> Result<(), TestCaseError> {
     for op in ops {
         match op {
             Op::Put(k, v) => {
-                store.put(key_bytes(*k), vec![*v]);
-                model.insert(key_bytes(*k), vec![*v]);
+                store.put(drawn_key(*k), vec![*v]);
+                model.insert(drawn_key(*k), vec![*v]);
             }
             Op::Delete(k) => {
-                store.delete(&key_bytes(*k));
-                model.remove(&key_bytes(*k));
+                store.delete(&drawn_key(*k));
+                model.remove(&drawn_key(*k));
             }
             Op::Flush => store.try_flush().unwrap(),
             Op::Compact => store.try_compact().unwrap(),
@@ -103,14 +166,12 @@ fn run_model(ops: &[Op]) -> Result<(), TestCaseError> {
             }
         }
         prop_assert_eq!(store.len(), model.len());
+        check_ordered_views(&store, &model)?;
     }
-    for k in 0..48u8 {
-        prop_assert_eq!(store.get(&key_bytes(k)), model.get(&key_bytes(k)).cloned());
+    for key in all_keys() {
+        prop_assert_eq!(store.get(&key), model.get(&key).cloned());
     }
-    prop_assert_eq!(store.snapshot(), model.clone());
-    // A prefix scan over the shared leading byte must see exactly the model.
-    let scanned: BTreeMap<Vec<u8>, Vec<u8>> = store.scan_prefix(b"k").into_iter().collect();
-    prop_assert_eq!(scanned, model);
+    prop_assert_eq!(store.snapshot(), model);
     Ok(())
 }
 

@@ -235,10 +235,10 @@ fn open_file_capped(
     Ok(Response::Recipe { recipe, shares })
 }
 
-/// `CdStoreServer::fetch_shares`, except that it stops reading shares as soon
-/// as the reply could no longer be framed with `ahead` bytes in front of
-/// them: how many fingerprints a peer sends is outside input, and an
-/// oversized reply must cost it a typed error, not this server the memory.
+/// `CdStoreServer::fetch_shares`, except that it reads no share when the
+/// reply could not be framed with `ahead` bytes in front of them: how many
+/// fingerprints a peer sends is outside input, and an oversized reply must
+/// cost it a typed error, not this server the memory.
 fn fetch_shares_capped(
     server: &CdStoreServer,
     user: u64,
@@ -247,19 +247,12 @@ fn fetch_shares_capped(
 ) -> Result<Vec<Vec<u8>>, CdStoreError> {
     // version + type bytes, `req_id`, what goes ahead, share count; then a
     // length word a share.
-    let mut frame_bytes = 2 + 8 + ahead + 4;
-    let mut shares = Vec::with_capacity(fingerprints.len());
-    for fp in fingerprints {
-        let share = server.fetch_share(user, fp)?;
-        frame_bytes += 4 + share.len();
-        if frame_bytes > MAX_FRAME_BYTES {
-            return Err(CdStoreError::InvalidConfig(
-                "reply exceeds frame cap".into(),
-            ));
-        }
-        shares.push(share);
-    }
-    Ok(shares)
+    let framing = 2 + 8 + ahead + 4 + 4 * fingerprints.len();
+    let too_large = || CdStoreError::InvalidConfig("reply exceeds frame cap".into());
+    let room = MAX_FRAME_BYTES.checked_sub(framing).ok_or_else(too_large)?;
+    server
+        .fetch_shares_within(user, fingerprints, room as u64)?
+        .ok_or_else(too_large)
 }
 
 #[cfg(test)]

@@ -199,6 +199,26 @@ pub struct ContainerStore {
     stats: AtomicStoreStats,
 }
 
+/// The blob at `location` within a sealed container's payload.
+fn payload_at<'a>(payload: &'a [u8], location: &ShareLocation) -> Option<&'a [u8]> {
+    let end = location.offset.checked_add(location.size)? as usize;
+    payload.get(location.offset as usize..end)
+}
+
+/// Hands `sink` the blob `read` finds at each location, in order, once every
+/// one of them is found; `None` (and nothing handed on) if one is not.
+fn read_blobs<'a>(
+    locations: &[ShareLocation],
+    read: impl Fn(&ShareLocation) -> Option<&'a [u8]>,
+    sink: impl FnMut(&[u8]),
+) -> Option<()> {
+    if locations.iter().any(|l| read(l).is_none()) {
+        return None;
+    }
+    locations.iter().filter_map(read).for_each(sink);
+    Some(())
+}
+
 /// Locks one user's open containers.
 fn locked(entry: &Mutex<OpenContainers>) -> MutexGuard<'_, OpenContainers> {
     entry.lock().expect("user containers lock")
@@ -467,37 +487,67 @@ impl ContainerStore {
     /// Reads the blob at a share location (from the open buffers, the cache,
     /// or the backend — in that order).
     pub fn fetch(&self, location: &ShareLocation) -> Result<Vec<u8>, StorageError> {
-        let corrupt =
-            || StorageError::Corrupt(format!("container {} misses offset", location.container_id));
-        // 1. Open (unsealed) containers: copy out just the one blob.
-        if let Some(blob) = self.with_open_container(location.container_id, |builder| {
-            builder
-                .get_at(location.offset, location.size)
-                .map(|s| s.to_vec())
-        }) {
-            self.stats.open_buffer_reads.fetch_add(1, Ordering::Relaxed);
-            return blob.ok_or_else(corrupt);
+        let mut blob = Vec::new();
+        self.fetch_run(std::slice::from_ref(location), |b| blob = b.to_vec())?;
+        Ok(blob)
+    }
+
+    /// Reads the blobs at `locations`, which must all lie in one container,
+    /// and hands each to `sink` in order: every blob or, if one lies outside
+    /// the container (an error), none. The container is found once for the
+    /// whole run — in the open buffers (read under its user's lock), the
+    /// cache (its payload is shared out of the cache lock and read outside
+    /// it) or the backend, in that order. The I/O counters count each blob,
+    /// as that many [`ContainerStore::fetch`]es would.
+    pub fn fetch_run(
+        &self,
+        locations: &[ShareLocation],
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), StorageError> {
+        let Some(first) = locations.first() else {
+            return Ok(());
+        };
+        let id = first.container_id;
+        assert!(
+            locations.iter().all(|l| l.container_id == id),
+            "a run of locations lies in one container"
+        );
+        let blobs = locations.len() as u64;
+        let corrupt = || StorageError::Corrupt(format!("container {id} misses offset"));
+        // 1. Open (unsealed) containers: copy out just the run's blobs.
+        let open = self.with_open_container(id, |builder| {
+            read_blobs(locations, |l| builder.get_at(l.offset, l.size), &mut sink)
+        });
+        if let Some(found) = open {
+            self.stats
+                .open_buffer_reads
+                .fetch_add(blobs, Ordering::Relaxed);
+            return found.ok_or_else(corrupt);
         }
         // 2. The LRU cache.
-        if let Some(container) = self.cache().get(&location.container_id) {
-            self.stats.cache_reads.fetch_add(1, Ordering::Relaxed);
-            return container
-                .get_at(location.offset, location.size)
-                .map(|s| s.to_vec())
-                .ok_or_else(corrupt);
-        }
-        // 3. The backend.
-        let key = Self::object_key(location.container_id);
-        let bytes = self.backend.get(&key)?;
-        self.stats.backend_reads.fetch_add(1, Ordering::Relaxed);
-        let container =
-            Container::from_bytes(&bytes).ok_or_else(|| StorageError::Corrupt(key.clone()))?;
-        let blob = container
-            .get_at(location.offset, location.size)
-            .map(|s| s.to_vec());
-        let size = container.payload_size();
-        self.cache().put(location.container_id, container, size);
-        blob.ok_or(StorageError::Corrupt(key))
+        let cached = self.cache().get(&id).map(|c| Arc::clone(&c.payload));
+        let payload = match cached {
+            Some(payload) => {
+                self.stats.cache_reads.fetch_add(blobs, Ordering::Relaxed);
+                payload
+            }
+            // 3. The backend, once; the run's other blobs then count as
+            // cache reads, as they would had they been fetched one by one.
+            None => {
+                let key = Self::object_key(id);
+                let bytes = self.backend.get(&key)?;
+                self.stats.backend_reads.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .cache_reads
+                    .fetch_add(blobs - 1, Ordering::Relaxed);
+                let container = Container::from_bytes(&bytes).ok_or(StorageError::Corrupt(key))?;
+                let payload = Arc::clone(&container.payload);
+                let size = container.payload_size();
+                self.cache().put(id, container, size);
+                payload
+            }
+        };
+        read_blobs(locations, |l| payload_at(&payload, l), sink).ok_or_else(corrupt)
     }
 
     /// Reads a whole container by id (used by repair and garbage collection).
@@ -669,6 +719,42 @@ mod tests {
         // And the second read of the same container is a cache hit.
         assert_eq!(cold.fetch(&loc).unwrap(), b"first");
         assert_eq!(cold.stats().cache_reads, 1);
+    }
+
+    /// A run is read from wherever its container is — open, cached or only
+    /// on the backend — counting each blob as one fetch would, and hands on
+    /// every blob or, when one lies outside the container, none.
+    #[test]
+    fn a_run_reads_its_container_once_and_counts_each_blob() {
+        let (store, backend) = new_store();
+        let blobs: [&[u8]; 3] = [b"one", b"two", b"three"];
+        let run: Vec<ShareLocation> = (0..3)
+            .map(|i| store.store_share(1, fp(i), blobs[i as usize]).unwrap())
+            .collect();
+        let read = |store: &ContainerStore, run: &[ShareLocation]| {
+            let mut out = Vec::new();
+            store.fetch_run(run, |b| out.push(b.to_vec())).map(|()| out)
+        };
+        assert_eq!(read(&store, &run).unwrap(), blobs);
+        assert_eq!(store.stats().open_buffer_reads, 3);
+        store.flush().unwrap();
+        assert_eq!(read(&store, &run).unwrap(), blobs);
+        assert_eq!(store.stats().cache_reads, 3);
+        let cold = ContainerStore::with_cache_bytes(backend, 1024 * 1024);
+        assert_eq!(read(&cold, &run).unwrap(), blobs);
+        let stats = cold.stats();
+        assert_eq!((stats.backend_reads, stats.cache_reads), (1, 2));
+
+        let past_end = ShareLocation {
+            offset: 1 << 20,
+            ..run[1]
+        };
+        for store in [&store, &cold] {
+            let mut handed = 0;
+            let err = store.fetch_run(&[run[0], past_end], |_| handed += 1);
+            assert!(matches!(err, Err(StorageError::Corrupt(_))), "{err:?}");
+            assert_eq!(handed, 0);
+        }
     }
 
     #[test]

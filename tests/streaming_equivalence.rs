@@ -370,6 +370,63 @@ fn failed_prechunked_backup_leaves_no_leaked_state() {
     assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
 }
 
+/// An in-process server whose recipes claim one byte more than their
+/// secrets hold. It leaves `open_file` to the trait's default, which reads
+/// the recipe through `get_recipe`, so every recipe a restore sees is off.
+struct ShiftedSize {
+    inner: CdStoreServer,
+}
+
+impl ServerTransport for ShiftedSize {
+    fn get_recipe(&self, user: u64, path: &[u8]) -> Result<FileRecipe, CdStoreError> {
+        let mut recipe = ServerTransport::get_recipe(&self.inner, user, path)?;
+        recipe.file_size += 1;
+        Ok(recipe)
+    }
+    forward! {
+        cloud_index() -> usize;
+        intra_user_query(user: u64, fps: &[Fingerprint]) -> Result<Vec<bool>, CdStoreError>;
+        store_shares(user: u64, shares: &[(ShareMetadata, Vec<u8>)]) -> Result<StoreReceipt, CdStoreError>;
+        put_file(user: u64, path: &[u8], recipe: &FileRecipe, uploaded: &[Fingerprint]) -> Result<(), CdStoreError>;
+        release_uploads(user: u64, fps: &[Fingerprint]) -> Result<(), CdStoreError>;
+        has_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+        delete_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+        fetch_shares(user: u64, fps: &[Fingerprint]) -> Result<Vec<Vec<u8>>, CdStoreError>;
+        flush() -> Result<(), CdStoreError>;
+        gc_with(config: GcConfig) -> Result<GcReport, CdStoreError>;
+        probe() -> Result<ServerProbe, CdStoreError>;
+    }
+}
+
+/// Every cloud agreeing on a recipe is not enough: a recipe whose secret
+/// sizes do not sum to its file size is refused before a byte is written,
+/// by the streamed restore and by the one that collects a `Vec`.
+#[test]
+fn a_recipe_whose_secrets_miss_its_size_restores_nothing() {
+    let servers = (0..4)
+        .map(|cloud| ShiftedSize {
+            inner: CdStoreServer::new(cloud),
+        })
+        .collect();
+    let store = CdStore::from_transports(CdStoreConfig::new(4, 3).unwrap(), servers).unwrap();
+    let data = backup_data(12, 300_000);
+    store.backup(1, "/shifted", &data).unwrap();
+
+    let mut out = Vec::new();
+    let streamed = store.restore_stream(1, "/shifted", &mut out);
+    assert!(
+        matches!(streamed, Err(CdStoreError::InconsistentMetadata(_))),
+        "unexpected {streamed:?}"
+    );
+    assert!(out.is_empty(), "{} bytes written", out.len());
+    let collected = store.restore(1, "/shifted");
+    assert!(
+        matches!(collected, Err(CdStoreError::InconsistentMetadata(_))),
+        "unexpected {:?}",
+        collected.map(|bytes| bytes.len())
+    );
+}
+
 /// One step of the memo-transparency sequence.
 enum Op {
     Backup(u64, &'static str, Vec<u8>),
