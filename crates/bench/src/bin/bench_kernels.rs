@@ -18,8 +18,9 @@
 use cdstore_bench::fmt_speed;
 use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::kernelbench::{
-    aes_ctr_speed, aes_generator_mask_speed, caont_split_speed, crc32_speed, gear_scan_speed,
-    gf_kernel_all_backends, sha_batch_speed, sha_single_speed, KernelSpeed,
+    aes_ctr_speed, aes_generator_mask_speed, caont_share_lengths, caont_split_speed, crc32_speed,
+    fastcdc_lengths, gear_scan_speed, gf_kernel_all_backends, mixed_lengths, sha_batch_speed,
+    sha_single_speed, KernelSpeed,
 };
 use cdstore_bench::SnapshotArgs;
 use cdstore_crypto::{aes, crc32, sha256};
@@ -85,22 +86,38 @@ fn main() {
         );
     }
     rows.extend(rows_from("sha256/single", &singles, "scalar"));
+    let mut batch_rows = |kernel: &str, prefix: &[u8], lens: &[usize], group: usize| {
+        let speeds: Vec<KernelSpeed> = sha256::BatchKernel::available()
+            .into_iter()
+            .map(|batch_kernel| KernelSpeed {
+                backend: batch_kernel.name(),
+                mbps: sha_batch_speed(batch_kernel, prefix, lens, group, reps),
+            })
+            .collect();
+        for s in &speeds {
+            println!("{kernel:<23} {:<9} {}", s.backend, fmt_speed(s.mbps));
+        }
+        rows.extend(rows_from(kernel, &speeds, "scalar"));
+    };
     for msg_kib in [3, 9] {
         for count in [4, 16, 170] {
-            let kernel = format!("sha256/batch/{count}x{msg_kib}KiB");
-            let speeds: Vec<KernelSpeed> = sha256::BatchKernel::available()
-                .into_iter()
-                .map(|batch_kernel| KernelSpeed {
-                    backend: batch_kernel.name(),
-                    mbps: sha_batch_speed(batch_kernel, msg_kib * 1024, count, reps),
-                })
-                .collect();
-            for s in &speeds {
-                println!("{kernel:<22} {:<9} {}", s.backend, fmt_speed(s.mbps));
-            }
-            rows.extend(rows_from(&kernel, &speeds, "scalar"));
+            let lens = mixed_lengths(msg_kib * 1024, count);
+            batch_rows(
+                &format!("sha256/batch/{count}x{msg_kib}KiB"),
+                &[],
+                &lens,
+                count,
+            );
         }
     }
+    // Then the data path's own batches: FastCDC-cut secrets in encode
+    // groups of 64, and their (4,3) CAONT-RS shares 256 at a time, behind a
+    // 24-byte prefix (a server fingerprint's `len ‖ tag`).
+    let secret_lens = fastcdc_lengths(region_bytes);
+    let prefix = [0x24u8; 24];
+    batch_rows("sha256/batch/64xfastcdc", &prefix, &secret_lens, 64);
+    let share_lens = caont_share_lengths(&secret_lens);
+    batch_rows("sha256/batch/256xshare", &prefix, &share_lens, 256);
 
     // The CAONT-RS encode with its share fingerprints, on the production
     // dispatch: secret by secret (no hash batch exceeds a secret's 4 shares)

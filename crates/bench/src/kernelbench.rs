@@ -88,48 +88,74 @@ pub fn sha_single_speed(backend: sha256::Backend, msg_len: usize, reps: usize) -
     mbps
 }
 
-/// Measures batched SHA-256 throughput with one kernel: `reps` batch calls
-/// over `count` messages of mixed lengths within ±25 % of `msg_len` (share-
-/// or chunk-sized, so lanes refill and hand off as they do on the data
-/// path), median MB/s of total bytes.
+/// Measures batched SHA-256 throughput with one kernel: `reps` passes over
+/// messages of the given lengths, hashed `group` at a time behind `prefix`,
+/// median MB/s of message bytes.
 pub fn sha_batch_speed(
     kernel: sha256::BatchKernel,
-    msg_len: usize,
-    count: usize,
+    prefix: &[u8],
+    lens: &[usize],
+    group: usize,
     reps: usize,
 ) -> f64 {
-    let (flat, lens) = mixed_messages(msg_len, count, 0xE703_7ED1_A0B4_28DB);
-    let total = flat.len();
-    let mut msgs: Vec<&[u8]> = Vec::with_capacity(count);
-    let mut rest = flat.as_slice();
-    for &len in &lens {
-        let (msg, tail) = rest.split_at(len);
-        msgs.push(msg);
-        rest = tail;
-    }
+    let flat = filled(lens, 0xE703_7ED1_A0B4_28DB);
+    let msgs = split_at_lens(&flat, lens);
     let mut sink = 0u8;
-    let mbps = measure(total, reps, || {
-        let digests = sha256::hash_batch_with(kernel, &[], &msgs);
-        sink ^= digests[0][0];
+    let mbps = measure(flat.len(), reps, || {
+        for batch in msgs.chunks(group) {
+            let digests = sha256::hash_batch_with(kernel, prefix, batch);
+            sink ^= digests[0][0];
+        }
     });
     std::hint::black_box(sink);
     mbps
 }
 
-/// `count` messages of mixed lengths within ±25 % of `msg_len` (share- or
-/// chunk-sized, so lanes refill and hand off as they do on the data path),
-/// concatenated, and their lengths.
-fn mixed_messages(msg_len: usize, count: usize, seed: u64) -> (Vec<u8>, Vec<usize>) {
-    let lens: Vec<usize> = (0..count)
+/// `count` lengths within ±25 % of `msg_len` (share- or chunk-sized, so
+/// lanes refill and hand off as they do on the data path).
+pub fn mixed_lengths(msg_len: usize, count: usize) -> Vec<usize> {
+    (0..count)
         .map(|i| msg_len * 3 / 4 + (i * 0x9E37) % (msg_len / 2 + 1))
-        .collect();
+        .collect()
+}
+
+/// The lengths of the chunks FastCDC cuts, at [`ChunkerConfig::default`],
+/// from `region_len` random bytes: the data path's secret lengths.
+pub fn fastcdc_lengths(region_len: usize) -> Vec<usize> {
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x94D0_49BB_1331_11EB);
+    let chunker = FastCdcChunker::new(ChunkerConfig::default());
+    chunker.chunk(&buf).iter().map(|c| c.len()).collect()
+}
+
+/// The lengths of the `n` shares (4, 3) CAONT-RS makes of each secret.
+pub fn caont_share_lengths(secret_lens: &[usize]) -> Vec<usize> {
+    let scheme = CaontRs::new(4, 3).expect("valid (n, k)");
+    (secret_lens.iter())
+        .flat_map(|&len| [scheme.share_size(len); 4])
+        .collect()
+}
+
+/// Deterministic bytes for messages of the given lengths, concatenated.
+fn filled(lens: &[usize], seed: u64) -> Vec<u8> {
     let mut flat = vec![0u8; lens.iter().sum()];
     fill_deterministic(&mut flat, seed);
-    (flat, lens)
+    flat
+}
+
+/// `flat` cut into consecutive messages of the given lengths.
+fn split_at_lens<'a>(mut flat: &'a [u8], lens: &[usize]) -> Vec<&'a [u8]> {
+    lens.iter()
+        .map(|&len| {
+            let (msg, rest) = flat.split_at(len);
+            flat = rest;
+            msg
+        })
+        .collect()
 }
 
 /// Measures the CAONT-RS encode of `count` secrets of about `msg_len` bytes
-/// (mixed as [`sha_batch_speed`]'s messages), shares fingerprinted, on the
+/// (mixed as [`mixed_lengths`]), shares fingerprinted, on the
 /// production dispatch. Per secret (`grouped == false`): `split_into` and
 /// one [`Fingerprint::of_batch`] of its `n` shares at a time, so no hash
 /// batch exceeds `n` messages. As one group: the secrets copied into their
@@ -139,14 +165,9 @@ fn mixed_messages(msg_len: usize, count: usize, seed: u64) -> (Vec<u8>, Vec<usiz
 /// secret bytes.
 pub fn caont_split_speed(msg_len: usize, count: usize, grouped: bool, reps: usize) -> f64 {
     let scheme = CaontRs::new(4, 3).expect("valid (n, k)");
-    let (flat, lens) = mixed_messages(msg_len, count, 0x3C6E_F372_FE94_F82B);
-    let mut secrets: Vec<&[u8]> = Vec::with_capacity(count);
-    let mut rest = flat.as_slice();
-    for &len in &lens {
-        let (secret, tail) = rest.split_at(len);
-        secrets.push(secret);
-        rest = tail;
-    }
+    let lens = mixed_lengths(msg_len, count);
+    let flat = filled(&lens, 0x3C6E_F372_FE94_F82B);
+    let secrets = split_at_lens(&flat, &lens);
     let mut buffers: Vec<Vec<u8>> = vec![Vec::new(); count];
     let mut shares: Vec<Vec<Vec<u8>>> = vec![Vec::new(); count];
     let mut sink = 0u8;

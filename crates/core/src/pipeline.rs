@@ -194,10 +194,10 @@ impl Drop for EncodedGroup<'_> {
 ///    [`Fingerprint::of_batch`].
 ///
 /// A group of 16 or more secrets takes the sixteen AVX-512 SHA-256 lanes
-/// where they outrun SHA-NI ([`cdstore_crypto::sha256::BatchKernel`]). Each
-/// group is answered in its own one-slot reply channel, and the chunker
-/// queues the slots in input order, at most `encode_threads` deep; the
-/// calling thread waits on each slot in turn and hands each
+/// ([`cdstore_crypto::sha256::BatchKernel::X16`]) where they outrun
+/// SHA-NI. Each group is answered in its own one-slot reply channel, and
+/// the chunker queues the slots in input order, at most `encode_threads`
+/// deep; the calling thread waits on each slot in turn and hands each
 /// [`EncodedSecret`] to `sink` in input order. The sink overlaps whatever
 /// it does (batching, store RPCs) with the encoding of later groups — the
 /// pipelining that lets CPU and network run concurrently.

@@ -66,9 +66,10 @@ impl Fingerprint {
 
     /// Computes the fingerprints of many buffers at once through
     /// [`sha256::hash_batch`], whose kernel depends on the batch size (see
-    /// [`sha256::BatchKernel::for_batch`]): sixteen AVX-512 lanes for 16 or
-    /// more buffers where they outrun SHA-NI, else SHA-NI per buffer, else
-    /// four SSE2 lanes. Used by the client to fingerprint every share of an
+    /// [`sha256::BatchKernel::for_batch`]): sixteen AVX-512 lanes
+    /// ([`sha256::BatchKernel::X16`]) for 16 or more buffers where they
+    /// outrun SHA-NI, else SHA-NI per buffer, else four SSE2 lanes
+    /// ([`sha256::BatchKernel::X4`]). Used by the client to fingerprint every share of an
     /// encode group — `n` per secret, up to 64 secrets — in one call; one
     /// secret's `n` shares alone would never fill the lanes.
     pub fn of_batch(datas: &[&[u8]]) -> Vec<Self> {
@@ -123,20 +124,6 @@ impl Fingerprint {
             s.push_str(&format!("{b:02x}"));
         }
         s
-    }
-
-    /// Parses a 64-character hex string into a fingerprint.
-    pub fn from_hex(hex: &str) -> Option<Self> {
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Fingerprint(out))
     }
 }
 
@@ -256,9 +243,11 @@ mod tests {
         let fp = Fingerprint::of(b"roundtrip");
         let hex = fp.to_hex();
         assert_eq!(hex.len(), 64);
-        assert_eq!(Fingerprint::from_hex(&hex), Some(fp));
-        assert_eq!(Fingerprint::from_hex("zz"), None);
-        assert_eq!(Fingerprint::from_hex(&"g".repeat(64)), None);
+        assert!(hex.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')));
+        let bytes: Vec<u8> = (0..32)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(bytes, fp.as_bytes());
     }
 
     #[test]

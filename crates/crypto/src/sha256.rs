@@ -20,15 +20,15 @@
 //!
 //! * a batch of at least 16 messages takes the **16-lane AVX-512 kernel**
 //!   on a host where it measured faster than the single-stream backend (one
-//!   timing at first use; a double-pumped AVX-512 core keeps its SHA-NI);
+//!   yes/no timing at first use; a double-pumped AVX-512 core keeps its
+//!   SHA-NI);
 //! * otherwise a SHA-NI host hashes one message after another, and a scalar
 //!   host compresses four messages in lockstep with SSE2 (portable lane
 //!   arrays off x86_64).
 //!
 //! Both lane kernels share one scheduler (`multilane`): a lane is refilled
-//! as its message ends, and once too few lanes are live to outrun
-//! [`Backend::active`], each remaining message finishes there from its
-//! mid-state.
+//! as its message ends, and once fewer than half the lanes are live, each
+//! remaining message finishes on [`Backend::active`] from its mid-state.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_SIZE: usize = 32;
@@ -412,8 +412,8 @@ pub fn hash_batch_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<[u8; DIGEST_S
 ///
 /// # Panics
 ///
-/// Panics if `kernel` names lanes this CPU cannot run (see
-/// [`Lanes::available`]).
+/// Panics if `kernel` is one this CPU cannot run (see
+/// [`BatchKernel::available`]).
 pub fn hash_batch_with(
     kernel: BatchKernel,
     prefix: &[u8],
@@ -424,36 +424,38 @@ pub fn hash_batch_with(
         BatchKernel::Single(backend) => {
             multilane::Batch::new(backend, prefix, inputs).single(&mut out);
         }
-        BatchKernel::Lanes { lanes, min_live } => {
-            let batch = multilane::Batch::new(Backend::active(), prefix, inputs);
-            match lanes {
-                Lanes::X4 => batch.lanes(multilane::x4, min_live, &mut out),
-                #[cfg(target_arch = "x86_64")]
-                Lanes::X16 => batch.lanes(multilane::avx512::x16, min_live, &mut out),
-                #[cfg(not(target_arch = "x86_64"))]
-                Lanes::X16 => panic!("the 16-lane kernel needs x86_64 with AVX-512"),
-            }
+        BatchKernel::X4 => {
+            multilane::Batch::new(Backend::active(), prefix, inputs).lanes(multilane::x4, &mut out);
         }
+        #[cfg(target_arch = "x86_64")]
+        BatchKernel::X16 => multilane::Batch::new(Backend::active(), prefix, inputs)
+            .lanes(multilane::avx512::x16, &mut out),
+        #[cfg(not(target_arch = "x86_64"))]
+        BatchKernel::X16 => panic!("the 16-lane kernel needs x86_64 with AVX-512"),
     }
     out
 }
 
 /// How a batch of independent messages is hashed.
+///
+/// The lane kernels compress one message per lane, every lane in lockstep.
+/// A lane whose message ends takes the next waiting one; once none waits
+/// and fewer than half the lanes are live, each remaining message finishes
+/// on [`Backend::active`] from its mid-state. Half is a fixed point, not a
+/// tuned one: four SSE2 lanes hash at ≈2.1× one scalar stream, so two live
+/// lanes still outrun it, and sixteen AVX-512 lanes hash FastCDC-sized
+/// secrets and their shares at the same rate for every hand-off from 6 to
+/// 13 live lanes (`docs/kernels.md`, "The tail hand-off").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchKernel {
     /// One message after another on a single-stream backend.
     Single(Backend),
-    /// One message per lane, every lane compressed in lockstep. A lane whose
-    /// message ends takes the next waiting one; once none waits and fewer
-    /// than `min_live` lanes are live, each remaining message finishes on
-    /// [`Backend::active`] from its mid-state.
-    Lanes {
-        /// The multi-buffer kernel.
-        lanes: Lanes,
-        /// The fewest live lanes that still outrun one single-stream
-        /// backend.
-        min_live: usize,
-    },
+    /// Four lanes: explicit SSE2 on x86_64 (part of its baseline, so never
+    /// detected), portable lane arrays elsewhere.
+    X4,
+    /// Sixteen lanes in AVX-512F/BW registers (x86_64, detected at run
+    /// time).
+    X16,
 }
 
 impl BatchKernel {
@@ -464,127 +466,64 @@ impl BatchKernel {
     ///   `CDSTORE_FORCE_SCALAR`). Smaller batches would leave lanes idle.
     /// * Otherwise message after message on SHA-NI, which outruns four SSE2
     ///   lanes.
-    /// * Otherwise four lanes, handing off below two live.
+    /// * Otherwise four lanes.
     pub fn for_batch(messages: usize) -> BatchKernel {
-        if messages >= Lanes::X16.width() {
-            if let Some(min_live) = x16_min_live() {
-                return BatchKernel::Lanes {
-                    lanes: Lanes::X16,
-                    min_live,
-                };
-            }
+        if messages >= 16 && x16_outruns_one_stream() {
+            return BatchKernel::X16;
         }
         match Backend::active() {
             Backend::ShaNi => BatchKernel::Single(Backend::ShaNi),
-            Backend::Scalar => BatchKernel::Lanes {
-                lanes: Lanes::X4,
-                min_live: X4_MIN_LIVE,
-            },
+            Backend::Scalar => BatchKernel::X4,
         }
     }
 
     /// Every kernel runnable on this CPU: each single-stream backend, then
-    /// each lane kernel with the hand-off point production gives it (16 for
-    /// the 16 lanes where production never takes them).
+    /// the four lanes, then the sixteen where AVX-512F/BW is detected (also
+    /// where production never takes them).
     pub fn available() -> Vec<BatchKernel> {
-        let singles = Backend::available().into_iter().map(BatchKernel::Single);
-        let lanes = Lanes::available()
+        let mut v: Vec<BatchKernel> = Backend::available()
             .into_iter()
-            .map(|lanes| BatchKernel::Lanes {
-                lanes,
-                min_live: match lanes {
-                    Lanes::X4 => X4_MIN_LIVE,
-                    Lanes::X16 => x16_min_live().unwrap_or(lanes.width()),
-                },
-            });
-        singles.chain(lanes).collect()
+            .map(BatchKernel::Single)
+            .collect();
+        v.push(BatchKernel::X4);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if multilane::avx512::detected() {
+                v.push(BatchKernel::X16);
+            }
+        }
+        v
     }
 
     /// Human-readable kernel name (used by benches).
     pub fn name(self) -> &'static str {
         match self {
             BatchKernel::Single(backend) => backend.name(),
-            BatchKernel::Lanes { lanes, .. } => lanes.name(),
+            BatchKernel::X4 => "x4",
+            BatchKernel::X16 => "avx512x16",
         }
     }
 }
 
-/// A multi-buffer SHA-256 kernel: one block into each of
-/// [`width`](Lanes::width) independent states per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lanes {
-    /// Four lanes: explicit SSE2 on x86_64 (part of its baseline, so never
-    /// detected), portable lane arrays elsewhere.
-    X4,
-    /// Sixteen lanes in AVX-512F/BW registers (x86_64, detected at run
-    /// time).
-    X16,
-}
-
-impl Lanes {
-    /// Every lane kernel runnable on this CPU, narrowest first.
-    pub fn available() -> Vec<Lanes> {
-        let mut v = vec![Lanes::X4];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if multilane::avx512::detected() {
-                v.push(Lanes::X16);
-            }
-        }
-        v
-    }
-
-    /// Messages compressed per step.
-    pub fn width(self) -> usize {
-        match self {
-            Lanes::X4 => 4,
-            Lanes::X16 => 16,
-        }
-    }
-
-    /// Human-readable kernel name (used by benches).
-    pub fn name(self) -> &'static str {
-        match self {
-            Lanes::X4 => "x4",
-            Lanes::X16 => "avx512x16",
-        }
-    }
-}
-
-/// Four SSE2 lanes hash at ≈2.1× one scalar stream (`BENCH_kernels.json`,
-/// `sha256/batch/*`: `x4` 457–487 against `scalar` 220–232 MB/s), so each
-/// lane is worth ≈0.52 of it and two live lanes still outrun it.
-const X4_MIN_LIVE: usize = 2;
-
-/// For the 16-lane kernel on this host: the fewest live lanes that still
-/// outrun one [`Backend::active`] stream, timed once per process. `None`
-/// when the CPU lacks AVX-512F/BW, when even sixteen lanes lose (a core
-/// that splits each 512-bit operation in two against its SHA-NI), or under
-/// `CDSTORE_FORCE_SCALAR`.
+/// Whether sixteen AVX-512 lanes hash a full batch faster than one
+/// [`Backend::active`] stream on this host, timed once per process. `false`
+/// when the CPU lacks AVX-512F/BW, under `CDSTORE_FORCE_SCALAR`, and on a
+/// core that splits each 512-bit operation in two, where SHA-NI wins.
 ///
 /// The timing hashes the same sixteen 2 KiB messages both ways, best of
 /// five after a warm-up pass that also powers up the 512-bit units, and
-/// costs ≈0.3 ms. A lane step advances every live lane one block at the
-/// cost of one full step, and the stream pays per block what the whole
-/// batch cost divided by its sixteen messages' blocks, so `L` live lanes
-/// win when `L > 16 · t_lanes / t_stream`.
-fn x16_min_live() -> Option<usize> {
-    static MIN_LIVE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *MIN_LIVE.get_or_init(|| {
-        if force_scalar() || !Lanes::available().contains(&Lanes::X16) {
-            return None;
+/// costs ≈0.3 ms. Only its yes/no answer is used: the hand-off point is
+/// fixed, so every process on a host hashes the same way.
+fn x16_outruns_one_stream() -> bool {
+    static OUTRUNS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *OUTRUNS.get_or_init(|| {
+        if force_scalar() || !BatchKernel::available().contains(&BatchKernel::X16) {
+            return false;
         }
         const LEN: usize = 2048;
-        let width = Lanes::X16.width();
-        let data: Vec<u8> = (0..width * LEN).map(|i| (i * 131 + 7) as u8).collect();
+        let data: Vec<u8> = (0..16 * LEN).map(|i| (i * 131 + 7) as u8).collect();
         let msgs: Vec<&[u8]> = data.chunks(LEN).collect();
-        let kernels = [
-            BatchKernel::Single(Backend::active()),
-            BatchKernel::Lanes {
-                lanes: Lanes::X16,
-                min_live: width,
-            },
-        ];
+        let kernels = [BatchKernel::Single(Backend::active()), BatchKernel::X16];
         let mut best = [std::time::Duration::MAX; 2];
         for pass in 0..6 {
             for (&kernel, best) in kernels.iter().zip(&mut best) {
@@ -595,9 +534,8 @@ fn x16_min_live() -> Option<usize> {
                 }
             }
         }
-        let [stream, lanes] = best.map(|d| d.as_secs_f64());
-        let fewest_losing = (width as f64 * lanes / stream).floor();
-        (fewest_losing < width as f64).then(|| fewest_losing as usize + 1)
+        let [stream, lanes] = best;
+        lanes < stream
     })
 }
 
@@ -663,12 +601,11 @@ mod multilane {
 
         /// Hashes the messages `W` at a time through `kernel`, each step as
         /// many blocks as every live lane holds contiguously. Once no message
-        /// waits and fewer than `min_live` lanes are live, each remaining
+        /// waits and fewer than `W / 2` lanes are live, each remaining
         /// message finishes single-stream from its lane's mid-state.
         pub(super) fn lanes<const W: usize>(
             &self,
             kernel: Kernel<W>,
-            min_live: usize,
             out: &mut [[u8; DIGEST_SIZE]],
         ) {
             let mut states = [[0u32; W]; 8];
@@ -684,7 +621,7 @@ mod multilane {
                 if live == 0 {
                     return;
                 }
-                if live < min_live && next == self.inputs.len() {
+                if live < W / 2 && next == self.inputs.len() {
                     for (l, lane) in lanes.iter_mut().enumerate() {
                         if let Some(message) = lane {
                             let mut state = column(&states, l);

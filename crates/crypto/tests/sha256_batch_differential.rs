@@ -1,7 +1,7 @@
 //! Differential suite for the batched SHA-256 kernels: every batch kernel —
 //! each single-stream backend, the 4-lane kernel and, where the CPU has
-//! AVX-512F/BW, the 16-lane kernel — at several hand-off points must give
-//! exactly `hash_parts(&[prefix, m])` for every message `m`.
+//! AVX-512F/BW, the 16-lane kernel — must give exactly
+//! `hash_parts(&[prefix, m])` for every message `m`.
 //!
 //! The prefixes straddle the block boundary (0, 1, 55, 56, 63, 64 and 70
 //! bytes, plus the 24-byte `len ‖ tag` of a server fingerprint); the
@@ -11,7 +11,7 @@
 //! suite under both dispatch modes, so the hand-off backend is SHA-NI in
 //! one and the scalar schedule in the other.
 
-use cdstore_crypto::sha256::{self, hash_batch_with, hash_parts, BatchKernel, Lanes};
+use cdstore_crypto::sha256::{self, hash_batch_with, hash_parts, BatchKernel};
 use cdstore_crypto::Fingerprint;
 use proptest::prelude::*;
 
@@ -21,19 +21,6 @@ fn bytes(len: usize, seed: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 + seed * 17 + 7) as u8).collect()
 }
 
-/// Every batch kernel, and each lane kernel also at the extreme hand-off
-/// points: lanes until the last message ends (1), and hand-off as soon as
-/// one lane idles (its width).
-fn kernels() -> Vec<BatchKernel> {
-    let mut kernels = BatchKernel::available();
-    for lanes in Lanes::available() {
-        for min_live in [1, lanes.width()] {
-            kernels.push(BatchKernel::Lanes { lanes, min_live });
-        }
-    }
-    kernels
-}
-
 fn assert_all_kernels_match(prefix: &[u8], msgs: &[&[u8]], what: &str) {
     let expected: Vec<[u8; 32]> = msgs.iter().map(|m| hash_parts(&[prefix, m])).collect();
     assert_eq!(
@@ -41,7 +28,7 @@ fn assert_all_kernels_match(prefix: &[u8], msgs: &[&[u8]], what: &str) {
         expected,
         "dispatch, {what}"
     );
-    for kernel in kernels() {
+    for kernel in BatchKernel::available() {
         assert_eq!(
             hash_batch_with(kernel, prefix, msgs),
             expected,
@@ -53,9 +40,12 @@ fn assert_all_kernels_match(prefix: &[u8], msgs: &[&[u8]], what: &str) {
 
 #[test]
 fn reports_which_lane_kernels_ran() {
-    let lanes: Vec<&str> = Lanes::available().into_iter().map(Lanes::name).collect();
+    let lanes: Vec<&str> = (BatchKernel::available().into_iter())
+        .filter(|k| !matches!(k, BatchKernel::Single(_)))
+        .map(BatchKernel::name)
+        .collect();
     println!("lane kernels exercised: {lanes:?}");
-    if !Lanes::available().contains(&Lanes::X16) {
+    if !BatchKernel::available().contains(&BatchKernel::X16) {
         println!(
             "the 16-lane AVX-512 kernel was NOT exercised: this CPU lacks AVX-512F/BW \
              (the shared scheduler still ran through the 4-lane kernel)"
@@ -67,13 +57,7 @@ fn reports_which_lane_kernels_ran() {
         BatchKernel::for_batch(16)
     );
     // Sixteen lanes serve only batches that can fill them.
-    assert!(!matches!(
-        BatchKernel::for_batch(15),
-        BatchKernel::Lanes {
-            lanes: Lanes::X16,
-            ..
-        }
-    ));
+    assert_ne!(BatchKernel::for_batch(15), BatchKernel::X16);
 }
 
 #[test]
@@ -135,7 +119,7 @@ proptest! {
     ) {
         let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
         let expected: Vec<[u8; 32]> = refs.iter().map(|m| hash_parts(&[&prefix, m])).collect();
-        for kernel in kernels() {
+        for kernel in BatchKernel::available() {
             assert_eq!(hash_batch_with(kernel, &prefix, &refs), expected, "{kernel:?}");
         }
     }

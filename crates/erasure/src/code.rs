@@ -4,8 +4,6 @@ use core::fmt;
 
 use cdstore_gf::{region, Matrix};
 
-use crate::shard::pad_and_split;
-
 /// Errors returned by Reed-Solomon encoding and decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ErasureError {
@@ -32,6 +30,13 @@ pub enum ErasureError {
     },
     /// The supplied shards do not all have the same length.
     InconsistentShardSize,
+    /// The `k` data shards hold fewer bytes than the decode asked for.
+    LengthExceedsShards {
+        /// Bytes the `k` data shards hold.
+        held: usize,
+        /// Bytes requested.
+        requested: usize,
+    },
     /// Internal matrix inversion failed (should not happen for a valid code).
     MatrixSingular,
 }
@@ -52,6 +57,9 @@ impl fmt::Display for ErasureError {
                 )
             }
             ErasureError::InconsistentShardSize => write!(f, "shards have inconsistent sizes"),
+            ErasureError::LengthExceedsShards { held, requested } => {
+                write!(f, "shards hold {held} bytes but {requested} were requested")
+            }
             ErasureError::MatrixSingular => write!(f, "decode matrix is singular"),
         }
     }
@@ -108,44 +116,18 @@ impl ReedSolomon {
         self.n as f64 / self.k as f64
     }
 
-    /// Encodes `k` equal-size data shards into `n` shards (the first `k`
-    /// outputs are copies of the inputs).
-    pub fn encode_shards(&self, data_shards: &[&[u8]]) -> Result<Vec<Vec<u8>>, ErasureError> {
-        if data_shards.len() != self.k {
-            return Err(ErasureError::WrongShardCount {
-                expected: self.k,
-                actual: data_shards.len(),
-            });
-        }
-        let size = data_shards[0].len();
-        if data_shards.iter().any(|s| s.len() != size) {
-            return Err(ErasureError::InconsistentShardSize);
-        }
-        let mut out = Vec::with_capacity(self.n);
-        // Systematic part: copy the data shards through.
-        for shard in data_shards {
-            out.push(shard.to_vec());
-        }
-        // Parity part: rows k..n of the encoding matrix.
-        for row in self.k..self.n {
-            let mut parity = vec![0u8; size];
-            for (j, shard) in data_shards.iter().enumerate() {
-                region::mul_acc(&mut parity, shard, self.matrix.get(row, j));
-            }
-            out.push(parity);
-        }
+    /// Splits a byte buffer into `k` zero-padded shards and encodes them
+    /// into `n` fresh ones: [`encode_into`](ReedSolomon::encode_into) into a
+    /// new `Vec`, for callers that keep no buffers to reuse.
+    pub fn encode_data(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, ErasureError> {
+        let mut out = Vec::new();
+        self.encode_into(data, &mut out)?;
         Ok(out)
     }
 
-    /// Splits a byte buffer into `k` zero-padded shards and encodes them.
-    pub fn encode_data(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let shards = pad_and_split(data, self.k);
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        self.encode_shards(&refs)
-    }
-
-    /// Like [`encode_data`](ReedSolomon::encode_data), but writes the `n`
-    /// shards into `out`, reusing the capacity of any buffers already there.
+    /// Splits `data` into `k` zero-padded shards and writes them and the
+    /// `n - k` parity shards into `out`, reusing the capacity of any buffers
+    /// already there.
     ///
     /// `out` is resized to `n` entries; each entry is overwritten in place
     /// (no allocation once its capacity has grown to the shard size). This is
@@ -174,82 +156,8 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Validates a reconstruction input: right shard count, at least `k`
-    /// available, equal sizes. Returns the available indices and shard size.
-    fn validate_reconstruct(
-        &self,
-        shards: &[Option<&[u8]>],
-    ) -> Result<(Vec<usize>, usize), ErasureError> {
-        if shards.len() != self.n {
-            return Err(ErasureError::WrongShardCount {
-                expected: self.n,
-                actual: shards.len(),
-            });
-        }
-        let available: Vec<usize> = shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|_| i))
-            .collect();
-        if available.len() < self.k {
-            return Err(ErasureError::NotEnoughShards {
-                needed: self.k,
-                available: available.len(),
-            });
-        }
-        let size = shards[available[0]].expect("available").len();
-        if available
-            .iter()
-            .any(|&i| shards[i].expect("available").len() != size)
-        {
-            return Err(ErasureError::InconsistentShardSize);
-        }
-        Ok((available, size))
-    }
-
-    /// Computes the inverted decode matrix and the `k` chosen input slices
-    /// for the general (non-systematic-survivor) reconstruction path.
-    fn decode_inputs<'a>(
-        &self,
-        shards: &[Option<&'a [u8]>],
-        available: &[usize],
-    ) -> Result<(Matrix, Vec<&'a [u8]>), ErasureError> {
-        let chosen = &available[..self.k];
-        let sub = self.matrix.select_rows(chosen);
-        let inv = sub.invert().map_err(|_| ErasureError::MatrixSingular)?;
-        let inputs: Vec<&[u8]> = chosen
-            .iter()
-            .map(|&i| shards[i].expect("available"))
-            .collect();
-        Ok((inv, inputs))
-    }
-
-    /// Reconstructs the `k` data shards from any `k` available shards, over
-    /// borrowed shard slices so callers selecting k-subsets (e.g. the
-    /// CAONT-RS brute-force decoder) never copy share bytes.
-    ///
-    /// `shards` must have length `n`; missing shards are `None`.
-    pub fn reconstruct_data_shards_borrowed(
-        &self,
-        shards: &[Option<&[u8]>],
-    ) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let (available, size) = self.validate_reconstruct(shards)?;
-        // Fast path: all k data shards survive.
-        if available.iter().take_while(|&&i| i < self.k).count() >= self.k {
-            return Ok((0..self.k)
-                .map(|i| shards[i].expect("data shard present").to_vec())
-                .collect());
-        }
-        let (inv, inputs) = self.decode_inputs(shards, &available)?;
-        let mut outputs = vec![vec![0u8; size]; self.k];
-        let mut out_refs: Vec<&mut [u8]> = outputs.iter_mut().map(|o| o.as_mut_slice()).collect();
-        region::matrix_apply_into(inv.as_slice(), self.k, self.k, &inputs, &mut out_refs);
-        Ok(outputs)
-    }
-
-    /// Reconstructs the original byte buffer of length `original_len` from
-    /// any `k` available shards. Kept beside the borrowed form because IDA,
-    /// AONT-RS and SSMS reach it with the owned slots that
+    /// [`reconstruct_data_borrowed`](ReedSolomon::reconstruct_data_borrowed)
+    /// over owned slots: IDA, AONT-RS and SSMS reach it with the slots that
     /// `SecretSharing::reconstruct` hands them.
     pub fn reconstruct_data(
         &self,
@@ -260,77 +168,77 @@ impl ReedSolomon {
         self.reconstruct_data_borrowed(&borrowed, original_len)
     }
 
-    /// Like [`reconstruct_data`](ReedSolomon::reconstruct_data) but over
-    /// borrowed shard slices, decoding straight into one flat output buffer
-    /// (no per-shard allocation, no reassembly copy) — the kernel the
-    /// streamed-restore decode windows run on.
+    /// Reconstructs the original byte buffer of length `original_len` from
+    /// any `k` available shards, decoding straight into one flat output
+    /// buffer (no per-shard allocation, no reassembly copy). Borrowed slices
+    /// let callers selecting k-subsets (the CAONT-RS brute-force decoder)
+    /// never copy share bytes; the streamed-restore decode windows run on it.
     ///
-    /// # Panics
-    ///
-    /// Panics if the available shards hold fewer than `original_len` bytes.
+    /// `shards` must have length `n`; missing shards are `None`.
     pub fn reconstruct_data_borrowed(
         &self,
         shards: &[Option<&[u8]>],
         original_len: usize,
     ) -> Result<Vec<u8>, ErasureError> {
-        let (available, size) = self.validate_reconstruct(shards)?;
-        assert!(
-            size * self.k >= original_len,
-            "shards hold {} bytes but {original_len} were requested",
-            size * self.k
-        );
-        if size == 0 {
-            return Ok(Vec::new());
-        }
-        if available.iter().take_while(|&&i| i < self.k).count() >= self.k {
-            // Fast path: all k data shards survive; append them, up to
-            // `original_len`, to a buffer of exactly that size.
-            let mut out = Vec::with_capacity(original_len);
-            for shard in &shards[..self.k] {
-                let shard = shard.expect("data shard present");
-                let take = shard.len().min(original_len - out.len());
-                out.extend_from_slice(&shard[..take]);
-            }
-            return Ok(out);
-        }
-        let mut out = vec![0u8; size * self.k];
-        let (inv, inputs) = self.decode_inputs(shards, &available)?;
-        let mut out_refs: Vec<&mut [u8]> = out.chunks_mut(size).collect();
-        region::matrix_apply_into(inv.as_slice(), self.k, self.k, &inputs, &mut out_refs);
-        out.truncate(original_len);
-        Ok(out)
-    }
-
-    /// Reconstructs *all* `n` shards (data and parity) from any `k` available
-    /// shards — the repair operation CDStore runs after a cloud failure.
-    pub fn reconstruct_all_shards(
-        &self,
-        shards: &[Option<Vec<u8>>],
-    ) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
-        let data_shards = self.reconstruct_data_shards_borrowed(&borrowed)?;
-        let refs: Vec<&[u8]> = data_shards.iter().map(|s| s.as_slice()).collect();
-        self.encode_shards(&refs)
-    }
-
-    /// Verifies that a full set of `n` shards is consistent with the code
-    /// (i.e. the parity shards match the data shards).
-    pub fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, ErasureError> {
         if shards.len() != self.n {
             return Err(ErasureError::WrongShardCount {
                 expected: self.n,
                 actual: shards.len(),
             });
         }
-        let refs: Vec<&[u8]> = shards[..self.k].iter().map(|s| s.as_slice()).collect();
-        let expected = self.encode_shards(&refs)?;
-        Ok(expected == shards)
+        let available: Vec<&[u8]> = shards.iter().flatten().copied().collect();
+        if available.len() < self.k {
+            return Err(ErasureError::NotEnoughShards {
+                needed: self.k,
+                available: available.len(),
+            });
+        }
+        let size = available[0].len();
+        if available.iter().any(|s| s.len() != size) {
+            return Err(ErasureError::InconsistentShardSize);
+        }
+        if size * self.k < original_len {
+            return Err(ErasureError::LengthExceedsShards {
+                held: size * self.k,
+                requested: original_len,
+            });
+        }
+        if size == 0 {
+            return Ok(Vec::new());
+        }
+        if shards[..self.k].iter().all(Option::is_some) {
+            // Fast path: all k data shards survive; append them, up to
+            // `original_len`, to a buffer of exactly that size.
+            let mut out = Vec::with_capacity(original_len);
+            for shard in shards[..self.k].iter().flatten() {
+                let take = shard.len().min(original_len - out.len());
+                out.extend_from_slice(&shard[..take]);
+            }
+            return Ok(out);
+        }
+        // General path: invert the rows of the first k survivors.
+        let chosen: Vec<usize> = (0..self.n).filter(|&i| shards[i].is_some()).collect();
+        let chosen = &chosen[..self.k];
+        let inv =
+            (self.matrix.select_rows(chosen).invert()).map_err(|_| ErasureError::MatrixSingular)?;
+        let mut out = vec![0u8; size * self.k];
+        let mut out_refs: Vec<&mut [u8]> = out.chunks_mut(size).collect();
+        region::matrix_apply_into(
+            inv.as_slice(),
+            self.k,
+            self.k,
+            &available[..self.k],
+            &mut out_refs,
+        );
+        out.truncate(original_len);
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::pad_and_split;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -416,37 +324,22 @@ mod tests {
 
     #[test]
     fn repair_rebuilds_lost_shards() {
+        // A lost cloud is repaired by decoding from the survivors and
+        // re-encoding: the rebuilt shards are the originals.
         let rs = ReedSolomon::new(4, 3).unwrap();
         let data = b"repair after a cloud failure".to_vec();
         let shards = rs.encode_data(&data).unwrap();
         let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
         received[2] = None; // cloud 2 failed
-        let rebuilt = rs.reconstruct_all_shards(&received).unwrap();
-        assert_eq!(rebuilt, shards);
-        assert!(rs.verify(&rebuilt).unwrap());
-    }
-
-    #[test]
-    fn verify_detects_corruption() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let mut shards = rs.encode_data(b"integrity matters").unwrap();
-        assert!(rs.verify(&shards).unwrap());
-        shards[3][0] ^= 0xff;
-        assert!(!rs.verify(&shards).unwrap());
+        let decoded = rs.reconstruct_data(&received, data.len()).unwrap();
+        assert_eq!(rs.encode_data(&decoded).unwrap(), shards);
     }
 
     #[test]
     fn wrong_shard_count_is_rejected() {
         let rs = ReedSolomon::new(4, 3).unwrap();
         assert!(matches!(
-            rs.encode_shards(&[b"ab".as_slice(), b"cd".as_slice()]),
-            Err(ErasureError::WrongShardCount {
-                expected: 3,
-                actual: 2
-            })
-        ));
-        assert!(matches!(
-            rs.reconstruct_all_shards(&[None, None]),
+            rs.reconstruct_data(&[None, None], 0),
             Err(ErasureError::WrongShardCount {
                 expected: 4,
                 actual: 2
@@ -457,10 +350,34 @@ mod tests {
     #[test]
     fn inconsistent_shard_sizes_are_rejected() {
         let rs = ReedSolomon::new(4, 3).unwrap();
+        let shards = [
+            Some(b"ab".to_vec()),
+            Some(b"cd".to_vec()),
+            None,
+            Some(b"e".to_vec()),
+        ];
         assert!(matches!(
-            rs.encode_shards(&[b"ab".as_slice(), b"cd".as_slice(), b"e".as_slice()]),
+            rs.reconstruct_data(&shards, 3),
             Err(ErasureError::InconsistentShardSize)
         ));
+    }
+
+    #[test]
+    fn reconstruct_rejects_a_length_the_shards_cannot_hold() {
+        let rs = ReedSolomon::new(4, 3).unwrap();
+        let shards = rs.encode_data(b"twelve bytes").unwrap();
+        let mut received: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
+        assert!(matches!(
+            rs.reconstruct_data(&received, 13),
+            Err(ErasureError::LengthExceedsShards {
+                held: 12,
+                requested: 13
+            })
+        ));
+        // The parity path checks the length as the fast path does.
+        received[0] = None;
+        assert!(rs.reconstruct_data(&received, 13).is_err());
+        assert_eq!(rs.reconstruct_data(&received, 12).unwrap(), b"twelve bytes");
     }
 
     #[test]

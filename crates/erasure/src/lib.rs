@@ -30,4 +30,4 @@ pub mod code;
 pub mod shard;
 
 pub use code::{ErasureError, ReedSolomon};
-pub use shard::{pad_and_split, reassemble, shard_size};
+pub use shard::{pad_and_split, shard_size};

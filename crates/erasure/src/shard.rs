@@ -1,4 +1,4 @@
-//! Splitting byte buffers into equal-size shards and reassembling them.
+//! Splitting byte buffers into equal-size shards.
 //!
 //! CAONT-RS divides the CAONT package into `k` equal-size shares, padding
 //! with zeroes when the package length is not a multiple of `k` (§3.2). The
@@ -34,29 +34,6 @@ pub fn pad_and_split(data: &[u8], k: usize) -> Vec<Vec<u8>> {
     shards
 }
 
-/// Reassembles shards produced by [`pad_and_split`] back into the original
-/// buffer of length `original_len` (dropping the zero padding).
-///
-/// # Panics
-///
-/// Panics if the shards cannot contain `original_len` bytes.
-pub fn reassemble(shards: &[Vec<u8>], original_len: usize) -> Vec<u8> {
-    let total: usize = shards.iter().map(|s| s.len()).sum();
-    assert!(
-        total >= original_len,
-        "shards hold {total} bytes but {original_len} were requested"
-    );
-    let mut out = Vec::with_capacity(original_len);
-    for shard in shards {
-        if out.len() >= original_len {
-            break;
-        }
-        let take = (original_len - out.len()).min(shard.len());
-        out.extend_from_slice(&shard[..take]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +65,6 @@ mod tests {
         let shards = pad_and_split(&[], 4);
         assert_eq!(shards.len(), 4);
         assert!(shards.iter().all(|s| s.is_empty()));
-        assert_eq!(reassemble(&shards, 0), Vec::<u8>::new());
     }
 
     #[test]
@@ -96,19 +72,13 @@ mod tests {
         let data: Vec<u8> = (0..12).collect();
         let shards = pad_and_split(&data, 4);
         assert!(shards.iter().all(|s| s.len() == 3));
-        assert_eq!(reassemble(&shards, 12), data);
+        assert_eq!(shards.concat(), data);
     }
 
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         pad_and_split(b"abc", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "were requested")]
-    fn reassemble_rejects_short_shards() {
-        reassemble(&[vec![1, 2]], 5);
     }
 
     proptest! {
@@ -119,7 +89,9 @@ mod tests {
             prop_assert_eq!(shards.len(), k);
             let size = shard_size(data.len(), k);
             prop_assert!(shards.iter().all(|s| s.len() == size));
-            prop_assert_eq!(reassemble(&shards, data.len()), data);
+            let flat = shards.concat();
+            prop_assert_eq!(&flat[..data.len()], &data[..]);
+            prop_assert!(flat[data.len()..].iter().all(|&b| b == 0));
         }
     }
 }

@@ -55,50 +55,6 @@ pub fn interpolate_at_zero(points: &[(Gf256, Gf256)]) -> Option<Gf256> {
     interpolate_at(points, Gf256::ZERO)
 }
 
-/// Interpolates the full coefficient vector of the unique polynomial of
-/// degree `< points.len()` through the given points.
-///
-/// This is O(k^2) per call and is used by tests and by RSSS decoding when the
-/// original random padding pieces must also be recovered.
-pub fn interpolate_coeffs(points: &[(Gf256, Gf256)]) -> Option<Vec<Gf256>> {
-    for (i, (xi, _)) in points.iter().enumerate() {
-        for (xj, _) in points.iter().skip(i + 1) {
-            if xi == xj {
-                return None;
-            }
-        }
-    }
-    let k = points.len();
-    let mut coeffs = vec![Gf256::ZERO; k];
-    // Accumulate y_i * L_i(x) in coefficient form.
-    for (i, &(xi, yi)) in points.iter().enumerate() {
-        // Build numerator polynomial prod_{j != i} (x - x_j) iteratively.
-        let mut num = vec![Gf256::ZERO; k];
-        num[0] = Gf256::ONE;
-        let mut deg = 0usize;
-        let mut den = Gf256::ONE;
-        for (j, &(xj, _)) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            // num *= (x - x_j) == (x + x_j) in GF(2^8).
-            let mut next = vec![Gf256::ZERO; k];
-            for d in 0..=deg {
-                next[d + 1] += num[d];
-                next[d] += num[d] * xj;
-            }
-            num = next;
-            deg += 1;
-            den *= xi - xj;
-        }
-        let scale = yi * den.inverse().expect("distinct x-coordinates");
-        for d in 0..k {
-            coeffs[d] += num[d] * scale;
-        }
-    }
-    Some(coeffs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,14 +88,16 @@ mod tests {
         let coeffs = [g(0x17), g(0x2e), g(0x80)];
         let points: Vec<(Gf256, Gf256)> = (1..=3u8).map(|x| (g(x), eval(&coeffs, g(x)))).collect();
         assert_eq!(interpolate_at_zero(&points), Some(g(0x17)));
-        assert_eq!(interpolate_coeffs(&points).unwrap(), coeffs.to_vec());
+        for x in [0x04, 0x55, 0xff] {
+            assert_eq!(interpolate_at(&points, g(x)), Some(eval(&coeffs, g(x))));
+        }
     }
 
     #[test]
     fn interpolation_rejects_duplicate_x() {
         let points = [(g(1), g(2)), (g(1), g(3))];
         assert_eq!(interpolate_at_zero(&points), None);
-        assert_eq!(interpolate_coeffs(&points), None);
+        assert_eq!(interpolate_at(&points, g(7)), None);
     }
 
     #[test]
@@ -173,8 +131,9 @@ mod tests {
             xs.dedup();
             prop_assume!(xs.len() == k);
             prop_assert_eq!(interpolate_at_zero(&points).unwrap(), coeffs[0]);
-            let recovered = interpolate_coeffs(&points).unwrap();
-            prop_assert_eq!(recovered, coeffs);
+            // k points fix the polynomial everywhere, not only at zero.
+            let at = g(extra.wrapping_mul(13));
+            prop_assert_eq!(interpolate_at(&points, at).unwrap(), eval(&coeffs, at));
         }
 
         #[test]
@@ -185,9 +144,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, &y)| (g(i as u8 + 1), g(y)))
                 .collect();
-            let coeffs = interpolate_coeffs(&points).unwrap();
             for &(x, y) in &points {
-                prop_assert_eq!(eval(&coeffs, x), y);
+                prop_assert_eq!(interpolate_at(&points, x), Some(y));
             }
         }
     }

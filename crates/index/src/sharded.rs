@@ -292,7 +292,7 @@ pub(crate) mod tests {
         }
         assert_eq!(index.unique_shares(), 500);
         for i in (0..500u32).step_by(13) {
-            assert!(index.is_stored(&fp(i)));
+            assert!(index.location(&fp(i)).is_some());
             let entry = index.lookup(&fp(i)).unwrap();
             assert!(entry.owned_by((i % 7) as u64));
             assert!(!entry.owned_by(99));
@@ -300,7 +300,7 @@ pub(crate) mod tests {
         let release = index.remove_reference_with(&fp(0), 0, |_| {}).unwrap();
         assert_eq!(release.location, loc(0, 100));
         assert_eq!(release.total_refs, 0);
-        assert!(!index.is_stored(&fp(0)));
+        assert_eq!(index.location(&fp(0)), None);
     }
 
     #[test]
@@ -352,7 +352,7 @@ pub(crate) mod tests {
         assert!(!add(&fp(99), 1, 2));
         assert_eq!(observed, vec![vec![(1, 4)], vec![(1, 4), (2, 2)]]);
         assert_eq!(index.lookup(&fp(1)).unwrap().owners, vec![(1, 4), (2, 2)]);
-        assert!(!index.is_stored(&fp(99)));
+        assert_eq!(index.location(&fp(99)), None);
     }
 
     #[test]
@@ -448,7 +448,7 @@ pub(crate) mod tests {
         let index: ShardedShareIndex = fresh();
         let result = index.add_reference_or_store(&fp(1), 1, || Err("backend down"));
         assert_eq!(result, Err("backend down"));
-        assert!(!index.is_stored(&fp(1)));
+        assert_eq!(index.location(&fp(1)), None);
         // The stripe is still usable afterwards.
         let (_, outcome) = index
             .add_reference_or_store::<()>(&fp(1), 1, || Ok(loc(9, 9)))

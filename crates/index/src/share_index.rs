@@ -175,12 +175,6 @@ impl Sharded<ShareEntry> {
         stripe.peek(fp.as_bytes(), ShareEntry::decode_location)?
     }
 
-    /// Whether a share with this fingerprint is already stored (the
-    /// inter-user deduplication test).
-    pub fn is_stored(&self, fp: &Fingerprint) -> bool {
-        self.location(fp).is_some()
-    }
-
     /// Records that `user` references the share, storing it first if it is
     /// new. The `store` action runs under the fingerprint's stripe lock, so
     /// two threads racing on the same fingerprint invoke it exactly once —
@@ -389,7 +383,7 @@ mod tests {
     #[test]
     fn new_share_then_duplicates() {
         let index: ShardedShareIndex = crate::sharded::tests::fresh();
-        assert!(!index.is_stored(&fp(1)));
+        assert_eq!(index.location(&fp(1)), None);
         assert_eq!(add(&index, &fp(1), loc(10, 100), 1), StoreOutcome::Stored);
         assert_eq!(
             add(&index, &fp(1), loc(99, 100), 2),
@@ -432,7 +426,7 @@ mod tests {
         assert_eq!((first.user_refs, first.total_refs), (1, 2));
         let second = remove(1).unwrap();
         assert_eq!((second.user_refs, second.total_refs), (0, 1));
-        assert!(index.is_stored(&fp(5)));
+        assert!(index.location(&fp(5)).is_some());
         // User 1 holds nothing any more: further removals are no-ops.
         assert_eq!(remove(1), None);
         // Last reference gone: the entry is deleted and the location reported
@@ -440,7 +434,7 @@ mod tests {
         let last = remove(2).unwrap();
         assert_eq!(last.location, loc(3, 42));
         assert_eq!((last.user_refs, last.total_refs), (0, 0));
-        assert!(!index.is_stored(&fp(5)));
+        assert_eq!(index.location(&fp(5)), None);
         assert_eq!(remove(2), None);
     }
 
@@ -505,7 +499,7 @@ mod tests {
                 .is_some());
             check("remove");
         }
-        assert!(!index.is_stored(&fp(1)));
+        assert_eq!(index.location(&fp(1)), None);
 
         // Nothing is written on these paths, so nothing is observed.
         add(&index, &fp(1), loc(1, 8), 1);
@@ -560,7 +554,7 @@ mod tests {
         }
         assert_eq!(index.unique_shares(), 5000);
         for i in (0..5000u32).step_by(97) {
-            assert!(index.is_stored(&fp(i)));
+            assert!(index.location(&fp(i)).is_some());
         }
         assert!(index.approximate_size() > 5000 * 32);
         assert_eq!(index.export().len(), 5000);

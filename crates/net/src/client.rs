@@ -328,13 +328,13 @@ impl ServerTransport for RemoteServer {
         })?)
     }
 
+    /// [`get_recipe`](ServerTransport::get_recipe): a file the server
+    /// cannot find is `false`, any other failure passes through.
     fn has_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
-        match self.client.call(&Request::HasFile {
-            user,
-            encoded_pathname: encoded_pathname.to_vec(),
-        })? {
-            Response::Bool(b) => Ok(b),
-            other => Err(remote_err(format!("bad has-file reply: {other:?}"))),
+        match self.get_recipe(user, encoded_pathname) {
+            Ok(_) => Ok(true),
+            Err(CdStoreError::FileNotFound(_)) => Ok(false),
+            Err(e) => Err(e),
         }
     }
 

@@ -50,8 +50,9 @@ use cdstore_crypto::crc32::crc32;
 /// 0x89): a v1 peer is refused at its first frame, the `Ping`, not at its
 /// first restore. Version 3 re-shaped `PutFile` (it carries the last batch
 /// and is answered by a `Receipt`), `GetRecipe` (it names a first window)
-/// and `Recipe` (it carries that window's shares).
-pub const PROTOCOL_VERSION: u8 = 3;
+/// and `Recipe` (it carries that window's shares). Version 4 retired
+/// `HasFile` (0x06): a client asks for a file's recipe alone instead.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Upper bound on `len`. Shares are ≤ a few MB, upload batches are capped by
 /// the client at [`cdstore_core::client::UPLOAD_BATCH_BYTES`] (4 MB) and

@@ -56,13 +56,6 @@ pub enum Request {
         /// Fingerprints whose per-upload references to drop.
         fingerprints: Vec<Fingerprint>,
     },
-    /// Does the user have this file?
-    HasFile {
-        /// Owning user.
-        user: u64,
-        /// Encoded pathname share.
-        encoded_pathname: Vec<u8>,
-    },
     /// Opens a file for restore: its recipe and the shares of the recipe's
     /// first window — `ServerTransport::open_file`. A zero window asks for
     /// the recipe alone.
@@ -117,7 +110,7 @@ pub enum Response {
     Receipt(StoreReceipt),
     /// Success carrying no data (`ReleaseUploads`, `Flush`).
     Unit,
-    /// Answer to `HasFile` / `DeleteFile`.
+    /// Answer to `DeleteFile`.
     Bool(bool),
     /// Answer to `GetRecipe`.
     Recipe {
@@ -147,13 +140,12 @@ pub enum Response {
 }
 
 // Request message types (0x01..=0x7f). 0x0a and 0x0b are retired (the v1
-// share stream) and must never be reused.
+// share stream), 0x06 too (`HasFile`, version 4), and must never be reused.
 const MT_PING: u8 = 0x01;
 const MT_INTRA_QUERY: u8 = 0x02;
 const MT_STORE_SHARES: u8 = 0x03;
 const MT_PUT_FILE: u8 = 0x04;
 const MT_RELEASE_UPLOADS: u8 = 0x05;
-const MT_HAS_FILE: u8 = 0x06;
 const MT_GET_RECIPE: u8 = 0x07;
 const MT_DELETE_FILE: u8 = 0x08;
 const MT_FETCH_SHARES: u8 = 0x09;
@@ -310,14 +302,6 @@ fn write_request(w: &mut WireWriter, req_id: u64, req: &Request) -> u8 {
             write_fingerprints(w, fingerprints);
             MT_RELEASE_UPLOADS
         }
-        Request::HasFile {
-            user,
-            encoded_pathname,
-        } => {
-            w.u64(*user);
-            w.bytes(encoded_pathname);
-            MT_HAS_FILE
-        }
         Request::GetRecipe {
             user,
             encoded_pathname,
@@ -437,10 +421,6 @@ pub fn decode_request(msg_type: u8, payload: &[u8]) -> Option<(u64, Request)> {
         MT_RELEASE_UPLOADS => Request::ReleaseUploads {
             user: r.u64()?,
             fingerprints: read_fingerprints(&mut r)?,
-        },
-        MT_HAS_FILE => Request::HasFile {
-            user: r.u64()?,
-            encoded_pathname: r.bytes()?,
         },
         MT_GET_RECIPE => Request::GetRecipe {
             user: r.u64()?,

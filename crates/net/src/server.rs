@@ -179,10 +179,6 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
         Request::ReleaseUploads { user, fingerprints } => or_err(
             ServerTransport::release_uploads(t, user, &fingerprints).map(|()| Response::Unit),
         ),
-        Request::HasFile {
-            user,
-            encoded_pathname,
-        } => or_err(ServerTransport::has_file(t, user, &encoded_pathname).map(Response::Bool)),
         Request::GetRecipe {
             user,
             encoded_pathname,

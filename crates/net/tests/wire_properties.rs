@@ -9,7 +9,8 @@
 //! * a count or length word inflated past the payload — or a recipe's entry
 //!   count changed — makes a message malformed, without a panic or an
 //!   allocation sized by the word;
-//! * the message types retired with protocol version 1 stay malformed.
+//! * the message types retired with protocol versions 1 and 3 stay
+//!   malformed.
 
 use cdstore_core::server::GcReport;
 use cdstore_core::transport::{ServerProbe, ShareVerdict, StoreReceipt};
@@ -85,10 +86,7 @@ fn build_request(variant: u8, user: u64, seeds: &[u64], blob: &[u8], small: u32)
             user,
             fingerprints: fps(seeds),
         },
-        5 => Request::HasFile {
-            user,
-            encoded_pathname: blob.to_vec(),
-        },
+        5 => Request::Probe,
         6 => Request::GetRecipe {
             user,
             encoded_pathname: blob.to_vec(),
@@ -210,9 +208,10 @@ fn the_reshaped_messages_round_trip_in_their_empty_forms() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// 0x0a/0x0b/0x88/0x89 carried the v1 share stream. Whatever such a frame
-    /// holds — including byte-exact v1 bodies — it frames fine and then
-    /// decodes as malformed in both directions, which drops the connection.
+    /// 0x0a/0x0b/0x88/0x89 carried the v1 share stream, and 0x06 the v3
+    /// `HasFile`. Whatever such a frame holds — including byte-exact old
+    /// bodies — it frames fine and then decodes as malformed in both
+    /// directions, which drops the connection.
     #[test]
     fn retired_type_codes_decode_as_malformed(
         req_id in proptest::any::<u64>(),
@@ -235,11 +234,19 @@ proptest! {
             body
         };
         let v1_stream_end = [req_id.to_le_bytes(), user.to_le_bytes()].concat(); // `count: u64`
+        let v3_has_file = {
+            let mut body = [req_id.to_le_bytes(), user.to_le_bytes()].concat();
+            body.extend_from_slice(&(blob.len() as u32).to_le_bytes()); // pathname share
+            body.extend_from_slice(&blob);
+            body
+        };
         for (msg_type, body) in [
             (0x0a, &v1_stream_shares),
             (0x0b, &v1_credit),
             (0x88, &v1_stream_share),
             (0x89, &v1_stream_end),
+            (0x06, &v3_has_file),
+            (0x06, &blob),
             (0x0a, &blob),
             (0x0b, &blob),
             (0x88, &blob),

@@ -126,6 +126,9 @@ impl From<cdstore_erasure::ErasureError> for SharingError {
             cdstore_erasure::ErasureError::InconsistentShardSize => {
                 SharingError::InconsistentShareSize
             }
+            e @ cdstore_erasure::ErasureError::LengthExceedsShards { .. } => {
+                SharingError::MalformedShare(e.to_string())
+            }
             other => SharingError::Erasure(other.to_string()),
         }
     }
@@ -402,6 +405,22 @@ mod tests {
             assert_eq!(shares.len(), 4);
             let received: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
             assert_eq!(scheme.reconstruct(&received, secret.len()).unwrap(), secret);
+        }
+    }
+
+    #[test]
+    fn a_length_the_shares_cannot_hold_is_malformed_not_a_panic() {
+        for kind in SchemeKind::ALL {
+            let scheme = build_scheme(kind, 4, 3, Some(1)).unwrap();
+            let shares = scheme.split(&[0x5a; 100]).unwrap();
+            let received: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
+            assert!(
+                matches!(
+                    scheme.reconstruct(&received, 10_000),
+                    Err(SharingError::MalformedShare(_))
+                ),
+                "{kind}"
+            );
         }
     }
 

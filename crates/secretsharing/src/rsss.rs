@@ -121,10 +121,11 @@ impl SecretSharing for Rsss {
         // truncating recovers it in place — no per-piece allocation and no
         // reassembly copy per decode window.
         let data_len = (self.k - self.r) * piece_len;
-        assert!(
-            data_len >= secret_len,
-            "pieces hold {data_len} bytes but {secret_len} were requested"
-        );
+        if data_len < secret_len {
+            return Err(SharingError::MalformedShare(format!(
+                "pieces hold {data_len} bytes but {secret_len} were requested"
+            )));
+        }
         if piece_len == 0 {
             return Ok(Vec::new());
         }

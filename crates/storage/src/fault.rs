@@ -317,17 +317,6 @@ impl FaultPlan {
         self.crash_armed.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the plan currently rejects every operation: a forced outage,
-    /// or the *next* tick falling inside a scheduled outage window.
-    pub fn outage_active(&self) -> bool {
-        self.forced_outage.load(Ordering::SeqCst)
-            || self
-                .config
-                .outages
-                .iter()
-                .any(|w| w.contains(self.tick.load(Ordering::Relaxed)))
-    }
-
     /// The injected faults recorded so far, in injection order.
     pub fn schedule(&self) -> Vec<FaultEvent> {
         self.log.lock().expect("fault log lock").clone()
@@ -626,10 +615,8 @@ mod tests {
         assert_eq!(plan.schedule().len(), 2);
 
         plan.set_outage(true);
-        assert!(plan.outage_active());
         assert!(backend.get("a").is_err());
         plan.set_outage(false);
-        assert!(!plan.outage_active());
         assert_eq!(backend.get("a").unwrap(), b"1");
         let kinds: Vec<_> = plan.schedule().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&FaultKind::ForcedOutage));
@@ -643,7 +630,6 @@ mod tests {
         assert_eq!(backend.get("before").unwrap(), b"intact"); // reads pass
         let payload = vec![0x5au8; 4096];
         assert!(backend.append("log", &payload).is_err());
-        assert!(plan.outage_active());
         assert!(backend.get("before").is_err());
         let schedule = plan.schedule();
         let FaultKind::TornWrite { written, requested } = schedule[0].kind else {
