@@ -112,12 +112,14 @@ fn main() {
     }
     // Then the data path's own batches: FastCDC-cut secrets in encode
     // groups of 64, and their (4,3) CAONT-RS shares 256 at a time, behind a
-    // 24-byte prefix (a server fingerprint's `len ‖ tag`).
+    // 24-byte prefix (a server fingerprint's `len ‖ tag`). Batches of exactly
+    // 16 shares never refill a lane, so their tail hand-off shows.
     let secret_lens = fastcdc_lengths(region_bytes);
     let prefix = [0x24u8; 24];
     batch_rows("sha256/batch/64xfastcdc", &prefix, &secret_lens, 64);
     let share_lens = caont_share_lengths(&secret_lens);
     batch_rows("sha256/batch/256xshare", &prefix, &share_lens, 256);
+    batch_rows("sha256/batch/16xshare", &prefix, &share_lens, 16);
 
     // The CAONT-RS encode with its share fingerprints, on the production
     // dispatch: secret by secret (no hash batch exceeds a secret's 4 shares)

@@ -26,9 +26,10 @@
 //!   host compresses four messages in lockstep with SSE2 (portable lane
 //!   arrays off x86_64).
 //!
-//! Both lane kernels share one scheduler (`multilane`): a lane is refilled
-//! as its message ends, and once fewer than half the lanes are live, each
-//! remaining message finishes on [`Backend::active`] from its mid-state.
+//! Both lane kernels run under one scheduler (`multilane`): a kernel call
+//! steps until some lane's run of blocks ends, a lane is refilled as its
+//! message ends, and once fewer than half the lanes are live, each remaining
+//! message finishes on [`Backend::active`] from its mid-state.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_SIZE: usize = 32;
@@ -444,8 +445,9 @@ pub fn hash_batch_with(
 /// on [`Backend::active`] from its mid-state. Half is a fixed point, not a
 /// tuned one: four SSE2 lanes hash at ≈2.1× one scalar stream, so two live
 /// lanes still outrun it, and sixteen AVX-512 lanes hash FastCDC-sized
-/// secrets and their shares at the same rate for every hand-off from 6 to
-/// 13 live lanes (`docs/kernels.md`, "The tail hand-off").
+/// secrets and their shares, in groups and sixteen at a time, at the same
+/// rate for every hand-off from 6 to 12 live lanes (`docs/kernels.md`, "The
+/// run table and the tail hand-off").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchKernel {
     /// One message after another on a single-stream backend.
@@ -546,18 +548,119 @@ mod multilane {
     //! One SHA-256 stream is a chain of dependent rounds. Compressing several
     //! independent messages in lockstep — every round variable a vector with
     //! one message per lane — fills the execution ports the chain leaves
-    //! idle. Lanes hold `states[word][lane]`; a lane whose message ends is
-    //! refilled with the next one, so mixed-length batches stay in lockstep.
+    //! idle. Lanes hold `states[word][lane]`. A kernel call reads a [`Runs`]
+    //! table and stops when any lane's run of blocks ends; only those lanes
+    //! are touched before the next call.
+
+    use std::cell::Cell;
+    use std::marker::PhantomData;
 
     use super::{
         compress_blocks_with, digest_bytes, padded_tail, Backend, BLOCK_SIZE, DIGEST_SIZE, H0,
     };
 
-    /// A lane kernel: compresses `nblocks` consecutive blocks of each lane
-    /// into that lane's column of `states`. A lane's slice is empty (an idle
-    /// lane, whose column comes out meaningless) or holds at least `nblocks`
-    /// whole blocks.
-    pub(super) type Kernel<const W: usize> = fn(&mut [[u32; W]; 8], &[&[u8]; W], usize);
+    /// Bytes staged per message: the head block, then one or two tail blocks.
+    const STAGED: usize = 3 * BLOCK_SIZE;
+
+    /// What an idle lane reads, at stride 0.
+    static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
+    /// A lane kernel: compresses the next `nblocks` blocks of every lane of
+    /// the table into that lane's column of `states` (an idle lane's column
+    /// comes out meaningless). It panics unless every lane holds them
+    /// ([`Runs::check`]).
+    pub(super) type Kernel<const W: usize> = fn(&mut [[u32; W]; 8], &Runs<'_, W>, usize);
+
+    /// The run table the kernels read: per lane, the next block of its
+    /// current run, the stride to the one after (0 for an idle lane, which
+    /// reads [`ZERO_BLOCK`] and counts down from `usize::MAX`), and the whole
+    /// blocks left. A live pointer comes from a slice borrowed for `'a` — a
+    /// message body, or the lane's staged cells, rewritten only once its run
+    /// has ended — that holds `left` more whole blocks; [`Runs::check`] holds
+    /// each kernel call to that.
+    pub(super) struct Runs<'a, const W: usize> {
+        ptr: [*const u8; W],
+        stride: [usize; W],
+        left: [usize; W],
+        borrows: PhantomData<&'a [u8]>,
+    }
+
+    impl<'a, const W: usize> Runs<'a, W> {
+        pub(super) fn idle() -> Self {
+            Runs {
+                ptr: [ZERO_BLOCK.as_ptr(); W],
+                stride: [0; W],
+                left: [usize::MAX; W],
+                borrows: PhantomData,
+            }
+        }
+
+        /// Points lane `l` at `run`, whole blocks of a message read in place.
+        pub(super) fn read(&mut self, l: usize, run: &'a [u8]) {
+            self.start(l, run.as_ptr(), run.len());
+        }
+
+        /// Points lane `l` at staged blocks.
+        fn read_staged(&mut self, l: usize, run: &'a [Cell<u8>]) {
+            self.start(l, run.as_ptr().cast(), run.len());
+        }
+
+        fn start(&mut self, l: usize, ptr: *const u8, len: usize) {
+            debug_assert!(len > 0 && len.is_multiple_of(BLOCK_SIZE));
+            (self.ptr[l], self.stride[l], self.left[l]) = (ptr, BLOCK_SIZE, len / BLOCK_SIZE);
+        }
+
+        fn park(&mut self, l: usize) {
+            (self.ptr[l], self.stride[l], self.left[l]) = (ZERO_BLOCK.as_ptr(), 0, usize::MAX);
+        }
+
+        /// Where lane `l` reads `b` blocks on.
+        fn block(&self, l: usize, b: usize) -> *const u8 {
+            self.ptr[l].wrapping_add(b * self.stride[l])
+        }
+
+        /// The kernels' safety contract: panics unless every lane holds
+        /// `nblocks` more blocks, a byte count that fits a `usize`.
+        fn check(&self, nblocks: usize) {
+            assert!(
+                nblocks.checked_mul(BLOCK_SIZE).is_some()
+                    && self.left.iter().all(|&left| nblocks <= left),
+                "a kernel call reads {nblocks} blocks of every lane, and some lane holds fewer"
+            );
+        }
+
+        /// One kernel call: compresses the fewest blocks any live lane has
+        /// left and returns the lanes whose run that ended, one bit each.
+        fn step(&mut self, kernel: Kernel<W>, states: &mut [[u32; W]; 8]) -> u32 {
+            let step = *self.left.iter().min().expect("at least one lane");
+            kernel(states, self, step);
+            let mut ended = 0;
+            for l in 0..W {
+                self.ptr[l] = self.block(l, step);
+                self.left[l] -= step;
+                ended |= u32::from(self.left[l] == 0) << l;
+            }
+            ended
+        }
+    }
+
+    /// One run of a message's whole blocks; `Body(&[])` is no run.
+    #[derive(Clone, Copy)]
+    enum Run<'a> {
+        /// Read in place from the message.
+        Body(&'a [u8]),
+        /// Bytes `from..to` of the message's staged buffer.
+        Staged(usize, usize),
+    }
+
+    impl<'a> Run<'a> {
+        fn bytes(self, staged: &'a [u8; STAGED]) -> &'a [u8] {
+            match self {
+                Run::Body(body) => body,
+                Run::Staged(from, to) => &staged[from..to],
+            }
+        }
+    }
 
     /// `prefix ‖ m` for every message `m` of a batch. The prefix's whole
     /// blocks are compressed once into `start`; its last `rem` bytes open
@@ -585,74 +688,115 @@ mod multilane {
             }
         }
 
-        fn message(&self, i: usize) -> Message<'a> {
+        /// Stages message `i` into `staged` and returns its runs in order:
+        /// the head block (when `rem` and the message fill one; otherwise
+        /// `rem` opens the tail), the body, and the padded tail. Without a
+        /// body, head and tail are one staged run.
+        fn stage(&self, i: usize, staged: &mut [u8; STAGED]) -> [Run<'a>; 3] {
             let msg = self.inputs[i];
-            Message::new(self.rem, msg, (self.prefix_len + msg.len()) as u64, i)
+            let (mut from, mut head) = (BLOCK_SIZE, Run::Body(&[]));
+            let (mut carried, mut rest) = (self.rem, msg);
+            if !self.rem.is_empty() && self.rem.len() + msg.len() >= BLOCK_SIZE {
+                let (first, after) = msg.split_at(BLOCK_SIZE - self.rem.len());
+                staged[..self.rem.len()].copy_from_slice(self.rem);
+                staged[self.rem.len()..BLOCK_SIZE].copy_from_slice(first);
+                (from, head, carried, rest) = (0, Run::Staged(0, BLOCK_SIZE), &[], after);
+            }
+            let (body, left) = rest.split_at(rest.len() - rest.len() % BLOCK_SIZE);
+            let tail: &mut [u8; 2 * BLOCK_SIZE] =
+                (&mut staged[BLOCK_SIZE..]).try_into().expect("two blocks");
+            tail.fill(0);
+            tail[..carried.len()].copy_from_slice(carried);
+            tail[carried.len()..carried.len() + left.len()].copy_from_slice(left);
+            let total_len = (self.prefix_len + msg.len()) as u64;
+            let end = BLOCK_SIZE + padded_tail(tail, carried.len() + left.len(), total_len);
+            if body.is_empty() {
+                [Run::Staged(from, end), Run::Body(&[]), Run::Body(&[])]
+            } else {
+                [head, Run::Body(body), Run::Staged(BLOCK_SIZE, end)]
+            }
         }
 
         /// Hashes the messages one after another.
         pub(super) fn single(&self, out: &mut [[u8; DIGEST_SIZE]]) {
+            let mut staged = [0; STAGED];
             for (i, digest) in out.iter_mut().enumerate() {
+                let runs = self.stage(i, &mut staged);
                 let mut state = self.start;
-                self.message(i).finish(self.backend, &mut state);
+                for run in runs {
+                    compress_blocks_with(self.backend, &mut state, run.bytes(&staged));
+                }
                 *digest = digest_bytes(&state);
             }
         }
 
-        /// Hashes the messages `W` at a time through `kernel`, each step as
-        /// many blocks as every live lane holds contiguously. Once no message
-        /// waits and fewer than `W / 2` lanes are live, each remaining
-        /// message finishes single-stream from its lane's mid-state.
+        /// Hashes the messages `W` at a time through `kernel`. Once no
+        /// message waits and fewer than `W / 2` lanes are live, each
+        /// remaining message finishes single-stream from its lane's
+        /// mid-state.
         pub(super) fn lanes<const W: usize>(
             &self,
             kernel: Kernel<W>,
             out: &mut [[u8; DIGEST_SIZE]],
         ) {
+            // Per lane: staged cells (declared before the table that points
+            // into them), the message, its runs and the index after the current.
+            let slots: [[Cell<u8>; STAGED]; W] =
+                std::array::from_fn(|_| std::array::from_fn(|_| Cell::new(0)));
+            let mut table = Runs::idle();
+            let mut scratch = [0; STAGED];
             let mut states = [[0u32; W]; 8];
-            let mut lanes: [Option<Message>; W] = std::array::from_fn(|_| None);
-            let mut next = 0;
-            for (l, lane) in lanes.iter_mut().enumerate().take(self.inputs.len()) {
-                *lane = Some(self.message(l));
-                set_column(&mut states, l, &self.start);
-                next += 1;
-            }
+            let mut msg = [0; W];
+            let mut runs = [[Run::Body(&[]); 3]; W];
+            let mut after = [3; W];
+            let (mut live, mut next) = (0u32, 0);
+            let mut ended = u32::MAX >> (32 - W);
             loop {
-                let live = lanes.iter().flatten().count();
-                if live == 0 {
-                    return;
-                }
-                if live < W / 2 && next == self.inputs.len() {
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        if let Some(message) = lane {
-                            let mut state = column(&states, l);
-                            message.finish(self.backend, &mut state);
-                            out[message.out] = digest_bytes(&state);
+                while ended != 0 {
+                    let l = ended.trailing_zeros() as usize;
+                    ended &= ended - 1;
+                    if let Some(k) = (after[l]..3).find(|&k| !matches!(runs[l][k], Run::Body([]))) {
+                        match runs[l][k] {
+                            Run::Body(body) => table.read(l, body),
+                            Run::Staged(from, to) => table.read_staged(l, &slots[l][from..to]),
                         }
+                        after[l] = k + 1;
+                        continue;
+                    }
+                    if live & 1 << l != 0 {
+                        out[msg[l]] = digest_bytes(&column(&states, l));
+                        live &= !(1 << l);
+                    }
+                    if next == self.inputs.len() {
+                        table.park(l);
+                        continue;
+                    }
+                    // The lane's run has ended, so nothing reads its slot.
+                    let message_runs = self.stage(next, &mut scratch);
+                    for (cell, byte) in slots[l].iter().zip(scratch) {
+                        cell.set(byte);
+                    }
+                    set_column(&mut states, l, &self.start);
+                    (msg[l], runs[l], after[l]) = (next, message_runs, 0);
+                    next += 1;
+                    live |= 1 << l;
+                    ended |= 1 << l;
+                }
+                if (live.count_ones() as usize) < W / 2 && next == self.inputs.len() {
+                    for l in (0..W).filter(|&l| live & 1 << l != 0) {
+                        let staged = std::array::from_fn(|i| slots[l][i].get());
+                        let current = runs[l][after[l] - 1].bytes(&staged);
+                        let mut state = column(&states, l);
+                        let done = current.len() - table.left[l] * BLOCK_SIZE;
+                        compress_blocks_with(self.backend, &mut state, &current[done..]);
+                        for run in &runs[l][after[l]..] {
+                            compress_blocks_with(self.backend, &mut state, run.bytes(&staged));
+                        }
+                        out[msg[l]] = digest_bytes(&state);
                     }
                     return;
                 }
-                let run = (lanes.iter().flatten())
-                    .map(|m| m.next_run().len() / BLOCK_SIZE)
-                    .min()
-                    .expect("a live lane");
-                let blocks: [&[u8]; W] = std::array::from_fn(|l| {
-                    lanes[l]
-                        .as_ref()
-                        .map_or(&[][..], |m| &m.next_run()[..run * BLOCK_SIZE])
-                });
-                kernel(&mut states, &blocks, run);
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    let Some(message) = lane else { continue };
-                    message.advance(run);
-                    if message.finished() {
-                        out[message.out] = digest_bytes(&column(&states, l));
-                        *lane = (next < self.inputs.len()).then(|| {
-                            set_column(&mut states, l, &self.start);
-                            next += 1;
-                            self.message(next - 1)
-                        });
-                    }
-                }
+                ended = table.step(kernel, &mut states);
             }
         }
     }
@@ -667,98 +811,22 @@ mod multilane {
         }
     }
 
-    /// One message's blocks as three runs: a staged head (the prefix's last
-    /// bytes and the message's first), the message's whole blocks read in
-    /// place, and the staged padded tail.
-    struct Message<'a> {
-        /// Index of the digest in the output.
-        out: usize,
-        head: Option<[u8; BLOCK_SIZE]>,
-        body: &'a [u8],
-        tail: [u8; BLOCK_SIZE * 2],
-        tail_at: usize,
-        tail_end: usize,
-    }
-
-    impl<'a> Message<'a> {
-        /// The blocks of `rem ‖ msg`, padded as a message of `total_len`
-        /// bytes. The head exists only when `rem` is not empty and the two
-        /// fill a block; otherwise `rem` opens the tail.
-        fn new(rem: &[u8], msg: &'a [u8], total_len: u64, out: usize) -> Self {
-            let mut head = None;
-            let mut staged = rem;
-            let mut rest = msg;
-            if !rem.is_empty() && rem.len() + msg.len() >= BLOCK_SIZE {
-                let (first, after) = msg.split_at(BLOCK_SIZE - rem.len());
-                let mut block = [0u8; BLOCK_SIZE];
-                block[..rem.len()].copy_from_slice(rem);
-                block[rem.len()..].copy_from_slice(first);
-                head = Some(block);
-                staged = &[];
-                rest = after;
-            }
-            let (body, left) = rest.split_at(rest.len() - rest.len() % BLOCK_SIZE);
-            let mut tail = [0u8; BLOCK_SIZE * 2];
-            tail[..staged.len()].copy_from_slice(staged);
-            tail[staged.len()..staged.len() + left.len()].copy_from_slice(left);
-            let tail_end = padded_tail(&mut tail, staged.len() + left.len(), total_len);
-            Message {
-                out,
-                head,
-                body,
-                tail,
-                tail_at: 0,
-                tail_end,
-            }
-        }
-
-        /// The blocks to compress next, contiguous in memory.
-        fn next_run(&self) -> &[u8] {
-            match &self.head {
-                Some(head) => head,
-                None if !self.body.is_empty() => self.body,
-                None => &self.tail[self.tail_at..self.tail_end],
-            }
-        }
-
-        /// Marks the first `blocks` blocks of [`Self::next_run`] compressed.
-        fn advance(&mut self, blocks: usize) {
-            let bytes = blocks * BLOCK_SIZE;
-            if self.head.is_some() {
-                debug_assert_eq!(bytes, BLOCK_SIZE);
-                self.head = None;
-            } else if !self.body.is_empty() {
-                self.body = &self.body[bytes..];
-            } else {
-                self.tail_at += bytes;
-            }
-        }
-
-        fn finished(&self) -> bool {
-            self.next_run().is_empty()
-        }
-
-        /// Compresses every remaining block into `state` single-stream.
-        fn finish(&mut self, backend: Backend, state: &mut [u32; 8]) {
-            while !self.finished() {
-                let blocks = self.next_run().len() / BLOCK_SIZE;
-                compress_blocks_with(backend, state, self.next_run());
-                self.advance(blocks);
-            }
-        }
-    }
-
-    /// The four-lane [`Kernel`]: reads each lane's words big-endian (an idle
-    /// lane reads zeros) and compresses them with SSE2 on x86_64, the
-    /// portable lane arrays elsewhere.
-    pub(super) fn x4(states: &mut [[u32; 4]; 8], blocks: &[&[u8]; 4], nblocks: usize) {
+    /// The four-lane [`Kernel`]: reads each lane's words big-endian and
+    /// compresses them with SSE2 on x86_64, the portable lane arrays
+    /// elsewhere.
+    #[allow(unsafe_code)]
+    pub(super) fn x4(states: &mut [[u32; 4]; 8], runs: &Runs<'_, 4>, nblocks: usize) {
+        runs.check(nblocks);
         for b in 0..nblocks {
+            let blocks: [[u8; BLOCK_SIZE]; 4] = std::array::from_fn(|l| {
+                // SAFETY: `check` passed and `b < nblocks`: a live lane's
+                // pointer borrows at least `nblocks` more whole blocks, and
+                // an idle lane reads `ZERO_BLOCK` at stride 0.
+                unsafe { runs.block(l, b).cast::<[u8; BLOCK_SIZE]>().read() }
+            });
             let words: [[u32; 4]; 16] = std::array::from_fn(|t| {
                 std::array::from_fn(|l| {
-                    let at = b * BLOCK_SIZE + t * 4;
-                    blocks[l]
-                        .get(at..at + 4)
-                        .map_or(0, |w| u32::from_be_bytes(w.try_into().expect("4 bytes")))
+                    u32::from_be_bytes(blocks[l][t * 4..t * 4 + 4].try_into().expect("4 bytes"))
                 })
             });
             #[cfg(target_arch = "x86_64")]
@@ -930,13 +998,16 @@ mod multilane {
     /// three-input logic step (`Σ` XORs, `Ch`, `Maj`) one `vpternlogd`, so a
     /// round costs about a scalar round's instruction count for sixteen
     /// messages. Each lane's block is one 512-bit load, byte-swapped and
-    /// transposed in registers into sixteen word columns.
+    /// transposed in registers into sixteen word columns; the 64 rounds are
+    /// unrolled, so every schedule index is a constant and the ring of
+    /// sixteen words stays in registers.
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
     pub(super) mod avx512 {
         use core::arch::x86_64::*;
 
-        use super::super::{BLOCK_SIZE, K};
+        use super::super::K;
+        use super::Runs;
 
         /// Whether this CPU runs the kernel (cached by the standard
         /// library after the first call).
@@ -948,34 +1019,91 @@ mod multilane {
         ///
         /// # Panics
         ///
-        /// Panics without AVX-512F/BW, or when a lane is neither empty nor
-        /// `nblocks` whole blocks long.
+        /// Panics unless every lane holds `nblocks` more blocks, or without
+        /// AVX-512F/BW.
         pub(in super::super) fn x16(
             states: &mut [[u32; 16]; 8],
-            blocks: &[&[u8]; 16],
+            runs: &Runs<'_, 16>,
             nblocks: usize,
         ) {
+            runs.check(nblocks);
             assert!(
                 detected(),
                 "the 16-lane kernel needs AVX-512F and AVX-512BW"
             );
-            let need = nblocks.checked_mul(BLOCK_SIZE);
-            assert!(
-                blocks.iter().all(|b| b.is_empty() || Some(b.len()) >= need),
-                "a lane is idle or holds every block it is asked for"
-            );
-            // SAFETY: both CPU features were detected just above, and every
-            // non-empty lane holds the `nblocks * 64` bytes the kernel reads
-            // from it.
-            unsafe { compress(states, blocks, nblocks) }
+            // SAFETY: both CPU features were detected just above, and
+            // `check` passed: every lane holds the blocks the kernel reads.
+            unsafe { compress(states, runs, nblocks) }
+        }
+
+        /// Round `t` (a constant), the variables renamed rather than moved
+        /// (`d += T1`, `h = T1 + T2`). From round 16 it first schedules
+        /// `W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16]` into the ring.
+        macro_rules! round {
+            ($w:ident, $t:expr, $a:ident, $b:ident, $c:ident, $d:ident,
+             $e:ident, $f:ident, $g:ident, $h:ident) => {
+                if $t >= 16 {
+                    let w15 = $w[($t + 1) % 16];
+                    let w2 = $w[($t + 14) % 16];
+                    let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<7>(w15),
+                        _mm512_ror_epi32::<18>(w15),
+                        _mm512_srli_epi32::<3>(w15),
+                    );
+                    let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<17>(w2),
+                        _mm512_ror_epi32::<19>(w2),
+                        _mm512_srli_epi32::<10>(w2),
+                    );
+                    $w[$t % 16] = _mm512_add_epi32(
+                        _mm512_add_epi32($w[$t % 16], s0),
+                        _mm512_add_epi32($w[($t + 9) % 16], s1),
+                    );
+                }
+                let k = _mm512_set1_epi32(K[$t] as i32);
+                // Ch(e, f, g) = e ? f : g (0xCA); Maj (0xE8); Σ is a 3-way XOR (0x96).
+                let ch = _mm512_ternarylogic_epi32::<0xCA>($e, $f, $g);
+                let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                    _mm512_ror_epi32::<6>($e),
+                    _mm512_ror_epi32::<11>($e),
+                    _mm512_ror_epi32::<25>($e),
+                );
+                let t1 = _mm512_add_epi32(
+                    _mm512_add_epi32($h, s1),
+                    _mm512_add_epi32(ch, _mm512_add_epi32(k, $w[$t % 16])),
+                );
+                let maj = _mm512_ternarylogic_epi32::<0xE8>($a, $b, $c);
+                let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                    _mm512_ror_epi32::<2>($a),
+                    _mm512_ror_epi32::<13>($a),
+                    _mm512_ror_epi32::<22>($a),
+                );
+                $d = _mm512_add_epi32($d, t1);
+                $h = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
+            };
+        }
+
+        /// Rounds `t..t + 8`, after which the names are back in place.
+        macro_rules! rounds8 {
+            ($w:ident, $t:expr, $a:ident, $b:ident, $c:ident, $d:ident,
+             $e:ident, $f:ident, $g:ident, $h:ident) => {
+                round!($w, $t, $a, $b, $c, $d, $e, $f, $g, $h);
+                round!($w, $t + 1, $h, $a, $b, $c, $d, $e, $f, $g);
+                round!($w, $t + 2, $g, $h, $a, $b, $c, $d, $e, $f);
+                round!($w, $t + 3, $f, $g, $h, $a, $b, $c, $d, $e);
+                round!($w, $t + 4, $e, $f, $g, $h, $a, $b, $c, $d);
+                round!($w, $t + 5, $d, $e, $f, $g, $h, $a, $b, $c);
+                round!($w, $t + 6, $c, $d, $e, $f, $g, $h, $a, $b);
+                round!($w, $t + 7, $b, $c, $d, $e, $f, $g, $h, $a);
+            };
         }
 
         /// # Safety
         ///
-        /// The CPU must support AVX-512F and AVX-512BW, and every non-empty
-        /// lane of `blocks` must hold at least `nblocks * 64` bytes.
+        /// The CPU must support AVX-512F and AVX-512BW, and every lane of
+        /// `runs` must hold `nblocks` more blocks ([`Runs::check`]).
         #[target_feature(enable = "avx512f,avx512bw")]
-        unsafe fn compress(states: &mut [[u32; 16]; 8], blocks: &[&[u8]; 16], nblocks: usize) {
+        unsafe fn compress(states: &mut [[u32; 16]; 8], runs: &Runs<'_, 16>, nblocks: usize) {
             // Big-endian words: byte-reverse each 32-bit element.
             let bswap = _mm512_broadcast_i32x4(_mm_set_epi8(
                 12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
@@ -987,35 +1115,25 @@ mod multilane {
             }
             for blk in 0..nblocks {
                 let mut w = [_mm512_setzero_si512(); 16];
-                for (row, lane) in w.iter_mut().zip(blocks) {
-                    if !lane.is_empty() {
-                        // SAFETY: `x16` asserted that a non-empty lane holds
-                        // `nblocks` blocks, and `blk < nblocks`.
-                        let block = unsafe {
-                            _mm512_loadu_si512(lane.as_ptr().add(blk * BLOCK_SIZE).cast())
-                        };
-                        *row = _mm512_shuffle_epi8(block, bswap);
-                    }
+                for (l, row) in w.iter_mut().enumerate() {
+                    // SAFETY: `blk < nblocks`, which every lane holds (the
+                    // caller's contract); an idle lane reads a zero block.
+                    let block = unsafe { _mm512_loadu_si512(runs.block(l, blk).cast()) };
+                    // Sixteen streams that restart every few KiB outrun the
+                    // hardware prefetcher. A prefetch past the run never faults.
+                    _mm_prefetch::<_MM_HINT_T0>(runs.block(l, blk + 2).cast());
+                    *row = _mm512_shuffle_epi8(block, bswap);
                 }
                 transpose(&mut w);
                 let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
-                let mut t = 0;
-                while t < 64 {
-                    if t >= 16 {
-                        for i in t..t + 8 {
-                            schedule(&mut w, i);
-                        }
-                    }
-                    round(&w, t, a, b, c, &mut d, e, f, g, &mut h);
-                    round(&w, t + 1, h, a, b, &mut c, d, e, f, &mut g);
-                    round(&w, t + 2, g, h, a, &mut b, c, d, e, &mut f);
-                    round(&w, t + 3, f, g, h, &mut a, b, c, d, &mut e);
-                    round(&w, t + 4, e, f, g, &mut h, a, b, c, &mut d);
-                    round(&w, t + 5, d, e, f, &mut g, h, a, b, &mut c);
-                    round(&w, t + 6, c, d, e, &mut f, g, h, a, &mut b);
-                    round(&w, t + 7, b, c, d, &mut e, f, g, h, &mut a);
-                    t += 8;
-                }
+                rounds8!(w, 0, a, b, c, d, e, f, g, h);
+                rounds8!(w, 8, a, b, c, d, e, f, g, h);
+                rounds8!(w, 16, a, b, c, d, e, f, g, h);
+                rounds8!(w, 24, a, b, c, d, e, f, g, h);
+                rounds8!(w, 32, a, b, c, d, e, f, g, h);
+                rounds8!(w, 40, a, b, c, d, e, f, g, h);
+                rounds8!(w, 48, a, b, c, d, e, f, g, h);
+                rounds8!(w, 56, a, b, c, d, e, f, g, h);
                 for (v, x) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
                     *v = _mm512_add_epi32(*v, x);
                 }
@@ -1024,69 +1142,6 @@ mod multilane {
                 // SAFETY: a row is sixteen `u32`s, one 512-bit register.
                 unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
             }
-        }
-
-        /// One SHA-256 round with the round variables renamed rather than
-        /// moved: `d += T1` and `h = T1 + T2`, which the next round reads
-        /// as `e` and `a`.
-        #[allow(clippy::too_many_arguments)]
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        fn round(
-            w: &[__m512i; 16],
-            t: usize,
-            a: __m512i,
-            b: __m512i,
-            c: __m512i,
-            d: &mut __m512i,
-            e: __m512i,
-            f: __m512i,
-            g: __m512i,
-            h: &mut __m512i,
-        ) {
-            let k = _mm512_set1_epi32(K[t] as i32);
-            // Ch(e, f, g) = e ? f : g (0xCA); Maj (0xE8); Σ is a 3-way XOR (0x96).
-            let ch = _mm512_ternarylogic_epi32::<0xCA>(e, f, g);
-            let s1 = _mm512_ternarylogic_epi32::<0x96>(
-                _mm512_ror_epi32::<6>(e),
-                _mm512_ror_epi32::<11>(e),
-                _mm512_ror_epi32::<25>(e),
-            );
-            let t1 = _mm512_add_epi32(
-                _mm512_add_epi32(*h, s1),
-                _mm512_add_epi32(ch, _mm512_add_epi32(k, w[t % 16])),
-            );
-            let maj = _mm512_ternarylogic_epi32::<0xE8>(a, b, c);
-            let s0 = _mm512_ternarylogic_epi32::<0x96>(
-                _mm512_ror_epi32::<2>(a),
-                _mm512_ror_epi32::<13>(a),
-                _mm512_ror_epi32::<22>(a),
-            );
-            *d = _mm512_add_epi32(*d, t1);
-            *h = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
-        }
-
-        /// `W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16]`, in a ring
-        /// of sixteen.
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        fn schedule(w: &mut [__m512i; 16], t: usize) {
-            let w15 = w[(t + 1) % 16];
-            let w2 = w[(t + 14) % 16];
-            let s0 = _mm512_ternarylogic_epi32::<0x96>(
-                _mm512_ror_epi32::<7>(w15),
-                _mm512_ror_epi32::<18>(w15),
-                _mm512_srli_epi32::<3>(w15),
-            );
-            let s1 = _mm512_ternarylogic_epi32::<0x96>(
-                _mm512_ror_epi32::<17>(w2),
-                _mm512_ror_epi32::<19>(w2),
-                _mm512_srli_epi32::<10>(w2),
-            );
-            w[t % 16] = _mm512_add_epi32(
-                _mm512_add_epi32(w[t % 16], s0),
-                _mm512_add_epi32(w[(t + 9) % 16], s1),
-            );
         }
 
         /// Turns sixteen rows (`w[l]` = lane `l`'s sixteen words) into
@@ -1290,6 +1345,28 @@ mod tests {
                 assert_eq!(with, batch, "kernel {} count {count}", kernel.name());
             }
         }
+    }
+
+    /// A block count whose byte length overflows is refused before the
+    /// kernel reads a block: unchecked, it would read far past the lane's
+    /// one block.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "some lane holds fewer")]
+    fn the_16_lane_kernel_refuses_a_block_count_whose_bytes_overflow() {
+        let block = [0u8; BLOCK_SIZE];
+        let mut runs = multilane::Runs::idle();
+        runs.read(0, &block);
+        multilane::avx512::x16(&mut [[0; 16]; 8], &runs, usize::MAX / 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "some lane holds fewer")]
+    fn the_4_lane_kernel_refuses_more_blocks_than_a_run_holds() {
+        let block = [0u8; BLOCK_SIZE];
+        let mut runs = multilane::Runs::idle();
+        runs.read(1, &block);
+        multilane::x4(&mut [[0; 4]; 8], &runs, 2);
     }
 
     proptest! {

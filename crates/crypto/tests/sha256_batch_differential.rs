@@ -7,9 +7,11 @@
 //! bytes, plus the 24-byte `len ‖ tag` of a server fingerprint); the
 //! messages cover every length up to three blocks and one byte, batches of
 //! 1 to 40 mixed lengths (lanes refill mid-batch and hand their last
-//! messages off mid-message), and proptest-random batches. CI runs the
-//! suite under both dispatch modes, so the hand-off backend is SHA-NI in
-//! one and the scalar schedule in the other.
+//! messages off mid-message), the scheduler's edges (a long body beside
+//! many refills, lanes that all end in one block, head-only messages,
+//! exact-size allocations at every length mod 64), and proptest-random
+//! batches. CI runs the suite under both dispatch modes, so the hand-off
+//! backend is SHA-NI in one and the scalar schedule in the other.
 
 use cdstore_crypto::sha256::{self, hash_batch_with, hash_parts, BatchKernel};
 use cdstore_crypto::Fingerprint;
@@ -90,6 +92,65 @@ fn batches_of_one_to_forty_mixed_lengths_refill_and_hand_off() {
         for count in 1..=refs.len() {
             assert_all_kernels_match(&prefix, &refs[..count], &format!("{count} messages"));
         }
+    }
+}
+
+#[test]
+fn a_long_body_outlives_refills_of_every_other_lane() {
+    // One 64 KiB message among 47 of 100-500 bytes: its lane stays in its
+    // body while every other lane ends and refills several times.
+    let mut msgs: Vec<Vec<u8>> = (0..48).map(|i| bytes(100 + (i * 37) % 400, i)).collect();
+    msgs[3] = bytes(64 * 1024, 3);
+    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+    for prefix_len in PREFIX_LENS {
+        let prefix = bytes(prefix_len, 11);
+        assert_all_kernels_match(&prefix, &refs, "one 64 KiB message among 47 short ones");
+    }
+}
+
+#[test]
+fn equal_messages_end_in_the_same_block() {
+    // Every lane's runs end together, so a kernel call returns every lane.
+    for count in [16, 17, 32, 33] {
+        for len in [0, 55, 64, 119, 3000] {
+            let msgs: Vec<Vec<u8>> = (0..count).map(|i| bytes(len, i)).collect();
+            let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+            for prefix_len in PREFIX_LENS {
+                let prefix = bytes(prefix_len, 12);
+                let what = format!("{count} messages of {len} bytes");
+                assert_all_kernels_match(&prefix, &refs, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_message_that_fills_the_head_block_leaves_a_padding_only_tail() {
+    // With the prefix's last bytes, every third message fills one block
+    // exactly: its head is its only block of data, its tail padding alone.
+    for prefix_len in PREFIX_LENS {
+        let exact = 64 - prefix_len % 64;
+        let msgs: Vec<Vec<u8>> = (0..20)
+            .map(|i| bytes(if i % 3 == 0 { exact } else { (i * 97) % 300 }, i))
+            .collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let prefix = bytes(prefix_len, 13);
+        assert_all_kernels_match(&prefix, &refs, "head-only messages in a batch of 20");
+    }
+}
+
+#[test]
+fn exact_size_allocations_at_every_length_mod_64() {
+    // Each message is its own allocation of exactly its length, so a read
+    // past a body's last whole block leaves it (AddressSanitizer reports
+    // it in the nightly job).
+    let msgs: Vec<Box<[u8]>> = (0..128)
+        .map(|i| bytes(64 * (i / 64) * (1 + i % 5) + i % 64, i).into_boxed_slice())
+        .collect();
+    let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
+    for prefix_len in PREFIX_LENS {
+        let prefix = bytes(prefix_len, 14);
+        assert_all_kernels_match(&prefix, &refs, "exact-size allocations");
     }
 }
 
