@@ -12,15 +12,16 @@
 //! argument the path. Defaults: `BENCH_kernels.json` in the current
 //! directory, 8 MB regions. `--smoke` shrinks the regions and repetitions
 //! for CI sanity runs. Every backend reported by the runtime detectors is
-//! measured; the `speedup_vs_scalar` column is the acceptance criterion for
+//! measured, the backends of one row taking turns pass by pass (each
+//! reports the median of its own passes); the `speedup_vs_scalar` column is the acceptance criterion for
 //! the SIMD kernels (≥ 4x for `mul_acc` on SIMD-capable hosts).
 
 use cdstore_bench::fmt_speed;
 use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::kernelbench::{
-    aes_ctr_speed, aes_generator_mask_speed, caont_share_lengths, caont_split_speed, crc32_speed,
-    fastcdc_lengths, gear_scan_speed, gf_kernel_all_backends, mixed_lengths, sha_batch_speed,
-    sha_single_speed, KernelSpeed,
+    aes_ctr_speeds, aes_generator_mask_speeds, caont_share_lengths, caont_split_speeds,
+    crc32_speeds, fastcdc_lengths, gear_scan_speeds, gf_kernel_speeds, mixed_lengths,
+    sha_batch_speeds, sha_single_speeds, KernelSpeed,
 };
 use cdstore_bench::SnapshotArgs;
 use cdstore_crypto::{aes, crc32, sha256};
@@ -59,7 +60,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for kernel in ["xor", "mul", "mul_acc"] {
-        let speeds = gf_kernel_all_backends(kernel, region_bytes, reps);
+        let speeds = gf_kernel_speeds(kernel, region_bytes, reps);
         for s in &speeds {
             println!("gf/{kernel:<8} {:<7} {}", s.backend, fmt_speed(s.mbps));
         }
@@ -71,13 +72,7 @@ fn main() {
     // the data path hashes: a secret's 4 shares, a 16-share request, a
     // 170-secret restore window, of ≈3 KiB shares and ≈9 KiB chunks — so the
     // batch size where 16 lanes start to pay is on record.
-    let singles: Vec<KernelSpeed> = sha256::Backend::available()
-        .into_iter()
-        .map(|backend| KernelSpeed {
-            backend: backend.name(),
-            mbps: sha_single_speed(backend, region_bytes, reps),
-        })
-        .collect();
+    let singles = sha_single_speeds(region_bytes, reps);
     for s in &singles {
         println!(
             "sha256/single          {:<9} {}",
@@ -87,13 +82,7 @@ fn main() {
     }
     rows.extend(rows_from("sha256/single", &singles, "scalar"));
     let mut batch_rows = |kernel: &str, prefix: &[u8], lens: &[usize], group: usize| {
-        let speeds: Vec<KernelSpeed> = sha256::BatchKernel::available()
-            .into_iter()
-            .map(|batch_kernel| KernelSpeed {
-                backend: batch_kernel.name(),
-                mbps: sha_batch_speed(batch_kernel, prefix, lens, group, reps),
-            })
-            .collect();
+        let speeds = sha_batch_speeds(prefix, lens, group, reps);
         for s in &speeds {
             println!("{kernel:<23} {:<9} {}", s.backend, fmt_speed(s.mbps));
         }
@@ -127,13 +116,7 @@ fn main() {
     // passes are batches of 16+ messages that can take the 16 lanes.
     for count in [16, 64] {
         let kernel = format!("caont/split/{count}x9KiB");
-        let speeds: Vec<KernelSpeed> = [("per_secret", false), ("group", true)]
-            .into_iter()
-            .map(|(backend, grouped)| KernelSpeed {
-                backend,
-                mbps: caont_split_speed(9 * 1024, count, grouped, reps),
-            })
-            .collect();
+        let speeds = caont_split_speeds(9 * 1024, count, reps);
         for s in &speeds {
             println!("{kernel:<22} {:<10} {}", s.backend, fmt_speed(s.mbps));
         }
@@ -142,19 +125,13 @@ fn main() {
 
     // AES-256: bulk CTR under one key, and the CAONT generator mask at the
     // real secret size (a key expansion per 8 KiB secret).
-    type AesSpeed = fn(aes::Backend, usize, usize) -> f64;
-    let aes_kernels: [(&str, AesSpeed); 2] = [
-        ("aes/ctr", aes_ctr_speed),
-        ("aes/generator_mask", aes_generator_mask_speed),
+    type AesSpeeds = fn(usize, usize) -> Vec<KernelSpeed>;
+    let aes_kernels: [(&str, AesSpeeds); 2] = [
+        ("aes/ctr", aes_ctr_speeds),
+        ("aes/generator_mask", aes_generator_mask_speeds),
     ];
-    for (kernel, speed) in aes_kernels {
-        let speeds: Vec<KernelSpeed> = aes::Backend::available()
-            .into_iter()
-            .map(|backend| KernelSpeed {
-                backend: backend.name(),
-                mbps: speed(backend, region_bytes, reps),
-            })
-            .collect();
+    for (kernel, speeds) in aes_kernels {
+        let speeds = speeds(region_bytes, reps);
         for s in &speeds {
             println!("{kernel:<18} {:<7} {}", s.backend, fmt_speed(s.mbps));
         }
@@ -168,13 +145,7 @@ fn main() {
         ("crc32/4MiB", FRAME_BYTES, FRAME_BYTES),
         ("crc32/76B", 76, region_bytes),
     ] {
-        let speeds: Vec<KernelSpeed> = crc32::Backend::available()
-            .into_iter()
-            .map(|backend| KernelSpeed {
-                backend: backend.name(),
-                mbps: crc32_speed(backend, msg_len, region, reps),
-            })
-            .collect();
+        let speeds = crc32_speeds(msg_len, region, reps);
         for s in &speeds {
             println!("{kernel:<18} {:<9} {}", s.backend, fmt_speed(s.mbps));
         }
@@ -183,12 +154,13 @@ fn main() {
 
     // The FastCDC boundary search at the default 2/8/16 KiB chunk sizes
     // (one portable implementation).
-    let mbps = gear_scan_speed(region_bytes, reps);
-    println!("{:<18} {:<9} {}", "gear/scan", "scalar", fmt_speed(mbps));
-    let speeds = [KernelSpeed {
-        backend: "scalar",
-        mbps,
-    }];
+    let speeds = gear_scan_speeds(region_bytes, reps);
+    println!(
+        "{:<18} {:<9} {}",
+        "gear/scan",
+        "scalar",
+        fmt_speed(speeds[0].mbps)
+    );
     rows.extend(rows_from("gear/scan", &speeds, "scalar"));
 
     // The backends the production dispatch selected on this host.

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cdstore_core::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
-use cdstore_core::CdStoreServer;
+use cdstore_core::{CdStoreServer, ServerTransport};
 use cdstore_crypto::Fingerprint;
 use cdstore_storage::{MemoryBackend, StorageBackend};
 
@@ -106,7 +106,8 @@ fn timed_open(backend: &MemoryBackend) -> (f64, cdstore_core::RecoveryReport, us
     let start = Instant::now();
     let (server, report) = CdStoreServer::open(0, copy).expect("recovery succeeds");
     let elapsed = start.elapsed().as_secs_f64() * 1000.0;
-    (elapsed, report, server.index_bytes())
+    let index_bytes = server.probe().expect("probe succeeds").index_bytes;
+    (elapsed, report, index_bytes as usize)
 }
 
 fn main() {

@@ -16,7 +16,7 @@
 //!
 //! Index mutations *stage* their journal records under the mutated key's
 //! stripe lock (`journal_record`); every public mutating entry point —
-//! `store_shares_detailed`, `put_file`, `release_uploads`, `delete_file`,
+//! `store_shares`, `commit_file`, `release_uploads`, `delete_file`,
 //! `gc_with` — *commits* the staging buffer with one backend append before
 //! it returns (`commit_journal`), and garbage collection additionally
 //! before any backend `delete` its records justify. Durable-before-
@@ -42,7 +42,7 @@ use cdstore_storage::{
 
 use crate::error::CdStoreError;
 use crate::metadata::{FileRecipe, ShareMetadata};
-use crate::transport::{ShareVerdict, StoreReceipt};
+use crate::transport::{ServerProbe, ServerTransport, ShareVerdict, StoreReceipt};
 use crate::wal::{write_index, Checkpoint, MetaRecord, CHECKPOINT_VERSION};
 
 /// Number of times share and recipe reads re-resolve their index entry when
@@ -53,8 +53,8 @@ use crate::wal::{write_index, Checkpoint, MetaRecord, CHECKPOINT_VERSION};
 const RELOCATION_RETRIES: usize = 3;
 
 /// Floor on the journal records between automatic checkpoints (checked at
-/// the end of every `store_shares` batch, `put_file`, `release_uploads`,
-/// `delete_file`, `flush`, and `gc`). A checkpoint writes the indexes'
+/// the end of every `store_shares` batch, `commit_file`, `release_uploads`,
+/// `delete_file`, `flush`, and `gc_with`). A checkpoint writes the indexes'
 /// memtables — the whole index while it fits them — so the effective
 /// cadence also scales with them: the trigger additionally waits for at
 /// least a quarter of the last checkpoint's entry count in new records.
@@ -234,7 +234,7 @@ pub struct CdStoreServer {
     last_snapshot_entries: AtomicU64,
     stats: AtomicServerStats,
     next_version: AtomicU64,
-    /// Serialises garbage-collection passes: concurrent `gc()` calls would
+    /// Serialises garbage-collection passes: concurrent `gc_with` calls would
     /// otherwise race to copy the same containers. Client traffic never
     /// takes this lock.
     gc_lock: Mutex<()>,
@@ -305,7 +305,7 @@ impl CdStoreServer {
     /// crash — and commits a fresh checkpoint of the recovered state before
     /// returning.
     ///
-    /// Traffic counters ([`CdStoreServer::stats`]) are per-process and start
+    /// Traffic counters (`probe().stats`) are per-process and start
     /// at zero; the dedup state itself (unique shares, reference counts,
     /// ownership) is recovered exactly for everything that was sealed and
     /// journaled.
@@ -676,44 +676,6 @@ impl CdStoreServer {
         let _ = self.checkpoint_locked();
     }
 
-    /// The index of the cloud this server runs in.
-    pub fn cloud_index(&self) -> usize {
-        self.cloud_index
-    }
-
-    /// Traffic and deduplication counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
-    }
-
-    /// Approximate size of the server's indices in bytes (drives the EC2
-    /// instance choice in the cost model, §5.6): the *resident* footprint —
-    /// memtables and, once an index spills, Bloom filters, fence pointers,
-    /// and block caches — not the spilled run bytes.
-    pub fn index_bytes(&self) -> usize {
-        self.share_index.approximate_size()
-            + self.file_index.approximate_size()
-            + self.user_shares.approximate_size()
-    }
-
-    /// Number of globally unique shares stored.
-    pub fn unique_shares(&self) -> usize {
-        self.share_index.unique_shares()
-    }
-
-    /// Cumulative physical bytes ever written for unique shares (a traffic
-    /// counter: deletes do not decrease it — see
-    /// [`CdStoreServer::live_share_bytes`] for the current footprint).
-    pub fn physical_share_bytes(&self) -> u64 {
-        self.stats.physical_share_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of unique shares currently referenced by at least one file —
-    /// the live footprint deletion shrinks and garbage collection reclaims.
-    pub fn live_share_bytes(&self) -> u64 {
-        self.share_index.physical_bytes()
-    }
-
     /// The ownership-map key `user ‖ client fingerprint`, built on the
     /// stack: a lookup by it allocates nothing.
     fn user_share_key(user: u64, fp: &Fingerprint) -> [u8; 40] {
@@ -723,60 +685,6 @@ impl CdStoreServer {
         key
     }
 
-    /// Answers an intra-user deduplication query: for each client-computed
-    /// share fingerprint, has this user already uploaded the share to this
-    /// server? (§3.3, intra-user deduplication.) Allocates only the answer.
-    pub fn intra_user_query(&self, user: u64, fingerprints: &[Fingerprint]) -> Vec<bool> {
-        fingerprints
-            .iter()
-            .map(|fp| self.user_shares.contains(&Self::user_share_key(user, fp)))
-            .collect()
-    }
-
-    /// Receives a batch of shares from a client and performs inter-user
-    /// deduplication: the server recomputes its own fingerprint from the
-    /// share content, stores only globally unique shares into containers, and
-    /// records ownership (§3.3, inter-user deduplication).
-    ///
-    /// When two clients race on the same share content, the fingerprint's
-    /// stripe lock serialises them: exactly one performs the container
-    /// append, the other only gains a reference.
-    ///
-    /// Returns the number of bytes that were new (physically stored).
-    pub fn store_shares(
-        &self,
-        user: u64,
-        shares: &[(ShareMetadata, Vec<u8>)],
-    ) -> Result<u64, CdStoreError> {
-        self.store_shares_detailed(user, shares)
-            .map(|receipt| receipt.new_bytes)
-    }
-
-    /// [`Self::store_shares`], additionally reporting a per-share dedup
-    /// verdict. This is the shape the upload RPC responds with: a networked
-    /// client learns which shares deduplicated without a stats round-trip.
-    pub fn store_shares_detailed(
-        &self,
-        user: u64,
-        shares: &[(ShareMetadata, Vec<u8>)],
-    ) -> Result<StoreReceipt, CdStoreError> {
-        let server_fps = self.server_fingerprints(shares);
-        let mut receipt = StoreReceipt::default();
-        let stored = {
-            // One checkpoint-lock acquisition and one journal commit for
-            // the batch. The commit also covers a batch that failed part
-            // way: the shares applied before the failure stay applied.
-            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
-            let stored = self.store_batch(user, shares, &server_fps, &mut receipt);
-            self.commit_journal();
-            stored
-        };
-        // The cadence is checked here too (not only in `put_file`), so one
-        // large file's batches cannot grow the journal without bound.
-        self.maybe_checkpoint();
-        stored.map(|()| receipt)
-    }
-
     /// Server-side fingerprints of a batch (never reuse the client's),
     /// computed for the whole batch before any lock is taken.
     fn server_fingerprints(&self, shares: &[(ShareMetadata, Vec<u8>)]) -> Vec<Fingerprint> {
@@ -784,7 +692,7 @@ impl CdStoreServer {
         Fingerprint::tagged_batch(&self.tag, &datas)
     }
 
-    /// The body of [`Self::store_shares_detailed`]: applies and stages the
+    /// The body of `store_shares` and `commit_file`: applies and stages the
     /// batch share by share, one verdict each into `receipt` — so after a
     /// failure its verdicts count the shares applied, and so do the server's
     /// counters, bumped once per batch. The caller holds `ckpt_lock.read()`
@@ -1008,10 +916,10 @@ impl CdStoreServer {
     /// Stores the file recipe, registers the file in the file index, and
     /// settles the share reference counts: every recipe entry holds one
     /// reference (resolved through the user's ownership mappings), and the
-    /// per-upload references [`CdStoreServer::store_shares`] took for the
-    /// shares in `uploaded` are given back. The reference count of a share
-    /// therefore equals the number of live recipe entries pointing at it —
-    /// the invariant deletion and garbage collection rely on.
+    /// per-upload references `store_shares` took for the shares in
+    /// `uploaded` are given back. The reference count of a share therefore
+    /// equals the number of live recipe entries pointing at it — the
+    /// invariant deletion and garbage collection rely on.
     ///
     /// Each *distinct* share is settled once, by its net change
     /// `occurrences in the recipe − occurrences in uploaded` (`uploaded` is
@@ -1024,63 +932,10 @@ impl CdStoreServer {
     /// version's references and recipe bytes are released; if it loses a
     /// version race (a strictly newer recipe is already in place), its own
     /// references and recipe bytes are released instead.
-    pub fn put_file(
-        &self,
-        user: u64,
-        encoded_pathname: &[u8],
-        recipe: &FileRecipe,
-        uploaded: &[Fingerprint],
-    ) -> Result<(), CdStoreError> {
-        let result = self.settle_file(user, encoded_pathname, recipe, uploaded);
-        self.commit_journal();
-        self.maybe_checkpoint();
-        result
-    }
-
-    /// An upload's last request: stores `last_batch` as
-    /// [`Self::store_shares_detailed`] does, then settles the file as
-    /// [`Self::put_file`] does with `uploaded` plus the batch's client
-    /// fingerprints — under one journal commit. `last_batch` may be empty.
     ///
-    /// An `Err` leaves no reference the upload took: a store that fails part
-    /// way releases the shares of the batch it applied and `uploaded`, and a
-    /// failed settlement rolls back as `put_file` does.
-    pub fn commit_file(
-        &self,
-        user: u64,
-        encoded_pathname: &[u8],
-        last_batch: &[(ShareMetadata, Vec<u8>)],
-        recipe: &FileRecipe,
-        uploaded: &[Fingerprint],
-    ) -> Result<StoreReceipt, CdStoreError> {
-        let server_fps = self.server_fingerprints(last_batch);
-        let mut receipt = StoreReceipt::default();
-        let stored = {
-            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
-            self.store_batch(user, last_batch, &server_fps, &mut receipt)
-        };
-        let batch_fps = last_batch.iter().map(|(meta, _)| meta.fingerprint);
-        let result = match stored {
-            Ok(()) => {
-                let settled: Vec<Fingerprint> = uploaded.iter().copied().chain(batch_fps).collect();
-                self.settle_file(user, encoded_pathname, recipe, &settled)
-                    .map(|()| receipt)
-            }
-            Err(e) => {
-                let applied = batch_fps.take(receipt.verdicts.len());
-                for fp in uploaded.iter().copied().chain(applied) {
-                    self.release_share_reference(user, &fp);
-                }
-                Err(e)
-            }
-        };
-        self.commit_journal();
-        self.maybe_checkpoint();
-        result
-    }
-
-    /// The body of [`Self::put_file`]; stages its journal records, which the
-    /// caller commits whatever the outcome.
+    /// The one place reference counts are settled, reached only through
+    /// `commit_file`. Stages its journal records, which the caller commits
+    /// whatever the outcome.
     fn settle_file(
         &self,
         user: u64,
@@ -1193,65 +1048,12 @@ impl CdStoreServer {
         }
     }
 
-    /// Drops the transient per-upload references [`CdStoreServer::store_shares`]
-    /// took for the given shares — for clients abandoning an upload whose
-    /// multi-cloud commit failed part-way (without it the abandoned shares
-    /// would stay referenced, and therefore unreclaimable, forever).
-    pub fn release_uploads(&self, user: u64, client_fps: &[Fingerprint]) {
-        for client_fp in client_fps {
-            self.release_share_reference(user, client_fp);
-        }
-        self.commit_journal();
-        self.maybe_checkpoint();
-    }
-
-    /// Whether the server knows the given file of the given user.
-    pub fn has_file(&self, user: u64, encoded_pathname: &[u8]) -> bool {
-        let key = FileKey::new(user, encoded_pathname);
-        self.file_index.get(&key).is_some()
-    }
-
-    /// Fetches the file recipe for a user's file.
-    pub fn get_recipe(
-        &self,
-        user: u64,
-        encoded_pathname: &[u8],
-    ) -> Result<FileRecipe, CdStoreError> {
-        let key = FileKey::new(user, encoded_pathname);
-        // An online compaction pass may delete a recipe container between
-        // reading the index entry and fetching the blob (only once every
-        // recipe in it is dead, i.e. this file was deleted or re-uploaded
-        // concurrently); re-resolve the entry and retry.
-        for _ in 0..RELOCATION_RETRIES {
-            let entry = self.file_index.get(&key).ok_or_else(|| {
-                CdStoreError::FileNotFound(format!("user {user} on cloud {}", self.cloud_index))
-            })?;
-            match self.read_recipe(&entry.recipe_location()) {
-                Err(CdStoreError::Storage(StorageError::NotFound(_))) => continue,
-                result => return result,
-            }
-        }
-        Err(CdStoreError::FileNotFound(format!(
-            "user {user} on cloud {} (recipe vanished mid-read)",
-            self.cloud_index
-        )))
-    }
-
-    /// Deletes a file: removes its index entry and releases every share
-    /// reference its recipe holds, tearing down the user's ownership
-    /// mappings for shares they no longer reference anywhere. Shares whose
-    /// global reference count hits zero become dead bytes for the garbage
-    /// collector ([`CdStoreServer::gc`]) to reclaim. Returns whether the
-    /// file existed.
-    pub fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
-        let result = self.remove_file(user, encoded_pathname);
-        self.commit_journal();
-        self.maybe_checkpoint();
-        result
-    }
-
-    /// The body of [`Self::delete_file`]; stages its journal records, which
-    /// the caller commits whatever the outcome.
+    /// The body of `delete_file`: removes the file's index entry and
+    /// releases every share reference its recipe holds, tearing down the
+    /// user's ownership mappings for shares they no longer reference
+    /// anywhere. Shares whose global reference count hits zero become dead
+    /// bytes for the garbage collector (`gc_with`) to reclaim. Stages its
+    /// journal records, which the caller commits whatever the outcome.
     fn remove_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
         let key = FileKey::new(user, encoded_pathname);
         for _ in 0..RELOCATION_RETRIES {
@@ -1300,14 +1102,12 @@ impl CdStoreServer {
         )))
     }
 
-    /// Fetches one share owned by `user`, identified by the *client*
-    /// fingerprint recorded in the file recipe. Ownership is enforced: a user
-    /// who never uploaded the share cannot retrieve it by fingerprint alone
-    /// (the proof-of-ownership side channel of §3.3).
-    pub fn fetch_share(&self, user: u64, client_fp: &Fingerprint) -> Result<Vec<u8>, CdStoreError> {
-        // An online compaction pass may relocate the share and delete its old
-        // container between the index lookup and the container fetch; the
-        // index then already points at the fresh copy, so re-resolve.
+    /// Fetches one share owned by `user` by its client fingerprint,
+    /// re-resolving it each try: the fallback of [`Self::fetch_shares_within`]
+    /// for a run whose container an online compaction pass deleted between
+    /// the index lookup and the read (the index then already points at the
+    /// fresh copy).
+    fn fetch_share(&self, user: u64, client_fp: &Fingerprint) -> Result<Vec<u8>, CdStoreError> {
         for _ in 0..RELOCATION_RETRIES {
             let location = self.locate_share(user, client_fp)?;
             match self.containers.fetch(&location) {
@@ -1345,23 +1145,18 @@ impl CdStoreServer {
         self.share_index.location(&server_fp).ok_or_else(missing)
     }
 
-    /// Fetches a batch of shares owned by `user`. The whole batch is
-    /// resolved first; then each run of consecutive shares in one container
-    /// is read with one look for that container ([`ContainerStore::fetch_run`]).
-    /// A run whose container a gc pass deleted in between falls back to
-    /// [`CdStoreServer::fetch_share`] share by share, which re-resolves.
-    pub fn fetch_shares(
-        &self,
-        user: u64,
-        client_fps: &[Fingerprint],
-    ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-        let shares = self.fetch_shares_within(user, client_fps, u64::MAX)?;
-        Ok(shares.expect("shares of u32 sizes hold fewer than u64::MAX bytes"))
-    }
-
-    /// [`CdStoreServer::fetch_shares`] for a reply that must hold at most
-    /// `max_bytes` of shares: `None`, with nothing read, when the resolved
-    /// shares hold more.
+    /// Fetches a batch of shares owned by `user`, identified by the *client*
+    /// fingerprints recorded in the file recipe, for a reply that must hold
+    /// at most `max_bytes` of shares: `None`, with nothing read, when the
+    /// resolved shares hold more. Ownership is enforced: a user who never
+    /// uploaded a share cannot retrieve it by fingerprint alone (the
+    /// proof-of-ownership side channel of §3.3).
+    ///
+    /// The whole batch is resolved first; then each run of consecutive
+    /// shares in one container is read with one look for that container
+    /// ([`ContainerStore::fetch_run`]). A run whose container a gc pass
+    /// deleted in between falls back to `fetch_share` share by share,
+    /// which re-resolves.
     pub fn fetch_shares_within(
         &self,
         user: u64,
@@ -1401,64 +1196,28 @@ impl CdStoreServer {
         Ok(Some(shares))
     }
 
-    /// Seals and persists all open containers (called at the end of a backup
-    /// job and before shutting down). A flushed server recovers completely:
-    /// every journaled index entry then points at a sealed container, so
-    /// [`CdStoreServer::open`] prunes nothing. Flush is the durability
-    /// barrier, so a journal lapse still outstanding here is not left to the
-    /// best-effort trigger: the re-baselining checkpoint must land, or the
-    /// flush fails (and the caller retries it).
-    pub fn flush(&self) -> Result<(), CdStoreError> {
-        self.containers.flush()?;
-        if self.journal_lapses.load(Ordering::Relaxed) > 0 {
-            return self.checkpoint();
-        }
-        self.maybe_checkpoint();
-        Ok(())
-    }
-
-    /// Container bytes currently stored at this server's cloud backend
-    /// (journal bookkeeping excluded).
-    pub fn backend_bytes(&self) -> u64 {
-        self.containers.backend_bytes().unwrap_or(0)
-    }
-
     /// The storage backend this server persists to — the handle a restart
     /// recovers the server from ([`CdStoreServer::open`]).
     pub fn backend(&self) -> Arc<dyn StorageBackend> {
         self.containers.backend()
     }
 
-    /// Runs a garbage-collection pass with the default [`GcConfig`].
-    pub fn gc(&self) -> Result<GcReport, CdStoreError> {
-        self.gc_with(GcConfig::default())
-    }
-
-    /// Runs a garbage-collection pass: seals the open containers that carry
-    /// dead bytes (other users' in-progress containers are left open so
-    /// periodic vacuums don't fragment active backup streams), deletes
-    /// sealed containers with no live bytes, and compacts sealed *share*
-    /// containers whose dead ratio crosses `config.dead_ratio` by rewriting
-    /// their live shares into fresh containers and atomically repointing the
-    /// share index under its stripe locks. The pass runs online — concurrent
-    /// backups, restores, and deletes stay correct (readers re-resolve
-    /// relocated shares; writers hold references that keep their shares
-    /// live) — but passes themselves are serialised on an internal lock.
+    /// The body of a garbage-collection pass, `gc_with`: seals the open
+    /// containers that carry dead bytes (other users' in-progress
+    /// containers are left open so periodic vacuums don't fragment active
+    /// backup streams), deletes sealed containers with no live bytes, and
+    /// compacts sealed *share* containers whose dead ratio crosses
+    /// `config.dead_ratio` by rewriting their live shares into fresh
+    /// containers and atomically repointing the share index under its
+    /// stripe locks. The pass runs online — concurrent backups, restores,
+    /// and deletes stay correct (readers re-resolve relocated shares;
+    /// writers hold references that keep their shares live) — but passes
+    /// themselves are serialised on `gc_lock`, which the caller holds.
     ///
     /// Recipe containers are only ever reclaimed whole: recipes relocate
     /// poorly (the file index is keyed by hashed pathnames, which cannot be
     /// recovered from a container scan), so a recipe container is deleted
     /// once every recipe in it is dead and merely waits otherwise.
-    pub fn gc_with(&self, config: GcConfig) -> Result<GcReport, CdStoreError> {
-        let _vacuum = self.gc_lock.lock().expect("gc lock");
-        let mut report = GcReport::default();
-        let result = self.vacuum(config, &mut report);
-        self.commit_journal();
-        self.maybe_checkpoint();
-        result.map(|()| report)
-    }
-
-    /// The body of [`Self::gc_with`] (the caller holds `gc_lock`).
     ///
     /// Durability ordering: a container is deleted only on the strength of
     /// records that are already durable. Every release that moved bytes to
@@ -1571,6 +1330,201 @@ impl CdStoreServer {
     }
 }
 
+/// The server's client-facing calls, and their only names: the in-process
+/// path of the trait, which `cdstore_net`'s wire server also answers
+/// through.
+impl ServerTransport for CdStoreServer {
+    fn cloud_index(&self) -> usize {
+        self.cloud_index
+    }
+
+    /// Allocates only the answer.
+    fn intra_user_query(
+        &self,
+        user: u64,
+        fingerprints: &[Fingerprint],
+    ) -> Result<Vec<bool>, CdStoreError> {
+        Ok(fingerprints
+            .iter()
+            .map(|fp| self.user_shares.contains(&Self::user_share_key(user, fp)))
+            .collect())
+    }
+
+    /// Inter-user deduplication (§3.3): the server recomputes its own
+    /// fingerprint from the share content, stores only globally unique
+    /// shares into containers, and records ownership. When two clients race
+    /// on the same share content, the fingerprint's stripe lock serialises
+    /// them: exactly one performs the container append, the other only
+    /// gains a reference.
+    fn store_shares(
+        &self,
+        user: u64,
+        shares: &[(ShareMetadata, Vec<u8>)],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        let server_fps = self.server_fingerprints(shares);
+        let mut receipt = StoreReceipt::default();
+        let stored = {
+            // One checkpoint-lock acquisition and one journal commit for
+            // the batch. The commit also covers a batch that failed part
+            // way: the shares applied before the failure stay applied.
+            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
+            let stored = self.store_batch(user, shares, &server_fps, &mut receipt);
+            self.commit_journal();
+            stored
+        };
+        // The cadence is checked here too (not only at a commit), so one
+        // large file's batches cannot grow the journal without bound.
+        self.maybe_checkpoint();
+        stored.map(|()| receipt)
+    }
+
+    /// `commit_file` with an empty last batch.
+    fn put_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<(), CdStoreError> {
+        self.commit_file(user, encoded_pathname, &[], recipe, uploaded)
+            .map(drop)
+    }
+
+    /// Stores `last_batch` and settles the file (`settle_file`) under one
+    /// journal commit. A store that fails part way releases the shares of
+    /// the batch it applied and `uploaded`; a failed settlement rolls its
+    /// own references back.
+    fn commit_file(
+        &self,
+        user: u64,
+        encoded_pathname: &[u8],
+        last_batch: &[(ShareMetadata, Vec<u8>)],
+        recipe: &FileRecipe,
+        uploaded: &[Fingerprint],
+    ) -> Result<StoreReceipt, CdStoreError> {
+        let server_fps = self.server_fingerprints(last_batch);
+        let mut receipt = StoreReceipt::default();
+        let stored = {
+            let _ckpt = self.ckpt_lock.read().expect("checkpoint lock");
+            self.store_batch(user, last_batch, &server_fps, &mut receipt)
+        };
+        let batch_fps = last_batch.iter().map(|(meta, _)| meta.fingerprint);
+        let result = match stored {
+            Ok(()) => {
+                let settled: Vec<Fingerprint> = uploaded.iter().copied().chain(batch_fps).collect();
+                self.settle_file(user, encoded_pathname, recipe, &settled)
+                    .map(|()| receipt)
+            }
+            Err(e) => {
+                let applied = batch_fps.take(receipt.verdicts.len());
+                for fp in uploaded.iter().copied().chain(applied) {
+                    self.release_share_reference(user, &fp);
+                }
+                Err(e)
+            }
+        };
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result
+    }
+
+    /// Without it the shares of an upload whose multi-cloud commit failed
+    /// part way would stay referenced, and therefore unreclaimable, forever.
+    fn release_uploads(&self, user: u64, client_fps: &[Fingerprint]) -> Result<(), CdStoreError> {
+        for client_fp in client_fps {
+            self.release_share_reference(user, client_fp);
+        }
+        self.commit_journal();
+        self.maybe_checkpoint();
+        Ok(())
+    }
+
+    fn has_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
+        let key = FileKey::new(user, encoded_pathname);
+        Ok(self.file_index.get(&key).is_some())
+    }
+
+    fn get_recipe(&self, user: u64, encoded_pathname: &[u8]) -> Result<FileRecipe, CdStoreError> {
+        let key = FileKey::new(user, encoded_pathname);
+        // An online compaction pass may delete a recipe container between
+        // reading the index entry and fetching the blob (only once every
+        // recipe in it is dead, i.e. this file was deleted or re-uploaded
+        // concurrently); re-resolve the entry and retry.
+        for _ in 0..RELOCATION_RETRIES {
+            let entry = self.file_index.get(&key).ok_or_else(|| {
+                CdStoreError::FileNotFound(format!("user {user} on cloud {}", self.cloud_index))
+            })?;
+            match self.read_recipe(&entry.recipe_location()) {
+                Err(CdStoreError::Storage(StorageError::NotFound(_))) => continue,
+                result => return result,
+            }
+        }
+        Err(CdStoreError::FileNotFound(format!(
+            "user {user} on cloud {} (recipe vanished mid-read)",
+            self.cloud_index
+        )))
+    }
+
+    // `open_file` keeps the default: in process, the recipe and the first
+    // window's shares cost two function calls however they are grouped.
+
+    fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
+        let result = self.remove_file(user, encoded_pathname);
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result
+    }
+
+    fn fetch_shares(
+        &self,
+        user: u64,
+        client_fps: &[Fingerprint],
+    ) -> Result<Vec<Vec<u8>>, CdStoreError> {
+        let shares = self.fetch_shares_within(user, client_fps, u64::MAX)?;
+        Ok(shares.expect("shares of u32 sizes hold fewer than u64::MAX bytes"))
+    }
+
+    /// Called at the end of a backup job and before shutting down. A flushed
+    /// server recovers completely: every journaled index entry then points
+    /// at a sealed container, so [`CdStoreServer::open`] prunes nothing.
+    /// Flush is the durability barrier, so a journal lapse still outstanding
+    /// here is not left to the best-effort trigger: the re-baselining
+    /// checkpoint must land, or the flush fails (and the caller retries it).
+    fn flush(&self) -> Result<(), CdStoreError> {
+        self.containers.flush()?;
+        if self.journal_lapses.load(Ordering::Relaxed) > 0 {
+            return self.checkpoint();
+        }
+        self.maybe_checkpoint();
+        Ok(())
+    }
+
+    fn gc_with(&self, config: GcConfig) -> Result<GcReport, CdStoreError> {
+        let _vacuum = self.gc_lock.lock().expect("gc lock");
+        let mut report = GcReport::default();
+        let result = self.vacuum(config, &mut report);
+        self.commit_journal();
+        self.maybe_checkpoint();
+        result.map(|()| report)
+    }
+
+    /// The traffic counters start at zero in each process; `index_bytes` is
+    /// the indexes' *resident* footprint (memtables and, once an index
+    /// spills, Bloom filters, fence pointers and block caches — what drives
+    /// the instance choice of the cost model, §5.6), not the spilled runs.
+    fn probe(&self) -> Result<ServerProbe, CdStoreError> {
+        Ok(ServerProbe {
+            stats: self.stats.snapshot(),
+            backend_bytes: self.containers.backend_bytes().unwrap_or(0),
+            index_bytes: (self.share_index.approximate_size()
+                + self.file_index.approximate_size()
+                + self.user_shares.approximate_size()) as u64,
+            unique_shares: self.share_index.unique_shares() as u64,
+            live_share_bytes: self.share_index.physical_bytes(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1603,7 +1557,7 @@ mod tests {
     ) -> FileRecipe {
         let shares: Vec<_> = datas.iter().map(|d| share(d)).collect();
         let fps: Vec<_> = shares.iter().map(|(m, _)| m.fingerprint).collect();
-        let already = server.intra_user_query(user, &fps);
+        let already = server.intra_user_query(user, &fps).unwrap();
         let to_upload: Vec<_> = shares
             .iter()
             .cloned()
@@ -1630,14 +1584,26 @@ mod tests {
     fn inter_user_dedup_stores_one_copy() {
         let server = CdStoreServer::new(0);
         let s = share(b"identical share content");
-        let new_a = server.store_shares(1, std::slice::from_ref(&s)).unwrap();
-        let new_b = server.store_shares(2, std::slice::from_ref(&s)).unwrap();
+        let new_a = server
+            .store_shares(1, std::slice::from_ref(&s))
+            .unwrap()
+            .new_bytes;
+        let new_b = server
+            .store_shares(2, std::slice::from_ref(&s))
+            .unwrap()
+            .new_bytes;
         assert_eq!(new_a, s.1.len() as u64);
         assert_eq!(new_b, 0, "second user's identical share is deduplicated");
-        assert_eq!(server.unique_shares(), 1);
-        assert_eq!(server.stats().inter_user_duplicates, 1);
-        assert_eq!(server.stats().received_share_bytes, 2 * s.1.len() as u64);
-        assert_eq!(server.physical_share_bytes(), s.1.len() as u64);
+        assert_eq!(server.probe().unwrap().unique_shares, 1);
+        assert_eq!(server.probe().unwrap().stats.inter_user_duplicates, 1);
+        assert_eq!(
+            server.probe().unwrap().stats.received_share_bytes,
+            2 * s.1.len() as u64
+        );
+        assert_eq!(
+            server.probe().unwrap().stats.physical_share_bytes,
+            s.1.len() as u64
+        );
     }
 
     #[test]
@@ -1647,11 +1613,17 @@ mod tests {
         server.store_shares(1, std::slice::from_ref(&s)).unwrap();
         // A second upload by the same user (e.g. two of their devices racing
         // past the intra-user query) is an intra-user duplicate.
-        let second = server.store_shares(1, std::slice::from_ref(&s)).unwrap();
+        let second = server
+            .store_shares(1, std::slice::from_ref(&s))
+            .unwrap()
+            .new_bytes;
         assert_eq!(second, 0);
-        assert_eq!(server.stats().inter_user_duplicates, 0);
-        assert_eq!(server.unique_shares(), 1);
-        assert_eq!(server.physical_share_bytes(), s.1.len() as u64);
+        assert_eq!(server.probe().unwrap().stats.inter_user_duplicates, 0);
+        assert_eq!(server.probe().unwrap().unique_shares, 1);
+        assert_eq!(
+            server.probe().unwrap().stats.physical_share_bytes,
+            s.1.len() as u64
+        );
     }
 
     #[test]
@@ -1663,9 +1635,13 @@ mod tests {
         server.store_shares(2, std::slice::from_ref(&s2)).unwrap();
         // User 1 owns s1 but not s2 (even though s2 is stored): the reply must
         // not leak other users' deduplication state.
-        let reply = server.intra_user_query(1, &[s1.0.fingerprint, s2.0.fingerprint]);
+        let reply = server
+            .intra_user_query(1, &[s1.0.fingerprint, s2.0.fingerprint])
+            .unwrap();
         assert_eq!(reply, vec![true, false]);
-        let reply2 = server.intra_user_query(2, &[s1.0.fingerprint, s2.0.fingerprint]);
+        let reply2 = server
+            .intra_user_query(2, &[s1.0.fingerprint, s2.0.fingerprint])
+            .unwrap();
         assert_eq!(reply2, vec![false, true]);
     }
 
@@ -1725,8 +1701,8 @@ mod tests {
             .map(|i| format!("secret share {i}").into_bytes())
             .collect();
         let recipe = backup_file(&server, 7, b"/home/u/backup.tar", &datas);
-        assert!(server.has_file(7, b"/home/u/backup.tar"));
-        assert!(!server.has_file(8, b"/home/u/backup.tar"));
+        assert!(server.has_file(7, b"/home/u/backup.tar").unwrap());
+        assert!(!server.has_file(8, b"/home/u/backup.tar").unwrap());
         let fetched = server.get_recipe(7, b"/home/u/backup.tar").unwrap();
         assert_eq!(fetched, recipe);
         assert!(matches!(
@@ -1776,11 +1752,15 @@ mod tests {
             server.put_file(1, b"/f", &recipe, &[good.0.fingerprint]),
             Err(CdStoreError::MissingShare(_))
         ));
-        assert!(!server.has_file(1, b"/f"));
-        assert_eq!(server.unique_shares(), 0, "rolled back to zero references");
+        assert!(!server.has_file(1, b"/f").unwrap());
+        assert_eq!(
+            server.probe().unwrap().unique_shares,
+            0,
+            "rolled back to zero references"
+        );
         assert!(server.fetch_share(1, &good.0.fingerprint).is_err());
-        server.gc().unwrap();
-        assert_eq!(server.backend_bytes(), 0);
+        server.gc_with(GcConfig::default()).unwrap();
+        assert_eq!(server.probe().unwrap().backend_bytes, 0);
     }
 
     /// The merged call fails as `put_file` does, and takes its last batch
@@ -1804,11 +1784,15 @@ mod tests {
         };
         let stray = recipe_of(&[&earlier.1, &last.1, b"never uploaded"]);
         assert!(matches!(commit(&stray), Err(CdStoreError::MissingShare(_))));
-        assert!(!server.has_file(1, b"/f"));
-        assert_eq!(server.unique_shares(), 0, "rolled back to zero references");
+        assert!(!server.has_file(1, b"/f").unwrap());
+        assert_eq!(
+            server.probe().unwrap().unique_shares,
+            0,
+            "rolled back to zero references"
+        );
         assert_eq!(folded_journal(&*backend), live_state(&server));
-        server.gc().unwrap();
-        assert_eq!(server.backend_bytes(), 0);
+        server.gc_with(GcConfig::default()).unwrap();
+        assert_eq!(server.probe().unwrap().backend_bytes, 0);
 
         // Without the stray entry the same call commits the file.
         let recipe = recipe_of(&[&earlier.1, &last.1]);
@@ -1820,7 +1804,7 @@ mod tests {
         assert_eq!(refs(&server, 1, &last.1), 1);
         assert_eq!(folded_journal(&*backend), live_state(&server));
         assert_eq!(
-            crate::ServerTransport::open_file(&server, 1, b"/f", 1, 0).unwrap(),
+            server.open_file(1, b"/f", 1, 0).unwrap(),
             (recipe, vec![earlier.1.clone()])
         );
     }
@@ -1836,7 +1820,7 @@ mod tests {
             server.fetch_share(1, &Fingerprint::of(b"old content")),
             Err(CdStoreError::MissingShare(_))
         ));
-        assert_eq!(server.unique_shares(), 1);
+        assert_eq!(server.probe().unwrap().unique_shares, 1);
     }
 
     #[test]
@@ -1861,15 +1845,15 @@ mod tests {
         let datas = vec![b"shared A".to_vec(), b"shared B".to_vec()];
         backup_file(&server, 1, b"/u1", &datas);
         backup_file(&server, 2, b"/u2", &datas);
-        assert_eq!(server.unique_shares(), 2);
-        let live = server.live_share_bytes();
+        assert_eq!(server.probe().unwrap().unique_shares, 2);
+        let live = server.probe().unwrap().live_share_bytes;
         assert!(live > 0);
 
         // User 1 deletes: the shares survive on user 2's references, and
         // user 1 can no longer fetch them.
         assert!(server.delete_file(1, b"/u1").unwrap());
-        assert_eq!(server.unique_shares(), 2);
-        assert_eq!(server.live_share_bytes(), live);
+        assert_eq!(server.probe().unwrap().unique_shares, 2);
+        assert_eq!(server.probe().unwrap().live_share_bytes, live);
         assert!(matches!(
             server.fetch_share(1, &Fingerprint::of(b"shared A")),
             Err(CdStoreError::MissingShare(_))
@@ -1883,10 +1867,10 @@ mod tests {
 
         // User 2 deletes too: the last references go and the shares die.
         assert!(server.delete_file(2, b"/u2").unwrap());
-        assert_eq!(server.unique_shares(), 0);
-        assert_eq!(server.live_share_bytes(), 0);
+        assert_eq!(server.probe().unwrap().unique_shares, 0);
+        assert_eq!(server.probe().unwrap().live_share_bytes, 0);
         // The cumulative traffic counter is untouched by deletion.
-        assert_eq!(server.physical_share_bytes(), live);
+        assert_eq!(server.probe().unwrap().stats.physical_share_bytes, live);
         assert!(matches!(
             server.fetch_share(2, &Fingerprint::of(b"shared A")),
             Err(CdStoreError::MissingShare(_))
@@ -1911,7 +1895,7 @@ mod tests {
             Err(CdStoreError::MissingShare(_))
         ));
         assert!(server.delete_file(1, b"/b").unwrap());
-        assert_eq!(server.unique_shares(), 0);
+        assert_eq!(server.probe().unwrap().unique_shares, 0);
     }
 
     #[test]
@@ -1920,14 +1904,14 @@ mod tests {
         let datas: Vec<Vec<u8>> = (0..20u32).map(|i| vec![i as u8; 10_000]).collect();
         backup_file(&server, 1, b"/doomed", &datas);
         server.flush().unwrap();
-        assert!(server.backend_bytes() > 0);
+        assert!(server.probe().unwrap().backend_bytes > 0);
 
         assert!(server.delete_file(1, b"/doomed").unwrap());
-        let report = server.gc().unwrap();
+        let report = server.gc_with(GcConfig::default()).unwrap();
         assert!(report.containers_deleted >= 2, "share + recipe containers");
         assert_eq!(report.containers_compacted, 0);
         assert!(report.reclaimed_bytes >= 200_000);
-        assert_eq!(server.backend_bytes(), 0);
+        assert_eq!(server.probe().unwrap().backend_bytes, 0);
         assert_eq!(server.containers.utilisation(), Default::default());
     }
 
@@ -1941,14 +1925,14 @@ mod tests {
         backup_file(&server, 1, b"/big", &big);
         backup_file(&server, 1, b"/small", &small);
         server.flush().unwrap();
-        let before = server.backend_bytes();
+        let before = server.probe().unwrap().backend_bytes;
 
         assert!(server.delete_file(1, b"/big").unwrap());
-        let report = server.gc().unwrap();
+        let report = server.gc_with(GcConfig::default()).unwrap();
         assert!(report.containers_compacted >= 1);
         assert_eq!(report.shares_rewritten, 1);
         assert_eq!(report.rewritten_bytes, small[0].len() as u64);
-        assert!(server.backend_bytes() < before / 4);
+        assert!(server.probe().unwrap().backend_bytes < before / 4);
 
         // The survivor relocated but stays byte-exact.
         assert_eq!(
@@ -1960,7 +1944,7 @@ mod tests {
         assert_eq!(server.get_recipe(1, b"/small").unwrap().num_secrets(), 1);
 
         // A second pass finds nothing to do.
-        let idle = server.gc().unwrap();
+        let idle = server.gc_with(GcConfig::default()).unwrap();
         assert_eq!(idle.containers_compacted, 0);
         assert_eq!(idle.shares_rewritten, 0);
     }
@@ -1992,7 +1976,7 @@ mod tests {
                 let keep = &keep;
                 scope.spawn(move || {
                     for _ in 0..10 {
-                        server.gc().unwrap();
+                        server.gc_with(GcConfig::default()).unwrap();
                         for (i, data) in keep.iter().enumerate() {
                             let fetched = server
                                 .fetch_share(9, &Fingerprint::of(data))
@@ -2004,8 +1988,8 @@ mod tests {
             }
         });
         // Everything but the kept file is reclaimable.
-        server.gc().unwrap();
-        assert_eq!(server.unique_shares(), keep.len());
+        server.gc_with(GcConfig::default()).unwrap();
+        assert_eq!(server.probe().unwrap().unique_shares, keep.len() as u64);
         for data in &keep {
             assert_eq!(
                 &server.fetch_share(9, &Fingerprint::of(data)).unwrap(),
@@ -2017,13 +2001,13 @@ mod tests {
     #[test]
     fn index_size_grows_with_stored_shares() {
         let server = CdStoreServer::new(0);
-        let before = server.index_bytes();
+        let before = server.probe().unwrap().index_bytes;
         for i in 0..500u32 {
             let data = format!("share-{i}").into_bytes();
             server.store_shares(1, &[share(&data)]).unwrap();
         }
-        assert!(server.index_bytes() > before);
-        assert_eq!(server.unique_shares(), 500);
+        assert!(server.probe().unwrap().index_bytes > before);
+        assert_eq!(server.probe().unwrap().unique_shares, 500);
     }
 
     #[test]
@@ -2048,7 +2032,7 @@ mod tests {
                     let barrier = &barrier;
                     scope.spawn(move || {
                         barrier.wait();
-                        server.store_shares(user, shares).unwrap()
+                        server.store_shares(user, shares).unwrap().new_bytes
                     })
                 })
                 .collect();
@@ -2057,9 +2041,12 @@ mod tests {
         let unique_bytes: u64 = shares.iter().map(|(_, d)| d.len() as u64).sum();
         // Across all racing users, each share was physically stored once.
         assert_eq!(new_bytes, unique_bytes);
-        assert_eq!(server.physical_share_bytes(), unique_bytes);
-        assert_eq!(server.unique_shares(), shares.len());
-        let stats = server.stats();
+        assert_eq!(
+            server.probe().unwrap().stats.physical_share_bytes,
+            unique_bytes
+        );
+        assert_eq!(server.probe().unwrap().unique_shares, shares.len() as u64);
+        let stats = server.probe().unwrap().stats;
         assert_eq!(stats.shares_received, users * shares.len() as u64);
         assert_eq!(
             stats.inter_user_duplicates,
@@ -2086,15 +2073,15 @@ mod tests {
                         server.store_shares(user, std::slice::from_ref(&s)).unwrap();
                         assert_eq!(server.fetch_share(user, &s.0.fingerprint).unwrap(), data);
                         assert_eq!(
-                            server.intra_user_query(user, &[s.0.fingerprint]),
+                            server.intra_user_query(user, &[s.0.fingerprint]).unwrap(),
                             vec![true]
                         );
                     }
                 });
             }
         });
-        assert_eq!(server.unique_shares(), 8 * 20);
-        assert_eq!(server.stats().inter_user_duplicates, 0);
+        assert_eq!(server.probe().unwrap().unique_shares, 8 * 20);
+        assert_eq!(server.probe().unwrap().stats.inter_user_duplicates, 0);
     }
 
     #[test]
@@ -2107,8 +2094,8 @@ mod tests {
         backup_file(&server, 1, b"/u1/g", &[b"private".to_vec()]);
         assert!(server.delete_file(1, b"/u1/g").unwrap());
         server.flush().unwrap();
-        let unique = server.unique_shares();
-        let live = server.live_share_bytes();
+        let unique = server.probe().unwrap().unique_shares;
+        let live = server.probe().unwrap().live_share_bytes;
         drop(server);
 
         let (revived, report) = CdStoreServer::open(0, backend).unwrap();
@@ -2119,8 +2106,8 @@ mod tests {
         assert!(report.containers_scanned > 0);
 
         // Dedup state is byte-for-byte intact: refcounts, ownership, data.
-        assert_eq!(revived.unique_shares(), unique);
-        assert_eq!(revived.live_share_bytes(), live);
+        assert_eq!(revived.probe().unwrap().unique_shares, unique);
+        assert_eq!(revived.probe().unwrap().live_share_bytes, live);
         for data in &shared {
             assert_eq!(
                 &revived.fetch_share(1, &Fingerprint::of(data)).unwrap(),
@@ -2147,8 +2134,8 @@ mod tests {
             &shared[0]
         );
         assert!(revived.delete_file(2, b"/u2/f").unwrap());
-        revived.gc().unwrap();
-        assert_eq!(revived.backend_bytes(), 0);
+        revived.gc_with(GcConfig::default()).unwrap();
+        assert_eq!(revived.probe().unwrap().backend_bytes, 0);
     }
 
     #[test]
@@ -2186,7 +2173,7 @@ mod tests {
                 .unwrap(),
             b"post share"
         );
-        assert_eq!(revived.unique_shares(), 11);
+        assert_eq!(revived.probe().unwrap().unique_shares, 11);
     }
 
     #[test]
@@ -2218,7 +2205,7 @@ mod tests {
                 .unwrap(),
             b"durable share"
         );
-        assert_eq!(revived.unique_shares(), 1);
+        assert_eq!(revived.probe().unwrap().unique_shares, 1);
         backup_file(&revived, 1, b"/buffered", &[b"buffered share".to_vec()]);
         assert_eq!(
             revived
@@ -2247,9 +2234,9 @@ mod tests {
         // The recount against surviving recipes drops the orphan wholesale:
         // no refcount leak keeps its bytes unreclaimable forever.
         assert!(report.share_refs_reconciled >= 1, "{report:?}");
-        assert_eq!(revived.unique_shares(), 1);
+        assert_eq!(revived.probe().unwrap().unique_shares, 1);
         assert!(revived.fetch_share(2, &orphan.0.fingerprint).is_err());
-        revived.gc().unwrap();
+        revived.gc_with(GcConfig::default()).unwrap();
         // Only the committed file's containers remain.
         assert_eq!(
             revived
@@ -2258,8 +2245,12 @@ mod tests {
             b"committed share"
         );
         assert!(revived.delete_file(1, b"/committed").unwrap());
-        revived.gc().unwrap();
-        assert_eq!(revived.backend_bytes(), 0, "orphan bytes were reclaimed");
+        revived.gc_with(GcConfig::default()).unwrap();
+        assert_eq!(
+            revived.probe().unwrap().backend_bytes,
+            0,
+            "orphan bytes were reclaimed"
+        );
     }
 
     #[test]
@@ -2299,7 +2290,7 @@ mod tests {
         backup_file(&server, 1, b"/small", &small);
         server.flush().unwrap();
         assert!(server.delete_file(1, b"/big").unwrap());
-        let report = server.gc().unwrap();
+        let report = server.gc_with(GcConfig::default()).unwrap();
         assert!(report.containers_compacted >= 1);
         drop(server);
 
@@ -2321,9 +2312,9 @@ mod tests {
         server
             .store_shares(1, &[share(&vec![7u8; 100_000])])
             .unwrap();
-        assert_eq!(server.backend_bytes(), 0);
+        assert_eq!(server.probe().unwrap().backend_bytes, 0);
         server.flush().unwrap();
-        assert!(server.backend_bytes() >= 100_000);
+        assert!(server.probe().unwrap().backend_bytes >= 100_000);
     }
 
     // -----------------------------------------------------------------------
@@ -2472,7 +2463,7 @@ mod tests {
         assert_eq!(refs(&server, 1, &once.1), 2);
         assert!(server.delete_file(1, b"/f").unwrap());
         assert!(server.delete_file(1, b"/g").unwrap());
-        assert_eq!(server.unique_shares(), 0);
+        assert_eq!(server.probe().unwrap().unique_shares, 0);
         assert_eq!(folded_journal(&*backend), live_state(&server));
     }
 
@@ -2497,7 +2488,7 @@ mod tests {
         // with the rollback: the state is the one before the upload began.
         assert_eq!(live_state(&server), started);
         assert_eq!(refs(&server, 1, b"x"), 1);
-        assert!(!server.has_file(1, b"/doomed"));
+        assert!(!server.has_file(1, b"/doomed").unwrap());
         assert_eq!(folded_journal(&*backend), started);
     }
 
@@ -2536,7 +2527,7 @@ mod tests {
                             .collect();
                         let shares: Vec<_> = datas.iter().map(|d| share(d)).collect();
                         let fps: Vec<_> = shares.iter().map(|(m, _)| m.fingerprint).collect();
-                        let owned = server.intra_user_query(user, &fps);
+                        let owned = server.intra_user_query(user, &fps).unwrap();
                         let upload: Vec<_> = shares
                             .iter()
                             .zip(owned)
@@ -2605,7 +2596,7 @@ mod tests {
             server.store_shares(1, &shares).unwrap();
             if batch % 4 == 3 {
                 let fps: Vec<_> = shares.iter().map(|(m, _)| m.fingerprint).collect();
-                server.release_uploads(1, &fps);
+                server.release_uploads(1, &fps).unwrap();
             }
             let pending = server.journal.records_since_checkpoint();
             assert!(

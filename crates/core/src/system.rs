@@ -903,15 +903,15 @@ mod tests {
             .encode_pathname("/ephemeral")
             .unwrap();
         store.with_servers(|servers| {
-            assert!(servers[0].has_file(5, &encoded[0]));
+            assert!(servers[0].has_file(5, &encoded[0]).unwrap());
         });
 
         // Recovery replays the delete: the orphan is gone and gc can now
         // reclaim every backend, including cloud 0's.
         store.recover_cloud(0);
         store.with_servers(|servers| {
-            assert!(!servers[0].has_file(5, &encoded[0]));
-            assert_eq!(servers[0].unique_shares(), 0);
+            assert!(!servers[0].has_file(5, &encoded[0]).unwrap());
+            assert_eq!(servers[0].probe().unwrap().unique_shares, 0);
         });
         store.gc().unwrap();
         assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);

@@ -10,8 +10,9 @@
 //!
 //! Two implementations exist:
 //!
-//! * the **in-process path** — [`CdStoreServer`] implements the trait
-//!   directly (plain function calls, as the benchmarks of PR 3–5 used), and
+//! * the **in-process path** — [`crate::CdStoreServer`] implements the
+//!   trait directly (plain function calls; these are its only names for
+//!   the calls), and
 //! * the **remote path** — `cdstore_net::RemoteServer` speaks the
 //!   length-prefixed binary TCP protocol to a `cdstore_net::NetServer`
 //!   (or a `cdstore-serve` process) wrapping the same server.
@@ -29,7 +30,7 @@ use cdstore_crypto::Fingerprint;
 
 use crate::error::CdStoreError;
 use crate::metadata::{FileRecipe, ShareMetadata};
-use crate::server::{CdStoreServer, GcConfig, GcReport, ServerStats};
+use crate::server::{GcConfig, GcReport, ServerStats};
 
 /// Per-share outcome of a batched share upload, as reported back to the
 /// client: whether the share's bytes were physically stored or removed by
@@ -78,7 +79,7 @@ pub struct ServerProbe {
 ///
 /// Implementations must be `Send + Sync`: a transport handle is shared by
 /// every client thread of a deployment, exactly like the in-process
-/// [`CdStoreServer`] it abstracts.
+/// [`crate::CdStoreServer`] it abstracts.
 ///
 /// A file's fixed cost is two calls per cloud to back it up — the dedup
 /// query for its last batch, then [`ServerTransport::commit_file`] carrying
@@ -108,8 +109,11 @@ pub trait ServerTransport: Send + Sync {
         shares: &[(ShareMetadata, Vec<u8>)],
     ) -> Result<StoreReceipt, CdStoreError>;
 
-    /// Stores the file recipe and settles share reference counts (see
-    /// [`CdStoreServer::put_file`]).
+    /// Stores the file recipe and settles share reference counts: each
+    /// recipe entry holds one reference afterwards, and the per-upload
+    /// references [`ServerTransport::store_shares`] took for `uploaded` are
+    /// given back, so a share's count is the number of live recipe entries
+    /// naming it. A newer version of the file releases the older one's.
     fn put_file(
         &self,
         user: u64,
@@ -121,7 +125,7 @@ pub trait ServerTransport: Send + Sync {
     /// Ends an upload on this cloud in one call: stores `last_batch` (which
     /// may be empty) as [`ServerTransport::store_shares`] does, then settles
     /// the file as [`ServerTransport::put_file`] does with `uploaded` plus
-    /// the batch's fingerprints (see [`CdStoreServer::commit_file`]).
+    /// the batch's fingerprints.
     ///
     /// An `Err` means the server holds no reference this upload took. The
     /// call is never retried in place: after an `Err`, or a lost reply that
@@ -153,7 +157,8 @@ pub trait ServerTransport: Send + Sync {
     }
 
     /// Drops the transient per-upload references of an abandoned upload
-    /// (best-effort; see [`CdStoreServer::release_uploads`]).
+    /// (best-effort: fingerprints the user holds no reference on are
+    /// skipped).
     fn release_uploads(&self, user: u64, fingerprints: &[Fingerprint]) -> Result<(), CdStoreError>;
 
     /// Whether the server knows the given file of the given user.
@@ -208,95 +213,6 @@ pub trait ServerTransport: Send + Sync {
 
     /// Snapshots the server's observable counters in one round-trip.
     fn probe(&self) -> Result<ServerProbe, CdStoreError>;
-}
-
-impl ServerTransport for CdStoreServer {
-    fn cloud_index(&self) -> usize {
-        CdStoreServer::cloud_index(self)
-    }
-
-    fn intra_user_query(
-        &self,
-        user: u64,
-        fingerprints: &[Fingerprint],
-    ) -> Result<Vec<bool>, CdStoreError> {
-        Ok(CdStoreServer::intra_user_query(self, user, fingerprints))
-    }
-
-    fn store_shares(
-        &self,
-        user: u64,
-        shares: &[(ShareMetadata, Vec<u8>)],
-    ) -> Result<StoreReceipt, CdStoreError> {
-        self.store_shares_detailed(user, shares)
-    }
-
-    fn put_file(
-        &self,
-        user: u64,
-        encoded_pathname: &[u8],
-        recipe: &FileRecipe,
-        uploaded: &[Fingerprint],
-    ) -> Result<(), CdStoreError> {
-        CdStoreServer::put_file(self, user, encoded_pathname, recipe, uploaded)
-    }
-
-    fn commit_file(
-        &self,
-        user: u64,
-        encoded_pathname: &[u8],
-        last_batch: &[(ShareMetadata, Vec<u8>)],
-        recipe: &FileRecipe,
-        uploaded: &[Fingerprint],
-    ) -> Result<StoreReceipt, CdStoreError> {
-        CdStoreServer::commit_file(self, user, encoded_pathname, last_batch, recipe, uploaded)
-    }
-
-    fn release_uploads(&self, user: u64, fingerprints: &[Fingerprint]) -> Result<(), CdStoreError> {
-        CdStoreServer::release_uploads(self, user, fingerprints);
-        Ok(())
-    }
-
-    fn has_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
-        Ok(CdStoreServer::has_file(self, user, encoded_pathname))
-    }
-
-    fn get_recipe(&self, user: u64, encoded_pathname: &[u8]) -> Result<FileRecipe, CdStoreError> {
-        CdStoreServer::get_recipe(self, user, encoded_pathname)
-    }
-
-    // `open_file` keeps the default: in process, the recipe and the first
-    // window's shares cost two function calls however they are grouped.
-
-    fn delete_file(&self, user: u64, encoded_pathname: &[u8]) -> Result<bool, CdStoreError> {
-        CdStoreServer::delete_file(self, user, encoded_pathname)
-    }
-
-    fn fetch_shares(
-        &self,
-        user: u64,
-        fingerprints: &[Fingerprint],
-    ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-        CdStoreServer::fetch_shares(self, user, fingerprints)
-    }
-
-    fn flush(&self) -> Result<(), CdStoreError> {
-        CdStoreServer::flush(self)
-    }
-
-    fn gc_with(&self, config: GcConfig) -> Result<GcReport, CdStoreError> {
-        CdStoreServer::gc_with(self, config)
-    }
-
-    fn probe(&self) -> Result<ServerProbe, CdStoreError> {
-        Ok(ServerProbe {
-            stats: self.stats(),
-            backend_bytes: self.backend_bytes(),
-            index_bytes: self.index_bytes() as u64,
-            unique_shares: self.unique_shares() as u64,
-            live_share_bytes: self.live_share_bytes(),
-        })
-    }
 }
 
 /// A shared transport handle is itself a transport: `Arc<CdStoreServer>` is
@@ -396,34 +312,47 @@ impl<T: ServerTransport + ?Sized> ServerTransport for std::sync::Arc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CdStoreServer;
 
     #[test]
     fn in_process_transport_reports_per_share_verdicts() {
         let server = CdStoreServer::new(0);
-        let data = b"transport verdict share".to_vec();
-        let meta = ShareMetadata {
-            fingerprint: Fingerprint::of(&data),
-            share_size: data.len() as u32,
-            secret_seq: 0,
-            secret_size: data.len() as u32 * 3,
-        };
-        let batch = vec![(meta.clone(), data.clone())];
-        let first = ServerTransport::store_shares(&server, 1, &batch).unwrap();
+        let batch = vec![share(b"transport verdict share")];
+        let len = batch[0].1.len() as u64;
+        let first = server.store_shares(1, &batch).unwrap();
         assert_eq!(first.verdicts, vec![ShareVerdict::Stored]);
-        assert_eq!(first.new_bytes, data.len() as u64);
-        let again = ServerTransport::store_shares(&server, 1, &batch).unwrap();
+        assert_eq!(first.new_bytes, len);
+        let again = server.store_shares(1, &batch).unwrap();
         assert_eq!(again.verdicts, vec![ShareVerdict::DuplicateIntraUser]);
-        let other = ServerTransport::store_shares(&server, 2, &batch).unwrap();
+        let other = server.store_shares(2, &batch).unwrap();
         assert_eq!(other.verdicts, vec![ShareVerdict::DuplicateInterUser]);
         assert_eq!(other.new_bytes, 0);
     }
 
     #[test]
-    fn probe_matches_direct_accessors() {
+    fn probe_reports_the_servers_counters() {
         let server = CdStoreServer::new(3);
-        let probe = ServerTransport::probe(&server).unwrap();
-        assert_eq!(probe.stats, server.stats());
-        assert_eq!(probe.unique_shares, 0);
-        assert_eq!(ServerTransport::cloud_index(&server), 3);
+        assert_eq!(server.probe().unwrap(), ServerProbe::default());
+        assert_eq!(server.cloud_index(), 3);
+        let batch = vec![share(b"probed share")];
+        let len = batch[0].1.len() as u64;
+        server.store_shares(1, &batch).unwrap();
+        server.store_shares(2, &batch).unwrap();
+        let probe = server.probe().unwrap();
+        assert_eq!(probe.stats.shares_received, 2);
+        assert_eq!(probe.stats.received_share_bytes, 2 * len);
+        assert_eq!(probe.stats.physical_share_bytes, len);
+        assert_eq!(probe.stats.inter_user_duplicates, 1);
+        assert_eq!(probe.unique_shares, 1);
+    }
+
+    fn share(data: &[u8]) -> (ShareMetadata, Vec<u8>) {
+        let meta = ShareMetadata {
+            fingerprint: Fingerprint::of(data),
+            share_size: data.len() as u32,
+            secret_seq: 0,
+            secret_size: data.len() as u32 * 3,
+        };
+        (meta, data.to_vec())
     }
 }

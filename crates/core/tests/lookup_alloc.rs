@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer, ShareMetadata};
+use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer, ServerTransport, ShareMetadata};
 use cdstore_crypto::Fingerprint;
 use cdstore_index::{KvStoreConfig, Sharded, ShardedKvStore};
 use cdstore_storage::MemoryBackend;
@@ -117,7 +117,7 @@ fn an_intra_user_query_allocates_only_its_answer() {
     // Half the query is shares the user never sent.
     fingerprints.extend((0..N as u32).map(|i| Fingerprint::of(&i.to_le_bytes())));
 
-    let (owned, bytes) = allocated_by(|| server.intra_user_query(user, &fingerprints));
+    let (owned, bytes) = allocated_by(|| server.intra_user_query(user, &fingerprints).unwrap());
     assert!(owned[..N].iter().all(|&o| o));
     assert!(owned[N..].iter().all(|&o| !o));
     assert_eq!(

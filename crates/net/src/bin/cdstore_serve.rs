@@ -14,7 +14,7 @@ use std::io::Read;
 use std::process::exit;
 use std::sync::Arc;
 
-use cdstore_core::CdStoreServer;
+use cdstore_core::{CdStoreServer, ServerTransport};
 use cdstore_net::NetServer;
 use cdstore_storage::{DirBackend, StorageBackend};
 

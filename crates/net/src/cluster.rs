@@ -104,6 +104,7 @@ impl LoopbackCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdstore_core::ServerTransport;
 
     #[test]
     fn backup_and_restore_run_over_real_sockets() {
@@ -149,7 +150,7 @@ mod tests {
         assert_eq!(cluster.addrs()[1], addr_before);
         // Existing transports reconnect and the restored data is byte-exact.
         assert_eq!(store.restore(2, "/wire/crash.tar").unwrap(), data);
-        assert!(cluster.core(1).unique_shares() > 0);
+        assert!(cluster.core(1).probe().unwrap().unique_shares > 0);
     }
 
     /// One request, one response, even with everything on one connection: a

@@ -158,13 +158,13 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
     }
     match request {
         Request::Ping => Response::Pong {
-            cloud_index: ServerTransport::cloud_index(t) as u32,
+            cloud_index: t.cloud_index() as u32,
         },
         Request::IntraUserQuery { user, fingerprints } => {
-            or_err(ServerTransport::intra_user_query(t, user, &fingerprints).map(Response::Bools))
+            or_err(t.intra_user_query(user, &fingerprints).map(Response::Bools))
         }
         Request::StoreShares { user, shares } => {
-            or_err(ServerTransport::store_shares(t, user, &shares).map(Response::Receipt))
+            or_err(t.store_shares(user, &shares).map(Response::Receipt))
         }
         Request::PutFile {
             user,
@@ -173,11 +173,12 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
             recipe,
             uploaded,
         } => or_err(
-            ServerTransport::commit_file(t, user, &encoded_pathname, &shares, &recipe, &uploaded)
+            t.commit_file(user, &encoded_pathname, &shares, &recipe, &uploaded)
                 .map(Response::Receipt),
         ),
         Request::ReleaseUploads { user, fingerprints } => or_err(
-            ServerTransport::release_uploads(t, user, &fingerprints).map(|()| Response::Unit),
+            t.release_uploads(user, &fingerprints)
+                .map(|()| Response::Unit),
         ),
         Request::GetRecipe {
             user,
@@ -194,21 +195,16 @@ fn handle_request(t: &CdStoreServer, request: Request) -> Response {
         Request::DeleteFile {
             user,
             encoded_pathname,
-        } => or_err(ServerTransport::delete_file(t, user, &encoded_pathname).map(Response::Bool)),
+        } => or_err(t.delete_file(user, &encoded_pathname).map(Response::Bool)),
         Request::FetchShares { user, fingerprints } => {
             or_err(fetch_shares_capped(t, user, &fingerprints, 0).map(Response::Shares))
         }
-        Request::Flush => or_err(ServerTransport::flush(t).map(|()| Response::Unit)),
-        Request::Gc { dead_ratio_bits } => or_err(
-            ServerTransport::gc_with(
-                t,
-                GcConfig {
-                    dead_ratio: f64::from_bits(dead_ratio_bits),
-                },
-            )
-            .map(Response::Gc),
-        ),
-        Request::Probe => or_err(ServerTransport::probe(t).map(Response::Probe)),
+        Request::Flush => or_err(t.flush().map(|()| Response::Unit)),
+        Request::Gc { dead_ratio_bits } => {
+            let dead_ratio = f64::from_bits(dead_ratio_bits);
+            or_err(t.gc_with(GcConfig { dead_ratio }).map(Response::Gc))
+        }
+        Request::Probe => or_err(t.probe().map(Response::Probe)),
     }
 }
 
@@ -231,7 +227,7 @@ fn open_file_capped(
     Ok(Response::Recipe { recipe, shares })
 }
 
-/// `CdStoreServer::fetch_shares`, except that it reads no share when the
+/// `fetch_shares`, except that it reads no share when the
 /// reply could not be framed with `ahead` bytes in front of them: how many
 /// fingerprints a peer sends is outside input, and an oversized reply must
 /// cost it a typed error, not this server the memory.

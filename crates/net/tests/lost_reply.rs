@@ -74,7 +74,7 @@ fn a_lost_reply_is_remote_and_the_request_applied_once(lost: u8, merged: bool) {
     // The share is served, and deleting the file leaves nothing referenced.
     assert_eq!(remote.fetch_shares(USER, &[fp]).unwrap(), vec![bytes]);
     assert!(remote.delete_file(USER, PATH).unwrap());
-    assert_eq!(cluster.core(0).live_share_bytes(), 0);
+    assert_eq!(cluster.core(0).probe().unwrap().live_share_bytes, 0);
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn a_backup_rides_out_a_lost_reply_on_its_replay() {
         assert!(store.delete(USER, "/lost/backup.tar").unwrap());
         for cloud in 0..4 {
             assert_eq!(
-                cluster.core(cloud).live_share_bytes(),
+                cluster.core(cloud).probe().unwrap().live_share_bytes,
                 0,
                 "{len}: cloud {cloud}"
             );

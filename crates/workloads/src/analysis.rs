@@ -51,13 +51,18 @@ impl DedupCounters {
         }
     }
 
-    /// Deduplication ratio: logical shares / physical shares.
+    /// Deduplication ratio: logical shares / physical shares — 1.0 when
+    /// nothing was stored, ∞ when shares arrived and none was new, as
+    /// `cdstore_core::DedupStats::dedup_ratio` reads the same counters.
     pub fn dedup_ratio(&self) -> f64 {
         if self.physical_share_bytes == 0 {
-            1.0
-        } else {
-            self.logical_share_bytes as f64 / self.physical_share_bytes as f64
+            return if self.logical_share_bytes == 0 {
+                1.0
+            } else {
+                f64::INFINITY
+            };
         }
+        self.logical_share_bytes as f64 / self.physical_share_bytes as f64
     }
 
     fn add(&mut self, other: &DedupCounters) {
@@ -173,6 +178,19 @@ mod tests {
         );
         assert_eq!(result[1].stats.transferred_share_bytes, 0);
         assert!((result[1].stats.intra_user_saving() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_week_that_stores_nothing_new_has_an_infinite_dedup_ratio() {
+        let weeks = vec![
+            vec![snapshot(0, 0, &[1, 2, 3])],
+            vec![snapshot(0, 1, &[1, 2, 3])],
+        ];
+        let result = weekly_dedup(&weeks, 4, 3);
+        assert_eq!(result[1].stats.physical_share_bytes, 0);
+        assert!(result[1].stats.logical_share_bytes > 0);
+        assert!(result[1].stats.dedup_ratio().is_infinite());
+        assert_eq!(DedupCounters::default().dedup_ratio(), 1.0);
     }
 
     #[test]

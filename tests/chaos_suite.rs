@@ -461,8 +461,12 @@ fn a_crash_tearing_a_journal_group_leaves_nothing_half_applied() {
     let (users, weeks, chunks) = if full_size() { (3, 3, 90) } else { (2, 2, 24) };
     let snapshots = fsl_snapshots(users, weeks, chunks);
     replay(&store, "torn-group", &snapshots);
-    let unique_before: Vec<usize> =
-        store.with_servers(|servers| servers.iter().map(|s| s.unique_shares()).collect());
+    let unique_before: Vec<u64> = store.with_servers(|servers| {
+        servers
+            .iter()
+            .map(|s| s.probe().unwrap().unique_shares)
+            .collect()
+    });
 
     // The crash: each cloud's next backend write is the group commit of the
     // victim's share batch; it lands a strict prefix and the host is gone.
@@ -507,7 +511,7 @@ fn a_crash_tearing_a_journal_group_leaves_nothing_half_applied() {
     reopened.with_servers(|servers| {
         for (cloud, server) in servers.iter().enumerate() {
             assert_eq!(
-                server.unique_shares(),
+                server.probe().unwrap().unique_shares,
                 unique_before[cloud],
                 "cloud {cloud} kept part of the torn group applied"
             );

@@ -16,7 +16,7 @@
 
 use std::sync::{Barrier, Mutex};
 
-use cdstore_core::{CdStore, CdStoreConfig, UploadReport};
+use cdstore_core::{CdStore, CdStoreConfig, ServerTransport, UploadReport};
 
 const USERS: u64 = 4;
 const THREADS_PER_USER: u64 = 2;
@@ -58,8 +58,12 @@ fn racing_duplicate_backups_store_each_share_exactly_once() {
     let reference = new_store();
     reference.backup(1, "/ref", &shared_data).unwrap();
     let reference_physical = total_physical(&reference);
-    let reference_unique: Vec<usize> =
-        reference.with_servers(|servers| servers.iter().map(|s| s.unique_shares()).collect());
+    let reference_unique: Vec<u64> = reference.with_servers(|servers| {
+        servers
+            .iter()
+            .map(|s| s.probe().unwrap().unique_shares)
+            .collect()
+    });
     assert!(reference_physical > 0);
 
     // Race: 8 client threads push the identical content simultaneously.
@@ -84,7 +88,7 @@ fn racing_duplicate_backups_store_each_share_exactly_once() {
     assert_eq!(total_physical(&store), reference_physical);
     store.with_servers(|servers| {
         for (server, expected_unique) in servers.iter().zip(&reference_unique) {
-            assert_eq!(server.unique_shares(), *expected_unique);
+            assert_eq!(server.probe().unwrap().unique_shares, *expected_unique);
         }
     });
     let stats = store.stats();
@@ -92,7 +96,7 @@ fn racing_duplicate_backups_store_each_share_exactly_once() {
     let received: u64 = stats.servers.iter().map(|s| s.shares_received).sum();
     assert_eq!(
         duplicates,
-        received - reference_unique.iter().sum::<usize>() as u64,
+        received - reference_unique.iter().sum::<u64>(),
         "all but the first copy of each share must be inter-user duplicates"
     );
     // Every user still restores their own byte-exact copy.

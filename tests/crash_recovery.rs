@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use cdstore_core::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
-use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer};
+use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer, GcConfig, ServerTransport};
 use cdstore_crypto::Fingerprint;
 use cdstore_storage::journal::{decode_records, WAL_PREFIX};
 use cdstore_storage::{
@@ -87,11 +87,11 @@ fn mixed_workload_survives_dropping_every_server() {
         (
             servers
                 .iter()
-                .map(|s| s.unique_shares())
+                .map(|s| s.probe().unwrap().unique_shares)
                 .collect::<Vec<_>>(),
             servers
                 .iter()
-                .map(|s| s.live_share_bytes())
+                .map(|s| s.probe().unwrap().live_share_bytes)
                 .collect::<Vec<_>>(),
         )
     });
@@ -117,8 +117,16 @@ fn mixed_workload_survives_dropping_every_server() {
     // ...and the dedup counters came back intact.
     revived.with_servers(|servers| {
         for (i, server) in servers.iter().enumerate() {
-            assert_eq!(server.unique_shares(), unique_before[i], "server {i}");
-            assert_eq!(server.live_share_bytes(), live_before[i], "server {i}");
+            assert_eq!(
+                server.probe().unwrap().unique_shares,
+                unique_before[i],
+                "server {i}"
+            );
+            assert_eq!(
+                server.probe().unwrap().live_share_bytes,
+                live_before[i],
+                "server {i}"
+            );
         }
     });
 
@@ -262,7 +270,7 @@ fn recipe_of(shares: &[(ShareMetadata, Vec<u8>)]) -> FileRecipe {
 fn server_backup(server: &CdStoreServer, user: u64, path: &[u8], datas: &[Vec<u8>]) {
     let shares = shares_of(datas);
     let fps: Vec<Fingerprint> = shares.iter().map(|(m, _)| m.fingerprint).collect();
-    let already = server.intra_user_query(user, &fps);
+    let already = server.intra_user_query(user, &fps).unwrap();
     let to_upload: Vec<(ShareMetadata, Vec<u8>)> = shares
         .iter()
         .cloned()
@@ -355,17 +363,11 @@ fn assert_consistent_after_cut(
                 // recipe if the cut predates a re-upload — hence we check
                 // resolvability, and exact bytes only when the recipe
                 // matches the final manifest).
-                let fetched: Vec<Vec<u8>> = recipe
-                    .entries
-                    .iter()
-                    .map(|entry| {
-                        server
-                            .fetch_share(*user, &entry.share_fingerprint)
-                            .unwrap_or_else(|e| {
-                                panic!("cut {cut}: dangling reference in recovered recipe: {e}")
-                            })
-                    })
-                    .collect();
+                let fetched: Vec<Vec<u8>> = server
+                    .fetch_shares(*user, &recipe.fingerprints(0..recipe.num_secrets()))
+                    .unwrap_or_else(|e| {
+                        panic!("cut {cut}: dangling reference in recovered recipe: {e}")
+                    });
                 if recipe.entries.len() == datas.len()
                     && recipe
                         .entries
@@ -385,9 +387,9 @@ fn assert_consistent_after_cut(
     server_backup(&server, 9, b"/after-recovery", &[b"fresh share".to_vec()]);
     assert_eq!(
         server
-            .fetch_share(9, &Fingerprint::of(b"fresh share"))
+            .fetch_shares(9, &[Fingerprint::of(b"fresh share")])
             .unwrap(),
-        b"fresh share"
+        [b"fresh share"]
     );
 }
 
@@ -626,8 +628,8 @@ fn a_share_batch_is_one_journal_append_and_its_put_file_at_most_one() {
         assert_eq!(report.records_replayed, 2 * datas.len() + 1);
         for data in &datas {
             assert_eq!(
-                &revived.fetch_share(1, &Fingerprint::of(data)).unwrap(),
-                data
+                revived.fetch_shares(1, &[Fingerprint::of(data)]).unwrap(),
+                std::slice::from_ref(data)
             );
         }
     }
@@ -653,7 +655,7 @@ fn a_crash_between_gc_relocation_and_container_delete_loses_no_share() {
     server.flush().unwrap();
     assert!(server.delete_file(1, b"/doomed-a").unwrap());
     assert!(server.delete_file(1, b"/doomed-b").unwrap());
-    let report = server.gc().unwrap();
+    let report = server.gc_with(GcConfig::default()).unwrap();
     assert_eq!(
         (report.containers_compacted, report.containers_deleted),
         (1, 0)
@@ -674,8 +676,8 @@ fn a_crash_between_gc_relocation_and_container_delete_loses_no_share() {
     );
     for data in &kept {
         assert_eq!(
-            &revived.fetch_share(1, &Fingerprint::of(data)).unwrap(),
-            data
+            revived.fetch_shares(1, &[Fingerprint::of(data)]).unwrap(),
+            std::slice::from_ref(data)
         );
     }
     assert!(revived.get_recipe(1, b"/doomed-a").is_err());
@@ -716,7 +718,10 @@ fn container_and_recipe_objects_are_byte_identical_to_the_pinned_backup() {
                         objects.extend_from_slice(&backend.get(&key).unwrap());
                     }
                 }
-                (server.backend_bytes(), Fingerprint::of(&objects).to_hex())
+                (
+                    server.probe().unwrap().backend_bytes,
+                    Fingerprint::of(&objects).to_hex(),
+                )
             })
             .collect()
     });
@@ -726,9 +731,9 @@ fn container_and_recipe_objects_are_byte_identical_to_the_pinned_backup() {
     }
 }
 
-/// `(backend_bytes(), SHA-256 over key ‖ object of every container, in key
-/// order)` per cloud for the backup above, as produced at the parent of the
-/// group-commit change.
+/// `(probe().backend_bytes, SHA-256 over key ‖ object of every container,
+/// in key order)` per cloud for the backup above, as produced at the parent
+/// of the group-commit change.
 const PINNED_CONTAINER_OBJECTS: [(u64, &str); 4] = [
     (
         167443,

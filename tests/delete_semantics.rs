@@ -3,7 +3,7 @@
 //! sharing, garbage collection shrinks the physical footprint, and deletes
 //! aimed at failed clouds replay on recovery instead of leaving orphans.
 
-use cdstore_core::{CdStore, CdStoreConfig, CdStoreError, CdStoreServer};
+use cdstore_core::{CdStore, CdStoreConfig, CdStoreError, CdStoreServer, ServerTransport};
 use cdstore_crypto::Fingerprint;
 
 fn structured_data(len: usize, seed: u8) -> Vec<u8> {
@@ -55,15 +55,15 @@ fn fetch_share_fails_once_the_last_reference_is_released() {
         }],
     };
     server.put_file(1, b"/f", &recipe, &[client_fp]).unwrap();
-    assert_eq!(server.fetch_share(1, &client_fp).unwrap(), data);
+    assert_eq!(server.fetch_shares(1, &[client_fp]).unwrap(), [data]);
 
     assert!(server.delete_file(1, b"/f").unwrap());
     assert!(matches!(
-        server.fetch_share(1, &client_fp),
+        server.fetch_shares(1, &[client_fp]),
         Err(CdStoreError::MissingShare(_))
     ));
-    assert_eq!(server.unique_shares(), 0);
-    assert_eq!(server.live_share_bytes(), 0);
+    assert_eq!(server.probe().unwrap().unique_shares, 0);
+    assert_eq!(server.probe().unwrap().live_share_bytes, 0);
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn inter_user_dedup_survives_one_owner_deleting() {
     store.gc().unwrap();
     store.with_servers(|servers| {
         for server in servers {
-            assert_eq!(server.unique_shares(), 0);
+            assert_eq!(server.probe().unwrap().unique_shares, 0);
         }
     });
     assert_eq!(store.stats().backend_bytes.iter().sum::<u64>(), 0);
@@ -102,12 +102,14 @@ fn physical_bytes_drop_after_gc() {
     store.flush().unwrap();
 
     let backend_before: u64 = store.stats().backend_bytes.iter().sum();
-    let live_before: u64 = store.with_servers(|s| s.iter().map(|x| x.live_share_bytes()).sum());
+    let live_before: u64 =
+        store.with_servers(|s| s.iter().map(|x| x.probe().unwrap().live_share_bytes).sum());
     assert!(backend_before > 0);
 
     assert!(store.delete(1, "/doomed.tar").unwrap());
     // The live index shrinks immediately on delete...
-    let live_after: u64 = store.with_servers(|s| s.iter().map(|x| x.live_share_bytes()).sum());
+    let live_after: u64 =
+        store.with_servers(|s| s.iter().map(|x| x.probe().unwrap().live_share_bytes).sum());
     assert!(live_after < live_before / 3);
     // ...and the backends shrink once the vacuum runs.
     let report = store.gc().unwrap();
@@ -143,15 +145,15 @@ fn deletes_pending_for_a_failed_cloud_replay_on_recovery() {
         .encode_pathname("/failover.tar")
         .unwrap();
     store.with_servers(|servers| {
-        assert!(servers[2].has_file(7, &encoded[2]));
-        assert!(servers[2].unique_shares() > 0);
+        assert!(servers[2].has_file(7, &encoded[2]).unwrap());
+        assert!(servers[2].probe().unwrap().unique_shares > 0);
     });
 
     // Recovery replays the delete; a vacuum then empties every backend.
     store.recover_cloud(2);
     store.with_servers(|servers| {
-        assert!(!servers[2].has_file(7, &encoded[2]));
-        assert_eq!(servers[2].unique_shares(), 0);
+        assert!(!servers[2].has_file(7, &encoded[2]).unwrap());
+        assert_eq!(servers[2].probe().unwrap().unique_shares, 0);
     });
     store.gc().unwrap();
     for (i, bytes) in store.stats().backend_bytes.iter().enumerate() {

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use cdstore_core::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
-use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer};
+use cdstore_core::{CdStore, CdStoreConfig, CdStoreServer, ServerTransport};
 use cdstore_crypto::Fingerprint;
 use cdstore_index::KvStoreConfig;
 use cdstore_storage::{MemoryBackend, StorageBackend, StorageError};
@@ -110,7 +110,7 @@ fn disk_mode_deployment_recovers_byte_exact() {
     let unique_before = store.with_servers(|servers| {
         servers
             .iter()
-            .map(|s| s.unique_shares())
+            .map(|s| s.probe().unwrap().unique_shares)
             .collect::<Vec<_>>()
     });
     drop(store);
@@ -123,7 +123,11 @@ fn disk_mode_deployment_recovers_byte_exact() {
     assert_restores(&revived, &survivors);
     revived.with_servers(|servers| {
         for (i, server) in servers.iter().enumerate() {
-            assert_eq!(server.unique_shares(), unique_before[i], "server {i}");
+            assert_eq!(
+                server.probe().unwrap().unique_shares,
+                unique_before[i],
+                "server {i}"
+            );
         }
     });
 }
@@ -204,11 +208,14 @@ fn server_restarts_mid_workload_keep_disk_indexes() {
 }
 
 /// Each server's dedup state as its public counters show it.
-fn server_state(store: &CdStore) -> Vec<(usize, u64)> {
+fn server_state(store: &CdStore) -> Vec<(u64, u64)> {
     store.with_servers(|servers| {
         servers
             .iter()
-            .map(|s| (s.unique_shares(), s.live_share_bytes()))
+            .map(|s| {
+                let probe = s.probe().unwrap();
+                (probe.unique_shares, probe.live_share_bytes)
+            })
             .collect()
     })
 }

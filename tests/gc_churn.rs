@@ -9,7 +9,7 @@
 
 use std::sync::Barrier;
 
-use cdstore_core::{CdStore, CdStoreConfig};
+use cdstore_core::{CdStore, CdStoreConfig, ServerTransport};
 
 const THREADS: u64 = 8;
 const ROUNDS: usize = if cfg!(debug_assertions) { 3 } else { 8 };
@@ -105,8 +105,8 @@ fn churn_delete_all_then_gc_reclaims_at_least_90_percent() {
     // Nothing is left referenced anywhere.
     store.with_servers(|servers| {
         for server in servers {
-            assert_eq!(server.unique_shares(), 0);
-            assert_eq!(server.live_share_bytes(), 0);
+            assert_eq!(server.probe().unwrap().unique_shares, 0);
+            assert_eq!(server.probe().unwrap().live_share_bytes, 0);
         }
     });
 }
@@ -169,7 +169,10 @@ fn concurrent_restores_stay_byte_exact_under_gc_churn() {
     assert_eq!(store.restore(99, "/survivor.tar").unwrap(), survivor);
     store.with_servers(|servers| {
         for server in servers {
-            assert!(server.live_share_bytes() > 0, "the survivor stays live");
+            assert!(
+                server.probe().unwrap().live_share_bytes > 0,
+                "the survivor stays live"
+            );
         }
     });
 }

@@ -2,7 +2,7 @@
 //! confidentiality, integrity, convergent determinism, and resistance to the
 //! deduplication side-channel attacks.
 
-use cdstore_core::{CdStore, CdStoreClient, CdStoreConfig, CdStoreServer};
+use cdstore_core::{CdStore, CdStoreClient, CdStoreConfig, CdStoreServer, ServerTransport};
 use cdstore_crypto::Fingerprint;
 use cdstore_secretsharing::{CaontRs, SecretSharing, SharingError};
 
@@ -92,8 +92,12 @@ fn intra_user_dedup_reply_does_not_leak_other_users_data() {
     let guess_shares = scheme.split(&secret_doc[..8192]).unwrap();
     for cloud in 0..4usize {
         let fp = Fingerprint::of(&guess_shares[cloud]);
-        let with_victim = victim_servers[cloud].intra_user_query(attacker.user(), &[fp]);
-        let without_victim = empty_servers[cloud].intra_user_query(attacker.user(), &[fp]);
+        let with_victim = victim_servers[cloud]
+            .intra_user_query(attacker.user(), &[fp])
+            .unwrap();
+        let without_victim = empty_servers[cloud]
+            .intra_user_query(attacker.user(), &[fp])
+            .unwrap();
         assert_eq!(
             with_victim, without_victim,
             "the dedup reply must not depend on other users' stored data"
@@ -116,7 +120,7 @@ fn knowing_a_fingerprint_does_not_grant_share_ownership() {
     let chunk_guess = scheme.split(&data[..8192]).unwrap();
     for cloud in 0..4usize {
         let fp = Fingerprint::of(&chunk_guess[cloud]);
-        let result = servers[cloud].fetch_share(666, &fp);
+        let result = servers[cloud].fetch_shares(666, &[fp]);
         assert!(
             result.is_err(),
             "cloud {cloud} must refuse a non-owner fetch"

@@ -282,7 +282,7 @@ impl ServerTransport for LossyServer {
         user: u64,
         shares: &[(ShareMetadata, Vec<u8>)],
     ) -> Result<StoreReceipt, CdStoreError> {
-        let receipt = ServerTransport::store_shares(&self.inner, user, shares)?;
+        let receipt = self.inner.store_shares(user, shares)?;
         let spend = |left: u64| left.checked_sub(1);
         match self
             .store_budget
@@ -379,7 +379,7 @@ struct ShiftedSize {
 
 impl ServerTransport for ShiftedSize {
     fn get_recipe(&self, user: u64, path: &[u8]) -> Result<FileRecipe, CdStoreError> {
-        let mut recipe = ServerTransport::get_recipe(&self.inner, user, path)?;
+        let mut recipe = self.inner.get_recipe(user, path)?;
         recipe.file_size += 1;
         Ok(recipe)
     }
