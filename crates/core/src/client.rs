@@ -11,6 +11,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use cdstore_chunking::{Chunker, ChunkerConfig, ChunkerKind};
@@ -302,17 +303,30 @@ impl CdStoreClient {
     /// asks for at once: a window closes at [`RESTORE_WINDOW_SECRETS`] secrets
     /// or `k ×` [`RESTORE_WINDOW_BYTES`] of secret bytes — about
     /// `RESTORE_WINDOW_BYTES` of share bytes per cloud — whichever comes
-    /// first ([`FileRecipe::window_len`]).
+    /// first ([`FileRecipe::window_len`]). Every window is cut on one
+    /// reference recipe: the first one a cloud returns.
     ///
-    /// The first window comes back with the recipe: one `open_file` call on
-    /// each of the `k` chosen clouds opens the file, so a file that fits one
-    /// window costs `k` calls in all. Every later window is one
-    /// `fetch_shares` call per cloud — in process or, over `cdstore_net`,
-    /// one request and one reply frame. `get_recipe` is called only to fail
-    /// over to a spare cloud mid-file. Returns the number of bytes written.
+    /// The first `k` available clouds are read and the rest stand by as
+    /// spares. Opening a cloud is one `open_file` call, which brings the
+    /// first window's shares along, so a file that fits one window costs `k`
+    /// calls in all. Every later window is one `fetch_shares` call per cloud
+    /// — in process or, over `cdstore_net`, one request and one reply frame.
     ///
-    /// A recipe whose secret sizes do not sum to its file size is refused
-    /// with [`CdStoreError::InconsistentMetadata`] before a byte is written.
+    /// Failover is one rule at every window: a transient error (see
+    /// [`is_transient`]) that outlasts the client's [`RetryPolicy`], opening
+    /// a cloud or fetching from it, hands that cloud's place to the next
+    /// spare, lowest index first. The spare is opened with a zero-window
+    /// `open_file` — over the wire the `GetRecipe` request `get_recipe`
+    /// sends, in process one `get_recipe` call — and asked for the window
+    /// again. Windows already written stand, and the reference recipe does
+    /// not change. Once no spare is left the error ends the restore. Returns
+    /// the number of bytes written.
+    ///
+    /// Every recipe's secret sizes must sum to its file size and match the
+    /// reference's one by one, and every reply a window decodes from must
+    /// hold one share per secret of the window. Anything else is
+    /// [`CdStoreError::InconsistentMetadata`]; at the first window, it ends
+    /// the restore before a byte is written.
     pub fn download_stream<T: ServerTransport, W: Write + ?Sized>(
         &self,
         servers: &[T],
@@ -324,8 +338,8 @@ impl CdStoreClient {
     }
 
     /// The body of [`CdStoreClient::download_stream`], which hands `prepare`
-    /// the destination and the file size once the recipes are checked and
-    /// before the first byte is written.
+    /// the destination and the file size once the first window is read and
+    /// checked, before the first byte is written.
     fn download_into<T: ServerTransport, W: Write + ?Sized>(
         &self,
         servers: &[T],
@@ -340,136 +354,121 @@ impl CdStoreClient {
                 self.n
             )));
         }
-        let mut candidates: Vec<usize> = (0..self.n).filter(|&i| available[i]).collect();
-        if candidates.len() < self.k {
+        let mut clouds: Vec<usize> = (0..self.n).filter(|&i| available[i]).collect();
+        if clouds.len() < self.k {
             return Err(CdStoreError::NotEnoughClouds {
                 needed: self.k,
-                available: candidates.len(),
+                available: clouds.len(),
             });
         }
-        // The first k available clouds serve the restore; the rest stand by
-        // as spares. When a chosen cloud keeps failing transiently (its
-        // availability flag lagging behind reality), the restore fails over
-        // to a spare instead of giving up — k-of-n reads survive a
-        // single-cloud outage even when nobody flagged the cloud down.
-        let mut spares: Vec<usize> = candidates.split_off(self.k);
-        spares.reverse(); // pop() takes the lowest index first
-        let encoded_paths = self.encode_pathname(pathname)?;
-        let max_secret_bytes = self.k as u64 * RESTORE_WINDOW_BYTES;
-
-        // Open the file on each chosen cloud: its recipe (metadata is a few
-        // dozen bytes per secret; only share payloads are windowed) and the
-        // first window's shares.
-        let mut recipes: Vec<(usize, FileRecipe)> = Vec::with_capacity(self.k);
-        let mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)> = Vec::with_capacity(self.k);
-        for mut cloud in candidates {
-            let (recipe, shares) = loop {
-                match self.retry.run(|_| {
-                    servers[cloud].open_file(
-                        self.user,
-                        &encoded_paths[cloud],
-                        RESTORE_WINDOW_SECRETS,
-                        max_secret_bytes,
-                    )
-                }) {
-                    Ok(opened) => break opened,
-                    Err(e) if is_transient(&e) => match spares.pop() {
-                        Some(spare) => cloud = spare,
-                        None => return Err(e),
-                    },
-                    Err(e) => return Err(e),
-                }
-            };
-            recipes.push((cloud, recipe));
-            shares_by_cloud.push((cloud, shares));
-        }
-        let num_secrets = recipes[0].1.num_secrets();
-        let file_size = recipes[0].1.file_size;
-        if recipes
-            .iter()
-            .any(|(_, r)| r.num_secrets() != num_secrets || r.file_size != file_size)
-        {
-            return Err(CdStoreError::InconsistentMetadata(
-                "servers disagree on the file recipe".into(),
-            ));
-        }
-        // Every window decodes with the first recipe's secret sizes.
-        let secret_bytes: u64 = (recipes[0].1.entries.iter())
-            .map(|e| u64::from(e.secret_size))
-            .sum();
-        if secret_bytes != file_size {
-            return Err(CdStoreError::InconsistentMetadata(format!(
-                "the recipe's secrets hold {secret_bytes} bytes of a {file_size}-byte file"
-            )));
-        }
-        prepare(out, file_size)?;
-        // The first window is the secrets every reply carries a share of.
-        let first = (shares_by_cloud.iter())
-            .map(|(_, shares)| shares.len())
-            .min()
-            .unwrap_or(0)
-            .min(num_secrets);
-        let mut written = self.decode_window(&recipes[0].1, 0..first, shares_by_cloud, out)?;
-
-        // Then a window of shares from each chosen cloud at a time: fetch,
-        // decode secret by secret, write out, repeat.
-        let fetch_recipe = |cloud: usize| {
-            self.retry
-                .run(|_| servers[cloud].get_recipe(self.user, &encoded_paths[cloud]))
-        };
-        let mut window_start = first;
-        while window_start < num_secrets {
-            let window_end = window_start
-                + recipes[0]
-                    .1
-                    .window_len(window_start, RESTORE_WINDOW_SECRETS, max_secret_bytes);
-            let mut shares_by_cloud: Vec<(usize, Vec<Vec<u8>>)> = Vec::with_capacity(self.k);
-            // Indexing, not iterating: the failover arm below reassigns
-            // `recipes[slot]`, which an element iterator would hold borrowed.
-            #[allow(clippy::needless_range_loop)]
-            for slot in 0..self.k {
+        // A slot is a cloud and its recipe (`None` until opened). Spares, lowest
+        // index first, stand in for clouds whose flag lags behind an outage.
+        let mut spares = clouds.split_off(self.k).into_iter();
+        let paths = self.encode_pathname(pathname)?;
+        let mut slots: Vec<(usize, Option<Rc<FileRecipe>>)> =
+            clouds.into_iter().map(|i| (i, None)).collect();
+        let (mut reference, mut prepare) = (None, Some(prepare));
+        let (mut start, mut written) = (0, 0);
+        loop {
+            let mut shares_by_cloud = Vec::with_capacity(self.k);
+            for (cloud, recipe) in &mut slots {
                 let shares = loop {
-                    let (cloud, fps) = {
-                        let (cloud, recipe) = &recipes[slot];
-                        (*cloud, recipe.fingerprints(window_start..window_end))
-                    };
-                    match self
-                        .retry
-                        .run(|_| servers[cloud].fetch_shares(self.user, &fps))
-                    {
-                        Ok(shares) => break shares,
+                    let (server, path) = (&servers[*cloud], &paths[*cloud]);
+                    match self.read_window(server, path, recipe, &mut reference, start) {
+                        // The one failover rule, opening or fetching, at any
+                        // window: the next spare takes the slot.
                         Err(e) if is_transient(&e) => {
-                            // Mid-file failover: swap the failing cloud for a
-                            // spare whose recipe agrees, then refetch this
-                            // window from it. Earlier windows are already
-                            // decoded and written; every window decodes from
-                            // any k clouds independently.
-                            let Some(spare) = spares.pop() else {
-                                return Err(e);
-                            };
-                            let recipe = fetch_recipe(spare)?;
-                            if recipe.num_secrets() != num_secrets || recipe.file_size != file_size
-                            {
-                                return Err(CdStoreError::InconsistentMetadata(
-                                    "failover server disagrees on the file recipe".into(),
-                                ));
-                            }
-                            recipes[slot] = (spare, recipe);
+                            (*cloud, *recipe) = (spares.next().ok_or(e)?, None);
                         }
-                        Err(e) => return Err(e),
+                        result => break result?,
                     }
                 };
-                shares_by_cloud.push((recipes[slot].0, shares));
+                shares_by_cloud.push((*cloud, shares));
             }
-            written += self.decode_window(
-                &recipes[0].1,
-                window_start..window_end,
-                shares_by_cloud,
-                out,
-            )?;
-            window_start = window_end;
+            let reference = reference.as_ref().expect("the first open fixes it");
+            let window = self.window(reference, start);
+            if let Some((cloud, shares)) =
+                (shares_by_cloud.iter()).find(|(_, shares)| shares.len() != window.len())
+            {
+                return Err(CdStoreError::InconsistentMetadata(format!(
+                    "cloud {cloud} sent {} shares for the {} secrets of window {window:?}",
+                    shares.len(),
+                    window.len()
+                )));
+            }
+            if let Some(prepare) = prepare.take() {
+                prepare(out, reference.file_size)?;
+            }
+            written += self.decode_window(reference, window.clone(), shares_by_cloud, out)?;
+            if window.end == reference.num_secrets() {
+                return Ok(written);
+            }
+            start = window.end;
         }
-        Ok(written)
+    }
+
+    /// A restore window's bounds: secrets, and bytes of secrets.
+    fn window_bounds(&self) -> (usize, u64) {
+        (RESTORE_WINDOW_SECRETS, self.k as u64 * RESTORE_WINDOW_BYTES)
+    }
+
+    /// The restore window of `reference` that starts at secret `start`.
+    fn window(&self, reference: &FileRecipe, start: usize) -> Range<usize> {
+        let (max_secrets, max_bytes) = self.window_bounds();
+        start..start + reference.window_len(start, max_secrets, max_bytes)
+    }
+
+    /// One attempt at one cloud's shares of the window starting at secret
+    /// `start`. A cloud whose `recipe` is `None` is opened first: at window
+    /// 0 with the window bounds, the reply then being the window, and later
+    /// with zero bounds. The first recipe opened becomes the `reference`,
+    /// and every recipe opened must agree with it.
+    fn read_window<T: ServerTransport>(
+        &self,
+        server: &T,
+        path: &[u8],
+        recipe: &mut Option<Rc<FileRecipe>>,
+        reference: &mut Option<Rc<FileRecipe>>,
+        start: usize,
+    ) -> Result<Vec<Vec<u8>>, CdStoreError> {
+        let recipe = match recipe {
+            Some(recipe) => recipe,
+            None => {
+                let (max_secrets, max_bytes) = match start {
+                    0 => self.window_bounds(),
+                    _ => (0, 0),
+                };
+                let (opened, shares) = self
+                    .retry
+                    .run(|_| server.open_file(self.user, path, max_secrets, max_bytes))?;
+                // Shared with the reference, not copied: a copy raised peak RSS.
+                let opened = Rc::new(opened);
+                let reference = reference.get_or_insert_with(|| Rc::clone(&opened));
+                let secret_bytes: u64 = (opened.entries.iter())
+                    .map(|e| u64::from(e.secret_size))
+                    .sum();
+                let sizes = opened.entries.iter().map(|e| e.secret_size);
+                if secret_bytes != opened.file_size
+                    || opened.file_size != reference.file_size
+                    || !sizes.eq(reference.entries.iter().map(|e| e.secret_size))
+                {
+                    return Err(CdStoreError::InconsistentMetadata(format!(
+                        "a recipe of {} secrets holding {secret_bytes} bytes of a {}-byte \
+                         file is not whole or disagrees with the first one opened",
+                        opened.num_secrets(),
+                        opened.file_size
+                    )));
+                }
+                let recipe = recipe.insert(opened);
+                if start == 0 {
+                    return Ok(shares);
+                }
+                recipe
+            }
+        };
+        let window = self.window(reference.as_ref().expect("set when opened"), start);
+        let fps = recipe.fingerprints(window);
+        self.retry.run(|_| server.fetch_shares(self.user, &fps))
     }
 
     /// Decodes the secrets in `window` of `recipe` from `shares_by_cloud` —

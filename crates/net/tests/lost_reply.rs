@@ -25,7 +25,7 @@ use cdstore_core::{
 };
 use cdstore_crypto::Fingerprint;
 use cdstore_net::{LoopbackCluster, NetClientConfig, RemoteServer};
-use proxy::{Proxy, GET_RECIPE, PUT_FILE, RELEASE_UPLOADS, STORE_SHARES};
+use proxy::{Proxy, FETCH_SHARES, GET_RECIPE, PUT_FILE, RELEASE_UPLOADS, STORE_SHARES};
 
 const USER: u64 = 7;
 const PATH: &[u8] = b"/lost/reply";
@@ -170,17 +170,31 @@ fn a_backup_rides_out_a_lost_reply_on_its_replay() {
     }
 }
 
-/// A restore whose first `GetRecipe` reply is lost retries that cloud — or,
-/// with retries off, fails over to the spare — and is byte-exact.
+/// A restore whose first reply of one type from cloud 0 is lost retries
+/// that cloud — or, with retries off, hands its place to the spare, which
+/// opens with a `GetRecipe` and is asked for the window again — and is
+/// byte-exact. The lost reply is the `GetRecipe` that opens a one-window
+/// file, or the first `FetchShares` of a three-window one: a failover
+/// mid-file.
 #[test]
 fn a_restore_rides_out_a_lost_get_recipe_reply() {
-    for retry in [RetryPolicy::default(), RetryPolicy::none()] {
-        let config = CdStoreConfig::new(4, 3).unwrap().with_retry(retry);
-        let (_cluster, proxies, store) = proxied_store(config);
-        let data = unique_data(100_000);
-        store.backup(USER, "/lost/restore.tar", &data).unwrap();
-        proxies[0].lose_reply_to(GET_RECIPE);
-        assert_eq!(store.restore(USER, "/lost/restore.tar").unwrap(), data);
-        assert!(!proxies[0].armed());
+    for (lost, len) in [(GET_RECIPE, 100_000), (FETCH_SHARES, 4 << 20)] {
+        for retry in [RetryPolicy::default(), RetryPolicy::none()] {
+            let config = CdStoreConfig::new(4, 3).unwrap().with_retry(retry);
+            let (_cluster, proxies, store) = proxied_store(config);
+            let data = unique_data(len);
+            store.backup(USER, "/lost/restore.tar", &data).unwrap();
+            proxies[3].take_requests();
+            proxies[0].lose_reply_to(lost);
+            assert_eq!(store.restore(USER, "/lost/restore.tar").unwrap(), data);
+            assert!(!proxies[0].armed(), "{lost:#x}: no reply was lost");
+            let spare = proxies[3].take_requests();
+            let failed_over = retry == RetryPolicy::none();
+            assert_eq!(
+                spare.first() == Some(&GET_RECIPE),
+                failed_over,
+                "{lost:#x}, {retry:?}: the spare saw {spare:?}"
+            );
+        }
     }
 }

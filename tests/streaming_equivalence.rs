@@ -427,6 +427,187 @@ fn a_recipe_whose_secrets_miss_its_size_restores_nothing() {
     );
 }
 
+/// Failover on restore, at (5, 3) with retries off, for a file of several
+/// windows. A slot whose cloud fails transiently — opening or fetching, at
+/// the first window or a later one — moves to the next spare, lowest index
+/// first. A spare whose recipe disagrees, or a reply that is not one share
+/// per secret of its window, ends the restore.
+mod failover {
+    use super::*;
+    use cdstore_core::RetryPolicy;
+    use std::sync::OnceLock;
+    use Fault::*;
+
+    const PATH: &str = "/failover";
+
+    /// What a [`Faulty`] server does wrong on the restore path.
+    #[derive(Clone, Copy)]
+    enum Fault {
+        Healthy,
+        /// Every `get_recipe` — and so every `open_file`, which `Faulty`
+        /// leaves to the trait's default — fails transiently.
+        Unopenable,
+        /// The recipe claims one byte more than the file holds.
+        Disagrees,
+        /// `fetch_shares` fails transiently from its second call on: the
+        /// first is the window `open_file` brings, the second the next one.
+        FetchFails,
+        /// `fetch_shares` answers one share short from its second call on.
+        ShortReply,
+    }
+
+    /// An in-process server, shared with the healthy deployment that backed
+    /// the file up, whose restore calls go wrong as its [`Fault`] says.
+    struct Faulty {
+        inner: Arc<CdStoreServer>,
+        fault: Fault,
+        fetches: AtomicU64,
+    }
+
+    impl ServerTransport for Faulty {
+        fn get_recipe(&self, user: u64, path: &[u8]) -> Result<FileRecipe, CdStoreError> {
+            let mut recipe = self.inner.get_recipe(user, path)?;
+            match self.fault {
+                Unopenable => return Err(CdStoreError::Remote("injected: get_recipe".into())),
+                Disagrees => recipe.file_size += 1,
+                _ => {}
+            }
+            Ok(recipe)
+        }
+        fn fetch_shares(
+            &self,
+            user: u64,
+            fps: &[Fingerprint],
+        ) -> Result<Vec<Vec<u8>>, CdStoreError> {
+            let mut shares = self.inner.fetch_shares(user, fps)?;
+            if self.fetches.fetch_add(1, Ordering::SeqCst) > 0 {
+                match self.fault {
+                    FetchFails => {
+                        return Err(CdStoreError::Remote("injected: fetch_shares".into()))
+                    }
+                    ShortReply => drop(shares.pop()),
+                    _ => {}
+                }
+            }
+            Ok(shares)
+        }
+        forward! {
+            cloud_index() -> usize;
+            intra_user_query(user: u64, fps: &[Fingerprint]) -> Result<Vec<bool>, CdStoreError>;
+            store_shares(user: u64, shares: &[(ShareMetadata, Vec<u8>)]) -> Result<StoreReceipt, CdStoreError>;
+            put_file(user: u64, path: &[u8], recipe: &FileRecipe, uploaded: &[Fingerprint]) -> Result<(), CdStoreError>;
+            release_uploads(user: u64, fps: &[Fingerprint]) -> Result<(), CdStoreError>;
+            has_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+            delete_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+            flush() -> Result<(), CdStoreError>;
+            gc_with(config: GcConfig) -> Result<GcReport, CdStoreError>;
+            probe() -> Result<ServerProbe, CdStoreError>;
+        }
+    }
+
+    fn client() -> CdStoreClient {
+        CdStoreClient::new(1, 5, 3)
+            .unwrap()
+            .with_retry_policy(RetryPolicy::none())
+    }
+
+    /// Five servers holding a 3 MiB file — two windows or more at k = 3 —
+    /// and the file, backed up once for every case.
+    fn backed_up() -> &'static (Vec<Arc<CdStoreServer>>, Vec<u8>) {
+        static BACKED_UP: OnceLock<(Vec<Arc<CdStoreServer>>, Vec<u8>)> = OnceLock::new();
+        BACKED_UP.get_or_init(|| {
+            let servers: Vec<_> = (0..5).map(|c| Arc::new(CdStoreServer::new(c))).collect();
+            let data = unique_data(46, 3 << 20);
+            client().upload(&servers, PATH, &data).unwrap();
+            (servers, data)
+        })
+    }
+
+    /// Streams the file out through servers faulted cloud by cloud: what
+    /// the restore returned, the bytes it wrote, and each cloud's
+    /// `fetch_shares` calls.
+    fn restore(faults: [Fault; 5]) -> (Result<u64, CdStoreError>, Vec<u8>, Vec<u64>) {
+        let faulty: Vec<Faulty> = (backed_up().0.iter().zip(faults))
+            .map(|(inner, fault)| Faulty {
+                inner: Arc::clone(inner),
+                fault,
+                fetches: AtomicU64::new(0),
+            })
+            .collect();
+        let mut out = Vec::new();
+        let result = client().download_stream(&faulty, &[true; 5], PATH, &mut out);
+        let fetches = faulty.iter().map(|f| f.fetches.load(Ordering::SeqCst));
+        (result, out, fetches.collect())
+    }
+
+    /// Restores byte-exact and returns each cloud's `fetch_shares` calls.
+    fn restores(faults: [Fault; 5]) -> Vec<u64> {
+        let (result, out, fetches) = restore(faults);
+        let data = &backed_up().1;
+        assert_eq!(result.unwrap(), data.len() as u64);
+        assert!(out == *data, "the restored bytes differ");
+        fetches
+    }
+
+    #[test]
+    fn at_open_passes_an_unopenable_spare() {
+        let fetches = restores([Unopenable, Healthy, Healthy, Unopenable, Healthy]);
+        assert_eq!((fetches[0], fetches[3]), (0, 0));
+        assert!(fetches[4] > 1, "cloud 4 served every window: {fetches:?}");
+    }
+
+    #[test]
+    fn mid_file_moves_to_the_lowest_spare() {
+        let fetches = restores([FetchFails, Healthy, Healthy, Healthy, Healthy]);
+        assert_eq!(fetches[0], 2, "window 0, then the failing window 1");
+        assert!(fetches[3] > 0, "the lowest spare took over: {fetches:?}");
+        assert_eq!(fetches[4], 0);
+    }
+
+    #[test]
+    fn mid_file_passes_an_unopenable_spare() {
+        let fetches = restores([FetchFails, Healthy, Healthy, Unopenable, Healthy]);
+        assert!(fetches[4] > 0, "cloud 4 took over: {fetches:?}");
+    }
+
+    #[test]
+    fn a_spare_whose_recipe_disagrees_ends_the_restore() {
+        for (faults, at) in [
+            ([Unopenable, Healthy, Healthy, Disagrees, Healthy], "open"),
+            (
+                [FetchFails, Healthy, Healthy, Disagrees, Healthy],
+                "mid-file",
+            ),
+        ] {
+            let (result, out, _) = restore(faults);
+            assert!(
+                matches!(result, Err(CdStoreError::InconsistentMetadata(_))),
+                "{at}: unexpected {result:?}"
+            );
+            assert!(backed_up().1.starts_with(&out), "{at}: wrote a wrong byte");
+            assert_eq!(out.is_empty(), at == "open", "{at}: {} bytes", out.len());
+        }
+    }
+
+    #[test]
+    fn a_transient_error_surfaces_once_no_spare_is_left() {
+        let (result, ..) = restore([FetchFails, Healthy, Healthy, Unopenable, Unopenable]);
+        assert!(
+            matches!(result, Err(CdStoreError::Remote(_))),
+            "unexpected {result:?}"
+        );
+    }
+
+    #[test]
+    fn a_later_window_one_share_short_is_inconsistent_metadata() {
+        let (result, ..) = restore([Healthy, ShortReply, Healthy, Healthy, Healthy]);
+        assert!(
+            matches!(result, Err(CdStoreError::InconsistentMetadata(_))),
+            "unexpected {result:?}"
+        );
+    }
+}
+
 /// One step of the memo-transparency sequence.
 enum Op {
     Backup(u64, &'static str, Vec<u8>),
