@@ -12,16 +12,18 @@
 //! argument the path. Defaults: `BENCH_kernels.json` in the current
 //! directory, 8 MB regions. `--smoke` shrinks the regions and repetitions
 //! for CI sanity runs. Every backend reported by the runtime detectors is
-//! measured, the backends of one row taking turns pass by pass (each
-//! reports the median of its own passes); the `speedup_vs_scalar` column is the acceptance criterion for
-//! the SIMD kernels (≥ 4x for `mul_acc` on SIMD-capable hosts).
+//! measured, the backends of one row taking turns pass by pass: each
+//! reports the median MB/s of its own passes, and its `speedup_vs_scalar`
+//! is the median of its per-round ratios to the baseline's pass of the same
+//! round. That column is the acceptance criterion for the SIMD kernels
+//! (≥ 4x for `mul_acc` on SIMD-capable hosts).
 
 use cdstore_bench::fmt_speed;
 use cdstore_bench::json::{write_snapshot, Json};
 use cdstore_bench::kernelbench::{
-    aes_ctr_speeds, aes_generator_mask_speeds, caont_share_lengths, caont_split_speeds,
-    crc32_speeds, fastcdc_lengths, gear_scan_speeds, gf_kernel_speeds, mixed_lengths,
-    sha_batch_speeds, sha_single_speeds, KernelSpeed,
+    aes_ctr_speeds, aes_generator_mask_speeds, aes_key_schedule_speeds, caont_share_lengths,
+    caont_split_speeds, crc32_speeds, fastcdc_lengths, gear_scan_speeds, gf_kernel_speeds,
+    mixed_lengths, sha_batch_speeds, sha_single_speeds, KernelSpeed,
 };
 use cdstore_bench::SnapshotArgs;
 use cdstore_crypto::{aes, crc32, sha256};
@@ -29,23 +31,28 @@ use cdstore_gf::region;
 
 /// One measured (kernel, backend) row per speed: `kernel`, `backend`,
 /// `mbps` and `speedup_vs_scalar`, this backend's throughput over the
-/// `baseline` backend's for the same kernel (1.0 for the baseline rows
-/// themselves; the `caont/split` rows' baseline is their `per_secret` row).
-fn rows_from(kernel: &str, speeds: &[KernelSpeed], baseline: &str) -> Vec<Json> {
-    let base = speeds
-        .iter()
-        .find(|s| s.backend == baseline)
-        .expect("the baseline backend is always measured")
-        .mbps;
+/// `baseline` backend's for the same kernel as the median of per-round
+/// ratios (1.0 for the baseline rows themselves; the `caont/split` rows'
+/// baseline is their `per_secret` row). Each backend of `also` that was
+/// measured adds a column `speedup_vs_<backend>` of the same kind.
+fn rows_from(kernel: &str, speeds: &[KernelSpeed], baseline: &str, also: &[&str]) -> Vec<Json> {
+    let find = |name: &str| speeds.iter().find(|s| s.backend == name);
+    let base = find(baseline).expect("the baseline backend is always measured");
+    let others: Vec<_> = also.iter().filter_map(|name| find(name)).collect();
     speeds
         .iter()
         .map(|s| {
-            Json::obj([
-                ("kernel", kernel.into()),
-                ("backend", s.backend.into()),
-                ("mbps", s.mbps.into()),
-                ("speedup_vs_scalar", (s.mbps / base).into()),
-            ])
+            let mut row = vec![
+                ("kernel".to_string(), kernel.into()),
+                ("backend".to_string(), s.backend.into()),
+                ("mbps".to_string(), s.mbps.into()),
+                ("speedup_vs_scalar".to_string(), s.ratio_to(base).into()),
+            ];
+            for other in &others {
+                let column = format!("speedup_vs_{}", other.backend.replace('-', "_"));
+                row.push((column, s.ratio_to(other).into()));
+            }
+            Json::Obj(row)
         })
         .collect()
 }
@@ -64,7 +71,7 @@ fn main() {
         for s in &speeds {
             println!("gf/{kernel:<8} {:<7} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(&format!("gf/{kernel}"), &speeds, "scalar"));
+        rows.extend(rows_from(&format!("gf/{kernel}"), &speeds, "scalar", &[]));
     }
 
     // SHA-256: one long message (the streaming hasher), then batches per
@@ -80,13 +87,13 @@ fn main() {
             fmt_speed(s.mbps)
         );
     }
-    rows.extend(rows_from("sha256/single", &singles, "scalar"));
+    rows.extend(rows_from("sha256/single", &singles, "scalar", &[]));
     let mut batch_rows = |kernel: &str, prefix: &[u8], lens: &[usize], group: usize| {
         let speeds = sha_batch_speeds(prefix, lens, group, reps);
         for s in &speeds {
             println!("{kernel:<23} {:<9} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(kernel, &speeds, "scalar"));
+        rows.extend(rows_from(kernel, &speeds, "scalar", &["sha-ni"]));
     };
     for msg_kib in [3, 9] {
         for count in [4, 16, 170] {
@@ -120,22 +127,36 @@ fn main() {
         for s in &speeds {
             println!("{kernel:<22} {:<10} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(&kernel, &speeds, "per_secret"));
+        rows.extend(rows_from(&kernel, &speeds, "per_secret", &[]));
     }
 
-    // AES-256: bulk CTR under one key, and the CAONT generator mask at the
-    // real secret size (a key expansion per 8 KiB secret).
+    // AES-256: bulk CTR under one key, the CAONT generator mask at the
+    // real secret size (a key expansion per 8 KiB secret) over the region
+    // and over one group's 64 secrets (cache-resident, as the encode group
+    // and the restore's group decode mask them), and the key expansions
+    // alone.
     type AesSpeeds = fn(usize, usize) -> Vec<KernelSpeed>;
-    let aes_kernels: [(&str, AesSpeeds); 2] = [
-        ("aes/ctr", aes_ctr_speeds),
-        ("aes/generator_mask", aes_generator_mask_speeds),
+    const GROUP_BYTES: usize = 64 * 8 * 1024;
+    let aes_kernels: [(&str, AesSpeeds, usize); 4] = [
+        ("aes/ctr", aes_ctr_speeds, region_bytes),
+        (
+            "aes/generator_mask",
+            aes_generator_mask_speeds,
+            region_bytes,
+        ),
+        (
+            "aes/generator_mask/64x8KiB",
+            aes_generator_mask_speeds,
+            GROUP_BYTES,
+        ),
+        ("aes/key_schedule", aes_key_schedule_speeds, region_bytes),
     ];
-    for (kernel, speeds) in aes_kernels {
-        let speeds = speeds(region_bytes, reps);
+    for (kernel, speeds, bytes) in aes_kernels {
+        let speeds = speeds(bytes, reps);
         for s in &speeds {
-            println!("{kernel:<18} {:<7} {}", s.backend, fmt_speed(s.mbps));
+            println!("{kernel:<26} {:<8} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(kernel, &speeds, "scalar"));
+        rows.extend(rows_from(kernel, &speeds, "scalar", &["aes-ni"]));
     }
 
     // CRC-32: one wire frame of shares, and journal-record-sized messages
@@ -149,7 +170,7 @@ fn main() {
         for s in &speeds {
             println!("{kernel:<18} {:<9} {}", s.backend, fmt_speed(s.mbps));
         }
-        rows.extend(rows_from(kernel, &speeds, "scalar"));
+        rows.extend(rows_from(kernel, &speeds, "scalar", &[]));
     }
 
     // The FastCDC boundary search at the default 2/8/16 KiB chunk sizes
@@ -161,7 +182,7 @@ fn main() {
         "scalar",
         fmt_speed(speeds[0].mbps)
     );
-    rows.extend(rows_from("gear/scan", &speeds, "scalar"));
+    rows.extend(rows_from("gear/scan", &speeds, "scalar", &[]));
 
     // The backends the production dispatch selected on this host.
     let gf_active = region::Backend::active().name();

@@ -6,7 +6,7 @@
 //! Used by the `bench_kernels` binary (perf trajectory `BENCH_kernels.json`).
 //! Every backend reported by [`Backend::available()`] is measured over the
 //! same buffers, so the scalar row doubles as the baseline for the speedup
-//! columns.
+//! columns, which compare backends round by round ([`KernelSpeed::ratio_to`]).
 
 use std::time::Instant;
 
@@ -21,11 +21,26 @@ use crate::MB;
 #[derive(Debug, Clone)]
 pub struct KernelSpeed {
     /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `x4`,
-    /// `avx512x16`, `aes-ni`, `pclmulqdq`).
+    /// `avx512x16`, `aes-ni`, `vaes-512`, `pclmulqdq`).
     pub backend: &'static str,
     /// Median throughput in MB/s of region bytes processed, over this
     /// backend's passes of its row.
     pub mbps: f64,
+    /// This backend's MB/s in each round of its row, in round order.
+    pub rounds: Vec<f64>,
+}
+
+impl KernelSpeed {
+    /// This backend's speed over `base`'s as the median of the ratios of
+    /// passes timed in the same round: a change in the host's speed between
+    /// rounds moves both passes of a round alike and cancels, where a ratio
+    /// of two medians taken from different rounds would keep it.
+    pub fn ratio_to(&self, base: &KernelSpeed) -> f64 {
+        let ratios = (self.rounds.iter().zip(&base.rounds))
+            .map(|(mine, theirs)| mine / theirs)
+            .collect();
+        median(ratios)
+    }
 }
 
 fn fill_deterministic(buf: &mut [u8], mut seed: u64) {
@@ -49,8 +64,9 @@ type Pass<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 /// (fault pages in, settle the dispatch), then `reps` rounds that run every
 /// backend's pass once, each round starting one backend later than the
 /// last. Each backend reports the median MB/s of its own passes over
-/// `region_len` bytes. A neighbour's burst on a shared host then lands on
-/// every backend of the row alike instead of on whichever ran alone in it.
+/// `region_len` bytes, and the MB/s of each round's pass. A neighbour's
+/// burst on a shared host then lands on every backend of the row alike
+/// instead of on whichever ran alone in it.
 fn measure_row(region_len: usize, reps: usize, mut passes: Vec<Pass<'_>>) -> Vec<KernelSpeed> {
     for (_, pass) in &mut passes {
         pass();
@@ -65,9 +81,10 @@ fn measure_row(region_len: usize, reps: usize, mut passes: Vec<Pass<'_>>) -> Vec
         }
     }
     (passes.iter().zip(samples))
-        .map(|((backend, _), samples)| KernelSpeed {
+        .map(|((backend, _), rounds)| KernelSpeed {
             backend,
-            mbps: median(samples),
+            mbps: median(rounds.clone()),
+            rounds,
         })
         .collect()
 }
@@ -269,6 +286,29 @@ pub fn aes_generator_mask_speeds(region_len: usize, reps: usize) -> Vec<KernelSp
                     ctr::apply_generator_mask_with(backend, &h, secret);
                 }
                 std::hint::black_box(&buf);
+            });
+            (backend.name(), pass)
+        })
+        .collect();
+    measure_row(region_len, reps, passes)
+}
+
+/// The AES-256 key expansion on every available backend (byte-wise FIPS 197
+/// on the scalar one, `aeskeygenassist` on the hardware ones), the way the
+/// generator mask pays for it: one expansion per 8 KiB secret of a
+/// `region_len`-byte region, each under its own key. MB/s of secret bytes,
+/// so a row of [`aes_generator_mask_speeds`] over this row's rate is the
+/// share of the mask spent on its keys.
+pub fn aes_key_schedule_speeds(region_len: usize, reps: usize) -> Vec<KernelSpeed> {
+    const SECRET_LEN: usize = 8 * 1024;
+    let keys = region_len.div_ceil(SECRET_LEN);
+    let passes = (aes::Backend::available().into_iter())
+        .map(|backend| {
+            let pass: Box<dyn FnMut()> = Box::new(move || {
+                for i in 0..keys {
+                    let h = [i as u8; 32];
+                    std::hint::black_box(aes::Aes256::with_backend(backend, &h));
+                }
             });
             (backend.name(), pass)
         })

@@ -1145,55 +1145,61 @@ impl CdStoreServer {
         self.share_index.location(&server_fp).ok_or_else(missing)
     }
 
-    /// Fetches a batch of shares owned by `user`, identified by the *client*
-    /// fingerprints recorded in the file recipe, for a reply that must hold
-    /// at most `max_bytes` of shares: `None`, with nothing read, when the
-    /// resolved shares hold more. Ownership is enforced: a user who never
-    /// uploaded a share cannot retrieve it by fingerprint alone (the
+    /// Reads a batch of shares owned by `user`, identified by the *client*
+    /// fingerprints recorded in the file recipe, into a reply that must hold
+    /// at most `max_bytes` of shares. Ownership is enforced: a user who
+    /// never uploaded a share cannot retrieve it by fingerprint alone (the
     /// proof-of-ownership side channel of §3.3).
     ///
-    /// The whole batch is resolved first; then each run of consecutive
-    /// shares in one container is read with one look for that container
-    /// ([`ContainerStore::fetch_run`]). A run whose container a gc pass
-    /// deleted in between falls back to `fetch_share` share by share,
-    /// which re-resolves.
-    pub fn fetch_shares_within(
+    /// The whole batch is resolved first. If the resolved shares hold more
+    /// than `max_bytes`, nothing is read and the answer is `false`.
+    /// Otherwise `open` is called once with their total size and returns the
+    /// sink that then receives each share, in request order, borrowed from
+    /// its container: a caller copies each share once, into whatever it
+    /// builds. Each run of consecutive shares in one container is read with
+    /// one look for that container ([`ContainerStore::fetch_run`]); a run
+    /// whose container a gc pass deleted in between falls back to
+    /// `fetch_share` share by share, which re-resolves. On an error the
+    /// sink may have received some of the shares.
+    pub fn fetch_shares_within<S: FnMut(&[u8])>(
         &self,
         user: u64,
         client_fps: &[Fingerprint],
         max_bytes: u64,
-    ) -> Result<Option<Vec<Vec<u8>>>, CdStoreError> {
+        open: impl FnOnce(u64) -> S,
+    ) -> Result<bool, CdStoreError> {
         let mut locations = Vec::with_capacity(client_fps.len());
         for fp in client_fps {
             locations.push(self.locate_share(user, fp)?);
         }
         let bytes: u64 = locations.iter().map(|l| u64::from(l.size)).sum();
         if bytes > max_bytes {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut shares: Vec<Vec<u8>> = Vec::with_capacity(locations.len());
+        let mut sink = open(bytes);
         let mut served = 0u64;
+        let mut start = 0;
         for run in locations.chunk_by(|a, b| a.container_id == b.container_id) {
-            let start = shares.len();
             let read = self.containers.fetch_run(run, |share| {
                 served += share.len() as u64;
-                shares.push(share.to_vec());
+                sink(share);
             });
             match read {
                 Ok(()) => {}
                 Err(StorageError::NotFound(_)) => {
                     for fp in &client_fps[start..start + run.len()] {
                         // Counts its own served bytes.
-                        shares.push(self.fetch_share(user, fp)?);
+                        sink(&self.fetch_share(user, fp)?);
                     }
                 }
                 Err(e) => return Err(CdStoreError::Storage(e)),
             }
+            start += run.len();
         }
         self.stats
             .served_share_bytes
             .fetch_add(served, Ordering::Relaxed);
-        Ok(Some(shares))
+        Ok(true)
     }
 
     /// The storage backend this server persists to — the handle a restart
@@ -1480,8 +1486,13 @@ impl ServerTransport for CdStoreServer {
         user: u64,
         client_fps: &[Fingerprint],
     ) -> Result<Vec<Vec<u8>>, CdStoreError> {
-        let shares = self.fetch_shares_within(user, client_fps, u64::MAX)?;
-        Ok(shares.expect("shares of u32 sizes hold fewer than u64::MAX bytes"))
+        let mut shares = Vec::with_capacity(client_fps.len());
+        let out = &mut shares;
+        let fits = self.fetch_shares_within(user, client_fps, u64::MAX, move |_| {
+            move |share: &[u8]| out.push(share.to_vec())
+        })?;
+        assert!(fits, "shares of u32 sizes hold fewer than u64::MAX bytes");
+        Ok(shares)
     }
 
     /// Called at the end of a backup job and before shutting down. A flushed
@@ -1680,14 +1691,19 @@ mod tests {
         let want = vec![sealed.1.clone(), open.1.clone(), sealed.1.clone()];
         assert_eq!(server.fetch_shares(1, &fps).unwrap(), want);
         let bytes = want.iter().map(|s| s.len() as u64).sum::<u64>();
-        assert_eq!(
-            server.fetch_shares_within(1, &fps, bytes - 1).unwrap(),
-            None
-        );
-        assert_eq!(
-            server.fetch_shares_within(1, &fps, bytes).unwrap(),
-            Some(want)
-        );
+        let within = |max_bytes| {
+            let mut got = Vec::new();
+            let out = &mut got;
+            let fits = server
+                .fetch_shares_within(1, &fps, max_bytes, move |total| {
+                    assert_eq!(total, bytes);
+                    move |share: &[u8]| out.push(share.to_vec())
+                })
+                .unwrap();
+            fits.then_some(got)
+        };
+        assert_eq!(within(bytes - 1), None);
+        assert_eq!(within(bytes), Some(want));
         assert!(matches!(
             server.fetch_shares(2, &fps),
             Err(CdStoreError::MissingShare(_))

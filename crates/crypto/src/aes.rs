@@ -8,20 +8,23 @@
 //!
 //! # Kernel dispatch
 //!
-//! The cipher has two implementations: the portable byte-wise rounds below
-//! (per-byte S-box, `xtime` MixColumns), and an x86_64 AES-NI path
-//! (`aesenc`/`aesenclast`) selected once per process by runtime feature
-//! detection (see [`Backend::active`]). Setting `CDSTORE_FORCE_SCALAR` (to
-//! anything but `0`) before first use forces the portable path — the same
-//! override the SHA-256 and GF(2^8) kernels honour. Both run over the one
-//! key schedule [`Aes256::with_backend`] expands: FIPS 197's round keys,
-//! byte for byte, are what `aesenc` takes as its operand.
+//! The cipher has three implementations: the portable byte-wise rounds
+//! below (per-byte S-box, `xtime` MixColumns), an x86_64 AES-NI path
+//! (`aesenc`/`aesenclast`, eight CTR blocks in flight) and an x86_64
+//! VAES-512 path (`vaesenc` on four blocks a register, sixteen in flight),
+//! selected once per process by runtime feature detection (see
+//! [`Backend::active`]). Setting `CDSTORE_FORCE_SCALAR` (to anything but
+//! `0`) before first use forces the portable path — the same override the
+//! SHA-256 and GF(2^8) kernels honour. All run over FIPS 197's round keys,
+//! byte for byte what `aesenc` takes as its operand; the hardware backends
+//! expand them with `aeskeygenassist`, the portable path byte by byte.
 //!
-//! The portable cipher is also the reference every backend is compared
-//! against in `tests/aes_differential.rs`. There is deliberately no T-table
-//! variant between the two: no supported host would run it, and its
-//! key-dependent table reads would add a cache-timing channel on a
-//! content-derived key.
+//! The portable cipher and key expansion are also the reference every
+//! backend is compared against in `tests/aes_differential.rs`. There is
+//! deliberately no T-table variant between the two: no supported host would
+//! run it, and its key-dependent table reads would add a cache-timing
+//! channel on a content-derived key. The hardware backends make no
+//! key-dependent memory access at all, key schedule included.
 
 use std::sync::OnceLock;
 
@@ -31,6 +34,9 @@ pub const BLOCK_SIZE: usize = 16;
 pub const KEY_SIZE: usize = 32;
 /// Number of rounds for AES-256.
 pub const ROUNDS: usize = 14;
+
+/// An expanded key: the initial whitening key and one key per round.
+type RoundKeys = [[u8; BLOCK_SIZE]; ROUNDS + 1];
 
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -72,6 +78,10 @@ pub enum Backend {
     Scalar,
     /// x86_64 AES-NI (`aesenc`/`aesenclast`), eight CTR blocks in flight.
     AesNi,
+    /// x86_64 VAES on AVX-512 registers (`vaesenc` rounds four blocks at
+    /// once), sixteen CTR blocks in flight; single blocks and CTR tails
+    /// under sixteen blocks run on AES-NI.
+    Vaes512,
 }
 
 static ACTIVE: OnceLock<Backend> = OnceLock::new();
@@ -80,14 +90,15 @@ impl Backend {
     /// Every backend runnable on this CPU, scalar first (for the
     /// differential test suite).
     pub fn available() -> Vec<Backend> {
-        [Backend::Scalar, Backend::AesNi]
+        [Backend::Scalar, Backend::AesNi, Backend::Vaes512]
             .into_iter()
             .filter(|b| b.detected())
             .collect()
     }
 
-    /// The backend [`Aes256::new`] uses, chosen once per process: AES-NI
-    /// where detected, unless `CDSTORE_FORCE_SCALAR` is set at first use.
+    /// The backend [`Aes256::new`] uses, chosen once per process: VAES-512
+    /// where detected, else AES-NI where detected, unless
+    /// `CDSTORE_FORCE_SCALAR` is set at first use.
     pub fn active() -> Backend {
         *ACTIVE.get_or_init(|| {
             let force_scalar = std::env::var_os("CDSTORE_FORCE_SCALAR").is_some_and(|v| v != "0");
@@ -104,6 +115,7 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::AesNi => "aes-ni",
+            Backend::Vaes512 => "vaes-512",
         }
     }
 
@@ -114,8 +126,14 @@ impl Backend {
             Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Backend::AesNi => is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Vaes512 => {
+                Backend::AesNi.detected()
+                    && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("vaes")
+            }
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::AesNi => false,
+            Backend::AesNi | Backend::Vaes512 => false,
         }
     }
 }
@@ -123,9 +141,10 @@ impl Backend {
 /// An expanded AES-256 key schedule, bound to the backend that runs it.
 #[derive(Clone)]
 pub struct Aes256 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
-    /// Invariant (the `unsafe` dispatch below relies on it): `AesNi` only if
-    /// [`Backend::detected`] said so — `with_backend` is the one constructor.
+    round_keys: RoundKeys,
+    /// Invariant (the `unsafe` dispatch below relies on it): `AesNi` or
+    /// `Vaes512` only if [`Backend::detected`] said so — `with_backend` is
+    /// the one constructor, and `Vaes512` implies AES-NI.
     backend: Backend,
 }
 
@@ -136,62 +155,49 @@ impl Aes256 {
     }
 
     /// Expands a 32-byte key into the full key schedule, to be run on
-    /// `backend`.
+    /// `backend`: with `aeskeygenassist` on the hardware backends, byte by
+    /// byte on the scalar one (the same round keys either way).
     ///
     /// # Panics
     ///
     /// Panics if `backend` is not in [`Backend::available`] on this CPU.
+    #[allow(unsafe_code)] // the hardware variants exist only after feature detection
     pub fn with_backend(backend: Backend, key: &[u8; KEY_SIZE]) -> Self {
         assert!(
             backend.detected(),
             "AES backend {} is not available on this CPU",
             backend.name()
         );
-        // 60 32-bit words for AES-256.
-        let nk = 8usize;
-        let total_words = 4 * (ROUNDS + 1);
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for (i, word) in w.iter_mut().take(nk).enumerate() {
-            word.copy_from_slice(&key[i * 4..(i + 1) * 4]);
-        }
-        for i in nk..total_words {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                // RotWord + SubWord + Rcon.
-                temp.rotate_left(1);
-                for t in temp.iter_mut() {
-                    *t = SBOX[*t as usize];
-                }
-                temp[0] ^= RCON[i / nk - 1];
-            } else if i % nk == 4 {
-                for t in temp.iter_mut() {
-                    *t = SBOX[*t as usize];
-                }
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..(c + 1) * 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
+        let round_keys = match backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `detected()` just confirmed `aes` and `sse2` (which
+            // `Vaes512` implies).
+            Backend::AesNi | Backend::Vaes512 => unsafe { ni::expand_key(key) },
+            _ => expand_key(key),
+        };
         Aes256 {
             round_keys,
             backend,
         }
     }
 
+    /// The expanded key schedule: FIPS 197's words `w[4r..4r + 4]` as round
+    /// key `r`, whichever backend expanded it.
+    pub fn round_keys(&self) -> &[[u8; BLOCK_SIZE]; ROUNDS + 1] {
+        &self.round_keys
+    }
+
     /// Encrypts a single 16-byte block in place.
-    #[allow(unsafe_code)] // the AesNi variant exists only after feature detection
+    #[allow(unsafe_code)] // the hardware variants exist only after feature detection
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `with_backend` asserted `aes` and `sse2` were detected
-            // before storing `AesNi`; the block is exactly 16 bytes by type.
-            Backend::AesNi => unsafe { ni::encrypt_block(&self.round_keys, block) },
+            // before storing `AesNi` or `Vaes512`; the block is exactly 16
+            // bytes by type.
+            Backend::AesNi | Backend::Vaes512 => unsafe {
+                ni::encrypt_block(&self.round_keys, block)
+            },
             _ => self.encrypt_block_scalar(block),
         }
     }
@@ -202,14 +208,21 @@ impl Aes256 {
     /// 64 bits, never carrying into the nonce). `fill = 0` is plain CTR;
     /// the CAONT generator passes its constant byte so masking a secret is
     /// one pass over it.
-    #[allow(unsafe_code)] // the AesNi variant exists only after feature detection
-    pub(crate) fn ctr_xor(&self, nonce: u64, start_block: u64, fill: u8, buf: &mut [u8]) {
+    #[allow(unsafe_code)] // the hardware variants exist only after feature detection
+    pub fn ctr_xor(&self, nonce: u64, start_block: u64, fill: u8, buf: &mut [u8]) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `with_backend` asserted `aes` and `sse2` were detected
             // before storing `AesNi`; the kernel takes any `buf` length.
             Backend::AesNi => unsafe {
                 ni::ctr_xor(&self.round_keys, nonce, start_block, fill, buf)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `with_backend` asserted `aes`, `sse2`, `avx512f` and
+            // `vaes` were detected before storing `Vaes512`; the kernel takes
+            // any `buf` length.
+            Backend::Vaes512 => unsafe {
+                vaes::ctr_xor(&self.round_keys, nonce, start_block, fill, buf)
             },
             _ => {
                 let mut counter = start_block;
@@ -244,6 +257,43 @@ impl Aes256 {
         self.encrypt_block(&mut out);
         out
     }
+}
+
+/// FIPS 197 §5.2's key expansion, byte by byte: the scalar backend's key
+/// schedule and the reference the hardware expansion is tested against.
+fn expand_key(key: &[u8; KEY_SIZE]) -> RoundKeys {
+    // 60 32-bit words for AES-256.
+    let nk = 8usize;
+    let total_words = 4 * (ROUNDS + 1);
+    let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
+    for (i, word) in w.iter_mut().take(nk).enumerate() {
+        word.copy_from_slice(&key[i * 4..(i + 1) * 4]);
+    }
+    for i in nk..total_words {
+        let mut temp = w[i - 1];
+        if i % nk == 0 {
+            // RotWord + SubWord + Rcon.
+            temp.rotate_left(1);
+            for t in temp.iter_mut() {
+                *t = SBOX[*t as usize];
+            }
+            temp[0] ^= RCON[i / nk - 1];
+        } else if i % nk == 4 {
+            for t in temp.iter_mut() {
+                *t = SBOX[*t as usize];
+            }
+        }
+        for j in 0..4 {
+            w[i][j] = w[i - nk][j] ^ temp[j];
+        }
+    }
+    let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+    for (r, rk) in round_keys.iter_mut().enumerate() {
+        for c in 0..4 {
+            rk[c * 4..(c + 1) * 4].copy_from_slice(&w[r * 4 + c]);
+        }
+    }
+    round_keys
 }
 
 /// The CTR counter block: an 8-byte big-endian nonce followed by an 8-byte
@@ -315,13 +365,77 @@ mod ni {
     //! unit mostly idle. CTR blocks are independent: the kernel keeps
     //! [`LANES`] of them in flight per round to fill the pipeline.
 
-    use super::{BLOCK_SIZE, ROUNDS};
+    use super::{RoundKeys, BLOCK_SIZE, KEY_SIZE, ROUNDS};
     use core::arch::x86_64::*;
 
     /// Counter blocks encrypted per batch.
     const LANES: usize = 8;
 
-    type RoundKeys = [[u8; BLOCK_SIZE]; ROUNDS + 1];
+    /// Each 32-bit word XORed with every word below it: the running XOR
+    /// through which FIPS 197's expansion makes a round key's four words
+    /// from the previous key of the same parity.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn prefix_xor(a: __m128i) -> __m128i {
+        let a = _mm_xor_si128(a, _mm_slli_si128::<4>(a));
+        _mm_xor_si128(a, _mm_slli_si128::<8>(a))
+    }
+
+    /// The even round key after `even`: `aeskeygenassist` yields
+    /// `RotWord(SubWord(w)) ⊕ RCON` of `odd`'s last word `w` in its top
+    /// word, broadcast and folded into `even`'s running XOR.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn next_even<const RCON: i32>(even: __m128i, odd: __m128i) -> __m128i {
+        let t = _mm_shuffle_epi32::<0xff>(_mm_aeskeygenassist_si128::<RCON>(odd));
+        _mm_xor_si128(prefix_xor(even), t)
+    }
+
+    /// The odd round key after `odd`: AES-256 adds `SubWord` of the new
+    /// even key's last word, which `aeskeygenassist` leaves in word 2.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn next_odd(odd: __m128i, even: __m128i) -> __m128i {
+        let t = _mm_shuffle_epi32::<0xaa>(_mm_aeskeygenassist_si128::<0>(even));
+        _mm_xor_si128(prefix_xor(odd), t)
+    }
+
+    /// FIPS 197's AES-256 key expansion with `aeskeygenassist` (Gueron,
+    /// *Intel Advanced Encryption Standard (AES) New Instructions Set*,
+    /// 2010): byte for byte the round keys [`super::expand_key`] makes,
+    /// with no key-dependent table read.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes` and `sse2` features are available.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn expand_key(key: &[u8; KEY_SIZE]) -> RoundKeys {
+        let mut k = [_mm_setzero_si128(); ROUNDS + 1];
+        for (v, half) in k.iter_mut().zip(key.chunks_exact(BLOCK_SIZE)) {
+            // SAFETY: each half of the key is 16 bytes; unaligned load.
+            *v = unsafe { _mm_loadu_si128(half.as_ptr().cast()) };
+        }
+        // Round constants are immediates, so the seven steps are spelled out.
+        k[2] = next_even::<0x01>(k[0], k[1]);
+        k[3] = next_odd(k[1], k[2]);
+        k[4] = next_even::<0x02>(k[2], k[3]);
+        k[5] = next_odd(k[3], k[4]);
+        k[6] = next_even::<0x04>(k[4], k[5]);
+        k[7] = next_odd(k[5], k[6]);
+        k[8] = next_even::<0x08>(k[6], k[7]);
+        k[9] = next_odd(k[7], k[8]);
+        k[10] = next_even::<0x10>(k[8], k[9]);
+        k[11] = next_odd(k[9], k[10]);
+        k[12] = next_even::<0x20>(k[10], k[11]);
+        k[13] = next_odd(k[11], k[12]);
+        k[14] = next_even::<0x40>(k[12], k[13]);
+        let mut round_keys = [[0u8; BLOCK_SIZE]; ROUNDS + 1];
+        for (rk, v) in round_keys.iter_mut().zip(k) {
+            // SAFETY: a round key is 16 writable bytes; unaligned store.
+            unsafe { _mm_storeu_si128(rk.as_mut_ptr().cast(), v) };
+        }
+        round_keys
+    }
 
     /// # Safety
     ///
@@ -430,6 +544,150 @@ mod ni {
             for (b, k) in tail.iter_mut().zip(bytes) {
                 *b ^= k;
             }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod vaes {
+    //! x86_64 VAES on 512-bit registers. One `vaesenc` runs a round on the
+    //! four blocks a zmm register holds (Drucker, Gueron & Krasnov, "Making
+    //! AES Great Again: The Forthcoming Vectorized AES Instruction", ITNG
+    //! 2019), so a step of sixteen CTR blocks in four registers takes 56
+    //! round instructions where AES-NI takes 224.
+    //!
+    //! The counter blocks stay big-endian. While a step's sixteen counters
+    //! share all but their last byte (fifteen steps in sixteen), a step is
+    //! one broadcast of its first block plus a constant per register that
+    //! adds 0..=15 to that byte, which cannot carry. A step whose last byte
+    //! wraps builds its blocks one by one, the 64-bit counter wrapping in
+    //! its own half and never carrying into the nonce.
+
+    use super::{ni, RoundKeys, BLOCK_SIZE, ROUNDS};
+    use core::arch::x86_64::*;
+
+    /// Registers in flight per step.
+    const REGS: usize = 4;
+    /// Blocks per register.
+    const PER_REG: usize = 4;
+    /// Blocks per step.
+    const BLOCKS: u64 = (REGS * PER_REG) as u64;
+    /// Keystream bytes per step.
+    const STEP: usize = BLOCKS as usize * BLOCK_SIZE;
+
+    /// The step's sixteen counter blocks `nonce ‖ counter + i`, four to a
+    /// register. `nonce_be` is the nonce's big-endian bytes as a
+    /// little-endian word; `bumps[r]` adds `4r + j` to the last byte of
+    /// block `j` of register `r`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn counter_blocks(nonce_be: i64, counter: u64, bumps: &[__m512i; REGS]) -> [__m512i; REGS] {
+        let mut blocks = [_mm512_setzero_si512(); REGS];
+        if counter & 0xff <= 0xff - (BLOCKS - 1) {
+            let first = _mm_set_epi64x(counter.swap_bytes() as i64, nonce_be);
+            let first = _mm512_broadcast_i32x4(first);
+            for (b, bump) in blocks.iter_mut().zip(bumps) {
+                *b = _mm512_add_epi32(first, *bump);
+            }
+        } else {
+            for (r, b) in blocks.iter_mut().enumerate() {
+                let at = |j: usize| {
+                    let i = (r * PER_REG + j) as u64;
+                    counter.wrapping_add(i).swap_bytes() as i64
+                };
+                *b = _mm512_set_epi64(
+                    at(3),
+                    nonce_be,
+                    at(2),
+                    nonce_be,
+                    at(1),
+                    nonce_be,
+                    at(0),
+                    nonce_be,
+                );
+            }
+        }
+        blocks
+    }
+
+    /// `buf[i] ^= keystream[i] ^ fill` for any `buf` length; see
+    /// [`super::Aes256::ctr_xor`]. Whole steps of sixteen blocks run here;
+    /// the last `buf.len() % 256` bytes go to the AES-NI kernel at the
+    /// counter the steps reached.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes`, `sse2`, `avx512f` and `vaes` features
+    /// are available.
+    #[target_feature(enable = "aes,sse2,avx512f,vaes")]
+    pub unsafe fn ctr_xor(
+        round_keys: &RoundKeys,
+        nonce: u64,
+        start_block: u64,
+        fill: u8,
+        buf: &mut [u8],
+    ) {
+        let (body, tail) = buf.split_at_mut(buf.len() / STEP * STEP);
+        let mut k = [_mm512_setzero_si512(); ROUNDS + 1];
+        for (v, rk) in k.iter_mut().zip(round_keys) {
+            // SAFETY: a round key is 16 bytes; unaligned load.
+            *v = _mm512_broadcast_i32x4(unsafe { _mm_loadu_si128(rk.as_ptr().cast()) });
+        }
+        // keystream ^ fill comes for free from the last round.
+        let k_last = _mm512_xor_si512(k[ROUNDS], _mm512_set1_epi8(fill as i8));
+        let nonce_be = nonce.swap_bytes() as i64;
+        // The last byte of a block is the top byte of its fourth 32-bit word.
+        let mut bumps = [_mm512_setzero_si512(); REGS];
+        for (r, bump) in bumps.iter_mut().enumerate() {
+            let at = |j: usize| ((r * PER_REG + j) as i32) << 24;
+            *bump = _mm512_set_epi32(
+                at(3),
+                0,
+                0,
+                0,
+                at(2),
+                0,
+                0,
+                0,
+                at(1),
+                0,
+                0,
+                0,
+                at(0),
+                0,
+                0,
+                0,
+            );
+        }
+
+        let mut counter = start_block;
+        for chunk in body.chunks_exact_mut(STEP) {
+            let mut b = counter_blocks(nonce_be, counter, &bumps);
+            counter = counter.wrapping_add(BLOCKS);
+            for lane in &mut b {
+                *lane = _mm512_xor_si512(*lane, k[0]);
+            }
+            for rk in &k[1..ROUNDS] {
+                for lane in &mut b {
+                    *lane = _mm512_aesenc_epi128(*lane, *rk);
+                }
+            }
+            for (bytes, lane) in chunk.chunks_exact_mut(STEP / REGS).zip(b) {
+                let p = bytes.as_mut_ptr();
+                // SAFETY: `chunks_exact_mut` yields exactly 64 writable
+                // bytes per register; unaligned load/store. The last round
+                // ends with its key XOR, so folding the data into the key
+                // XORs it into the keystream.
+                unsafe {
+                    let data = _mm512_xor_si512(_mm512_loadu_si512(p.cast()), k_last);
+                    _mm512_storeu_si512(p.cast(), _mm512_aesenclast_epi128(lane, data));
+                }
+            }
+        }
+        if !tail.is_empty() {
+            // SAFETY: the caller guarantees `aes` and `sse2` too.
+            unsafe { ni::ctr_xor(round_keys, nonce, counter, fill, tail) };
         }
     }
 }

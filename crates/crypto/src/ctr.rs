@@ -6,8 +6,9 @@
 //! key `h`. Implementing `E` as AES-256 in CTR mode makes `G` a single bulk
 //! encryption over the whole secret — the performance advantage of CAONT-RS
 //! over Rivest's word-by-word AONT that §5.3 measures. The pass itself is
-//! [`crate::aes`]'s CTR kernel (eight counter blocks per AES-NI batch where
-//! the CPU has it, the portable byte-wise cipher otherwise).
+//! [`crate::aes`]'s CTR kernel (sixteen counter blocks per VAES-512 step or
+//! eight per AES-NI batch where the CPU has them, the portable byte-wise
+//! cipher otherwise).
 
 use crate::aes::{Aes256, Backend, KEY_SIZE};
 

@@ -5,7 +5,7 @@
 //! AES-256 for the AONT mask generator. This crate re-implements those
 //! primitives from scratch (verified against the standard FIPS/RFC test
 //! vectors) so the whole reproduction is self-contained. Each has a portable
-//! implementation and a hardware one (SHA-NI, AES-NI, PCLMULQDQ) behind a
+//! implementation and hardware ones (SHA-NI, AES-NI, VAES, PCLMULQDQ) behind a
 //! detect-once `Backend`; `CDSTORE_FORCE_SCALAR` pins the portable ones.
 //!
 //! * [`sha256`] — incremental hash function.
@@ -33,7 +33,8 @@
 
 // Unsafe is denied crate-wide and re-allowed for three modules and the safe
 // functions that dispatch into them: SHA-NI in `sha256` (plus its SSE2 and
-// AVX-512 batch lanes), AES-NI in `aes` and PCLMULQDQ folding in `crc32`.
+// AVX-512 batch lanes), AES-NI and VAES-512 in `aes` and PCLMULQDQ folding
+// in `crc32`.
 // Their intrinsics carry per-function safety contracts: CPU feature
 // detection before dispatch, and the length precondition the caller
 // established.

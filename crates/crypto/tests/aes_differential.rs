@@ -1,11 +1,13 @@
 //! Differential tests proving that every AES backend is bit-identical to the
-//! portable byte-wise cipher for single blocks, CTR keystreams and the CAONT
-//! generator mask, across lengths, alignments, counters and keys.
+//! portable byte-wise cipher for key schedules, single blocks, CTR keystreams
+//! (with any fill byte) and the CAONT generator mask, across lengths,
+//! alignments, counters and keys.
 //!
 //! The reference is built in this file from nothing but the scalar backend's
 //! single-block `encrypt` (which the FIPS 197 / SP 800-38A vectors pin): one
-//! counter block at a time, XORed byte by byte. Like the GF suite, two layers
-//! are exercised:
+//! counter block at a time, XORed byte by byte. Key schedules are compared
+//! with the scalar backend's byte-wise FIPS 197 expansion. Like the GF suite,
+//! two layers are exercised:
 //!
 //! * **Explicit backends** — every entry of [`Backend::available()`],
 //!   scalar included (its fused CTR loop is production code too), in one
@@ -18,16 +20,21 @@ use cdstore_crypto::aes::{Aes256, Backend, BLOCK_SIZE, KEY_SIZE};
 use cdstore_crypto::ctr::{self, Aes256Ctr, CONSTANT_BLOCK_BYTE};
 use proptest::prelude::*;
 
-/// Blocks the AES-NI kernel keeps in flight per batch.
-const BATCH_BLOCKS: usize = 8;
+/// Blocks the VAES-512 kernel runs per step (four registers of four).
+const STEP_BLOCKS: usize = 16;
 
-/// 0 ..= one full batch plus a block and a byte: every count of whole
-/// blocks in the tail batch, each with and without a partial last block.
-const MAX_LEN: usize = BATCH_BLOCKS * BLOCK_SIZE + 17;
+/// 0 ..= two VAES steps and a few blocks more: every length across the
+/// 16-byte block, 128-byte AES-NI batch and 256-byte VAES step edges, and
+/// every count of whole blocks in a tail, with and without a partial block.
+const MAX_LEN: usize = 600;
 
 /// Offsets into an over-allocated buffer so the kernels see misaligned
 /// pointers as well as (likely) aligned ones.
 const OFFSETS: &[usize] = &[0, 1, 3, 8, 13];
+
+/// Lengths up to one AES-NI batch, a block and a byte run at every offset;
+/// longer ones at offset 0 and at one of the others, in turn.
+const EVERY_OFFSET_TO: usize = 8 * BLOCK_SIZE + 17;
 
 /// Byte-at-a-time reference: `data ^ E(key, nonce ‖ counter…) ^ fill`, the
 /// counter wrapping in its own 64 bits.
@@ -75,30 +82,59 @@ fn parse_hex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-/// Checks `apply_keystream` and the generator mask of one backend against
-/// the reference on `data` (the mask ignores `nonce` and `start`: `G(h)` is
-/// always nonce 0 from block 0).
-fn check_ctr_kernels(backend: Backend, key: &[u8; KEY_SIZE], nonce: u64, start: u64, data: &[u8]) {
+/// The fill bytes the CTR kernels are checked under: plain CTR, all bits
+/// set, and the CAONT generator's constant.
+const FILLS: [u8; 3] = [0x00, 0xff, CONSTANT_BLOCK_BYTE];
+
+/// The references [`check_ctr_kernels`] compares with, computed once for
+/// every backend: the keystream under each of [`FILLS`] from (`nonce`,
+/// `start`), and the generator mask (nonce 0 from block 0).
+struct Expected {
+    nonce: u64,
+    start: u64,
+    fills: [Vec<u8>; FILLS.len()],
+    mask: Vec<u8>,
+}
+
+impl Expected {
+    fn new(key: &[u8; KEY_SIZE], nonce: u64, start: u64, data: &[u8]) -> Self {
+        Expected {
+            nonce,
+            start,
+            fills: FILLS.map(|fill| reference_ctr(key, nonce, start, fill, data)),
+            mask: reference_ctr(key, 0, 0, CONSTANT_BLOCK_BYTE, data),
+        }
+    }
+}
+
+/// Checks `ctr_xor` under every fill byte, `apply_keystream` and the
+/// generator mask of one backend against `want` on `data`.
+fn check_against(backend: Backend, key: &[u8; KEY_SIZE], data: &[u8], want: &Expected) {
+    let (nonce, start) = (want.nonce, want.start);
     let ctx = format!(
         "backend={} len={} nonce={nonce:#x} start={start:#x}",
         backend.name(),
         data.len()
     );
+    let cipher = Aes256::with_backend(backend, key);
+    for (fill, want) in FILLS.iter().zip(&want.fills) {
+        let mut got = data.to_vec();
+        cipher.ctr_xor(nonce, start, *fill, &mut got);
+        assert_eq!(&got, want, "ctr_xor fill={fill:#04x} {ctx}");
+    }
+
     let mut got = data.to_vec();
     Aes256Ctr::with_backend(backend, key, nonce).apply_keystream(&mut got, start);
-    assert_eq!(
-        got,
-        reference_ctr(key, nonce, start, 0, data),
-        "apply_keystream {ctx}"
-    );
+    assert_eq!(got, want.fills[0], "apply_keystream {ctx}");
 
     let mut got = data.to_vec();
     ctr::apply_generator_mask_with(backend, key, &mut got);
-    assert_eq!(
-        got,
-        reference_ctr(key, 0, 0, CONSTANT_BLOCK_BYTE, data),
-        "apply_generator_mask {ctx}"
-    );
+    assert_eq!(got, want.mask, "apply_generator_mask {ctx}");
+}
+
+/// [`check_against`] with the references computed here.
+fn check_ctr_kernels(backend: Backend, key: &[u8; KEY_SIZE], nonce: u64, start: u64, data: &[u8]) {
+    check_against(backend, key, data, &Expected::new(key, nonce, start, data));
 }
 
 #[test]
@@ -165,17 +201,68 @@ fn every_backend_matches_reference_for_all_lengths_and_alignments() {
             assert_eq!(block, want, "encrypt_block {}", backend.name());
         }
 
-        for len in 0..=MAX_LEN {
-            for &offset in OFFSETS {
-                let mut buf = vec![0u8; offset + len];
-                fill_bytes(&mut buf, 0xD1B5_4A32_D192_ED03 ^ (len as u64) << 8);
-                check_ctr_kernels(backend, &key, 0x0123_4567_89ab_cdef, 7, &buf[offset..]);
-            }
-        }
-        // Several batches plus a ragged tail, at secret size.
+        // Several steps plus a ragged tail, at secret size.
         let mut buf = vec![0u8; 8192 + 37];
         fill_bytes(&mut buf, 0xA076_1D64_78BD_642F);
         check_ctr_kernels(backend, &key, u64::MAX, 1 << 40, &buf);
+    }
+    // Every length, aligned and not, the references computed once for all
+    // backends.
+    let nonce = 0x0123_4567_89ab_cdef;
+    for len in 0..=MAX_LEN {
+        let turn = [0, OFFSETS[1 + len % (OFFSETS.len() - 1)]];
+        let offsets = if len <= EVERY_OFFSET_TO {
+            OFFSETS
+        } else {
+            &turn
+        };
+        for &offset in offsets {
+            let mut buf = vec![0u8; offset + len];
+            fill_bytes(&mut buf, 0xD1B5_4A32_D192_ED03 ^ (len as u64) << 8);
+            let data = &buf[offset..];
+            let want = Expected::new(&key, nonce, 7, data);
+            for backend in Backend::available() {
+                check_against(backend, &key, data, &want);
+            }
+        }
+    }
+}
+
+/// The hardware backends expand keys with `aeskeygenassist`; the scalar
+/// backend's byte-wise expansion is FIPS 197's, pinned here by the last
+/// round key of the Appendix A.3 and C.3 keys.
+#[test]
+fn every_backend_expands_keys_as_fips197_does() {
+    let pinned = [
+        (
+            "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+            "fe4890d1e6188d0b046df344706c631e",
+        ),
+        (
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+            "24fc79ccbf0979e9371ac23c6d68de36",
+        ),
+    ];
+    let mut keys: Vec<[u8; KEY_SIZE]> = pinned
+        .iter()
+        .map(|(key, _)| parse_hex(key).try_into().unwrap())
+        .collect();
+    for ((_, last), key) in pinned.iter().zip(&keys) {
+        let schedule = Aes256::with_backend(Backend::Scalar, key);
+        assert_eq!(schedule.round_keys()[..2].concat(), key.to_vec());
+        assert_eq!(schedule.round_keys()[14].to_vec(), parse_hex(last));
+    }
+    keys.extend((1..=1000u64).map(|i| seeded_key(0x2545_F491_4F6C_DD1D ^ i)));
+    for key in &keys {
+        let want = *Aes256::with_backend(Backend::Scalar, key).round_keys();
+        for backend in Backend::available() {
+            assert_eq!(
+                Aes256::with_backend(backend, key).round_keys(),
+                &want,
+                "{} key={key:02x?}",
+                backend.name()
+            );
+        }
     }
 }
 
@@ -185,12 +272,20 @@ fn block_counter_wraps_without_carrying_into_the_nonce() {
     let nonce = 0x00ff_00ff_00ff_00fe;
     let mut data = vec![0u8; MAX_LEN];
     fill_bytes(&mut data, 0x517C_C1B7_2722_0A95);
-    for backend in Backend::available() {
-        // Every position of the wrap inside a batch, and one batch before it.
-        for back in 0..=2 * BATCH_BLOCKS as u64 {
-            let start = u64::MAX - back;
-            check_ctr_kernels(backend, &key, nonce, start, &data);
+    // Every position of the wrap inside a VAES step or an AES-NI batch, and
+    // a step or batch before it: u64::MAX - 20 wraps inside the second step's
+    // first register. The same for a carry out of the counter's last byte
+    // that stops short of the wrap.
+    for last in [u64::MAX, 0x0123_4567_89ab_ffff, 0x01ff] {
+        for back in 0..=2 * STEP_BLOCKS as u64 + 4 {
+            let start = last - back;
+            let want = Expected::new(&key, nonce, start, &data);
+            for backend in Backend::available() {
+                check_against(backend, &key, &data, &want);
+            }
         }
+    }
+    for backend in Backend::available() {
         // Spelled out once: the block after counter u64::MAX is counter 0
         // under the same nonce — neither nonce + 1 nor a 128-bit increment.
         let cipher = Aes256Ctr::with_backend(backend, &key, nonce);
@@ -251,8 +346,8 @@ proptest! {
         offset in 0usize..17,
     ) {
         let offset = offset.min(data.len());
-        // Half the cases start within a batch of the counter wrap.
-        let start = if near_wrap { u64::MAX - start % 16 } else { start };
+        // Half the cases start within two VAES steps of the counter wrap.
+        let start = if near_wrap { u64::MAX - start % (2 * STEP_BLOCKS as u64) } else { start };
         for backend in Backend::available() {
             check_ctr_kernels(backend, &key, nonce, start, &data[offset..]);
             let block: [u8; BLOCK_SIZE] = std::array::from_fn(|i| key[i] ^ nonce.to_le_bytes()[i % 8]);

@@ -27,7 +27,11 @@
 //!   encoders reserve their exact size first); `seal_frame` then writes
 //!   length, checksum, version and type into the gap and the whole frame
 //!   leaves in one `write_all`. Share bytes are copied once: from the
-//!   caller's slice into the frame.
+//!   caller's slice into a request frame, and — for the server's `Shares`
+//!   and `Recipe` replies — from the container that holds them into a
+//!   reply frame allocated at its exact size
+//!   (`CdStoreServer::fetch_shares_within` lends each share to the frame
+//!   as it reads it; no share passes through a `Vec` of its own).
 //! * **Receive.** [`FrameReader::poll`] reads the socket straight into the
 //!   reader's own buffer, checks the CRC there and lends the payload to the
 //!   message decoder, which copies each share once into the `Vec` it hands
@@ -35,10 +39,10 @@
 //!   of a following frame, read along with a small one, are moved to the
 //!   front first.)
 //!
-//! So a `StoreShares` request and a `Shares` reply are each copied in user
-//! space once per side. [`encode_frame`] and [`decode_frame`] are the
-//! one-shot forms of the same code for callers that hold a bare payload or
-//! want an owned one.
+//! So a `StoreShares` request and a `Shares` or `Recipe` reply are each
+//! copied in user space once per side. [`encode_frame`] and
+//! [`decode_frame`] are the one-shot forms of the same code for callers
+//! that hold a bare payload or want an owned one.
 
 use std::io::{self, Read};
 
@@ -127,9 +131,10 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Opens a frame: the blank prefix a payload is appended after.
-pub(crate) fn begin_frame() -> Vec<u8> {
-    let mut frame = Vec::with_capacity(128);
+/// Opens a frame: the blank prefix a payload is appended after, with room
+/// for `payload` bytes of it.
+pub(crate) fn begin_frame(payload: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_PREFIX_BYTES + payload);
     frame.resize(FRAME_PREFIX_BYTES, 0);
     frame
 }
@@ -156,7 +161,7 @@ pub(crate) fn seal_frame(frame: &mut [u8], msg_type: u8) -> Result<(), FrameErro
 ///
 /// Panics if the payload does not fit [`MAX_FRAME_BYTES`].
 pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = begin_frame();
+    let mut frame = begin_frame(payload.len());
     frame.extend_from_slice(payload);
     seal_frame(&mut frame, msg_type).expect("frame exceeds MAX_FRAME_BYTES");
     frame

@@ -12,7 +12,7 @@ use cdstore_core::transport::{ServerProbe, ShareVerdict, StoreReceipt};
 use cdstore_core::{CdStoreError, FileRecipe, ShareMetadata};
 use cdstore_crypto::Fingerprint;
 
-use crate::frame::{begin_frame, seal_frame, FrameError};
+use crate::frame::{begin_frame, seal_frame, FrameError, MAX_FRAME_BYTES};
 use crate::wire::{WireReader, WireWriter};
 
 /// A client → server request.
@@ -264,14 +264,84 @@ fn write_put_file(
     MT_PUT_FILE
 }
 
-/// A vector of byte strings, sized exactly first: the `Shares` body and
-/// the tail of a `Recipe` body.
-fn write_shares(w: &mut WireWriter, shares: &[Vec<u8>]) {
+/// The bytes of a `Shares` body besides its shares' own: the share count
+/// and a length word a share, led in a `Recipe` body by the length-prefixed
+/// recipe of `recipe_len` bytes.
+fn shares_body_overhead(recipe_len: Option<usize>, count: usize) -> usize {
+    recipe_len.map_or(0, |len| 4 + len) + 4 + 4 * count
+}
+
+/// Writes a `Shares` body — or, led by `recipe`, a `Recipe` body — up to
+/// its shares, and returns its message type. The shares follow, each as
+/// [`WireWriter::bytes`].
+fn write_shares_head(w: &mut WireWriter, recipe: Option<&[u8]>, count: usize) -> u8 {
+    if let Some(recipe) = recipe {
+        w.bytes(recipe);
+    }
+    w.u32(count as u32);
+    if recipe.is_some() {
+        MT_RECIPE
+    } else {
+        MT_SHARES
+    }
+}
+
+/// A `Shares` body — or, led by `recipe`, a `Recipe` body — sized exactly
+/// first.
+fn write_shares_body(w: &mut WireWriter, recipe: Option<&[u8]>, shares: &[Vec<u8>]) -> u8 {
     let share_bytes: usize = shares.iter().map(Vec::len).sum();
-    w.reserve(4 + shares.len() * 4 + share_bytes);
-    w.u32(shares.len() as u32);
+    w.reserve(shares_body_overhead(recipe.map(<[u8]>::len), shares.len()) + share_bytes);
+    let msg_type = write_shares_head(w, recipe, shares.len());
     for s in shares {
         w.bytes(s);
+    }
+    msg_type
+}
+
+/// A `Shares` reply — or, given the recipe's bytes, a `Recipe` reply —
+/// framed as its shares arrive, byte for byte the frame [`response_frame`]
+/// makes of the collected response. The frame is allocated once, at its
+/// exact size, and each share is copied once: from wherever the server
+/// reads it into the frame.
+pub(crate) struct SharesReply {
+    w: WireWriter,
+    msg_type: u8,
+}
+
+impl SharesReply {
+    /// The most share bytes a reply of `count` shares, led by `recipe_len`
+    /// bytes of recipe, can carry under [`MAX_FRAME_BYTES`]; `None` if not
+    /// even its framing fits.
+    pub(crate) fn room(recipe_len: Option<usize>, count: usize) -> Option<usize> {
+        // version + type bytes, `req_id`, then the body.
+        MAX_FRAME_BYTES.checked_sub(2 + 8 + shares_body_overhead(recipe_len, count))
+    }
+
+    /// Opens the reply to request `req_id`: `count` shares of `share_bytes`
+    /// in all.
+    pub(crate) fn open(
+        req_id: u64,
+        recipe: Option<&[u8]>,
+        count: usize,
+        share_bytes: usize,
+    ) -> Self {
+        let body = shares_body_overhead(recipe.map(<[u8]>::len), count) + share_bytes;
+        let mut w = WireWriter::append_to(begin_frame(8 + body));
+        w.u64(req_id);
+        let msg_type = write_shares_head(&mut w, recipe, count);
+        SharesReply { w, msg_type }
+    }
+
+    /// Appends the next share.
+    pub(crate) fn push(&mut self, share: &[u8]) {
+        self.w.bytes(share);
+    }
+
+    /// Seals the frame, ready for `write_all`.
+    pub(crate) fn seal(self) -> Result<Vec<u8>, FrameError> {
+        let mut frame = self.w.finish();
+        seal_frame(&mut frame, self.msg_type)?;
+        Ok(frame)
     }
 }
 
@@ -338,7 +408,8 @@ fn write_request(w: &mut WireWriter, req_id: u64, req: &Request) -> u8 {
 
 /// Runs a message writer over a frame opened in place and seals it.
 fn framed(write: impl FnOnce(&mut WireWriter) -> u8) -> Result<Vec<u8>, FrameError> {
-    let mut w = WireWriter::append_to(begin_frame());
+    // Small messages fit; the bulk writers reserve their exact size.
+    let mut w = WireWriter::append_to(begin_frame(118));
     let msg_type = write(&mut w);
     let mut frame = w.finish();
     seal_frame(&mut frame, msg_type)?;
@@ -499,14 +570,9 @@ fn write_response(w: &mut WireWriter, req_id: u64, resp: &Response) -> u8 {
             MT_BOOL
         }
         Response::Recipe { recipe, shares } => {
-            w.bytes(&recipe.to_bytes());
-            write_shares(w, shares);
-            MT_RECIPE
+            write_shares_body(w, Some(&recipe.to_bytes()), shares)
         }
-        Response::Shares(shares) => {
-            write_shares(w, shares);
-            MT_SHARES
-        }
+        Response::Shares(shares) => write_shares_body(w, None, shares),
         Response::Gc(report) => {
             w.u64(report.containers_deleted);
             w.u64(report.containers_compacted);

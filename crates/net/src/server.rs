@@ -20,8 +20,10 @@ use cdstore_core::transport::ServerTransport;
 use cdstore_core::{CdStoreError, CdStoreServer};
 use cdstore_crypto::Fingerprint;
 
-use crate::frame::{FrameError, FrameReader, Polled, MAX_FRAME_BYTES};
-use crate::message::{decode_request, error_to_wire, response_frame, Request, Response};
+use crate::frame::{FrameError, FrameReader, Polled};
+use crate::message::{
+    decode_request, error_to_wire, response_frame, Request, Response, SharesReply,
+};
 
 /// A CDStore server listening on a TCP address.
 pub struct NetServer {
@@ -139,120 +141,241 @@ fn serve_connection(
             let violation = format!("malformed request (type {msg_type:#04x})");
             return Err(FrameError::Corrupt(violation));
         };
-        let response = handle_request(server, request);
         // A reply no frame can carry (a recipe past the cap, say) costs the
-        // peer a typed error, like an oversized `FetchShares` below.
-        let frame = response_frame(req_id, &response).or_else(|e| {
-            let refusal = error_to_wire(&CdStoreError::InvalidConfig(e.to_string()));
-            response_frame(req_id, &refusal)
-        })?;
+        // peer a typed error, like an oversized `FetchShares`.
+        let frame = reply_frame(server, req_id, request)
+            .or_else(|e| response_frame(req_id, &error_to_wire(&e)))?;
         stream.write_all(&frame)?;
     }
     Ok(())
 }
 
-/// Executes one request against the server.
-fn handle_request(t: &CdStoreServer, request: Request) -> Response {
-    fn or_err(result: Result<Response, CdStoreError>) -> Response {
-        result.unwrap_or_else(|e| error_to_wire(&e))
-    }
-    match request {
+/// Executes one request against the server and frames its reply.
+fn reply_frame(t: &CdStoreServer, req_id: u64, request: Request) -> Result<Vec<u8>, CdStoreError> {
+    let response = match request {
         Request::Ping => Response::Pong {
             cloud_index: t.cloud_index() as u32,
         },
         Request::IntraUserQuery { user, fingerprints } => {
-            or_err(t.intra_user_query(user, &fingerprints).map(Response::Bools))
+            Response::Bools(t.intra_user_query(user, &fingerprints)?)
         }
-        Request::StoreShares { user, shares } => {
-            or_err(t.store_shares(user, &shares).map(Response::Receipt))
-        }
+        Request::StoreShares { user, shares } => Response::Receipt(t.store_shares(user, &shares)?),
         Request::PutFile {
             user,
             shares,
             encoded_pathname,
             recipe,
             uploaded,
-        } => or_err(
-            t.commit_file(user, &encoded_pathname, &shares, &recipe, &uploaded)
-                .map(Response::Receipt),
-        ),
-        Request::ReleaseUploads { user, fingerprints } => or_err(
-            t.release_uploads(user, &fingerprints)
-                .map(|()| Response::Unit),
-        ),
+        } => Response::Receipt(t.commit_file(
+            user,
+            &encoded_pathname,
+            &shares,
+            &recipe,
+            &uploaded,
+        )?),
+        Request::ReleaseUploads { user, fingerprints } => {
+            t.release_uploads(user, &fingerprints)?;
+            Response::Unit
+        }
         Request::GetRecipe {
             user,
             encoded_pathname,
             max_secrets,
             max_secret_bytes,
-        } => or_err(open_file_capped(
-            t,
-            user,
-            &encoded_pathname,
-            max_secrets as usize,
-            max_secret_bytes,
-        )),
+        } => {
+            // `ServerTransport::open_file`, framed as the shares are read:
+            // the recipe travels ahead of the first window's shares.
+            let recipe = t.get_recipe(user, &encoded_pathname)?;
+            let first = recipe.window_len(0, max_secrets as usize, max_secret_bytes);
+            let fingerprints = recipe.fingerprints(0..first);
+            return shares_reply(t, req_id, user, &fingerprints, Some(&recipe.to_bytes()));
+        }
         Request::DeleteFile {
             user,
             encoded_pathname,
-        } => or_err(t.delete_file(user, &encoded_pathname).map(Response::Bool)),
+        } => Response::Bool(t.delete_file(user, &encoded_pathname)?),
         Request::FetchShares { user, fingerprints } => {
-            or_err(fetch_shares_capped(t, user, &fingerprints, 0).map(Response::Shares))
+            return shares_reply(t, req_id, user, &fingerprints, None);
         }
-        Request::Flush => or_err(t.flush().map(|()| Response::Unit)),
+        Request::Flush => {
+            t.flush()?;
+            Response::Unit
+        }
         Request::Gc { dead_ratio_bits } => {
             let dead_ratio = f64::from_bits(dead_ratio_bits);
-            or_err(t.gc_with(GcConfig { dead_ratio }).map(Response::Gc))
+            Response::Gc(t.gc_with(GcConfig { dead_ratio })?)
         }
-        Request::Probe => or_err(t.probe().map(Response::Probe)),
+        Request::Probe => Response::Probe(t.probe()?),
+    };
+    response_frame(req_id, &response).map_err(frame_refusal)
+}
+
+/// The `Shares` reply to `fingerprints` — or, led by `recipe`, the `Recipe`
+/// reply — written share by share from the containers into one frame of
+/// its exact size. How many fingerprints a peer sends is outside input, so
+/// a reply that could not be framed is refused before a share is read: it
+/// costs the peer a typed error, not this server the memory.
+fn shares_reply(
+    server: &CdStoreServer,
+    req_id: u64,
+    user: u64,
+    fingerprints: &[Fingerprint],
+    recipe: Option<&[u8]>,
+) -> Result<Vec<u8>, CdStoreError> {
+    let too_large = || CdStoreError::InvalidConfig("reply exceeds frame cap".into());
+    let room =
+        SharesReply::room(recipe.map(<[u8]>::len), fingerprints.len()).ok_or_else(too_large)?;
+    let mut reply = None;
+    let slot = &mut reply;
+    let fits = server.fetch_shares_within(user, fingerprints, room as u64, move |bytes| {
+        let reply = slot.insert(SharesReply::open(
+            req_id,
+            recipe,
+            fingerprints.len(),
+            bytes as usize,
+        ));
+        move |share: &[u8]| reply.push(share)
+    })?;
+    match reply {
+        Some(reply) if fits => reply.seal().map_err(frame_refusal),
+        _ => Err(too_large()),
     }
 }
 
-/// `ServerTransport::open_file` under the frame cap: the first window is cut
-/// by the peer's bounds, which are outside input, so the recipe counts
-/// against the cap first and the window's shares are read as
-/// [`fetch_shares_capped`] reads them.
-fn open_file_capped(
-    server: &CdStoreServer,
-    user: u64,
-    encoded_pathname: &[u8],
-    max_secrets: usize,
-    max_secret_bytes: u64,
-) -> Result<Response, CdStoreError> {
-    let recipe = server.get_recipe(user, encoded_pathname)?;
-    let first = recipe.window_len(0, max_secrets, max_secret_bytes);
-    // The recipe travels ahead of the shares as one length-prefixed blob.
-    let ahead = 4 + recipe.serialized_size();
-    let shares = fetch_shares_capped(server, user, &recipe.fingerprints(0..first), ahead)?;
-    Ok(Response::Recipe { recipe, shares })
-}
-
-/// `fetch_shares`, except that it reads no share when the
-/// reply could not be framed with `ahead` bytes in front of them: how many
-/// fingerprints a peer sends is outside input, and an oversized reply must
-/// cost it a typed error, not this server the memory.
-fn fetch_shares_capped(
-    server: &CdStoreServer,
-    user: u64,
-    fingerprints: &[Fingerprint],
-    ahead: usize,
-) -> Result<Vec<Vec<u8>>, CdStoreError> {
-    // version + type bytes, `req_id`, what goes ahead, share count; then a
-    // length word a share.
-    let framing = 2 + 8 + ahead + 4 + 4 * fingerprints.len();
-    let too_large = || CdStoreError::InvalidConfig("reply exceeds frame cap".into());
-    let room = MAX_FRAME_BYTES.checked_sub(framing).ok_or_else(too_large)?;
-    server
-        .fetch_shares_within(user, fingerprints, room as u64)?
-        .ok_or_else(too_large)
+/// The typed error a reply that no frame can carry costs the peer.
+fn frame_refusal(e: FrameError) -> CdStoreError {
+    CdStoreError::InvalidConfig(e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode_frame;
+    use crate::frame::{encode_frame, MAX_FRAME_BYTES};
     use crate::message::request_frame;
-    use cdstore_core::ShareMetadata;
+    use cdstore_core::{FileRecipe, RecipeEntry, ShareMetadata};
+
+    /// A share of `len` bytes of `byte`, with its metadata.
+    fn share(byte: u8, len: usize) -> (ShareMetadata, Vec<u8>) {
+        let data = vec![byte; len];
+        let meta = ShareMetadata {
+            fingerprint: Fingerprint::of(&data),
+            share_size: len as u32,
+            secret_seq: 0,
+            secret_size: 3 * len as u32,
+        };
+        (meta, data)
+    }
+
+    /// User 1's shares in two sealed containers and the open one, and a
+    /// file `/window` whose recipe walks across all three and back.
+    fn three_containers() -> (CdStoreServer, FileRecipe) {
+        let core = CdStoreServer::new(0);
+        let mut order = Vec::new();
+        for container in 0..3u8 {
+            let shares: Vec<_> = (0..3)
+                .map(|i| share(16 * container + i, 700 + 90 * i as usize))
+                .collect();
+            core.store_shares(1, &shares).unwrap();
+            if container < 2 {
+                core.flush().unwrap(); // seals it
+            }
+            order.push(shares);
+        }
+        let entries = [
+            (0, 0),
+            (1, 0),
+            (2, 0),
+            (0, 1),
+            (0, 2),
+            (2, 1),
+            (1, 1),
+            (1, 2),
+            (2, 2),
+            (0, 0),
+        ]
+        .map(|(c, i): (usize, usize)| RecipeEntry {
+            share_fingerprint: order[c][i].0.fingerprint,
+            secret_size: order[c][i].0.secret_size,
+        });
+        let recipe = FileRecipe {
+            file_size: entries.iter().map(|e| u64::from(e.secret_size)).sum(),
+            entries: entries.to_vec(),
+        };
+        core.commit_file(1, b"/window", &[], &recipe, &[]).unwrap();
+        (core, recipe)
+    }
+
+    /// `FetchShares` and `GetRecipe` replies framed straight from the
+    /// containers are byte for byte the frames of the collected responses,
+    /// and count the same served bytes.
+    #[test]
+    fn direct_replies_are_the_frames_of_the_collected_responses() {
+        let (core, recipe) = three_containers();
+        let fps = recipe.fingerprints(0..recipe.entries.len());
+        let served = |core: &CdStoreServer| core.probe().unwrap().stats.served_share_bytes;
+
+        let shares = core.fetch_shares(1, &fps).unwrap();
+        let before = served(&core);
+        let direct = reply_frame(
+            &core,
+            9,
+            Request::FetchShares {
+                user: 1,
+                fingerprints: fps.clone(),
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            direct,
+            response_frame(9, &Response::Shares(shares.clone())).unwrap()
+        );
+        let bytes: usize = shares.iter().map(Vec::len).sum();
+        assert_eq!(served(&core) - before, bytes as u64);
+
+        for (max_secrets, window) in [(0, 0), (4, 4), (u32::MAX, fps.len())] {
+            let open = Request::GetRecipe {
+                user: 1,
+                encoded_pathname: b"/window".to_vec(),
+                max_secrets,
+                max_secret_bytes: u64::MAX,
+            };
+            let collected = Response::Recipe {
+                recipe: recipe.clone(),
+                shares: shares[..window].to_vec(),
+            };
+            assert_eq!(
+                reply_frame(&core, 10, open).unwrap(),
+                response_frame(10, &collected).unwrap(),
+                "first window of {window}"
+            );
+        }
+    }
+
+    /// An unowned fingerprint and an over-cap window are today's typed
+    /// errors, and the over-cap one reads no share.
+    #[test]
+    fn direct_replies_refuse_as_the_collected_ones_did() {
+        let (core, recipe) = three_containers();
+        let mut fps = recipe.fingerprints(0..recipe.entries.len());
+        let before = core.probe().unwrap().stats.served_share_bytes;
+        let fetch =
+            |user, fingerprints| reply_frame(&core, 1, Request::FetchShares { user, fingerprints });
+        assert!(matches!(
+            fetch(2, fps.clone()),
+            Err(CdStoreError::MissingShare(_))
+        ));
+        fps.push(Fingerprint::of(b"never stored"));
+        assert!(matches!(fetch(1, fps), Err(CdStoreError::MissingShare(_))));
+
+        let big = share(0xee, 1 << 20);
+        core.store_shares(1, std::slice::from_ref(&big)).unwrap();
+        let too_many = vec![big.0.fingerprint; MAX_FRAME_BYTES / big.1.len() + 1];
+        match fetch(1, too_many) {
+            Err(CdStoreError::InvalidConfig(msg)) => assert!(msg.contains("frame cap"), "{msg}"),
+            other => panic!("expected a typed InvalidConfig error, got {other:?}"),
+        }
+        assert_eq!(core.probe().unwrap().stats.served_share_bytes, before);
+    }
 
     fn connect(server: &NetServer) -> TcpStream {
         TcpStream::connect(server.local_addr()).unwrap()
