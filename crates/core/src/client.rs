@@ -5,10 +5,11 @@
 //! or from a list of pre-cut chunks ([`CdStoreClient::upload_chunks`]) and
 //! restores push to any [`std::io::Write`]
 //! ([`CdStoreClient::download_stream`]); either way peak memory is bounded by
-//! the pipeline depth and the 4 MB per-cloud batches, not the file size.
+//! the pipeline depth and one upload batch — 4 MB of each cloud's shares —
+//! or one restore window, not the file size. An upload batch is one list of
+//! secrets: cloud `c` ships column `c` of it, each secret's `c`-th share.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::{BufRead, Write};
 use std::ops::Range;
 use std::rc::Rc;
@@ -27,10 +28,11 @@ use crate::pipeline::{
     encode_chunks, encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig, RetainedSecret,
 };
 use crate::retry::{is_transient, RetryPolicy};
-use crate::transport::ServerTransport;
+use crate::transport::{ServerTransport, StoreReceipt};
 
-/// Size of the per-cloud upload buffer: shares are batched into 4 MB units
-/// before being sent over the Internet (§4.1).
+/// Size of an upload batch, in one cloud's share bytes: each cloud's
+/// shares are batched into 4 MB units before being sent over the Internet
+/// (§4.1).
 pub const UPLOAD_BATCH_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Most secrets a restore fetches per window, whatever their size: bounds
@@ -186,7 +188,7 @@ impl CdStoreClient {
     /// [`encode_stream`]), deduplicated intra-user, and shipped to each cloud
     /// in [`UPLOAD_BATCH_BYTES`] batches *while later chunks are still being
     /// encoded* — CPU and network overlap, and peak memory is bounded by the
-    /// pipeline depth plus the per-cloud batch buffers, never the file size.
+    /// pipeline depth plus one batch, never the file size.
     /// Chunks are cut out of the reader's own buffer; wrap a file in a
     /// [`std::io::BufReader`].
     pub fn upload_stream<T: ServerTransport, R: BufRead + Send>(
@@ -236,8 +238,8 @@ impl CdStoreClient {
 
     /// The one upload body: runs `encode` (an [`encode_stream`] or
     /// [`encode_chunks`] call sinking into the committer it is handed) and
-    /// settles or abandons what it shipped. `batch_bytes` is the per-cloud
-    /// batch size, [`UPLOAD_BATCH_BYTES`] outside tests.
+    /// settles or abandons what it shipped. `batch_bytes` bounds one cloud's
+    /// column of the batch, [`UPLOAD_BATCH_BYTES`] outside tests.
     fn upload_with<'a, T: ServerTransport>(
         &'a self,
         servers: &'a [T],
@@ -511,230 +513,21 @@ impl CdStoreClient {
     }
 }
 
-/// What one successfully shipped batch did: the fingerprints physically
-/// sent (holding transient per-upload references), the share bytes
-/// transferred, and the bytes newly stored after inter-user dedup.
-#[derive(Default)]
-struct BatchShipment {
-    uploaded: Vec<Fingerprint>,
-    transferred: u64,
-    new_bytes: u64,
-}
-
-/// Shares moved out of a batch for one transfer, with their metadata.
-type Transfer = Vec<(ShareMetadata, Vec<u8>)>;
-
-impl BatchShipment {
-    /// Accounts for the shares a server took, recycling their buffers.
-    fn recycling(sent: Transfer, new_bytes: u64, pool: &BufferPool) -> Self {
-        let mut shipment = BatchShipment {
-            uploaded: Vec::with_capacity(sent.len()),
-            transferred: 0,
-            new_bytes,
-        };
-        for (meta, share) in sent {
-            shipment.uploaded.push(meta.fingerprint);
-            shipment.transferred += share.len() as u64;
-            pool.put(share);
-        }
-        shipment
-    }
-}
-
-/// What a batch entry holds for its share.
-enum Payload {
-    /// The encoded share; empty while [`ship_batch`] has it out for a
-    /// transfer.
-    Share(Vec<u8>),
-    /// Not encoded: the secret was a memo hit and waits, under its
-    /// `secret_seq`, in the committer's [`LazySecret`] map, one slot for all
-    /// the clouds' entries.
-    Lazy,
-}
-
-/// One per-cloud upload batch under construction.
-type Batch = Vec<(ShareMetadata, Payload)>;
-
-/// A secret whose fingerprints came from the memo, kept until every cloud's
-/// batch naming it has shipped. It is encoded at most once, when the first
-/// server answers "not owned" for one of its shares; the other clouds then
-/// take theirs from the same encoding.
-struct LazySecret {
-    key: [u8; 32],
-    state: LazyState,
-    /// Batch entries (at most one per cloud) that still name this secret.
-    pending: usize,
-}
-
-enum LazyState {
-    /// The chunk as cut, in a pooled buffer.
-    Retained(Vec<u8>),
-    /// The `n` shares; a cloud's slot is empty once its transfer took it.
-    Encoded(Vec<Vec<u8>>),
-}
-
-impl LazySecret {
-    /// Moves `cloud`'s share out, encoding the secret first if no cloud
-    /// needed it before (the chunk buffer is recycled then: the shares
-    /// stand in for it).
-    fn take_share(
-        &mut self,
-        client: &CdStoreClient,
-        cloud: usize,
-        pool: &BufferPool,
-    ) -> Result<Vec<u8>, CdStoreError> {
-        if let LazyState::Retained(chunk) = &mut self.state {
-            let mut shares: Vec<Vec<u8>> = (0..client.n).map(|_| pool.get()).collect();
-            // The package is built in the chunk's own buffer.
-            let member = GroupSplit {
-                secret: chunk,
-                key: Some(&self.key),
-                shares: &mut shares,
-            };
-            client.scheme.split_group(&mut [member], &mut 0)?;
-            client.memo.note_materialised();
-            pool.put(std::mem::take(chunk));
-            self.state = LazyState::Encoded(shares);
-        }
-        let LazyState::Encoded(shares) = &mut self.state else {
-            unreachable!("encoded above")
-        };
-        Ok(std::mem::take(&mut shares[cloud]))
-    }
-
-    /// Puts back a share a failed transfer took, so the retry (or a later
-    /// cloud) does not encode again.
-    fn put_back(&mut self, cloud: usize, share: Vec<u8>) {
-        if let LazyState::Encoded(shares) = &mut self.state {
-            shares[cloud] = share;
-        }
-    }
-
-    /// Recycles whatever buffers are left once no batch names the secret.
-    fn recycle(self, pool: &BufferPool) {
-        match self.state {
-            LazyState::Retained(chunk) => pool.put(chunk),
-            LazyState::Encoded(shares) => {
-                for share in shares.into_iter().filter(|s| !s.is_empty()) {
-                    pool.put(share);
-                }
-            }
-        }
-    }
-}
-
-/// The second-stage intra-user dedup query for one batch of cloud `cloud`:
-/// moves the shares the server does not already hold for the user out of
-/// the batch, each with its batch index. The query names every entry,
-/// encoded or [`Payload::Lazy`] alike; a lazy entry the server does not own
-/// is encoded now (see [`LazySecret`]). The slots stay in place, so a failed
-/// transfer can put the shares back.
-fn take_unowned<T: ServerTransport>(
-    client: &CdStoreClient,
-    server: &T,
-    cloud: usize,
-    batch: &mut Batch,
-    lazy: &mut HashMap<u64, LazySecret>,
-    pool: &BufferPool,
-) -> Result<(Transfer, Vec<usize>), CdStoreError> {
-    let fps: Vec<Fingerprint> = batch.iter().map(|(m, _)| m.fingerprint).collect();
-    let already = server.intra_user_query(client.user, &fps)?;
-    let mut to_upload = Transfer::new();
-    let mut taken: Vec<usize> = Vec::new();
-    for (i, dup) in already.into_iter().enumerate() {
-        if !dup {
-            let (meta, payload) = &mut batch[i];
-            let share = match payload {
-                Payload::Share(share) => std::mem::take(share),
-                Payload::Lazy => lazy
-                    .get_mut(&meta.secret_seq)
-                    .expect("a lazy entry's secret outlives its batches")
-                    .take_share(client, cloud, pool)?,
-            };
-            to_upload.push((meta.clone(), share));
-            taken.push(i);
-        }
-    }
-    Ok((to_upload, taken))
-}
-
-/// Ships one non-final batch of candidate shares to cloud `cloud`'s server:
-/// [`take_unowned`], then `store_shares` for the survivors, with bounded
-/// retry-with-backoff on transient faults.
+/// The store half of an upload: one batch of secrets, whose column `c` —
+/// each secret's share for cloud `c` — cloud `c` ships. Secrets join the
+/// batch as the encode pipeline emits them, once each (first-stage
+/// intra-user dedup). When one cloud's column reaches `batch_bytes` the
+/// batch ships to every cloud in turn: second-stage intra-user dedup query,
+/// then `store_shares` for the shares the server lacks. Once the input
+/// ends, each cloud's last column rides with its recipe in one
+/// `commit_file`. CAONT-RS gives a secret's `n` shares one size, and a
+/// share repeats on a cloud only when its secret repeats, so every cloud's
+/// column fills, and repeats, exactly as one cloud's would.
 ///
-/// A failed `store_shares` may have taken per-upload references on shares it
-/// reached before the fault, and a blind replay would double-count them
-/// (duplicate outcomes still add references). Every retry therefore first
-/// releases the failed attempt's references and redoes the dedup query from
-/// scratch — release is a tolerant no-op for shares the attempt never
-/// reached.
-///
-/// On success the batch is consumed and its buffers recycled through
-/// `pool`; on a permanent failure the batch is left intact and the failing
-/// server holds no references from it.
-fn ship_batch<T: ServerTransport>(
-    client: &CdStoreClient,
-    server: &T,
-    cloud: usize,
-    batch: &mut Batch,
-    lazy: &mut HashMap<u64, LazySecret>,
-    pool: &BufferPool,
-) -> Result<BatchShipment, CdStoreError> {
-    if batch.is_empty() {
-        return Ok(BatchShipment::default());
-    }
-    let user = client.user;
-    let shipment = client.retry.run(|_| {
-        let (to_upload, taken) = take_unowned(client, server, cloud, batch, lazy, pool)?;
-        match server.store_shares(user, &to_upload) {
-            Ok(receipt) => Ok(BatchShipment::recycling(to_upload, receipt.new_bytes, pool)),
-            Err(e) => {
-                let sent: Vec<Fingerprint> = to_upload.iter().map(|(m, _)| m.fingerprint).collect();
-                let _ = server.release_uploads(user, &sent);
-                for (idx, (meta, share)) in taken.into_iter().zip(to_upload) {
-                    match &mut batch[idx].1 {
-                        Payload::Share(slot) => *slot = share,
-                        Payload::Lazy => lazy
-                            .get_mut(&meta.secret_seq)
-                            .expect("a lazy entry's secret outlives its batches")
-                            .put_back(cloud, share),
-                    }
-                }
-                Err(e)
-            }
-        }
-    })?;
-    retire_batch(batch, lazy, pool);
-    Ok(shipment)
-}
-
-/// Empties a shipped batch: recycles the remaining (duplicate) share
-/// buffers and drops this cloud's claim on its lazy secrets.
-fn retire_batch(batch: &mut Batch, lazy: &mut HashMap<u64, LazySecret>, pool: &BufferPool) {
-    for (meta, payload) in batch.drain(..) {
-        match payload {
-            Payload::Share(share) if !share.is_empty() => pool.put(share),
-            Payload::Share(_) => {}
-            Payload::Lazy => {
-                if let Entry::Occupied(mut secret) = lazy.entry(meta.secret_seq) {
-                    secret.get_mut().pending -= 1;
-                    if secret.get().pending == 0 {
-                        secret.remove().recycle(pool);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The store half of an upload: accumulates per-cloud 4 MB batches of
-/// non-duplicate shares as the encode pipeline emits secrets (every cloud
-/// fed as secrets arrive), flushes each full batch through second-stage
-/// intra-user dedup + `store_shares`, and once the input ends sends each
-/// cloud its last batch together with its recipe (`commit_file`). It owns
-/// the upload's rollback obligations: shares sent to a cloud not yet
-/// committed hold transient per-upload references, which
-/// [`StreamCommitter::abandon`] drops on failure.
+/// It owns the upload's rollback obligations: shares sent to a cloud not
+/// yet committed hold transient per-upload references, which
+/// [`StreamCommitter::abandon`] drops on failure. Whatever happens, every
+/// pooled buffer it took goes back to the pool by the time it is dropped.
 struct StreamCommitter<'a, T: ServerTransport> {
     client: &'a CdStoreClient,
     servers: &'a [T],
@@ -742,14 +535,15 @@ struct StreamCommitter<'a, T: ServerTransport> {
     batch_bytes: u64,
     dedup: DedupStats,
     recipes: Vec<Vec<RecipeEntry>>,
-    /// First-stage intra-user dedup: shares already scheduled in this upload.
-    scheduled: Vec<HashSet<Fingerprint>>,
-    /// Per-cloud batch under construction (pooled share buffers).
-    batches: Vec<Batch>,
-    /// The secrets behind the batches' [`Payload::Lazy`] entries, by
-    /// `secret_seq`.
-    lazy: HashMap<u64, LazySecret>,
-    batch_fill: Vec<u64>,
+    /// First-stage intra-user dedup: the cloud-0 share fingerprint of every
+    /// secret batched so far in this upload.
+    batched: HashSet<Fingerprint>,
+    /// The batch under construction. A memo hit keeps its retained chunk
+    /// until a query finds one of its shares unowned; a column's share
+    /// slots are emptied once that cloud has shipped them.
+    batch: Vec<EncodedSecret>,
+    /// Share bytes in one cloud's column of `batch`.
+    batch_fill: u64,
     /// Shares physically sent per cloud, for commit_file / rollback; emptied
     /// once the cloud's commit has been sent, whatever its outcome.
     uploaded: Vec<Vec<Fingerprint>>,
@@ -775,10 +569,9 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             batch_bytes,
             dedup: DedupStats::new(),
             recipes: vec![Vec::new(); n],
-            scheduled: vec![HashSet::new(); n],
-            batches: (0..n).map(|_| Vec::new()).collect(),
-            lazy: HashMap::new(),
-            batch_fill: vec![0; n],
+            batched: HashSet::new(),
+            batch: Vec::new(),
+            batch_fill: 0,
             uploaded: vec![Vec::new(); n],
             transferred_per_cloud: vec![0; n],
             physical_per_cloud: vec![0; n],
@@ -793,126 +586,167 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
     /// be — share sizes come from the scheme — so batch boundaries, RPC
     /// counts and the report do not depend on what the memo held.
     fn absorb(&mut self, enc: EncodedSecret) -> Result<(), CdStoreError> {
+        let share_size = self.client.scheme.share_size(enc.secret_size as usize) as u64;
         self.num_secrets += 1;
         self.file_size += enc.secret_size as u64;
         self.dedup.logical_bytes += enc.secret_size as u64;
-        let EncodedSecret {
-            seq,
-            secret_size,
-            shares,
-            fingerprints,
-            retained,
-        } = enc;
-        let retained_share_size = self.client.scheme.share_size(secret_size as usize);
-        let mut shares = shares.into_iter();
-        let mut pending = 0;
-        for (cloud, fp) in fingerprints.into_iter().enumerate() {
-            let share = shares.next();
-            let share_size = share.as_ref().map_or(retained_share_size, Vec::len);
-            self.dedup.logical_share_bytes += share_size as u64;
-            self.recipes[cloud].push(RecipeEntry {
-                share_fingerprint: fp,
-                secret_size,
+        self.dedup.logical_share_bytes += self.client.n as u64 * share_size;
+        for (recipe, &share_fingerprint) in self.recipes.iter_mut().zip(&enc.fingerprints) {
+            recipe.push(RecipeEntry {
+                share_fingerprint,
+                secret_size: enc.secret_size,
             });
-            // First-stage intra-user dedup: drop shares already scheduled in
-            // this upload before they ever hit a batch.
-            if !self.scheduled[cloud].insert(fp) {
-                if let Some(share) = share {
-                    self.pool.put(share);
-                }
-                continue;
-            }
-            self.batch_fill[cloud] += share_size as u64;
-            self.batches[cloud].push((
-                ShareMetadata {
-                    fingerprint: fp,
-                    share_size: share_size as u32,
-                    secret_seq: seq,
-                    secret_size,
-                },
-                match share {
-                    Some(share) => Payload::Share(share),
-                    None => {
-                        pending += 1;
-                        Payload::Lazy
-                    }
-                },
-            ));
         }
-        if let Some(RetainedSecret { key, chunk }) = retained {
-            let secret = LazySecret {
-                key,
-                state: LazyState::Retained(chunk),
-                pending,
-            };
-            if pending == 0 {
-                secret.recycle(&self.pool);
-            } else {
-                self.lazy.insert(seq, secret);
-            }
-        }
-        for cloud in 0..self.client.n {
-            if self.batch_fill[cloud] >= self.batch_bytes {
-                self.flush(cloud)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Ships cloud `cloud`'s current batch: second-stage intra-user dedup
-    /// query, then `store_shares` for the survivors, with bounded retry on
-    /// transient faults (see [`ship_batch`]).
-    fn flush(&mut self, cloud: usize) -> Result<(), CdStoreError> {
-        let mut batch = std::mem::take(&mut self.batches[cloud]);
-        self.batch_fill[cloud] = 0;
-        if batch.is_empty() {
+        if !self.batched.insert(enc.fingerprints[0]) {
+            enc.recycle(&self.pool);
             return Ok(());
         }
-        let shipment = ship_batch(
-            self.client,
-            &self.servers[cloud],
-            cloud,
-            &mut batch,
-            &mut self.lazy,
-            &self.pool,
-        )?;
-        self.account(cloud, &shipment);
-        self.uploaded[cloud].extend(shipment.uploaded);
+        self.batch.push(enc);
+        self.batch_fill += share_size;
+        if self.batch_fill >= self.batch_bytes {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// Adds one shipped batch to the report.
-    fn account(&mut self, cloud: usize, shipment: &BatchShipment) {
-        self.transferred_per_cloud[cloud] += shipment.transferred;
-        self.dedup.transferred_share_bytes += shipment.transferred;
-        self.batches_per_cloud[cloud] += 1;
-        self.physical_per_cloud[cloud] += shipment.new_bytes;
-        self.dedup.physical_share_bytes += shipment.new_bytes;
+    /// Ships the batch: each cloud in turn queries its column and stores
+    /// what the server lacks, with bounded retry-with-backoff on transient
+    /// faults. The batch is then recycled.
+    ///
+    /// A failed `store_shares` may have taken per-upload references on shares
+    /// it reached before the fault, and a blind replay would double-count
+    /// them (duplicate outcomes still add references). Every retry therefore
+    /// first releases the failed attempt's references and redoes the dedup
+    /// query from scratch — release is a tolerant no-op for shares the
+    /// attempt never reached. On a permanent failure the failing server
+    /// holds no references from the batch.
+    fn flush(&mut self) -> Result<(), CdStoreError> {
+        let (client, servers, user) = (self.client, self.servers, self.client.user);
+        for (cloud, server) in servers.iter().enumerate() {
+            let (unowned, receipt) = client.retry.run(|_| {
+                let unowned = self.query(cloud)?;
+                let receipt = self.send(cloud, &unowned, |shares| {
+                    server.store_shares(user, shares).inspect_err(|_| {
+                        let sent: Vec<Fingerprint> =
+                            shares.iter().map(|(m, _)| m.fingerprint).collect();
+                        let _ = server.release_uploads(user, &sent);
+                    })
+                })?;
+                Ok((unowned, receipt))
+            })?;
+            let sent = unowned.iter().map(|&i| self.batch[i].fingerprints[cloud]);
+            self.uploaded[cloud].extend(sent);
+            self.shipped(cloud, &unowned, receipt.new_bytes);
+        }
+        self.recycle_batch();
+        Ok(())
     }
 
-    /// Stream ended cleanly: every cloud's last (partial, possibly empty)
-    /// batch goes through the dedup query, then rides with the cloud's
-    /// recipe in one `commit_file`. The queries all run first, so a fault
-    /// there leaves no cloud committed. On error the caller must still call
-    /// [`StreamCommitter::abandon`].
+    /// The second-stage intra-user dedup query for column `cloud`: returns
+    /// the indices of the batch entries whose share the server does not
+    /// hold for the user. The query names every entry. A retained entry
+    /// among the answers is encoded now, its `n` shares standing in for its
+    /// chunk, so the clouds that ask after this one take theirs from it.
+    fn query(&mut self, cloud: usize) -> Result<Vec<usize>, CdStoreError> {
+        let fps: Vec<Fingerprint> = self.batch.iter().map(|e| e.fingerprints[cloud]).collect();
+        let owned = self.servers[cloud].intra_user_query(self.client.user, &fps)?;
+        let unowned: Vec<usize> = (owned.iter().enumerate())
+            .filter_map(|(i, &owned)| (!owned).then_some(i))
+            .collect();
+        for &i in &unowned {
+            let enc = &mut self.batch[i];
+            let Some(RetainedSecret { key, mut chunk }) = enc.retained.take() else {
+                continue;
+            };
+            enc.shares = (0..self.client.n).map(|_| self.pool.get()).collect();
+            // The package is built in the chunk's own buffer.
+            let member = GroupSplit {
+                secret: &mut chunk,
+                key: Some(&key),
+                shares: &mut enc.shares,
+            };
+            let split = self.client.scheme.split_group(&mut [member], &mut 0);
+            self.pool.put(chunk);
+            if let Err(e) = split {
+                self.pool.put_all(&mut enc.shares);
+                return Err(e.into());
+            }
+            self.client.memo.note_materialised();
+        }
+        Ok(unowned)
+    }
+
+    /// Makes one `call` carrying column `cloud`'s shares of the entries
+    /// `unowned`: the shares are moved out of their slots for the call and
+    /// put back whatever it answered.
+    fn send(
+        &mut self,
+        cloud: usize,
+        unowned: &[usize],
+        call: impl FnOnce(&[(ShareMetadata, Vec<u8>)]) -> Result<StoreReceipt, CdStoreError>,
+    ) -> Result<StoreReceipt, CdStoreError> {
+        let shares: Vec<(ShareMetadata, Vec<u8>)> = (unowned.iter())
+            .map(|&i| {
+                let enc = &mut self.batch[i];
+                let share = std::mem::take(&mut enc.shares[cloud]);
+                let meta = ShareMetadata {
+                    fingerprint: enc.fingerprints[cloud],
+                    share_size: share.len() as u32,
+                    secret_seq: enc.seq,
+                    secret_size: enc.secret_size,
+                };
+                (meta, share)
+            })
+            .collect();
+        let answer = call(&shares);
+        for (&i, (_, share)) in unowned.iter().zip(shares) {
+            self.batch[i].shares[cloud] = share;
+        }
+        answer
+    }
+
+    /// Adds cloud `cloud`'s shipped column — the entries `unowned` sent,
+    /// `new_bytes` of them newly stored — to the report, and recycles the
+    /// column's buffers.
+    fn shipped(&mut self, cloud: usize, unowned: &[usize], new_bytes: u64) {
+        let transferred: u64 = (unowned.iter())
+            .map(|&i| self.batch[i].shares[cloud].len() as u64)
+            .sum();
+        self.transferred_per_cloud[cloud] += transferred;
+        self.dedup.transferred_share_bytes += transferred;
+        self.batches_per_cloud[cloud] += 1;
+        self.physical_per_cloud[cloud] += new_bytes;
+        self.dedup.physical_share_bytes += new_bytes;
+        for enc in &mut self.batch {
+            if let Some(share) = enc.shares.get_mut(cloud) {
+                self.pool.put(std::mem::take(share));
+            }
+        }
+    }
+
+    /// Empties the batch, returning every buffer it still holds to the pool.
+    fn recycle_batch(&mut self) {
+        self.batch_fill = 0;
+        self.batch.drain(..).for_each(|enc| enc.recycle(&self.pool));
+    }
+
+    /// Stream ended cleanly: every cloud's column of the last (partial,
+    /// possibly empty) batch goes through the dedup query, then rides with
+    /// the cloud's recipe in one `commit_file`. The queries all run first,
+    /// so a fault there leaves no cloud committed. On error the caller must
+    /// still call [`StreamCommitter::abandon`].
     fn finalize(&mut self, pathname: &str) -> Result<UploadReport, CdStoreError> {
-        let client = self.client;
+        let (client, servers) = (self.client, self.servers);
         let encoded_paths = client.encode_pathname(pathname)?;
-        let mut last_batches = Vec::with_capacity(client.n);
-        for (cloud, server) in self.servers.iter().enumerate() {
-            let mut batch = std::mem::take(&mut self.batches[cloud]);
-            let to_upload = if batch.is_empty() {
+        let mut unowned = Vec::with_capacity(client.n);
+        for cloud in 0..client.n {
+            unowned.push(if self.batch.is_empty() {
                 Vec::new()
             } else {
-                let (lazy, pool) = (&mut self.lazy, &self.pool);
-                client
-                    .retry
-                    .run(|_| take_unowned(client, server, cloud, &mut batch, lazy, pool))?
-                    .0
-            };
-            last_batches.push((batch, to_upload));
+                client.retry.run(|_| self.query(cloud))?
+            });
         }
-        for (cloud, (mut batch, to_upload)) in last_batches.into_iter().enumerate() {
+        for (cloud, (server, unowned)) in servers.iter().zip(unowned).enumerate() {
             let recipe = FileRecipe {
                 file_size: self.file_size,
                 entries: std::mem::take(&mut self.recipes[cloud]),
@@ -921,19 +755,22 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             // (the file may be committed), this cloud's references are the
             // server's to settle or roll back, never the client's to release.
             // A failure leaves `uploaded` of the clouds not reached yet for
-            // `abandon`; the façade replays the whole upload.
+            // `abandon`; the façade replays the whole upload. The last
+            // column's shares never join `uploaded`: a commit that failed
+            // holds none of them, and one that succeeded holds them for its
+            // recipe.
             let uploaded = std::mem::take(&mut self.uploaded[cloud]);
-            let receipt = self.servers[cloud].commit_file(
-                client.user,
-                &encoded_paths[cloud],
-                &to_upload,
-                &recipe,
-                &uploaded,
-            )?;
-            if !batch.is_empty() {
-                let shipment = BatchShipment::recycling(to_upload, receipt.new_bytes, &self.pool);
-                retire_batch(&mut batch, &mut self.lazy, &self.pool);
-                self.account(cloud, &shipment);
+            let receipt = self.send(cloud, &unowned, |shares| {
+                server.commit_file(
+                    client.user,
+                    &encoded_paths[cloud],
+                    shares,
+                    &recipe,
+                    &uploaded,
+                )
+            })?;
+            if !self.batch.is_empty() {
+                self.shipped(cloud, &unowned, receipt.new_bytes);
             }
         }
         Ok(UploadReport {
@@ -958,14 +795,37 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
     }
 }
 
+/// A committer dropped with a batch — the last one, or one a failure
+/// stopped — returns its buffers to the pool.
+impl<T: ServerTransport> Drop for StreamCommitter<'_, T> {
+    fn drop(&mut self) {
+        self.recycle_batch();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::CdStoreServer;
+    use crate::server::{CdStoreServer, GcConfig, GcReport};
+    use crate::transport::ServerProbe;
     use std::io::BufReader;
 
     fn make_servers(n: usize) -> Vec<CdStoreServer> {
         (0..n).map(CdStoreServer::new).collect()
+    }
+
+    /// Pseudo-random bytes, so FastCDC cuts variable-size chunks and no
+    /// chunk repeats.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
     }
 
     fn test_data(len: usize, seed: u8) -> Vec<u8> {
@@ -1156,10 +1016,11 @@ mod tests {
 
     /// An upload several times larger than the pipeline's buffer budget keeps
     /// peak live chunk/share buffers bounded by the pipeline depth plus the
-    /// per-cloud batches — never O(file) — whether the chunks are cut off a
+    /// upload batch — never O(file) — whether the chunks are cut off a
     /// reader or arrive pre-cut, and restores byte-exact. The same bound
-    /// holds when every secret is a memo hit: owned by the user (the batches
-    /// hold retained chunks) or not (each is encoded when its batch ships).
+    /// holds when every secret is a memo hit: owned by the user on every
+    /// cloud (the batch holds retained chunks), on none, or on all but one
+    /// (each is encoded once, when the first cloud that lacks it queries).
     #[test]
     fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
         let (n, k) = (4usize, 3usize);
@@ -1175,18 +1036,9 @@ mod tests {
             )
             .unwrap()
         };
-        // A small batch so the per-cloud batches flush many times.
+        // A small batch so it ships many times.
         let batch_bytes: u64 = 64 * 1024;
-        // Pseudo-random content, so FastCDC cuts variable-size chunks.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let data: Vec<u8> = (0..8 * 1024 * 1024)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 24) as u8
-            })
-            .collect();
+        let data = noise(8 * 1024 * 1024);
         let chunks: Vec<Vec<u8>> = new_client(1)
             .chunker()
             .chunk(&data)
@@ -1195,16 +1047,27 @@ mod tests {
             .collect();
 
         for prechunked in [false, true] {
-            let servers = make_servers(n);
+            let mut servers = make_servers(n);
             let owner = new_client(1);
             let other = new_client(2).with_memo(Arc::clone(&owner.memo));
-            // (who uploads, memo hits expected, of which encoded after all)
+            // (who uploads, memo hits expected, of which encoded after all,
+            // the cloud whose server is first replaced by a fresh one)
             let passes = [
-                ("first", &owner, 0, 0),
-                ("again", &owner, chunks.len(), 0),
-                ("other user", &other, chunks.len(), chunks.len()),
+                ("first", &owner, 0, 0, None),
+                ("again", &owner, chunks.len(), 0, None),
+                ("other user", &other, chunks.len(), chunks.len(), None),
+                (
+                    "one fresh cloud",
+                    &owner,
+                    chunks.len(),
+                    chunks.len(),
+                    Some(0),
+                ),
             ];
-            for (pass, client, hits, materialised) in passes {
+            for (pass, client, hits, materialised, fresh) in passes {
+                if let Some(cloud) = fresh {
+                    servers[cloud] = CdStoreServer::new(cloud);
+                }
                 let memo_before = (client.memo.hits(), client.memo.materialised());
                 let pool = Arc::new(BufferPool::new());
                 let config = PipelineConfig {
@@ -1246,10 +1109,16 @@ mod tests {
                     (hits as u64, materialised as u64),
                     "prechunked={prechunked} {pass}"
                 );
+                if let Some(cloud) = fresh {
+                    // Only the fresh cloud takes shares.
+                    for (c, &bytes) in report.transferred_per_cloud.iter().enumerate() {
+                        assert_eq!(bytes > 0, c == cloud, "prechunked={prechunked} cloud {c}");
+                    }
+                }
 
                 // Buffer-count bound: the pipeline's live secrets, plus what
-                // the per-cloud batches can retain (each batched share is at
-                // least a min-chunk share).
+                // the batch can retain: `n` buffers a secret, and each secret
+                // adds at least a min-chunk share to the batch's fill.
                 let min_share = (client.scheme.total_share_size(min_chunk) / n) as u64;
                 let bound =
                     config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
@@ -1266,10 +1135,120 @@ mod tests {
                     stats.allocations,
                     stats.reuses
                 );
+                // The first `k` clouds serve the restore, the fresh one among
+                // them.
                 assert_eq!(
                     client.download(&servers, &[true; 4], "/huge").unwrap(),
                     data
                 );
+            }
+        }
+    }
+
+    /// An in-process server whose share-carrying calls fail permanently:
+    /// every `commit_file`, and with `stores_too` every `store_shares`.
+    struct Refusing {
+        inner: CdStoreServer,
+        stores_too: bool,
+    }
+
+    /// Not a transient class, so no retry absorbs it.
+    fn refused(call: &str) -> CdStoreError {
+        CdStoreError::InconsistentMetadata(format!("injected: {call} refused"))
+    }
+
+    /// Forwards the listed `ServerTransport` methods to `self.inner` unchanged.
+    macro_rules! forward {
+        ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
+            fn $name(&self, $($arg: $ty),*) -> $ret {
+                ServerTransport::$name(&self.inner, $($arg),*)
+            }
+        )*};
+    }
+
+    impl ServerTransport for Refusing {
+        fn store_shares(
+            &self,
+            user: u64,
+            shares: &[(ShareMetadata, Vec<u8>)],
+        ) -> Result<StoreReceipt, CdStoreError> {
+            if self.stores_too {
+                return Err(refused("store_shares"));
+            }
+            self.inner.store_shares(user, shares)
+        }
+        fn commit_file(
+            &self,
+            _: u64,
+            _: &[u8],
+            _: &[(ShareMetadata, Vec<u8>)],
+            _: &FileRecipe,
+            _: &[Fingerprint],
+        ) -> Result<StoreReceipt, CdStoreError> {
+            Err(refused("commit_file"))
+        }
+        forward! {
+            cloud_index() -> usize;
+            intra_user_query(user: u64, fps: &[Fingerprint]) -> Result<Vec<bool>, CdStoreError>;
+            put_file(user: u64, path: &[u8], recipe: &FileRecipe, uploaded: &[Fingerprint]) -> Result<(), CdStoreError>;
+            release_uploads(user: u64, fps: &[Fingerprint]) -> Result<(), CdStoreError>;
+            has_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+            get_recipe(user: u64, path: &[u8]) -> Result<FileRecipe, CdStoreError>;
+            delete_file(user: u64, path: &[u8]) -> Result<bool, CdStoreError>;
+            fetch_shares(user: u64, fps: &[Fingerprint]) -> Result<Vec<Vec<u8>>, CdStoreError>;
+            flush() -> Result<(), CdStoreError>;
+            gc_with(config: GcConfig) -> Result<GcReport, CdStoreError>;
+            probe() -> Result<ServerProbe, CdStoreError>;
+        }
+    }
+
+    /// A failed upload returns every buffer it took to the caller's pool,
+    /// at one and two encode threads: the last batch's when `commit_file`
+    /// fails, and the first batch's — the shares a failed `store_shares`
+    /// carried among them — when a non-final batch cannot be stored. With a
+    /// warm memo the secrets arrive as retained chunks, and the shares
+    /// encoded from them for the failed call go back too.
+    #[test]
+    fn a_failed_upload_returns_every_buffer_to_the_pool() {
+        let data = noise(1 << 20);
+        for (stores_too, call) in [(false, "commit_file"), (true, "store_shares")] {
+            for (encode_threads, warm) in [(1, false), (2, false), (2, true)] {
+                let client = CdStoreClient::new(1, 4, 3).unwrap();
+                if warm {
+                    client.upload(&make_servers(4), "/warm", &data).unwrap();
+                }
+                let servers: Vec<Refusing> = (0..4)
+                    .map(|cloud| Refusing {
+                        inner: CdStoreServer::new(cloud),
+                        stores_too,
+                    })
+                    .collect();
+                let pool = Arc::new(BufferPool::new());
+                let config = PipelineConfig {
+                    encode_threads,
+                    pool: Some(Arc::clone(&pool)),
+                    memo: None,
+                };
+                let err = client
+                    .upload_with(
+                        &servers,
+                        "/refused",
+                        &config,
+                        64 * 1024,
+                        |config, committer| {
+                            encode_stream(&client.scheme, client.chunker(), &data[..], config, {
+                                |enc, _| committer.absorb(enc)
+                            })
+                        },
+                    )
+                    .expect_err("a refused call fails the upload");
+                let case = format!("{call} refused, {encode_threads} threads, warm={warm}");
+                assert!(
+                    matches!(&err, CdStoreError::InconsistentMetadata(m) if m.contains(call)),
+                    "{case}: {err:?}"
+                );
+                assert!(pool.stats().peak_outstanding > 0, "{case}");
+                assert_eq!(pool.stats().outstanding, 0, "{case}");
             }
         }
     }

@@ -123,7 +123,9 @@ pub struct EncodedSecret {
 
 /// A secret whose shares were not produced because their fingerprints were
 /// memoised: the chunk in a pooled buffer (the sink returns it) and the key
-/// [`SecretSharing::split_group`] takes.
+/// [`SecretSharing::split_group`] takes. The upload's committer keeps it in
+/// its batch until a server's dedup query finds one of the secret's shares
+/// unowned, then encodes it there, once for every cloud.
 pub struct RetainedSecret {
     /// The secret's [`SecretSharing::convergent_key`].
     pub key: [u8; 32],
@@ -139,9 +141,12 @@ impl std::fmt::Debug for RetainedSecret {
 }
 
 impl EncodedSecret {
-    /// Returns every pooled buffer the secret holds to `pool`.
+    /// Returns every pooled buffer the secret holds to `pool`. A share slot
+    /// left empty holds none: a share is never empty, so its buffer has
+    /// gone back already.
     pub fn recycle(self, pool: &BufferPool) {
         let mut shares = self.shares;
+        shares.retain(|share| !share.is_empty());
         pool.put_all(&mut shares);
         if let Some(retained) = self.retained {
             pool.put(retained.chunk);

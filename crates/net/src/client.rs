@@ -14,7 +14,8 @@
 //! reference counts: applied twice they lose or leak shares. The call fails
 //! with [`CdStoreError::Remote`] at once; whether to try again is
 //! [`cdstore_core::retry`]'s decision, made by callers that first roll back
-//! (`ship_batch` releases and re-queries, the façade replays the operation).
+//! (the upload committer releases and re-queries a batch, the façade replays
+//! the operation).
 
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
