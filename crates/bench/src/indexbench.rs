@@ -196,7 +196,7 @@ fn measure(
         cold_lookups_per_sec: cold,
         hot_lookups_per_sec: hot,
         negative_lookups_per_sec: negative,
-        bloom_skips: store.stats().bloom_skips,
+        bloom_skips: store.bloom_skips(),
         run_count: store.run_count(),
         resident_bytes: store.approximate_size() as u64,
         backend_bytes,

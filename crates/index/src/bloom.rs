@@ -7,6 +7,11 @@
 
 use cdstore_crypto::sha256;
 
+/// Most hash functions a filter uses. [`BloomFilter::new`] never picks more,
+/// and [`BloomFilter::from_bytes`] refuses a filter that claims more: each
+/// lookup probes that many bits.
+const MAX_HASHES: u32 = 30;
+
 /// A fixed-size Bloom filter.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
@@ -23,7 +28,7 @@ impl BloomFilter {
     pub fn new(expected_items: usize, bits_per_key: usize) -> Self {
         let num_bits = (expected_items.max(1) * bits_per_key.max(1)).max(64);
         // Optimal number of hash functions: ln(2) * bits_per_key.
-        let num_hashes = ((bits_per_key as f64 * 0.69).round() as u32).clamp(1, 30);
+        let num_hashes = ((bits_per_key as f64 * 0.69).round() as u32).clamp(1, MAX_HASHES);
         BloomFilter {
             bits: vec![0u64; num_bits.div_ceil(64)],
             num_bits,
@@ -101,7 +106,7 @@ impl BloomFilter {
     }
 
     /// Parses a filter serialised by [`BloomFilter::to_bytes`]; `None` if
-    /// the buffer is malformed.
+    /// the buffer is malformed or claims a hash count `new` never picks.
     pub fn from_bytes(bytes: &[u8]) -> Option<BloomFilter> {
         if bytes.len() < 20 {
             return None;
@@ -110,7 +115,8 @@ impl BloomFilter {
         let num_hashes = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
         let items = u64::from_le_bytes(bytes[12..20].try_into().ok()?) as usize;
         let words = num_bits.div_ceil(64);
-        if num_bits == 0 || num_hashes == 0 || bytes.len() != 20 + words * 8 {
+        if num_bits == 0 || !(1..=MAX_HASHES).contains(&num_hashes) || bytes.len() != 20 + words * 8
+        {
             return None;
         }
         let bits = bytes[20..]
@@ -214,6 +220,22 @@ mod tests {
         assert!(BloomFilter::from_bytes(&[]).is_none());
         assert!(BloomFilter::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(BloomFilter::from_bytes(&[0u8; 20]).is_none());
+    }
+
+    /// A stored filter claiming more hashes than `new` ever picks would make
+    /// every lookup probe that many bits: it is refused.
+    #[test]
+    fn a_hash_count_new_never_writes_is_refused() {
+        let mut filter = BloomFilter::new(100, 10);
+        filter.insert(b"key");
+        let with_hashes = |count: u32| {
+            let mut bytes = filter.to_bytes();
+            bytes[8..12].copy_from_slice(&count.to_le_bytes());
+            BloomFilter::from_bytes(&bytes)
+        };
+        assert!(with_hashes(MAX_HASHES).is_some());
+        assert!(with_hashes(MAX_HASHES + 1).is_none());
+        assert!(with_hashes(u32::MAX).is_none());
     }
 
     #[test]

@@ -91,26 +91,6 @@ impl Default for KvStoreConfig {
     }
 }
 
-/// Operation counters, used to reason about index overhead in experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KvStoreStats {
-    /// Number of `put` operations.
-    pub puts: u64,
-    /// Number of `get` operations.
-    pub gets: u64,
-    /// Number of `delete` operations.
-    pub deletes: u64,
-    /// Number of memtable flushes into runs.
-    pub flushes: u64,
-    /// Number of merge compactions.
-    pub compactions: u64,
-    /// Number of run probes skipped thanks to Bloom filters.
-    pub bloom_skips: u64,
-    /// Memtable flushes that failed at the backend and were deferred (the
-    /// memtable is kept and the flush retried on the next trigger).
-    pub flush_failures: u64,
-}
-
 /// Block-cache counters of a store — the resident-memory story of a
 /// spilled index (`peak_bytes` never exceeds the configured budget).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,19 +119,6 @@ impl std::ops::AddAssign for BlockCacheStats {
         self.peak_bytes += other.peak_bytes;
         self.capacity_bytes += other.capacity_bytes;
     }
-}
-
-/// What [`KvStore::open`] found on the backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KvStoreOpenStats {
-    /// Runs listed in the manifest and loaded intact.
-    pub runs_loaded: usize,
-    /// Manifest-listed runs dropped because their object was torn or
-    /// corrupt (the manifest is rewritten without them).
-    pub runs_dropped: usize,
-    /// Run objects present on the backend but absent from the manifest
-    /// (half-written leftovers of an interrupted flush), deleted on open.
-    pub orphans_swept: usize,
 }
 
 /// One immutable sorted run: a backend object, of which only the fence
@@ -299,8 +266,8 @@ pub struct KvStore {
     runs: Vec<Run>,
     /// Exact live (non-tombstoned) key count, maintained on every mutation.
     live: usize,
-    stats: KvStoreStats,
-    open_stats: KvStoreOpenStats,
+    /// Run probes skipped because a Bloom filter ruled the key out.
+    bloom_skips: u64,
 }
 
 impl KvStore {
@@ -354,8 +321,7 @@ impl KvStore {
             cache: LruCache::new(config.block_cache_bytes),
             runs: Vec::new(),
             live: 0,
-            stats: KvStoreStats::default(),
-            open_stats: KvStoreOpenStats::default(),
+            bloom_skips: 0,
         };
         if listing.is_empty() {
             return Ok(store);
@@ -376,26 +342,21 @@ impl KvStore {
             let orphan = parse_run_key(name, key).map(|seq| !listed.contains(&seq));
             if orphan.unwrap_or(true) {
                 store.backend.delete(key)?;
-                store.open_stats.orphans_swept += 1;
             }
         }
 
         for &seq in &manifest.run_seqs {
             match RunHandle::load(&*store.backend, name, seq) {
-                Ok((handle, bloom)) => {
-                    store.open_stats.runs_loaded += 1;
-                    store.runs.push(Run { handle, bloom });
-                }
+                Ok((handle, bloom)) => store.runs.push(Run { handle, bloom }),
                 Err(_) => {
                     // Torn or corrupt: drop the run. The server-level WAL
                     // replay reconciles whatever state it carried.
-                    store.open_stats.runs_dropped += 1;
                     store.backend.delete(&run_key(name, seq))?;
                 }
             }
         }
 
-        if store.open_stats.runs_dropped > 0 {
+        if store.runs.len() < manifest.run_seqs.len() {
             // The persisted count covered runs we dropped: recount by
             // streaming merge and republish the surviving run set.
             store.live = store.count_live()?;
@@ -404,15 +365,10 @@ impl KvStore {
         Ok(store)
     }
 
-    /// Returns the operation counters.
-    pub fn stats(&self) -> KvStoreStats {
-        self.stats
-    }
-
-    /// What [`KvStore::open`] found (zeroes for a store that was not
-    /// opened).
-    pub fn open_stats(&self) -> KvStoreOpenStats {
-        self.open_stats
+    /// Run probes skipped so far because a run's Bloom filter ruled the
+    /// key out.
+    pub fn bloom_skips(&self) -> u64 {
+        self.bloom_skips
     }
 
     /// Block-cache counters.
@@ -431,7 +387,6 @@ impl KvStore {
     /// one probe; a new key is also looked up in the runs, to keep the live
     /// count exact.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.stats.puts += 1;
         match self.memtable.entry(MemKey::new(&key)) {
             Entry::Occupied(mut slot) => {
                 if slot.insert(Some(value)).is_none() {
@@ -441,7 +396,7 @@ impl KvStore {
             }
             Entry::Vacant(slot) => {
                 let (runs, cache) = (&self.runs, &mut self.cache);
-                let skips = &mut self.stats.bloom_skips;
+                let skips = &mut self.bloom_skips;
                 let key = slot.key().as_slice();
                 if !matches!(
                     probe_runs(runs, &*self.backend, cache, skips, key),
@@ -457,7 +412,6 @@ impl KvStore {
 
     /// Deletes a key (no-op if absent).
     pub fn delete(&mut self, key: &[u8]) {
-        self.stats.deletes += 1;
         if let Some(slot) = self.memtable.get_mut(key) {
             if slot.take().is_none() {
                 // Already a tombstone, which shadows the older runs.
@@ -489,9 +443,8 @@ impl KvStore {
 
     /// Looks up a key and returns what `read` makes of its live value. A
     /// memtable hit is read in place, allocating nothing; a run hit reads
-    /// the value's block as [`KvStore::get`] does. Counts as a `get`.
+    /// the value's block as [`KvStore::get`] does.
     pub fn peek<R>(&mut self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.stats.gets += 1;
         if let Some(value) = self.memtable.get(key) {
             return value.as_deref().map(read);
         }
@@ -505,7 +458,7 @@ impl KvStore {
 
     /// [`probe_runs`] over this store's runs.
     fn probe_runs(&mut self, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        let skips = &mut self.stats.bloom_skips;
+        let skips = &mut self.bloom_skips;
         probe_runs(&self.runs, &*self.backend, &mut self.cache, skips, key)
     }
 
@@ -609,11 +562,9 @@ impl KvStore {
                 return Err(e);
             }
             self.memtable.clear();
-            self.stats.flushes += 1;
         }
         while self.runs.len() > self.config.max_runs {
             self.compact_tier()?;
-            self.stats.compactions += 1;
         }
         Ok(())
     }
@@ -625,7 +576,6 @@ impl KvStore {
         self.try_flush()?;
         if self.runs.len() > 1 {
             self.merge_runs(0, self.runs.len())?;
-            self.stats.compactions += 1;
         }
         Ok(())
     }
@@ -653,10 +603,10 @@ impl KvStore {
     }
 
     fn maybe_flush(&mut self) {
-        if self.memtable.len() >= self.config.memtable_capacity && self.try_flush().is_err() {
-            // Keep the memtable (no data loss) and retry on the next
-            // mutation; durability is provided by the server WAL above.
-            self.stats.flush_failures += 1;
+        if self.memtable.len() >= self.config.memtable_capacity {
+            // On failure keep the memtable (no data loss) and retry on the
+            // next mutation; durability is provided by the server WAL above.
+            let _ = self.try_flush();
         }
     }
 
@@ -812,8 +762,10 @@ mod tests {
         for i in 0..200u32 {
             store.put(i.to_be_bytes().to_vec(), (i * 3).to_be_bytes().to_vec());
         }
-        assert!(store.stats().flushes > 0);
-        assert!(store.stats().compactions > 0);
+        // Twelve frozen memtables, at most `max_runs` runs left: both flushes
+        // and compactions ran.
+        assert!(store.runs_written() >= 12);
+        assert!(store.run_count() <= 3);
         for i in 0..200u32 {
             assert_eq!(
                 store.get(&i.to_be_bytes()),
@@ -871,7 +823,8 @@ mod tests {
         assert!(store.run_count() <= 4);
         // ...without collapsing everything into one run every time.
         assert!(store.run_count() > 1);
-        assert!(store.stats().compactions > 0);
+        // Fifty memtables were frozen, so compactions merged them.
+        assert!(store.runs_written() >= 50);
         for i in 0..400u32 {
             assert!(store.contains(&i.to_be_bytes()), "key {i}");
         }
@@ -906,9 +859,9 @@ mod tests {
             let _ = store.get(&i.to_be_bytes());
         }
         assert!(
-            store.stats().bloom_skips > 100,
+            store.bloom_skips() > 100,
             "bloom skips: {}",
-            store.stats().bloom_skips
+            store.bloom_skips()
         );
     }
 
@@ -936,7 +889,7 @@ mod tests {
         assert_eq!(store.len(), 0);
         assert_eq!(store.approximate_size(), 0);
         assert_eq!(store.run_count(), 0);
-        assert_eq!(store.stats().flushes + store.stats().compactions, 0);
+        assert_eq!(store.runs_written(), 0);
         assert_eq!(backend.object_count(), 0);
     }
 
@@ -1018,10 +971,11 @@ mod tests {
         store.try_flush().unwrap();
         let expected = store.snapshot();
         let live = store.len();
+        let runs = store.run_count();
         drop(store);
 
         let mut reopened = KvStore::open(backend, "idx", small_config()).unwrap();
-        assert_eq!(reopened.open_stats().runs_dropped, 0);
+        assert_eq!(reopened.run_count(), runs, "no run dropped");
         assert_eq!(reopened.len(), live);
         assert_eq!(reopened.snapshot(), expected);
         for i in 0..300u32 {
@@ -1080,8 +1034,8 @@ mod tests {
             .put("idx-idx-r-00000000000000ff", b"torn garbage")
             .unwrap();
         let reopened = KvStore::open(backend.clone(), "idx", small_config()).unwrap();
-        assert_eq!(reopened.open_stats().orphans_swept, 1);
         assert!(!backend.exists("idx-idx-r-00000000000000ff").unwrap());
+        assert_eq!(reopened.run_count(), 1);
         assert_eq!(reopened.len(), 1);
     }
 
@@ -1115,9 +1069,10 @@ mod tests {
         let data = backend.get(victim).unwrap();
         backend.put(victim, &data[..data.len() / 2]).unwrap();
 
-        let mut reopened = KvStore::open(backend, "idx", small_config()).unwrap();
-        assert_eq!(reopened.open_stats().runs_dropped, 1);
-        assert_eq!(reopened.open_stats().runs_loaded, 1);
+        let mut reopened = KvStore::open(backend.clone(), "idx", small_config()).unwrap();
+        // The torn run is dropped, object and all; the intact one loads.
+        assert_eq!(reopened.run_count(), 1);
+        assert!(!backend.exists(victim).unwrap());
         // The surviving run's keys read back; the dropped run's are gone;
         // the live count was recounted to match.
         assert_eq!(reopened.len(), 20);

@@ -45,6 +45,6 @@ pub mod share_index;
 
 pub use bloom::BloomFilter;
 pub use file_index::{FileEntry, FileKey, FilePutOutcome, ShardedFileIndex};
-pub use kvstore::{BlockCacheStats, KvStore, KvStoreConfig, KvStoreOpenStats, KvStoreStats};
+pub use kvstore::{BlockCacheStats, KvStore, KvStoreConfig};
 pub use sharded::{Sharded, ShardedKvStore, StripeImage};
 pub use share_index::{ReleaseReport, ShardedShareIndex, ShareEntry, ShareLocation, StoreOutcome};

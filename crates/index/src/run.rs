@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use cdstore_crypto::crc32::crc32;
-use cdstore_storage::{LruCache, StorageBackend, StorageError};
+use cdstore_storage::{read_frame, LruCache, StorageBackend, StorageError};
 
 use crate::bloom::BloomFilter;
 
@@ -83,28 +83,16 @@ fn corrupt(key: &str, what: &str) -> StorageError {
     StorageError::Corrupt(format!("{key}: {what}"))
 }
 
-/// Appends a `len | crc32 | payload` frame to `out`, returning the framed
-/// length.
+/// Appends a [`cdstore_storage::frame_into`] frame of `payload` to `out`,
+/// returning the framed length.
 fn frame_into(out: &mut Vec<u8>, payload: &[u8]) -> usize {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    FRAME_HEADER + payload.len()
+    cdstore_storage::frame_into(out, |out| out.extend_from_slice(payload))
 }
 
-/// Verifies a full `len | crc32 | payload` frame and returns the payload.
+/// Verifies the frame at the start of `framed` and returns its payload; a
+/// truncated or checksum-failing frame is corruption of the object `key`.
 fn unframe<'a>(framed: &'a [u8], key: &str) -> Result<&'a [u8], StorageError> {
-    if framed.len() < FRAME_HEADER {
-        return Err(corrupt(key, "truncated frame"));
-    }
-    let len = u32::from_le_bytes(framed[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(framed[4..8].try_into().expect("4 bytes"));
-    let payload = framed
-        .get(FRAME_HEADER..FRAME_HEADER + len)
-        .ok_or_else(|| corrupt(key, "frame length out of range"))?;
-    if crc32(payload) != crc {
-        return Err(corrupt(key, "frame checksum mismatch"));
-    }
+    let (payload, _) = read_frame(framed).ok_or_else(|| corrupt(key, "bad frame"))?;
     Ok(payload)
 }
 

@@ -321,6 +321,17 @@ impl DirBackend {
         }
     }
 
+    /// Opens an object's file for reading. Only an absent file is
+    /// [`StorageError::NotFound`], which callers read as the object being
+    /// gone for good; any other failure (too many open files, EIO, a root
+    /// that is no longer a directory) is a transient [`StorageError::Io`].
+    fn open(&self, key: &str) -> Result<fs::File, StorageError> {
+        fs::File::open(self.path_for(key)).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => StorageError::NotFound(key.to_string()),
+            _ => StorageError::Io(e),
+        })
+    }
+
     /// Writes `parts`, in order, to a temp file and renames it over the
     /// object: the one write path of `put` and `put_shared`.
     fn write_object(&self, key: &str, parts: &[&[u8]]) -> Result<(), StorageError> {
@@ -360,9 +371,7 @@ impl StorageBackend for DirBackend {
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        let path = self.path_for(key);
-        let mut file =
-            fs::File::open(&path).map_err(|_| StorageError::NotFound(key.to_string()))?;
+        let mut file = self.open(key)?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
         Ok(data)
@@ -411,9 +420,7 @@ impl StorageBackend for DirBackend {
 
     fn read_range(&self, key: &str, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
         use std::io::{Seek, SeekFrom};
-        let path = self.path_for(key);
-        let mut file =
-            fs::File::open(&path).map_err(|_| StorageError::NotFound(key.to_string()))?;
+        let mut file = self.open(key)?;
         file.seek(SeekFrom::Start(offset))?;
         let mut buf = vec![0u8; len];
         file.read_exact(&mut buf)
@@ -568,6 +575,35 @@ mod tests {
         let backend = DirBackend::new(&dir).unwrap();
         exercise_read_range(&backend);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Only an absent file is `NotFound`: recovery reads that as an object
+    /// gone for good, while any other open error is a transient `Io`.
+    #[test]
+    fn dir_backend_reports_only_an_absent_file_as_not_found() {
+        let dir =
+            std::env::temp_dir().join(format!("cdstore-backend-notfound-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let backend = DirBackend::new(&dir).unwrap();
+        backend.put("obj", b"bytes").unwrap();
+        assert!(matches!(
+            backend.get("absent"),
+            Err(StorageError::NotFound(_))
+        ));
+        assert!(matches!(
+            backend.read_range("absent", 0, 1),
+            Err(StorageError::NotFound(_))
+        ));
+        // With the directory replaced by a regular file, opening the object
+        // fails with ENOTDIR: an I/O error, not an absent object.
+        fs::remove_dir_all(&dir).unwrap();
+        fs::write(&dir, b"not a directory").unwrap();
+        assert!(matches!(backend.get("obj"), Err(StorageError::Io(_))));
+        assert!(matches!(
+            backend.read_range("obj", 0, 1),
+            Err(StorageError::Io(_))
+        ));
+        fs::remove_file(&dir).unwrap();
     }
 
     #[test]

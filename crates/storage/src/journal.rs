@@ -101,10 +101,12 @@ fn parse_segment_key(key: &str) -> Option<(u64, u64)> {
     Some((parse_hex(epoch)?, parse_hex(segment)?))
 }
 
-/// Frames one record in place at the end of `out`: reserves the
-/// `len | crc` header, lets `payload` append the record body, then fills the
-/// header in — no per-record buffer.
-fn frame_record_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+/// Frames one record in place at the end of `out` as `len: u32 LE |
+/// crc32(payload): u32 LE | payload`: reserves the header, lets `payload`
+/// append the record body, then fills the header in — no per-record buffer.
+/// Returns the framed length. The one record frame of the workspace: journal
+/// records and the disk index's run sections both use it.
+pub fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
     let header = out.len();
     out.extend_from_slice(&[0u8; 8]);
     payload(out);
@@ -113,6 +115,18 @@ fn frame_record_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let crc = crc32(&out[body..]);
     out[header..header + 4].copy_from_slice(&len.to_le_bytes());
     out[header + 4..body].copy_from_slice(&crc.to_le_bytes());
+    out.len() - header
+}
+
+/// Reads the [`frame_into`] frame at the start of `bytes`: its payload and
+/// the bytes after it, or `None` if the frame is truncated or fails its
+/// checksum.
+pub fn read_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let len = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?);
+    let end = len.checked_add(8)?;
+    let payload = bytes.get(8..end)?;
+    (crc32(payload) == crc).then(|| (payload, &bytes[end..]))
 }
 
 /// Decodes a concatenated stream of framed records. Returns the records that
@@ -123,20 +137,11 @@ fn frame_record_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
 pub fn decode_records(mut bytes: &[u8]) -> (Vec<Vec<u8>>, bool) {
     let mut records = Vec::new();
     while !bytes.is_empty() {
-        if bytes.len() < 8 {
+        let Some((payload, rest)) = read_frame(bytes) else {
             return (records, true);
-        }
-        let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if bytes.len() < 8 + len {
-            return (records, true);
-        }
-        let payload = &bytes[8..8 + len];
-        if crc32(payload) != crc {
-            return (records, true);
-        }
+        };
         records.push(payload.to_vec());
-        bytes = &bytes[8 + len..];
+        bytes = rest;
     }
     (records, false)
 }
@@ -346,7 +351,7 @@ impl Journal {
     /// order *is* the apply order.
     pub fn stage(&self, payload: impl FnOnce(&mut Vec<u8>)) {
         let mut staging = self.staging.lock().expect("journal staging lock");
-        frame_record_into(&mut staging.frames, payload);
+        frame_into(&mut staging.frames, payload);
         staging.records += 1;
     }
 
@@ -625,7 +630,7 @@ mod tests {
     fn decode_records_handles_every_prefix_without_panicking() {
         let mut stream = Vec::new();
         for i in 0..20u32 {
-            frame_record_into(&mut stream, |out| out.extend_from_slice(&i.to_be_bytes()));
+            frame_into(&mut stream, |out| out.extend_from_slice(&i.to_be_bytes()));
         }
         let full = decode_records(&stream).0.len();
         assert_eq!(full, 20);
@@ -844,7 +849,7 @@ mod tests {
                 .collect();
             let mut stream = Vec::new();
             for record in &records {
-                frame_record_into(&mut stream, |out| out.extend_from_slice(record));
+                frame_into(&mut stream, |out| out.extend_from_slice(record));
             }
             let at = at as usize % stream.len();
             let unchanged = stream[at] == value;

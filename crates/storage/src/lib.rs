@@ -32,5 +32,5 @@ pub use backend::{DirBackend, MemoryBackend, StorageBackend, StorageError};
 pub use cache::LruCache;
 pub use container::{Container, ContainerBuilder, ContainerKind, CONTAINER_CAPACITY};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultyBackend, Shaping, Window};
-pub use journal::{Journal, LoadedJournal};
-pub use store::{ContainerStore, ContainerUsage, ShareLocation, StoreStats, StoreUtilisation};
+pub use journal::{frame_into, read_frame, Journal, LoadedJournal};
+pub use store::{ContainerStore, ContainerUsage, ShareLocation};

@@ -4,9 +4,9 @@
 //!
 //! The store is designed for concurrent clients: containers are single-user
 //! (§4.5), so each user's open containers sit behind their own append lock,
-//! container ids come from an atomic counter, the read cache has its own
-//! mutex, and the I/O counters are atomics. Two users appending shares at the
-//! same time never contend on a common lock.
+//! container ids come from an atomic counter, and the read cache has its own
+//! mutex. Two users appending shares at the same time never contend on a
+//! common lock.
 //!
 //! The store also keeps a *liveness ledger* ([`ContainerUsage`]) per
 //! container: every appended blob starts live, and [`ContainerStore::release`]
@@ -60,43 +60,6 @@ pub fn parse_container_key(key: &str) -> Option<u64> {
     u64::from_str_radix(key.strip_prefix(CONTAINER_KEY_PREFIX)?, 16).ok()
 }
 
-/// Counters describing the I/O behaviour of a container store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Sealed containers written to the backend.
-    pub containers_written: u64,
-    /// Total payload bytes written to the backend.
-    pub bytes_written: u64,
-    /// Container reads served from the open (unsealed) buffers.
-    pub open_buffer_reads: u64,
-    /// Container reads served from the LRU cache.
-    pub cache_reads: u64,
-    /// Container reads that had to touch the backend.
-    pub backend_reads: u64,
-}
-
-/// Lock-free counterpart of [`StoreStats`].
-#[derive(Default)]
-struct AtomicStoreStats {
-    containers_written: AtomicU64,
-    bytes_written: AtomicU64,
-    open_buffer_reads: AtomicU64,
-    cache_reads: AtomicU64,
-    backend_reads: AtomicU64,
-}
-
-impl AtomicStoreStats {
-    fn snapshot(&self) -> StoreStats {
-        StoreStats {
-            containers_written: self.containers_written.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            open_buffer_reads: self.open_buffer_reads.load(Ordering::Relaxed),
-            cache_reads: self.cache_reads.load(Ordering::Relaxed),
-            backend_reads: self.backend_reads.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Liveness accounting for one container: how many of its payload bytes are
 /// still referenced (live) and how many have been released (dead).
 ///
@@ -144,17 +107,6 @@ impl ContainerUsage {
     }
 }
 
-/// Aggregate liveness across every container the ledger tracks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreUtilisation {
-    /// Live payload bytes across all containers.
-    pub live_bytes: u64,
-    /// Dead payload bytes across all containers.
-    pub dead_bytes: u64,
-    /// Number of containers tracked (open and sealed).
-    pub containers: u64,
-}
-
 /// One user's open (unsealed) containers: at most one share container and
 /// one recipe container at a time (§4.5).
 #[derive(Default)]
@@ -196,7 +148,6 @@ pub struct ContainerStore {
     /// are created on the first append, flipped to `sealed` when the
     /// container is written out, and removed when it is deleted.
     ledger: Mutex<HashMap<u64, ContainerUsage>>,
-    stats: AtomicStoreStats,
 }
 
 /// The blob at `location` within a sealed container's payload.
@@ -225,22 +176,16 @@ fn locked(entry: &Mutex<OpenContainers>) -> MutexGuard<'_, OpenContainers> {
 }
 
 impl ContainerStore {
-    /// Creates a container store over the given backend with the default
-    /// cache size.
+    /// Creates a container store over the given backend, with a read cache
+    /// of [`DEFAULT_CACHE_BYTES`].
     pub fn new(backend: Arc<dyn StorageBackend>) -> Self {
-        Self::with_cache_bytes(backend, DEFAULT_CACHE_BYTES)
-    }
-
-    /// Creates a container store with an explicit cache budget.
-    pub fn with_cache_bytes(backend: Arc<dyn StorageBackend>, cache_bytes: usize) -> Self {
         ContainerStore {
             backend,
             next_container_id: AtomicU64::new(1),
             open: RwLock::new(HashMap::new()),
             open_by_id: Mutex::new(HashMap::new()),
-            cache: Mutex::new(LruCache::new(cache_bytes)),
+            cache: Mutex::new(LruCache::new(DEFAULT_CACHE_BYTES)),
             ledger: Mutex::new(HashMap::new()),
-            stats: AtomicStoreStats::default(),
         }
     }
 
@@ -370,12 +315,6 @@ impl ContainerStore {
             return Err(e);
         }
         let size = container.payload_size();
-        self.stats
-            .containers_written
-            .fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add((header.len() + size) as u64, Ordering::Relaxed);
         self.cache().put(id, container, size);
         if let Some(usage) = self.ledger().get_mut(&id) {
             usage.sealed = true;
@@ -497,8 +436,7 @@ impl ContainerStore {
     /// the container (an error), none. The container is found once for the
     /// whole run — in the open buffers (read under its user's lock), the
     /// cache (its payload is shared out of the cache lock and read outside
-    /// it) or the backend, in that order. The I/O counters count each blob,
-    /// as that many [`ContainerStore::fetch`]es would.
+    /// it) or the backend, in that order.
     pub fn fetch_run(
         &self,
         locations: &[ShareLocation],
@@ -512,34 +450,22 @@ impl ContainerStore {
             locations.iter().all(|l| l.container_id == id),
             "a run of locations lies in one container"
         );
-        let blobs = locations.len() as u64;
         let corrupt = || StorageError::Corrupt(format!("container {id} misses offset"));
         // 1. Open (unsealed) containers: copy out just the run's blobs.
         let open = self.with_open_container(id, |builder| {
             read_blobs(locations, |l| builder.get_at(l.offset, l.size), &mut sink)
         });
         if let Some(found) = open {
-            self.stats
-                .open_buffer_reads
-                .fetch_add(blobs, Ordering::Relaxed);
             return found.ok_or_else(corrupt);
         }
         // 2. The LRU cache.
         let cached = self.cache().get(&id).map(|c| Arc::clone(&c.payload));
         let payload = match cached {
-            Some(payload) => {
-                self.stats.cache_reads.fetch_add(blobs, Ordering::Relaxed);
-                payload
-            }
-            // 3. The backend, once; the run's other blobs then count as
-            // cache reads, as they would had they been fetched one by one.
+            Some(payload) => payload,
+            // 3. The backend, once for the whole run.
             None => {
                 let key = Self::object_key(id);
                 let bytes = self.backend.get(&key)?;
-                self.stats.backend_reads.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .cache_reads
-                    .fetch_add(blobs - 1, Ordering::Relaxed);
                 let container = Container::from_bytes(&bytes).ok_or(StorageError::Corrupt(key))?;
                 let payload = Arc::clone(&container.payload);
                 let size = container.payload_size();
@@ -556,16 +482,13 @@ impl ContainerStore {
         // Whole-container reads (repair/GC) are the one case that really
         // needs a sealed snapshot of the open buffer.
         if let Some(container) = self.with_open_container(container_id, |b| b.clone().seal()) {
-            self.stats.open_buffer_reads.fetch_add(1, Ordering::Relaxed);
             return Ok(container);
         }
         if let Some(container) = self.cache().get(&container_id) {
-            self.stats.cache_reads.fetch_add(1, Ordering::Relaxed);
             return Ok(container.clone());
         }
         let key = Self::object_key(container_id);
         let bytes = self.backend.get(&key)?;
-        self.stats.backend_reads.fetch_add(1, Ordering::Relaxed);
         Container::from_bytes(&bytes).ok_or(StorageError::Corrupt(key))
     }
 
@@ -602,23 +525,6 @@ impl ContainerStore {
             .filter(|(_, usage)| usage.sealed)
             .map(|(&id, &usage)| (id, usage))
             .collect()
-    }
-
-    /// Aggregate live/dead byte counts across all tracked containers.
-    pub fn utilisation(&self) -> StoreUtilisation {
-        let ledger = self.ledger();
-        let mut total = StoreUtilisation::default();
-        for usage in ledger.values() {
-            total.live_bytes += usage.live_bytes;
-            total.dead_bytes += usage.dead_bytes;
-            total.containers += 1;
-        }
-        total
-    }
-
-    /// Returns the I/O counters.
-    pub fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
     }
 
     /// Container bytes currently stored at the backend. Journal objects
@@ -681,6 +587,7 @@ mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
     use crate::container::CONTAINER_CAPACITY;
+    use crate::fault::{FaultConfig, FaultPlan, FaultyBackend};
 
     fn fp(i: u32) -> Fingerprint {
         Fingerprint::of(&i.to_be_bytes())
@@ -691,42 +598,54 @@ mod tests {
         (ContainerStore::new(backend.clone()), backend)
     }
 
+    /// A store over a clean [`FaultyBackend`], whose plan ticks once for
+    /// every call that reaches the backend, and the memory behind it. A
+    /// second `ContainerStore::new(store.backend())` is a cold store over the
+    /// same counted backend.
+    fn counted_store() -> (ContainerStore, Arc<MemoryBackend>, Arc<FaultPlan>) {
+        let memory = Arc::new(MemoryBackend::new());
+        let plan = Arc::new(FaultPlan::new(FaultConfig::clean(0)));
+        let backend = FaultyBackend::new(memory.clone(), plan.clone());
+        (ContainerStore::new(Arc::new(backend)), memory, plan)
+    }
+
     #[test]
     fn store_and_fetch_from_open_buffer() {
-        let (store, backend) = new_store();
+        let (store, memory, plan) = counted_store();
         let loc = store.store_share(1, fp(1), b"buffered share").unwrap();
-        // Not yet written to the backend.
-        assert_eq!(backend.object_count(), 0);
+        // Not yet written to the backend, and read without a backend call.
+        assert_eq!(memory.object_count(), 0);
         assert_eq!(store.fetch(&loc).unwrap(), b"buffered share");
-        assert_eq!(store.stats().open_buffer_reads, 1);
+        assert_eq!(plan.ticks(), 0);
     }
 
     #[test]
     fn flush_writes_containers_and_fetch_uses_cache_then_backend() {
-        let (store, backend) = new_store();
+        let (store, memory, plan) = counted_store();
         let loc = store.store_share(1, fp(1), b"first").unwrap();
         let loc2 = store.store_share(1, fp(2), b"second").unwrap();
         assert_eq!(loc.container_id, loc2.container_id);
         store.flush().unwrap();
-        assert_eq!(backend.object_count(), 1);
+        assert_eq!(memory.object_count(), 1);
         // First fetch after flush hits the cache (the seal populated it).
+        let calls = plan.ticks();
         assert_eq!(store.fetch(&loc).unwrap(), b"first");
-        assert_eq!(store.stats().cache_reads, 1);
-        // A store with an empty cache goes to the backend.
-        let cold = ContainerStore::with_cache_bytes(backend.clone(), 1024 * 1024);
+        assert_eq!(plan.ticks(), calls);
+        // A store with an empty cache goes to the backend, once.
+        let cold = ContainerStore::new(store.backend());
         assert_eq!(cold.fetch(&loc2).unwrap(), b"second");
-        assert_eq!(cold.stats().backend_reads, 1);
+        assert_eq!(plan.ticks(), calls + 1);
         // And the second read of the same container is a cache hit.
         assert_eq!(cold.fetch(&loc).unwrap(), b"first");
-        assert_eq!(cold.stats().cache_reads, 1);
+        assert_eq!(plan.ticks(), calls + 1);
     }
 
     /// A run is read from wherever its container is — open, cached or only
-    /// on the backend — counting each blob as one fetch would, and hands on
-    /// every blob or, when one lies outside the container, none.
+    /// on the backend, with one backend call for the whole run — and hands
+    /// on every blob or, when one lies outside the container, none.
     #[test]
     fn a_run_reads_its_container_once_and_counts_each_blob() {
-        let (store, backend) = new_store();
+        let (store, _, plan) = counted_store();
         let blobs: [&[u8]; 3] = [b"one", b"two", b"three"];
         let run: Vec<ShareLocation> = (0..3)
             .map(|i| store.store_share(1, fp(i), blobs[i as usize]).unwrap())
@@ -736,14 +655,14 @@ mod tests {
             store.fetch_run(run, |b| out.push(b.to_vec())).map(|()| out)
         };
         assert_eq!(read(&store, &run).unwrap(), blobs);
-        assert_eq!(store.stats().open_buffer_reads, 3);
+        assert_eq!(plan.ticks(), 0, "the open container serves the run");
         store.flush().unwrap();
+        let calls = plan.ticks();
         assert_eq!(read(&store, &run).unwrap(), blobs);
-        assert_eq!(store.stats().cache_reads, 3);
-        let cold = ContainerStore::with_cache_bytes(backend, 1024 * 1024);
+        assert_eq!(plan.ticks(), calls, "the cache serves the run");
+        let cold = ContainerStore::new(store.backend());
         assert_eq!(read(&cold, &run).unwrap(), blobs);
-        let stats = cold.stats();
-        assert_eq!((stats.backend_reads, stats.cache_reads), (1, 2));
+        assert_eq!(plan.ticks(), calls + 1, "one backend read for the run");
 
         let past_end = ShareLocation {
             offset: 1 << 20,
@@ -770,7 +689,7 @@ mod tests {
         // two of which were sealed and written out automatically.
         assert!(container_ids.len() >= 3);
         assert!(backend.object_count() >= 2);
-        assert!(store.stats().bytes_written >= 2 * CONTAINER_CAPACITY as u64);
+        assert!(backend.total_bytes().unwrap() >= 2 * CONTAINER_CAPACITY as u64);
     }
 
     #[test]
@@ -988,7 +907,7 @@ mod tests {
         store.delete_container(loc_a.container_id).unwrap();
         assert!(store.container_usage(loc_a.container_id).is_none());
         store.release(&loc_a);
-        assert_eq!(store.utilisation(), StoreUtilisation::default());
+        assert!(store.ledger().is_empty());
     }
 
     #[test]
@@ -1004,10 +923,11 @@ mod tests {
             store.container_usage(recipe.container_id).unwrap().kind,
             ContainerKind::Recipe
         );
-        let total = store.utilisation();
-        assert_eq!(total.live_bytes, 150);
-        assert_eq!(total.dead_bytes, 0);
-        assert_eq!(total.containers, 2);
+        for (location, live) in [(share, 100), (recipe, 50)] {
+            let usage = store.container_usage(location.container_id).unwrap();
+            assert_eq!((usage.live_bytes, usage.dead_bytes), (live, 0));
+        }
+        assert_eq!(store.ledger().len(), 2);
     }
 
     #[test]
@@ -1051,7 +971,7 @@ mod tests {
         store.flush().unwrap();
         // Flush again: no open builders, ledger must not grow.
         store.flush().unwrap();
-        assert_eq!(store.utilisation().containers, 1);
+        assert_eq!(store.ledger().len(), 1);
     }
 
     #[test]
@@ -1066,9 +986,8 @@ mod tests {
         backend.corrupt(&key, payload_at).unwrap();
         // The warm cache shares the sealed payload with the backend object,
         // and the flips copied the object first: it still serves the
-        // stored bytes.
+        // stored bytes, which the backend object no longer holds.
         assert_eq!(store.fetch(&loc).unwrap(), b"soon corrupt");
-        assert_eq!(store.stats().cache_reads, 1);
         let cold = ContainerStore::new(backend);
         assert!(matches!(cold.fetch(&loc), Err(StorageError::Corrupt(_))));
     }

@@ -15,71 +15,9 @@
 
 use std::collections::HashSet;
 
+use cdstore_core::DedupStats;
+
 use crate::spec::Snapshot;
-
-/// Byte counters identical in meaning to `cdstore_core::DedupStats`,
-/// duplicated here so the workload crate stays independent of the core crate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DedupCounters {
-    /// Original user data bytes.
-    pub logical_bytes: u64,
-    /// All-share bytes before deduplication.
-    pub logical_share_bytes: u64,
-    /// Share bytes uploaded after intra-user deduplication.
-    pub transferred_share_bytes: u64,
-    /// Share bytes stored after inter-user deduplication.
-    pub physical_share_bytes: u64,
-}
-
-impl DedupCounters {
-    /// Intra-user deduplication saving (Figure 6(a), top).
-    pub fn intra_user_saving(&self) -> f64 {
-        one_minus(self.transferred_share_bytes, self.logical_share_bytes)
-    }
-
-    /// Inter-user deduplication saving (Figure 6(a), bottom).
-    pub fn inter_user_saving(&self) -> f64 {
-        one_minus(self.physical_share_bytes, self.transferred_share_bytes)
-    }
-
-    /// Physical-to-logical ratio (Figure 6(b)).
-    pub fn physical_to_logical(&self) -> f64 {
-        if self.logical_bytes == 0 {
-            0.0
-        } else {
-            self.physical_share_bytes as f64 / self.logical_bytes as f64
-        }
-    }
-
-    /// Deduplication ratio: logical shares / physical shares — 1.0 when
-    /// nothing was stored, ∞ when shares arrived and none was new, as
-    /// `cdstore_core::DedupStats::dedup_ratio` reads the same counters.
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.physical_share_bytes == 0 {
-            return if self.logical_share_bytes == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        self.logical_share_bytes as f64 / self.physical_share_bytes as f64
-    }
-
-    fn add(&mut self, other: &DedupCounters) {
-        self.logical_bytes += other.logical_bytes;
-        self.logical_share_bytes += other.logical_share_bytes;
-        self.transferred_share_bytes += other.transferred_share_bytes;
-        self.physical_share_bytes += other.physical_share_bytes;
-    }
-}
-
-fn one_minus(after: u64, before: u64) -> f64 {
-    if before == 0 {
-        0.0
-    } else {
-        1.0 - after as f64 / before as f64
-    }
-}
 
 /// One week's deduplication outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,9 +25,9 @@ pub struct WeeklyDedup {
     /// Week number.
     pub week: usize,
     /// Counters for this week's backups only.
-    pub stats: DedupCounters,
+    pub stats: DedupStats,
     /// Counters accumulated from week 0 through this week (Figure 6(b)).
-    pub cumulative: DedupCounters,
+    pub cumulative: DedupStats,
 }
 
 /// Size of one CAONT-RS share of a chunk of `size` bytes under `(n, k)`.
@@ -108,11 +46,11 @@ pub fn weekly_dedup(snapshots: &[Vec<Snapshot>], n: usize, k: usize) -> Vec<Week
     // tracking chunk identities is equivalent to tracking per-cloud shares.
     let mut per_user: Vec<HashSet<(u64, u32)>> = Vec::new();
     let mut global: HashSet<(u64, u32)> = HashSet::new();
-    let mut cumulative = DedupCounters::default();
+    let mut cumulative = DedupStats::default();
     let mut out = Vec::with_capacity(snapshots.len());
 
     for (week, backups) in snapshots.iter().enumerate() {
-        let mut stats = DedupCounters::default();
+        let mut stats = DedupStats::default();
         for snapshot in backups {
             let user = snapshot.user as usize;
             if per_user.len() <= user {
@@ -134,7 +72,7 @@ pub fn weekly_dedup(snapshots: &[Vec<Snapshot>], n: usize, k: usize) -> Vec<Week
                 }
             }
         }
-        cumulative.add(&stats);
+        cumulative.accumulate(&stats);
         out.push(WeeklyDedup {
             week,
             stats,
@@ -190,7 +128,7 @@ mod tests {
         assert_eq!(result[1].stats.physical_share_bytes, 0);
         assert!(result[1].stats.logical_share_bytes > 0);
         assert!(result[1].stats.dedup_ratio().is_infinite());
-        assert_eq!(DedupCounters::default().dedup_ratio(), 1.0);
+        assert_eq!(DedupStats::default().dedup_ratio(), 1.0);
     }
 
     #[test]

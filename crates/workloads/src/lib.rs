@@ -28,7 +28,7 @@ pub mod rng;
 pub mod spec;
 pub mod vm;
 
-pub use analysis::{weekly_dedup, DedupCounters, WeeklyDedup};
+pub use analysis::{weekly_dedup, WeeklyDedup};
 pub use fsl::{FslConfig, FslWorkload};
 pub use rng::SplitMix64;
 pub use spec::{ChunkSpec, Snapshot};

@@ -14,8 +14,9 @@
 //!   fault/link-shaping layer (`FaultyBackend`, `Shaping`)
 //! * [`index`] — bloom-filtered LSM key-value store and dedup indices
 //! * [`cost`] — the §5.6 monetary cost model (Figure 9)
-//! * [`workloads`] — FSL/VM backup workload generators
 //! * [`core`] — client/server pipeline tying everything together
+//! * [`workloads`] — FSL/VM backup workload generators, and the Fig. 6
+//!   dedup model that counts in `core`'s `DedupStats`
 
 #![forbid(unsafe_code)]
 
